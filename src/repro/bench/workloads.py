@@ -217,7 +217,7 @@ def builtin_registry() -> BenchRegistry:
         run_block_formation(mesh, faults)
         return run_safety_propagation(mesh, blocks.unusable)
 
-    # -- sim: message-passing simulator fast path ---------------------
+    # -- sim: message-passing simulator ------------------------------
     def sim_formation_setup(config):
         from repro.faults.blocks import build_faulty_blocks
 
@@ -226,39 +226,28 @@ def builtin_registry() -> BenchRegistry:
         unusable = build_faulty_blocks(mesh, faults).unusable
         return mesh, faults, unusable
 
-    def _run_formation(state, scheduler, delivery):
+    def _run_formation(state):
         from repro.simulator.protocols import (
             run_block_formation,
             run_safety_propagation,
         )
 
         mesh, faults, unusable = state
-        run_block_formation(mesh, faults, scheduler=scheduler, delivery=delivery)
-        return run_safety_propagation(
-            mesh, unusable, scheduler=scheduler, delivery=delivery
-        )
+        run_block_formation(mesh, faults)
+        return run_safety_propagation(mesh, unusable)
 
     @registry.register(
         "sim.formation_large", kind="macro", setup=sim_formation_setup,
-        description="large-mesh block formation + ESL propagation on the fast path "
+        description="large-mesh block formation + ESL propagation "
                     "(tick-bucket scheduler, zero-copy delivery)",
         repeats=10, quick_repeats=3,
     )
     def run_sim_formation(state):
-        return _run_formation(state, "buckets", "fast")
-
-    @registry.register(
-        "sim.formation_large_heap", kind="macro", setup=sim_formation_setup,
-        description="same workload on the reference seed path "
-                    "(binary-heap scheduler, legacy per-hop-copy delivery)",
-        repeats=10, quick_repeats=3,
-    )
-    def run_sim_formation_heap(state):
-        return _run_formation(state, "heap", "legacy")
+        return _run_formation(state)
 
     @registry.register(
         "sim.formation_recorded", kind="macro", setup=sim_formation_setup,
-        description="the fast-path workload with a flight recorder installed "
+        description="sim.formation_large with a flight recorder installed "
                     "(recorder-on overhead vs sim.formation_large)",
         repeats=10, quick_repeats=3,
     )
@@ -266,11 +255,11 @@ def builtin_registry() -> BenchRegistry:
         from repro.obs import FlightRecorder, use_tracer
 
         with use_tracer(FlightRecorder()):
-            return _run_formation(state, "buckets", "fast")
+            return _run_formation(state)
 
     @registry.register(
         "obs.sampling_on", kind="macro", setup=sim_formation_setup,
-        description="the fast-path workload with the telemetry observatory "
+        description="sim.formation_large with the telemetry observatory "
                     "sampling every tick (sampling overhead vs sim.formation_large)",
         repeats=10, quick_repeats=3,
     )
@@ -278,7 +267,7 @@ def builtin_registry() -> BenchRegistry:
         from repro.obs import Observatory, use_observatory
 
         with use_observatory(Observatory(rules=())):
-            return _run_formation(state, "buckets", "fast")
+            return _run_formation(state)
 
     # -- faults: delta maintenance vs full rebuild per event ----------
     def fault_events_setup(config):

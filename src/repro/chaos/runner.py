@@ -72,7 +72,6 @@ class ChaosRunner:
         plan: ChannelFaultPlan | None = None,
         schedule: ChaosSchedule | None = None,
         latency: float = 1.0,
-        scheduler: str = "buckets",
         stabilize_rounds: int = 1,
         recorder: FlightRecorder | None = None,
         observatory: "Observatory | None" = None,
@@ -81,11 +80,10 @@ class ChaosRunner:
         self.plan = plan
         self.schedule = schedule if schedule is not None else ChaosSchedule()
         self.latency = latency
-        self.scheduler = scheduler
         self.stabilize_rounds = stabilize_rounds
         self.recorder = recorder
         self.observatory = observatory
-        self.engine = Engine(scheduler)
+        self.engine = Engine()
 
         def factory(coord: Coord, network: MeshNetwork) -> DynamicNode:
             return DynamicNode(coord, network, hardened=True)
@@ -135,7 +133,6 @@ class ChaosRunner:
                 for event in self.schedule
             ],
             "latency": self.latency,
-            "scheduler": self.scheduler,
             "stabilize_rounds": self.stabilize_rounds,
         }
 

@@ -96,7 +96,6 @@ def verify_convergence(
     schedule: ChaosSchedule | None = None,
     *,
     latency: float = 1.0,
-    scheduler: str = "buckets",
     stabilize_rounds: int = 2,
     sample_pairs: int = 32,
     seed: int = 0,
@@ -139,7 +138,6 @@ def verify_convergence(
         plan=plan,
         schedule=schedule,
         latency=latency,
-        scheduler=scheduler,
         stabilize_rounds=stabilize_rounds,
         recorder=recorder,
         observatory=observatory,

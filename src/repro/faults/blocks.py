@@ -44,7 +44,7 @@ def _shifted(mask: np.ndarray, dx: int, dy: int) -> np.ndarray:
     return out
 
 
-def disable_fixpoint(faulty: np.ndarray, method: str = "frontier") -> np.ndarray:
+def disable_fixpoint(faulty: np.ndarray) -> np.ndarray:
     """Run Definition 1's disabling rule to a fixpoint.
 
     Returns the *unusable* mask (faulty or disabled).  A healthy node becomes
@@ -52,17 +52,10 @@ def disable_fixpoint(faulty: np.ndarray, method: str = "frontier") -> np.ndarray
     **and** at least one in the y dimension ("two or more ... in different
     dimensions").  Missing neighbours at mesh edges count as healthy.
 
-    ``method`` selects the implementation: ``"frontier"`` (default) seeds
-    with one vectorised full-grid pass, then only re-examines cells
-    adjacent to the previous round's newly-disabled set, so every round
-    after the first costs O(frontier) instead of O(n*m); ``"dense"`` is
-    the original all-full-grid-passes loop, kept for cross-validation in
-    the tests.
+    The fixpoint seeds with one vectorised full-grid pass, then only
+    re-examines cells adjacent to the previous round's newly-disabled set,
+    so every round after the first costs O(frontier) instead of O(n*m).
     """
-    if method == "dense":
-        return _disable_fixpoint_dense(faulty)
-    if method != "frontier":
-        raise ValueError(f"unknown fixpoint method {method!r}")
     n, m = faulty.shape
     unusable = faulty.copy()
     # Round 1 as a dense pass: scattered faults usually converge here, and
@@ -101,30 +94,12 @@ def disable_fixpoint(faulty: np.ndarray, method: str = "frontier") -> np.ndarray
     return unusable
 
 
-def _disable_fixpoint_dense(faulty: np.ndarray) -> np.ndarray:
-    """Full-grid fixpoint passes (the pre-frontier implementation)."""
-    unusable = faulty.copy()
-    while True:
-        horizontal = _shifted(unusable, 1, 0) | _shifted(unusable, -1, 0)
-        vertical = _shifted(unusable, 0, 1) | _shifted(unusable, 0, -1)
-        grown = unusable | (horizontal & vertical)
-        if np.array_equal(grown, unusable):
-            return unusable
-        unusable = grown
-
-
-def _connected_components(mask: np.ndarray, method: str = "runs") -> list[list[Coord]]:
+def _connected_components(mask: np.ndarray) -> list[list[Coord]]:
     """4-connected components of True cells, as coordinate lists.
 
-    ``method="runs"`` (default) labels maximal y-runs per column and unions
-    overlapping runs between adjacent columns -- O(#runs) Python work
-    instead of O(#cells); ``method="bfs"`` is the original per-coordinate
-    flood fill, kept for cross-validation in the tests.
+    Labels maximal y-runs per column and unions overlapping runs between
+    adjacent columns -- O(#runs) Python work instead of O(#cells).
     """
-    if method == "bfs":
-        return _connected_components_bfs(mask)
-    if method != "runs":
-        raise ValueError(f"unknown components method {method!r}")
     if not mask.any():
         return []
     pad = np.zeros((mask.shape[0], 1), dtype=bool)
@@ -176,37 +151,6 @@ def _connected_components(mask: np.ndarray, method: str = "runs") -> list[list[C
         else:
             bucket.extend((x, y) for y in range(y0, y1 + 1))
     return list(grouped.values())
-
-
-def _connected_components_bfs(mask: np.ndarray) -> list[list[Coord]]:
-    """Per-coordinate flood fill (the pre-vectorisation implementation)."""
-    n, m = mask.shape
-    seen = np.zeros_like(mask)
-    components: list[list[Coord]] = []
-    xs, ys = np.nonzero(mask)
-    for x0, y0 in zip(xs.tolist(), ys.tolist()):
-        if seen[x0, y0]:
-            continue
-        stack = [(x0, y0)]
-        seen[x0, y0] = True
-        component: list[Coord] = []
-        while stack:
-            x, y = stack.pop()
-            component.append((x, y))
-            if x > 0 and mask[x - 1, y] and not seen[x - 1, y]:
-                seen[x - 1, y] = True
-                stack.append((x - 1, y))
-            if x + 1 < n and mask[x + 1, y] and not seen[x + 1, y]:
-                seen[x + 1, y] = True
-                stack.append((x + 1, y))
-            if y > 0 and mask[x, y - 1] and not seen[x, y - 1]:
-                seen[x, y - 1] = True
-                stack.append((x, y - 1))
-            if y + 1 < m and mask[x, y + 1] and not seen[x, y + 1]:
-                seen[x, y + 1] = True
-                stack.append((x, y + 1))
-        components.append(component)
-    return components
 
 
 @dataclass(frozen=True)

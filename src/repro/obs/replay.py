@@ -2,7 +2,7 @@
 
 A recording starts with a ``run_meta`` event carrying the full *recipe*
 of the run (mesh size, initial faults, fault-plan parameters, chaos
-schedule, scheduler, stabilization rounds).  Because every source of
+schedule, stabilization rounds).  Because every source of
 randomness in the simulator is seeded and every tie is broken
 deterministically, re-executing the recipe must reproduce the event
 stream bit for bit -- :func:`replay_events` machine-checks exactly that,
@@ -26,6 +26,7 @@ the bottom of the dependency stack.
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -64,10 +65,33 @@ def recipe_of(events: Sequence[TraceEvent]) -> dict[str, Any]:
     raise ValueError("no run_meta event: this stream is not replayable")
 
 
+#: Recipe keys older recordings carry but replay no longer reads.
+#: ``scheduler`` named one of two engine schedulers that produced
+#: identical event orders, so it never changed what a run did.
+RETIRED_RECIPE_KEYS = frozenset({"scheduler"})
+
+
+def _without_retired_keys(events: Sequence[TraceEvent]) -> list[TraceEvent]:
+    """``events`` with retired keys dropped from the ``run_meta`` recipe,
+    i.e. the stream as the current recorder writes it."""
+    out = list(events)
+    for i, event in enumerate(out):
+        if event.kind == "run_meta":
+            recipe = event.data.get("recipe")
+            if isinstance(recipe, Mapping) and RETIRED_RECIPE_KEYS & recipe.keys():
+                kept = {k: v for k, v in recipe.items() if k not in RETIRED_RECIPE_KEYS}
+                out[i] = dataclasses.replace(event, data={**event.data, "recipe": kept})
+            break
+    return out
+
+
 def build_runner(
     recipe: Mapping[str, Any], recorder: FlightRecorder | None = None
 ) -> "ChaosRunner":
-    """Reconstruct the (un-run) :class:`ChaosRunner` a recipe describes."""
+    """Reconstruct the (un-run) :class:`ChaosRunner` a recipe describes.
+
+    Keys in :data:`RETIRED_RECIPE_KEYS` are ignored.
+    """
     from repro.chaos.plan import ChannelFaultPlan
     from repro.chaos.runner import ChaosRunner
     from repro.chaos.schedule import ChaosEvent, ChaosSchedule
@@ -95,7 +119,6 @@ def build_runner(
         plan=plan,
         schedule=schedule,
         latency=float(recipe.get("latency", 1.0)),
-        scheduler=str(recipe.get("scheduler", "buckets")),
         stabilize_rounds=int(recipe.get("stabilize_rounds", 1)),
         recorder=recorder,
     )
@@ -292,6 +315,7 @@ class ReplayResult:
 
 def replay_events(recorded: Sequence[TraceEvent]) -> ReplayResult:
     """Re-execute a recorded stream's recipe and compare, event by event."""
+    recorded = _without_retired_keys(recorded)
     recipe = recipe_of(recorded)
     recorder = FlightRecorder()
     runner = build_runner(recipe, recorder=recorder)

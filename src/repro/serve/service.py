@@ -358,6 +358,11 @@ class RoutingService:
         this answer (the pipeline sets it while the breaker is open):
         MCC queries downgrade to the block model and the path witness is
         skipped.
+
+        MCC queries whose destination lies in quadrant II or IV of the
+        source are answered from the block model (``model_used="block"``)
+        at every tier: the snapshot's type-one MCCs are sound only for
+        quadrant I/III routing.
         """
         if model not in ("block", "mcc"):
             raise QueryError(f"unknown model {model!r} (use 'block' or 'mcc')")
@@ -378,6 +383,8 @@ class RoutingService:
         if model == "mcc":
             if degraded or snapshot.mcc_levels is None:
                 model_used, is_degraded = "block", True
+            elif (dest[0] - source[0]) * (dest[1] - source[1]) < 0:
+                model_used = "block"  # type-one MCCs: quadrants I/III only
             else:
                 levels, blocked = snapshot.mcc_levels, snapshot.mcc_blocked
 

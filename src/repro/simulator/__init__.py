@@ -5,12 +5,11 @@ boundary-line distribution, and extended-safety-level formation all run as
 local protocols where each node only talks to its four neighbours.  This
 package provides the substrate to execute them as such:
 
-- :mod:`repro.simulator.engine` -- a discrete-event engine (time-ordered
-  callback queue; tick-bucketed by default, reference heap behind
-  ``scheduler="heap"``).
+- :mod:`repro.simulator.engine` -- a discrete-event engine (a
+  tick-bucketed, time-ordered callback queue).
 - :mod:`repro.simulator.messages` -- messages exchanged between nodes.
-- :mod:`repro.simulator.channels` -- FIFO links with latency and counters
-  (state array-backed in the network; lazy per-link views).
+- :mod:`repro.simulator.channels` -- lazy per-link views over the
+  network's array-backed link state (up flag, counters).
 - :mod:`repro.simulator.process` -- the per-node process abstraction.
 - :mod:`repro.simulator.network` -- a mesh of node processes wired by
   channels.

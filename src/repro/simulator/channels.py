@@ -5,87 +5,37 @@ per-channel counters.  Failed nodes simply have their channels marked down;
 messages to a down channel are dropped (and counted), which is how the
 simulator expresses that faulty nodes neither receive nor forward.
 
-Channel *state* no longer lives in per-channel objects: a
+Channel state does not live in per-channel objects: a
 :class:`~repro.simulator.network.MeshNetwork` keeps the up/carried/dropped
-state of all ``4*n*m`` directed links in three numpy arrays indexed by
-``(x, y, direction)``.  :class:`Channel` remains the standalone link (own
-counters, explicit engine/deliver wiring) for direct use and tests;
-:class:`ChannelView` is the thin API-compatible facade over one network
-array slot, handed out lazily by :class:`ChannelMap` so building a network
-allocates no per-channel objects at all.
+state of all ``4*n*m`` directed links in numpy arrays indexed by
+``(x, y, direction)``.  :class:`ChannelView` is a thin facade over one
+array slot, handed out lazily by :class:`ChannelMap`, so building a
+network allocates no per-channel objects at all.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.mesh.geometry import Coord, Direction
 from repro.simulator.messages import Message
 
 if TYPE_CHECKING:
-    from repro.simulator.engine import Engine
     from repro.simulator.network import MeshNetwork
 
 
-class Channel:
-    """A directed link ``src -> dst`` with fixed latency (standalone)."""
+class ChannelView:
+    """One directed link ``src -> dst``, viewed through the network's
+    state arrays.
 
-    __slots__ = (
-        "src", "dst", "direction", "latency", "engine", "deliver",
-        "up", "messages_carried", "messages_dropped",
-    )
-
-    def __init__(
-        self,
-        src: Coord,
-        dst: Coord,
-        direction: Direction,  # as seen from src
-        latency: float,
-        engine: "Engine",
-        deliver: Callable[[Coord, Message], None],
-        up: bool = True,
-        messages_carried: int = 0,
-        messages_dropped: int = 0,
-    ):
-        self.src = src
-        self.dst = dst
-        self.direction = direction
-        self.latency = latency
-        self.engine = engine
-        self.deliver = deliver
-        self.up = up
-        self.messages_carried = messages_carried
-        self.messages_dropped = messages_dropped
-
-    def send(self, message: Message) -> None:
-        """Queue a message for delivery after the link latency."""
-        if not self.up:
-            self.messages_dropped += 1
-            return
-        self.messages_carried += 1
-        # The receiver sees the message arriving from the opposite side.
-        annotated = message.delivered_via(self.direction.opposite)
-        self.engine.schedule(self.latency, self.deliver, self.dst, annotated)
-
-    def take_down(self) -> None:
-        self.up = False
-
-    def __str__(self) -> str:
-        state = "up" if self.up else "down"
-        return f"Channel {self.src} -> {self.dst} ({state}, {self.messages_carried} msgs)"
-
-
-class ChannelView(Channel):
-    """One network link, viewed through the network's state arrays.
-
-    Same surface as :class:`Channel` (``up``/counters/``send``/
-    ``take_down``), but every read and write goes to the owning
+    Every read and write goes to the owning
     :class:`~repro.simulator.network.MeshNetwork`'s arrays, so views can be
     created and discarded freely without losing state.
     """
 
-    __slots__ = ("_network", "_x", "_y", "_di")
+    __slots__ = ("_network", "_x", "_y", "_di", "src", "dst", "direction")
 
     def __init__(self, network: "MeshNetwork", src: Coord, dst: Coord, direction: Direction):
         self._network = network
@@ -93,25 +43,23 @@ class ChannelView(Channel):
         self._di = network.direction_index(direction)
         self.src = src
         self.dst = dst
-        self.direction = direction
-        self.latency = network.latency
-        self.engine = network.engine
-        self.deliver = network._deliver
+        self.direction = direction  # as seen from src
 
     @property
-    def up(self) -> bool:  # type: ignore[override]
+    def up(self) -> bool:
         return bool(self._network.channel_up[self._x, self._y, self._di])
 
     @property
-    def messages_carried(self) -> int:  # type: ignore[override]
+    def messages_carried(self) -> int:
         return int(self._network.channel_carried[self._x, self._y, self._di])
 
     @property
-    def messages_dropped(self) -> int:  # type: ignore[override]
+    def messages_dropped(self) -> int:
         return int(self._network.channel_dropped[self._x, self._y, self._di])
 
     def send(self, message: Message) -> None:
-        """External-caller path: annotate, count into the arrays, deliver."""
+        """External-caller path: annotate, count into the arrays, deliver
+        after the link latency."""
         network = self._network
         if not network.channel_up[self._x, self._y, self._di]:
             network.channel_dropped[self._x, self._y, self._di] += 1
@@ -119,36 +67,29 @@ class ChannelView(Channel):
             return
         network.channel_carried[self._x, self._y, self._di] += 1
         network.messages_carried_total += 1
-        annotated = message.delivered_via(self.direction.opposite)
-        self.engine.schedule(self.latency, self.deliver, self.dst, annotated)
+        # The receiver sees the message arriving from the opposite side.
+        annotated = dataclasses.replace(
+            message, arrival_direction=self.direction.opposite
+        )
+        network.engine.schedule(network.latency, network._deliver, self.dst, annotated)
 
     def take_down(self) -> None:
         # Route through the network so its running up-link count stays true.
         self._network.take_down_channel(self.src, self.direction)
 
+    def __str__(self) -> str:
+        state = "up" if self.up else "down"
+        return f"Channel {self.src} -> {self.dst} ({state}, {self.messages_carried} msgs)"
+
 
 def link_totals(network: "MeshNetwork") -> dict[str, int]:
-    """Whole-network link accounting, delivery-mode agnostic.
-
-    The per-tick sampler (:mod:`repro.obs.timeseries`) reads this once per
-    simulated tick.  On the fast path everything -- including the up-link
-    population count -- is an O(1) running total; on the legacy path the
-    carried/dropped/up numbers live only in the per-channel objects, so it
-    falls back to the seed's O(n*m) scan.
-    """
-    if network.delivery == "legacy":
-        channels = network.channels.values()
-        carried = sum(c.messages_carried for c in channels)
-        dropped = sum(c.messages_dropped for c in channels)
-        links_up = sum(1 for c in channels if c.up)
-    else:
-        carried = network.messages_carried_total
-        dropped = network.messages_dropped_total
-        links_up = network.channels_up_total
+    """Whole-network link accounting from the network's O(1) running
+    totals; the per-tick sampler (:mod:`repro.obs.timeseries`) reads this
+    once per simulated tick."""
     return {
-        "links_up": links_up,
-        "carried": carried,
-        "dropped": dropped,
+        "links_up": network.channels_up_total,
+        "carried": network.messages_carried_total,
+        "dropped": network.messages_dropped_total,
         "lost": network.messages_lost_total,
         "duplicated": network.messages_duplicated_total,
         "retried": network.messages_retried_total,

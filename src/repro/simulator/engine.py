@@ -4,125 +4,38 @@ A minimal, deterministic event queue: callbacks scheduled at simulated
 times, executed in time order (FIFO among equal timestamps, so runs are
 reproducible).
 
-Two interchangeable scheduler implementations sit behind ``Engine``:
-
-- ``"buckets"`` (the default) -- a tick-bucketed calendar queue in the
-  spirit of Brown's calendar queues (CACM 1988).  Every distinct timestamp
-  owns one FIFO bucket; a small heap orders the *distinct* timestamps.  The
-  mesh protocols all schedule at ``now + latency`` with one uniform
-  latency, so the heap holds only a handful of entries while the per-event
-  cost collapses to a dict probe plus a deque append/popleft -- no O(log n)
-  sift and no per-event wrapper object.
-- ``"heap"`` -- the classic binary heap over per-event records, kept as the
-  cross-validation reference (the property tests assert both schedulers
-  produce bit-identical event orders, message counts, and convergence
-  times).
-
-Both order events by (time, insertion order), so they are observationally
-identical for *any* timestamp pattern, not just uniform latencies.
+The queue is a tick-bucketed calendar queue in the spirit of Brown's
+calendar queues (CACM 1988).  Every distinct timestamp owns one FIFO
+bucket; a small heap orders the *distinct* timestamps.  The mesh protocols
+all schedule at ``now + latency`` with one uniform latency, so the heap
+holds only a handful of entries while the per-event cost collapses to a
+dict probe plus a deque append/popleft -- no O(log n) sift and no
+per-event wrapper object.  Buckets are keyed by the exact float
+timestamp, so events pop in ``(time, insertion order)`` order for *any*
+timestamp pattern, not just uniform latencies.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable
-
-#: Scheduler implementations selectable via ``Engine(scheduler=...)``.
-SCHEDULERS = ("buckets", "heap")
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    sequence: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple[Any, ...] = field(compare=False, default=())
-
-
-class _HeapScheduler:
-    """The reference scheduler: one heap entry per event."""
-
-    __slots__ = ("_queue", "_sequence")
-
-    def __init__(self) -> None:
-        self._queue: list[_Event] = []
-        self._sequence = itertools.count()
-
-    def push(self, time: float, callback: Callable[..., None], args: tuple[Any, ...]) -> None:
-        heapq.heappush(self._queue, _Event(time, next(self._sequence), callback, args))
-
-    def peek_time(self) -> float:
-        return self._queue[0].time
-
-    def pop(self) -> tuple[float, Callable[..., None], tuple[Any, ...]]:
-        event = heapq.heappop(self._queue)
-        return event.time, event.callback, event.args
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
-class _BucketScheduler:
-    """Per-timestamp FIFO buckets; a heap orders only the distinct times.
-
-    Uniform-latency protocols keep at most two distinct timestamps pending
-    (``now`` and ``now + latency``), so pushes and pops are O(1) amortised.
-    Buckets are keyed by the exact float timestamp: equal floats share a
-    bucket (FIFO, matching the heap's sequence tiebreak) and distinct
-    floats are ordered by the times-heap (matching the heap's time order).
-    """
-
-    __slots__ = ("_buckets", "_times", "_count")
-
-    def __init__(self) -> None:
-        self._buckets: dict[float, deque[tuple[Callable[..., None], tuple[Any, ...]]]] = {}
-        self._times: list[float] = []
-        self._count = 0
-
-    def push(self, time: float, callback: Callable[..., None], args: tuple[Any, ...]) -> None:
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            bucket = self._buckets[time] = deque()
-            heapq.heappush(self._times, time)
-        bucket.append((callback, args))
-        self._count += 1
-
-    def peek_time(self) -> float:
-        return self._times[0]
-
-    def pop(self) -> tuple[float, Callable[..., None], tuple[Any, ...]]:
-        time = self._times[0]
-        bucket = self._buckets[time]
-        callback, args = bucket.popleft()
-        if not bucket:
-            del self._buckets[time]
-            heapq.heappop(self._times)
-        self._count -= 1
-        return time, callback, args
-
-    def __len__(self) -> int:
-        return self._count
-
 
 class Engine:
     """Time-ordered callback executor."""
 
     __slots__ = (
-        "now", "events_processed", "scheduler", "_impl",
+        "now", "events_processed", "_buckets", "_times", "_count",
         "_tick_hook", "_tick_interval", "_next_tick",
     )
 
-    def __init__(self, scheduler: str = "buckets") -> None:
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {scheduler!r} (use one of {SCHEDULERS})")
+    def __init__(self) -> None:
         self.now: float = 0.0
         self.events_processed: int = 0
-        self.scheduler = scheduler
-        self._impl = _BucketScheduler() if scheduler == "buckets" else _HeapScheduler()
+        self._buckets: dict[float, deque[tuple[Callable[..., None], tuple[Any, ...]]]] = {}
+        self._times: list[float] = []
+        self._count = 0
         self._tick_hook: Callable[[float], None] | None = None
         self._tick_interval: float = 1.0
         self._next_tick: float = 0.0
@@ -158,17 +71,34 @@ class Engine:
         """Run ``callback(*args)`` after ``delay`` simulated time units."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        self._impl.push(self.now + delay, callback, args)
+        time = self.now + delay
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._buckets[time] = deque()
+            heapq.heappush(self._times, time)
+        bucket.append((callback, args))
+        self._count += 1
+
+    def _pop(self) -> tuple[float, Callable[..., None], tuple[Any, ...]]:
+        """Dequeue the earliest event (FIFO within its timestamp)."""
+        time = self._times[0]
+        bucket = self._buckets[time]
+        callback, args = bucket.popleft()
+        if not bucket:
+            del self._buckets[time]
+            heapq.heappop(self._times)
+        self._count -= 1
+        return time, callback, args
 
     @property
     def pending(self) -> int:
-        return len(self._impl)
+        return self._count
 
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
-        if not len(self._impl):
+        if not self._count:
             return False
-        time, callback, args = self._impl.pop()
+        time, callback, args = self._pop()
         self.now = time
         self.events_processed += 1
         callback(*args)
@@ -196,23 +126,23 @@ class Engine:
         if self._tick_hook is not None:
             return self._run_hooked(until, max_events)
         start = self.events_processed
-        impl = self._impl
+        pop = self._pop
         if until is None and max_events is None:
             # Hot path: nothing to check per event.
-            while len(impl):
-                time, callback, args = impl.pop()
+            while self._count:
+                time, callback, args = pop()
                 self.now = time
                 self.events_processed += 1
                 callback(*args)
         elif until is None:
             limit = start + max_events
-            while len(impl):
+            while self._count:
                 if self.events_processed >= limit:
                     raise RuntimeError(
                         f"event budget of {max_events} exhausted at t={self.now} "
                         f"({self.pending} events pending)"
                     )
-                time, callback, args = impl.pop()
+                time, callback, args = pop()
                 self.now = time
                 self.events_processed += 1
                 callback(*args)
@@ -221,15 +151,16 @@ class Engine:
             # rounding over thousands of chained delays, far smaller than
             # any tick granularity the protocols use.
             horizon = until + 4096.0 * math.ulp(max(1.0, abs(until)))
-            while len(impl):
-                if impl.peek_time() > horizon:
+            times = self._times
+            while self._count:
+                if times[0] > horizon:
                     break
                 if max_events is not None and self.events_processed - start >= max_events:
                     raise RuntimeError(
                         f"event budget of {max_events} exhausted at t={self.now} "
                         f"({self.pending} events pending)"
                     )
-                time, callback, args = impl.pop()
+                time, callback, args = pop()
                 self.now = time
                 self.events_processed += 1
                 callback(*args)
@@ -243,7 +174,8 @@ class Engine:
         all three argument shapes; the per-event cost over the plain loops
         is a single ``time >= next_tick`` compare against a local."""
         start = self.events_processed
-        impl = self._impl
+        pop = self._pop
+        times = self._times
         hook = self._tick_hook
         interval = self._tick_interval
         nt = self._next_tick
@@ -252,15 +184,15 @@ class Engine:
             horizon = until + 4096.0 * math.ulp(max(1.0, abs(until)))
         limit = None if max_events is None else start + max_events
         try:
-            while len(impl):
-                if horizon is not None and impl.peek_time() > horizon:
+            while self._count:
+                if horizon is not None and times[0] > horizon:
                     break
                 if limit is not None and self.events_processed >= limit:
                     raise RuntimeError(
                         f"event budget of {max_events} exhausted at t={self.now} "
                         f"({self.pending} events pending)"
                     )
-                time, callback, args = impl.pop()
+                time, callback, args = pop()
                 if time >= nt:
                     while nt <= time:
                         hook(nt)

@@ -16,9 +16,8 @@ class Message:
     ``"boundary"``); ``payload`` is protocol-specific and must be treated as
     immutable by receivers.  ``arrival_direction`` is the direction the
     message *came from* as seen by the receiver (the paper's FORMATION
-    algorithm dispatches on exactly this).  The network's fast path fills
-    it in at construction time -- one allocation per hop; external senders
-    going through :meth:`delivered_via` get an annotated copy instead.
+    algorithm dispatches on exactly this).  The network fills it in at
+    construction time -- one allocation per hop.
 
     ``corrupted`` models a *detected* checksum failure: the payload still
     travels (so accounting sees the hop) but a hardened receiver discards
@@ -38,18 +37,6 @@ class Message:
     arrival_direction: Direction | None = None
     corrupted: bool = False
     trace_id: int | None = None
-
-    def delivered_via(self, direction: Direction) -> "Message":
-        """A copy annotated with the receiver-side arrival direction."""
-        return Message(
-            src=self.src,
-            dst=self.dst,
-            kind=self.kind,
-            payload=self.payload,
-            arrival_direction=direction,
-            corrupted=self.corrupted,
-            trace_id=self.trace_id,
-        )
 
     def __str__(self) -> str:
         return f"Message[{self.kind}] {self.src} -> {self.dst}"

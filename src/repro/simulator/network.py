@@ -1,11 +1,18 @@
 """A mesh of node processes wired by channels.
 
-Channel state is array-backed: three numpy arrays of shape ``(n, m, 4)``
+Channel state is array-backed: numpy arrays of shape ``(n, m, 4)``
 (indexed ``[x, y, direction]``) hold every directed link's up flag and
-carried/dropped counters, and two running totals make whole-network
-accounting O(1) instead of an O(n*m) channel scan.  ``network.channels``
-remains a mapping of API-compatible :class:`~repro.simulator.channels.ChannelView`
-objects, built lazily on access.
+carried/dropped/lost/retried counters, and running totals make
+whole-network accounting O(1).  ``network.channels`` is a mapping of
+:class:`~repro.simulator.channels.ChannelView` objects, built lazily on
+access.
+
+:meth:`MeshNetwork.send_from` has three variants, chosen per send from
+flags cached by :meth:`MeshNetwork.refresh_instrumentation`: the plain
+path, the chaos path (an active
+:class:`~repro.chaos.plan.ChannelFaultPlan` perturbs each hop) and the
+recorded path (a flight recorder is installed).  All three keep the
+same accounting and scheduling pattern.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from repro.mesh.topology import Mesh2D
 from repro.obs import Tracer, get_tracer
 from repro.obs.prof import get_profiler
 from repro.obs.timeseries import get_observatory
-from repro.simulator.channels import Channel, ChannelMap, ChannelView
+from repro.simulator.channels import ChannelMap, ChannelView
 from repro.simulator.engine import Engine
 from repro.simulator.messages import Message
 from repro.simulator.process import NodeProcess
@@ -30,13 +37,6 @@ if TYPE_CHECKING:
 
 #: Array index of each direction (definition order: E, S, W, N).
 _DIR_INDEX: dict[Direction, int] = {d: i for i, d in enumerate(Direction)}
-
-#: Delivery paths selectable via ``MeshNetwork(delivery=...)``: ``"fast"``
-#: is the zero-copy array-backed path; ``"legacy"`` is the seed
-#: implementation (eager per-channel objects, a ``delivered_via`` message
-#: copy per hop, tracer/profiler resolution per send, O(n*m) stats scans),
-#: kept for cross-validation and as the bench reference.
-DELIVERY_MODES = ("fast", "legacy")
 
 _NO_DIRS: frozenset[Direction] = frozenset()
 
@@ -108,27 +108,17 @@ class MeshNetwork:
         faulty: Iterable[Coord] = (),
         latency: float = 1.0,
         tracer: Tracer | None = None,
-        delivery: str = "fast",
         chaos: "ChannelFaultPlan | None" = None,
     ):
-        if delivery not in DELIVERY_MODES:
-            raise ValueError(
-                f"unknown delivery mode {delivery!r}; expected one of {DELIVERY_MODES}"
-            )
-        if chaos is not None and chaos.active and delivery == "legacy":
-            raise ValueError(
-                "chaos plans require the fast delivery path (delivery='fast')"
-            )
         self.mesh = mesh
         self.engine = engine
         self.latency = latency
         self.tracer = tracer
-        self.delivery = delivery
         self.chaos = chaos
         #: Live-telemetry hookup: when set (directly, or ambiently via
         #: :func:`repro.obs.timeseries.use_observatory`), :meth:`run`
         #: binds it to this network and installs the engine tick hook.
-        #: None (the default) leaves the engine's unhooked fast path
+        #: None (the default) leaves the engine's unhooked loops
         #: untouched.
         self.observatory = None
         #: Bumped on every membership change that invalidates in-flight
@@ -180,30 +170,7 @@ class MeshNetwork:
         self.messages_duplicated_total = 0
         self.messages_retried_total = 0
 
-        if delivery == "legacy":
-            # The seed implementation: one eagerly built Channel object per
-            # directed link, re-resolved instrumentation and a per-hop
-            # ``delivered_via`` message copy on every send.  Kept for
-            # cross-validation against the fast path and as the bench
-            # reference (``sim.formation_large_heap``).
-            faulty = self.faulty
-            self.channels = {
-                (coord, direction): Channel(
-                    src=coord,
-                    dst=neighbor,
-                    direction=direction,
-                    latency=latency,
-                    engine=engine,
-                    deliver=self._deliver,
-                    up=coord not in faulty and neighbor not in faulty,
-                )
-                for coord in mesh.nodes()
-                for direction, neighbor in mesh.neighbor_items(coord)
-            }
-            # Instance attribute shadows the class method for this network.
-            self.send_from = self._send_from_legacy  # type: ignore[method-assign]
-        else:
-            self.channels = ChannelMap(self)
+        self.channels = ChannelMap(self)
         self.refresh_instrumentation()
 
     # ------------------------------------------------------------------
@@ -228,10 +195,6 @@ class MeshNetwork:
         if self.channel_up[x, y, di]:
             self.channel_up[x, y, di] = False
             self.channels_up_total -= 1
-        if self.delivery == "legacy":
-            channel = self.channels.get((src, direction))
-            if channel is not None:
-                channel.take_down()
 
     def bring_up_channel(self, src: Coord, direction: Direction) -> None:
         """Re-enable one directed link (the inverse of take_down_channel)."""
@@ -243,10 +206,6 @@ class MeshNetwork:
         if not self.channel_up[x, y, di]:
             self.channel_up[x, y, di] = True
             self.channels_up_total += 1
-        if self.delivery == "legacy":
-            channel = self.channels.get((src, direction))
-            if channel is not None:
-                channel.up = True
 
     # ------------------------------------------------------------------
     # Runtime membership (chaos crash/revive)
@@ -285,9 +244,6 @@ class MeshNetwork:
     # ------------------------------------------------------------------
     # Message plumbing
     # ------------------------------------------------------------------
-    def _tracer(self) -> Tracer:
-        return self.tracer if self.tracer is not None else get_tracer()
-
     def refresh_instrumentation(self) -> None:
         """Re-resolve the tracer/profiler into per-send fast-path flags.
 
@@ -334,7 +290,7 @@ class MeshNetwork:
         self.channel_carried[x, y, di] += 1
         self.messages_carried_total += 1
         # One allocation per hop: the arrival direction is known here, so
-        # the message is born annotated (no delivered_via copy on arrival).
+        # the message is born annotated.
         self.engine.schedule(
             self.latency,
             self._deliver,
@@ -346,7 +302,7 @@ class MeshNetwork:
     def _send_from_chaos(
         self, src: Coord, direction: Direction, kind: str, payload
     ) -> bool:
-        """The fast path plus per-hop misbehaviour from the fault plan.
+        """The plain path plus per-hop misbehaviour from the fault plan.
 
         Taken only when an *active* :class:`~repro.chaos.plan.ChannelFaultPlan`
         is installed, so the default path stays byte-identical.  Fault-plan
@@ -400,7 +356,7 @@ class MeshNetwork:
     ) -> bool:
         """The send path while a flight recorder is installed.
 
-        Behaviourally identical to the plain/chaos fast paths (same
+        Behaviourally identical to the plain/chaos paths (same
         accounting, same verdict-draw order, same scheduling pattern), but
         every outcome is emitted as a lineage-carrying event -- in place
         of the coarser ``protocol_msg`` -- and the scheduled delivery goes
@@ -500,28 +456,6 @@ class MeshNetwork:
         if self._prof_on:
             self._prof.count("chaos.retries")
 
-    def _send_from_legacy(
-        self, src: Coord, direction: Direction, kind: str, payload
-    ) -> bool:
-        """The seed send path, preserved verbatim for ``delivery="legacy"``:
-        channel-dict lookup, tracer/profiler resolution per message, and a
-        second Message allocation on arrival (``delivered_via``)."""
-        channel = self.channels.get((src, direction))
-        if channel is None:
-            return False
-        trc = self._tracer()
-        if trc.enabled:
-            trc.emit("protocol_msg", msg=kind, src=src, direction=direction.name,
-                     time=self.engine.now, queue=self.engine.pending,
-                     dropped=not channel.up)
-        prof = get_profiler()
-        if prof.enabled:
-            prof.count("sim.messages")
-            if not channel.up:
-                prof.count("sim.dropped")
-        channel.send(Message(src=src, dst=channel.dst, kind=kind, payload=payload))
-        return True
-
     def _deliver(self, dst: Coord, message: Message) -> None:
         process = self.nodes.get(dst)
         if process is not None:
@@ -543,16 +477,9 @@ class MeshNetwork:
             events = self.engine.run(max_events=budget)
         if trc.enabled:
             trc.emit("engine_run", events=events, **self.engine.metrics_snapshot())
-        if self.delivery == "legacy":
-            # The seed accounting: an O(n*m) scan over per-channel counters.
-            messages = sum(c.messages_carried for c in self.channels.values())
-            dropped = sum(c.messages_dropped for c in self.channels.values())
-        else:
-            messages = self.messages_carried_total
-            dropped = self.messages_dropped_total
         return NetworkStats(
-            messages=messages,
-            dropped=dropped,
+            messages=self.messages_carried_total,
+            dropped=self.messages_dropped_total,
             events=events,
             converged_at=self.engine.now,
             lost=self.messages_lost_total,
@@ -564,15 +491,9 @@ class MeshNetwork:
         """Lifetime accounting without running anything (``events`` is the
         engine's lifetime total, unlike the per-run count :meth:`run`
         reports)."""
-        if self.delivery == "legacy":
-            messages = sum(c.messages_carried for c in self.channels.values())
-            dropped = sum(c.messages_dropped for c in self.channels.values())
-        else:
-            messages = self.messages_carried_total
-            dropped = self.messages_dropped_total
         return NetworkStats(
-            messages=messages,
-            dropped=dropped,
+            messages=self.messages_carried_total,
+            dropped=self.messages_dropped_total,
             events=self.engine.events_processed,
             converged_at=self.engine.now,
             lost=self.messages_lost_total,

@@ -83,8 +83,7 @@ class BlockFormationResult:
 
 def run_block_formation(
     mesh: Mesh2D, faults: list[Coord], latency: float = 1.0,
-    tracer: Tracer | None = None, scheduler: str = "buckets",
-    delivery: str = "fast", chaos: "ChannelFaultPlan | None" = None,
+    tracer: Tracer | None = None, chaos: "ChannelFaultPlan | None" = None,
     stabilize_rounds: int = 1,
 ) -> BlockFormationResult:
     """Run the labelling protocol to quiescence.
@@ -104,8 +103,8 @@ def run_block_formation(
 
     trc = tracer if tracer is not None else get_tracer()
     network = MeshNetwork(
-        mesh, Engine(scheduler), factory, faulty=fault_set, latency=latency,
-        tracer=tracer, delivery=delivery, chaos=chaos,
+        mesh, Engine(), factory, faulty=fault_set, latency=latency,
+        tracer=tracer, chaos=chaos,
     )
     with trc.span("protocol.block_formation", faults=len(fault_set)):
         stats = network.run(

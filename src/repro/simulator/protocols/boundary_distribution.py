@@ -127,8 +127,6 @@ def run_boundary_distribution(
     unusable: np.ndarray,
     latency: float = 1.0,
     tracer: Tracer | None = None,
-    scheduler: str = "buckets",
-    delivery: str = "fast",
     chaos: "ChannelFaultPlan | None" = None,
     stabilize_rounds: int = 1,
 ) -> BoundaryDistributionResult:
@@ -149,8 +147,8 @@ def run_boundary_distribution(
 
     trc = tracer if tracer is not None else get_tracer()
     network = MeshNetwork(
-        mesh, Engine(scheduler), factory, faulty=blocked_coords, latency=latency,
-        tracer=tracer, delivery=delivery, chaos=chaos,
+        mesh, Engine(), factory, faulty=blocked_coords, latency=latency,
+        tracer=tracer, chaos=chaos,
     )
     for index, rect in enumerate(rects):
         _seed_l1(mesh, network, index, rect)

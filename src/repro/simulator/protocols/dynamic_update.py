@@ -155,7 +155,6 @@ class DynamicMesh:
         self,
         mesh: Mesh2D,
         latency: float = 1.0,
-        scheduler: str = "buckets",
         chaos: "ChannelFaultPlan | None" = None,
         hardened: bool | None = None,
         maintenance: str = "full",
@@ -167,7 +166,7 @@ class DynamicMesh:
         self.mesh = mesh
         self.latency = latency
         self.maintenance = maintenance
-        self.engine = Engine(scheduler)
+        self.engine = Engine()
         self.hardened = (
             hardened if hardened is not None else chaos is not None and chaos.active
         )

@@ -81,8 +81,7 @@ class MCCFormationResult:
 
 def run_mcc_formation(
     mesh: Mesh2D, faults: list[Coord], mcc_type: MCCType, latency: float = 1.0,
-    tracer: Tracer | None = None, scheduler: str = "buckets",
-    delivery: str = "fast",
+    tracer: Tracer | None = None,
 ) -> MCCFormationResult:
     fault_set = set(faults)
     faulty_dirs = adjacent_blocked_dirs(mesh, fault_set)
@@ -94,8 +93,8 @@ def run_mcc_formation(
 
     trc = tracer if tracer is not None else get_tracer()
     network = MeshNetwork(
-        mesh, Engine(scheduler), factory, faulty=fault_set, latency=latency,
-        tracer=tracer, delivery=delivery,
+        mesh, Engine(), factory, faulty=fault_set, latency=latency,
+        tracer=tracer,
     )
     with trc.span("protocol.mcc_formation", faults=len(fault_set)):
         stats = network.run()

@@ -87,7 +87,6 @@ def run_distributed_routing(
     unusable_coords: set[Coord],
     traffic: list[tuple[Coord, Coord]],
     latency: float = 1.0,
-    scheduler: str = "buckets",
 ) -> DistributedRoutingRun:
     """Route ``traffic`` (source, dest pairs) as simulator messages.
 
@@ -95,7 +94,7 @@ def run_distributed_routing(
     packet mistakenly forwarded at them would be dropped by the channel,
     but a correct hop function never does that.
     """
-    engine = Engine(scheduler)
+    engine = Engine()
     network = MeshNetwork(
         mesh,
         engine,

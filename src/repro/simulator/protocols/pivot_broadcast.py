@@ -66,8 +66,6 @@ def run_pivot_broadcast(
     pivots: list[Coord],
     latency: float = 1.0,
     tracer: Tracer | None = None,
-    scheduler: str = "buckets",
-    delivery: str = "fast",
 ) -> PivotBroadcastResult:
     """Flood every pivot's ESL through the free part of the mesh.
 
@@ -90,8 +88,8 @@ def run_pivot_broadcast(
 
     trc = tracer if tracer is not None else get_tracer()
     network = MeshNetwork(
-        mesh, Engine(scheduler), factory, faulty=blocked_coords, latency=latency,
-        tracer=tracer, delivery=delivery,
+        mesh, Engine(), factory, faulty=blocked_coords, latency=latency,
+        tracer=tracer,
     )
     with trc.span("protocol.pivot_broadcast", pivots=len(pivot_set)):
         stats = network.run()

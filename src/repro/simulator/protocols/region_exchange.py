@@ -105,8 +105,6 @@ def run_region_exchange(
     levels: SafetyLevels,
     latency: float = 1.0,
     tracer: Tracer | None = None,
-    scheduler: str = "buckets",
-    delivery: str = "fast",
 ) -> RegionExchangeResult:
     """Run the two-end accumulation over every region of the mesh.
 
@@ -128,8 +126,8 @@ def run_region_exchange(
 
     trc = tracer if tracer is not None else get_tracer()
     network = MeshNetwork(
-        mesh, Engine(scheduler), factory, faulty=blocked_coords, latency=latency,
-        tracer=tracer, delivery=delivery,
+        mesh, Engine(), factory, faulty=blocked_coords, latency=latency,
+        tracer=tracer,
     )
     with trc.span("protocol.region_exchange", blocked=len(blocked_coords)):
         stats = network.run()

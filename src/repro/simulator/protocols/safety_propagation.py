@@ -92,8 +92,7 @@ class SafetyPropagationResult:
 
 def run_safety_propagation(
     mesh: Mesh2D, unusable: np.ndarray, latency: float = 1.0,
-    tracer: Tracer | None = None, scheduler: str = "buckets",
-    delivery: str = "fast", chaos: "ChannelFaultPlan | None" = None,
+    tracer: Tracer | None = None, chaos: "ChannelFaultPlan | None" = None,
     stabilize_rounds: int = 1,
 ) -> SafetyPropagationResult:
     """Run the FORMATION algorithm over the blocked-node grid.
@@ -116,8 +115,8 @@ def run_safety_propagation(
 
     trc = tracer if tracer is not None else get_tracer()
     network = MeshNetwork(
-        mesh, Engine(scheduler), factory, faulty=blocked_coords, latency=latency,
-        tracer=tracer, delivery=delivery, chaos=chaos,
+        mesh, Engine(), factory, faulty=blocked_coords, latency=latency,
+        tracer=tracer, chaos=chaos,
     )
     with trc.span("protocol.safety_propagation", blocked=len(blocked_coords)):
         stats = network.run(

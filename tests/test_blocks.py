@@ -131,9 +131,10 @@ class TestBlockSetInvariants:
 
 
 class TestImplementationCrossValidation:
-    """The frontier fixpoint and run-labelled components must reproduce the
-    original dense/BFS implementations exactly (on random grids and the
-    structured edge cases)."""
+    """The frontier fixpoint must reproduce the dense full-grid fixpoint
+    (``batch_disable_fixpoint``, exhaustively equal to Definition 1 on
+    4x4) exactly, and the run-labelled components must be the 4-connected
+    components by their defining properties."""
 
     def _random_masks(self, count=40, seed=123):
         rng = np.random.default_rng(seed)
@@ -143,17 +144,17 @@ class TestImplementationCrossValidation:
             density = rng.uniform(0.0, 0.6)
             yield rng.random((n, m)) < density
 
-    def test_frontier_fixpoint_matches_dense(self):
-        from repro.faults.blocks import _disable_fixpoint_dense
+    @staticmethod
+    def _dense(faulty):
+        from repro.core.batched_patterns import batch_disable_fixpoint
 
+        return batch_disable_fixpoint(faulty[None])[0]
+
+    def test_frontier_fixpoint_matches_dense(self):
         for faulty in self._random_masks():
-            frontier = disable_fixpoint(faulty, method="frontier")
-            dense = _disable_fixpoint_dense(faulty)
-            assert np.array_equal(frontier, dense)
+            assert np.array_equal(disable_fixpoint(faulty), self._dense(faulty))
 
     def test_frontier_fixpoint_structured_cases(self):
-        from repro.faults.blocks import _disable_fixpoint_dense
-
         cases = [
             np.zeros((5, 5), dtype=bool),  # no faults
             np.ones((4, 4), dtype=bool),  # everything faulty
@@ -163,23 +164,34 @@ class TestImplementationCrossValidation:
         checker[::2, ::2] = True
         cases.append(checker)
         for faulty in cases:
-            assert np.array_equal(
-                disable_fixpoint(faulty, method="frontier"),
-                _disable_fixpoint_dense(faulty),
-            )
+            assert np.array_equal(disable_fixpoint(faulty), self._dense(faulty))
 
-    def test_run_components_match_bfs(self):
-        from repro.faults.blocks import _connected_components, _connected_components_bfs
-
-        for mask in self._random_masks(seed=321):
-            runs = _connected_components(mask, method="runs")
-            bfs = _connected_components_bfs(mask)
-            assert sorted(map(sorted, runs)) == sorted(map(sorted, bfs))
-
-    def test_unknown_methods_raise(self):
+    def test_run_components_are_the_4_connected_components(self):
+        """Components partition the mask, each is 4-connected, and no two
+        are 4-adjacent."""
         from repro.faults.blocks import _connected_components
 
-        with pytest.raises(ValueError, match="fixpoint method"):
-            disable_fixpoint(np.zeros((3, 3), dtype=bool), method="nope")
-        with pytest.raises(ValueError, match="components method"):
-            _connected_components(np.zeros((3, 3), dtype=bool), method="nope")
+        def neighbours(x, y):
+            return ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1))
+
+        for mask in self._random_masks(seed=321):
+            components = _connected_components(mask)
+            label = {}
+            for index, cells in enumerate(components):
+                for cell in cells:
+                    assert cell not in label  # disjoint
+                    label[cell] = index
+            xs, ys = np.nonzero(mask)
+            assert set(label) == set(zip(xs.tolist(), ys.tolist()))  # covering
+            for index, cells in enumerate(components):
+                members = set(cells)
+                reached, stack = {cells[0]}, [cells[0]]
+                while stack:
+                    for nb in neighbours(*stack.pop()):
+                        if nb in members and nb not in reached:
+                            reached.add(nb)
+                            stack.append(nb)
+                assert reached == members  # 4-connected
+                for cell in cells:
+                    for nb in neighbours(*cell):
+                        assert label.get(nb, index) == index  # maximal

@@ -207,15 +207,6 @@ class TestDefaultPathBitIdentical:
         assert result.stats.retried == 0
         assert result.stats.lost == 0
 
-    def test_active_chaos_rejects_legacy_delivery(self):
-        mesh = Mesh2D(4, 4)
-        plan = ChannelFaultPlan(drop=0.1)
-        with pytest.raises(ValueError, match="fast delivery"):
-            MeshNetwork(
-                mesh, Engine(), lambda c, n: _Idle(c, n),
-                delivery="legacy", chaos=plan,
-            )
-
 
 class _Idle(ResilientProcess):
     def start(self):

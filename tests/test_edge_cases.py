@@ -15,7 +15,6 @@ from repro.faults.coverage import minimal_path_exists
 from repro.mesh.geometry import Rect
 from repro.mesh.topology import Mesh2D
 from repro.routing.router import GreedyAdaptiveRouter, RoutingError
-from repro.simulator.channels import Channel
 from repro.simulator.engine import Engine
 from repro.simulator.traffic import PathPolicy, TrafficStats, run_workload
 
@@ -121,21 +120,23 @@ class TestEngineAndChannels:
         assert engine.pending == 2
 
     def test_channel_str_and_down(self):
-        engine = Engine()
+        from repro.mesh.geometry import Direction
+        from repro.simulator.messages import Message
+        from repro.simulator.network import MeshNetwork
+        from repro.simulator.process import NodeProcess
+
         sink = []
-        channel = Channel(
-            src=(0, 0),
-            dst=(1, 0),
-            direction=__import__("repro.mesh.geometry", fromlist=["Direction"]).Direction.EAST,
-            latency=1.0,
-            engine=engine,
-            deliver=lambda dst, msg: sink.append(msg),
-        )
+
+        class Sink(NodeProcess):
+            def on_message(self, message):
+                sink.append(message)
+
+        engine = Engine()
+        network = MeshNetwork(Mesh2D(2, 1), engine, Sink)
+        channel = network.channels[((0, 0), Direction.EAST)]
         assert "up" in str(channel)
         channel.take_down()
         assert "down" in str(channel)
-        from repro.simulator.messages import Message
-
         channel.send(Message(src=(0, 0), dst=(1, 0), kind="x"))
         assert channel.messages_dropped == 1
         engine.run()

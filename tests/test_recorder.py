@@ -15,6 +15,7 @@ The acceptance gates of the observability PR:
 
 import hashlib
 import math
+import pathlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -158,6 +159,22 @@ class TestReplay:
     def test_replay_from_disk(self, recorded):
         result = replay_recording(recorded.log)
         assert result.identical, result.summary()
+
+    def test_recording_with_retired_scheduler_key_replays(self):
+        """A recording written while the engine still offered a binary-heap
+        scheduler carries ``"scheduler": "heap"`` in its recipe; it still
+        replays bit for bit."""
+        log = pathlib.Path(__file__).parent / "data" / "chaos_run_heap_scheduler.jsonl"
+        events = read_recording(log)
+        assert recipe_of(events)["scheduler"] == "heap"
+        result = replay_events(events)
+        assert result.identical, result.summary()
+        assert result.events_replayed == len(events) == 150
+        replayed_recipe = recipe_of(result.replayed)
+        assert "scheduler" not in replayed_recipe
+        assert replayed_recipe == {
+            k: v for k, v in recipe_of(events).items() if k != "scheduler"
+        }
 
     def test_log_round_trips_canonically(self, recorded):
         loaded = read_recording(recorded.log)

@@ -97,6 +97,13 @@ def _serve_history(seed):
     return mesh, gen_to_faults, results
 
 
+def _fault_grid(mesh, faults):
+    grid = np.zeros((mesh.n, mesh.m), dtype=bool)
+    for fault in faults:
+        grid[fault] = True
+    return grid
+
+
 def _oracle_state(mesh, faults, model_used):
     """From-scratch blocked grid + safety levels for one generation."""
     engine = IncrementalFaultEngine(
@@ -135,10 +142,17 @@ def test_served_answers_match_the_oracles_at_their_claimed_generation(seed):
         assert (answer.verdict == "source-safe") == is_safe
 
         # A minimal-routable verdict must be realizable per the
-        # reachability-DP oracle (the safe conditions are sufficient).
+        # reachability-DP oracle (the safe conditions are sufficient),
+        # both over the answering model's blocked grid and over the raw
+        # faults alone.
         if answer.routable and answer.minimal:
             assert bool(
                 batch_minimal_path_exists(blocked, answer.source, dest)[0]
+            )
+            assert bool(
+                batch_minimal_path_exists(
+                    _fault_grid(mesh, faults), answer.source, dest
+                )[0]
             )
 
         # The cascade re-run from scratch at the claimed generation.
@@ -170,3 +184,28 @@ def test_served_answers_match_the_oracles_at_their_claimed_generation(seed):
     assert 0 in staleness_seen
     assert max(staleness_seen) >= 3
     assert degraded_seen > 0
+
+
+def test_mcc_queries_in_quadrants_ii_and_iv_answer_from_the_block_model():
+    """Type-one MCCs only fit quadrant I/III routing.  This pair once got
+    a minimal ``axis-node-safe`` MCC answer although the raw faults leave
+    no minimal path."""
+    mesh = Mesh2D(64, 64)
+    faults = uniform_faults(mesh, 120, np.random.default_rng(6))
+    service = RoutingService(mesh, faults)
+    raw = _fault_grid(mesh, faults)
+    source, dest = (43, 57), (63, 11)
+    assert not batch_minimal_path_exists(raw, source, np.array([dest]))[0]
+
+    answer = service.answer(source, dest, model="mcc")
+    assert answer.model_used == "block"
+    assert not answer.degraded
+    assert not answer.minimal
+    block = service.answer(source, dest, model="block")
+    assert (answer.verdict, answer.strategy) == (block.verdict, block.strategy)
+
+    # Quadrant I/III MCC queries still use the MCC snapshot, and the
+    # mirrored quadrant II query is also rerouted.
+    assert service.answer(dest, source, model="mcc").model_used == "block"
+    assert service.answer((10, 10), (20, 20), model="mcc").model_used == "mcc"
+    assert service.answer((20, 20), (10, 10), model="mcc").model_used == "mcc"

@@ -1,24 +1,32 @@
-"""Simulator fast path: scheduler equivalence, O(1) accounting, cache bounds.
+"""Simulator fast path: engine order, frozen protocol goldens, O(1)
+accounting, cache bounds.
 
-The tick-bucketed scheduler must be observationally identical to the
-reference heap scheduler -- bit-identical event order, message counts, and
-convergence times -- on every protocol the repo ships, including a live
-``DynamicMesh`` injection sequence.
+The engine must pop events in ``(time, insertion order)`` order for any
+timestamp pattern.  Every protocol the repo ships must converge to its
+centralized counterpart (the table in :mod:`repro.simulator`) with the
+exact ``NetworkStats`` -- messages, drops, events, convergence time --
+frozen as golden values while a reference binary-heap scheduler and a
+per-channel-object delivery path still ran beside the current ones and
+agreed with them on every value.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
+from repro.core.boundaries import CanonicalBoundaryMap
 from repro.core.safety import compute_safety_levels
-from repro.faults.blocks import build_faulty_blocks
+from repro.faults.blocks import _connected_components, build_faulty_blocks
 from repro.faults.injection import injection_sequence, uniform_faults
-from repro.faults.mcc import MCCType
+from repro.faults.mcc import MCCType, label_statuses
 from repro.mesh.geometry import Direction
 from repro.mesh.topology import Mesh2D
+from repro.obs.recorder import FlightRecorder, canonical_bytes
 from repro.parallel.cache import ArtifactCache
-from repro.simulator.engine import SCHEDULERS, Engine
+from repro.simulator.engine import Engine
 from repro.simulator.messages import Message
-from repro.simulator.network import MeshNetwork
+from repro.simulator.network import MeshNetwork, NetworkStats
 from repro.simulator.process import NodeProcess
 from repro.simulator.protocols import (
     run_block_formation,
@@ -35,10 +43,9 @@ from repro.simulator.traffic import PathPolicy
 # ----------------------------------------------------------------------
 # Engine.run(until=...) clock regression
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
 class TestRunUntilAdvancesClock:
-    def test_clock_reaches_horizon_when_next_event_is_later(self, scheduler):
-        engine = Engine(scheduler)
+    def test_clock_reaches_horizon_when_next_event_is_later(self):
+        engine = Engine()
         hits = []
         for t in (1.0, 5.0):
             engine.schedule(t, hits.append, t)
@@ -48,22 +55,22 @@ class TestRunUntilAdvancesClock:
         # The clock must sit at the requested horizon, not lag at t=1.
         assert engine.now == 3.0
 
-    def test_clock_reaches_horizon_when_queue_drains(self, scheduler):
-        engine = Engine(scheduler)
+    def test_clock_reaches_horizon_when_queue_drains(self):
+        engine = Engine()
         engine.schedule(1.0, lambda: None)
         engine.run(until=7.5)
         assert engine.pending == 0
         assert engine.now == 7.5
 
-    def test_resumed_run_schedules_relative_to_horizon(self, scheduler):
-        engine = Engine(scheduler)
+    def test_resumed_run_schedules_relative_to_horizon(self):
+        engine = Engine()
         engine.run(until=10.0)
         engine.schedule(1.0, lambda: None)
         engine.run()
         assert engine.now == 11.0
 
-    def test_event_exactly_at_horizon_is_delivered(self, scheduler):
-        engine = Engine(scheduler)
+    def test_event_exactly_at_horizon_is_delivered(self):
+        engine = Engine()
         hits = []
         engine.schedule(3.0, hits.append, 3.0)
         processed = engine.run(until=3.0)
@@ -71,11 +78,11 @@ class TestRunUntilAdvancesClock:
         assert processed == 1
         assert engine.pending == 0
 
-    def test_float_drift_does_not_strand_horizon_events(self, scheduler):
+    def test_float_drift_does_not_strand_horizon_events(self):
         """Three chained 0.1 delays land at 0.30000000000000004 -- a few
         ulps past the horizon 0.3.  Such events must still be delivered
         (and counted), not stranded forever just past the clock."""
-        engine = Engine(scheduler)
+        engine = Engine()
         hits = []
 
         def hop(remaining):
@@ -88,10 +95,10 @@ class TestRunUntilAdvancesClock:
         assert len(hits) == 3
         assert engine.pending == 0
 
-    def test_horizon_slack_does_not_pull_in_later_events(self, scheduler):
+    def test_horizon_slack_does_not_pull_in_later_events(self):
         """The ulp slack is microscopic: an event a genuine tick beyond
         the horizon stays pending."""
-        engine = Engine(scheduler)
+        engine = Engine()
         engine.schedule(3.0, lambda: None)
         engine.schedule(3.0000001, lambda: None)
         assert engine.run(until=3.0) == 1
@@ -99,49 +106,42 @@ class TestRunUntilAdvancesClock:
 
 
 # ----------------------------------------------------------------------
-# Property: bucket scheduler is bit-identical to the heap scheduler
+# Property: events pop in sorted((time, insertion index)) order
 # ----------------------------------------------------------------------
 class TestSchedulerOrderProperty:
     @pytest.mark.parametrize("seed", [0, 1, 7, 42])
     def test_identical_event_order_on_random_schedules(self, seed):
-        """Random delays (with deliberate timestamp collisions) plus nested
-        rescheduling produce the same (time, tag) trace on both schedulers."""
-        delays = [0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 2.5]
+        """Random delays (with deliberate timestamp collisions, float
+        drift and zero delays) plus nested rescheduling: the executed
+        order is exactly the pushes sorted by (time, insertion index)."""
+        delays = [0.0, 0.1, 0.5, 1.0, 1.0, 1.5, 2.0, 2.5]
+        rng = np.random.default_rng(seed)
+        engine = Engine()
+        pushed: list[tuple[float, int]] = []
+        log: list[tuple[float, int]] = []
 
-        def trace(scheduler: str) -> list[tuple[float, int]]:
-            rng = np.random.default_rng(seed)
-            engine = Engine(scheduler)
-            log: list[tuple[float, int]] = []
-            counter = [0]
+        def push(depth: int) -> None:
+            delay = delays[int(rng.integers(len(delays)))]
+            index = len(pushed)
+            pushed.append((engine.now + delay, index))
+            engine.schedule(delay, fire, index, depth)
 
-            def fire(tag: int, depth: int) -> None:
-                log.append((engine.now, tag))
-                if depth > 0:
-                    for _ in range(int(rng.integers(0, 3))):
-                        counter[0] += 1
-                        engine.schedule(
-                            delays[int(rng.integers(len(delays)))],
-                            fire, counter[0], depth - 1,
-                        )
+        def fire(index: int, depth: int) -> None:
+            log.append((engine.now, index))
+            if depth > 0:
+                for _ in range(int(rng.integers(0, 3))):
+                    push(depth - 1)
 
-            for _ in range(20):
-                counter[0] += 1
-                engine.schedule(delays[int(rng.integers(len(delays)))],
-                                fire, counter[0], 3)
-            engine.run()
-            return log
-
-        heap_log = trace("heap")
-        bucket_log = trace("buckets")
-        assert bucket_log == heap_log
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            Engine("calendar")
+        for _ in range(20):
+            push(3)
+        assert engine.pending == 20
+        engine.run()
+        assert len(log) == len(pushed) == engine.events_processed
+        assert log == sorted(pushed)
 
 
 # ----------------------------------------------------------------------
-# Protocol-level equivalence: heap vs buckets on every protocol
+# Every protocol: centralized counterpart + golden NetworkStats
 # ----------------------------------------------------------------------
 def _scenario(side=16, fault_count=14, seed=11):
     mesh = Mesh2D(side, side)
@@ -151,108 +151,203 @@ def _scenario(side=16, fault_count=14, seed=11):
     return mesh, faults, blocks
 
 
-class TestProtocolSchedulerEquivalence:
-    def test_block_formation(self):
-        mesh, faults, _ = _scenario()
-        heap = run_block_formation(mesh, faults, scheduler="heap")
-        buckets = run_block_formation(mesh, faults, scheduler="buckets")
-        assert np.array_equal(heap.unusable, buckets.unusable)
-        assert heap.stats == buckets.stats
+def _stats(messages, dropped, events, converged_at):
+    return NetworkStats(messages, dropped, events, float(converged_at))
 
-    def test_block_formation_legacy_delivery(self):
-        """The seed path (heap + legacy delivery) matches the fast path."""
-        mesh, faults, _ = _scenario()
-        seed = run_block_formation(mesh, faults, scheduler="heap", delivery="legacy")
-        fast = run_block_formation(mesh, faults)
-        assert np.array_equal(seed.unusable, fast.unusable)
-        assert seed.stats == fast.stats
+
+#: ``_scenario()`` sends no formation messages (14 scattered faults
+#: disable nothing), so block and MCC formation are also pinned on
+#: ``_scenario(fault_count=60)``.
+GOLDEN_STATS = {
+    "block_formation": _stats(0, 0, 0, 0),
+    "block_formation_dense": _stats(558, 177, 558, 21),
+    "mcc_formation": _stats(0, 0, 0, 0),
+    "mcc_formation_dense": _stats(96, 37, 96, 9),
+    "safety_propagation": _stats(248, 14, 248, 13),
+    "boundary_distribution": _stats(197, 0, 197, 15),
+    "region_exchange": _stats(858, 49, 858, 15),
+    "pivot_broadcast": _stats(858, 49, 858, 25),
+}
+
+#: ``DynamicMesh`` on 14x14 with ``injection_sequence(mesh, 10, rng(5))``:
+#: per injection (fault, messages, events, settled_at).
+GOLDEN_DYNAMIC = [
+    ((8, 11), 22, 26, 11.0), ((7, 3), 22, 26, 21.0), ((4, 0), 23, 26, 34.0),
+    ((11, 3), 14, 18, 44.0), ((13, 9), 23, 26, 57.0), ((9, 5), 22, 26, 66.0),
+    ((0, 4), 23, 26, 79.0), ((11, 4), 18, 21, 89.0), ((0, 10), 18, 21, 102.0),
+    ((6, 7), 22, 26, 109.0),
+]
+
+PIVOTS = [(2, 2), (13, 4), (7, 12)]
+
+
+def _assert_levels_equal(actual, expected, unusable):
+    """ESLs agree on every free node (blocked nodes run no process)."""
+    free = ~unusable
+    for direction in ("east", "south", "west", "north"):
+        got, want = getattr(actual, direction), getattr(expected, direction)
+        assert np.array_equal(got[free], want[free])
+
+
+def _runs(line):
+    """Maximal runs of False in a 1-D blocked mask, as index ranges."""
+    runs, start = [], None
+    for i, blocked in enumerate(line.tolist() + [True]):
+        if not blocked and start is None:
+            start = i
+        elif blocked and start is not None:
+            runs.append(range(start, i))
+            start = None
+    return runs
+
+
+class TestProtocolSchedulerEquivalence:
+    """Each protocol equals its centralized counterpart, and its stats
+    equal the values both former schedulers produced."""
+
+    def test_block_formation(self):
+        for key, count in (("block_formation", 14), ("block_formation_dense", 60)):
+            mesh, faults, blocks = _scenario(fault_count=count)
+            result = run_block_formation(mesh, faults)
+            assert np.array_equal(result.unusable, blocks.unusable)
+            assert result.stats == GOLDEN_STATS[key]
 
     def test_safety_propagation(self):
         mesh, _, blocks = _scenario()
-        heap = run_safety_propagation(mesh, blocks.unusable, scheduler="heap")
-        buckets = run_safety_propagation(mesh, blocks.unusable, scheduler="buckets")
-        for direction in ("east", "south", "west", "north"):
-            assert np.array_equal(
-                getattr(heap.levels, direction), getattr(buckets.levels, direction)
-            )
-        assert heap.stats == buckets.stats
-
-    def test_safety_propagation_legacy_delivery(self):
-        mesh, _, blocks = _scenario()
-        seed = run_safety_propagation(
-            mesh, blocks.unusable, scheduler="heap", delivery="legacy"
+        result = run_safety_propagation(mesh, blocks.unusable)
+        _assert_levels_equal(
+            result.levels, compute_safety_levels(mesh, blocks.unusable), blocks.unusable
         )
-        fast = run_safety_propagation(mesh, blocks.unusable)
-        for direction in ("east", "south", "west", "north"):
-            assert np.array_equal(
-                getattr(seed.levels, direction), getattr(fast.levels, direction)
-            )
-        assert seed.stats == fast.stats
-
-    def test_unknown_delivery_rejected(self):
-        mesh = Mesh2D(3, 3)
-        with pytest.raises(ValueError):
-            MeshNetwork(mesh, Engine(), _Sink, delivery="teleport")
+        assert result.stats == GOLDEN_STATS["safety_propagation"]
 
     def test_boundary_distribution(self):
         mesh, _, blocks = _scenario()
         rects = blocks.rects()
-        heap = run_boundary_distribution(mesh, rects, blocks.unusable, scheduler="heap")
-        buckets = run_boundary_distribution(
-            mesh, rects, blocks.unusable, scheduler="buckets"
-        )
-        assert heap.annotations == buckets.annotations
-        assert heap.stats == buckets.stats
+        result = run_boundary_distribution(mesh, rects, blocks.unusable)
+        expected = CanonicalBoundaryMap.build(mesh, rects, blocks.unusable)
+
+        def tags(annotations):
+            return {
+                coord: {(t.block_index, t.line): t.toward for t in found}
+                for coord, found in annotations.items()
+            }
+
+        assert tags(result.annotations) == tags(expected.annotations)
+        assert result.stats == GOLDEN_STATS["boundary_distribution"]
 
     def test_mcc_formation(self):
-        mesh, faults, _ = _scenario()
-        heap = run_mcc_formation(mesh, faults, MCCType.TYPE_ONE, scheduler="heap")
-        buckets = run_mcc_formation(mesh, faults, MCCType.TYPE_ONE, scheduler="buckets")
-        assert np.array_equal(heap.status, buckets.status)
-        assert heap.stats == buckets.stats
+        for key, count in (("mcc_formation", 14), ("mcc_formation_dense", 60)):
+            mesh, faults, _ = _scenario(fault_count=count)
+            faulty = np.zeros((mesh.n, mesh.m), dtype=bool)
+            for fault in faults:
+                faulty[fault] = True
+            result = run_mcc_formation(mesh, faults, MCCType.TYPE_ONE)
+            expected = label_statuses(mesh, faulty, MCCType.TYPE_ONE)
+            assert np.array_equal(result.status, expected)
+            assert result.stats == GOLDEN_STATS[key]
 
     def test_region_exchange(self):
+        """Each node learns the North levels of its row region and the
+        East levels of its column region (Extension 2, segment size 1)."""
         mesh, _, blocks = _scenario()
-        levels = compute_safety_levels(mesh, blocks.unusable)
-        heap = run_region_exchange(mesh, blocks.unusable, levels, scheduler="heap")
-        buckets = run_region_exchange(mesh, blocks.unusable, levels, scheduler="buckets")
-        assert heap.row_knowledge == buckets.row_knowledge
-        assert heap.column_knowledge == buckets.column_knowledge
-        assert heap.stats == buckets.stats
+        unusable = blocks.unusable
+        levels = compute_safety_levels(mesh, unusable)
+        result = run_region_exchange(mesh, unusable, levels)
+        expected_rows, expected_columns = {}, {}
+        for y in range(mesh.m):
+            for region in _runs(unusable[:, y]):
+                known = {x: int(levels.north[x, y]) for x in region}
+                expected_rows.update({(x, y): known for x in region})
+        for x in range(mesh.n):
+            for region in _runs(unusable[x, :]):
+                known = {y: int(levels.east[x, y]) for y in region}
+                expected_columns.update({(x, y): known for y in region})
+        assert result.row_knowledge == expected_rows
+        assert result.column_knowledge == expected_columns
+        assert result.stats == GOLDEN_STATS["region_exchange"]
 
     def test_pivot_broadcast(self):
+        """Every free node holds the ESL of each free pivot in its
+        4-connected free component, and nothing else."""
         mesh, _, blocks = _scenario()
         levels = compute_safety_levels(mesh, blocks.unusable)
-        pivots = [(2, 2), (13, 4), (7, 12)]
-        heap = run_pivot_broadcast(
-            mesh, blocks.unusable, levels, pivots, scheduler="heap"
-        )
-        buckets = run_pivot_broadcast(
-            mesh, blocks.unusable, levels, pivots, scheduler="buckets"
-        )
-        assert heap.tables == buckets.tables
-        assert heap.stats == buckets.stats
+        result = run_pivot_broadcast(mesh, blocks.unusable, levels, PIVOTS)
+        expected = {}
+        for component in _connected_components(~blocks.unusable):
+            members = set(component)
+            table = {p: levels.esl(p) for p in PIVOTS if p in members}
+            expected.update({coord: table for coord in component})
+        assert result.tables == expected
+        assert result.stats == GOLDEN_STATS["pivot_broadcast"]
 
     def test_dynamic_mesh_ten_faults(self):
         mesh = Mesh2D(14, 14)
         faults = injection_sequence(mesh, 10, np.random.default_rng(5))
+        dynamic = DynamicMesh(mesh)
+        for fault in faults:
+            dynamic.inject_fault(fault)
+        blocks = build_faulty_blocks(mesh, faults)
+        assert np.array_equal(dynamic.unusable_grid(), blocks.unusable)
+        _assert_levels_equal(
+            dynamic.safety_levels(),
+            compute_safety_levels(mesh, blocks.unusable),
+            blocks.unusable,
+        )
+        assert [
+            (r.fault, r.messages, r.events, r.settled_at) for r in dynamic.reports
+        ] == GOLDEN_DYNAMIC
+        assert all(r.newly_disabled == 0 for r in dynamic.reports)
+        assert dynamic.total_messages == 207
 
-        def run(scheduler):
-            dynamic = DynamicMesh(mesh, scheduler=scheduler)
-            for fault in faults:
-                dynamic.inject_fault(fault)
-            return dynamic
 
-        heap, buckets = run("heap"), run("buckets")
-        # Identical InjectionReports (frozen dataclasses), ESL grids, blocks.
-        assert heap.reports == buckets.reports
-        assert np.array_equal(heap.unusable_grid(), buckets.unusable_grid())
-        for direction in ("east", "south", "west", "north"):
-            assert np.array_equal(
-                getattr(heap.safety_levels(), direction),
-                getattr(buckets.safety_levels(), direction),
-            )
-        assert heap.total_messages == buckets.total_messages
+# ----------------------------------------------------------------------
+# Event order, event by event: digests of flight-recorded streams
+# ----------------------------------------------------------------------
+def _recorded_digest(run) -> tuple[str, int]:
+    recorder = FlightRecorder()
+    run(recorder)
+    digest = hashlib.sha256()
+    for event in recorder.canonical_stream():
+        digest.update(canonical_bytes(event))
+    return digest.hexdigest()[:16], len(recorder.events)
+
+
+def _recorded_runs():
+    mesh, _, blocks = _scenario()
+    _, dense_faults, _ = _scenario(fault_count=60)
+    levels = compute_safety_levels(mesh, blocks.unusable)
+    return {
+        "block_formation": lambda t: run_block_formation(mesh, dense_faults, tracer=t),
+        "mcc_formation": lambda t: run_mcc_formation(
+            mesh, dense_faults, MCCType.TYPE_ONE, tracer=t
+        ),
+        "boundary_distribution": lambda t: run_boundary_distribution(
+            mesh, blocks.rects(), blocks.unusable, tracer=t
+        ),
+        "region_exchange": lambda t: run_region_exchange(
+            mesh, blocks.unusable, levels, tracer=t
+        ),
+        "pivot_broadcast": lambda t: run_pivot_broadcast(
+            mesh, blocks.unusable, levels, PIVOTS, tracer=t
+        ),
+    }
+
+
+#: Frozen alongside GOLDEN_STATS.  Safety propagation is left out: its
+#: start-up sends follow frozenset iteration order, which depends on the
+#: interpreter's string-hash seed (its NetworkStats do not).
+GOLDEN_DIGESTS = {
+    "block_formation": ("da70f69a9720bc77", 1320),
+    "mcc_formation": ("91f942714f2f7f28", 244),
+    "boundary_distribution": ("0b145b0b8d578104", 415),
+    "region_exchange": ("7df37e186f6667cd", 1786),
+    "pivot_broadcast": ("eee32e43849e37a0", 1796),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_DIGESTS))
+def test_recorded_event_stream_matches_golden_digest(protocol):
+    assert _recorded_digest(_recorded_runs()[protocol]) == GOLDEN_DIGESTS[protocol]
 
 
 # ----------------------------------------------------------------------
@@ -308,11 +403,24 @@ class TestChannelArrays:
 
     def test_external_channel_send_counts_into_totals(self):
         mesh = Mesh2D(2, 1)
-        network = MeshNetwork(mesh, Engine(), _Sink)
+        received = []
+
+        class Recorder(NodeProcess):
+            def on_message(self, message: Message) -> None:
+                received.append(message)
+
+        network = MeshNetwork(mesh, Engine(), Recorder)
         channel = network.channels[((0, 0), Direction.EAST)]
-        channel.send(Message(src=(0, 0), dst=(1, 0), kind="x"))
+        channel.send(Message(src=(0, 0), dst=(1, 0), kind="x", payload=7))
         assert network.messages_carried_total == 1
         assert channel.messages_carried == 1
+        network.engine.run()
+        # Delivered after one latency, annotated with the receiver-side
+        # arrival direction.
+        assert network.engine.now == 1.0
+        assert received == [
+            Message((0, 0), (1, 0), "x", 7, arrival_direction=Direction.WEST)
+        ]
 
 
 # ----------------------------------------------------------------------
