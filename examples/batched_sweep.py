@@ -1,16 +1,15 @@
 """Batched pattern engine: thousands of fault patterns in lockstep.
 
-Three stops:
+Two stops:
 
 1. drive the cross-pattern kernels directly -- stack 2000 fault patterns
    into one ``(batch, n, m)`` grid, form every pattern's faulty blocks and
    ESLs in a handful of array ops, and decide Definition 3 / Extension 1
    for a destination batch across all patterns at once;
-2. run the same fig9 sweep through ``engine="batched"`` and
-   ``engine="scalar"`` and check the series agree point for point (they
-   are bit-identical by construction: ``uniform_faults_batch`` advances
-   each pattern's generator exactly as the scalar pipeline does);
-3. time the two engines on the same seeds.
+2. run the fig9 sweep, whose curves run on those kernels under both fault
+   models (faulty blocks, and type-one MCCs for the "a" curves), on one
+   process and on two, and check the series agree point for point (every
+   pattern owns its own seeded generator).
 
 Run:  python examples/batched_sweep.py [batch]
 """
@@ -54,46 +53,34 @@ def kernels_demo(batch: int) -> None:
           f"Extension 1 (sub-minimal allowed): {ext1.mean():.1%}")
 
 
-def engines_demo() -> None:
-    import dataclasses
-
+def sweep_demo() -> None:
     from repro.experiments import ExperimentConfig
-    from repro.experiments.figures import fig9_block_metrics
+    from repro.experiments.figures import fig9_metrics
     from repro.experiments.runner import ConditionExperiment
 
-    # The gate configuration from the bench pair: fig9's block-model
-    # curves (every one has a cross-pattern kernel) on small dense
-    # meshes, where the per-pattern python overhead the batched engine
-    # removes dominates the sweep.
-    base = ExperimentConfig.scaled(40, 64, 15, seed=2002)
-    config = dataclasses.replace(
-        base,
-        fault_counts=tuple(4 * count for count in base.fault_counts),
-        strategy_pivot_levels=1,
-    )
-    experiment = ConditionExperiment(config, metrics_factory=fig9_block_metrics)
+    config = ExperimentConfig.scaled(60, 24, 15, seed=2002)
+    experiment = ConditionExperiment(config, metrics_factory=fig9_metrics)
 
     t0 = time.perf_counter()
-    batched = experiment.run("fig9", "batched engine", engine="batched")
-    batched_s = time.perf_counter() - t0
+    serial = experiment.run("fig9", "one process")
+    serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    scalar = experiment.run("fig9", "scalar engine", engine="scalar")
-    scalar_s = time.perf_counter() - t0
+    pooled = experiment.run("fig9", "two processes", workers=2)
+    pooled_s = time.perf_counter() - t0
 
-    same = batched.xs == scalar.xs and all(
-        [(e.value, e.low, e.high) for e in batched.series[name]]
-        == [(e.value, e.low, e.high) for e in scalar.series[name]]
-        for name in scalar.series
-    )
     print(f"\nfig9 sweep, {len(config.fault_counts)} fault counts x "
           f"{config.patterns_per_count} patterns x "
-          f"{config.destinations_per_pattern} destinations:")
-    print(f"  batched engine: {batched_s * 1e3:7.1f}ms")
-    print(f"  scalar engine:  {scalar_s * 1e3:7.1f}ms  "
-          f"(batched is {scalar_s / batched_s:.1f}x faster)")
-    print(f"  series bit-identical: {same}")
+          f"{config.destinations_per_pattern} destinations, both models:")
+    print(f"  workers=1: {serial_s * 1e3:7.1f}ms")
+    print(f"  workers=2: {pooled_s * 1e3:7.1f}ms")
+    print(f"  series bit-identical: {serial.series == pooled.series}")
+    top = len(config.fault_counts) - 1
+    for name in ("safe_source", "ext1_min", "existence"):
+        print(f"  {name:<12} at {config.fault_counts[top]} faults: "
+              f"blocks {serial.column(name)[top]:.3f}, "
+              f"MCCs {serial.column(name + 'a')[top]:.3f}")
 
 
 if __name__ == "__main__":
     kernels_demo(int(sys.argv[1]) if len(sys.argv) > 1 else 2000)
-    engines_demo()
+    sweep_demo()

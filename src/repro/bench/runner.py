@@ -42,7 +42,7 @@ class BenchConfig:
     quick: bool = False
     repeats: int | None = None  # None: per-workload default
     seed: int = 2002
-    backend: str = "numpy"  # array API backend for batched-engine workloads
+    backend: str = "numpy"  # array API backend for the condition-sweep workloads
 
 
 def run_benchmarks(

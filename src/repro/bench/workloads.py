@@ -134,7 +134,7 @@ def builtin_registry() -> BenchRegistry:
 
     @registry.register(
         "macro.conditions_serial", kind="macro",
-        description="condition sweep, run(workers=1): batched kernels + artifact cache",
+        description="condition sweep, run(workers=1): cross-pattern kernels, both models",
         repeats=3, quick_repeats=1,
     )
     def run_conditions_serial(state):
@@ -149,10 +149,8 @@ def builtin_registry() -> BenchRegistry:
         return _conditions_sweep(state, workers=2)
 
     def _pattern_engine_config(config: Any):
-        """The batched-vs-scalar gate config: small dense meshes, where the
-        per-pattern python overhead the batched engine removes dominates.
-        Both engines consume the identical seeds, so the p50 ratio between
-        the two workloads below *is* the lockstep speedup."""
+        """Many small dense meshes: the block-model sweep as one lockstep
+        array program per fault count."""
         import dataclasses
 
         from repro.experiments import ExperimentConfig
@@ -167,19 +165,6 @@ def builtin_registry() -> BenchRegistry:
             strategy_pivot_levels=1,
         )
 
-    def _pattern_engine_sweep(config: Any, engine: str):
-        from repro.experiments.figures import fig9_block_metrics
-        from repro.experiments.runner import ConditionExperiment
-
-        experiment = ConditionExperiment(
-            _pattern_engine_config(config), metrics_factory=fig9_block_metrics
-        )
-        backend = getattr(config, "backend", "numpy")
-        return experiment.run(
-            "fig9", "conditions, pattern-engine gate", engine=engine,
-            backend=backend if engine != "scalar" else "numpy",
-        )
-
     @registry.register(
         "macro.conditions_batched_patterns", kind="macro",
         description="fig9 block-model sweep, whole fault-count batches stacked "
@@ -187,16 +172,16 @@ def builtin_registry() -> BenchRegistry:
         repeats=3, quick_repeats=1,
     )
     def run_conditions_batched_patterns(state):
-        return _pattern_engine_sweep(state, engine="batched")
+        from repro.experiments.figures import fig9_block_metrics
+        from repro.experiments.runner import ConditionExperiment
 
-    @registry.register(
-        "macro.conditions_per_pattern", kind="macro",
-        description="the identical sweep (same seeds) forced down the "
-                    "per-pattern scalar path: the batched engine's baseline",
-        repeats=3, quick_repeats=1,
-    )
-    def run_conditions_per_pattern(state):
-        return _pattern_engine_sweep(state, engine="scalar")
+        experiment = ConditionExperiment(
+            _pattern_engine_config(state), metrics_factory=fig9_block_metrics
+        )
+        return experiment.run(
+            "fig9", "conditions, pattern-engine sweep",
+            backend=getattr(state, "backend", "numpy"),
+        )
 
     @registry.register(
         "macro.protocol_formation", kind="macro",

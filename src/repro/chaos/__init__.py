@@ -15,9 +15,10 @@ earn their keep:
 - :class:`~repro.chaos.runner.ChaosRunner` -- drives the hardened
   dynamic-update protocol under a plan plus a schedule;
 - :func:`~repro.chaos.verify.verify_convergence` -- replays the final
-  distributed state against the batch oracles (:mod:`repro.core.batched`,
-  :mod:`repro.faults.coverage`) and proves ESLs and blocks re-converged
-  to the ground truth of the post-chaos fault set.
+  distributed state against the centralized references
+  (:mod:`repro.core.conditions`, :mod:`repro.faults.coverage`) and proves
+  ESLs and blocks re-converged to the ground truth of the post-chaos
+  fault set.
 """
 
 from repro.chaos.plan import ChannelFaultPlan

@@ -10,9 +10,10 @@ node, that the distributed state re-converged to the ground truth:
 - the faulty-or-disabled grid matches Definition 1's fixpoint;
 - every live node's four extended safety levels match the batch ESLs;
 - on a seeded sample of source/destination pairs, the distributed
-  levels reach the same Definition-3 safety verdicts as the oracle,
-  and every pair the distributed state calls safe really has a minimal
-  path (Theorem 1 cross-check via
+  levels reach the same Definition-3 safety verdicts
+  (:func:`repro.core.conditions.is_safe`) as the oracle levels, and every
+  pair the distributed state calls safe really has a minimal path
+  (Theorem 1 cross-check via
   :func:`repro.faults.coverage.batch_minimal_path_exists`).
 """
 
@@ -32,7 +33,7 @@ if TYPE_CHECKING:
     from repro.obs.recorder import FlightRecorder
     from repro.obs.replay import DivergenceReport
     from repro.obs.timeseries import Observatory
-from repro.core.batched import batch_is_safe
+from repro.core.conditions import is_safe
 from repro.core.safety import compute_safety_levels
 from repro.faults.blocks import build_faulty_blocks
 from repro.faults.coverage import batch_minimal_path_exists
@@ -199,17 +200,16 @@ def verify_convergence(
                 replace=False,
             )
             dests = free_coords[dest_rows]
-            got_safe = batch_is_safe(distributed_levels, source, dests)
-            want_safe = batch_is_safe(oracle_levels, source, dests)
             reachable = batch_minimal_path_exists(
                 oracle_blocks.unusable, source, dests
             )
             pairs_checked += len(dests)
             for i in range(len(dests)):
                 dest = (int(dests[i, 0]), int(dests[i, 1]))
-                if bool(got_safe[i]) != bool(want_safe[i]):
+                got_safe = is_safe(distributed_levels, source, dest)
+                if got_safe != is_safe(oracle_levels, source, dest):
                     safety_mismatches.append((source, dest))
-                elif got_safe[i] and not reachable[i]:
+                elif got_safe and not reachable[i]:
                     # Distributed state claims safety but no minimal path
                     # exists: a soundness violation, not just staleness.
                     safety_mismatches.append((source, dest))

@@ -86,14 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 1; results are identical at any worker count)",
     )
     figures.add_argument(
-        "--engine", choices=["auto", "batched", "scalar"], default="auto",
-        help="shard evaluator for fig9-fig12: 'batched' stacks each shard's "
-        "fault patterns and runs the cross-pattern kernels, 'scalar' loops "
-        "per pattern; results are bit-identical (default: auto = batched)",
-    )
-    figures.add_argument(
         "--backend", choices=["numpy", "strict", "cupy", "torch"], default="numpy",
-        help="array API backend for the batched engine (default: numpy)",
+        help="array API backend for the fig9-fig12 pattern kernels (default: numpy)",
     )
 
     scenario = sub.add_parser("scenario", help="render a random fault scenario")
@@ -359,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=2002, help="workload seed")
     bench.add_argument(
         "--backend", choices=["numpy", "strict", "cupy", "torch"], default="numpy",
-        help="array API backend for the batched-engine workloads (default: numpy)",
+        help="array API backend for the condition-sweep workloads (default: numpy)",
     )
 
     protocols = sub.add_parser("protocols", help="distributed info-formation costs")
@@ -375,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--patterns", type=int, default=6, help="patterns per side")
     sweep.add_argument(
         "--backend", choices=["numpy", "strict", "cupy", "torch"], default="numpy",
-        help="array API backend for the batched sweep engine (default: numpy)",
+        help="array API backend for the sweep's pattern kernels (default: numpy)",
     )
     return parser
 
@@ -451,7 +445,7 @@ def _cmd_figures(args, out: Callable[[str], None]) -> int:
     out(config.describe())
     for name in wanted:
         kwargs = (
-            {"workers": args.workers, "engine": args.engine, "backend": args.backend}
+            {"workers": args.workers, "backend": args.backend}
             if name in sharded
             else {}
         )

@@ -11,8 +11,9 @@ Layering (bottom-up):
 - :mod:`repro.core.segments` -- Extension 2's region/segment machinery.
 - :mod:`repro.core.pivots` -- Extension 3's pivot-selection schemes.
 - :mod:`repro.core.extensions` -- Theorems 1a/1b/1c as decision procedures.
-- :mod:`repro.core.batched` -- vectorised (batch-of-destinations) kernels
-  for Definition 3 and the extensions, used by the experiment sweeps.
+- :mod:`repro.core.batched_patterns` -- the same conditions as
+  cross-pattern kernels over stacked ``(batch, n, m)`` grids, used by the
+  experiment sweeps (the scalar modules above are their reference).
 - :mod:`repro.core.strategies` -- the paper's strategies 1-4 (combinations).
 - :mod:`repro.core.boundaries` -- faulty-block boundary lines L1-L4 with
   joins, the information Wu's protocol routes by.
@@ -31,12 +32,6 @@ from repro.core.extensions import (
     extension1_decision,
     extension2_decision,
     extension3_decision,
-)
-from repro.core.batched import (
-    batch_extension1,
-    batch_extension2_from_segments,
-    batch_extension3,
-    batch_is_safe,
 )
 from repro.core.segments import RegionSegments, build_axis_segments
 from repro.core.pivots import latin_pivots, random_pivots, recursive_center_pivots
@@ -57,10 +52,6 @@ __all__ = [
     "StrategyConfig",
     "UNBOUNDED",
     "WuRouter",
-    "batch_extension1",
-    "batch_extension2_from_segments",
-    "batch_extension3",
-    "batch_is_safe",
     "build_axis_segments",
     "compute_safety_levels",
     "extension1_decision",

@@ -1,12 +1,12 @@
 """Cross-pattern batched kernels: thousands of fault patterns in lockstep.
 
-:mod:`repro.core.batched` vectorises the safe-condition decisions *within*
-one fault pattern; this module vectorises them *across* patterns.  Every
-kernel takes stacked ``(batch, n, m)`` grids (one fault pattern per leading
-index) and computes faulty-block formation, ESL grids, monotone
-reachability, and the Def-3 / Extension 1-3 conditions for all patterns in
-one array-program pass -- the Python-level per-pattern loop that bounds the
-figure sweeps disappears.
+Every kernel takes stacked ``(batch, n, m)`` grids (one fault pattern per
+leading index) and computes faulty-block formation, ESL grids, monotone
+reachability, and the Def-3 / Extension 1-3 conditions for all patterns and
+their destinations in one array-program pass -- the Python-level
+per-pattern loop that would bound the figure sweeps disappears.  Past
+formation the kernels read only a blocked grid, so they serve either fault
+model: the experiment runner feeds them faulty blocks and type-one MCCs.
 
 The kernels are written against the Python array API standard: each one
 obtains its namespace with ``xp = array_namespace(...)`` and calls only
@@ -453,7 +453,8 @@ def build_source_sample_tables(
 ) -> tuple[AxisSampleTable, AxisSampleTable]:
     """(East-axis, North-axis) sample tables for the fixed source.
 
-    The identity-frame analogue of ``TrialContext.segments``: the East-axis
+    The identity-frame analogue of
+    :func:`repro.core.segments.build_axis_segments`: the East-axis
     table samples nodes ``(sx+k, sy)`` with their North levels, the
     North-axis table nodes ``(sx, sy+k)`` with their East levels.
     """

@@ -4,9 +4,10 @@
   setup (200x200 mesh, source at the centre, up to 200 faults) and reduced
   presets that keep the fault *density* so curve shapes are comparable.
 - :mod:`repro.experiments.runner` -- scenario/trial driver shared by all
-  condition experiments (Figures 9-12): builds fault patterns, fault models,
-  safety levels, pivots and segments once per pattern, then evaluates every
-  registered metric on every random destination.
+  condition experiments (Figures 9-12): stacks a shard's fault patterns,
+  both fault models and their safety levels into ``(batch, n, m)`` grids,
+  then evaluates every registered metric on every random destination in
+  one cross-pattern kernel call.
 - :mod:`repro.experiments.figures` -- one entry point per paper figure,
   returning a :class:`~repro.experiments.report.FigureSeries`.
 - :mod:`repro.experiments.report` -- table/CSV/ASCII-plot rendering of a
@@ -18,7 +19,6 @@ from repro.experiments.report import FigureSeries
 from repro.experiments.runner import (
     ConditionExperiment,
     PatternBatchContext,
-    TrialContext,
 )
 from repro.experiments.figures import (
     fig7_affected_rows,
@@ -43,7 +43,6 @@ __all__ = [
     "FigureSeries",
     "MemoryReport",
     "PatternBatchContext",
-    "TrialContext",
     "fig7_affected_rows",
     "fig8_disabled_nodes",
     "fig9_extension1",

@@ -6,16 +6,15 @@ ConditionExperiment`.  Every function returns a
 :class:`~repro.experiments.report.FigureSeries` whose columns mirror the
 curves of the paper's plot.
 
-The condition figures accept ``workers``: the sweep shards its fault
-patterns over that many processes (see ``run(workers=N)`` in the runner)
-and produces a bit-identical series at any worker count.  Their metric
-lists are built by module-level *factories* (``fig9_metrics`` ...), which
-are picklable and therefore usable from worker processes; each metric
-carries the scalar predicate, the per-pattern destination-batched form
-from :mod:`repro.core.batched` where one exists, and -- for the
-block-model curves -- the cross-pattern form from
-:mod:`repro.core.batched_patterns` used by ``run(engine="batched")``
-(``engine`` / ``backend`` thread through each figure entry point).
+Every curve of Figures 9-12 is a cross-pattern kernel from
+:mod:`repro.core.batched_patterns`, run once per shard against the
+stacked grid of its fault model (faulty blocks, or type-one MCCs for the
+"a" curves).  The condition figures accept ``workers``: the sweep shards
+its fault patterns over that many processes (see ``run(workers=N)`` in
+the runner) and produces a bit-identical series at any worker count.
+Their metric lists are built by module-level *factories*
+(``fig9_metrics`` ...), which are picklable and therefore usable from
+worker processes; ``backend`` selects the array API backend.
 """
 
 from __future__ import annotations
@@ -30,12 +29,6 @@ from repro.analysis.affected_rows import (
     expected_affected_rows,
 )
 from repro.analysis.statistics import Estimate, mean_and_ci
-from repro.core.batched import (
-    batch_extension1,
-    batch_extension2_from_segments,
-    batch_extension3,
-    batch_is_safe,
-)
 from repro.core.batched_patterns import (
     batch_pattern_extension1,
     batch_pattern_extension2,
@@ -43,13 +36,7 @@ from repro.core.batched_patterns import (
     batch_pattern_is_safe,
     batch_pattern_path_exists,
 )
-from repro.core.conditions import is_safe
-from repro.core.extensions import (
-    extension1_decision,
-    extension2_decision_from_segments,
-    extension3_decision,
-)
-from repro.core.strategies import Strategy, StrategyConfig, strategy_decision
+from repro.core.strategies import Strategy
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureSeries
 from repro.experiments.runner import (
@@ -58,105 +45,42 @@ from repro.experiments.runner import (
     ConditionExperiment,
     MetricSpec,
     PatternBatchContext,
-    TrialContext,
+    PatternMetricFn,
 )
-from repro.faults.coverage import batch_minimal_path_exists, minimal_path_exists
 from repro.faults.injection import generate_scenario
 from repro.faults.mcc import MCCType
-from repro.mesh.geometry import Coord
 
 Progress = Callable[[str], None] | None
 
 
 # ----------------------------------------------------------------------
-# Metric predicates shared by Figures 9-12 (scalar + batched forms)
+# Metric kernels shared by Figures 9-12
 # ----------------------------------------------------------------------
 
 
-def _safe_source(ctx: TrialContext, dest: Coord) -> bool:
-    return is_safe(ctx.levels, ctx.source, dest)
-
-
-def _safe_source_batch(ctx: TrialContext, dests: np.ndarray) -> np.ndarray:
-    return batch_is_safe(ctx.levels, ctx.source, dests)
-
-
-def _safe_source_pattern(pctx: PatternBatchContext) -> Any:
+def _safe_source(pctx: PatternBatchContext) -> Any:
     return batch_pattern_is_safe(pctx.levels, pctx.source, pctx.dests)
 
 
-def _existence(ctx: TrialContext, dest: Coord) -> bool:
-    return minimal_path_exists(ctx.blocked, ctx.source, dest)
-
-
-def _existence_batch(ctx: TrialContext, dests: np.ndarray) -> np.ndarray:
-    return batch_minimal_path_exists(
-        ctx.blocked, ctx.source, dests, maps=ctx.reachability_maps
-    )
-
-
-def _existence_pattern(pctx: PatternBatchContext) -> Any:
+def _existence(pctx: PatternBatchContext) -> Any:
     return batch_pattern_path_exists(
         pctx.blocked, pctx.source, pctx.dests, maps=pctx.reachability_maps
     )
 
 
-def _extension1_min(ctx: TrialContext, dest: Coord) -> bool:
-    decision = extension1_decision(
-        ctx.mesh, ctx.levels, ctx.blocked, ctx.source, dest, allow_sub_minimal=False
-    )
-    return decision.ensures_minimal
-
-
-def _extension1_min_batch(ctx: TrialContext, dests: np.ndarray) -> np.ndarray:
-    return batch_extension1(
-        ctx.mesh, ctx.levels, ctx.blocked, ctx.source, dests, allow_sub_minimal=False
-    )
-
-
-def _extension1_min_pattern(pctx: PatternBatchContext) -> Any:
+def _extension1_min(pctx: PatternBatchContext) -> Any:
     return batch_pattern_extension1(
         pctx.blocked, pctx.levels, pctx.source, pctx.dests, allow_sub_minimal=False
     )
 
 
-def _extension1_submin(ctx: TrialContext, dest: Coord) -> bool:
-    decision = extension1_decision(
-        ctx.mesh, ctx.levels, ctx.blocked, ctx.source, dest, allow_sub_minimal=True
-    )
-    return decision.ensures_sub_minimal
-
-
-def _extension1_submin_batch(ctx: TrialContext, dests: np.ndarray) -> np.ndarray:
-    return batch_extension1(
-        ctx.mesh, ctx.levels, ctx.blocked, ctx.source, dests, allow_sub_minimal=True
-    )
-
-
-def _extension1_submin_pattern(pctx: PatternBatchContext) -> Any:
+def _extension1_submin(pctx: PatternBatchContext) -> Any:
     return batch_pattern_extension1(
         pctx.blocked, pctx.levels, pctx.source, pctx.dests, allow_sub_minimal=True
     )
 
 
-def _extension2(size: int | None) -> Callable[[TrialContext, Coord], bool]:
-    def metric(ctx: TrialContext, dest: Coord) -> bool:
-        east, north = ctx.segments(size)
-        decision = extension2_decision_from_segments(ctx.levels, ctx.source, dest, east, north)
-        return decision.ensures_minimal
-
-    return metric
-
-
-def _extension2_batch(size: int | None) -> Callable[[TrialContext, np.ndarray], np.ndarray]:
-    def metric(ctx: TrialContext, dests: np.ndarray) -> np.ndarray:
-        east, north = ctx.segments(size)
-        return batch_extension2_from_segments(ctx.levels, ctx.source, dests, east, north)
-
-    return metric
-
-
-def _extension2_pattern(size: int | None) -> Callable[[PatternBatchContext], Any]:
+def _extension2(size: int | None) -> PatternMetricFn:
     def metric(pctx: PatternBatchContext) -> Any:
         return batch_pattern_extension2(
             pctx.levels, pctx.source, pctx.dests, size,
@@ -166,26 +90,7 @@ def _extension2_pattern(size: int | None) -> Callable[[PatternBatchContext], Any
     return metric
 
 
-def _extension3(level: int) -> Callable[[TrialContext, Coord], bool]:
-    def metric(ctx: TrialContext, dest: Coord) -> bool:
-        decision = extension3_decision(
-            ctx.mesh, ctx.levels, ctx.blocked, ctx.source, dest, ctx.pivots_by_level[level]
-        )
-        return decision.ensures_minimal
-
-    return metric
-
-
-def _extension3_batch(level: int) -> Callable[[TrialContext, np.ndarray], np.ndarray]:
-    def metric(ctx: TrialContext, dests: np.ndarray) -> np.ndarray:
-        return batch_extension3(
-            ctx.mesh, ctx.levels, ctx.blocked, ctx.source, dests, ctx.pivots_by_level[level]
-        )
-
-    return metric
-
-
-def _extension3_pattern(level: int) -> Callable[[PatternBatchContext], Any]:
+def _extension3(level: int) -> PatternMetricFn:
     def metric(pctx: PatternBatchContext) -> Any:
         return batch_pattern_extension3(
             pctx.blocked, pctx.levels, pctx.source, pctx.dests, pctx.pivot_array(level)
@@ -194,67 +99,15 @@ def _extension3_pattern(level: int) -> Callable[[PatternBatchContext], Any]:
     return metric
 
 
-def _strategy(strategy: Strategy, config: ExperimentConfig) -> Callable[[TrialContext, Coord], bool]:
-    strategy_config = StrategyConfig(
-        segment_size=config.strategy_segment_size,
-        pivot_levels=config.strategy_pivot_levels,
-        pivot_scheme="random",
-    )
-
-    def metric(ctx: TrialContext, dest: Coord) -> bool:
-        decision = strategy_decision(
-            strategy,
-            ctx.mesh,
-            ctx.levels,
-            ctx.blocked,
-            ctx.source,
-            dest,
-            ctx.strategy_pivots,
-            strategy_config,
-        )
-        return decision.ensures_minimal
-
-    return metric
-
-
-def _strategy_batch(
-    strategy: Strategy, config: ExperimentConfig
-) -> Callable[[TrialContext, np.ndarray], np.ndarray]:
-    """Batched strategy mask: the OR of the used extensions' kernels.
+def _strategy(strategy: Strategy, config: ExperimentConfig) -> PatternMetricFn:
+    """A strategy's mask: the OR of the used extensions' kernels.
 
     Valid because with ``allow_sub_minimal=False`` (the experiment setting)
     every non-UNSAFE decision a strategy can return ensures a minimal path,
     so "first extension that fires" and "any extension fires" agree.  The
     destinations come from the quadrant-I region, where Extension 2's
-    per-pair frame coincides with the segments' source frame.
+    per-pair frame coincides with the sample tables' source frame.
     """
-    segment_size = config.strategy_segment_size
-
-    def metric(ctx: TrialContext, dests: np.ndarray) -> np.ndarray:
-        ensured = np.zeros(len(dests), dtype=bool)
-        if strategy.uses_extension1:
-            ensured |= batch_extension1(
-                ctx.mesh, ctx.levels, ctx.blocked, ctx.source, dests,
-                allow_sub_minimal=False,
-            )
-        if strategy.uses_extension2:
-            east, north = ctx.segments(segment_size)
-            ensured |= batch_extension2_from_segments(
-                ctx.levels, ctx.source, dests, east, north
-            )
-        if strategy.uses_extension3:
-            ensured |= batch_extension3(
-                ctx.mesh, ctx.levels, ctx.blocked, ctx.source, dests, ctx.strategy_pivots
-            )
-        return ensured
-
-    return metric
-
-
-def _strategy_pattern(
-    strategy: Strategy, config: ExperimentConfig
-) -> Callable[[PatternBatchContext], Any]:
-    """Cross-pattern strategy mask (same OR argument as ``_strategy_batch``)."""
     segment_size = config.strategy_segment_size
 
     def metric(pctx: PatternBatchContext) -> Any:
@@ -281,21 +134,16 @@ def _strategy_pattern(
     return metric
 
 
-def _both_models(
-    name: str,
-    fn: Callable[[TrialContext, Coord], bool],
-    model: str,
-    batch_fn: Callable[[TrialContext, np.ndarray], np.ndarray] | None = None,
-    pattern_fn: Callable[[PatternBatchContext], Any] | None = None,
-) -> MetricSpec:
+def _both_models(name: str, pattern_fn: PatternMetricFn, model: str) -> MetricSpec:
     suffix = "" if model == BLOCK_MODEL else "a"
-    return MetricSpec(
-        name=f"{name}{suffix}",
-        fn=fn,
-        model=model,
-        batch_fn=batch_fn,
-        pattern_fn=pattern_fn if model == BLOCK_MODEL else None,
-    )
+    return MetricSpec(name=f"{name}{suffix}", pattern_fn=pattern_fn, model=model)
+
+
+def _check_engine(engine: str) -> None:
+    """``engine`` has the one value ``"auto"``; the keyword stays so that
+    callers passing it keep working."""
+    if engine != "auto":
+        raise ValueError(f"unknown engine {engine!r}; the only engine is 'auto'")
 
 
 # ----------------------------------------------------------------------
@@ -376,21 +224,10 @@ def fig9_metrics(config: ExperimentConfig) -> list[MetricSpec]:
     metrics: list[MetricSpec] = []
     for model in (BLOCK_MODEL, MCC_MODEL):
         metrics += [
-            _both_models(
-                "safe_source", _safe_source, model, _safe_source_batch,
-                _safe_source_pattern,
-            ),
-            _both_models(
-                "ext1_min", _extension1_min, model, _extension1_min_batch,
-                _extension1_min_pattern,
-            ),
-            _both_models(
-                "ext1_submin", _extension1_submin, model, _extension1_submin_batch,
-                _extension1_submin_pattern,
-            ),
-            _both_models(
-                "existence", _existence, model, _existence_batch, _existence_pattern
-            ),
+            _both_models("safe_source", _safe_source, model),
+            _both_models("ext1_min", _extension1_min, model),
+            _both_models("ext1_submin", _extension1_submin, model),
+            _both_models("existence", _existence, model),
         ]
     return metrics
 
@@ -398,10 +235,9 @@ def fig9_metrics(config: ExperimentConfig) -> list[MetricSpec]:
 def fig9_block_metrics(config: ExperimentConfig) -> list[MetricSpec]:
     """Figure 9's block-model curves only (picklable metrics factory).
 
-    Every curve here has a cross-pattern kernel, so under
-    ``run(engine="batched")`` the whole sweep is one array program per
-    shard -- the workload pair behind the ``macro.conditions_*`` bench
-    gate compares exactly this factory under both engines.
+    The whole sweep is one array program per shard, with no MCC
+    labelling; the ``macro.conditions_batched_patterns`` bench workload
+    and the mesh-size sweep run exactly this factory.
     """
     return [
         metric for metric in fig9_metrics(config) if metric.model == BLOCK_MODEL
@@ -417,11 +253,12 @@ def fig9_extension1(
 ) -> FigureSeries:
     """Safe source, extension 1 (min), extension 1 (sub-min), and the
     optimal existence baseline, under both fault models (Figure 9 a+b)."""
+    _check_engine(engine)
     config = config or ExperimentConfig.from_environment()
     experiment = ConditionExperiment(config, metrics_factory=fig9_metrics)
     return experiment.run(
         "fig9", "minimal/sub-minimal ensured: extension 1", progress,
-        workers=workers, engine=engine, backend=backend,
+        workers=workers, backend=backend,
     )
 
 
@@ -429,25 +266,11 @@ def fig10_metrics(config: ExperimentConfig) -> list[MetricSpec]:
     """Figure 10's curves (picklable metrics factory)."""
     metrics: list[MetricSpec] = []
     for model in (BLOCK_MODEL, MCC_MODEL):
-        metrics.append(
-            _both_models(
-                "safe_source", _safe_source, model, _safe_source_batch,
-                _safe_source_pattern,
-            )
-        )
+        metrics.append(_both_models("safe_source", _safe_source, model))
         for size in config.segment_sizes:
             label = "max" if size is None else str(size)
-            metrics.append(
-                _both_models(
-                    f"ext2_{label}", _extension2(size), model,
-                    _extension2_batch(size), _extension2_pattern(size),
-                )
-            )
-        metrics.append(
-            _both_models(
-                "existence", _existence, model, _existence_batch, _existence_pattern
-            )
-        )
+            metrics.append(_both_models(f"ext2_{label}", _extension2(size), model))
+        metrics.append(_both_models("existence", _existence, model))
     return metrics
 
 
@@ -459,11 +282,12 @@ def fig10_extension2(
     backend: str = "numpy",
 ) -> FigureSeries:
     """Extension 2 for every segment-size variation (Figure 10 a+b)."""
+    _check_engine(engine)
     config = config or ExperimentConfig.from_environment()
     experiment = ConditionExperiment(config, metrics_factory=fig10_metrics)
     return experiment.run(
         "fig10", "minimal ensured: extension 2 segment sizes", progress,
-        workers=workers, engine=engine, backend=backend,
+        workers=workers, backend=backend,
     )
 
 
@@ -471,24 +295,10 @@ def fig11_metrics(config: ExperimentConfig) -> list[MetricSpec]:
     """Figure 11's curves (picklable metrics factory)."""
     metrics: list[MetricSpec] = []
     for model in (BLOCK_MODEL, MCC_MODEL):
-        metrics.append(
-            _both_models(
-                "safe_source", _safe_source, model, _safe_source_batch,
-                _safe_source_pattern,
-            )
-        )
+        metrics.append(_both_models("safe_source", _safe_source, model))
         for level in config.pivot_levels:
-            metrics.append(
-                _both_models(
-                    f"ext3_level{level}", _extension3(level), model,
-                    _extension3_batch(level), _extension3_pattern(level),
-                )
-            )
-        metrics.append(
-            _both_models(
-                "existence", _existence, model, _existence_batch, _existence_pattern
-            )
-        )
+            metrics.append(_both_models(f"ext3_level{level}", _extension3(level), model))
+        metrics.append(_both_models("existence", _existence, model))
     return metrics
 
 
@@ -500,11 +310,12 @@ def fig11_extension3(
     backend: str = "numpy",
 ) -> FigureSeries:
     """Extension 3 for partition levels 1-3 (Figure 11 a+b)."""
+    _check_engine(engine)
     config = config or ExperimentConfig.from_environment()
     experiment = ConditionExperiment(config, metrics_factory=fig11_metrics)
     return experiment.run(
         "fig11", "minimal ensured: extension 3 partition levels", progress,
-        workers=workers, engine=engine, backend=backend,
+        workers=workers, backend=backend,
     )
 
 
@@ -514,19 +325,9 @@ def fig12_metrics(config: ExperimentConfig) -> list[MetricSpec]:
     for model in (BLOCK_MODEL, MCC_MODEL):
         for strategy in Strategy:
             metrics.append(
-                _both_models(
-                    f"strategy{strategy.value}",
-                    _strategy(strategy, config),
-                    model,
-                    _strategy_batch(strategy, config),
-                    _strategy_pattern(strategy, config),
-                )
+                _both_models(f"strategy{strategy.value}", _strategy(strategy, config), model)
             )
-        metrics.append(
-            _both_models(
-                "existence", _existence, model, _existence_batch, _existence_pattern
-            )
-        )
+        metrics.append(_both_models("existence", _existence, model))
     return metrics
 
 
@@ -538,9 +339,10 @@ def fig12_strategies(
     backend: str = "numpy",
 ) -> FigureSeries:
     """Strategies 1-4 / 1a-4a (Figure 12 a+b)."""
+    _check_engine(engine)
     config = config or ExperimentConfig.from_environment()
     experiment = ConditionExperiment(config, metrics_factory=fig12_metrics)
     return experiment.run(
         "fig12", "minimal ensured: strategies 1-4", progress,
-        workers=workers, engine=engine, backend=backend,
+        workers=workers, backend=backend,
     )

@@ -1,40 +1,35 @@
 """Scenario/trial driver for the condition experiments (Figures 9-12).
 
-One *pattern* is a random fault placement; for each pattern the runner
-builds both fault models, their safety levels, the pivot sets and the
-source's axis segments once, then evaluates every registered metric on
-every random destination.  Metrics under the block and MCC models see the
-*same* fault patterns and destinations, so the paper's (a)/(b) figure pairs
-are paired comparisons.
+One *pattern* is a random fault placement; the runner evaluates every
+registered metric on a fixed number of random destinations per pattern.
+Metrics under the block and MCC models see the *same* fault patterns and
+destinations, so the paper's (a)/(b) figure pairs are paired comparisons.
 
-Scaling layers (see ``docs/API.md``, "Scaling experiments" and "Batched
-pattern engine"):
+A shard (one fault count's patterns, or a slice of them) is evaluated as
+one pattern batch (see ``docs/API.md``, "Batched pattern engine"):
 
-- destinations are evaluated as **batches**: a metric with a ``batch_fn``
-  (a vectorised kernel from :mod:`repro.core.batched`) decides all of a
-  pattern's destinations in one numpy call;
-- whole shards are evaluated as **pattern batches**:
-  ``run(engine="batched")`` stacks a shard's fault patterns into
-  ``(batch, n, m)`` grids and drives the cross-pattern kernels of
-  :mod:`repro.core.batched_patterns` -- block formation, ESLs, and every
-  block-model condition metric with a ``pattern_fn`` evaluate all
-  patterns in one array-program pass (on any array API backend via
-  ``backend=``).  Metrics without a ``pattern_fn`` (MCC-model curves,
-  custom predicates) fall back to the per-pattern path inside the same
-  shard, and non-uniform workloads fall back entirely, so the engine is
-  always safe to request.  Results are bit-identical to the scalar
-  engine: the batched generators consume each pattern's RNG stream draw
-  for draw like the scalar pipeline does.
-- per-pattern artifacts (blocked grid, rectangles, ESL grid, axis
-  segments) flow through the process-wide
-  :class:`~repro.parallel.cache.ArtifactCache`, so block-/MCC-model
-  metrics and repeated same-seed sweeps never recompute them;
-- ``run(workers=N)`` shards ``patterns_per_count`` across a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Every pattern owns a
-  :class:`numpy.random.SeedSequence` spawned along a fixed tree
-  (see :mod:`repro.parallel.pool`), so serial and parallel runs produce
-  bit-identical :class:`~repro.experiments.report.FigureSeries`; the
-  batch engine composes (each worker stacks its own shard).
+- the shard's fault patterns are stacked into ``(batch, n, m)`` grids --
+  :func:`~repro.faults.injection.uniform_faults_batch` for the paper's
+  uniform workload, per-pattern
+  :func:`~repro.faults.injection.generate_scenario` draws for the others
+  -- and their faulty blocks are formed in lockstep;
+- each fault model gets its own stacked grid and
+  :class:`PatternBatchContext`: the faulty blocks for the block model,
+  Definition 2's type-one MCCs (labelled pattern by pattern with
+  :func:`~repro.faults.mcc.label_statuses`) for the MCC model;
+- every metric's ``pattern_fn`` -- built on the cross-pattern kernels of
+  :mod:`repro.core.batched_patterns` -- decides its model's whole
+  ``(batch, k)`` (pattern, destination) grid in one call, on any array
+  API backend via ``run(backend=)``.
+
+Every pattern owns a :class:`numpy.random.SeedSequence` spawned along a
+fixed tree (see :mod:`repro.parallel.pool`), and its stream is consumed
+in a fixed order: faults (with rejection redraws), block-model strategy
+pivots, MCC-model strategy pivots, destinations.  ``run(workers=N)``
+shards ``patterns_per_count`` across a
+:class:`~concurrent.futures.ProcessPoolExecutor` and therefore produces
+bit-identical :class:`~repro.experiments.report.FigureSeries` at any
+worker count.
 """
 
 from __future__ import annotations
@@ -54,101 +49,30 @@ from repro.core.batched_patterns import (
     batch_safety_levels,
     build_source_sample_tables,
 )
-from repro.core.pivots import random_pivots, recursive_center_pivots
-from repro.core.safety import SafetyLevels, compute_safety_levels
-from repro.core.segments import RegionSegments, build_axis_segments
+from repro.core.pivots import recursive_center_pivots
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureSeries
-from repro.faults.blocks import build_faulty_blocks
-from repro.faults.injection import FaultScenario, generate_scenario, uniform_faults_batch
-from repro.faults.mcc import MCCType
-from repro.mesh.frames import Frame
-from repro.mesh.geometry import Coord, Direction, Rect
+from repro.faults.injection import generate_scenario, uniform_faults_batch
+from repro.faults.mcc import MCCType, NodeStatus, label_statuses
+from repro.mesh.geometry import Coord
 from repro.mesh.topology import Mesh2D
-from repro.parallel.cache import get_artifact_cache
 from repro.parallel.pool import ShardPlan, plan_shards
 
 #: The fault models a metric can run under.
 BLOCK_MODEL = "block"
 MCC_MODEL = "mcc"
 
-#: Engines ``ConditionExperiment.run`` accepts; ``"auto"`` means batched.
-ENGINES = ("auto", "batched", "scalar")
-
-
-@dataclass
-class ScenarioArtifacts:
-    """Derived state shared by every metric over one (pattern, model) pair.
-
-    These are exactly the artifacts that are deterministic functions of the
-    fault pattern (no RNG involved), which makes them safe to reuse through
-    the :class:`~repro.parallel.cache.ArtifactCache`: the blocked grid, the
-    block/MCC rectangles, the full ESL grid, and the lazily-built axis
-    segments for the fixed source.
-    """
-
-    blocked: np.ndarray
-    rects: list[Rect]
-    levels: SafetyLevels
-    segment_cache: dict[tuple[int | None, str], tuple[RegionSegments, RegionSegments]] = field(
-        default_factory=dict
-    )
-    reachability_maps: dict[tuple[bool, bool], np.ndarray] = field(default_factory=dict)
-
-
-@dataclass
-class TrialContext:
-    """Everything a metric may consult for one (pattern, model) pair.
-
-    Axis segments are cached per segment size: the simulation's source is
-    fixed and every destination lies in quadrant I, so the canonical frame
-    -- and therefore the segment construction -- is destination-independent.
-    The segment cache lives on the shared :class:`ScenarioArtifacts`, so a
-    cached pattern keeps its segments across repeated sweeps.
-    """
-
-    mesh: Mesh2D
-    source: Coord
-    levels: SafetyLevels
-    blocked: np.ndarray
-    rects: list[Rect]
-    pivots_by_level: dict[int, list[Coord]]
-    strategy_pivots: list[Coord]
-    strategy_rng: np.random.Generator
-    _segment_cache: dict[tuple[int | None, str], tuple[RegionSegments, RegionSegments]] = field(
-        default_factory=dict
-    )
-    #: Lazily-built monotone reachability maps keyed by quadrant (see
-    #: :func:`repro.faults.coverage.batch_minimal_path_exists`); lives on
-    #: the shared artifacts so cached patterns keep their maps.
-    reachability_maps: dict[tuple[bool, bool], np.ndarray] = field(default_factory=dict)
-
-    def segments(
-        self, size: int | None, tie_break: str = "far"
-    ) -> tuple[RegionSegments, RegionSegments]:
-        """(East-axis, North-axis) samples for the fixed source."""
-        key = (size, tie_break)
-        if key not in self._segment_cache:
-            frame = Frame(origin=self.source)
-            east = build_axis_segments(
-                self.mesh, self.levels, frame, Direction.EAST, size, tie_break
-            )
-            north = build_axis_segments(
-                self.mesh, self.levels, frame, Direction.NORTH, size, tie_break
-            )
-            self._segment_cache[key] = (east, north)
-        return self._segment_cache[key]
-
 
 @dataclass
 class PatternBatchContext:
-    """Everything a cross-pattern kernel may consult for one shard.
+    """Everything a cross-pattern kernel may consult for one shard and model.
 
-    The batched analogue of :class:`TrialContext`: ``blocked`` and the ESL
-    grids are stacked ``(batch, n, m)`` arrays on the active backend,
-    ``dests`` is ``(batch, k, 2)``, and the per-pattern random strategy
-    pivots are padded to ``(batch, p, 2)`` with ``strategy_valid`` masking
-    the padding.  Reachability maps and segment sample tables are cached on
+    ``blocked`` is the model's stacked ``(batch, n, m)`` grid on the active
+    backend (faulty blocks, or type-one MCCs) and ``levels`` its ESL
+    grids; ``dests`` is ``(batch, k, 2)`` and the same for both models.
+    The per-pattern random strategy pivots, drawn once per model, are
+    padded to ``(batch, p, 2)`` with ``strategy_valid`` masking the
+    padding.  Reachability maps and segment sample tables are cached on
     the context so metrics sharing them (the figure curves do) build them
     once per shard.
     """
@@ -184,130 +108,31 @@ class PatternBatchContext:
         return self._table_cache[size]
 
 
-MetricFn = Callable[[TrialContext, Coord], bool]
-BatchMetricFn = Callable[[TrialContext, np.ndarray], np.ndarray]
 PatternMetricFn = Callable[[PatternBatchContext], Any]
 
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """One curve of a figure: a predicate evaluated per destination.
+    """One curve of a figure: a predicate over (pattern, destination) pairs.
 
-    ``batch_fn``, when given, decides a whole ``(k, 2)`` destination array
-    in one call and must agree with ``fn`` element-wise (the property tests
-    cross-validate the built-in kernels); metrics without one fall back to
-    the scalar loop.  ``pattern_fn``, when given, decides a whole shard's
-    ``(batch, k)`` (pattern, destination) grid in one cross-pattern kernel
-    call under ``run(engine="batched")``; block-model only -- MCC metrics
-    fall back to the per-pattern path inside the batched engine.
+    ``pattern_fn`` receives the :class:`PatternBatchContext` of ``model``
+    and returns a ``(batch, k)`` boolean mask (an array of the context's
+    backend); the curve's value at a fault count is the fraction of true
+    entries over all of that count's patterns and destinations.
     """
 
     name: str
-    fn: MetricFn
+    pattern_fn: PatternMetricFn
     model: str = BLOCK_MODEL
-    batch_fn: BatchMetricFn | None = None
-    pattern_fn: PatternMetricFn | None = None
 
     def __post_init__(self) -> None:
         if self.model not in (BLOCK_MODEL, MCC_MODEL):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.pattern_fn is not None and self.model != BLOCK_MODEL:
-            raise ValueError("pattern_fn kernels run under the block model only")
 
 
 #: Rebuilds a figure's metric list inside worker processes (must be a
 #: picklable callable, e.g. a module-level function).
 MetricsFactory = Callable[[ExperimentConfig], "list[MetricSpec]"]
-
-
-def _build_artifacts(scenario: FaultScenario, model: str) -> ScenarioArtifacts:
-    if model == BLOCK_MODEL:
-        blocked = scenario.blocks.unusable
-        rects = scenario.block_rects()
-    else:
-        mccs = scenario.mccs(MCCType.TYPE_ONE)
-        blocked = mccs.blocked
-        rects = [component.rect for component in mccs]
-    levels = compute_safety_levels(scenario.mesh, blocked)
-    return ScenarioArtifacts(blocked=blocked, rects=rects, levels=levels)
-
-
-def _build_context(
-    config: ExperimentConfig,
-    scenario: FaultScenario,
-    model: str,
-    rng: np.random.Generator,
-    pivots_by_level: dict[int, list[Coord]],
-) -> TrialContext:
-    cache_key = (model, scenario.mesh.n, scenario.mesh.m, tuple(scenario.faults))
-    artifacts = get_artifact_cache().get_or_build(
-        cache_key, lambda: _build_artifacts(scenario, model)
-    )
-    strategy_pivots = random_pivots(config.pivot_region, config.strategy_pivot_levels, rng)
-    return TrialContext(
-        mesh=scenario.mesh,
-        source=config.source,
-        levels=artifacts.levels,
-        blocked=artifacts.blocked,
-        rects=artifacts.rects,
-        pivots_by_level=pivots_by_level,
-        strategy_pivots=strategy_pivots,
-        strategy_rng=rng,
-        _segment_cache=artifacts.segment_cache,
-        reachability_maps=artifacts.reachability_maps,
-    )
-
-
-def _evaluate_shard(
-    config: ExperimentConfig, metrics: list[MetricSpec], shard: ShardPlan
-) -> tuple[dict[str, int], int]:
-    """Success counts and trials over one shard's patterns.
-
-    Each pattern consumes only its own spawned RNG stream, so the result
-    depends on the shard contents alone -- never on which worker ran it or
-    what ran before it in the same process.
-    """
-    needs_mcc = any(metric.model == MCC_MODEL for metric in metrics)
-    pivots_by_level = {
-        level: recursive_center_pivots(config.pivot_region, level)
-        for level in config.pivot_levels
-    }
-    successes = {metric.name: 0 for metric in metrics}
-    trials = 0
-    for seed_seq in shard.pattern_seeds:
-        rng = np.random.default_rng(seed_seq)
-        scenario = generate_scenario(
-            config.mesh,
-            shard.fault_count,
-            rng,
-            source=config.source,
-            workload=config.workload,
-        )
-        contexts = {
-            BLOCK_MODEL: _build_context(config, scenario, BLOCK_MODEL, rng, pivots_by_level)
-        }
-        if needs_mcc:
-            contexts[MCC_MODEL] = _build_context(
-                config, scenario, MCC_MODEL, rng, pivots_by_level
-            )
-        dests = [
-            scenario.pick_destination(
-                rng, config.destination_region, exclude={config.source}
-            )
-            for _ in range(config.destinations_per_pattern)
-        ]
-        trials += len(dests)
-        dest_array = np.array(dests, dtype=np.int64)
-        for metric in metrics:
-            context = contexts[metric.model]
-            if metric.batch_fn is not None:
-                mask = metric.batch_fn(context, dest_array)
-                successes[metric.name] += int(np.count_nonzero(mask))
-            else:
-                successes[metric.name] += sum(
-                    1 for dest in dests if metric.fn(context, dest)
-                )
-    return successes, trials
 
 
 def _generate_pattern_grids(
@@ -318,13 +143,27 @@ def _generate_pattern_grids(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(faults, blocked)`` numpy stacks with every source block-free.
 
-    The batched form of :func:`~repro.faults.injection.generate_scenario`'s
-    accept/reject loop: patterns whose blocks swallow the source are
-    redrawn *from their own generator*, so each generator is consumed
-    exactly as the scalar loop consumes it (one ``uniform_faults`` draw per
-    rejection round) and the accepted grids are bit-identical.
+    For the uniform workload this is the batched form of
+    :func:`~repro.faults.injection.generate_scenario`'s accept/reject
+    loop: patterns whose blocks swallow the source are redrawn *from their
+    own generator*, so each generator is consumed exactly as the scalar
+    loop consumes it (one ``uniform_faults`` draw per rejection round) and
+    the accepted grids are bit-identical.  Other workloads stack one
+    ``generate_scenario`` draw per generator.
     """
     mesh, source = config.mesh, config.source
+    if config.workload != "uniform":
+        faults = np.zeros((len(rngs), mesh.n, mesh.m), dtype=bool)
+        blocked = np.zeros_like(faults)
+        for b, rng in enumerate(rngs):
+            scenario = generate_scenario(
+                mesh, fault_count, rng, source=source,
+                max_rejections=max_rejections, workload=config.workload,
+            )
+            for x, y in scenario.faults:
+                faults[b, x, y] = True
+            blocked[b] = scenario.blocks.unusable
+        return faults, blocked
     forbidden = frozenset({source})
     faults = uniform_faults_batch(mesh, fault_count, rngs, forbidden)
     blocked = to_numpy(batch_disable_fixpoint(faults))
@@ -353,8 +192,8 @@ def _pick_destinations_batch(
     rngs: list[np.random.Generator],
     max_attempts: int = 10_000,
 ) -> np.ndarray:
-    """``(batch, k, 2)`` destinations identical to the scalar
-    ``FaultScenario.pick_destination`` loop over each generator.
+    """``(batch, k, 2)`` destinations, exactly what
+    ``FaultScenario.pick_destination`` draws from each generator.
 
     The destinations are the *last* thing the per-pattern streams feed, so
     only their values must match -- and on a square mesh the x and y draws
@@ -421,11 +260,11 @@ def _pivot_draw_cells(config: ExperimentConfig) -> list[tuple[int, int, int, int
     """The ``(xlo, xhi+1, ylo, yhi+1)`` draw bounds behind ``random_pivots``.
 
     The recursive cell decomposition depends only on the (fixed) pivot
-    region, so the batched engine precomputes it once per shard and replays
-    just the integer draws per pattern -- the same bounds in the same
-    order, hence the same stream consumption and the same pivots as the
-    scalar engine's per-pattern ``random_pivots`` call, without rebuilding
-    the ``Rect`` recursion hundreds of times.
+    region, so a shard precomputes it once and replays just the integer
+    draws per pattern -- the same bounds in the same order, hence the same
+    stream consumption and the same pivots as a per-pattern
+    ``random_pivots`` call, without rebuilding the ``Rect`` recursion
+    hundreds of times.
     """
     from repro.core.pivots import _recursive_cells
 
@@ -462,42 +301,37 @@ def _pad_pivots(pivot_lists: list[list[Coord]]) -> tuple[np.ndarray, np.ndarray]
     return pivots, valid
 
 
-def _fallback_context(
-    config: ExperimentConfig,
-    faults: list[Coord],
-    model: str,
-    rng: np.random.Generator,
-    pivots_by_level: dict[int, list[Coord]],
-    strategy_pivots: list[Coord],
-) -> TrialContext:
-    """A scalar :class:`TrialContext` for one batched pattern.
+def _mcc_grids(mesh: Mesh2D, faults: np.ndarray) -> np.ndarray:
+    """Every pattern's type-one MCC grid (Definition 2), ``(batch, n, m)``.
 
-    Shares the artifact cache key with :func:`_build_context`, so a mixed
-    batched/scalar sweep (MCC curves alongside batched block curves) never
-    rebuilds a pattern's blocks, rectangles, or ESL grid twice -- and never
-    consumes the generator (the pivots were already drawn in stream order).
+    The figures' destinations lie in quadrant I, which type-one MCCs
+    serve.  Each pattern is labelled with the scalar reference.
     """
-    mesh = config.mesh
-    cache_key = (model, mesh.n, mesh.m, tuple(faults))
+    return np.stack(
+        [label_statuses(mesh, grid, MCCType.TYPE_ONE) != NodeStatus.FAULT_FREE for grid in faults]
+    )
 
-    def build() -> ScenarioArtifacts:
-        scenario = FaultScenario(
-            mesh=mesh, faults=faults, blocks=build_faulty_blocks(mesh, faults)
-        )
-        return _build_artifacts(scenario, model)
 
-    artifacts = get_artifact_cache().get_or_build(cache_key, build)
-    return TrialContext(
-        mesh=mesh,
+def _pattern_context(
+    config: ExperimentConfig,
+    xp: Any,
+    blocked: np.ndarray,
+    dests: Any,
+    pivots_by_level: dict[int, list[Coord]],
+    strategy_pivots: list[list[Coord]],
+) -> PatternBatchContext:
+    blocked_xp = xp.asarray(blocked)
+    pivots, valid = _pad_pivots(strategy_pivots)
+    return PatternBatchContext(
+        mesh=config.mesh,
         source=config.source,
-        levels=artifacts.levels,
-        blocked=artifacts.blocked,
-        rects=artifacts.rects,
+        xp=xp,
+        blocked=blocked_xp,
+        levels=batch_safety_levels(blocked_xp),
+        dests=dests,
         pivots_by_level=pivots_by_level,
-        strategy_pivots=strategy_pivots,
-        strategy_rng=rng,
-        _segment_cache=artifacts.segment_cache,
-        reachability_maps=artifacts.reachability_maps,
+        strategy_pivots=xp.asarray(pivots),
+        strategy_valid=xp.asarray(valid),
     )
 
 
@@ -507,95 +341,50 @@ def _evaluate_shard_patterns(
     shard: ShardPlan,
     backend: str = "numpy",
 ) -> tuple[dict[str, int], int]:
-    """Batched counterpart of :func:`_evaluate_shard`: bit-identical counts.
+    """Success counts and trials over one shard's patterns.
 
-    Stacks the shard's patterns into ``(batch, n, m)`` grids and evaluates
-    every metric with a ``pattern_fn`` in one cross-pattern kernel pass on
-    the requested backend; metrics without one (MCC curves, custom
-    predicates) run through per-pattern fallback contexts built from the
-    same grids.  Each pattern's RNG stream is consumed in exactly the
-    scalar order -- faults (with rejection redraws), block strategy pivots,
-    MCC strategy pivots if any metric needs them, then destinations -- so
-    the two engines agree draw for draw.
+    Stacks the shard's patterns into one grid per fault model and
+    evaluates every metric in one ``pattern_fn`` call on the requested
+    backend.  Each pattern consumes only its own spawned RNG stream --
+    faults, block-model strategy pivots, MCC-model strategy pivots (only
+    when an MCC metric is registered), then destinations -- so the result
+    depends on the shard contents alone, never on which worker ran it or
+    what ran before it in the same process.
     """
-    if config.workload != "uniform" or not shard.pattern_seeds:
-        return _evaluate_shard(config, metrics, shard)
     xp = resolve_backend(backend)
     rngs = [np.random.default_rng(seed_seq) for seed_seq in shard.pattern_seeds]
-    faults_np, blocked_np = _generate_pattern_grids(config, shard.fault_count, rngs)
+    faults, blocked = _generate_pattern_grids(config, shard.fault_count, rngs)
 
-    needs_mcc = any(metric.model == MCC_MODEL for metric in metrics)
+    models = {metric.model for metric in metrics}
+    draw_cells = _pivot_draw_cells(config)
+    strategy_pivots = {BLOCK_MODEL: [_replay_random_pivots(draw_cells, rng) for rng in rngs]}
+    if MCC_MODEL in models:
+        strategy_pivots[MCC_MODEL] = [_replay_random_pivots(draw_cells, rng) for rng in rngs]
+    dests = xp.asarray(_pick_destinations_batch(config, blocked, rngs))
     pivots_by_level = {
         level: recursive_center_pivots(config.pivot_region, level)
         for level in config.pivot_levels
     }
-    draw_cells = _pivot_draw_cells(config)
-    block_pivots = [_replay_random_pivots(draw_cells, rng) for rng in rngs]
-    mcc_pivots = (
-        [_replay_random_pivots(draw_cells, rng) for rng in rngs]
-        if needs_mcc
-        else None
-    )
-    dests_np = _pick_destinations_batch(config, blocked_np, rngs)
-
-    batch = len(rngs)
-    successes = {metric.name: 0 for metric in metrics}
-    trials = batch * config.destinations_per_pattern
-
-    pattern_metrics = [metric for metric in metrics if metric.pattern_fn is not None]
-    scalar_metrics = [metric for metric in metrics if metric.pattern_fn is None]
-
-    if pattern_metrics:
-        blocked_xp = xp.asarray(blocked_np)
-        strat_np, valid_np = _pad_pivots(block_pivots)
-        pctx = PatternBatchContext(
-            mesh=config.mesh,
-            source=config.source,
-            xp=xp,
-            blocked=blocked_xp,
-            levels=batch_safety_levels(blocked_xp),
-            dests=xp.asarray(dests_np),
-            pivots_by_level=pivots_by_level,
-            strategy_pivots=xp.asarray(strat_np),
-            strategy_valid=xp.asarray(valid_np),
+    contexts = {
+        model: _pattern_context(
+            config, xp,
+            blocked if model == BLOCK_MODEL else _mcc_grids(config.mesh, faults),
+            dests, pivots_by_level, strategy_pivots[model],
         )
-        for metric in pattern_metrics:
-            mask = to_numpy(metric.pattern_fn(pctx))
-            successes[metric.name] += int(np.count_nonzero(mask))
+        for model in models
+    }
 
-    if scalar_metrics:
-        for b in range(batch):
-            faults = [(int(x), int(y)) for x, y in np.argwhere(faults_np[b])]
-            contexts: dict[str, TrialContext] = {}
-            dest_array = dests_np[b]
-            dest_list = [(int(x), int(y)) for x, y in dest_array]
-            for metric in scalar_metrics:
-                if metric.model not in contexts:
-                    strategy = (
-                        block_pivots[b]
-                        if metric.model == BLOCK_MODEL
-                        else mcc_pivots[b]
-                    )
-                    contexts[metric.model] = _fallback_context(
-                        config, faults, metric.model, rngs[b],
-                        pivots_by_level, strategy,
-                    )
-                context = contexts[metric.model]
-                if metric.batch_fn is not None:
-                    mask = metric.batch_fn(context, dest_array)
-                    successes[metric.name] += int(np.count_nonzero(mask))
-                else:
-                    successes[metric.name] += sum(
-                        1 for dest in dest_list if metric.fn(context, dest)
-                    )
-    return successes, trials
+    successes = {
+        metric.name: int(np.count_nonzero(to_numpy(metric.pattern_fn(contexts[metric.model]))))
+        for metric in metrics
+    }
+    return successes, len(rngs) * config.destinations_per_pattern
 
 
 def _shard_worker(
     config: ExperimentConfig,
     metrics_factory: MetricsFactory,
     shard: ShardPlan,
-    engine: str = "scalar",
     backend: str = "numpy",
 ) -> tuple[dict[str, int], int]:
     """Process-pool entry point: rebuild the metrics, evaluate one shard.
@@ -604,10 +393,7 @@ def _shard_worker(
     picklable, so workers receive the (picklable) factory instead and
     reconstruct the metric list locally.
     """
-    metrics = metrics_factory(config)
-    if engine == "scalar":
-        return _evaluate_shard(config, metrics, shard)
-    return _evaluate_shard_patterns(config, metrics, shard, backend)
+    return _evaluate_shard_patterns(config, metrics_factory(config), shard, backend)
 
 
 class ConditionExperiment:
@@ -646,37 +432,26 @@ class ConditionExperiment:
         title: str,
         progress: Callable[[str], None] | None = None,
         workers: int = 1,
-        engine: str = "auto",
         backend: str = "numpy",
     ) -> FigureSeries:
         """Run the sweep on ``workers`` processes (1 = in-process, serial).
 
-        ``engine`` selects the shard evaluator: ``"batched"`` stacks each
-        shard's patterns and drives the cross-pattern kernels of
-        :mod:`repro.core.batched_patterns` on ``backend`` (any name from
-        :data:`repro.core.array_api.BACKENDS`), ``"scalar"`` is the
-        per-pattern loop, and ``"auto"`` (the default) means batched --
-        the batched evaluator falls back per metric and per workload
-        wherever a kernel does not apply, so it is always safe.
-
-        The fault-pattern RNG streams are spawned per pattern from the
-        config seed and both engines consume them in the same order, so
-        any (``workers``, ``engine``, ``backend``) combination yields the
-        same :class:`FigureSeries`, bit for bit.
+        Each shard's patterns are stacked and decided by the metrics'
+        cross-pattern kernels on ``backend`` (any name from
+        :data:`repro.core.array_api.BACKENDS`).  The fault-pattern RNG
+        streams are spawned per pattern from the config seed, so any
+        (``workers``, ``backend``) combination yields the same
+        :class:`FigureSeries`, bit for bit.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         if workers > 1 and self.metrics_factory is None:
             raise ValueError(
                 "run(workers>1) needs a picklable metrics_factory: construct the "
                 "experiment with ConditionExperiment(config, metrics_factory=...) "
                 "(metric predicates themselves are often unpicklable closures)"
             )
-        use_batched = engine != "scalar"
-        if use_batched:
-            resolve_backend(backend)  # fail fast on unknown/missing backends
+        resolve_backend(backend)  # fail fast on unknown/missing backends
         config = self.config
         series = FigureSeries(figure_id=figure_id, title=title, x_label="faults")
         series.notes.append(config.describe())
@@ -685,27 +460,19 @@ class ConditionExperiment:
         )
 
         if workers == 1:
-            if use_batched:
-                shard_results = [
-                    [
-                        _evaluate_shard_patterns(config, self.metrics, shard, backend)
-                        for shard in shards
-                    ]
-                    for shards in plans
+            shard_results = [
+                [
+                    _evaluate_shard_patterns(config, self.metrics, shard, backend)
+                    for shard in shards
                 ]
-            else:
-                shard_results = [
-                    [_evaluate_shard(config, self.metrics, shard) for shard in shards]
-                    for shards in plans
-                ]
+                for shards in plans
+            ]
         else:
-            worker_engine = "batched" if use_batched else "scalar"
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
                     [
                         pool.submit(
-                            _shard_worker, config, self.metrics_factory, shard,
-                            worker_engine, backend,
+                            _shard_worker, config, self.metrics_factory, shard, backend
                         )
                         for shard in shards
                     ]

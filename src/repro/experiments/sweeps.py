@@ -10,10 +10,9 @@ the empirical licence for comparing quick-preset shapes with the paper's
 200x200 results.
 
 Each side is one :class:`~repro.experiments.runner.ConditionExperiment`
-sweep, so the whole thing rides the batched pattern engine: every side's
-patterns are stacked into ``(batch, n, m)`` grids and decided in one
-array-program pass (``engine``/``backend`` select the evaluator, and
-``workers`` shards patterns exactly like the figure sweeps).
+sweep: every side's patterns are stacked into ``(batch, n, m)`` grids and
+decided in one array-program pass (``backend`` selects the array API
+backend, and ``workers`` shards patterns exactly like the figure sweeps).
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ def mesh_size_sweep(
     destinations_per_pattern: int = 30,
     seed: int = 404,
     workers: int = 1,
-    engine: str = "auto",
     backend: str = "numpy",
 ) -> FigureSeries:
     """Safe-source / Extension-1 / existence percentages versus mesh side,
@@ -64,8 +62,7 @@ def mesh_size_sweep(
         )
         experiment = ConditionExperiment(config, metrics_factory=_sweep_metrics)
         side_series = experiment.run(
-            "sweep_size", f"side {side}", workers=workers,
-            engine=engine, backend=backend,
+            "sweep_size", f"side {side}", workers=workers, backend=backend
         )
         series.xs.append(float(side))
         for name, points in side_series.series.items():

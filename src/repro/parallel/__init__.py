@@ -1,19 +1,15 @@
-"""Parallel and batched experiment machinery.
+"""Caching and process-pool sharding.
 
-The experiment sweeps (Figures 9-12) amortise information collection the
-same way the paper's protocol does: per-pattern artifacts (blocks, MCCs,
-ESL grids, pivots, axis segments) are computed once and every destination
-is evaluated against them.  This package supplies the two scaling layers
-on top of the batched kernels in :mod:`repro.core.batched`:
-
-- :mod:`repro.parallel.cache` -- a keyed scenario-artifact cache so
-  block-/MCC-model metrics (and repeated sweeps over the same seed) never
-  recompute shared artifacts, with ``cache.hits`` / ``cache.misses``
-  counters wired into the :mod:`repro.obs.prof` profiler;
-- :mod:`repro.parallel.pool` -- deterministic sharding of
-  ``patterns_per_count`` across a :class:`concurrent.futures.
-  ProcessPoolExecutor`, seeded via ``np.random.SeedSequence.spawn`` so
-  serial and parallel runs produce bit-identical results.
+- :mod:`repro.parallel.cache` -- a keyed, generation-aware LRU artifact
+  cache (served path witnesses, simulator routes), with ``cache.hits`` /
+  ``cache.misses`` counters wired into the :mod:`repro.obs.prof`
+  profiler;
+- :mod:`repro.parallel.pool` -- deterministic sharding of the condition
+  experiments' ``patterns_per_count`` across a
+  :class:`concurrent.futures.ProcessPoolExecutor`, seeded via
+  ``np.random.SeedSequence.spawn`` so serial and parallel runs produce
+  bit-identical results; each shard is stacked and decided by the
+  cross-pattern kernels of :mod:`repro.core.batched_patterns`.
 """
 
 from repro.parallel.cache import (

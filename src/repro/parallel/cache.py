@@ -1,23 +1,18 @@
-"""Keyed scenario-artifact cache (``repro.parallel.cache``).
-
-One fault *pattern* determines a bundle of derived artifacts -- the
-blocked-node grid, the block/MCC rectangles, the full ESL grid, and the
-per-source axis segments.  The condition experiments evaluate many metrics
-over the same pattern, and repeated sweeps (the paired (a)/(b) figures,
-benchmark repeats, ``repro figures all``) regenerate identical patterns
-from the same seed; without a cache every run recomputes the artifacts
-from scratch.
+"""Keyed artifact cache (``repro.parallel.cache``).
 
 :class:`ArtifactCache` is a small LRU keyed by whatever the caller hashes
-the pattern with (the experiment runner uses
-``(model, n, m, faults-tuple)``).  Hits and misses are tallied on the
-cache *and* bumped as ``cache.hits`` / ``cache.misses`` hot counters on
-the installed :mod:`repro.obs.prof` profiler, so ``repro bench`` and
-``repro stats --profile`` surface the reuse rate.
+its artifact with, with optional generation tags for artifacts derived
+from a changing fault set.  The served path witnesses
+(:class:`repro.serve.service.RoutingService`) and the simulator's route
+cache (:class:`repro.simulator.traffic.PathPolicy`) are built on it.
+Hits and misses are tallied on the cache *and* bumped as ``cache.hits``
+/ ``cache.misses`` hot counters on the installed :mod:`repro.obs.prof`
+profiler, so ``repro bench`` and ``repro stats --profile`` surface the
+reuse rate.
 
-The default cache is a module-level slot (one per process; worker
-processes of the experiment pool each get their own).  Swap it with
-:func:`use_artifact_cache` for isolation in tests.
+A process-wide default cache lives in a module-level slot
+(:func:`get_artifact_cache`); swap it with :func:`use_artifact_cache`
+for isolation in tests.
 """
 
 from __future__ import annotations
@@ -28,10 +23,8 @@ from typing import Any, Callable, Hashable, Iterator
 
 from repro.obs.prof import get_profiler
 
-#: Default entry bound.  Entries hold full ESL grids (four ``(n, m)``
-#: int64 arrays), so the bound is on entries, not bytes: 128 entries cover
-#: a quick-scale figure sweep (8 fault counts x 6 patterns x 2 models)
-#: with room to spare while keeping worst-case memory modest.
+#: Default entry bound.  Entries may hold whole grids, so the bound is on
+#: entries, not bytes, which keeps worst-case memory modest.
 DEFAULT_MAXSIZE = 128
 
 

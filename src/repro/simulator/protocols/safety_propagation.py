@@ -54,8 +54,11 @@ class SafetyFormationProcess(ResilientProcess):
         self._blocked_dirs = blocked_dirs
 
     def start(self) -> None:
-        for direction in self._blocked_dirs:
-            self._update(direction, 0)
+        # Direction order, not set order: a frozenset of enum members
+        # iterates in hash-seed order, and the send order is the event order.
+        for direction in Direction:
+            if direction in self._blocked_dirs:
+                self._update(direction, 0)
 
     def protocol_restart(self) -> None:
         self.levels = {d: UNBOUNDED for d in Direction}

@@ -1,22 +1,26 @@
-"""Equivalence suite: cross-pattern batched kernels vs the scalar pipeline.
+"""Equivalence suite: cross-pattern batched kernels vs the scalar reference.
 
 Every kernel in :mod:`repro.core.batched_patterns` promises bit-identical
-results to its scalar counterpart, pattern by pattern.  The suite asserts
-that promise three ways:
+results to its scalar counterpart (:mod:`repro.core.conditions`,
+:mod:`repro.core.extensions`, :mod:`repro.core.strategies`, the existence
+oracle), pattern by pattern.  The suite asserts that promise:
 
 - **exhaustively** over every 4x4 fault pattern (all 65536, in chunks) for
   block formation, and over every *reachable* blocked grid (the 3360
   distinct fixpoints of those patterns -- the ESL and condition kernels
   consume only the blocked grid, so this is exhaustive for them too);
 - over **seeded random 32x32 patterns** (50 seeds) with destinations in
-  every quadrant, against per-destination scalar decisions;
-- at the **engine level**: ``ConditionExperiment.run(engine="batched")``
-  reproduces the scalar engine's FigureSeries point for point, including
-  the random-pivot strategies and the MCC fallback path.
+  every quadrant, against per-destination scalar decisions -- including
+  the figures' strategy curves (an OR of kernels) against
+  ``strategy_decision``;
+- over **stacked type-one MCC grids** (the MCC-model curves of Figures
+  9-12), against the scalar predicates on
+  ``compute_safety_levels(mcc.blocked)``.
 
-The generator-stream property behind the engine equivalence --
-``uniform_faults_batch`` advances each generator exactly as the scalar
-``uniform_faults`` does -- gets its own 100-seed test.
+The generator-stream property behind the experiment engine's
+reproducibility -- ``uniform_faults_batch`` advances each generator
+exactly as the scalar ``uniform_faults`` does -- gets its own 100-seed
+test; the engine's figure series are pinned in ``test_figure_goldens.py``.
 """
 
 import numpy as np
@@ -42,9 +46,11 @@ from repro.core.extensions import (
 from repro.core.pivots import random_pivots, recursive_center_pivots
 from repro.core.safety import SafetyLevels, compute_safety_levels
 from repro.core.segments import build_axis_segments
+from repro.core.strategies import Strategy, StrategyConfig, strategy_decision
 from repro.faults.blocks import disable_fixpoint
 from repro.faults.coverage import minimal_path_exists
 from repro.faults.injection import uniform_faults, uniform_faults_batch
+from repro.faults.mcc import MCCType, build_mccs
 from repro.mesh.frames import Frame
 from repro.mesh.geometry import Direction, Rect
 from repro.mesh.topology import Mesh2D
@@ -311,12 +317,7 @@ class TestRandom32x32:
         pivot_lists = [
             random_pivots(region, 2, rng) for _ in range(N_PATTERNS)
         ]
-        width = max(len(p) for p in pivot_lists)
-        padded = np.zeros((N_PATTERNS, width, 2), dtype=np.int64)
-        valid = np.zeros((N_PATTERNS, width), dtype=bool)
-        for b, pivots in enumerate(pivot_lists):
-            padded[b, : len(pivots)] = pivots
-            valid[b, : len(pivots)] = True
+        padded, valid = _pad_pivots(pivot_lists)
         mask = to_numpy(
             batch_pattern_extension3(
                 blocked, levels, source, dests, padded, pivot_valid=valid
@@ -363,19 +364,218 @@ class TestUniformFaultsBatch:
 
 
 # ----------------------------------------------------------------------
-# Engine-level equivalence
+# Stacked type-one MCC grids (the MCC model's "a" curves)
 # ----------------------------------------------------------------------
 
 
-def _snap(series):
-    return (
-        series.figure_id,
-        tuple(series.xs),
-        {
-            name: [(e.value, e.low, e.high) for e in points]
-            for name, points in series.series.items()
-        },
+MCC_SEEDS = range(8)
+
+
+def _mcc_case(seed, side=14, faults=18, batch=4, dests=40):
+    """A stack of random type-one MCC grids around one shared free source.
+
+    Returns ``(mesh, grids, levels, reference, source, dests, rng)``:
+    ``levels`` are the batched ESLs of the stack, ``reference[b]`` the
+    scalar ``compute_safety_levels(mcc.blocked)`` of pattern ``b``, and
+    ``dests`` ``(batch, k, 2)`` MCC-free cells over the whole mesh, so
+    every quadrant relative to the source is exercised.
+    """
+    rng = np.random.default_rng(seed)
+    mesh = Mesh2D(side, side)
+    grids = np.stack(
+        [
+            build_mccs(mesh, uniform_faults(mesh, faults, rng), MCCType.TYPE_ONE).blocked
+            for _ in range(batch)
+        ]
     )
+    free_everywhere = np.argwhere(~grids.any(axis=0))
+    source = tuple(int(v) for v in free_everywhere[rng.integers(len(free_everywhere))])
+    dest_arr = np.zeros((batch, dests, 2), dtype=np.int64)
+    for b in range(batch):
+        free = np.argwhere(~grids[b])
+        dest_arr[b] = free[rng.integers(len(free), size=dests)]
+    reference = [compute_safety_levels(mesh, grid) for grid in grids]
+    return mesh, grids, batch_safety_levels(grids), reference, source, dest_arr, rng
+
+
+def _each_dest(dests):
+    for b in range(dests.shape[0]):
+        for i in range(dests.shape[1]):
+            yield b, i, (int(dests[b, i, 0]), int(dests[b, i, 1]))
+
+
+class TestStackedMCCGrids:
+    @pytest.mark.parametrize("seed", MCC_SEEDS)
+    def test_esl_matches_scalar(self, seed):
+        mesh, grids, levels, reference, _, _, _ = _mcc_case(seed)
+        assert grids.any(axis=(1, 2)).all()
+        for b, expected in enumerate(reference):
+            got = _scalar_levels(mesh, levels, b)
+            for name in ("east", "south", "west", "north"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+
+    @pytest.mark.parametrize("seed", MCC_SEEDS)
+    def test_matches_scalar_definition3(self, seed):
+        _, _, levels, reference, source, dests, _ = _mcc_case(seed)
+        mask = to_numpy(batch_pattern_is_safe(levels, source, dests))
+        for b, i, dest in _each_dest(dests):
+            assert bool(mask[b, i]) == is_safe(reference[b], source, dest), (b, i)
+
+    @pytest.mark.parametrize("seed", MCC_SEEDS)
+    @pytest.mark.parametrize("allow_sub_minimal", [False, True])
+    def test_matches_scalar_theorem1a(self, seed, allow_sub_minimal):
+        mesh, grids, levels, reference, source, dests, _ = _mcc_case(seed)
+        mask = to_numpy(
+            batch_pattern_extension1(
+                grids, levels, source, dests, allow_sub_minimal=allow_sub_minimal
+            )
+        )
+        for b, i, dest in _each_dest(dests):
+            decision = extension1_decision(
+                mesh, reference[b], grids[b], source, dest,
+                allow_sub_minimal=allow_sub_minimal,
+            )
+            expected = (
+                decision.ensures_sub_minimal if allow_sub_minimal else decision.ensures_minimal
+            )
+            assert bool(mask[b, i]) == expected, (b, i)
+
+    @pytest.mark.parametrize("seed", MCC_SEEDS)
+    @pytest.mark.parametrize("segment_size", [1, 3, None])
+    def test_matches_scalar_theorem1b(self, seed, segment_size):
+        mesh, _, levels, reference, source, dests, _ = _mcc_case(seed)
+        mask = to_numpy(
+            batch_pattern_extension2(levels, source, dests, segment_size, (mesh.n, mesh.m))
+        )
+        frame = Frame(origin=source)
+        for b, i, dest in _each_dest(dests):
+            east = build_axis_segments(mesh, reference[b], frame, Direction.EAST, segment_size)
+            north = build_axis_segments(
+                mesh, reference[b], frame, Direction.NORTH, segment_size
+            )
+            expected = extension2_decision_from_segments(
+                reference[b], source, dest, east, north
+            ).ensures_minimal
+            assert bool(mask[b, i]) == expected, (b, i)
+
+    @pytest.mark.parametrize("seed", MCC_SEEDS)
+    def test_matches_scalar_theorem1c_center_pivots(self, seed):
+        mesh, grids, levels, reference, source, dests, _ = _mcc_case(seed)
+        pivots = recursive_center_pivots(Rect(source[0], mesh.n - 1, source[1], mesh.m - 1), 3)
+        pivot_arr = np.array(pivots, dtype=np.int64).reshape(-1, 2)
+        mask = to_numpy(batch_pattern_extension3(grids, levels, source, dests, pivot_arr))
+        for b, i, dest in _each_dest(dests):
+            expected = extension3_decision(
+                mesh, reference[b], grids[b], source, dest, pivots
+            ).ensures_minimal
+            assert bool(mask[b, i]) == expected, (b, i)
+
+    @pytest.mark.parametrize("seed", MCC_SEEDS)
+    def test_matches_scalar_theorem1c_random_pivots(self, seed):
+        mesh, grids, levels, reference, source, dests, rng = _mcc_case(seed)
+        region = Rect(0, mesh.n - 1, 0, mesh.m - 1)
+        pivot_lists = [random_pivots(region, 3, rng) for _ in range(len(grids))]
+        padded, valid = _pad_pivots(pivot_lists)
+        mask = to_numpy(
+            batch_pattern_extension3(grids, levels, source, dests, padded, pivot_valid=valid)
+        )
+        for b, i, dest in _each_dest(dests):
+            expected = extension3_decision(
+                mesh, reference[b], grids[b], source, dest, pivot_lists[b]
+            ).ensures_minimal
+            assert bool(mask[b, i]) == expected, (b, i)
+
+    def test_no_usable_pivots_reduces_to_definition3(self):
+        _, grids, levels, _, source, dests, _ = _mcc_case(3)
+        empty = np.zeros((0, 2), dtype=np.int64)
+        mask = to_numpy(batch_pattern_extension3(grids, levels, source, dests, empty))
+        safe = to_numpy(batch_pattern_is_safe(levels, source, dests))
+        np.testing.assert_array_equal(mask, safe)
+
+    @pytest.mark.parametrize("seed", MCC_SEEDS)
+    def test_path_exists_matches_scalar(self, seed):
+        _, grids, _, _, source, dests, _ = _mcc_case(seed)
+        mask = to_numpy(batch_pattern_path_exists(grids, source, dests))
+        for b, i, dest in _each_dest(dests):
+            assert bool(mask[b, i]) == minimal_path_exists(grids[b], source, dest), (b, i)
+
+
+# ----------------------------------------------------------------------
+# Strategies 1-4 as an OR of kernels (the figures' Figure 12 curves)
+# ----------------------------------------------------------------------
+
+
+class TestStrategyCurves:
+    @pytest.mark.parametrize("model", ["block", "mcc"])
+    def test_kernel_or_matches_strategy_decision(self, random_case, model):
+        """Each Figure 12 curve's ``pattern_fn`` equals ``strategy_decision``
+        per destination on the seeded 32x32 cases, under the figures'
+        random per-pattern pivots and quadrant-I destinations."""
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.figures import fig12_metrics
+        from repro.experiments.runner import PatternBatchContext
+
+        mesh, source, faulty, blocked, _ = random_case
+        if model == "mcc":
+            grids = np.stack(
+                [
+                    build_mccs(mesh, [tuple(c) for c in np.argwhere(f)], MCCType.TYPE_ONE).blocked
+                    for f in faulty
+                ]
+            )
+        else:
+            grids = blocked
+        config = ExperimentConfig(mesh_side=SIDE, fault_counts=(40,))
+        assert config.source == source
+        rng = np.random.default_rng(5)
+        dests = np.zeros((N_PATTERNS, 12, 2), dtype=np.int64)
+        for b in range(N_PATTERNS):
+            free = np.argwhere(~blocked[b])
+            quadrant1 = free[(free[:, 0] >= source[0]) & (free[:, 1] >= source[1])]
+            dests[b] = quadrant1[rng.integers(len(quadrant1), size=12)]
+        pivot_lists = [
+            random_pivots(config.pivot_region, config.strategy_pivot_levels, rng)
+            for _ in range(N_PATTERNS)
+        ]
+        padded, valid = _pad_pivots(pivot_lists)
+        pctx = PatternBatchContext(
+            mesh=mesh, source=source, xp=np, blocked=grids,
+            levels=batch_safety_levels(grids), dests=dests,
+            pivots_by_level={}, strategy_pivots=padded, strategy_valid=valid,
+        )
+        strategy_config = StrategyConfig(
+            segment_size=config.strategy_segment_size,
+            pivot_levels=config.strategy_pivot_levels,
+            pivot_scheme="random",
+        )
+        suffix = "a" if model == "mcc" else ""
+        metrics = {metric.name: metric for metric in fig12_metrics(config)}
+        for strategy in Strategy:
+            mask = to_numpy(metrics[f"strategy{strategy.value}{suffix}"].pattern_fn(pctx))
+            for b in range(0, N_PATTERNS, 5):
+                levels_b = compute_safety_levels(mesh, grids[b])
+                for i in range(dests.shape[1]):
+                    dest = (int(dests[b, i, 0]), int(dests[b, i, 1]))
+                    expected = strategy_decision(
+                        strategy, mesh, levels_b, grids[b], source, dest,
+                        pivot_lists[b], strategy_config,
+                    ).ensures_minimal
+                    assert bool(mask[b, i]) == expected, (strategy, b, i)
+
+
+def _pad_pivots(pivot_lists):
+    width = max(len(p) for p in pivot_lists)
+    padded = np.zeros((len(pivot_lists), width, 2), dtype=np.int64)
+    valid = np.zeros((len(pivot_lists), width), dtype=bool)
+    for b, pivots in enumerate(pivot_lists):
+        padded[b, : len(pivots)] = pivots
+        valid[b, : len(pivots)] = True
+    return padded, valid
+
+
+# ----------------------------------------------------------------------
+# Engine options
+# ----------------------------------------------------------------------
 
 
 class TestEngineEquivalence:
@@ -385,34 +585,12 @@ class TestEngineEquivalence:
 
         return ExperimentConfig.scaled(20, 3, 5, seed=31)
 
-    def test_fig9_batched_matches_scalar(self, tiny_config):
-        from repro.experiments.figures import fig9_extension1
-
-        scalar = fig9_extension1(tiny_config, engine="scalar")
-        batched = fig9_extension1(tiny_config, engine="batched")
-        assert _snap(batched) == _snap(scalar)
-
-    def test_fig12_batched_matches_scalar(self, tiny_config):
-        """Fig 12 exercises the random-pivot replay and the MCC metrics'
-        per-pattern fallback inside the batched shard evaluator."""
-        from repro.experiments.figures import fig12_strategies
-
-        scalar = fig12_strategies(tiny_config, engine="scalar")
-        batched = fig12_strategies(tiny_config, engine="batched")
-        assert _snap(batched) == _snap(scalar)
-
-    def test_fig9_strict_backend_matches(self, tiny_config):
-        from repro.experiments.figures import fig9_extension1
-
-        scalar = fig9_extension1(tiny_config, engine="scalar")
-        strict = fig9_extension1(tiny_config, engine="batched", backend="strict")
-        assert _snap(strict) == _snap(scalar)
-
     def test_unknown_engine_rejected(self, tiny_config):
         from repro.experiments.figures import fig9_extension1
 
-        with pytest.raises(ValueError, match="engine"):
-            fig9_extension1(tiny_config, engine="warp")
+        for engine in ("warp", "batched", "scalar"):
+            with pytest.raises(ValueError, match="engine"):
+                fig9_extension1(tiny_config, engine=engine)
 
     def test_unavailable_backend_fails_fast(self, tiny_config):
         import importlib.util
@@ -422,4 +600,4 @@ class TestEngineEquivalence:
         if importlib.util.find_spec("cupy") is not None:
             pytest.skip("cupy present; nothing to fail fast on")
         with pytest.raises(RuntimeError, match="cupy"):
-            fig9_extension1(tiny_config, engine="batched", backend="cupy")
+            fig9_extension1(tiny_config, backend="cupy")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.faults.blocks import build_faulty_blocks
 from repro.faults.coverage import (
+    batch_minimal_path_exists,
     covering_sequence_on_x,
     covering_sequence_on_y,
     minimal_path_exists,
@@ -14,6 +15,8 @@ from repro.faults.coverage import (
 from repro.faults.injection import uniform_faults
 from repro.mesh.geometry import Rect
 from repro.mesh.topology import Mesh2D
+
+from tests.conftest import random_block_set
 
 
 def _grid(n, m, blocked_cells=()):
@@ -150,3 +153,58 @@ class TestWangAgreesWithDP:
                     f"disagreement for {source} -> {dest} with blocks "
                     f"{[str(r) for r in rects]}: dp={dp} wang={wang}"
                 )
+
+
+def _random_case(seed, side=14, faults=10, dests=40):
+    """A random (blocked, source, dest array, dest list) tuple.
+
+    Destinations are drawn over the whole mesh, so every quadrant relative
+    to the source is exercised (including the degenerate on-axis cases).
+    """
+    rng = np.random.default_rng(seed)
+    mesh = Mesh2D(side, side)
+    blocked = random_block_set(mesh, faults, rng).unusable
+    free = np.argwhere(~blocked)
+    source = tuple(int(v) for v in free[rng.integers(len(free))])
+    dest_rows = free[rng.integers(len(free), size=dests)]
+    dest_list = [tuple(int(v) for v in row) for row in dest_rows]
+    return blocked, source, dest_rows.astype(np.int64), dest_list
+
+
+SEEDS = range(8)
+
+
+class TestBatchMinimalPathExists:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_scalar_oracle(self, seed):
+        blocked, source, dest_arr, dest_list = _random_case(seed)
+        mask = batch_minimal_path_exists(blocked, source, dest_arr)
+        expected = [minimal_path_exists(blocked, source, dest) for dest in dest_list]
+        assert mask.tolist() == expected
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_maps_are_reused_and_consistent(self, seed):
+        blocked, source, dest_arr, dest_list = _random_case(seed)
+        maps = {}
+        first = batch_minimal_path_exists(blocked, source, dest_arr, maps=maps)
+        assert maps  # at least one quadrant map was built
+        built = {key: value.copy() for key, value in maps.items()}
+        second = batch_minimal_path_exists(blocked, source, dest_arr, maps=maps)
+        assert first.tolist() == second.tolist()
+        expected = [minimal_path_exists(blocked, source, dest) for dest in dest_list]
+        assert second.tolist() == expected
+        for key, value in built.items():
+            assert np.array_equal(maps[key], value)
+
+    def test_includes_source_and_blocked_destinations(self):
+        blocked, source, _, _ = _random_case(5)
+        blocked_cells = np.argwhere(blocked)
+        dests = np.vstack([[source], blocked_cells[:5]]).astype(np.int64)
+        mask = batch_minimal_path_exists(blocked, source, dests)
+        assert mask[0]  # source reaches itself
+        assert not mask[1:].any()  # blocked destinations are unreachable
+
+    def test_rejects_bad_shape(self):
+        blocked, source, _, _ = _random_case(0)
+        with pytest.raises(ValueError, match=r"\(k, 2\)"):
+            batch_minimal_path_exists(blocked, source, np.zeros(4, dtype=np.int64))

@@ -1,5 +1,8 @@
 """Unit and smoke tests for the experiment harness (Figures 7-12)."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -11,7 +14,7 @@ from repro.experiments import (
     fig11_extension3,
     fig12_strategies,
 )
-from repro.experiments.runner import BLOCK_MODEL, ConditionExperiment, MetricSpec
+from repro.experiments.runner import BLOCK_MODEL, MCC_MODEL, ConditionExperiment, MetricSpec
 from repro.mesh.geometry import Rect
 
 TINY = ExperimentConfig.scaled(side=32, patterns_per_count=2, destinations_per_pattern=5)
@@ -48,11 +51,16 @@ class TestConfig:
         assert "200x200" in ExperimentConfig.paper().describe()
 
 
+def _constant(value):
+    """A ``pattern_fn`` answering ``value`` for every (pattern, destination)."""
+    return lambda pctx: np.full(pctx.dests.shape[:2], value)
+
+
 class TestRunner:
     def test_duplicate_metric_names_rejected(self):
-        metric = MetricSpec("m", lambda ctx, d: True)
+        metric = MetricSpec("m", _constant(True))
         with pytest.raises(ValueError):
-            ConditionExperiment(TINY, [metric, MetricSpec("m", lambda ctx, d: False)])
+            ConditionExperiment(TINY, [metric, MetricSpec("m", _constant(False))])
 
     def test_empty_metrics_rejected(self):
         with pytest.raises(ValueError):
@@ -60,41 +68,71 @@ class TestRunner:
 
     def test_invalid_model_rejected(self):
         with pytest.raises(ValueError):
-            MetricSpec("m", lambda ctx, d: True, model="torus")
+            MetricSpec("m", _constant(True), model="torus")
 
     def test_constant_metrics(self):
-        always = MetricSpec("always", lambda ctx, d: True)
-        never = MetricSpec("never", lambda ctx, d: False, model=BLOCK_MODEL)
+        always = MetricSpec("always", _constant(True))
+        never = MetricSpec("never", _constant(False), model=BLOCK_MODEL)
         series = ConditionExperiment(TINY, [always, never]).run("figX", "constant")
         assert all(v == 1.0 for v in series.column("always"))
         assert all(v == 0.0 for v in series.column("never"))
         assert len(series.xs) == len(TINY.fault_counts)
 
     def test_deterministic_given_seed(self):
-        metric = MetricSpec("safe", lambda ctx, d: bool(ctx.blocked.sum() % 2))
+        def odd_block_count(pctx):
+            odd = pctx.blocked.sum(axis=(1, 2)) % 2 == 1
+            return np.broadcast_to(odd[:, None], pctx.dests.shape[:2])
+
+        metric = MetricSpec("safe", odd_block_count)
         a = ConditionExperiment(TINY, [metric]).run("figX", "t")
         b = ConditionExperiment(TINY, [metric]).run("figX", "t")
         assert a.column("safe") == b.column("safe")
 
     def test_progress_callback(self):
         seen = []
-        metric = MetricSpec("m", lambda ctx, d: True)
+        metric = MetricSpec("m", _constant(True))
         ConditionExperiment(TINY, [metric]).run("figX", "t", progress=seen.append)
         assert len(seen) == len(TINY.fault_counts)
 
     def test_destinations_in_region_and_free(self):
         observed = []
 
-        def recorder(ctx, dest):
-            observed.append((ctx, dest))
-            return True
+        def recorder(pctx):
+            observed.append(pctx)
+            return np.ones(pctx.dests.shape[:2], dtype=bool)
 
-        ConditionExperiment(TINY, [MetricSpec("rec", recorder)]).run("figX", "t")
+        metrics = [MetricSpec("rec", recorder), MetricSpec("reca", recorder, MCC_MODEL)]
+        ConditionExperiment(TINY, metrics).run("figX", "t")
         region = TINY.destination_region
-        for ctx, dest in observed:
-            assert region.contains(dest)
-            assert not ctx.blocked[dest]
-            assert dest != ctx.source
+        assert {pctx.blocked.shape[0] for pctx in observed} == {TINY.patterns_per_count}
+        for pctx in observed:
+            for b, row in enumerate(pctx.dests):
+                for x, y in row.tolist():
+                    assert region.contains((x, y))
+                    assert not pctx.blocked[b, x, y]
+                    assert (x, y) != pctx.source
+
+    def test_mcc_grid_is_inside_the_block_grid(self):
+        """Both models see the same patterns: every type-one MCC node lies
+        in a faulty block, and the destinations are shared."""
+        seen = {}
+
+        def recorder(model):
+            def record(pctx):
+                seen[model] = pctx
+                return np.ones(pctx.dests.shape[:2], dtype=bool)
+
+            return record
+
+        metrics = [
+            MetricSpec("b", recorder(BLOCK_MODEL)),
+            MetricSpec("a", recorder(MCC_MODEL), MCC_MODEL),
+        ]
+        single = replace(TINY, fault_counts=(max(TINY.fault_counts),))
+        ConditionExperiment(single, metrics).run("figX", "t")
+        block, mcc = seen[BLOCK_MODEL], seen[MCC_MODEL]
+        assert not (mcc.blocked & ~block.blocked).any()
+        assert np.array_equal(block.dests, mcc.dests)
 
 
 class TestFigureSmoke:

@@ -9,7 +9,7 @@ arrival/revival.  This suite proves it:
   two-fault arrival, plus revivals in both orders);
 - on long seeded random inject/revive schedules across random mesh
   sizes, with the final state additionally cross-checked through the
-  ``batch_is_safe`` / ``batch_minimal_path_exists`` oracles;
+  scalar ``is_safe`` and the ``batch_minimal_path_exists`` oracles;
 - and on the wiring: generation counters, affected-window accounting,
   and the event-stream generator.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batched import batch_is_safe
+from repro.core.conditions import is_safe
 from repro.core.safety import compute_safety_levels
 from repro.faults.blocks import build_faulty_blocks
 from repro.faults.coverage import batch_minimal_path_exists
@@ -169,9 +169,10 @@ class TestRandomSchedules:
                 row = int(rng.integers(len(free)))
                 source = (int(free[row, 0]), int(free[row, 1]))
                 dests = free[rng.integers(len(free), size=16)]
-                got = batch_is_safe(levels, source, dests)
-                want = batch_is_safe(full_levels, source, dests)
-                assert np.array_equal(got, want)
+                dest_list = [(int(x), int(y)) for x, y in dests]
+                got = np.array([is_safe(levels, source, d) for d in dest_list])
+                want = [is_safe(full_levels, source, d) for d in dest_list]
+                assert got.tolist() == want
                 reachable = batch_minimal_path_exists(
                     reference.unusable, source, dests
                 )

@@ -8,10 +8,11 @@ the generation and model it used.  This suite holds it to that claim.
 Fault history is recorded per generation while a pipeline serves queries
 across chaos churn (refreshes deliberately withheld so answers span many
 stale generations); afterwards every answer is re-derived from scratch
-at its claimed generation and checked against the *independent* batch
-oracles -- :func:`repro.core.batched.batch_is_safe` for Definition 3 and
-:func:`repro.faults.coverage.batch_minimal_path_exists` for minimal-path
-existence -- plus a from-scratch run of the same decision cascade.
+at its claimed generation and checked against *independent* oracles --
+the scalar reference :func:`repro.core.conditions.is_safe` for
+Definition 3 and :func:`repro.faults.coverage.batch_minimal_path_exists`
+for minimal-path existence -- plus a from-scratch run of the same
+decision cascade.
 """
 
 import asyncio
@@ -19,7 +20,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core.batched import batch_is_safe
+from repro.core.conditions import is_safe
 from repro.core.safety import compute_safety_levels
 from repro.faults.coverage import batch_minimal_path_exists
 from repro.faults.incremental import IncrementalFaultEngine
@@ -137,9 +138,10 @@ def test_served_answers_match_the_oracles_at_their_claimed_generation(seed):
             continue
         assert answer.verdict != "blocked-endpoint"
 
-        # Definition 3 against the independent batched oracle.
-        is_safe = bool(batch_is_safe(levels, answer.source, dest)[0])
-        assert (answer.verdict == "source-safe") == is_safe
+        # Definition 3 against the scalar reference.
+        assert (answer.verdict == "source-safe") == is_safe(
+            levels, answer.source, answer.dest
+        )
 
         # A minimal-routable verdict must be realizable per the
         # reachability-DP oracle (the safe conditions are sufficient),

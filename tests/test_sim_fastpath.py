@@ -11,6 +11,10 @@ agreed with them on every value.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,24 +334,47 @@ def _recorded_runs():
         "pivot_broadcast": lambda t: run_pivot_broadcast(
             mesh, blocks.unusable, levels, PIVOTS, tracer=t
         ),
+        "safety_propagation": lambda t: run_safety_propagation(
+            mesh, blocks.unusable, tracer=t
+        ),
     }
 
 
-#: Frozen alongside GOLDEN_STATS.  Safety propagation is left out: its
-#: start-up sends follow frozenset iteration order, which depends on the
-#: interpreter's string-hash seed (its NetworkStats do not).
+#: Frozen alongside GOLDEN_STATS.
 GOLDEN_DIGESTS = {
     "block_formation": ("da70f69a9720bc77", 1320),
     "mcc_formation": ("91f942714f2f7f28", 244),
     "boundary_distribution": ("0b145b0b8d578104", 415),
     "region_exchange": ("7df37e186f6667cd", 1786),
     "pivot_broadcast": ("eee32e43849e37a0", 1796),
+    "safety_propagation": ("b2e899bc19c311d9", 529),
 }
 
 
 @pytest.mark.parametrize("protocol", sorted(GOLDEN_DIGESTS))
 def test_recorded_event_stream_matches_golden_digest(protocol):
     assert _recorded_digest(_recorded_runs()[protocol]) == GOLDEN_DIGESTS[protocol]
+
+
+def test_safety_propagation_stream_ignores_the_hash_seed():
+    """Start-up sends iterate ``Direction``, never a frozenset of
+    directions, so the recorded stream is the same under any
+    ``PYTHONHASHSEED``."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "from tests.test_sim_fastpath import _recorded_digest, _recorded_runs\n"
+        "print(*_recorded_digest(_recorded_runs()['safety_propagation']))"
+    )
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+        out = subprocess.run(
+            [sys.executable, "-c", script], cwd=root, env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        digests.add((out[0], int(out[1])))
+    assert digests == {GOLDEN_DIGESTS["safety_propagation"]}
 
 
 # ----------------------------------------------------------------------
