@@ -1,12 +1,16 @@
 """Cross-pattern batched kernels: thousands of fault patterns in lockstep.
 
 Every kernel takes stacked ``(batch, n, m)`` grids (one fault pattern per
-leading index) and computes faulty-block formation, ESL grids, monotone
-reachability, and the Def-3 / Extension 1-3 conditions for all patterns and
-their destinations in one array-program pass -- the Python-level
-per-pattern loop that would bound the figure sweeps disappears.  Past
-formation the kernels read only a blocked grid, so they serve either fault
-model: the experiment runner feeds them faulty blocks and type-one MCCs.
+leading index) and computes faulty-block formation, monotone reachability,
+and the Def-3 / Extension 1-3 conditions for all patterns and their
+destinations in one array-program pass -- the Python-level per-pattern
+loop that would bound the figure sweeps disappears.  Past formation the
+kernels read only a blocked grid, so they serve either fault model: the
+experiment runner feeds them faulty blocks and type-one MCCs.  The
+conditions consult the ESLs of only a few nodes (the source, its
+neighbours, its two axis lines, the pivots), so
+:class:`BatchedSafetyLevels` reads those on demand from the blocked grid
+instead of building full ESL grids.
 
 The kernels are written against the Python array API standard: each one
 obtains its namespace with ``xp = array_namespace(...)`` and calls only
@@ -15,12 +19,12 @@ CuPy or torch arrays flow through unchanged, and the strict wrapper in
 :mod:`repro.core.array_api` proves no numpy-only idiom leaks in.  Two
 consequences shape the implementations:
 
-- ``minimum.accumulate`` / ``maximum.accumulate`` are numpy ufunc methods,
-  not standard functions, so the running extrema behind the ESL scans and
-  the reachability column DP use a Hillis-Steele doubling scan
-  (``log2(n)`` shifted-``maximum`` passes);
+- ``maximum.accumulate`` is a numpy ufunc method, not a standard
+  function, so the running maximum behind the reachability column DP
+  uses a Hillis-Steele doubling scan (``log2(n)`` shifted-``maximum``
+  passes);
 - integer fancy indexing is not standard, so pivot/destination gathers go
-  through ``take`` / ``take_along_axis`` on flattened grids.
+  through ``take_along_axis``.
 
 Element-wise equivalence with the scalar implementations
 (:func:`repro.faults.blocks.disable_fixpoint`,
@@ -85,12 +89,6 @@ def _cummax_last(xp: Any, a: Array) -> Array:
     return a
 
 
-def _cummin_last(xp: Any, a: Array) -> Array:
-    if xp is np:
-        return np.minimum.accumulate(a, axis=-1)
-    return -_cummax_last(xp, -a)
-
-
 # ----------------------------------------------------------------------
 # Faulty-block formation (Definition 1) as a batched masked iteration
 # ----------------------------------------------------------------------
@@ -129,98 +127,102 @@ def batch_disable_fixpoint(faulty: Array) -> Array:
 
 
 # ----------------------------------------------------------------------
-# ESL grids (batched row scans generalising compute_safety_levels)
+# ESLs read on demand from the blocked grid
 # ----------------------------------------------------------------------
+
+
+def _clear_run(xp: Any, lines: Array, axis: int = -1) -> Array:
+    """Clear nodes before the first blocked cell along ``axis`` of ``lines``.
+
+    ``lines`` holds the cells strictly beyond some nodes in one direction,
+    nearest first.  With no blocked cell -- or no cell at all, at a mesh
+    edge -- the level is :data:`UNBOUNDED`, as in ``compute_safety_levels``.
+    """
+    axis %= lines.ndim
+    if lines.shape[axis] == 0:
+        rest = lines.shape[:axis] + lines.shape[axis + 1 :]
+        return xp.full(rest, UNBOUNDED, dtype=xp.int64)
+    first = xp.astype(xp.argmax(lines, axis=axis), xp.int64)
+    return xp.where(xp.any(lines, axis=axis), first, UNBOUNDED)
+
+
+def _clear_around(xp: Any, lines: Array, at: Array, axis: int) -> tuple[Array, Array]:
+    """Clear distances from position ``at`` toward +``axis`` and -``axis``.
+
+    ``lines`` holds one full mesh line per entry of ``at`` along ``axis``;
+    the nearest blocked cell ahead of / behind ``at`` bounds each level.
+    """
+    length = lines.shape[axis]
+    shape = [1] * lines.ndim
+    shape[axis] = length
+    idx = xp.reshape(xp.arange(length, dtype=xp.int64), tuple(shape))
+    here = xp.expand_dims(at, axis=axis)
+    big = UNBOUNDED + length
+    ahead = xp.min(xp.where(lines & (idx > here), idx, big), axis=axis)
+    behind = xp.max(xp.where(lines & (idx < here), idx, -big), axis=axis)
+    return xp.minimum(ahead - at - 1, UNBOUNDED), xp.minimum(at - behind - 1, UNBOUNDED)
 
 
 @dataclass(frozen=True)
 class BatchedSafetyLevels:
-    """Per-pattern ESL grids: each field is ``(batch, n, m)`` int64.
+    """The ESLs of a ``(batch, n, m)`` blocked stack, read on demand.
 
-    ``grids[b]`` equals the corresponding grid of
-    ``compute_safety_levels(mesh, blocked[b])`` element for element.
+    A view over ``blocked``: the conditions consult the ESLs of only a few
+    nodes -- the source and its neighbours, the nodes on the source's two
+    axis lines, the pivots -- so each read scans just the mesh lines
+    through those nodes instead of building four full grids.  Every read
+    equals the matching entries of ``compute_safety_levels(mesh,
+    blocked[b])`` for each pattern ``b``.
     """
 
-    east: Array
-    south: Array
-    west: Array
-    north: Array
+    blocked: Array
 
+    def node(self, node: Coord) -> tuple[Array, Array, Array, Array]:
+        """One node's ``(E, S, W, N)`` across the batch, each ``(batch,)``."""
+        xp = array_namespace(self.blocked)
+        x, y = node
+        grid = self.blocked
+        return (
+            _clear_run(xp, grid[:, x + 1 :, y]),
+            _clear_run(xp, xp.flip(grid[:, x, :y], axis=-1)),
+            _clear_run(xp, xp.flip(grid[:, :x, y], axis=-1)),
+            _clear_run(xp, grid[:, x, y + 1 :]),
+        )
 
-def _axis_scans_last(xp: Any, blocked: Array, big: int) -> tuple[Array, Array]:
-    """Clear distances toward +axis / -axis along the *last* axis.
+    def points(self, px: Array, py: Array) -> tuple[Array, Array, Array, Array]:
+        """``(E, S, W, N)`` of the nodes ``(px[b, j], py[b, j])``, each
+        ``(batch, p)``; every coordinate must lie inside the mesh."""
+        xp = array_namespace(self.blocked, px, py)
+        batch, n, m = self.blocked.shape
+        p = px.shape[-1]
+        # rows[b, j, :] is the y line through point j, cols[b, :, j] its x line.
+        rows = xp.take_along_axis(
+            self.blocked, xp.broadcast_to(px[:, :, None], (batch, p, m)), axis=1
+        )
+        cols = xp.take_along_axis(
+            self.blocked, xp.broadcast_to(py[:, None, :], (batch, n, p)), axis=2
+        )
+        north, south = _clear_around(xp, rows, py, axis=2)
+        east, west = _clear_around(xp, cols, px, axis=1)
+        return east, south, west, north
 
-    The batched form of :func:`repro.core.safety._axis_scans`: find the
-    nearest blocked index at-or-after (suffix running minimum) and
-    at-or-before (prefix running maximum) every cell, shift by one to make
-    the search strict, and cap at :data:`UNBOUNDED`.
-    """
-    small = -big
-    n = blocked.shape[-1]
-    idx = xp.arange(n, dtype=xp.int64)
-    pos = xp.where(blocked, idx, big)
-    neg = xp.where(blocked, idx, small)
-    nearest_above = xp.flip(_cummin_last(xp, xp.flip(pos, axis=-1)), axis=-1)
-    nearest_below = _cummax_last(xp, neg)
-    pad_shape = blocked.shape[:-1] + (1,)
-    pad_hi = xp.full(pad_shape, big, dtype=xp.int64)
-    pad_lo = xp.full(pad_shape, small, dtype=xp.int64)
-    nearest_pos = xp.concat([nearest_above[..., 1:], pad_hi], axis=-1)
-    nearest_neg = xp.concat([pad_lo, nearest_below[..., :-1]], axis=-1)
-    toward_pos = xp.minimum(nearest_pos - idx - 1, UNBOUNDED)
-    toward_neg = xp.minimum(idx - nearest_neg - 1, UNBOUNDED)
-    return toward_pos, toward_neg
+    def axis_lines(self, source: Coord) -> tuple[Array, Array]:
+        """North levels of ``(sx+k, sy)`` and East levels of ``(sx, sy+k)``
+        for ``k = 1, 2, ...`` up to the mesh edge, each ``(batch, k_max)``.
 
-
-def _axis_scans_np(blocked: Array, big: int, axis: int) -> tuple[Array, Array]:
-    """Numpy fast path of :func:`_axis_scans_last` along an arbitrary axis.
-
-    Scanning the x axis in place (instead of permuting it to the back)
-    keeps every elementwise pass contiguous, which is worth ~2x on the
-    grids the experiment engine feeds through here.
-    """
-    n = blocked.shape[axis]
-    shape = [1] * blocked.ndim
-    shape[axis] = n
-    idx = np.arange(n, dtype=np.int64).reshape(shape)
-    pos = np.where(blocked, idx, big)
-    neg = np.where(blocked, idx, -big)
-    nearest_above = np.flip(
-        np.minimum.accumulate(np.flip(pos, axis=axis), axis=axis), axis=axis
-    )
-    nearest_below = np.maximum.accumulate(neg, axis=axis)
-    pad_shape = list(blocked.shape)
-    pad_shape[axis] = 1
-    pad_hi = np.full(pad_shape, big, dtype=np.int64)
-    pad_lo = np.full(pad_shape, -big, dtype=np.int64)
-    tail = [slice(None)] * blocked.ndim
-    tail[axis] = slice(1, None)
-    head = [slice(None)] * blocked.ndim
-    head[axis] = slice(None, -1)
-    nearest_pos = np.concatenate([nearest_above[tuple(tail)], pad_hi], axis=axis)
-    nearest_neg = np.concatenate([pad_lo, nearest_below[tuple(head)]], axis=axis)
-    toward_pos = np.minimum(nearest_pos - idx - 1, UNBOUNDED)
-    toward_neg = np.minimum(idx - nearest_neg - 1, UNBOUNDED)
-    return toward_pos, toward_neg
+        Both come from one reduction each over the quadrant beyond the
+        source, since the North line of ``(sx+k, sy)`` is quadrant row
+        ``k-1`` and the East line of ``(sx, sy+k)`` quadrant column ``k-1``.
+        """
+        xp = array_namespace(self.blocked)
+        sx, sy = source
+        quadrant = self.blocked[:, sx + 1 :, sy + 1 :]
+        return _clear_run(xp, quadrant, axis=2), _clear_run(xp, quadrant, axis=1)
 
 
 def batch_safety_levels(blocked: Array) -> BatchedSafetyLevels:
-    """ESL grids for every pattern of a ``(batch, n, m)`` blocked stack."""
-    xp = array_namespace(blocked)
-    n, m = blocked.shape[-2], blocked.shape[-1]
-    big = UNBOUNDED + n + m  # strictly larger than any index offset
-    if xp is np:
-        east, west = _axis_scans_np(blocked, big, axis=1)
-        north, south = _axis_scans_np(blocked, big, axis=2)
-        return BatchedSafetyLevels(east=east, south=south, west=west, north=north)
-    # East/West scan along x: bring x to the last axis.
-    by_x = xp.permute_dims(blocked, (0, 2, 1))
-    east_t, west_t = _axis_scans_last(xp, by_x, big)
-    east = xp.permute_dims(east_t, (0, 2, 1))
-    west = xp.permute_dims(west_t, (0, 2, 1))
-    # North/South scan along y: already the last axis.
-    north, south = _axis_scans_last(xp, blocked, big)
-    return BatchedSafetyLevels(east=east, south=south, west=west, north=north)
+    """The on-demand ESL view of a ``(batch, n, m)`` blocked stack."""
+    return BatchedSafetyLevels(blocked)
 
 
 # ----------------------------------------------------------------------
@@ -235,17 +237,6 @@ def _dest_offsets(xp: Any, source: Coord, dests: Array) -> tuple[Array, Array, A
     return dx, dy, xp.abs(dx), xp.abs(dy)
 
 
-def _node_esl(levels: BatchedSafetyLevels, node: Coord) -> tuple[Array, Array, Array, Array]:
-    """One node's ``(E, S, W, N)`` across the batch, each ``(batch,)``."""
-    x, y = node
-    return (
-        levels.east[:, x, y],
-        levels.south[:, x, y],
-        levels.west[:, x, y],
-        levels.north[:, x, y],
-    )
-
-
 def _safe_from(
     xp: Any, levels: BatchedSafetyLevels, origin: Coord, dx: Array, dy: Array,
     xd: Array, yd: Array,
@@ -256,7 +247,7 @@ def _safe_from(
     destination lies East-or-level of the origin and the global West
     distance otherwise (exactly ``Frame.to_local_esl``), mirrored on y.
     """
-    east, south, west, north = _node_esl(levels, origin)
+    east, south, west, north = levels.node(origin)
     toward_x = xp.where(dx >= 0, east[:, None], west[:, None])
     toward_y = xp.where(dy >= 0, north[:, None], south[:, None])
     return (xd <= toward_x) & (yd <= toward_y)
@@ -433,7 +424,7 @@ def batch_pattern_extension2(
     """
     xp = array_namespace(dests)
     dx, dy, xd, yd = _dest_offsets(xp, source, dests)
-    east, south, west, north = _node_esl(levels, source)
+    east, south, west, north = levels.node(source)
     toward_x = xp.where(dx >= 0, east[:, None], west[:, None])
     toward_y = xp.where(dy >= 0, north[:, None], south[:, None])
     source_safe = (xd <= toward_x) & (yd <= toward_y)
@@ -458,25 +449,13 @@ def build_source_sample_tables(
     table samples nodes ``(sx+k, sy)`` with their North levels, the
     North-axis table nodes ``(sx, sy+k)`` with their East levels.
     """
-    xp = array_namespace(levels.east)
+    xp = array_namespace(levels.blocked)
     n, m = mesh_shape
     sx, sy = source
-    east_edge = n - 1 - sx
-    north_edge = m - 1 - sy
-    east_table = build_axis_sample_table(
-        xp,
-        levels.north[:, sx + 1 : sx + east_edge + 1, sy],
-        levels.east[:, sx, sy],
-        east_edge,
-        segment_size,
-    )
-    north_table = build_axis_sample_table(
-        xp,
-        levels.east[:, sx, sy + 1 : sy + north_edge + 1],
-        levels.north[:, sx, sy],
-        north_edge,
-        segment_size,
-    )
+    east, _, _, north = levels.node(source)
+    north_line, east_line = levels.axis_lines(source)
+    east_table = build_axis_sample_table(xp, north_line, east, n - 1 - sx, segment_size)
+    north_table = build_axis_sample_table(xp, east_line, north, m - 1 - sy, segment_size)
     return east_table, north_table
 
 
@@ -498,10 +477,10 @@ def batch_pattern_extension3(
     ``pivots`` is ``(p, 2)`` (one pivot list shared by every pattern, e.g.
     the recursive-centre scheme) or ``(batch, p, 2)`` (per-pattern lists,
     e.g. the random scheme; pad ragged lists and mask the padding via
-    ``pivot_valid``).  Out-of-mesh pivots must be masked by the caller;
-    pivots inside a pattern's faulty blocks are skipped for that pattern,
-    as in the scalar decision.  ``mask[b, i]`` equals the scalar
-    ``extension3_decision(...).ensures_minimal``.
+    ``pivot_valid``).  An unmasked pivot outside the mesh raises
+    ``ValueError``; pivots inside a pattern's faulty blocks are skipped
+    for that pattern, as in the scalar decision.  ``mask[b, i]`` equals
+    the scalar ``extension3_decision(...).ensures_minimal``.
     """
     xp = array_namespace(unusable)
     n, m = unusable.shape[-2], unusable.shape[-1]
@@ -516,18 +495,19 @@ def batch_pattern_extension3(
         pivots = xp.broadcast_to(pivots[None, :, :], (batch,) + pivots.shape)
     px = pivots[:, :, 0]
     py = pivots[:, :, 1]
-    flat = px * m + py  # (batch, p)
-    grid = (batch, n * m)
-    blocked_p = xp.take_along_axis(
-        xp.reshape(unusable, grid), flat, axis=1
-    )
+    outside = (px < 0) | (px >= n) | (py < 0) | (py >= m)
+    if pivot_valid is not None:
+        outside = outside & pivot_valid
+    if bool(xp.any(outside)):
+        raise ValueError(f"unmasked pivot outside the {n}x{m} mesh")
+    # Masked padding may point anywhere; clamp it so the reads stay in range.
+    px = xp.clip(px, 0, n - 1)
+    py = xp.clip(py, 0, m - 1)
+    blocked_p = xp.take_along_axis(xp.reshape(unusable, (batch, n * m)), px * m + py, axis=1)
     open_pivot = ~blocked_p
     if pivot_valid is not None:
         open_pivot = open_pivot & pivot_valid
-    p_east = xp.take_along_axis(xp.reshape(levels.east, grid), flat, axis=1)
-    p_west = xp.take_along_axis(xp.reshape(levels.west, grid), flat, axis=1)
-    p_north = xp.take_along_axis(xp.reshape(levels.north, grid), flat, axis=1)
-    p_south = xp.take_along_axis(xp.reshape(levels.south, grid), flat, axis=1)
+    p_east, p_south, p_west, p_north = levels.points(px, py)
 
     # Local pivot coordinates per (pattern, destination, pivot): the
     # frame's axis reflections depend on the destination's quadrant.
@@ -538,7 +518,7 @@ def batch_pattern_extension3(
     pivot_east = xp.where(dx[:, :, None] >= 0, p_east[:, None, :], p_west[:, None, :])
     pivot_north = xp.where(dy[:, :, None] >= 0, p_north[:, None, :], p_south[:, None, :])
 
-    east, south, west, north = _node_esl(levels, source)
+    east, south, west, north = levels.node(source)
     src_east = xp.where(dx >= 0, east[:, None], west[:, None])[:, :, None]
     src_north = xp.where(dy >= 0, north[:, None], south[:, None])[:, :, None]
 

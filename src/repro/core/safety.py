@@ -100,7 +100,7 @@ class SafetyLevels:
         return int(self._grid_by_direction[direction][coord])
 
 
-def _axis_scans(blocked: np.ndarray, big: int) -> tuple[np.ndarray, np.ndarray]:
+def _line_scans(blocked: np.ndarray, big: int) -> tuple[np.ndarray, np.ndarray]:
     """Per column of axis 1: levels toward +axis0 and -axis0 for every cell.
 
     ``blocked`` may be the full grid or any column subset; each column is
@@ -144,9 +144,9 @@ def _compute_safety_levels(mesh: Mesh2D, blocked: np.ndarray) -> SafetyLevels:
         )
     big = UNBOUNDED + mesh.n + mesh.m  # strictly larger than any index offset
 
-    east, west = _axis_scans(blocked, big)
+    east, west = _line_scans(blocked, big)
     # Same scans along y via the transposed grid.
-    north_t, south_t = _axis_scans(blocked.T, big)
+    north_t, south_t = _line_scans(blocked.T, big)
 
     return SafetyLevels(
         mesh=mesh, east=east, south=south_t.T, west=west, north=north_t.T
@@ -154,7 +154,7 @@ def _compute_safety_levels(mesh: Mesh2D, blocked: np.ndarray) -> SafetyLevels:
 
 
 def refresh_safety_levels(
-    levels: SafetyLevels,
+    esl: SafetyLevels,
     blocked: np.ndarray,
     xs: Sequence[int] = (),
     ys: Sequence[int] = (),
@@ -170,15 +170,15 @@ def refresh_safety_levels(
     :func:`compute_safety_levels` restricted to that line, so the result
     is bit-identical to a full recomputation.
     """
-    mesh = levels.mesh
+    mesh = esl.mesh
     big = UNBOUNDED + mesh.n + mesh.m
     if len(ys):
         cols = np.unique(np.asarray(list(ys), dtype=np.intp))
-        toward_pos, toward_neg = _axis_scans(blocked[:, cols], big)
-        levels.east[:, cols] = toward_pos
-        levels.west[:, cols] = toward_neg
+        toward_pos, toward_neg = _line_scans(blocked[:, cols], big)
+        esl.east[:, cols] = toward_pos
+        esl.west[:, cols] = toward_neg
     if len(xs):
         rows = np.unique(np.asarray(list(xs), dtype=np.intp))
-        toward_pos, toward_neg = _axis_scans(blocked[rows, :].T, big)
-        levels.north[rows, :] = toward_pos.T
-        levels.south[rows, :] = toward_neg.T
+        toward_pos, toward_neg = _line_scans(blocked[rows, :].T, big)
+        esl.north[rows, :] = toward_pos.T
+        esl.south[rows, :] = toward_neg.T

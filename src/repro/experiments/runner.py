@@ -68,13 +68,13 @@ class PatternBatchContext:
     """Everything a cross-pattern kernel may consult for one shard and model.
 
     ``blocked`` is the model's stacked ``(batch, n, m)`` grid on the active
-    backend (faulty blocks, or type-one MCCs) and ``levels`` its ESL
-    grids; ``dests`` is ``(batch, k, 2)`` and the same for both models.
-    The per-pattern random strategy pivots, drawn once per model, are
-    padded to ``(batch, p, 2)`` with ``strategy_valid`` masking the
-    padding.  Reachability maps and segment sample tables are cached on
-    the context so metrics sharing them (the figure curves do) build them
-    once per shard.
+    backend (faulty blocks, or type-one MCCs) and ``levels`` the view that
+    reads its ESLs on demand; ``dests`` is ``(batch, k, 2)`` and the same
+    for both models.  The per-pattern random strategy pivots, drawn once
+    per model, are padded to ``(batch, p, 2)`` with ``strategy_valid``
+    masking the padding.  Reachability maps and segment sample tables are
+    cached on the context so metrics sharing them (the figure curves do)
+    build them once per shard.
     """
 
     mesh: Mesh2D
@@ -256,37 +256,39 @@ def _pick_destinations_batch(
     return dests
 
 
-def _pivot_draw_cells(config: ExperimentConfig) -> list[tuple[int, int, int, int]]:
-    """The ``(xlo, xhi+1, ylo, yhi+1)`` draw bounds behind ``random_pivots``.
+def _pivot_draw_cells(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(lows, highs)`` draw bounds behind ``random_pivots``.
 
-    The recursive cell decomposition depends only on the (fixed) pivot
-    region, so a shard precomputes it once and replays just the integer
-    draws per pattern -- the same bounds in the same order, hence the same
-    stream consumption and the same pivots as a per-pattern
-    ``random_pivots`` call, without rebuilding the ``Rect`` recursion
-    hundreds of times.
+    ``random_pivots`` draws an x then a y in every cell of the recursive
+    decomposition; the bounds interleave them in that order
+    (``xlo0, ylo0, xlo1, ...``, highs exclusive).  The decomposition
+    depends only on the (fixed) pivot region, so a shard precomputes it
+    once and replays just the integer draws per pattern, without
+    rebuilding the ``Rect`` recursion hundreds of times.
     """
     from repro.core.pivots import _recursive_cells
 
-    return [
-        (cell.xmin, cell.xmax + 1, cell.ymin, cell.ymax + 1)
+    cells = [
+        cell
         for tier in _recursive_cells(config.pivot_region, config.strategy_pivot_levels)
         for cell in tier
     ]
+    lows = [bound for cell in cells for bound in (cell.xmin, cell.ymin)]
+    highs = [bound for cell in cells for bound in (cell.xmax + 1, cell.ymax + 1)]
+    return np.array(lows, dtype=np.int64), np.array(highs, dtype=np.int64)
 
 
 def _replay_random_pivots(
-    cells: list[tuple[int, int, int, int]], rng: np.random.Generator
+    bounds: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
 ) -> list[Coord]:
-    """Draw-for-draw replay of ``random_pivots`` over precomputed bounds."""
-    pivots: list[Coord] = []
-    seen: set[Coord] = set()
-    for xlo, xhi, ylo, yhi in cells:
-        coord = (int(rng.integers(xlo, xhi)), int(rng.integers(ylo, yhi)))
-        if coord not in seen:
-            seen.add(coord)
-            pivots.append(coord)
-    return pivots
+    """Draw-for-draw replay of ``random_pivots`` over precomputed bounds.
+
+    One array-bounded ``integers`` call yields exactly the values, and
+    advances the generator exactly as far, as the scalar calls in order;
+    repeated pivots keep their first occurrence, as in ``random_pivots``.
+    """
+    draws = rng.integers(*bounds).tolist()
+    return list(dict.fromkeys(zip(draws[0::2], draws[1::2])))
 
 
 def _pad_pivots(pivot_lists: list[list[Coord]]) -> tuple[np.ndarray, np.ndarray]:
@@ -356,10 +358,10 @@ def _evaluate_shard_patterns(
     faults, blocked = _generate_pattern_grids(config, shard.fault_count, rngs)
 
     models = {metric.model for metric in metrics}
-    draw_cells = _pivot_draw_cells(config)
-    strategy_pivots = {BLOCK_MODEL: [_replay_random_pivots(draw_cells, rng) for rng in rngs]}
+    pivot_bounds = _pivot_draw_cells(config)
+    strategy_pivots = {BLOCK_MODEL: [_replay_random_pivots(pivot_bounds, rng) for rng in rngs]}
     if MCC_MODEL in models:
-        strategy_pivots[MCC_MODEL] = [_replay_random_pivots(draw_cells, rng) for rng in rngs]
+        strategy_pivots[MCC_MODEL] = [_replay_random_pivots(pivot_bounds, rng) for rng in rngs]
     dests = xp.asarray(_pick_destinations_batch(config, blocked, rngs))
     pivots_by_level = {
         level: recursive_center_pivots(config.pivot_region, level)

@@ -9,8 +9,8 @@ ndarrays, implicit ``__array__`` conversion), and
 The second runs every cross-pattern kernel end to end on strict arrays
 and compares against the numpy backend -- the proof that no numpy-only
 call leaks into :mod:`repro.core.batched_patterns`' portable paths.  (The
-numpy backend itself takes ``ufunc.accumulate`` fast paths; this suite is
-what keeps the generic Hillis-Steele paths honest.)
+numpy backend itself takes a ``ufunc.accumulate`` fast path; this suite is
+what keeps the generic Hillis-Steele path honest.)
 """
 
 import numpy as np
@@ -165,15 +165,25 @@ def test_formation_strict_matches_numpy(case):
 
 
 def test_safety_levels_strict_matches_numpy(case):
+    """Node, point and axis-line ESL reads at every node, strict vs numpy."""
     _, blocked, _, _ = case
+    batch, n, m = blocked.shape
     strict_levels = batch_safety_levels(_strict(blocked))
     numpy_levels = batch_safety_levels(blocked)
-    for field in ("east", "south", "west", "north"):
-        got = getattr(strict_levels, field)
-        assert isinstance(got, StrictArray)
-        np.testing.assert_array_equal(
-            to_numpy(got), getattr(numpy_levels, field)
-        )
+    pairs = []
+    for x in range(n):
+        for y in range(m):
+            pairs += zip(numpy_levels.node((x, y)), strict_levels.node((x, y)))
+            pairs += zip(numpy_levels.axis_lines((x, y)), strict_levels.axis_lines((x, y)))
+    xs, ys = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
+    px = np.broadcast_to(xs.reshape(1, -1), (batch, n * m))
+    py = np.broadcast_to(ys.reshape(1, -1), (batch, n * m))
+    pairs += zip(
+        numpy_levels.points(px, py), strict_levels.points(_strict(px), _strict(py))
+    )
+    for numpy_out, strict_out in pairs:
+        assert isinstance(strict_out, StrictArray)
+        np.testing.assert_array_equal(to_numpy(strict_out), numpy_out)
 
 
 def test_condition_kernels_strict_match_numpy(case):

@@ -44,7 +44,7 @@ from repro.core.extensions import (
     extension3_decision,
 )
 from repro.core.pivots import random_pivots, recursive_center_pivots
-from repro.core.safety import SafetyLevels, compute_safety_levels
+from repro.core.safety import compute_safety_levels
 from repro.core.segments import build_axis_segments
 from repro.core.strategies import Strategy, StrategyConfig, strategy_decision
 from repro.faults.blocks import disable_fixpoint
@@ -62,15 +62,27 @@ def _all_4x4_patterns() -> np.ndarray:
     return cells.astype(bool).reshape(-1, 4, 4)
 
 
-def _scalar_levels(mesh: Mesh2D, levels, index: int) -> SafetyLevels:
-    """Pattern ``index`` of a :class:`BatchedSafetyLevels` as the scalar type."""
-    return SafetyLevels(
-        mesh,
-        to_numpy(levels.east[index]),
-        to_numpy(levels.south[index]),
-        to_numpy(levels.west[index]),
-        to_numpy(levels.north[index]),
-    )
+def _assert_reads_match_scalar(mesh: Mesh2D, grids: np.ndarray) -> None:
+    """The view's node, point and axis-line reads equal
+    ``compute_safety_levels`` at every node of every pattern -- mesh-edge
+    nodes (whose lines beyond them are empty) included."""
+    levels = batch_safety_levels(grids)
+    references = [compute_safety_levels(mesh, grid) for grid in grids]
+    # (batch, 4, n, m), the second axis in (E, S, W, N) order
+    expected = np.stack([[r.east, r.south, r.west, r.north] for r in references])
+    batch = len(grids)
+    for x in range(mesh.n):
+        for y in range(mesh.m):
+            got = np.stack([to_numpy(v) for v in levels.node((x, y))], axis=1)
+            np.testing.assert_array_equal(got, expected[:, :, x, y], err_msg=str((x, y)))
+            north_line, east_line = levels.axis_lines((x, y))
+            np.testing.assert_array_equal(to_numpy(north_line), expected[:, 3, x + 1 :, y])
+            np.testing.assert_array_equal(to_numpy(east_line), expected[:, 0, x, y + 1 :])
+    xs, ys = np.meshgrid(np.arange(mesh.n), np.arange(mesh.m), indexing="ij")
+    px = np.broadcast_to(xs.reshape(1, -1), (batch, mesh.n * mesh.m))
+    py = np.broadcast_to(ys.reshape(1, -1), (batch, mesh.n * mesh.m))
+    got = np.stack([to_numpy(v) for v in levels.points(px, py)], axis=1)
+    np.testing.assert_array_equal(got, expected.reshape(batch, 4, -1))
 
 
 # ----------------------------------------------------------------------
@@ -100,15 +112,7 @@ class TestExhaustive4x4:
 
     def test_esl_matches_scalar(self, exhaustive):
         _, _, unique_blocked = exhaustive
-        mesh = Mesh2D(4, 4)
-        levels = batch_safety_levels(unique_blocked)
-        for index, grid in enumerate(unique_blocked):
-            expected = compute_safety_levels(mesh, grid)
-            got = _scalar_levels(mesh, levels, index)
-            np.testing.assert_array_equal(got.east, expected.east)
-            np.testing.assert_array_equal(got.south, expected.south)
-            np.testing.assert_array_equal(got.west, expected.west)
-            np.testing.assert_array_equal(got.north, expected.north)
+        _assert_reads_match_scalar(Mesh2D(4, 4), unique_blocked)
 
     @pytest.fixture(scope="class")
     def condition_case(self, exhaustive):
@@ -123,7 +127,7 @@ class TestExhaustive4x4:
             [(x, y) for x in range(4) for y in range(4)], dtype=np.int64
         )
         dests = np.broadcast_to(dests_one, (len(grids),) + dests_one.shape)
-        scalar = [_scalar_levels(mesh, levels, b) for b in range(len(grids))]
+        scalar = [compute_safety_levels(mesh, grid) for grid in grids]
         return mesh, grids, levels, source, dests, dests_one, scalar
 
     def test_def3_matches_scalar(self, condition_case):
@@ -207,6 +211,14 @@ class TestExhaustive4x4:
                 assert bool(mask[b, i]) == expected, (b, i)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 5)])
+def test_esl_reads_on_thin_meshes_match_scalar(shape):
+    """One- and two-wide meshes: most lines beyond a node are empty."""
+    mesh = Mesh2D(*shape)
+    grids = np.random.default_rng(sum(shape)).random((40,) + shape) < 0.3
+    _assert_reads_match_scalar(mesh, grids)
+
+
 # ----------------------------------------------------------------------
 # Seeded random 32x32
 # ----------------------------------------------------------------------
@@ -246,14 +258,7 @@ class TestRandom32x32:
         mesh, _, faulty, blocked, _ = random_case
         got = to_numpy(batch_disable_fixpoint(faulty))
         np.testing.assert_array_equal(got, blocked)
-        levels = batch_safety_levels(blocked)
-        for b in range(N_PATTERNS):
-            expected = compute_safety_levels(mesh, blocked[b])
-            got_b = _scalar_levels(mesh, levels, b)
-            np.testing.assert_array_equal(got_b.east, expected.east)
-            np.testing.assert_array_equal(got_b.south, expected.south)
-            np.testing.assert_array_equal(got_b.west, expected.west)
-            np.testing.assert_array_equal(got_b.north, expected.north)
+        _assert_reads_match_scalar(mesh, blocked)
 
     def test_conditions_match_scalar(self, random_case):
         mesh, source, _, blocked, dests = random_case
@@ -281,7 +286,7 @@ class TestRandom32x32:
         exists = to_numpy(batch_pattern_path_exists(blocked, source, dests))
         frame = Frame(origin=source)
         for b in range(N_PATTERNS):
-            scalar = _scalar_levels(mesh, levels, b)
+            scalar = compute_safety_levels(mesh, blocked[b])
             east = build_axis_segments(mesh, scalar, frame, Direction.EAST, 5)
             north = build_axis_segments(mesh, scalar, frame, Direction.NORTH, 5)
             for i in range(dests.shape[1]):
@@ -324,7 +329,7 @@ class TestRandom32x32:
             )
         )
         for b in range(0, N_PATTERNS, 10):
-            scalar = _scalar_levels(mesh, levels, b)
+            scalar = compute_safety_levels(mesh, blocked[b])
             for i in range(dests.shape[1]):
                 dest = (int(dests[b, i, 0]), int(dests[b, i, 1]))
                 expected = extension3_decision(
@@ -355,6 +360,21 @@ class TestUniformFaultsBatch:
             np.testing.assert_array_equal(grids[i], expected, err_msg=str(i))
             # the generators advanced identically: next draws agree
             assert batch_rngs[i].integers(1 << 30) == rng.integers(1 << 30)
+
+    def test_random_pivot_replay_matches_random_pivots(self):
+        """The experiment engine's one-call pivot replay draws the pivots of
+        ``random_pivots`` and leaves each generator in the same state."""
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import _pivot_draw_cells, _replay_random_pivots
+
+        config = ExperimentConfig()
+        bounds = _pivot_draw_cells(config)
+        for seed in range(250):
+            replay_rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(seed)
+            expected = random_pivots(config.pivot_region, config.strategy_pivot_levels, rng)
+            assert _replay_random_pivots(bounds, replay_rng) == expected, seed
+            assert replay_rng.random() == rng.random(), seed
 
     def test_scalar_count_broadcasts(self):
         mesh = Mesh2D(8, 8)
@@ -407,12 +427,9 @@ def _each_dest(dests):
 class TestStackedMCCGrids:
     @pytest.mark.parametrize("seed", MCC_SEEDS)
     def test_esl_matches_scalar(self, seed):
-        mesh, grids, levels, reference, _, _, _ = _mcc_case(seed)
+        mesh, grids, _, _, _, _, _ = _mcc_case(seed)
         assert grids.any(axis=(1, 2)).all()
-        for b, expected in enumerate(reference):
-            got = _scalar_levels(mesh, levels, b)
-            for name in ("east", "south", "west", "north"):
-                np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+        _assert_reads_match_scalar(mesh, grids)
 
     @pytest.mark.parametrize("seed", MCC_SEEDS)
     def test_matches_scalar_definition3(self, seed):
@@ -484,6 +501,32 @@ class TestStackedMCCGrids:
                 mesh, reference[b], grids[b], source, dest, pivot_lists[b]
             ).ensures_minimal
             assert bool(mask[b, i]) == expected, (b, i)
+
+    def test_unmasked_pivot_outside_mesh_raises(self):
+        mesh, grids, levels, _, source, dests, _ = _mcc_case(0)
+        outside = np.array([(2, 2), (3, mesh.m)], dtype=np.int64)
+        with pytest.raises(ValueError, match="outside"):
+            batch_pattern_extension3(grids, levels, source, dests, outside)
+        per_pattern = np.broadcast_to(outside, (len(grids),) + outside.shape)
+        valid = np.ones(per_pattern.shape[:2], dtype=bool)
+        with pytest.raises(ValueError, match="outside"):
+            batch_pattern_extension3(
+                grids, levels, source, dests, per_pattern, pivot_valid=valid
+            )
+
+    def test_masked_padding_pivot_outside_mesh_is_ignored(self):
+        mesh, grids, levels, _, source, dests, _ = _mcc_case(0)
+        inside = np.array([(2, 2), (mesh.n - 1, mesh.m - 1)], dtype=np.int64)
+        padded = np.concatenate([inside, [(3, mesh.m)]])
+        valid = np.array([True, True, False])
+        batch = len(grids)
+        mask = batch_pattern_extension3(
+            grids, levels, source, dests,
+            np.broadcast_to(padded, (batch,) + padded.shape),
+            pivot_valid=np.broadcast_to(valid, (batch, 3)),
+        )
+        expected = batch_pattern_extension3(grids, levels, source, dests, inside)
+        np.testing.assert_array_equal(to_numpy(mask), to_numpy(expected))
 
     def test_no_usable_pivots_reduces_to_definition3(self):
         _, grids, levels, _, source, dests, _ = _mcc_case(3)
