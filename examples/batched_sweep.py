@@ -10,7 +10,9 @@ Two stops:
 2. run the fig9 sweep, whose curves run on those kernels under both fault
    models (faulty blocks, and type-one MCCs for the "a" curves), on one
    process and on two, and check the series agree point for point (every
-   pattern owns its own seeded generator).
+   pattern owns its own seeded generator); then run fig10 on the same
+   config, which takes its fault patterns and the existence curves from
+   the artifact cache fig9 filled.
 
 Run:  python examples/batched_sweep.py [batch]
 """
@@ -56,15 +58,20 @@ def kernels_demo(batch: int) -> None:
 
 def sweep_demo() -> None:
     from repro.experiments import ExperimentConfig
-    from repro.experiments.figures import fig9_metrics
+    from repro.experiments.figures import fig9_metrics, fig10_extension2
     from repro.experiments.runner import ConditionExperiment
+    from repro.parallel.cache import get_artifact_cache
 
     config = ExperimentConfig.scaled(60, 24, 15, seed=2002)
     experiment = ConditionExperiment(config, metrics_factory=fig9_metrics)
 
+    get_artifact_cache().clear()
     t0 = time.perf_counter()
     serial = experiment.run("fig9", "one process")
     serial_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    fig10_extension2(config)
+    fig10_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     pooled = experiment.run("fig9", "two processes", workers=2)
     pooled_s = time.perf_counter() - t0
@@ -75,6 +82,10 @@ def sweep_demo() -> None:
     print(f"  workers=1: {serial_s * 1e3:7.1f}ms")
     print(f"  workers=2: {pooled_s * 1e3:7.1f}ms")
     print(f"  series bit-identical: {serial.series == pooled.series}")
+    stats = get_artifact_cache().stats()
+    print(f"  fig10 after fig9, same patterns: {fig10_s * 1e3:7.1f}ms "
+          f"(fig9 took {serial_s * 1e3:.1f}ms; artifact cache "
+          f"{stats['hits']} hits, {stats['misses']} misses)")
     top = len(config.fault_counts) - 1
     for name in ("safe_source", "ext1_min", "existence"):
         print(f"  {name:<12} at {config.fault_counts[top]} faults: "

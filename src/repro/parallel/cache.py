@@ -12,7 +12,8 @@ reuse rate.
 
 A process-wide default cache lives in a module-level slot
 (:func:`get_artifact_cache`); swap it with :func:`use_artifact_cache`
-for isolation in tests.
+for isolation in tests.  The condition sweeps memoise each shard's drawn
+fault patterns and curve counts in it (:mod:`repro.experiments.runner`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Any, Callable, Hashable, Iterator
 from repro.obs.prof import get_profiler
 
 #: Default entry bound.  Entries may hold whole grids, so the bound is on
-#: entries, not bytes, which keeps worst-case memory modest.
+#: entries, not bytes, which keeps worst-case memory modest: a sweep's
+#: shard draw is about 0.2 MB (20 bit-packed patterns on 200x200).
 DEFAULT_MAXSIZE = 128
 
 

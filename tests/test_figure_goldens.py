@@ -16,6 +16,11 @@ scenario, MCCs and ESLs built pattern by pattern, then the predicates of
 :mod:`repro.core.conditions` / :mod:`repro.core.extensions` and the
 existence oracle per destination), cross-checked against the cross-pattern
 kernels before that pipeline was removed.
+
+Every test runs on a fresh artifact cache, so each figure is computed
+cold, drawn and counted anew.  The one-cache test runs Figures
+9-12 in a row, so the later figures take their draws and shared curve
+counts from the runner's memo (the warm path).
 """
 
 import json
@@ -31,6 +36,7 @@ from repro.experiments.figures import (
     fig12_strategies,
 )
 from repro.mesh.geometry import Rect
+from repro.parallel.cache import ArtifactCache, use_artifact_cache
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_condition_series.json").read_text()
@@ -50,6 +56,12 @@ class ShiftedRegionConfig(ExperimentConfig):
     def destination_region(self) -> Rect:
         sx, sy = self.source
         return Rect(sx, self.mesh_side - 1, sy + 3, self.mesh_side - 1)
+
+
+@pytest.fixture(autouse=True)
+def fresh_artifact_cache():
+    with use_artifact_cache(ArtifactCache()) as cache:
+        yield cache
 
 
 def _config(case: str) -> ExperimentConfig:
@@ -92,3 +104,11 @@ def test_clustered_workload_is_worker_invariant():
     series = fig12_strategies(_config("clustered"), workers=2)
     assert _snap(series) == GOLDEN["series"]["clustered/fig12"]
 
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN["cases"]))
+def test_all_figures_in_one_cache_match_golden(case, fresh_artifact_cache):
+    config = _config(case)
+    for figure in ("fig9", "fig10", "fig11", "fig12"):
+        assert _snap(FIGURES[figure](config)) == GOLDEN["series"][f"{case}/{figure}"]
+    assert fresh_artifact_cache.hits == 3 * fresh_artifact_cache.misses
