@@ -11,6 +11,9 @@ Timing protocol, per workload:
    and a :class:`~repro.obs.prof.Profiler`, attaching deterministic
    trace-metric summaries (with p50/p95/p99) and hot-path counters.
 
+Every run gets a fresh process-wide artifact cache, so no run is served
+from the draws and counts an earlier condition sweep memoised there.
+
 Wall-times land in a percentile histogram, so every ``BENCH_<n>.json``
 carries p50/p95/p99 per workload; :func:`compare_results` gates the p50
 against a baseline file with a relative tolerance.
@@ -31,6 +34,7 @@ from repro.bench.registry import Workload
 from repro.obs import MetricsSink, Tracer, use_tracer
 from repro.obs.metrics import Histogram
 from repro.obs.prof import Profiler, use_profiler
+from repro.parallel.cache import ArtifactCache, use_artifact_cache
 
 _BENCH_NAME = re.compile(r"^BENCH_(\d+)\.json$")
 
@@ -45,6 +49,12 @@ class BenchConfig:
     backend: str = "numpy"  # array API backend for the condition-sweep workloads
 
 
+def _run_cold(workload: Workload, state: Any) -> None:
+    """One run of ``workload`` on a fresh process-wide artifact cache."""
+    with use_artifact_cache(ArtifactCache()):
+        workload.run(state)
+
+
 def run_benchmarks(
     workloads: list[Workload],
     config: BenchConfig,
@@ -56,19 +66,19 @@ def run_benchmarks(
     for workload in workloads:
         say(f"[{workload.kind}] {workload.name}: setup")
         state = workload.setup(config) if workload.setup else config
-        workload.run(state)  # warm-up, untimed
+        _run_cold(workload, state)  # warm-up, untimed
         repeats = config.repeats or (
             workload.quick_repeats if config.quick else workload.repeats
         )
         wall = Histogram()
         for _ in range(repeats):
             t0 = time.perf_counter()
-            workload.run(state)
+            _run_cold(workload, state)
             wall.observe(time.perf_counter() - t0)
         sink = MetricsSink()
         profiler = Profiler()
         with use_tracer(Tracer(sink)), use_profiler(profiler):
-            workload.run(state)
+            _run_cold(workload, state)
         p50 = wall.percentile(50.0)
         say(
             f"[{workload.kind}] {workload.name}: x{repeats}  "

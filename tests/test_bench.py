@@ -153,6 +153,25 @@ class TestRunner:
         assert isinstance(seen["config"], BenchConfig)
         assert seen["config"].seed == 77
 
+    def test_every_run_gets_a_fresh_artifact_cache(self):
+        from repro.parallel.cache import get_artifact_cache
+
+        caches = []
+        registry = BenchRegistry()
+
+        @registry.register("micro.memo")
+        def run(config):
+            cache = get_artifact_cache()
+            caches.append((cache, len(cache)))
+            cache.get_or_build("memo", lambda: 1)
+
+        outer = get_artifact_cache()
+        run_benchmarks(registry.select(None), BenchConfig(quick=True, repeats=3))
+        # warm-up + 3 timed + 1 profiled, none served from another's entry
+        assert len({id(cache) for cache, _ in caches}) == 5
+        assert all(size == 0 for _, size in caches)
+        assert get_artifact_cache() is outer and "memo" not in outer
+
     def test_traced_run_collects_metrics(self):
         registry = BenchRegistry()
 
