@@ -23,8 +23,9 @@ consequences shape the implementations:
   function, so the running maximum behind the reachability column DP
   uses a Hillis-Steele doubling scan (``log2(n)`` shifted-``maximum``
   passes);
-- integer fancy indexing is not standard, so pivot/destination gathers go
-  through ``take_along_axis``.
+- integer fancy indexing is not standard, so gathers go through ``take``
+  (the pivot lines, as 1-D row/element indices into flattened stacks) or
+  ``take_along_axis`` (per-pattern destination and pivot cells).
 
 Element-wise equivalence with the scalar implementations
 (:func:`repro.faults.blocks.disable_fixpoint`,
@@ -37,8 +38,8 @@ seeded random large ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -173,21 +174,35 @@ class BatchedSafetyLevels:
     through those nodes instead of building four full grids.  Every read
     equals the matching entries of ``compute_safety_levels(mesh,
     blocked[b])`` for each pattern ``b``.
+
+    ``node`` and ``axis_lines`` reads are memoised per view, keyed by
+    ``(method name, coordinate)``, so every kernel sharing the view scans
+    each line once.  The returned arrays are shared between callers and
+    must not be mutated.
     """
 
     blocked: Array
+    _reads: dict[tuple[str, Coord], Any] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def _memo(self, name: str, coord: Coord, build: Callable[[], Any]) -> Any:
+        key = (name, coord)
+        if key not in self._reads:
+            self._reads[key] = build()
+        return self._reads[key]
 
     def node(self, node: Coord) -> tuple[Array, Array, Array, Array]:
         """One node's ``(E, S, W, N)`` across the batch, each ``(batch,)``."""
         xp = array_namespace(self.blocked)
         x, y = node
         grid = self.blocked
-        return (
+        return self._memo("node", node, lambda: (
             _clear_run(xp, grid[:, x + 1 :, y]),
             _clear_run(xp, xp.flip(grid[:, x, :y], axis=-1)),
             _clear_run(xp, xp.flip(grid[:, :x, y], axis=-1)),
             _clear_run(xp, grid[:, x, y + 1 :]),
-        )
+        ))
 
     def points(self, px: Array, py: Array) -> tuple[Array, Array, Array, Array]:
         """``(E, S, W, N)`` of the nodes ``(px[b, j], py[b, j])``, each
@@ -195,12 +210,24 @@ class BatchedSafetyLevels:
         xp = array_namespace(self.blocked, px, py)
         batch, n, m = self.blocked.shape
         p = px.shape[-1]
-        # rows[b, j, :] is the y line through point j, cols[b, :, j] its x line.
-        rows = xp.take_along_axis(
-            self.blocked, xp.broadcast_to(px[:, :, None], (batch, p, m)), axis=1
+        # rows[b, j, :] is the y line through point j, cols[b, :, j] its x
+        # line: 1-D takes of whole rows at b*n + px, and of single cells at
+        # b*n*m + x*m + py for every x.
+        base = xp.arange(batch, dtype=xp.int64)[:, None]
+        row_idx = xp.reshape(base * n + px, (batch * p,))
+        rows = xp.reshape(
+            xp.take(xp.reshape(self.blocked, (batch * n, m)), row_idx, axis=0),
+            (batch, p, m),
         )
-        cols = xp.take_along_axis(
-            self.blocked, xp.broadcast_to(py[:, None, :], (batch, n, p)), axis=2
+        xs = xp.arange(n, dtype=xp.int64)[None, :, None]
+        cell_idx = base[:, :, None] * (n * m) + xs * m + py[:, None, :]
+        cols = xp.reshape(
+            xp.take(
+                xp.reshape(self.blocked, (batch * n * m,)),
+                xp.reshape(cell_idx, (batch * n * p,)),
+                axis=0,
+            ),
+            (batch, n, p),
         )
         north, south = _clear_around(xp, rows, py, axis=2)
         east, west = _clear_around(xp, cols, px, axis=1)
@@ -217,7 +244,9 @@ class BatchedSafetyLevels:
         xp = array_namespace(self.blocked)
         sx, sy = source
         quadrant = self.blocked[:, sx + 1 :, sy + 1 :]
-        return _clear_run(xp, quadrant, axis=2), _clear_run(xp, quadrant, axis=1)
+        return self._memo("axis_lines", source, lambda: (
+            _clear_run(xp, quadrant, axis=2), _clear_run(xp, quadrant, axis=1)
+        ))
 
 
 def batch_safety_levels(blocked: Array) -> BatchedSafetyLevels:
@@ -237,11 +266,10 @@ def _dest_offsets(xp: Any, source: Coord, dests: Array) -> tuple[Array, Array, A
     return dx, dy, xp.abs(dx), xp.abs(dy)
 
 
-def _safe_from(
-    xp: Any, levels: BatchedSafetyLevels, origin: Coord, dx: Array, dy: Array,
-    xd: Array, yd: Array,
-) -> Array:
-    """Definition 3 from ``origin`` toward each destination, ``(batch, k)``.
+def _toward(
+    xp: Any, levels: BatchedSafetyLevels, origin: Coord, dx: Array, dy: Array
+) -> tuple[Array, Array]:
+    """``origin``'s local-frame East and North levels per destination.
 
     The local-frame East entry is the global East distance when the
     destination lies East-or-level of the origin and the global West
@@ -250,6 +278,15 @@ def _safe_from(
     east, south, west, north = levels.node(origin)
     toward_x = xp.where(dx >= 0, east[:, None], west[:, None])
     toward_y = xp.where(dy >= 0, north[:, None], south[:, None])
+    return toward_x, toward_y
+
+
+def _safe_from(
+    xp: Any, levels: BatchedSafetyLevels, origin: Coord, dx: Array, dy: Array,
+    xd: Array, yd: Array,
+) -> Array:
+    """Definition 3 from ``origin`` toward each destination, ``(batch, k)``."""
+    toward_x, toward_y = _toward(xp, levels, origin, dx, dy)
     return (xd <= toward_x) & (yd <= toward_y)
 
 
@@ -424,9 +461,7 @@ def batch_pattern_extension2(
     """
     xp = array_namespace(dests)
     dx, dy, xd, yd = _dest_offsets(xp, source, dests)
-    east, south, west, north = levels.node(source)
-    toward_x = xp.where(dx >= 0, east[:, None], west[:, None])
-    toward_y = xp.where(dy >= 0, north[:, None], south[:, None])
+    toward_x, toward_y = _toward(xp, levels, source, dx, dy)
     source_safe = (xd <= toward_x) & (yd <= toward_y)
     if tables is None:
         tables = build_source_sample_tables(levels, source, segment_size, mesh_shape)
@@ -486,7 +521,8 @@ def batch_pattern_extension3(
     n, m = unusable.shape[-2], unusable.shape[-1]
     batch = unusable.shape[0]
     dx, dy, xd, yd = _dest_offsets(xp, source, dests)
-    ensured = _safe_from(xp, levels, source, dx, dy, xd, yd)
+    src_east, src_north = _toward(xp, levels, source, dx, dy)
+    ensured = (xd <= src_east) & (yd <= src_north)
     if pivots.shape[-2] == 0:
         return ensured
 
@@ -518,12 +554,8 @@ def batch_pattern_extension3(
     pivot_east = xp.where(dx[:, :, None] >= 0, p_east[:, None, :], p_west[:, None, :])
     pivot_north = xp.where(dy[:, :, None] >= 0, p_north[:, None, :], p_south[:, None, :])
 
-    east, south, west, north = levels.node(source)
-    src_east = xp.where(dx >= 0, east[:, None], west[:, None])[:, :, None]
-    src_north = xp.where(dy >= 0, north[:, None], south[:, None])[:, :, None]
-
     in_box = (xi >= 0) & (xi <= xd[:, :, None]) & (yi >= 0) & (yi <= yd[:, :, None])
-    source_reaches = (xi <= src_east) & (yi <= src_north)
+    source_reaches = (xi <= src_east[:, :, None]) & (yi <= src_north[:, :, None])
     pivot_reaches = (xd[:, :, None] - xi <= pivot_east) & (
         yd[:, :, None] - yi <= pivot_north
     )

@@ -19,6 +19,8 @@ worker processes; ``backend`` selects the array API backend.
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Any, Callable
 
 import numpy as np
@@ -69,9 +71,9 @@ def _existence(pctx: PatternBatchContext) -> Any:
 
 
 def _extension1_min(pctx: PatternBatchContext) -> Any:
-    return batch_pattern_extension1(
+    return pctx.memo("ext1_min", lambda: batch_pattern_extension1(
         pctx.blocked, pctx.levels, pctx.source, pctx.dests, allow_sub_minimal=False
-    )
+    ))
 
 
 def _extension1_submin(pctx: PatternBatchContext) -> Any:
@@ -80,12 +82,15 @@ def _extension1_submin(pctx: PatternBatchContext) -> Any:
     )
 
 
+def _extension2_mask(pctx: PatternBatchContext, size: int | None) -> Any:
+    return pctx.memo(("ext2", size), lambda: batch_pattern_extension2(
+        pctx.levels, pctx.source, pctx.dests, size, (pctx.mesh.n, pctx.mesh.m)
+    ))
+
+
 def _extension2(size: int | None) -> PatternMetricFn:
     def metric(pctx: PatternBatchContext) -> Any:
-        return batch_pattern_extension2(
-            pctx.levels, pctx.source, pctx.dests, size,
-            (pctx.mesh.n, pctx.mesh.m), tables=pctx.tables(size),
-        )
+        return _extension2_mask(pctx, size)
 
     return metric
 
@@ -99,6 +104,13 @@ def _extension3(level: int) -> PatternMetricFn:
     return metric
 
 
+def _extension3_random(pctx: PatternBatchContext) -> Any:
+    return pctx.memo("ext3_random", lambda: batch_pattern_extension3(
+        pctx.blocked, pctx.levels, pctx.source, pctx.dests,
+        pctx.strategy_pivots, pivot_valid=pctx.strategy_valid,
+    ))
+
+
 def _strategy(strategy: Strategy, config: ExperimentConfig) -> PatternMetricFn:
     """A strategy's mask: the OR of the used extensions' kernels.
 
@@ -106,30 +118,21 @@ def _strategy(strategy: Strategy, config: ExperimentConfig) -> PatternMetricFn:
     every non-UNSAFE decision a strategy can return ensures a minimal path,
     so "first extension that fires" and "any extension fires" agree.  The
     destinations come from the quadrant-I region, where Extension 2's
-    per-pair frame coincides with the sample tables' source frame.
+    per-pair frame coincides with the sample tables' source frame.  Each
+    extension's mask is memoised on the context, so the four strategies
+    of one shard and model run each extension once.
     """
     segment_size = config.strategy_segment_size
 
     def metric(pctx: PatternBatchContext) -> Any:
-        xp = pctx.xp
-        shape = (pctx.dests.shape[0], pctx.dests.shape[1])
-        ensured = xp.zeros(shape, dtype=xp.bool)
+        masks = []
         if strategy.uses_extension1:
-            ensured = ensured | batch_pattern_extension1(
-                pctx.blocked, pctx.levels, pctx.source, pctx.dests,
-                allow_sub_minimal=False,
-            )
+            masks.append(_extension1_min(pctx))
         if strategy.uses_extension2:
-            ensured = ensured | batch_pattern_extension2(
-                pctx.levels, pctx.source, pctx.dests, segment_size,
-                (pctx.mesh.n, pctx.mesh.m), tables=pctx.tables(segment_size),
-            )
+            masks.append(_extension2_mask(pctx, segment_size))
         if strategy.uses_extension3:
-            ensured = ensured | batch_pattern_extension3(
-                pctx.blocked, pctx.levels, pctx.source, pctx.dests,
-                pctx.strategy_pivots, pivot_valid=pctx.strategy_valid,
-            )
-        return ensured
+            masks.append(_extension3_random(pctx))
+        return functools.reduce(operator.or_, masks)
 
     return metric
 

@@ -48,11 +48,9 @@ import numpy as np
 from repro.analysis.statistics import proportion_ci
 from repro.core.array_api import resolve_backend, to_numpy
 from repro.core.batched_patterns import (
-    AxisSampleTable,
     BatchedSafetyLevels,
     batch_disable_fixpoint,
     batch_safety_levels,
-    build_source_sample_tables,
 )
 from repro.core.pivots import recursive_center_pivots
 from repro.experiments.config import ExperimentConfig
@@ -77,9 +75,11 @@ class PatternBatchContext:
     reads its ESLs on demand; ``dests`` is ``(batch, k, 2)`` and the same
     for both models.  The per-pattern random strategy pivots, drawn once
     per model, are padded to ``(batch, p, 2)`` with ``strategy_valid``
-    masking the padding.  Reachability maps and segment sample tables are
-    cached on the context so metrics sharing them (the figure curves do)
-    build them once per shard.
+    masking the padding.  Reachability maps are kept on the context, and
+    :meth:`memo` holds every other per-context product -- pivot arrays and
+    extension masks -- so metrics sharing one (the figure curves do) build
+    it once per shard and model.  Memoised arrays
+    are shared and must not be mutated.
     """
 
     mesh: Mesh2D
@@ -92,25 +92,19 @@ class PatternBatchContext:
     strategy_pivots: Any
     strategy_valid: Any
     reachability_maps: dict[tuple[bool, bool], Any] = field(default_factory=dict)
-    _pivot_arrays: dict[int, Any] = field(default_factory=dict)
-    _table_cache: dict[int | None, tuple[AxisSampleTable, AxisSampleTable]] = field(
-        default_factory=dict
-    )
+    _memo: dict[Any, Any] = field(default_factory=dict)
+
+    def memo(self, key: Any, build: Callable[[], Any]) -> Any:
+        """``build()``, called only the first time ``key`` is asked for."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def pivot_array(self, level: int) -> Any:
         """The shared recursive-centre pivots for ``level`` as ``(p, 2)``."""
-        if level not in self._pivot_arrays:
-            coords = np.array(self.pivots_by_level[level], dtype=np.int64).reshape(-1, 2)
-            self._pivot_arrays[level] = self.xp.asarray(coords)
-        return self._pivot_arrays[level]
-
-    def tables(self, size: int | None) -> tuple[AxisSampleTable, AxisSampleTable]:
-        """(East-axis, North-axis) sample tables, cached per segment size."""
-        if size not in self._table_cache:
-            self._table_cache[size] = build_source_sample_tables(
-                self.levels, self.source, size, (self.mesh.n, self.mesh.m)
-            )
-        return self._table_cache[size]
+        return self.memo(("pivots", level), lambda: self.xp.asarray(
+            np.array(self.pivots_by_level[level], dtype=np.int64).reshape(-1, 2)
+        ))
 
 
 PatternMetricFn = Callable[[PatternBatchContext], Any]

@@ -34,6 +34,8 @@ from repro.core.batched_patterns import (
     batch_reachability_map,
     batch_safety_levels,
 )
+from repro.core.safety import compute_safety_levels
+from repro.mesh.topology import Mesh2D
 
 XP = strict_namespace()
 
@@ -184,6 +186,24 @@ def test_safety_levels_strict_matches_numpy(case):
     for numpy_out, strict_out in pairs:
         assert isinstance(strict_out, StrictArray)
         np.testing.assert_array_equal(to_numpy(strict_out), numpy_out)
+
+
+def test_strict_point_reads_with_per_pattern_nodes(case):
+    """Point reads where each pattern visits every node, edges included, in
+    its own order -- a gather that mixed up patterns' lines would fail."""
+    _, blocked, _, _ = case
+    batch, n, m = blocked.shape
+    mesh = Mesh2D(n, m)
+    rng = np.random.default_rng(3)
+    order = np.stack([rng.permutation(n * m) for _ in range(batch)])
+    px, py = order // m, order % m
+    got = batch_safety_levels(_strict(blocked)).points(_strict(px), _strict(py))
+    for b in range(batch):
+        reference = compute_safety_levels(mesh, blocked[b])
+        grids = (reference.east, reference.south, reference.west, reference.north)
+        for out, grid in zip(got, grids):
+            assert isinstance(out, StrictArray)
+            np.testing.assert_array_equal(to_numpy(out)[b], grid[px[b], py[b]])
 
 
 def test_condition_kernels_strict_match_numpy(case):

@@ -62,10 +62,22 @@ def _all_4x4_patterns() -> np.ndarray:
     return cells.astype(bool).reshape(-1, 4, 4)
 
 
+def _permuted_nodes(
+    mesh: Mesh2D, batch: int, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(px, py, order)``: every mesh node, edges included, in a different
+    random order per pattern, so each pattern's point reads land on rows
+    and columns no other pattern reads at the same position."""
+    rng = np.random.default_rng(seed)
+    order = np.stack([rng.permutation(mesh.n * mesh.m) for _ in range(batch)])
+    return order // mesh.m, order % mesh.m, order
+
+
 def _assert_reads_match_scalar(mesh: Mesh2D, grids: np.ndarray) -> None:
     """The view's node, point and axis-line reads equal
     ``compute_safety_levels`` at every node of every pattern -- mesh-edge
-    nodes (whose lines beyond them are empty) included."""
+    nodes (whose lines beyond them are empty) included -- and the point
+    reads also under a different node order per pattern."""
     levels = batch_safety_levels(grids)
     references = [compute_safety_levels(mesh, grid) for grid in grids]
     # (batch, 4, n, m), the second axis in (E, S, W, N) order
@@ -83,6 +95,10 @@ def _assert_reads_match_scalar(mesh: Mesh2D, grids: np.ndarray) -> None:
     py = np.broadcast_to(ys.reshape(1, -1), (batch, mesh.n * mesh.m))
     got = np.stack([to_numpy(v) for v in levels.points(px, py)], axis=1)
     np.testing.assert_array_equal(got, expected.reshape(batch, 4, -1))
+    px, py, order = _permuted_nodes(mesh, batch)
+    got = np.stack([to_numpy(v) for v in levels.points(px, py)], axis=1)
+    flat = expected.reshape(batch, 4, -1)
+    np.testing.assert_array_equal(got, np.take_along_axis(flat, order[:, None, :], axis=2))
 
 
 # ----------------------------------------------------------------------
@@ -614,6 +630,56 @@ def _pad_pivots(pivot_lists):
         padded[b, : len(pivots)] = pivots
         valid[b, : len(pivots)] = True
     return padded, valid
+
+
+# ----------------------------------------------------------------------
+# The view's read memo
+# ----------------------------------------------------------------------
+
+
+class TestReadMemo:
+    def test_repeated_reads_scan_no_line(self, monkeypatch):
+        from repro.core import batched_patterns
+
+        _, grids, _, _, source, _, _ = _mcc_case(1)
+        levels = batch_safety_levels(grids)
+        scans = []
+        real = batched_patterns._clear_run
+
+        def spy(*args, **kwargs):
+            scans.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(batched_patterns, "_clear_run", spy)
+        first_node = levels.node(source)
+        first_lines = levels.axis_lines(source)
+        assert len(scans) == 6  # four node lines, two quadrant reductions
+        assert levels.node(source) is first_node
+        assert levels.axis_lines(source) is first_lines
+        assert len(scans) == 6
+        levels.node((source[0] + 1, source[1]))
+        assert len(scans) == 10
+
+    def test_kernels_leave_memoised_reads_intact(self):
+        """Every condition kernel, run twice on one view, leaves each
+        memoised read equal to the same read on a fresh view."""
+        mesh, grids, levels, _, source, dests, rng = _mcc_case(2)
+        region = Rect(source[0], mesh.n - 1, source[1], mesh.m - 1)
+        center = np.array(recursive_center_pivots(region, 3), dtype=np.int64).reshape(-1, 2)
+        padded, valid = _pad_pivots([random_pivots(region, 3, rng) for _ in range(len(grids))])
+        for _ in range(2):
+            batch_pattern_is_safe(levels, source, dests)
+            for allow in (False, True):
+                batch_pattern_extension1(grids, levels, source, dests, allow_sub_minimal=allow)
+            for size in (None, 1, 3):
+                batch_pattern_extension2(levels, source, dests, size, (mesh.n, mesh.m))
+            batch_pattern_extension3(grids, levels, source, dests, center)
+            batch_pattern_extension3(grids, levels, source, dests, padded, pivot_valid=valid)
+        fresh = batch_safety_levels(grids)
+        assert len(levels._reads) == 6  # the source, its four neighbours, its axis lines
+        for (name, coord), memoised in levels._reads.items():
+            for got, want in zip(memoised, getattr(fresh, name)(coord)):
+                np.testing.assert_array_equal(to_numpy(got), to_numpy(want), err_msg=name)
 
 
 # ----------------------------------------------------------------------

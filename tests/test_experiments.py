@@ -182,6 +182,14 @@ class TestShardMemo:
         assert len(draws) == shards
         assert len(oracle) == 2 * shards  # once per shard and fault model
 
+    def test_fig12_runs_each_extension_once_per_shard_and_model(self, monkeypatch):
+        ext1 = _spy(monkeypatch, figures, "batch_pattern_extension1")
+        ext2 = _spy(monkeypatch, figures, "batch_pattern_extension2")
+        ext3 = _spy(monkeypatch, figures, "batch_pattern_extension3")
+        fig12_strategies(TINY)
+        per_run = 2 * len(TINY.fault_counts)  # once per shard and fault model
+        assert (len(ext1), len(ext2), len(ext3)) == (per_run, per_run, per_run)
+
     def test_subclassed_region_misses_a_plain_entry(self, cache):
         fig9_extension1(TINY)
         fields = {name: getattr(TINY, name) for name in TINY.__dataclass_fields__}
