@@ -1,12 +1,14 @@
 """Cross-pattern batched kernels: thousands of fault patterns in lockstep.
 
 Every kernel takes stacked ``(batch, n, m)`` grids (one fault pattern per
-leading index) and computes faulty-block formation, monotone reachability,
-and the Def-3 / Extension 1-3 conditions for all patterns and their
-destinations in one array-program pass -- the Python-level per-pattern
-loop that would bound the figure sweeps disappears.  Past formation the
-kernels read only a blocked grid, so they serve either fault model: the
-experiment runner feeds them faulty blocks and type-one MCCs.  The
+leading index) and computes faulty-block formation, Definition 2's MCC
+labelling, monotone reachability, and the Def-3 / Extension 1-3
+conditions for all patterns and their destinations in one array-program
+pass -- the Python-level per-pattern loop that would bound the figure
+sweeps disappears.  Past formation the kernels read only a blocked grid,
+so they serve either fault model: the experiment runner feeds them
+faulty blocks (:func:`batch_disable_fixpoint`) and type-one MCCs (faults
+plus both :func:`batch_label_closure` labels).  The
 conditions consult the ESLs of only a few nodes (the source, its
 neighbours, its two axis lines, the pivots), so
 :class:`BatchedSafetyLevels` reads those on demand from the blocked grid
@@ -29,6 +31,7 @@ consequences shape the implementations:
 
 Element-wise equivalence with the scalar implementations
 (:func:`repro.faults.blocks.disable_fixpoint`,
+:func:`repro.faults.mcc.label_statuses`,
 :func:`repro.core.safety.compute_safety_levels`, the decision procedures in
 :mod:`repro.core.conditions` / :mod:`repro.core.extensions`, and
 :func:`repro.faults.coverage.minimal_path_exists`) is asserted bit-for-bit
@@ -50,6 +53,7 @@ from repro.mesh.geometry import Coord
 __all__ = [
     "BatchedSafetyLevels",
     "batch_disable_fixpoint",
+    "batch_label_closure",
     "batch_pattern_extension1",
     "batch_pattern_extension2",
     "batch_pattern_extension3",
@@ -91,13 +95,18 @@ def _cummax_last(xp: Any, a: Array) -> Array:
 
 
 # ----------------------------------------------------------------------
-# Faulty-block formation (Definition 1) as a batched masked iteration
+# Faulty blocks and MCC labels (Definitions 1, 2) as batched fixpoints
 # ----------------------------------------------------------------------
 
 
 def _shifted_batch(xp: Any, mask: Array, dx: int, dy: int) -> Array:
-    """``out[b, x, y] = mask[b, x + dx, y + dy]``, out-of-range reads False."""
+    """``out[b, x, y] = mask[b, x + dx, y + dy]``, out-of-range reads False.
+
+    A shift at least as long as its axis reads nothing, so it is clamped
+    to the axis length (an empty source and destination slice).
+    """
     n, m = mask.shape[-2], mask.shape[-1]
+    dx, dy = max(-n, min(dx, n)), max(-m, min(dy, m))
     out = xp.zeros_like(mask)
     xsrc = slice(max(dx, 0), n + min(dx, 0))
     xdst = slice(max(-dx, 0), n + min(-dx, 0))
@@ -125,6 +134,29 @@ def batch_disable_fixpoint(faulty: Array) -> Array:
         if not bool(xp.any(grown ^ unusable)):
             return grown
         unusable = grown
+
+
+def batch_label_closure(faulty: Array, offsets: tuple[Coord, Coord]) -> Array:
+    """One Definition 2 label over a ``(batch, n, m)`` fault stack.
+
+    ``out[b]`` is bit-identical to ``_label_closure(mesh, faulty[b],
+    offsets)`` of :mod:`repro.faults.mcc`: a fault-free node takes the
+    label when its two neighbours at ``offsets`` are both faulty or
+    already labelled, iterated to a fixpoint.  Out-of-mesh neighbours read
+    False, so mesh edges count as fault-free, as Definition 2 says.  All
+    patterns run in lockstep until none changes; the rounds equal the
+    longest label chain, a handful for scattered faults.
+    """
+    xp = array_namespace(faulty)
+    (ax, ay), (bx, by) = offsets
+    blocked = faulty
+    while True:
+        grown = blocked | (
+            _shifted_batch(xp, blocked, ax, ay) & _shifted_batch(xp, blocked, bx, by)
+        )
+        if not bool(xp.any(grown ^ blocked)):
+            return grown & ~faulty
+        blocked = grown
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,9 @@ one pattern batch (see ``docs/API.md``, "Batched pattern engine"):
   -- and their faulty blocks are formed in lockstep;
 - each fault model gets its own stacked grid and
   :class:`PatternBatchContext`: the faulty blocks for the block model,
-  Definition 2's type-one MCCs (labelled pattern by pattern with
-  :func:`~repro.faults.mcc.label_statuses`) for the MCC model;
+  Definition 2's type-one MCCs (both labels taken over the whole stack
+  in lockstep by :func:`~repro.core.batched_patterns.batch_label_closure`)
+  for the MCC model;
 - every metric's ``pattern_fn`` -- built on the cross-pattern kernels of
   :mod:`repro.core.batched_patterns` -- decides its model's whole
   ``(batch, k)`` (pattern, destination) grid in one call, on any array
@@ -50,13 +51,14 @@ from repro.core.array_api import resolve_backend, to_numpy
 from repro.core.batched_patterns import (
     BatchedSafetyLevels,
     batch_disable_fixpoint,
+    batch_label_closure,
     batch_safety_levels,
 )
 from repro.core.pivots import recursive_center_pivots
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureSeries
 from repro.faults.injection import generate_scenario, uniform_faults_batch
-from repro.faults.mcc import MCCType, NodeStatus, label_statuses
+from repro.faults.mcc import _LABEL_RULES, MCCType, NodeStatus
 from repro.mesh.geometry import Coord
 from repro.mesh.topology import Mesh2D
 from repro.parallel.cache import get_artifact_cache
@@ -302,15 +304,20 @@ def _pad_pivots(pivot_lists: list[list[Coord]]) -> tuple[np.ndarray, np.ndarray]
     return pivots, valid
 
 
-def _mcc_grids(mesh: Mesh2D, faults: np.ndarray) -> np.ndarray:
+def _mcc_grids(faults: np.ndarray) -> np.ndarray:
     """Every pattern's type-one MCC grid (Definition 2), ``(batch, n, m)``.
 
     The figures' destinations lie in quadrant I, which type-one MCCs
-    serve.  Each pattern is labelled with the scalar reference.
+    serve.  The blocked grid is the faults plus the useless and the
+    can't-reach closures, each taken over the whole stack in lockstep;
+    it equals ``label_statuses(mesh, faults[b], TYPE_ONE) != FAULT_FREE``
+    for every pattern ``b``.
     """
-    return np.stack(
-        [label_statuses(mesh, grid, MCCType.TYPE_ONE) != NodeStatus.FAULT_FREE for grid in faults]
+    useless, cant_reach = (
+        batch_label_closure(faults, _LABEL_RULES[(MCCType.TYPE_ONE, label)])
+        for label in (NodeStatus.USELESS, NodeStatus.CANT_REACH)
     )
+    return faults | useless | cant_reach
 
 
 @dataclass
@@ -335,7 +342,7 @@ def _draw_shard(config: ExperimentConfig, shard: ShardPlan, with_mcc: bool) -> _
     dests = _pick_destinations_batch(config, blocked, rngs)
     arrays = {}
     for model, pivots in zip(models, strategy):
-        grid = blocked if model == BLOCK_MODEL else _mcc_grids(config.mesh, faults)
+        grid = blocked if model == BLOCK_MODEL else _mcc_grids(faults)
         arrays[model] = (np.packbits(grid, axis=-1), *pivots)
     for array in (dests, *(array for group in arrays.values() for array in group)):
         array.flags.writeable = False

@@ -24,9 +24,12 @@ Definition 2 (type one, quadrant-I wording):
     can't-reach nodes form an MCC.*
 
 Missing neighbours at mesh edges count as fault-free, so a node on the mesh
-boundary is never labelled because of the edge alone.  Each labelling rule is
-monotone along a fixed diagonal sweep direction, so one linear pass computes
-the fixpoint exactly (verified against a naive fixpoint in the tests).
+boundary is never labelled because of the edge alone.  Each label is a
+worklist closure: it starts from the faulty cells and re-examines only the
+cells a newly blocked cell can trigger, so its cost is proportional to the
+number of blocked cells (verified against a naive fixpoint in the tests).
+This scalar labelling is the reference; the figure sweeps label whole
+pattern stacks with :func:`repro.core.batched_patterns.batch_label_closure`.
 """
 
 from __future__ import annotations

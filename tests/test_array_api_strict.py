@@ -6,7 +6,9 @@ exposes only the standard surface and *rejects* numpy-only idioms
 ndarrays, implicit ``__array__`` conversion), and
 :func:`resolve_backend` maps CLI names to namespaces with clear errors.
 
-The second runs every cross-pattern kernel end to end on strict arrays
+The second checks the shift helper behind the fixpoints, parametrised
+over shifts and shapes against a naive index loop, and runs every
+cross-pattern kernel end to end on strict arrays
 and compares against the numpy backend -- the proof that no numpy-only
 call leaks into :mod:`repro.core.batched_patterns`' portable paths.  (The
 numpy backend itself takes a ``ufunc.accumulate`` fast path; this suite is
@@ -25,7 +27,9 @@ from repro.core.array_api import (
     to_numpy,
 )
 from repro.core.batched_patterns import (
+    _shifted_batch,
     batch_disable_fixpoint,
+    batch_label_closure,
     batch_pattern_extension1,
     batch_pattern_extension2,
     batch_pattern_extension3,
@@ -35,6 +39,7 @@ from repro.core.batched_patterns import (
     batch_safety_levels,
 )
 from repro.core.safety import compute_safety_levels
+from repro.faults.mcc import _LABEL_RULES
 from repro.mesh.topology import Mesh2D
 
 XP = strict_namespace()
@@ -137,6 +142,54 @@ class TestStrictArrayRejections:
 
 
 # ----------------------------------------------------------------------
+# The shift helper, against a naive index loop
+# ----------------------------------------------------------------------
+
+
+def _naive_shift(mask: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    batch, n, m = mask.shape
+    out = np.zeros_like(mask)
+    for b in range(batch):
+        for x in range(n):
+            for y in range(m):
+                if 0 <= x + dx < n and 0 <= y + dy < m:
+                    out[b, x, y] = mask[b, x + dx, y + dy]
+    return out
+
+
+SHAPES = [(1, 1, 1), (2, 1, 7), (3, 5, 2)]
+BACKEND_WRAPPERS = {"numpy": lambda a: a, "strict": _strict}
+
+
+def _shift(backend: str, mask: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    wrapped = BACKEND_WRAPPERS[backend](mask)
+    out = _shifted_batch(array_namespace(wrapped), wrapped, dx, dy)
+    assert type(out) is type(wrapped)
+    return to_numpy(out)
+
+
+@pytest.mark.parametrize("backend", list(BACKEND_WRAPPERS))
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("dx, dy", [(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)])
+def test_shifted_batch_matches_index_loop(backend, shape, dx, dy):
+    mask = np.random.default_rng(sum(shape)).random(shape) < 0.5
+    got = _shift(backend, mask, dx, dy)
+    assert got.shape == shape and got.dtype == np.bool_
+    np.testing.assert_array_equal(got, _naive_shift(mask, dx, dy))
+
+
+@pytest.mark.parametrize("backend", list(BACKEND_WRAPPERS))
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("factor", [1, 1.5, 2, -1, -1.5, -2])
+def test_shift_at_least_the_axis_length_reads_nothing(backend, shape, axis, factor):
+    step = int(factor * shape[axis])
+    dx, dy = (step, 0) if axis == 1 else (0, step)
+    got = _shift(backend, np.ones(shape, dtype=bool), dx, dy)
+    assert got.shape == shape and not got.any()
+
+
+# ----------------------------------------------------------------------
 # Kernels under the strict namespace
 # ----------------------------------------------------------------------
 
@@ -164,6 +217,16 @@ def test_formation_strict_matches_numpy(case):
     np.testing.assert_array_equal(
         to_numpy(strict_out), to_numpy(batch_disable_fixpoint(faulty))
     )
+
+
+@pytest.mark.parametrize("rule", list(_LABEL_RULES), ids=lambda r: f"{r[0].name}-{r[1].name}")
+def test_label_closure_strict_matches_numpy(rule):
+    faulty = np.random.default_rng(5).random((12, 18, 18)) < 0.25
+    strict_out = batch_label_closure(_strict(faulty), _LABEL_RULES[rule])
+    assert isinstance(strict_out, StrictArray)
+    numpy_out = batch_label_closure(faulty, _LABEL_RULES[rule])
+    assert numpy_out.any()
+    np.testing.assert_array_equal(to_numpy(strict_out), numpy_out)
 
 
 def test_safety_levels_strict_matches_numpy(case):

@@ -17,6 +17,11 @@ oracle), pattern by pattern.  The suite asserts that promise:
   9-12), against the scalar predicates on
   ``compute_safety_levels(mcc.blocked)``.
 
+Definition 2's labelling (``batch_label_closure``) is checked against
+``_label_closure`` and ``label_statuses`` for both labels of both MCC
+types over every 4x4 pattern in one batch, thin meshes, seeded random
+32x32 stacks and the full-mesh staircase, its worst case in rounds.
+
 The generator-stream property behind the experiment engine's
 reproducibility -- ``uniform_faults_batch`` advances each generator
 exactly as the scalar ``uniform_faults`` does -- gets its own 100-seed
@@ -28,6 +33,7 @@ import pytest
 
 from repro.core.batched_patterns import (
     batch_disable_fixpoint,
+    batch_label_closure,
     batch_pattern_extension1,
     batch_pattern_extension2,
     batch_pattern_extension3,
@@ -50,7 +56,14 @@ from repro.core.strategies import Strategy, StrategyConfig, strategy_decision
 from repro.faults.blocks import disable_fixpoint
 from repro.faults.coverage import minimal_path_exists
 from repro.faults.injection import uniform_faults, uniform_faults_batch
-from repro.faults.mcc import MCCType, build_mccs
+from repro.faults.mcc import (
+    _LABEL_RULES,
+    MCCType,
+    NodeStatus,
+    _label_closure,
+    build_mccs,
+    label_statuses,
+)
 from repro.mesh.frames import Frame
 from repro.mesh.geometry import Direction, Rect
 from repro.mesh.topology import Mesh2D
@@ -557,6 +570,100 @@ class TestStackedMCCGrids:
         mask = to_numpy(batch_pattern_path_exists(grids, source, dests))
         for b, i, dest in _each_dest(dests):
             assert bool(mask[b, i]) == minimal_path_exists(grids[b], source, dest), (b, i)
+
+
+# ----------------------------------------------------------------------
+# Definition 2's MCC labels in lockstep
+# ----------------------------------------------------------------------
+
+
+LABELS = (NodeStatus.USELESS, NodeStatus.CANT_REACH)
+
+
+def _batch_statuses(faulty: np.ndarray, mcc_type: MCCType) -> np.ndarray:
+    """The ``label_statuses`` stack rebuilt from the batched closures: a
+    node in both closures reports USELESS."""
+    useless, cant_reach = (
+        to_numpy(batch_label_closure(faulty, _LABEL_RULES[(mcc_type, label)]))
+        for label in LABELS
+    )
+    status = np.zeros(faulty.shape, dtype=np.int8)
+    status[faulty] = NodeStatus.FAULTY
+    status[useless] = NodeStatus.USELESS
+    status[cant_reach & ~useless] = NodeStatus.CANT_REACH
+    return status
+
+
+def _assert_labels_match_scalar(faulty: np.ndarray, mcc_type: MCCType) -> None:
+    """Both labels equal ``_label_closure`` and the rebuilt status grid
+    equals ``label_statuses``, pattern by pattern; for type one, so does
+    the experiment runner's blocked MCC grid."""
+    from repro.experiments.runner import _mcc_grids
+
+    mesh = Mesh2D(*faulty.shape[1:])
+    for label in LABELS:
+        offsets = _LABEL_RULES[(mcc_type, label)]
+        expected = np.stack([_label_closure(mesh, grid, offsets) for grid in faulty])
+        got = to_numpy(batch_label_closure(faulty, offsets))
+        np.testing.assert_array_equal(got, expected, err_msg=str(label))
+    expected = np.stack([label_statuses(mesh, grid, mcc_type) for grid in faulty])
+    np.testing.assert_array_equal(_batch_statuses(faulty, mcc_type), expected)
+    if mcc_type is MCCType.TYPE_ONE:
+        # The figure series cannot see can't-reach nodes (the goldens pass
+        # without them), so the runner's grid is pinned here.
+        np.testing.assert_array_equal(_mcc_grids(faulty), expected != NodeStatus.FAULT_FREE)
+
+
+def _staircase(n: int, m: int) -> np.ndarray:
+    """Faults on the top row and the east column: every other node is
+    type-one useless, one anti-diagonal per round."""
+    faulty = np.zeros((1, n, m), dtype=bool)
+    faulty[0, :, m - 1] = True
+    faulty[0, n - 1, :] = True
+    return faulty
+
+
+@pytest.mark.parametrize("mcc_type", list(MCCType), ids=lambda t: t.name.lower())
+class TestMCCLabels:
+    def test_every_4x4_pattern_in_one_batch(self, mcc_type):
+        _assert_labels_match_scalar(_all_4x4_patterns(), mcc_type)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 5)])
+    def test_thin_meshes(self, mcc_type, shape):
+        faulty = np.random.default_rng(sum(shape)).random((40,) + shape) < 0.4
+        _assert_labels_match_scalar(faulty, mcc_type)
+
+    @pytest.mark.parametrize("density", [0.05, 0.15, 0.3])
+    def test_random_32x32_stacks(self, mcc_type, density):
+        faulty = np.random.default_rng(int(density * 100)).random((12, SIDE, SIDE)) < density
+        _assert_labels_match_scalar(faulty, mcc_type)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (5, 9), (9, 5), (32, 32)])
+    def test_full_mesh_staircase(self, mcc_type, shape):
+        # Stacked over a fault-free pattern, which is done after one round
+        # but must come out unchanged from the lockstep rounds.
+        faulty = np.concatenate([_staircase(*shape), np.zeros((1,) + shape, dtype=bool)])
+        _assert_labels_match_scalar(faulty, mcc_type)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (5, 9), (9, 5), (32, 32)])
+def test_staircase_labels_every_node_in_n_plus_m_minus_2_rounds(monkeypatch, shape):
+    from repro.core import batched_patterns
+
+    shifts = []
+    real = batched_patterns._shifted_batch
+
+    def spy(*args):
+        shifts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(batched_patterns, "_shifted_batch", spy)
+    faulty = _staircase(*shape)
+    offsets = _LABEL_RULES[(MCCType.TYPE_ONE, NodeStatus.USELESS)]
+    useless = to_numpy(batch_label_closure(faulty, offsets))
+    np.testing.assert_array_equal(useless, ~faulty)
+    n, m = shape
+    assert len(shifts) == 2 * (n + m - 2)  # two shifted reads per round
 
 
 # ----------------------------------------------------------------------

@@ -172,13 +172,13 @@ class TestShardMemo:
             yield cache
 
     def test_fig10_after_fig9_reuses_draws_and_existence(self, monkeypatch):
-        labels = _spy(monkeypatch, runner, "label_statuses")
+        labels = _spy(monkeypatch, runner, "batch_label_closure")
         draws = _spy(monkeypatch, runner, "_generate_pattern_grids")
         oracle = _spy(monkeypatch, figures, "batch_pattern_path_exists")
         fig9_extension1(TINY)
         fig10_extension2(TINY)
         shards = len(TINY.fault_counts)
-        assert len(labels) == TINY.patterns_per_count * shards
+        assert len(labels) == 2 * shards  # once per shard and label
         assert len(draws) == shards
         assert len(oracle) == 2 * shards  # once per shard and fault model
 
