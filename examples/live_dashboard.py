@@ -4,9 +4,10 @@ A chaos run normally reports only its final verdict.  This example
 attaches an ``Observatory`` so the run streams per-tick health series
 into a ring-buffer TSDB while it executes:
 
-- a ``MetricsServer`` exposes the live store over HTTP (``/metrics`` in
+- a ``TelemetryApp`` exposes the live store over HTTP (``/metrics`` in
   Prometheus text format, ``/series.json``, ``/healthz``) the whole
-  time the simulation runs;
+  time the simulation runs on a worker thread, driven by ``run_app``
+  (the same listener and driver behind ``repro serve-metrics``);
 - the default alert rules watch the series (convergence deadline,
   live-retry storms, queue runaway, drop-rate SLO) and any firing lands
   in the chaos report;
@@ -16,6 +17,7 @@ into a ring-buffer TSDB while it executes:
 Run:  python examples/live_dashboard.py [seed]
 """
 
+import asyncio
 import sys
 import urllib.request
 
@@ -24,7 +26,7 @@ import numpy as np
 from repro.chaos import ChannelFaultPlan, ChaosSchedule, verify_convergence
 from repro.faults.injection import uniform_faults
 from repro.mesh.topology import Mesh2D
-from repro.obs import Dashboard, MetricsServer, Observatory
+from repro.obs import Dashboard, Observatory, TelemetryApp, run_app
 
 
 def main(seed: int = 7) -> None:
@@ -38,16 +40,27 @@ def main(seed: int = 7) -> None:
 
     # -- 1. Run the chaos workload under a live observatory -----------
     observatory = Observatory()  # default alert rules, 512-point series
-    with MetricsServer(observatory=observatory) as server:
-        print(f"scrape endpoint up at {server.url('/metrics')}")
-        report = verify_convergence(
-            mesh, faults, plan, schedule, seed=seed, observatory=observatory
+    app = TelemetryApp(observatory=observatory)
+    scraped = {}
+
+    def fetch(path: str) -> str:
+        with urllib.request.urlopen(app.url(path), timeout=5) as rsp:
+            return rsp.read().decode("utf-8")
+
+    async def work(stop: asyncio.Event) -> None:
+        print(f"scrape endpoint up at {app.url('/metrics')}")
+        scraped["report"] = await asyncio.to_thread(
+            verify_convergence,
+            mesh, faults, plan, schedule, seed=seed, observatory=observatory,
         )
-        # The server is still live: scrape the finished run's metrics.
-        with urllib.request.urlopen(server.url("/metrics"), timeout=5) as rsp:
-            exposition = rsp.read().decode("utf-8")
-        with urllib.request.urlopen(server.url("/healthz"), timeout=5) as rsp:
-            health = rsp.read().decode("utf-8")
+        # The listener is still live: scrape the finished run's metrics.
+        scraped["metrics"] = await asyncio.to_thread(fetch, "/metrics")
+        scraped["healthz"] = await asyncio.to_thread(fetch, "/healthz")
+
+    asyncio.run(run_app(app, work=work))
+    report, exposition, health = (
+        scraped["report"], scraped["metrics"], scraped["healthz"]
+    )
 
     live = [s for s in exposition.splitlines() if s.startswith("repro_live_sample")]
     print(f"scraped {len(live)} live series samples; healthz: {health}\n")

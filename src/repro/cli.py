@@ -1035,12 +1035,14 @@ def _cmd_top(args, out: Callable[[str], None]) -> int:
 
 
 def _cmd_serve_metrics(args, out: Callable[[str], None]) -> int:
-    import contextlib
-    import signal
-    import threading
+    import asyncio
+    import json
 
     from repro.chaos import verify_convergence
-    from repro.obs import MetricsServer, MetricsSink, Observatory, Tracer, use_tracer
+    from repro.obs import (
+        MetricsSink, Observatory, TelemetryApp, Tracer, atomic_write_text, run_app,
+        use_tracer,
+    )
 
     if args.linger < 0:
         out(f"error: --linger must be >= 0, got {args.linger}")
@@ -1053,81 +1055,66 @@ def _cmd_serve_metrics(args, out: Callable[[str], None]) -> int:
         return 2
     mesh, faults, plan, schedule = ingredients
 
-    # Graceful shutdown: SIGTERM/SIGINT during the linger flips /readyz
-    # to 503 and ends the wait early; the drain below bounds in-flight
-    # scrapes and the verb still exits 0 (an operator stop is not a
-    # failure).  Signal handlers only install on the main thread --
-    # elsewhere (tests driving main() from a worker) the linger simply
-    # runs its full course.
-    stop = threading.Event()
-
-    @contextlib.contextmanager
-    def _graceful_signals():
-        previous = {}
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                previous[sig] = signal.signal(sig, lambda *_: stop.set())
-            except ValueError:
-                pass
-        try:
-            yield
-        finally:
-            for sig, handler in previous.items():
-                signal.signal(sig, handler)
-
     # The metrics sink doubles as a tracer sink (protocol message
     # families on /metrics) and the sampler's per-kind message source.
     metrics = MetricsSink()
     observatory = Observatory(metrics=metrics)
     tracer = Tracer(metrics)
+    app = TelemetryApp(
+        observatory=observatory, metrics=metrics,
+        host=args.host, port=args.port, grace_s=args.grace,
+    )
     status = 0
-    try:
-        server = MetricsServer(
-            observatory=observatory, metrics=metrics,
-            host=args.host, port=args.port,
-        )
-        with _graceful_signals():
-            server.start()
-            try:
-                out(
-                    f"serving {server.url('/metrics')} "
-                    "(also /series.json, /healthz, /readyz)"
+
+    def _verify():
+        try:
+            with use_tracer(tracer):
+                return verify_convergence(
+                    mesh, faults, plan, schedule,
+                    stabilize_rounds=args.pulses, seed=args.chaos_seed,
+                    observatory=observatory, maintenance=args.maintenance,
                 )
-                try:
-                    with use_tracer(tracer):
-                        report = verify_convergence(
-                            mesh, faults, plan, schedule,
-                            stabilize_rounds=args.pulses, seed=args.chaos_seed,
-                            observatory=observatory, maintenance=args.maintenance,
-                        )
-                finally:
-                    tracer.close()
-                out(report.summary())
-                if not report.ok:
-                    status = 1
-                if args.fail_on_alerts and report.alerts:
-                    fired = ", ".join(sorted({alert.rule for alert in report.alerts}))
-                    out(f"FAIL: {len(report.alerts)} alert(s) fired: {fired}")
-                    status = 1
-                if args.linger > 0 and not stop.is_set():
-                    out(f"lingering {args.linger:g}s for scrapers")
-                    stop.wait(args.linger)
-                if stop.is_set():
-                    server.mark_draining()
-                    out("shutdown requested: /readyz now 503, draining")
-                if args.push is not None:
-                    server.write_metrics(args.push)
-                    out(f"wrote {args.push}")
-                if args.series_out is not None:
-                    server.write_series(args.series_out)
-                    out(f"wrote {args.series_out}")
-            finally:
-                drained = server.drain(grace=args.grace)
-                if not drained:
-                    out(f"drain grace ({args.grace:g}s) expired with scrapes in flight")
+        finally:
+            tracer.close()
+
+    # The run goes to a worker thread so the loop keeps answering
+    # scrapes.  SIGTERM/SIGINT set ``stop``: they end the linger early,
+    # and run_app then flips /readyz to 503 and drains within --grace;
+    # the verb still exits 0 (an operator stop is not a failure).
+    async def _work(stop: asyncio.Event) -> None:
+        nonlocal status
+        out(f"serving {app.url('/metrics')} (also /series.json, /healthz, /readyz)")
+        report = await asyncio.to_thread(_verify)
+        out(report.summary())
+        if not report.ok:
+            status = 1
+        if args.fail_on_alerts and report.alerts:
+            fired = ", ".join(sorted({alert.rule for alert in report.alerts}))
+            out(f"FAIL: {len(report.alerts)} alert(s) fired: {fired}")
+            status = 1
+        if args.linger > 0 and not stop.is_set():
+            out(f"lingering {args.linger:g}s for scrapers")
+            try:
+                await asyncio.wait_for(stop.wait(), args.linger)
+            except asyncio.TimeoutError:
+                pass
+        if stop.is_set():
+            out("shutdown requested: /readyz now 503, draining")
+        if args.push is not None:
+            atomic_write_text(args.push, app.render_metrics())
+            out(f"wrote {args.push}")
+        if args.series_out is not None:
+            body = json.dumps(app.series_json(), indent=2, sort_keys=True) + "\n"
+            atomic_write_text(args.series_out, body)
+            out(f"wrote {args.series_out}")
+
+    try:
+        drained = asyncio.run(run_app(app, work=_work))
     except OSError as error:
         out(f"error: {error}")
         return 1
+    if not drained:
+        out(f"drain grace ({args.grace:g}s) expired with scrapes in flight")
     return status
 
 
@@ -1182,57 +1169,49 @@ def _cmd_serve(args, out: Callable[[str], None]) -> int:
             forbidden=set(faults) | {mesh.center},
         )
 
-    async def _main() -> int:
-        churn_task = None
-
-        def on_ready(ready_app: ServeApp) -> None:
-            nonlocal churn_task
-            out(
-                f"serving {ready_app.url('/query')} "
-                "(also /fault, /healthz, /readyz, /metrics)"
-            )
-            out(
-                f"{mesh}: {len(faults)} faults at generation 0; "
-                f"queue={args.queue_limit} workers={args.workers} "
-                f"deadline={args.deadline_ms:g}ms max-staleness={args.max_staleness}"
-            )
-            if schedule is not None:
-                out(
-                    f"background churn: {len(schedule)} chaos events every "
-                    f"{args.event_interval:g}s"
-                )
-
-                async def _churn() -> None:
-                    for event in schedule:
-                        await asyncio.sleep(args.event_interval)
-                        try:
-                            pipeline.ingest_fault(event.action, event.coord)
-                        except ValueError:
-                            pass  # absorbed by block formation already
-
-                churn_task = asyncio.create_task(_churn())
-
-        try:
-            status = await run_app(app, ttl_s=args.ttl, on_ready=on_ready)
-        finally:
-            if churn_task is not None:
-                churn_task.cancel()
-        stats = pipeline.stats()
-        counters = stats["counters"]
+    # Background churn stops with the service: SIGTERM/SIGINT set
+    # ``stop``, and --ttl cancels this coroutine.
+    async def _serve(stop: asyncio.Event) -> None:
         out(
-            f"drained: {counters.get('served', 0)} served, "
-            f"{counters.get('shed_overload', 0) + counters.get('shed_deadline', 0)} shed, "
-            f"{counters.get('degraded', 0)} degraded, "
-            f"{counters.get('faults_ingested', 0)} fault events, "
-            f"generation {service.generation}"
+            f"serving {app.url('/query')} "
+            "(also /fault, /healthz, /readyz, /metrics)"
         )
-        return status
+        out(
+            f"{mesh}: {len(faults)} faults at generation 0; "
+            f"queue={args.queue_limit} workers={args.workers} "
+            f"deadline={args.deadline_ms:g}ms max-staleness={args.max_staleness}"
+        )
+        if schedule is not None:
+            out(
+                f"background churn: {len(schedule)} chaos events every "
+                f"{args.event_interval:g}s"
+            )
+        for event in schedule or ():
+            try:
+                await asyncio.wait_for(stop.wait(), args.event_interval)
+                return
+            except asyncio.TimeoutError:
+                pass
+            try:
+                pipeline.ingest_fault(event.action, event.coord)
+            except ValueError:
+                pass  # absorbed by block formation already
+        await stop.wait()
 
     try:
-        return asyncio.run(_main())
+        asyncio.run(run_app(app, ttl_s=args.ttl, work=_serve))
     except OSError as error:
         out(f"error: {error}")
         return 1
+    counters = pipeline.stats()["counters"]
+    out(
+        f"drained: {counters.get('served', 0)} served, "
+        f"{counters.get('shed_overload', 0) + counters.get('shed_deadline', 0)} shed, "
+        f"{counters.get('degraded', 0)} degraded, "
+        f"{counters.get('faults_ingested', 0)} fault events, "
+        f"generation {service.generation}"
+    )
+    return 0
 
 
 def _cmd_replay(args, out: Callable[[str], None]) -> int:

@@ -55,9 +55,10 @@ realtime (``repro top`` / ``repro serve-metrics``):
   evaluated per tick (convergence stall, retransmit storm, queue
   runaway, drop-rate SLO), latched into :class:`Alert` firings that land
   in chaos reports;
-- :mod:`repro.obs.server` -- a background-thread HTTP exporter
-  (``/metrics``, ``/series.json``, ``/healthz``) plus atomic
-  push-to-file for headless CI;
+- :mod:`repro.obs.server` -- the one asyncio HTTP listener
+  (:class:`HttpApp`, driven by :func:`run_app`) and its telemetry routes
+  (:class:`TelemetryApp`: ``/metrics``, ``/series.json``, ``/healthz``,
+  ``/readyz``), plus atomic push-to-file for headless CI;
 - :mod:`repro.obs.dashboard` -- the ANSI sparkline panel behind
   ``repro top``.
 """
@@ -112,7 +113,7 @@ from repro.obs.prometheus import (
     render_prometheus,
     render_timeseries,
 )
-from repro.obs.server import MetricsServer, atomic_write_text
+from repro.obs.server import HttpApp, TelemetryApp, atomic_write_text, run_app
 from repro.obs.sinks import (
     JsonlDecodeError,
     JsonlSink,
@@ -148,9 +149,9 @@ __all__ = [
     "EVENT_KINDS",
     "FlightRecorder",
     "Histogram",
+    "HttpApp",
     "JsonlDecodeError",
     "JsonlSink",
-    "MetricsServer",
     "MetricsSink",
     "NULL_PROFILER",
     "NULL_TRACER",
@@ -168,6 +169,7 @@ __all__ = [
     "Sink",
     "StallRule",
     "StateSnapshot",
+    "TelemetryApp",
     "ThresholdRule",
     "TickSampler",
     "TimeSeries",
@@ -197,6 +199,7 @@ __all__ = [
     "replay_events",
     "replay_recording",
     "retransmit_storm",
+    "run_app",
     "set_observatory",
     "set_profiler",
     "set_tracer",

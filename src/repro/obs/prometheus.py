@@ -35,8 +35,9 @@ metric                                source
 
 The ``live``/``alert`` families come from :func:`render_timeseries` (a
 :class:`~repro.obs.timeseries.SampleStore` plus optional
-:class:`~repro.obs.alerts.AlertEngine`); the metrics server concatenates
-them after the snapshot families on every ``/metrics`` scrape.
+:class:`~repro.obs.alerts.AlertEngine`); :class:`~repro.obs.server.TelemetryApp`
+concatenates them after the snapshot families on every ``/metrics``
+scrape.
 """
 
 from __future__ import annotations

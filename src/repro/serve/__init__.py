@@ -14,15 +14,18 @@ observable response instead of a collapse.
 - :mod:`repro.serve.pipeline` -- :class:`QueryPipeline`: bounded-queue
   admission control, per-request deadline budgets, exponential-backoff
   retry for transiently-stale snapshots, heartbeat-fed breaker;
-- :mod:`repro.serve.http` -- :class:`ServeApp`: the asyncio HTTP front
-  end (``/query``, ``/fault``, ``/healthz``, ``/readyz``, ``/metrics``)
-  with SIGTERM/SIGINT graceful drain;
+- :mod:`repro.serve.http` -- :class:`ServeApp`: the service's routes
+  (``/query``, ``/fault``, ``/healthz``, ``/readyz``, ``/metrics``) on
+  the one asyncio listener, :class:`~repro.obs.server.HttpApp`, that
+  ``repro serve-metrics`` also runs on; :func:`run_app` serves it until
+  SIGTERM/SIGINT and drains gracefully;
 - :mod:`repro.serve.loadgen` -- :func:`run_qps_sweep`: the closed-loop
   QPS-ramp-under-chaos generator behind the ``serve.qps_sweep`` bench
   workload and its CI latency gate.
 """
 
-from repro.serve.http import ServeApp, run_app
+from repro.obs.server import run_app
+from repro.serve.http import ServeApp
 from repro.serve.loadgen import run_qps_sweep
 from repro.serve.pipeline import QueryPipeline, QueryRequest, QueryResult
 from repro.serve.service import (

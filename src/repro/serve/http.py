@@ -1,16 +1,18 @@
 """Asyncio HTTP front end for the routing service (``repro serve``).
 
-A deliberately small HTTP/1.1 server over ``asyncio.start_server`` --
-stdlib only, one request per connection -- exposing:
+:class:`ServeApp` is the routing service's route table on the shared
+:class:`~repro.obs.server.HttpApp` listener (one request per
+connection, stdlib only):
 
 - ``GET /query?source=x,y&dest=x,y[&model=block|mcc][&path=0]`` -- one
   routability answer.  Status mirrors the pipeline's overload
   semantics: 200 ``ok``, 400 ``bad_request``, 429 ``overloaded`` (shed
   at admission), 503 while draining, 504 ``deadline_exceeded``.
-- ``POST /fault?event=crash|revive&coord=x,y`` -- fault ingestion
-  through the incremental engine; 200 with the
-  :class:`~repro.faults.incremental.UpdateReport`, 409 when the event
-  does not apply (node already faulty / not faulty).
+- ``POST /fault?event=crash|inject|revive&coord=x,y`` -- fault
+  ingestion through the incremental engine; 200 with the
+  :class:`~repro.faults.incremental.UpdateReport`, 400 for a malformed
+  event or a coordinate outside the mesh, 409 when the event does not
+  apply (node already faulty / not faulty).
 - ``GET /healthz`` -- liveness + breaker state (always 200 while the
   process serves; ``status`` flips to ``degraded`` when the breaker is
   open).
@@ -20,24 +22,21 @@ stdlib only, one request per connection -- exposing:
   queue/breaker gauges, built with
   :class:`~repro.obs.prometheus.ExpositionWriter`.
 
-Graceful shutdown (:func:`run_app` wires SIGTERM/SIGINT): flip
-``/readyz`` to 503, stop accepting connections, drain the pipeline
-within a bounded grace period, exit 0.
+Graceful shutdown (:func:`~repro.obs.server.run_app` wires
+SIGTERM/SIGINT): flip ``/readyz`` to 503, drain the pipeline within a
+bounded grace period, close the listener, exit 0.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
-import signal
 from typing import Any, Callable
-from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.prometheus import ExpositionWriter
+from repro.obs.server import PROMETHEUS_TYPE, HttpApp, Response, json_response
 from repro.serve.pipeline import QueryPipeline
 from repro.serve.service import RoutingService
 
-__all__ = ["ServeApp", "run_app"]
+__all__ = ["ServeApp"]
 
 _STATUS_BY_RESULT = {
     "ok": 200,
@@ -46,12 +45,7 @@ _STATUS_BY_RESULT = {
     "deadline_exceeded": 504,
     "error": 500,
 }
-
-_REASONS = {
-    200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
-    409: "Conflict", 429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable", 504: "Gateway Timeout",
-}
+_EVENTS = ("crash", "inject", "revive")
 
 
 def _parse_coord(text: str) -> tuple[int, int]:
@@ -59,187 +53,97 @@ def _parse_coord(text: str) -> tuple[int, int]:
     return (int(x), int(y))
 
 
-class ServeApp:
+def _param(
+    query: dict[str, list[str]], name: str, parse: Callable[[str], Any],
+    default: Any = None,
+) -> Any:
+    values = query.get(name)
+    if not values:
+        if default is not None:
+            return default
+        raise ValueError(f"missing required parameter {name!r}")
+    try:
+        return parse(values[-1])
+    except (ValueError, TypeError):
+        raise ValueError(f"malformed parameter {name}={values[-1]!r}") from None
+
+
+def _bad_request(error: str) -> Response:
+    return json_response(400, {"status": "bad_request", "error": error})
+
+
+_DRAINING = json_response(503, {"status": "overloaded", "error": "draining"})
+
+
+class ServeApp(HttpApp):
     """The served endpoints bound to one service + pipeline pair."""
 
     def __init__(
-        self,
-        service: RoutingService,
-        pipeline: QueryPipeline,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        grace_s: float = 5.0,
-        notice_s: float = 0.0,
+        self, service: RoutingService, pipeline: QueryPipeline, **listener: Any
     ):
+        super().__init__(**listener)
         self.service = service
         self.pipeline = pipeline
-        self.host = host
-        self.port = port
-        self.grace_s = grace_s
-        self.notice_s = notice_s
-        self.ready = False
-        self.requests = 0
-        self._server: asyncio.AbstractServer | None = None
+        self.routes = {
+            "/query": ("GET", self._query),
+            "/fault": ("POST", self._fault),
+            "/healthz": ("GET", self._healthz),
+            "/readyz": ("GET", self._readyz),
+            "/metrics": ("GET", self._metrics),
+        }
 
-    # -- lifecycle -----------------------------------------------------
     async def start(self) -> "ServeApp":
         await self.pipeline.start()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
-        )
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
-        self.ready = True
+        await super().start()
         return self
 
-    async def shutdown(self) -> bool:
-        """Graceful: unready first, then drain, then close the listener.
+    async def drain(self, grace_s: float) -> bool:
+        return await self.pipeline.drain(grace_s)
 
-        The listener stays open while draining so pollers observe the
-        ``/readyz`` 503 (the whole point of readiness); queries shed
-        with ``draining`` during the window.  ``notice_s`` holds that
-        window open even when the backlog is empty, giving load
-        balancers time to stop routing before the listener goes away.
-        Returns True when the backlog drained within the grace period.
-        """
-        self.ready = False
-        self.pipeline.accepting = False
-        if self.notice_s > 0:
-            await asyncio.sleep(self.notice_s)
-        drained = await self.pipeline.drain(self.grace_s)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        return drained
+    def readiness(self) -> dict[str, Any]:
+        depth = self.pipeline.stats()["queue_depth"]
+        return {**super().readiness(), "queue_depth": depth}
 
-    def url(self, path: str = "/query") -> str:
-        return f"http://{self.host}:{self.port}{path}"
-
-    # -- request handling ----------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
-            if len(parts) != 3:
-                return
-            method, target = parts[0], parts[1]
-            content_length = 0
-            while True:  # drain headers; we only need Content-Length
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    content_length = int(value.strip() or 0)
-            if content_length:
-                await reader.readexactly(content_length)
-            self.requests += 1
-            code, body, content_type = await self._dispatch(method, target)
-            reason = _REASONS.get(code, "Unknown")
-            head = (
-                f"HTTP/1.1 {code} {reason}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n"
-            )
-            writer.write(head.encode("latin-1") + body)
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away; nothing to answer
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _dispatch(self, method: str, target: str) -> tuple[int, bytes, str]:
-        split = urlsplit(target)
-        path = split.path
-        query = parse_qs(split.query)
-        if path == "/query":
-            return await self._query(method, query)
-        if path == "/fault":
-            return self._fault(method, query)
-        if path == "/healthz":
-            return self._json(200, self._healthz_body())
-        if path == "/readyz":
-            return self._readyz()
-        if path == "/metrics":
-            return 200, self.render_metrics().encode("utf-8"), \
-                "text/plain; version=0.0.4; charset=utf-8"
-        return self._json(404, {
-            "error": f"unknown path {path!r}",
-            "paths": ["/query", "/fault", "/healthz", "/readyz", "/metrics"],
-        })
-
-    @staticmethod
-    def _json(code: int, body: dict[str, Any]) -> tuple[int, bytes, str]:
-        return code, json.dumps(body, sort_keys=True).encode("utf-8"), \
-            "application/json"
-
-    @staticmethod
-    def _param(
-        query: dict[str, list[str]], name: str, parse: Callable[[str], Any],
-        default: Any = None,
-    ) -> Any:
-        values = query.get(name)
-        if not values:
-            if default is not None:
-                return default
-            raise ValueError(f"missing required parameter {name!r}")
-        try:
-            return parse(values[-1])
-        except (ValueError, TypeError):
-            raise ValueError(f"malformed parameter {name}={values[-1]!r}") from None
-
-    async def _query(
-        self, method: str, query: dict[str, list[str]]
-    ) -> tuple[int, bytes, str]:
-        if method != "GET":
-            return self._json(405, {"error": "use GET /query"})
+    # -- routes --------------------------------------------------------
+    async def _query(self, query: dict[str, list[str]]) -> Response:
         if not self.ready:
-            return self._json(503, {"status": "overloaded", "error": "draining"})
+            return _DRAINING
         try:
-            source = self._param(query, "source", _parse_coord)
-            dest = self._param(query, "dest", _parse_coord)
-            model = self._param(query, "model", str, default="block")
-            want_path = bool(self._param(query, "path", int, default=1))
-            deadline_ms = self._param(query, "deadline_ms", float, default=0.0)
+            source = _param(query, "source", _parse_coord)
+            dest = _param(query, "dest", _parse_coord)
+            model = _param(query, "model", str, default="block")
+            want_path = bool(_param(query, "path", int, default=1))
+            deadline_ms = _param(query, "deadline_ms", float, default=0.0)
         except ValueError as error:
-            return self._json(400, {"status": "bad_request", "error": str(error)})
+            return _bad_request(str(error))
         result = await self.pipeline.submit(
             source, dest, model=model, want_path=want_path,
             deadline_s=deadline_ms / 1e3 if deadline_ms > 0 else None,
         )
-        return self._json(_STATUS_BY_RESULT.get(result.status, 500), result.jsonable())
+        code = _STATUS_BY_RESULT.get(result.status, 500)
+        return json_response(code, result.jsonable())
 
-    def _fault(self, method: str, query: dict[str, list[str]]) -> tuple[int, bytes, str]:
-        if method != "POST":
-            return self._json(405, {"error": "use POST /fault"})
+    async def _fault(self, query: dict[str, list[str]]) -> Response:
         if not self.ready:
-            return self._json(503, {"status": "overloaded", "error": "draining"})
+            return _DRAINING
         try:
-            event = self._param(query, "event", str)
-            coord = self._param(query, "coord", _parse_coord)
+            event = _param(query, "event", str)
+            coord = _param(query, "coord", _parse_coord)
         except ValueError as error:
-            return self._json(400, {"status": "bad_request", "error": str(error)})
-        if event not in ("crash", "inject", "revive"):
-            return self._json(400, {
-                "status": "bad_request",
-                "error": f"unknown event {event!r} (use crash or revive)",
-            })
+            return _bad_request(str(error))
+        if event not in _EVENTS:
+            return _bad_request(f"unknown event {event!r} (use {', '.join(_EVENTS)})")
+        mesh = self.service.mesh
+        if not mesh.in_bounds(coord):
+            return _bad_request(f"{coord} is outside the {mesh.n}x{mesh.m} mesh")
         try:
             report = self.pipeline.ingest_fault(event, coord)
         except ValueError as error:
             # Inapplicable, not malformed: e.g. crashing an already-faulty
             # node.  409 so blind retries don't read as client bugs.
-            return self._json(409, {"status": "conflict", "error": str(error)})
+            return json_response(409, {"status": "conflict", "error": str(error)})
         rect = report.affected_rect
-        return self._json(200, {
+        return json_response(200, {
             "status": "ok",
             "event": report.event,
             "coord": list(report.coord),
@@ -250,23 +154,18 @@ class ServeApp:
             "full_rebuild": report.full_rebuild,
         })
 
-    def _healthz_body(self) -> dict[str, Any]:
+    async def _healthz(self, query: dict[str, list[str]]) -> Response:
         breaker = self.pipeline.breaker.state()
-        return {
+        return json_response(200, {
             "status": "degraded" if breaker["open"] else "ok",
             "breaker": breaker,
             "generation": self.service.generation,
             "staleness": self.service.staleness(),
             "requests": self.requests,
-        }
+        })
 
-    def _readyz(self) -> tuple[int, bytes, str]:
-        body = {
-            "status": "ready" if self.ready else "draining",
-            "ready": self.ready,
-            "queue_depth": self.pipeline.stats()["queue_depth"],
-        }
-        return self._json(200 if self.ready else 503, body)
+    async def _metrics(self, query: dict[str, list[str]]) -> Response:
+        return 200, self.render_metrics().encode("utf-8"), PROMETHEUS_TYPE
 
     def render_metrics(self) -> str:
         """Prometheus text for the serve layer (``repro_serve_*``)."""
@@ -314,47 +213,3 @@ class ServeApp:
                  "Current fault-engine generation.",
                  stats["service"]["generation"])
         return w.text()
-
-
-async def run_app(
-    app: ServeApp,
-    *,
-    ttl_s: float | None = None,
-    install_signals: bool = True,
-    on_ready: Callable[[ServeApp], None] | None = None,
-) -> int:
-    """Serve until SIGTERM/SIGINT (or ``ttl_s``), then drain and exit 0.
-
-    The exit code is 0 for every *graceful* path -- including a drain
-    that had to abandon stragglers after the grace period (shutdown is
-    best-effort by design; the abandoned requests were already answered
-    ``overloaded``-style by cancellation).
-    """
-    await app.start()
-    if on_ready is not None:
-        on_ready(app)
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    installed: list[signal.Signals] = []
-    if install_signals:
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-                installed.append(sig)
-            except (NotImplementedError, RuntimeError):
-                pass  # non-main thread or unsupported platform
-    ttl_task = None
-    if ttl_s is not None:
-        async def _ttl() -> None:
-            await asyncio.sleep(ttl_s)
-            stop.set()
-        ttl_task = asyncio.create_task(_ttl())
-    try:
-        await stop.wait()
-    finally:
-        if ttl_task is not None:
-            ttl_task.cancel()
-        for sig in installed:
-            loop.remove_signal_handler(sig)
-        await app.shutdown()
-    return 0

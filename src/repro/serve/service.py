@@ -238,9 +238,9 @@ class RoutingService:
     :meth:`refresh` serialize on an internal lock); any number of
     readers (:meth:`answer`) race freely against them, because readers
     only ever dereference the published snapshot.  The asyncio pipeline
-    runs everything on one loop anyway; the lock makes the service safe
-    to drive from the threaded :class:`~repro.obs.server.MetricsServer`
-    handlers too.
+    runs everything on one loop anyway; the lock keeps the service safe
+    to drive from other threads too (a library caller, or a worker
+    thread beside the loop).
     """
 
     def __init__(

@@ -250,6 +250,43 @@ class TestServeMetricsVerb:
         assert code == 2
         assert "--grace" in output
 
+    def test_sigterm_during_linger_drains_and_exits_zero(self):
+        import os
+        import pathlib
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        process = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve-metrics",
+             "--side", "10", "--faults", "4", "--seed", "3",
+             "--loss", "0.05", "--events", "4", "--linger", "30"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        try:
+            lines = []
+            for line in process.stdout:
+                lines.append(line)
+                if "serving http://" in line:
+                    break
+            assert any("serving http://" in line for line in lines), lines
+            process.send_signal(signal.SIGTERM)
+            started = time.monotonic()
+            output, _ = process.communicate(timeout=10)
+            elapsed = time.monotonic() - started
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert process.returncode == 0, output
+        assert "shutdown requested" in output
+        assert elapsed < 10
+
 
 class TestServeVerb:
     def test_ttl_run_serves_and_drains(self):

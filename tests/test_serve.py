@@ -389,6 +389,12 @@ class TestServeApp:
                     host, port, "/fault?event=crash&coord=6,6", method="POST")
                 results["conflict"] = await self._get(
                     host, port, "/fault?event=crash&coord=6,6", method="POST")
+                results["outside"] = await self._get(
+                    host, port, "/fault?event=crash&coord=99,99", method="POST")
+                results["unknown_event"] = await self._get(
+                    host, port, "/fault?event=melt&coord=6,6", method="POST")
+                results["wrong_method"] = await self._get(
+                    host, port, "/fault?event=crash&coord=6,6")
                 results["healthz"] = await self._get(host, port, "/healthz")
                 results["metrics"] = await self._get(host, port, "/metrics")
                 results["missing"] = await self._get(host, port, "/nope")
@@ -409,6 +415,14 @@ class TestServeApp:
         fault = json.loads(results["fault"][1])
         assert results["fault"][0] == 200 and fault["generation"] == 1
         assert results["conflict"][0] == 409
+        outside = json.loads(results["outside"][1])
+        assert results["outside"][0] == 400
+        assert outside["status"] == "bad_request"
+        assert "outside the 12x12 mesh" in outside["error"]
+        unknown = json.loads(results["unknown_event"][1])
+        assert results["unknown_event"][0] == 400
+        assert "crash, inject, revive" in unknown["error"]
+        assert results["wrong_method"][0] == 405
         health = json.loads(results["healthz"][1])
         assert results["healthz"][0] == 200 and health["status"] == "ok"
         families = parse(results["metrics"][1])
