@@ -146,77 +146,3 @@ def test_distributed_safety_formation_speed(benchmark):
         run_safety_propagation, args=(mesh, blocks.unusable), rounds=3, iterations=1
     )
     assert result.stats.messages > 0
-
-
-# ----------------------------------------------------------------------
-def register_workloads(registry):
-    """``repro bench`` discovery hook: this module's workloads that are not
-    already built-ins, at the same scales the pytest benches use."""
-
-    def oracle_setup(config):
-        side = 60 if config.quick else SIDE
-        mesh = Mesh2D(side, side)
-        rng = np.random.default_rng(config.seed)
-        faults = uniform_faults(mesh, side // 2, rng, forbidden={mesh.center})
-        blocks = build_faulty_blocks(mesh, faults)
-        return blocks.unusable, mesh.center, (side - 2, side - 2)
-
-    @registry.register(
-        "micro.existence_oracle", setup=oracle_setup,
-        description="exact DP minimal-path existence oracle over one long pair",
-    )
-    def run_oracle(state):
-        blocked, source, dest = state
-        return minimal_path_exists(blocked, source, dest)
-
-    def formation_setup(config):
-        side = 24 if config.quick else 40
-        mesh = Mesh2D(side, side)
-        rng = np.random.default_rng(config.seed)
-        return mesh, uniform_faults(mesh, side * side // 50, rng)
-
-    @registry.register(
-        "macro.distributed_block_formation", kind="macro", setup=formation_setup,
-        repeats=3, quick_repeats=1,
-        description="message-passing block formation to convergence",
-    )
-    def run_formation(state):
-        mesh, faults = state
-        return run_block_formation(mesh, faults)
-
-    def batched_formation_setup(config):
-        from repro.faults.injection import uniform_faults_batch
-
-        side = 48 if config.quick else SIDE
-        batch = 64 if config.quick else BATCH
-        mesh = Mesh2D(side, side)
-        seeds = np.random.SeedSequence(config.seed).spawn(batch)
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-        counts = np.full(batch, side // 2)
-        grids = uniform_faults_batch(mesh, counts, rngs, forbidden={mesh.center})
-        fault_lists = [
-            [(int(x), int(y)) for x, y in np.argwhere(grid)] for grid in grids
-        ]
-        return mesh, grids, fault_lists
-
-    @registry.register(
-        "micro.block_formation_batched", setup=batched_formation_setup,
-        repeats=5, quick_repeats=2,
-        description="Definition 1 fixpoint over a stacked fault batch, "
-                    "all patterns disabled in lockstep",
-    )
-    def run_batched_formation(state):
-        from repro.core.batched_patterns import batch_disable_fixpoint
-
-        _, grids, _ = state
-        return batch_disable_fixpoint(grids)
-
-    @registry.register(
-        "micro.block_formation_loop", setup=batched_formation_setup,
-        repeats=5, quick_repeats=2,
-        description="the same fault batch through per-pattern "
-                    "build_faulty_blocks: the batched kernel's baseline",
-    )
-    def run_loop_formation(state):
-        mesh, _, fault_lists = state
-        return [build_faulty_blocks(mesh, faults) for faults in fault_lists]

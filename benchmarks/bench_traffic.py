@@ -83,28 +83,3 @@ def test_traffic_policies(benchmark, capsys):
     assert greedy.delivery_rate <= 1.0
     benchmark.extra_info["detour_stretch"] = detour.average_stretch
     benchmark.extra_info["greedy_delivery"] = greedy.delivery_rate
-
-
-# ----------------------------------------------------------------------
-def register_workloads(registry):
-    """``repro bench`` discovery hook: the contention workload under Wu's
-    protocol on the safe-condition traffic."""
-
-    def traffic_setup(config):
-        side = 24 if config.quick else 48
-        fault_count = round(200 * (side / 200) ** 2)
-        mesh, blocks, rng = _setup(side, fault_count, seed=config.seed)
-        levels = compute_safety_levels(mesh, blocks.unusable)
-        packets = 60 if config.quick else 150
-        traffic = uniform_traffic(mesh, blocks.unusable, packets, rng, 40)
-        safe_traffic = [(s, d, t) for (s, d, t) in traffic if is_safe(levels, s, d)]
-        return mesh, blocks, safe_traffic
-
-    @registry.register(
-        "macro.traffic_wu", kind="macro", setup=traffic_setup,
-        repeats=3, quick_repeats=1,
-        description="safe-pair packet batch under link contention (Wu's protocol)",
-    )
-    def run_traffic(state):
-        mesh, blocks, safe_traffic = state
-        return run_workload(mesh, WuRouter(mesh, blocks), safe_traffic)

@@ -1,10 +1,10 @@
 """Gate: the routing service must hold its latency SLO under fault churn.
 
-Runs the ``serve.qps_sweep`` closed-loop load generator (the same body as
-the bench workload) at quick scale and fails when the *first* ramp stage
--- the one whose offered QPS the pipeline is sized to absorb without
-shedding -- misses its p99 budget or sheds more than the allowed
-fraction, or when *any* stage reports internal errors.  Later stages
+Runs the closed-loop load generator
+(:func:`repro.serve.loadgen.run_qps_sweep`) at quick scale and fails
+when the *first* ramp stage -- the one whose offered QPS the pipeline is
+sized to absorb without shedding -- misses its p99 budget or sheds more
+than the allowed fraction, or when *any* stage reports internal errors.  Later stages
 deliberately overdrive the service; there the gate only requires that
 overload shows up as honest admission-control outcomes (shed / degraded
 / stale), never as errors.

@@ -34,8 +34,8 @@ Subcommands cover the library's workflows:
   per-request deadlines, staleness-aware degraded answers, and a
   circuit breaker (``/query``, ``/fault``, ``/healthz``, ``/readyz``,
   ``/metrics``); SIGTERM/SIGINT drain gracefully and exit 0;
-- ``bench``     run the benchmark registry, write ``BENCH_<n>.json`` at the
-  repo root, and optionally gate against a baseline (``--compare``).
+- ``memory``    per-node state each information model keeps;
+- ``sweep``     the mesh-size invariance sweep.
 
 Exit codes follow one convention everywhere: 0 success, 1 the run itself
 went wrong (divergence, routing failure, ``--fail-on-alerts`` firing, an
@@ -317,45 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         "balancers observe the flip (default 0)",
     )
 
-    bench = sub.add_parser(
-        "bench", help="run the benchmark registry and write BENCH_<n>.json"
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="CI-smoke scale (smaller, fewer repeats)"
-    )
-    bench.add_argument(
-        "--repeats", type=int, help="override the per-workload timed repeats"
-    )
-    bench.add_argument(
-        "--only", nargs="+", metavar="PATTERN",
-        help="run only workloads matching these shell patterns (e.g. 'micro.*')",
-    )
-    bench.add_argument("--list", action="store_true", help="list workloads and exit")
-    bench.add_argument(
-        "--bench-dir", type=pathlib.Path, default=pathlib.Path("benchmarks"),
-        help="directory scanned for bench_*.py workload hooks (default: benchmarks)",
-    )
-    bench.add_argument(
-        "--out", type=pathlib.Path,
-        help="result path (default: next free BENCH_<n>.json in the cwd)",
-    )
-    bench.add_argument(
-        "--no-write", action="store_true", help="run without writing a result file"
-    )
-    bench.add_argument(
-        "--compare", type=pathlib.Path, metavar="BASELINE",
-        help="gate this run against a previous BENCH_*.json; non-zero exit on regression",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.15,
-        help="relative p50 wall-time tolerance for --compare (default 0.15)",
-    )
-    bench.add_argument("--seed", type=int, default=2002, help="workload seed")
-    bench.add_argument(
-        "--backend", choices=["numpy", "strict", "cupy", "torch"], default="numpy",
-        help="array API backend for the condition-sweep workloads (default: numpy)",
-    )
-
     protocols = sub.add_parser("protocols", help="distributed info-formation costs")
     _common_scenario_args(protocols)
 
@@ -441,6 +402,8 @@ def _cmd_figures(args, out: Callable[[str], None]) -> int:
     if args.workers < 1:
         out(f"error: --workers must be >= 1, got {args.workers}")
         return 2
+    if not _check_backend(args.backend, out):
+        return 2
     sharded = {"fig9", "fig10", "fig11", "fig12"}
     out(config.describe())
     for name in wanted:
@@ -456,6 +419,33 @@ def _cmd_figures(args, out: Callable[[str], None]) -> int:
             (args.csv / f"{name}.csv").write_text(series.to_csv())
             out(f"wrote {args.csv / f'{name}.csv'}")
     return 0
+
+
+def _check_backend(name: str, out: Callable[[str], None]) -> bool:
+    """Whether ``--backend`` resolves here; prints the error if not."""
+    from repro.core.array_api import resolve_backend
+
+    try:
+        resolve_backend(name)
+    except RuntimeError as error:  # cupy / torch not installed
+        out(f"error: {error}")
+        return False
+    return True
+
+
+def _check_scenario(args, out: Callable[[str], None]) -> bool:
+    """Whether ``--side`` and ``--faults`` make a scenario (the centre
+    stays fault-free); prints the error if not."""
+    if args.side < 1:
+        out(f"error: --side must be >= 1, got {args.side}")
+        return False
+    if not 0 <= args.faults < args.side * args.side:
+        out(
+            f"error: --faults must be in [0, {args.side * args.side - 1}] "
+            f"on a {args.side}x{args.side} mesh, got {args.faults}"
+        )
+        return False
+    return True
 
 
 def _build_scenario(args):
@@ -768,6 +758,9 @@ def _cmd_stats(args, out: Callable[[str], None]) -> int:
     if args.out is not None and not args.prom:
         out("error: --out only applies to the Prometheus exposition; add --prom")
         return 2
+    if args.routes < 0:
+        out(f"error: --routes must be >= 0, got {args.routes}")
+        return 2
     scenario, rng = _build_scenario(args)
     mesh, blocks = scenario.mesh, scenario.blocks
     blocked = blocks.unusable
@@ -856,66 +849,6 @@ def _cmd_stats(args, out: Callable[[str], None]) -> int:
             out(profiler.to_table())
     if args.jsonl:
         out(f"wrote {sinks[-1].events_written} events to {args.jsonl}")
-    return 0
-
-
-def _cmd_bench(args, out: Callable[[str], None]) -> int:
-    from repro.bench import (
-        BenchConfig,
-        builtin_registry,
-        compare_results,
-        next_bench_path,
-        run_benchmarks,
-    )
-    from repro.bench.runner import load_result, write_result
-
-    registry = builtin_registry()
-    for warning in registry.load_directory(args.bench_dir):
-        out(f"warning: {warning}")
-    if args.list:
-        width = max(len(name) for name in registry.names())
-        for workload in registry.select(None):
-            out(f"{workload.name:<{width}}  [{workload.kind}]  {workload.description}")
-        return 0
-
-    workloads = registry.select(args.only)
-    config = BenchConfig(
-        quick=args.quick, repeats=args.repeats, seed=args.seed, backend=args.backend
-    )
-    result = run_benchmarks(workloads, config, progress=out)
-    if not args.no_write:
-        path = args.out if args.out is not None else next_bench_path()
-        write_result(result, path)
-        out(f"wrote {path}")
-
-    if args.compare:
-        try:
-            baseline = load_result(args.compare)
-        except FileNotFoundError:
-            out(f"error: baseline {args.compare} does not exist "
-                "(pass an earlier BENCH_<n>.json, or drop --compare)")
-            return 2
-        except OSError as error:
-            out(f"error: cannot read baseline {args.compare}: {error}")
-            return 2
-        except ValueError as error:  # covers json.JSONDecodeError
-            out(f"error: baseline {args.compare} is not valid JSON: {error}")
-            return 2
-        if not isinstance(baseline, dict) or not isinstance(
-            baseline.get("workloads"), dict
-        ):
-            out(f"error: baseline {args.compare} is not a BENCH_<n>.json result "
-                "(missing the 'workloads' table)")
-            return 2
-        lines, regressed = compare_results(result, baseline, tolerance=args.tolerance)
-        out(f"compare vs {args.compare}:")
-        for line in lines:
-            out(line)
-        if regressed:
-            out(f"FAIL: {len(regressed)} workload(s) regressed beyond "
-                f"tolerance {args.tolerance:g}: {', '.join(regressed)}")
-            return 1
-        out("compare: ok")
     return 0
 
 
@@ -1339,8 +1272,17 @@ def _cmd_memory(args, out: Callable[[str], None]) -> int:
 
 
 def _cmd_sweep(args, out: Callable[[str], None]) -> int:
+    from repro.experiments.config import MIN_SIDE
     from repro.experiments.sweeps import mesh_size_sweep
 
+    if min(args.sides) < MIN_SIDE:
+        out(f"error: --sides must all be >= {MIN_SIDE}, got {min(args.sides)}")
+        return 2
+    if args.patterns < 1:
+        out(f"error: --patterns must be >= 1, got {args.patterns}")
+        return 2
+    if not _check_backend(args.backend, out):
+        return 2
     series = mesh_size_sweep(
         sides=tuple(args.sides), patterns_per_side=args.patterns, backend=args.backend
     )
@@ -1359,7 +1301,6 @@ _COMMANDS = {
     "top": _cmd_top,
     "serve-metrics": _cmd_serve_metrics,
     "serve": _cmd_serve,
-    "bench": _cmd_bench,
     "protocols": _cmd_protocols,
     "memory": _cmd_memory,
     "sweep": _cmd_sweep,
@@ -1368,6 +1309,9 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None, out: Callable[[str], None] = print) -> int:
     args = build_parser().parse_args(argv)
+    # Every verb built on _common_scenario_args draws a scenario.
+    if hasattr(args, "side") and not _check_scenario(args, out):
+        return 2
     return _COMMANDS[args.command](args, out)
 
 

@@ -24,6 +24,8 @@ from repro.mesh.topology import Mesh2D
 PAPER_SIDE = 200
 PAPER_MAX_FAULTS = 200
 PAPER_FAULT_STEPS = 8
+#: The smallest mesh side a condition sweep accepts.
+MIN_SIDE = 8
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class ExperimentConfig:
     strategy_pivot_levels: int = 3
 
     def __post_init__(self) -> None:
-        if self.mesh_side < 8:
+        if self.mesh_side < MIN_SIDE:
             raise ValueError("mesh side too small for a meaningful sweep")
         if not self.fault_counts:
             raise ValueError("need at least one fault count")

@@ -239,8 +239,7 @@ def fig9_block_metrics(config: ExperimentConfig) -> list[MetricSpec]:
     """Figure 9's block-model curves only (picklable metrics factory).
 
     The whole sweep is one array program per shard, with no MCC
-    labelling; the ``macro.conditions_batched_patterns`` bench workload
-    and the mesh-size sweep run exactly this factory.
+    labelling; the mesh-size sweep runs exactly this factory.
     """
     return [
         metric for metric in fig9_metrics(config) if metric.model == BLOCK_MODEL

@@ -161,9 +161,9 @@ def injection_sequence(
 
     :func:`uniform_faults` returns its draw sorted (set semantics for the
     static scenarios); live-injection workloads --
-    :class:`repro.simulator.protocols.dynamic_update.DynamicMesh` and the
-    ``sim.dynamic_injection`` bench -- additionally need the order in which
-    the faults strike, so this shuffles the draw under the same generator.
+    :class:`repro.simulator.protocols.dynamic_update.DynamicMesh` --
+    additionally need the order in which the faults strike, so this
+    shuffles the draw under the same generator.
     """
     forbidden: frozenset[Coord] = frozenset({source} if source is not None else ())
     faults = uniform_faults(mesh, count, rng, forbidden=forbidden)
@@ -181,8 +181,8 @@ def injection_events(
     """A mixed ``("inject" | "revive", coord)`` event stream.
 
     Extends :func:`injection_sequence` for delta-maintenance workloads
-    (:class:`repro.faults.incremental.IncrementalFaultEngine`, the
-    ``faults.incremental_update`` bench): ``count`` distinct faults strike
+    (:class:`repro.faults.incremental.IncrementalFaultEngine`,
+    ``benchmarks/check_incremental.py``): ``count`` distinct faults strike
     in a random order, and after each arrival a currently faulty node is
     revived with probability ``revive_fraction`` (drawn under the same
     generator, so the stream is reproducible from the seed).  Every revive

@@ -57,7 +57,7 @@ class Histogram:
     from a bounded reservoir filled by Vitter's algorithm R with a
     *seeded* ``random.Random``, so two runs observing the same sequence
     report identical percentiles -- determinism the trace CLI and the
-    ``repro bench --compare`` gate rely on.  While ``count`` is within the
+    metrics snapshots rely on.  While ``count`` is within the
     reservoir capacity the percentiles are exact, not sampled.
     """
 

@@ -16,8 +16,8 @@ answers *where the time went*.  Two instruments share one installable
 
 Like the tracer, the *current* profiler is a module-level slot defaulting
 to a no-op :data:`NULL_PROFILER`; install one with :func:`use_profiler`
-(scoped) or :func:`set_profiler` (global).  ``repro stats --profile`` and
-``repro bench`` install one around their workloads.
+(scoped) or :func:`set_profiler` (global).  ``repro stats --profile``
+installs one around its workload.
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ from a changing fault set.  The served path witnesses
 cache (:class:`repro.simulator.traffic.PathPolicy`) are built on it.
 Hits and misses are tallied on the cache *and* bumped as ``cache.hits``
 / ``cache.misses`` hot counters on the installed :mod:`repro.obs.prof`
-profiler, so ``repro bench`` and ``repro stats --profile`` surface the
-reuse rate.
+profiler, so ``repro stats --profile`` surfaces the reuse rate.
 
 A process-wide default cache lives in a module-level slot
 (:func:`get_artifact_cache`); swap it with :func:`use_artifact_cache`

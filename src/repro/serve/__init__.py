@@ -20,8 +20,8 @@ observable response instead of a collapse.
   ``repro serve-metrics`` also runs on; :func:`run_app` serves it until
   SIGTERM/SIGINT and drains gracefully;
 - :mod:`repro.serve.loadgen` -- :func:`run_qps_sweep`: the closed-loop
-  QPS-ramp-under-chaos generator behind the ``serve.qps_sweep`` bench
-  workload and its CI latency gate.
+  QPS-ramp-under-chaos generator behind the CI latency gate
+  (``benchmarks/check_serve_slo.py``).
 """
 
 from repro.obs.server import run_app

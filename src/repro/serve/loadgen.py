@@ -1,6 +1,6 @@
 """Closed-loop load generator: QPS ramps under live fault churn.
 
-:func:`run_qps_sweep` is the ``serve.qps_sweep`` bench workload's body:
+:func:`run_qps_sweep` is the body of ``benchmarks/check_serve_slo.py``:
 it stands up a :class:`~repro.serve.service.RoutingService` +
 :class:`~repro.serve.pipeline.QueryPipeline` in-process (no HTTP -- the
 sweep measures the serving pipeline, not socket overhead), then drives

@@ -540,3 +540,28 @@ class TestMemoryAndSweep:
         assert code == 0
         assert "size invariance" in output
         assert "safe_source" in output
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("verb", [["figures", "fig9"], ["sweep"]])
+    @pytest.mark.parametrize("backend", ["cupy", "torch"])
+    def test_missing_backend_is_a_usage_error(self, verb, backend):
+        import importlib.util
+
+        if importlib.util.find_spec(backend) is not None:
+            pytest.skip(f"{backend} is installed here")
+        code, output = _run([*verb, "--backend", backend])
+        assert code == 2
+        assert output.startswith("error:") and backend in output
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["scenario", "--side", "0"], "--side"),
+        (["serve", "--side", "1"], "--faults"),
+        (["sweep", "--sides", "20", "--patterns", "0"], "--patterns"),
+        (["sweep", "--sides", "5"], "--sides"),
+        (["stats", "--routes", "-1"], "--routes"),
+    ])
+    def test_bad_scenario_size_is_a_usage_error(self, argv, flag):
+        code, output = _run(argv)
+        assert code == 2
+        assert output.startswith("error:") and flag in output

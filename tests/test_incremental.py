@@ -255,3 +255,20 @@ class TestAffectedAccounting:
         assert profiler.hot["incr.events"] == 3
         assert profiler.hot["incr.affected_cells"] >= 3
         assert profiler.hot["incr.full_rebuilds"] == 0
+
+
+# ----------------------------------------------------------------------
+# Maintenance speed
+# ----------------------------------------------------------------------
+class TestMaintenanceSpeed:
+    def test_incremental_workload_beats_full_rebuild_quick(self, monkeypatch, capsys):
+        """CI-scale teeth for the perf claim: even at --quick scale the
+        delta-maintained replay must beat rebuilding from scratch, with
+        no defensive full rebuild (benchmarks/check_incremental.py)."""
+        import pathlib
+
+        benchmarks = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+        monkeypatch.syspath_prepend(str(benchmarks))
+        import check_incremental
+
+        assert check_incremental.main(["--quick"]) == 0, capsys.readouterr().out
