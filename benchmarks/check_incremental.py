@@ -18,7 +18,6 @@ in disguise.
 Usage::
 
     PYTHONPATH=src python benchmarks/check_incremental.py [--quick]
-        [--repeats N]
 
 Exit codes: 0 delta maintenance wins, 1 it does not, 2 bad usage.
 """
@@ -44,12 +43,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="CI-smoke scale (smaller mesh, fewer events)")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="timed pairs per variant (default 10, quick 5)")
     args = parser.parse_args(argv)
-    if args.repeats is not None and args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    repeats = args.repeats or (5 if args.quick else 10)
+    repeats = 5 if args.quick else 10
 
     side, arrivals = (32, 14) if args.quick else (64, 40)
     mesh = Mesh2D(side, side)

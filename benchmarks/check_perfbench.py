@@ -18,6 +18,8 @@ median <= 0.094 there): in 5 gate runs of unchanged code the worst
 metric read 1.42x its reference (``serve_churn``'s tail), so 2x leaves
 room for noise, while a 10x slowdown of the condition kernels, the
 simulator's message delivery or ``RoutingService.answer`` each fails.
+That margin was measured on that one VM only, not yet on a CI runner;
+once CI runs are recorded, :data:`FACTOR` should be set from them.
 
 Usage (from anywhere; the program is imported from ``src/``)::
 
