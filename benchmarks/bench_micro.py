@@ -118,11 +118,10 @@ def test_block_formation_scalar_loop_speed(benchmark, batched_workload):
 
 
 def test_block_formation_batched_matches_scalar(batched_workload):
-    from repro.core.array_api import to_numpy
     from repro.core.batched_patterns import batch_disable_fixpoint
 
     mesh, grids, fault_lists = batched_workload
-    blocked = to_numpy(batch_disable_fixpoint(grids))
+    blocked = batch_disable_fixpoint(grids)
     for index in (0, BATCH // 2, BATCH - 1):
         expected = build_faulty_blocks(mesh, fault_lists[index]).unusable
         np.testing.assert_array_equal(blocked[index], expected)

@@ -19,7 +19,9 @@ metric read 1.42x its reference (``serve_churn``'s tail), so 2x leaves
 room for noise, while a 10x slowdown of the condition kernels, the
 simulator's message delivery or ``RoutingService.answer`` each fails.
 That margin was measured on that one VM only, not yet on a CI runner;
-once CI runs are recorded, :data:`FACTOR` should be set from them.
+once CI runs are recorded, :data:`FACTOR` should be set from them.  To
+record them, each workload's metric table is also appended as Markdown
+to the file named by ``$GITHUB_STEP_SUMMARY`` when that variable is set.
 
 Usage (from anywhere; the program is imported from ``src/``)::
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -75,13 +78,16 @@ def check(workload: str, better: dict[str, str]) -> bool:
     elapsed = time.perf_counter() - start
     if process.returncode != 0:
         print(f"{workload}: FAIL, exit {process.returncode}\n{process.stderr}")
+        _summarise(f"{workload}: FAIL, exit {process.returncode}", [])
         return False
     result = json.loads(process.stdout.splitlines()[-1])
     ok = result["correct"] and result["failed"] == 0
-    print(
+    header = (
         f"{workload}: {'correct' if result['correct'] else 'INCORRECT'}, "
         f"{result['failed']}/{result['attempted']} failed, {elapsed:.1f} s"
     )
+    print(header)
+    rows = []
     for name, direction in better.items():
         value = result["metrics"][name]["value"]
         reference = REFERENCE[workload][name]
@@ -90,7 +96,22 @@ def check(workload: str, better: dict[str, str]) -> bool:
         ok = ok and worse <= FACTOR
         print(f"  {name:<18} {value:>12.5g}  reference {reference:>10.5g}  "
               f"x{worse:.2f}  {verdict}")
+        rows.append(f"| {name} | {value:.5g} | {reference:.5g} | x{worse:.2f} | {verdict} |")
+    _summarise(header, rows)
     return ok
+
+
+def _summarise(header: str, rows: list[str]) -> None:
+    """Append one workload's table to ``$GITHUB_STEP_SUMMARY``, if set."""
+    path = os.environ.get("GITHUB_STEP_SUMMARY")
+    if not path:
+        return
+    lines = [f"### {header}", ""]
+    if rows:
+        lines += ["| metric | value | reference | ratio | verdict |",
+                  "| --- | ---: | ---: | ---: | --- |", *rows]
+    with open(path, "a", encoding="utf-8") as summary:
+        summary.write("\n".join(lines) + "\n\n")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -23,7 +23,6 @@ import time
 
 import numpy as np
 
-from repro.core.array_api import to_numpy
 from repro.core.batched_patterns import (
     batch_disable_fixpoint,
     batch_label_closure,
@@ -43,7 +42,7 @@ def kernels_demo(batch: int) -> None:
     faulty = uniform_faults_batch(mesh, 40, rngs, forbidden={source})
 
     t0 = time.perf_counter()
-    blocked = to_numpy(batch_disable_fixpoint(faulty))
+    blocked = batch_disable_fixpoint(faulty)
     elapsed = time.perf_counter() - t0
     disabled = blocked.sum() - faulty.sum()
 
@@ -52,7 +51,7 @@ def kernels_demo(batch: int) -> None:
     labelled = np.zeros_like(faulty)
     for label in (NodeStatus.USELESS, NodeStatus.CANT_REACH):
         offsets = _LABEL_RULES[(MCCType.TYPE_ONE, label)]
-        labelled |= to_numpy(batch_label_closure(faulty, offsets))
+        labelled |= batch_label_closure(faulty, offsets)
     mcc_elapsed = time.perf_counter() - t0
     print(f"{batch} patterns on {mesh.n}x{mesh.m}: blocks in "
           f"{elapsed * 1e3:.1f}ms ({disabled} healthy nodes disabled in total), "
@@ -62,8 +61,8 @@ def kernels_demo(batch: int) -> None:
     levels = batch_safety_levels(blocked)
     rng = np.random.default_rng(7)
     dests = rng.integers(source[0], mesh.n, size=(batch, 30, 2)).astype(np.int64)
-    safe = to_numpy(batch_pattern_is_safe(levels, source, dests))
-    ext1 = to_numpy(batch_pattern_extension1(blocked, levels, source, dests))
+    safe = batch_pattern_is_safe(levels, source, dests)
+    ext1 = batch_pattern_extension1(blocked, levels, source, dests)
     print(f"Def-3 safe: {safe.mean():.1%} of {safe.size} trials; "
           f"Extension 1 (sub-minimal allowed): {ext1.mean():.1%}")
 

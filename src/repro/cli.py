@@ -85,10 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the condition sweeps fig9-fig12 "
         "(default 1; results are identical at any worker count)",
     )
-    figures.add_argument(
-        "--backend", choices=["numpy", "strict", "cupy", "torch"], default="numpy",
-        help="array API backend for the fig9-fig12 pattern kernels (default: numpy)",
-    )
 
     scenario = sub.add_parser("scenario", help="render a random fault scenario")
     _common_scenario_args(scenario)
@@ -328,10 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sides", type=int, nargs="+", default=[40, 60, 80], help="mesh sides to sweep"
     )
     sweep.add_argument("--patterns", type=int, default=6, help="patterns per side")
-    sweep.add_argument(
-        "--backend", choices=["numpy", "strict", "cupy", "torch"], default="numpy",
-        help="array API backend for the sweep's pattern kernels (default: numpy)",
-    )
     return parser
 
 
@@ -402,16 +394,10 @@ def _cmd_figures(args, out: Callable[[str], None]) -> int:
     if args.workers < 1:
         out(f"error: --workers must be >= 1, got {args.workers}")
         return 2
-    if not _check_backend(args.backend, out):
-        return 2
     sharded = {"fig9", "fig10", "fig11", "fig12"}
     out(config.describe())
     for name in wanted:
-        kwargs = (
-            {"workers": args.workers, "backend": args.backend}
-            if name in sharded
-            else {}
-        )
+        kwargs = {"workers": args.workers} if name in sharded else {}
         series = runners[name](config, progress=lambda msg: out(f"  {msg}"), **kwargs)
         out(series.render(with_plot=args.plot))
         if args.csv:
@@ -419,18 +405,6 @@ def _cmd_figures(args, out: Callable[[str], None]) -> int:
             (args.csv / f"{name}.csv").write_text(series.to_csv())
             out(f"wrote {args.csv / f'{name}.csv'}")
     return 0
-
-
-def _check_backend(name: str, out: Callable[[str], None]) -> bool:
-    """Whether ``--backend`` resolves here; prints the error if not."""
-    from repro.core.array_api import resolve_backend
-
-    try:
-        resolve_backend(name)
-    except RuntimeError as error:  # cupy / torch not installed
-        out(f"error: {error}")
-        return False
-    return True
 
 
 def _check_scenario(args, out: Callable[[str], None]) -> bool:
@@ -1281,11 +1255,7 @@ def _cmd_sweep(args, out: Callable[[str], None]) -> int:
     if args.patterns < 1:
         out(f"error: --patterns must be >= 1, got {args.patterns}")
         return 2
-    if not _check_backend(args.backend, out):
-        return 2
-    series = mesh_size_sweep(
-        sides=tuple(args.sides), patterns_per_side=args.patterns, backend=args.backend
-    )
+    series = mesh_size_sweep(sides=tuple(args.sides), patterns_per_side=args.patterns)
     out(series.to_table())
     return 0
 

@@ -14,21 +14,6 @@ neighbours, its two axis lines, the pivots), so
 :class:`BatchedSafetyLevels` reads those on demand from the blocked grid
 instead of building full ESL grids.
 
-The kernels are written against the Python array API standard: each one
-obtains its namespace with ``xp = array_namespace(...)`` and calls only
-standard functions/operators on it, so numpy is just the default backend --
-CuPy or torch arrays flow through unchanged, and the strict wrapper in
-:mod:`repro.core.array_api` proves no numpy-only idiom leaks in.  Two
-consequences shape the implementations:
-
-- ``maximum.accumulate`` is a numpy ufunc method, not a standard
-  function, so the running maximum behind the reachability column DP
-  uses a Hillis-Steele doubling scan (``log2(n)`` shifted-``maximum``
-  passes);
-- integer fancy indexing is not standard, so gathers go through ``take``
-  (the pivot lines, as 1-D row/element indices into flattened stacks) or
-  ``take_along_axis`` (per-pattern destination and pivot cells).
-
 Element-wise equivalence with the scalar implementations
 (:func:`repro.faults.blocks.disable_fixpoint`,
 :func:`repro.faults.mcc.label_statuses`,
@@ -46,7 +31,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.array_api import array_namespace
 from repro.core.safety import UNBOUNDED
 from repro.mesh.geometry import Coord
 
@@ -64,34 +48,7 @@ __all__ = [
     "build_axis_sample_table",
 ]
 
-Array = Any  # any array-API-compliant array
-
-
-# ----------------------------------------------------------------------
-# Scan primitives (standard ops only)
-# ----------------------------------------------------------------------
-
-
-def _cummax_last(xp: Any, a: Array) -> Array:
-    """Inclusive running maximum along the last axis.
-
-    ``out[..., i] = max(a[..., 0:i+1])``.  The standard has no
-    ``maximum.accumulate``, so the generic path is a Hillis-Steele
-    doubling scan -- ``ceil(log2(n))`` passes of shifted ``maximum`` +
-    ``concat``; on the numpy backend the ufunc method is a single pass
-    and several times faster, so it gets a dispatch (the strict-wrapper
-    tests keep the generic path honest).
-    """
-    if xp is np:
-        return np.maximum.accumulate(a, axis=-1)
-    n = a.shape[-1]
-    shift = 1
-    while shift < n:
-        a = xp.concat(
-            [a[..., :shift], xp.maximum(a[..., shift:], a[..., :-shift])], axis=-1
-        )
-        shift *= 2
-    return a
+Array = np.ndarray
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +56,7 @@ def _cummax_last(xp: Any, a: Array) -> Array:
 # ----------------------------------------------------------------------
 
 
-def _shifted_batch(xp: Any, mask: Array, dx: int, dy: int) -> Array:
+def _shifted_batch(mask: Array, dx: int, dy: int) -> Array:
     """``out[b, x, y] = mask[b, x + dx, y + dy]``, out-of-range reads False.
 
     A shift at least as long as its axis reads nothing, so it is clamped
@@ -107,7 +64,7 @@ def _shifted_batch(xp: Any, mask: Array, dx: int, dy: int) -> Array:
     """
     n, m = mask.shape[-2], mask.shape[-1]
     dx, dy = max(-n, min(dx, n)), max(-m, min(dy, m))
-    out = xp.zeros_like(mask)
+    out = np.zeros_like(mask)
     xsrc = slice(max(dx, 0), n + min(dx, 0))
     xdst = slice(max(-dx, 0), n + min(-dx, 0))
     ysrc = slice(max(dy, 0), m + min(dy, 0))
@@ -125,13 +82,12 @@ def batch_disable_fixpoint(faulty: Array) -> Array:
     iteration runs all patterns in lockstep until none changes; scattered
     faults (the paper's regime) converge in a handful of rounds.
     """
-    xp = array_namespace(faulty)
     unusable = faulty
     while True:
-        horizontal = _shifted_batch(xp, unusable, 1, 0) | _shifted_batch(xp, unusable, -1, 0)
-        vertical = _shifted_batch(xp, unusable, 0, 1) | _shifted_batch(xp, unusable, 0, -1)
+        horizontal = _shifted_batch(unusable, 1, 0) | _shifted_batch(unusable, -1, 0)
+        vertical = _shifted_batch(unusable, 0, 1) | _shifted_batch(unusable, 0, -1)
         grown = unusable | (horizontal & vertical)
-        if not bool(xp.any(grown ^ unusable)):
+        if not bool(np.any(grown ^ unusable)):
             return grown
         unusable = grown
 
@@ -147,14 +103,13 @@ def batch_label_closure(faulty: Array, offsets: tuple[Coord, Coord]) -> Array:
     patterns run in lockstep until none changes; the rounds equal the
     longest label chain, a handful for scattered faults.
     """
-    xp = array_namespace(faulty)
     (ax, ay), (bx, by) = offsets
     blocked = faulty
     while True:
         grown = blocked | (
-            _shifted_batch(xp, blocked, ax, ay) & _shifted_batch(xp, blocked, bx, by)
+            _shifted_batch(blocked, ax, ay) & _shifted_batch(blocked, bx, by)
         )
-        if not bool(xp.any(grown ^ blocked)):
+        if not bool(np.any(grown ^ blocked)):
             return grown & ~faulty
         blocked = grown
 
@@ -164,7 +119,7 @@ def batch_label_closure(faulty: Array, offsets: tuple[Coord, Coord]) -> Array:
 # ----------------------------------------------------------------------
 
 
-def _clear_run(xp: Any, lines: Array, axis: int = -1) -> Array:
+def _clear_run(lines: Array, axis: int = -1) -> Array:
     """Clear nodes before the first blocked cell along ``axis`` of ``lines``.
 
     ``lines`` holds the cells strictly beyond some nodes in one direction,
@@ -174,12 +129,12 @@ def _clear_run(xp: Any, lines: Array, axis: int = -1) -> Array:
     axis %= lines.ndim
     if lines.shape[axis] == 0:
         rest = lines.shape[:axis] + lines.shape[axis + 1 :]
-        return xp.full(rest, UNBOUNDED, dtype=xp.int64)
-    first = xp.astype(xp.argmax(lines, axis=axis), xp.int64)
-    return xp.where(xp.any(lines, axis=axis), first, UNBOUNDED)
+        return np.full(rest, UNBOUNDED, dtype=np.int64)
+    first = np.argmax(lines, axis=axis).astype(np.int64)
+    return np.where(np.any(lines, axis=axis), first, UNBOUNDED)
 
 
-def _clear_around(xp: Any, lines: Array, at: Array, axis: int) -> tuple[Array, Array]:
+def _clear_around(lines: Array, at: Array, axis: int) -> tuple[Array, Array]:
     """Clear distances from position ``at`` toward +``axis`` and -``axis``.
 
     ``lines`` holds one full mesh line per entry of ``at`` along ``axis``;
@@ -188,12 +143,12 @@ def _clear_around(xp: Any, lines: Array, at: Array, axis: int) -> tuple[Array, A
     length = lines.shape[axis]
     shape = [1] * lines.ndim
     shape[axis] = length
-    idx = xp.reshape(xp.arange(length, dtype=xp.int64), tuple(shape))
-    here = xp.expand_dims(at, axis=axis)
+    idx = np.reshape(np.arange(length, dtype=np.int64), tuple(shape))
+    here = np.expand_dims(at, axis=axis)
     big = UNBOUNDED + length
-    ahead = xp.min(xp.where(lines & (idx > here), idx, big), axis=axis)
-    behind = xp.max(xp.where(lines & (idx < here), idx, -big), axis=axis)
-    return xp.minimum(ahead - at - 1, UNBOUNDED), xp.minimum(at - behind - 1, UNBOUNDED)
+    ahead = np.min(np.where(lines & (idx > here), idx, big), axis=axis)
+    behind = np.max(np.where(lines & (idx < here), idx, -big), axis=axis)
+    return np.minimum(ahead - at - 1, UNBOUNDED), np.minimum(at - behind - 1, UNBOUNDED)
 
 
 @dataclass(frozen=True)
@@ -226,43 +181,42 @@ class BatchedSafetyLevels:
 
     def node(self, node: Coord) -> tuple[Array, Array, Array, Array]:
         """One node's ``(E, S, W, N)`` across the batch, each ``(batch,)``."""
-        xp = array_namespace(self.blocked)
         x, y = node
         grid = self.blocked
         return self._memo("node", node, lambda: (
-            _clear_run(xp, grid[:, x + 1 :, y]),
-            _clear_run(xp, xp.flip(grid[:, x, :y], axis=-1)),
-            _clear_run(xp, xp.flip(grid[:, :x, y], axis=-1)),
-            _clear_run(xp, grid[:, x, y + 1 :]),
+            _clear_run(grid[:, x + 1 :, y]),
+            _clear_run(np.flip(grid[:, x, :y], axis=-1)),
+            _clear_run(np.flip(grid[:, :x, y], axis=-1)),
+            _clear_run(grid[:, x, y + 1 :]),
         ))
 
     def points(self, px: Array, py: Array) -> tuple[Array, Array, Array, Array]:
         """``(E, S, W, N)`` of the nodes ``(px[b, j], py[b, j])``, each
         ``(batch, p)``; every coordinate must lie inside the mesh."""
-        xp = array_namespace(self.blocked, px, py)
         batch, n, m = self.blocked.shape
         p = px.shape[-1]
         # rows[b, j, :] is the y line through point j, cols[b, :, j] its x
         # line: 1-D takes of whole rows at b*n + px, and of single cells at
-        # b*n*m + x*m + py for every x.
-        base = xp.arange(batch, dtype=xp.int64)[:, None]
-        row_idx = xp.reshape(base * n + px, (batch * p,))
-        rows = xp.reshape(
-            xp.take(xp.reshape(self.blocked, (batch * n, m)), row_idx, axis=0),
+        # b*n*m + x*m + py for every x -- faster than the equivalent
+        # broadcast take_along_axis gathers.
+        base = np.arange(batch, dtype=np.int64)[:, None]
+        row_idx = np.reshape(base * n + px, (batch * p,))
+        rows = np.reshape(
+            np.take(np.reshape(self.blocked, (batch * n, m)), row_idx, axis=0),
             (batch, p, m),
         )
-        xs = xp.arange(n, dtype=xp.int64)[None, :, None]
+        xs = np.arange(n, dtype=np.int64)[None, :, None]
         cell_idx = base[:, :, None] * (n * m) + xs * m + py[:, None, :]
-        cols = xp.reshape(
-            xp.take(
-                xp.reshape(self.blocked, (batch * n * m,)),
-                xp.reshape(cell_idx, (batch * n * p,)),
+        cols = np.reshape(
+            np.take(
+                np.reshape(self.blocked, (batch * n * m,)),
+                np.reshape(cell_idx, (batch * n * p,)),
                 axis=0,
             ),
             (batch, n, p),
         )
-        north, south = _clear_around(xp, rows, py, axis=2)
-        east, west = _clear_around(xp, cols, px, axis=1)
+        north, south = _clear_around(rows, py, axis=2)
+        east, west = _clear_around(cols, px, axis=1)
         return east, south, west, north
 
     def axis_lines(self, source: Coord) -> tuple[Array, Array]:
@@ -273,11 +227,10 @@ class BatchedSafetyLevels:
         source, since the North line of ``(sx+k, sy)`` is quadrant row
         ``k-1`` and the East line of ``(sx, sy+k)`` quadrant column ``k-1``.
         """
-        xp = array_namespace(self.blocked)
         sx, sy = source
         quadrant = self.blocked[:, sx + 1 :, sy + 1 :]
         return self._memo("axis_lines", source, lambda: (
-            _clear_run(xp, quadrant, axis=2), _clear_run(xp, quadrant, axis=1)
+            _clear_run(quadrant, axis=2), _clear_run(quadrant, axis=1)
         ))
 
 
@@ -291,15 +244,15 @@ def batch_safety_levels(blocked: Array) -> BatchedSafetyLevels:
 # ----------------------------------------------------------------------
 
 
-def _dest_offsets(xp: Any, source: Coord, dests: Array) -> tuple[Array, Array, Array, Array]:
+def _dest_offsets(source: Coord, dests: Array) -> tuple[Array, Array, Array, Array]:
     """``(dx, dy, xd, yd)``, each ``(batch, k)``, for ``(batch, k, 2)`` dests."""
     dx = dests[:, :, 0] - source[0]
     dy = dests[:, :, 1] - source[1]
-    return dx, dy, xp.abs(dx), xp.abs(dy)
+    return dx, dy, np.abs(dx), np.abs(dy)
 
 
 def _toward(
-    xp: Any, levels: BatchedSafetyLevels, origin: Coord, dx: Array, dy: Array
+    levels: BatchedSafetyLevels, origin: Coord, dx: Array, dy: Array
 ) -> tuple[Array, Array]:
     """``origin``'s local-frame East and North levels per destination.
 
@@ -308,17 +261,17 @@ def _toward(
     distance otherwise (exactly ``Frame.to_local_esl``), mirrored on y.
     """
     east, south, west, north = levels.node(origin)
-    toward_x = xp.where(dx >= 0, east[:, None], west[:, None])
-    toward_y = xp.where(dy >= 0, north[:, None], south[:, None])
+    toward_x = np.where(dx >= 0, east[:, None], west[:, None])
+    toward_y = np.where(dy >= 0, north[:, None], south[:, None])
     return toward_x, toward_y
 
 
 def _safe_from(
-    xp: Any, levels: BatchedSafetyLevels, origin: Coord, dx: Array, dy: Array,
+    levels: BatchedSafetyLevels, origin: Coord, dx: Array, dy: Array,
     xd: Array, yd: Array,
 ) -> Array:
     """Definition 3 from ``origin`` toward each destination, ``(batch, k)``."""
-    toward_x, toward_y = _toward(xp, levels, origin, dx, dy)
+    toward_x, toward_y = _toward(levels, origin, dx, dy)
     return (xd <= toward_x) & (yd <= toward_y)
 
 
@@ -327,9 +280,8 @@ def batch_pattern_is_safe(
 ) -> Array:
     """Definition 3 across patterns: ``mask[b, i]`` equals
     ``is_safe(levels_b, source, dests[b, i])``."""
-    xp = array_namespace(dests)
-    dx, dy, xd, yd = _dest_offsets(xp, source, dests)
-    return _safe_from(xp, levels, source, dx, dy, xd, yd)
+    dx, dy, xd, yd = _dest_offsets(source, dests)
+    return _safe_from(levels, source, dx, dy, xd, yd)
 
 
 # ----------------------------------------------------------------------
@@ -352,10 +304,9 @@ def batch_pattern_extension1(
     skipped for that pattern only -- the per-pattern generalisation of the
     scalar kernel's global skip.
     """
-    xp = array_namespace(unusable)
     n, m = unusable.shape[-2], unusable.shape[-1]
-    dx, dy, xd, yd = _dest_offsets(xp, source, dests)
-    ensured = _safe_from(xp, levels, source, dx, dy, xd, yd)
+    dx, dy, xd, yd = _dest_offsets(source, dests)
+    ensured = _safe_from(levels, source, dx, dy, xd, yd)
     sx, sy = source
     for step_x, step_y in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         nx, ny = sx + step_x, sy + step_y
@@ -365,11 +316,11 @@ def batch_pattern_extension1(
             preferred = dx > 0 if step_x > 0 else dx < 0
         else:
             preferred = dy > 0 if step_y > 0 else dy < 0
-        eligible = xp.ones_like(ensured) if allow_sub_minimal else preferred
+        eligible = np.ones_like(ensured) if allow_sub_minimal else preferred
         ndx = dests[:, :, 0] - nx
         ndy = dests[:, :, 1] - ny
         neighbor_safe = _safe_from(
-            xp, levels, (nx, ny), ndx, ndy, xp.abs(ndx), xp.abs(ndy)
+            levels, (nx, ny), ndx, ndy, np.abs(ndx), np.abs(ndy)
         )
         open_here = ~unusable[:, nx, ny]
         ensured = ensured | (open_here[:, None] & eligible & neighbor_safe)
@@ -397,7 +348,6 @@ class AxisSampleTable:
 
 
 def build_axis_sample_table(
-    xp: Any,
     line_levels: Array,
     clear: Array,
     edge: int,
@@ -421,56 +371,56 @@ def build_axis_sample_table(
     """
     if edge == 0:
         batch = clear.shape[0]
-        empty = xp.zeros((batch, 0), dtype=xp.int64)
+        empty = np.zeros((batch, 0), dtype=np.int64)
         return AxisSampleTable(
             offsets=empty, perp_levels=empty,
-            valid=xp.zeros((batch, 0), dtype=xp.bool),
+            valid=np.zeros((batch, 0), dtype=np.bool_),
         )
     size = edge if segment_size is None else segment_size
-    offsets = xp.arange(1, edge + 1, dtype=xp.int64)
-    length = xp.minimum(clear, edge)[:, None]
+    offsets = np.arange(1, edge + 1, dtype=np.int64)
+    length = np.minimum(clear, edge)[:, None]
     in_region = offsets <= length
     scale = edge + 2
-    score = xp.where(in_region, line_levels * scale + offsets, -1)
+    score = np.where(in_region, line_levels * scale + offsets, -1)
     segments = -(-edge // size)
     pad = segments * size - edge
     if pad:
         batch = clear.shape[0]
-        filler = xp.full((batch, pad), -1, dtype=xp.int64)
-        score = xp.concat([score, filler], axis=-1)
-        line_levels = xp.concat([line_levels, filler], axis=-1)
-        offsets = xp.concat(
-            [offsets, xp.arange(edge + 1, edge + pad + 1, dtype=xp.int64)], axis=-1
+        filler = np.full((batch, pad), -1, dtype=np.int64)
+        score = np.concatenate([score, filler], axis=-1)
+        line_levels = np.concatenate([line_levels, filler], axis=-1)
+        offsets = np.concatenate(
+            [offsets, np.arange(edge + 1, edge + pad + 1, dtype=np.int64)], axis=-1
         )
     batch = clear.shape[0]
-    score = xp.reshape(score, (batch, segments, size))
-    levels_w = xp.reshape(line_levels, (batch, segments, size))
-    offsets_w = xp.reshape(
-        xp.broadcast_to(offsets[None, :], (batch, segments * size)),
+    score = np.reshape(score, (batch, segments, size))
+    levels_w = np.reshape(line_levels, (batch, segments, size))
+    offsets_w = np.reshape(
+        np.broadcast_to(offsets[None, :], (batch, segments * size)),
         (batch, segments, size),
     )
-    pick = xp.argmax(score, axis=-1)[:, :, None]
-    best_score = xp.take_along_axis(score, pick, axis=-1)[:, :, 0]
+    pick = np.argmax(score, axis=-1)[:, :, None]
+    best_score = np.take_along_axis(score, pick, axis=-1)[:, :, 0]
     return AxisSampleTable(
-        offsets=xp.take_along_axis(offsets_w, pick, axis=-1)[:, :, 0],
-        perp_levels=xp.take_along_axis(levels_w, pick, axis=-1)[:, :, 0],
+        offsets=np.take_along_axis(offsets_w, pick, axis=-1)[:, :, 0],
+        perp_levels=np.take_along_axis(levels_w, pick, axis=-1)[:, :, 0],
         valid=best_score >= 0,
     )
 
 
 def _table_usable(
-    xp: Any, table: AxisSampleTable, max_offsets: Array, required_levels: Array
+    table: AxisSampleTable, max_offsets: Array, required_levels: Array
 ) -> Array:
     """Some representative has ``offset <= max_offset`` and
     ``level >= required_level`` -- the batched ``best_for`` existence."""
     if table.offsets.shape[-1] == 0:
-        return xp.zeros(max_offsets.shape, dtype=xp.bool)
+        return np.zeros(max_offsets.shape, dtype=np.bool_)
     usable = (
         table.valid[:, None, :]
         & (table.offsets[:, None, :] <= max_offsets[:, :, None])
         & (table.perp_levels[:, None, :] >= required_levels[:, :, None])
     )
-    return xp.any(usable, axis=-1)
+    return np.any(usable, axis=-1)
 
 
 def batch_pattern_extension2(
@@ -491,15 +441,14 @@ def batch_pattern_extension2(
     ``tables`` (from :func:`build_source_sample_tables`) to reuse the
     per-size tables across metrics.
     """
-    xp = array_namespace(dests)
-    dx, dy, xd, yd = _dest_offsets(xp, source, dests)
-    toward_x, toward_y = _toward(xp, levels, source, dx, dy)
+    dx, dy, xd, yd = _dest_offsets(source, dests)
+    toward_x, toward_y = _toward(levels, source, dx, dy)
     source_safe = (xd <= toward_x) & (yd <= toward_y)
     if tables is None:
         tables = build_source_sample_tables(levels, source, segment_size, mesh_shape)
     east_table, north_table = tables
-    x_axis = (xd <= toward_x) & _table_usable(xp, east_table, xd, yd)
-    y_axis = (yd <= toward_y) & _table_usable(xp, north_table, yd, xd)
+    x_axis = (xd <= toward_x) & _table_usable(east_table, xd, yd)
+    y_axis = (yd <= toward_y) & _table_usable(north_table, yd, xd)
     return source_safe | x_axis | y_axis
 
 
@@ -516,13 +465,12 @@ def build_source_sample_tables(
     table samples nodes ``(sx+k, sy)`` with their North levels, the
     North-axis table nodes ``(sx, sy+k)`` with their East levels.
     """
-    xp = array_namespace(levels.blocked)
     n, m = mesh_shape
     sx, sy = source
     east, _, _, north = levels.node(source)
     north_line, east_line = levels.axis_lines(source)
-    east_table = build_axis_sample_table(xp, north_line, east, n - 1 - sx, segment_size)
-    north_table = build_axis_sample_table(xp, east_line, north, m - 1 - sy, segment_size)
+    east_table = build_axis_sample_table(north_line, east, n - 1 - sx, segment_size)
+    north_table = build_axis_sample_table(east_line, north, m - 1 - sy, segment_size)
     return east_table, north_table
 
 
@@ -549,29 +497,28 @@ def batch_pattern_extension3(
     for that pattern, as in the scalar decision.  ``mask[b, i]`` equals
     the scalar ``extension3_decision(...).ensures_minimal``.
     """
-    xp = array_namespace(unusable)
     n, m = unusable.shape[-2], unusable.shape[-1]
     batch = unusable.shape[0]
-    dx, dy, xd, yd = _dest_offsets(xp, source, dests)
-    src_east, src_north = _toward(xp, levels, source, dx, dy)
+    dx, dy, xd, yd = _dest_offsets(source, dests)
+    src_east, src_north = _toward(levels, source, dx, dy)
     ensured = (xd <= src_east) & (yd <= src_north)
     if pivots.shape[-2] == 0:
         return ensured
 
     shared = pivots.ndim == 2
     if shared:
-        pivots = xp.broadcast_to(pivots[None, :, :], (batch,) + pivots.shape)
+        pivots = np.broadcast_to(pivots[None, :, :], (batch,) + pivots.shape)
     px = pivots[:, :, 0]
     py = pivots[:, :, 1]
     outside = (px < 0) | (px >= n) | (py < 0) | (py >= m)
     if pivot_valid is not None:
         outside = outside & pivot_valid
-    if bool(xp.any(outside)):
+    if bool(np.any(outside)):
         raise ValueError(f"unmasked pivot outside the {n}x{m} mesh")
     # Masked padding may point anywhere; clamp it so the reads stay in range.
-    px = xp.clip(px, 0, n - 1)
-    py = xp.clip(py, 0, m - 1)
-    blocked_p = xp.take_along_axis(xp.reshape(unusable, (batch, n * m)), px * m + py, axis=1)
+    px = np.clip(px, 0, n - 1)
+    py = np.clip(py, 0, m - 1)
+    blocked_p = np.take_along_axis(np.reshape(unusable, (batch, n * m)), px * m + py, axis=1)
     open_pivot = ~blocked_p
     if pivot_valid is not None:
         open_pivot = open_pivot & pivot_valid
@@ -579,12 +526,12 @@ def batch_pattern_extension3(
 
     # Local pivot coordinates per (pattern, destination, pivot): the
     # frame's axis reflections depend on the destination's quadrant.
-    sign_x = xp.where(dx >= 0, 1, -1)[:, :, None]
-    sign_y = xp.where(dy >= 0, 1, -1)[:, :, None]
+    sign_x = np.where(dx >= 0, 1, -1)[:, :, None]
+    sign_y = np.where(dy >= 0, 1, -1)[:, :, None]
     xi = (px[:, None, :] - source[0]) * sign_x
     yi = (py[:, None, :] - source[1]) * sign_y
-    pivot_east = xp.where(dx[:, :, None] >= 0, p_east[:, None, :], p_west[:, None, :])
-    pivot_north = xp.where(dy[:, :, None] >= 0, p_north[:, None, :], p_south[:, None, :])
+    pivot_east = np.where(dx[:, :, None] >= 0, p_east[:, None, :], p_west[:, None, :])
+    pivot_north = np.where(dy[:, :, None] >= 0, p_north[:, None, :], p_south[:, None, :])
 
     in_box = (xi >= 0) & (xi <= xd[:, :, None]) & (yi >= 0) & (yi <= yd[:, :, None])
     source_reaches = (xi <= src_east[:, :, None]) & (yi <= src_north[:, :, None])
@@ -592,7 +539,7 @@ def batch_pattern_extension3(
         yd[:, :, None] - yi <= pivot_north
     )
     chain = in_box & source_reaches & pivot_reaches & open_pivot[:, None, :]
-    return ensured | xp.any(chain, axis=-1)
+    return ensured | np.any(chain, axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -600,7 +547,7 @@ def batch_pattern_extension3(
 # ----------------------------------------------------------------------
 
 
-def _climb_columns(xp: Any, base: Array, free: Array) -> Array:
+def _climb_columns(base: Array, free: Array) -> Array:
     """One DP column across the batch: enter from the West, climb North.
 
     The batched form of :func:`repro.faults.coverage._climb_column`:
@@ -609,9 +556,9 @@ def _climb_columns(xp: Any, base: Array, free: Array) -> Array:
     seeded by ``base``.
     """
     seed = base & free
-    acc = xp.cumulative_sum(xp.astype(seed, xp.int64), axis=-1)
-    block_acc = xp.where(~free, acc, 0)
-    last_block_acc = _cummax_last(xp, block_acc)
+    acc = np.cumsum(seed, axis=-1, dtype=np.int64)
+    block_acc = np.where(~free, acc, 0)
+    last_block_acc = np.maximum.accumulate(block_acc, axis=-1)
     return free & (acc > last_block_acc)
 
 
@@ -626,22 +573,21 @@ def batch_reachability_map(
     quadrant under pattern ``b``.  (A pattern whose source is swallowed by
     a block yields an all-False map, matching the scalar early return.)
     """
-    xp = array_namespace(unusable)
     sx, sy = source
     sub = unusable[:, : sx + 1, :] if flip_x else unusable[:, sx:, :]
     if flip_x:
-        sub = xp.flip(sub, axis=1)
+        sub = np.flip(sub, axis=1)
     sub = sub[:, :, : sy + 1] if flip_y else sub[:, :, sy:]
     if flip_y:
-        sub = xp.flip(sub, axis=2)
+        sub = np.flip(sub, axis=2)
     free = ~sub
     batch, nq, mq = free.shape
-    seed_col = xp.zeros((batch, mq), dtype=xp.bool)
+    seed_col = np.zeros((batch, mq), dtype=np.bool_)
     seed_col[:, 0] = True
-    columns = [_climb_columns(xp, seed_col, free[:, 0, :])]
+    columns = [_climb_columns(seed_col, free[:, 0, :])]
     for x in range(1, nq):
-        columns.append(_climb_columns(xp, columns[-1], free[:, x, :]))
-    return xp.stack(columns, axis=1)
+        columns.append(_climb_columns(columns[-1], free[:, x, :]))
+    return np.stack(columns, axis=1)
 
 
 def batch_pattern_path_exists(
@@ -657,14 +603,13 @@ def batch_pattern_path_exists(
     guarantees both).  Builds at most one quadrant map per destination
     quadrant present; pass ``maps`` to reuse them across metrics.
     """
-    xp = array_namespace(unusable)
     m = unusable.shape[-1]
-    dx, dy, xd, yd = _dest_offsets(xp, source, dests)
-    out = xp.zeros(dx.shape, dtype=xp.bool)
+    dx, dy, xd, yd = _dest_offsets(source, dests)
+    out = np.zeros(dx.shape, dtype=np.bool_)
     for flip_x in (False, True):
         for flip_y in (False, True):
             sel = ((dx < 0) == flip_x) & ((dy < 0) == flip_y)
-            if not bool(xp.any(sel)):
+            if not bool(np.any(sel)):
                 continue
             key = (flip_x, flip_y)
             if maps is not None and key in maps:
@@ -674,10 +619,10 @@ def batch_pattern_path_exists(
                 if maps is not None:
                     maps[key] = quadrant
             nq, mq = quadrant.shape[-2], quadrant.shape[-1]
-            flat_idx = xp.clip(xd, 0, nq - 1) * mq + xp.clip(yd, 0, mq - 1)
+            flat_idx = np.clip(xd, 0, nq - 1) * mq + np.clip(yd, 0, mq - 1)
             batch = quadrant.shape[0]
-            gathered = xp.take_along_axis(
-                xp.reshape(quadrant, (batch, nq * mq)), flat_idx, axis=1
+            gathered = np.take_along_axis(
+                np.reshape(quadrant, (batch, nq * mq)), flat_idx, axis=1
             )
-            out = xp.where(sel, gathered, out)
+            out = np.where(sel, gathered, out)
     return out

@@ -14,14 +14,14 @@ its fault patterns over that many processes (see ``run(workers=N)`` in
 the runner) and produces a bit-identical series at any worker count.
 Their metric lists are built by module-level *factories*
 (``fig9_metrics`` ...), which are picklable and therefore usable from
-worker processes; ``backend`` selects the array API backend.
+worker processes.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -60,43 +60,43 @@ Progress = Callable[[str], None] | None
 # ----------------------------------------------------------------------
 
 
-def _safe_source(pctx: PatternBatchContext) -> Any:
+def _safe_source(pctx: PatternBatchContext) -> np.ndarray:
     return batch_pattern_is_safe(pctx.levels, pctx.source, pctx.dests)
 
 
-def _existence(pctx: PatternBatchContext) -> Any:
+def _existence(pctx: PatternBatchContext) -> np.ndarray:
     return batch_pattern_path_exists(
         pctx.blocked, pctx.source, pctx.dests, maps=pctx.reachability_maps
     )
 
 
-def _extension1_min(pctx: PatternBatchContext) -> Any:
+def _extension1_min(pctx: PatternBatchContext) -> np.ndarray:
     return pctx.memo("ext1_min", lambda: batch_pattern_extension1(
         pctx.blocked, pctx.levels, pctx.source, pctx.dests, allow_sub_minimal=False
     ))
 
 
-def _extension1_submin(pctx: PatternBatchContext) -> Any:
+def _extension1_submin(pctx: PatternBatchContext) -> np.ndarray:
     return batch_pattern_extension1(
         pctx.blocked, pctx.levels, pctx.source, pctx.dests, allow_sub_minimal=True
     )
 
 
-def _extension2_mask(pctx: PatternBatchContext, size: int | None) -> Any:
+def _extension2_mask(pctx: PatternBatchContext, size: int | None) -> np.ndarray:
     return pctx.memo(("ext2", size), lambda: batch_pattern_extension2(
         pctx.levels, pctx.source, pctx.dests, size, (pctx.mesh.n, pctx.mesh.m)
     ))
 
 
 def _extension2(size: int | None) -> PatternMetricFn:
-    def metric(pctx: PatternBatchContext) -> Any:
+    def metric(pctx: PatternBatchContext) -> np.ndarray:
         return _extension2_mask(pctx, size)
 
     return metric
 
 
 def _extension3(level: int) -> PatternMetricFn:
-    def metric(pctx: PatternBatchContext) -> Any:
+    def metric(pctx: PatternBatchContext) -> np.ndarray:
         return batch_pattern_extension3(
             pctx.blocked, pctx.levels, pctx.source, pctx.dests, pctx.pivot_array(level)
         )
@@ -104,7 +104,7 @@ def _extension3(level: int) -> PatternMetricFn:
     return metric
 
 
-def _extension3_random(pctx: PatternBatchContext) -> Any:
+def _extension3_random(pctx: PatternBatchContext) -> np.ndarray:
     return pctx.memo("ext3_random", lambda: batch_pattern_extension3(
         pctx.blocked, pctx.levels, pctx.source, pctx.dests,
         pctx.strategy_pivots, pivot_valid=pctx.strategy_valid,
@@ -124,7 +124,7 @@ def _strategy(strategy: Strategy, config: ExperimentConfig) -> PatternMetricFn:
     """
     segment_size = config.strategy_segment_size
 
-    def metric(pctx: PatternBatchContext) -> Any:
+    def metric(pctx: PatternBatchContext) -> np.ndarray:
         masks = []
         if strategy.uses_extension1:
             masks.append(_extension1_min(pctx))
@@ -251,7 +251,6 @@ def fig9_extension1(
     progress: Progress = None,
     workers: int = 1,
     engine: str = "auto",
-    backend: str = "numpy",
 ) -> FigureSeries:
     """Safe source, extension 1 (min), extension 1 (sub-min), and the
     optimal existence baseline, under both fault models (Figure 9 a+b)."""
@@ -259,8 +258,7 @@ def fig9_extension1(
     config = config or ExperimentConfig.from_environment()
     experiment = ConditionExperiment(config, metrics_factory=fig9_metrics)
     return experiment.run(
-        "fig9", "minimal/sub-minimal ensured: extension 1", progress,
-        workers=workers, backend=backend,
+        "fig9", "minimal/sub-minimal ensured: extension 1", progress, workers=workers
     )
 
 
@@ -281,15 +279,13 @@ def fig10_extension2(
     progress: Progress = None,
     workers: int = 1,
     engine: str = "auto",
-    backend: str = "numpy",
 ) -> FigureSeries:
     """Extension 2 for every segment-size variation (Figure 10 a+b)."""
     _check_engine(engine)
     config = config or ExperimentConfig.from_environment()
     experiment = ConditionExperiment(config, metrics_factory=fig10_metrics)
     return experiment.run(
-        "fig10", "minimal ensured: extension 2 segment sizes", progress,
-        workers=workers, backend=backend,
+        "fig10", "minimal ensured: extension 2 segment sizes", progress, workers=workers
     )
 
 
@@ -309,15 +305,13 @@ def fig11_extension3(
     progress: Progress = None,
     workers: int = 1,
     engine: str = "auto",
-    backend: str = "numpy",
 ) -> FigureSeries:
     """Extension 3 for partition levels 1-3 (Figure 11 a+b)."""
     _check_engine(engine)
     config = config or ExperimentConfig.from_environment()
     experiment = ConditionExperiment(config, metrics_factory=fig11_metrics)
     return experiment.run(
-        "fig11", "minimal ensured: extension 3 partition levels", progress,
-        workers=workers, backend=backend,
+        "fig11", "minimal ensured: extension 3 partition levels", progress, workers=workers
     )
 
 
@@ -338,13 +332,11 @@ def fig12_strategies(
     progress: Progress = None,
     workers: int = 1,
     engine: str = "auto",
-    backend: str = "numpy",
 ) -> FigureSeries:
     """Strategies 1-4 / 1a-4a (Figure 12 a+b)."""
     _check_engine(engine)
     config = config or ExperimentConfig.from_environment()
     experiment = ConditionExperiment(config, metrics_factory=fig12_metrics)
     return experiment.run(
-        "fig12", "minimal ensured: strategies 1-4", progress,
-        workers=workers, backend=backend,
+        "fig12", "minimal ensured: strategies 1-4", progress, workers=workers
     )

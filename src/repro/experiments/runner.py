@@ -20,8 +20,7 @@ one pattern batch (see ``docs/API.md``, "Batched pattern engine"):
   for the MCC model;
 - every metric's ``pattern_fn`` -- built on the cross-pattern kernels of
   :mod:`repro.core.batched_patterns` -- decides its model's whole
-  ``(batch, k)`` (pattern, destination) grid in one call, on any array
-  API backend via ``run(backend=)``.
+  ``(batch, k)`` (pattern, destination) grid in one call.
 
 Every pattern owns a :class:`numpy.random.SeedSequence` spawned along a
 fixed tree (see :mod:`repro.parallel.pool`), and its stream is consumed
@@ -47,7 +46,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.analysis.statistics import proportion_ci
-from repro.core.array_api import resolve_backend, to_numpy
 from repro.core.batched_patterns import (
     BatchedSafetyLevels,
     batch_disable_fixpoint,
@@ -72,9 +70,9 @@ MCC_MODEL = "mcc"
 class PatternBatchContext:
     """Everything a cross-pattern kernel may consult for one shard and model.
 
-    ``blocked`` is the model's stacked ``(batch, n, m)`` grid on the active
-    backend (faulty blocks, or type-one MCCs) and ``levels`` the view that
-    reads its ESLs on demand; ``dests`` is ``(batch, k, 2)`` and the same
+    ``blocked`` is the model's stacked ``(batch, n, m)`` grid (faulty
+    blocks, or type-one MCCs) and ``levels`` the view that reads its ESLs
+    on demand; ``dests`` is ``(batch, k, 2)`` and the same
     for both models.  The per-pattern random strategy pivots, drawn once
     per model, are padded to ``(batch, p, 2)`` with ``strategy_valid``
     masking the padding.  Reachability maps are kept on the context, and
@@ -86,14 +84,13 @@ class PatternBatchContext:
 
     mesh: Mesh2D
     source: Coord
-    xp: Any
-    blocked: Any
+    blocked: np.ndarray
     levels: BatchedSafetyLevels
-    dests: Any
+    dests: np.ndarray
     pivots_by_level: dict[int, list[Coord]]
-    strategy_pivots: Any
-    strategy_valid: Any
-    reachability_maps: dict[tuple[bool, bool], Any] = field(default_factory=dict)
+    strategy_pivots: np.ndarray
+    strategy_valid: np.ndarray
+    reachability_maps: dict[tuple[bool, bool], np.ndarray] = field(default_factory=dict)
     _memo: dict[Any, Any] = field(default_factory=dict)
 
     def memo(self, key: Any, build: Callable[[], Any]) -> Any:
@@ -102,14 +99,14 @@ class PatternBatchContext:
             self._memo[key] = build()
         return self._memo[key]
 
-    def pivot_array(self, level: int) -> Any:
+    def pivot_array(self, level: int) -> np.ndarray:
         """The shared recursive-centre pivots for ``level`` as ``(p, 2)``."""
-        return self.memo(("pivots", level), lambda: self.xp.asarray(
-            np.array(self.pivots_by_level[level], dtype=np.int64).reshape(-1, 2)
-        ))
+        return self.memo(("pivots", level), lambda: np.array(
+            self.pivots_by_level[level], dtype=np.int64
+        ).reshape(-1, 2))
 
 
-PatternMetricFn = Callable[[PatternBatchContext], Any]
+PatternMetricFn = Callable[[PatternBatchContext], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -117,9 +114,9 @@ class MetricSpec:
     """One curve of a figure: a predicate over (pattern, destination) pairs.
 
     ``pattern_fn`` receives the :class:`PatternBatchContext` of ``model``
-    and returns a ``(batch, k)`` boolean mask (an array of the context's
-    backend); the curve's value at a fault count is the fraction of true
-    entries over all of that count's patterns and destinations.
+    and returns a ``(batch, k)`` boolean numpy mask; the curve's value at a
+    fault count is the fraction of true entries over all of that count's
+    patterns and destinations.
     """
 
     name: str
@@ -167,7 +164,7 @@ def _generate_pattern_grids(
         return faults, blocked
     forbidden = frozenset({source})
     faults = uniform_faults_batch(mesh, fault_count, rngs, forbidden)
-    blocked = to_numpy(batch_disable_fixpoint(faults))
+    blocked = batch_disable_fixpoint(faults)
     sx, sy = source
     bad = np.flatnonzero(blocked[:, sx, sy])
     rounds = 1
@@ -182,7 +179,7 @@ def _generate_pattern_grids(
             mesh, fault_count, [rngs[int(b)] for b in bad], forbidden
         )
         faults[bad] = redrawn
-        blocked[bad] = to_numpy(batch_disable_fixpoint(redrawn))
+        blocked[bad] = batch_disable_fixpoint(redrawn)
         bad = bad[blocked[bad, sx, sy]]
     return faults, blocked
 
@@ -327,7 +324,7 @@ class _ShardDraw:
 
     dests: np.ndarray
     models: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
-    counts: dict[tuple[str, PatternMetricFn, str], int] = field(default_factory=dict)
+    counts: dict[tuple[str, PatternMetricFn], int] = field(default_factory=dict)
 
 
 def _draw_shard(config: ExperimentConfig, shard: ShardPlan, with_mcc: bool) -> _ShardDraw:
@@ -350,24 +347,23 @@ def _draw_shard(config: ExperimentConfig, shard: ShardPlan, with_mcc: bool) -> _
 
 
 def _pattern_context(
-    config: ExperimentConfig, xp: Any, draw: _ShardDraw, model: str
+    config: ExperimentConfig, draw: _ShardDraw, model: str
 ) -> PatternBatchContext:
     """A fresh context over ``model``'s unpacked grid of ``draw``."""
     packed, pivots, valid = draw.models[model]
-    blocked = xp.asarray(np.unpackbits(packed, axis=-1, count=config.mesh.m).view(bool))
+    blocked = np.unpackbits(packed, axis=-1, count=config.mesh.m).view(bool)
     return PatternBatchContext(
         mesh=config.mesh,
         source=config.source,
-        xp=xp,
         blocked=blocked,
         levels=batch_safety_levels(blocked),
-        dests=xp.asarray(draw.dests),
+        dests=draw.dests,
         pivots_by_level={
             level: recursive_center_pivots(config.pivot_region, level)
             for level in config.pivot_levels
         },
-        strategy_pivots=xp.asarray(pivots),
-        strategy_valid=xp.asarray(valid),
+        strategy_pivots=pivots,
+        strategy_valid=valid,
     )
 
 
@@ -375,15 +371,14 @@ def _evaluate_shard_patterns(
     config: ExperimentConfig,
     metrics: list[MetricSpec],
     shard: ShardPlan,
-    backend: str = "numpy",
 ) -> tuple[dict[str, int], int]:
     """Success counts and trials over one shard's patterns.
 
     Stacks the shard's patterns into one grid per fault model and
-    evaluates every metric in one ``pattern_fn`` call on the requested
-    backend.  Each pattern consumes only its own spawned RNG stream --
-    faults, block-model strategy pivots, MCC-model strategy pivots (only
-    when an MCC metric is registered), then destinations -- so the result
+    evaluates every metric in one ``pattern_fn`` call.  Each pattern
+    consumes only its own spawned RNG stream -- faults, block-model
+    strategy pivots, MCC-model strategy pivots (only when an MCC metric is
+    registered), then destinations -- so the result
     depends on the shard contents alone, never on which worker ran it or
     what ran before it in the same process.
 
@@ -393,12 +388,11 @@ def _evaluate_shard_patterns(
     the shard's fault count and seeds, and whether MCC pivots are drawn
     (they shift the destinations).  Grids are bit-packed so a sweep's
     entries stay small; each call unpacks fresh contexts.  Counts
-    are memoised per ``(model, pattern_fn, backend)``, so a module-level
-    ``pattern_fn`` runs once per shard, model and backend.  Closures are
+    are memoised per ``(model, pattern_fn)``, so a module-level
+    ``pattern_fn`` runs once per shard and model.  Closures are
     rebuilt by every factory call and could never be hit again, so their
     counts are not stored.
     """
-    xp = resolve_backend(backend)
     with_mcc = any(metric.model == MCC_MODEL for metric in metrics)
     seeds = tuple((seq.entropy, seq.spawn_key, seq.pool_size) for seq in shard.pattern_seeds)
     draw_key = ("experiments.runner.shard", config, shard.fault_count, with_mcc, seeds)
@@ -406,12 +400,12 @@ def _evaluate_shard_patterns(
     contexts: dict[str, PatternBatchContext] = {}
     successes = {}
     for metric in metrics:
-        key = (metric.model, metric.pattern_fn, backend)
+        key = (metric.model, metric.pattern_fn)
         count = draw.counts.get(key)
         if count is None:
             if metric.model not in contexts:
-                contexts[metric.model] = _pattern_context(config, xp, draw, metric.model)
-            count = int(np.count_nonzero(to_numpy(metric.pattern_fn(contexts[metric.model]))))
+                contexts[metric.model] = _pattern_context(config, draw, metric.model)
+            count = int(np.count_nonzero(metric.pattern_fn(contexts[metric.model])))
             if getattr(metric.pattern_fn, "__closure__", None) is None:
                 draw.counts[key] = count
         successes[metric.name] = count
@@ -422,7 +416,6 @@ def _shard_worker(
     config: ExperimentConfig,
     metrics_factory: MetricsFactory,
     shard: ShardPlan,
-    backend: str = "numpy",
 ) -> tuple[dict[str, int], int]:
     """Process-pool entry point: rebuild the metrics, evaluate one shard.
 
@@ -430,7 +423,7 @@ def _shard_worker(
     picklable, so workers receive the (picklable) factory instead and
     reconstruct the metric list locally.
     """
-    return _evaluate_shard_patterns(config, metrics_factory(config), shard, backend)
+    return _evaluate_shard_patterns(config, metrics_factory(config), shard)
 
 
 class ConditionExperiment:
@@ -469,16 +462,13 @@ class ConditionExperiment:
         title: str,
         progress: Callable[[str], None] | None = None,
         workers: int = 1,
-        backend: str = "numpy",
     ) -> FigureSeries:
         """Run the sweep on ``workers`` processes (1 = in-process, serial).
 
         Each shard's patterns are stacked and decided by the metrics'
-        cross-pattern kernels on ``backend`` (any name from
-        :data:`repro.core.array_api.BACKENDS`).  The fault-pattern RNG
-        streams are spawned per pattern from the config seed, so any
-        (``workers``, ``backend``) combination yields the same
-        :class:`FigureSeries`, bit for bit.
+        cross-pattern kernels.  The fault-pattern RNG streams are spawned
+        per pattern from the config seed, so any worker count yields the
+        same :class:`FigureSeries`, bit for bit.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -488,7 +478,6 @@ class ConditionExperiment:
                 "experiment with ConditionExperiment(config, metrics_factory=...) "
                 "(metric predicates themselves are often unpicklable closures)"
             )
-        resolve_backend(backend)  # fail fast on unknown/missing backends
         config = self.config
         series = FigureSeries(figure_id=figure_id, title=title, x_label="faults")
         series.notes.append(config.describe())
@@ -499,7 +488,7 @@ class ConditionExperiment:
         if workers == 1:
             shard_results = [
                 [
-                    _evaluate_shard_patterns(config, self.metrics, shard, backend)
+                    _evaluate_shard_patterns(config, self.metrics, shard)
                     for shard in shards
                 ]
                 for shards in plans
@@ -508,9 +497,7 @@ class ConditionExperiment:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
                     [
-                        pool.submit(
-                            _shard_worker, config, self.metrics_factory, shard, backend
-                        )
+                        pool.submit(_shard_worker, config, self.metrics_factory, shard)
                         for shard in shards
                     ]
                     for shards in plans

@@ -11,8 +11,8 @@ the empirical licence for comparing quick-preset shapes with the paper's
 
 Each side is one :class:`~repro.experiments.runner.ConditionExperiment`
 sweep: every side's patterns are stacked into ``(batch, n, m)`` grids and
-decided in one array-program pass (``backend`` selects the array API
-backend, and ``workers`` shards patterns exactly like the figure sweeps).
+decided in one array-program pass (``workers`` shards patterns exactly
+like the figure sweeps).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ def mesh_size_sweep(
     destinations_per_pattern: int = 30,
     seed: int = 404,
     workers: int = 1,
-    backend: str = "numpy",
 ) -> FigureSeries:
     """Safe-source / Extension-1 / existence percentages versus mesh side,
     at a fixed fault density (default: the paper's k=200 density)."""
@@ -61,9 +60,7 @@ def mesh_size_sweep(
             fault_counts=(fault_count,),
         )
         experiment = ConditionExperiment(config, metrics_factory=_sweep_metrics)
-        side_series = experiment.run(
-            "sweep_size", f"side {side}", workers=workers, backend=backend
-        )
+        side_series = experiment.run("sweep_size", f"side {side}", workers=workers)
         series.xs.append(float(side))
         for name, points in side_series.series.items():
             series.add_point(name, points[0])

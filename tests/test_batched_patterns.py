@@ -17,6 +17,9 @@ oracle), pattern by pattern.  The suite asserts that promise:
   9-12), against the scalar predicates on
   ``compute_safety_levels(mcc.blocked)``.
 
+The shift helper behind both fixpoints (``_shifted_batch``) is checked
+against a naive index loop in a module of its own.
+
 Definition 2's labelling (``batch_label_closure``) is checked against
 ``_label_closure`` and ``label_statuses`` for both labels of both MCC
 types over every 4x4 pattern in one batch, thin meshes, seeded random
@@ -42,7 +45,6 @@ from repro.core.batched_patterns import (
     batch_safety_levels,
     build_source_sample_tables,
 )
-from repro.core.array_api import to_numpy
 from repro.core.conditions import is_safe
 from repro.core.extensions import (
     extension1_decision,
@@ -98,18 +100,18 @@ def _assert_reads_match_scalar(mesh: Mesh2D, grids: np.ndarray) -> None:
     batch = len(grids)
     for x in range(mesh.n):
         for y in range(mesh.m):
-            got = np.stack([to_numpy(v) for v in levels.node((x, y))], axis=1)
+            got = np.stack(levels.node((x, y)), axis=1)
             np.testing.assert_array_equal(got, expected[:, :, x, y], err_msg=str((x, y)))
             north_line, east_line = levels.axis_lines((x, y))
-            np.testing.assert_array_equal(to_numpy(north_line), expected[:, 3, x + 1 :, y])
-            np.testing.assert_array_equal(to_numpy(east_line), expected[:, 0, x, y + 1 :])
+            np.testing.assert_array_equal(north_line, expected[:, 3, x + 1 :, y])
+            np.testing.assert_array_equal(east_line, expected[:, 0, x, y + 1 :])
     xs, ys = np.meshgrid(np.arange(mesh.n), np.arange(mesh.m), indexing="ij")
     px = np.broadcast_to(xs.reshape(1, -1), (batch, mesh.n * mesh.m))
     py = np.broadcast_to(ys.reshape(1, -1), (batch, mesh.n * mesh.m))
-    got = np.stack([to_numpy(v) for v in levels.points(px, py)], axis=1)
+    got = np.stack(levels.points(px, py), axis=1)
     np.testing.assert_array_equal(got, expected.reshape(batch, 4, -1))
     px, py, order = _permuted_nodes(mesh, batch)
-    got = np.stack([to_numpy(v) for v in levels.points(px, py)], axis=1)
+    got = np.stack(levels.points(px, py), axis=1)
     flat = expected.reshape(batch, 4, -1)
     np.testing.assert_array_equal(got, np.take_along_axis(flat, order[:, None, :], axis=2))
 
@@ -124,7 +126,7 @@ def exhaustive():
     """(patterns, blocked, unique_blocked) over every 4x4 fault pattern."""
     patterns = _all_4x4_patterns()
     chunks = [
-        to_numpy(batch_disable_fixpoint(patterns[start : start + 8192]))
+        batch_disable_fixpoint(patterns[start : start + 8192])
         for start in range(0, len(patterns), 8192)
     ]
     blocked = np.concatenate(chunks)
@@ -161,7 +163,7 @@ class TestExhaustive4x4:
 
     def test_def3_matches_scalar(self, condition_case):
         _, grids, levels, source, dests, dests_one, scalar = condition_case
-        mask = to_numpy(batch_pattern_is_safe(levels, source, dests))
+        mask = batch_pattern_is_safe(levels, source, dests)
         for b in range(len(grids)):
             expected = [
                 is_safe(scalar[b], source, tuple(map(int, dest)))
@@ -172,10 +174,8 @@ class TestExhaustive4x4:
     @pytest.mark.parametrize("allow_sub_minimal", [False, True])
     def test_extension1_matches_scalar(self, condition_case, allow_sub_minimal):
         mesh, grids, levels, source, dests, dests_one, scalar = condition_case
-        mask = to_numpy(
-            batch_pattern_extension1(
-                grids, levels, source, dests, allow_sub_minimal=allow_sub_minimal
-            )
+        mask = batch_pattern_extension1(
+            grids, levels, source, dests, allow_sub_minimal=allow_sub_minimal
         )
         for b in range(len(grids)):
             for i, dest in enumerate(dests_one):
@@ -193,10 +193,8 @@ class TestExhaustive4x4:
     @pytest.mark.parametrize("segment_size", [1, 2, None])
     def test_extension2_matches_scalar(self, condition_case, segment_size):
         mesh, grids, levels, source, dests, dests_one, scalar = condition_case
-        mask = to_numpy(
-            batch_pattern_extension2(
-                levels, source, dests, segment_size, (mesh.n, mesh.m)
-            )
+        mask = batch_pattern_extension2(
+            levels, source, dests, segment_size, (mesh.n, mesh.m)
         )
         frame = Frame(origin=source)
         for b in range(len(grids)):
@@ -217,9 +215,7 @@ class TestExhaustive4x4:
         region = Rect(source[0], mesh.n - 1, source[1], mesh.m - 1)
         pivots = recursive_center_pivots(region, 2)
         pivot_arr = np.array(pivots, dtype=np.int64).reshape(-1, 2)
-        mask = to_numpy(
-            batch_pattern_extension3(grids, levels, source, dests, pivot_arr)
-        )
+        mask = batch_pattern_extension3(grids, levels, source, dests, pivot_arr)
         for b in range(len(grids)):
             for i, dest in enumerate(dests_one):
                 expected = extension3_decision(
@@ -229,7 +225,7 @@ class TestExhaustive4x4:
 
     def test_path_exists_matches_scalar(self, condition_case):
         _, grids, _, source, dests, dests_one, _ = condition_case
-        mask = to_numpy(batch_pattern_path_exists(grids, source, dests))
+        mask = batch_pattern_path_exists(grids, source, dests)
         for b in range(len(grids)):
             for i, dest in enumerate(dests_one):
                 if grids[b, dest[0], dest[1]]:
@@ -285,7 +281,7 @@ def random_case():
 class TestRandom32x32:
     def test_formation_and_esl_match_scalar(self, random_case):
         mesh, _, faulty, blocked, _ = random_case
-        got = to_numpy(batch_disable_fixpoint(faulty))
+        got = batch_disable_fixpoint(faulty)
         np.testing.assert_array_equal(got, blocked)
         _assert_reads_match_scalar(mesh, blocked)
 
@@ -295,24 +291,16 @@ class TestRandom32x32:
         region = Rect(source[0], mesh.n - 1, source[1], mesh.m - 1)
         pivots = recursive_center_pivots(region, 3)
         pivot_arr = np.array(pivots, dtype=np.int64).reshape(-1, 2)
-        safe = to_numpy(batch_pattern_is_safe(levels, source, dests))
-        ext1_min = to_numpy(
-            batch_pattern_extension1(
-                blocked, levels, source, dests, allow_sub_minimal=False
-            )
+        safe = batch_pattern_is_safe(levels, source, dests)
+        ext1_min = batch_pattern_extension1(
+            blocked, levels, source, dests, allow_sub_minimal=False
         )
-        ext1_sub = to_numpy(
-            batch_pattern_extension1(
-                blocked, levels, source, dests, allow_sub_minimal=True
-            )
+        ext1_sub = batch_pattern_extension1(
+            blocked, levels, source, dests, allow_sub_minimal=True
         )
-        ext2 = to_numpy(
-            batch_pattern_extension2(levels, source, dests, 5, (mesh.n, mesh.m))
-        )
-        ext3 = to_numpy(
-            batch_pattern_extension3(blocked, levels, source, dests, pivot_arr)
-        )
-        exists = to_numpy(batch_pattern_path_exists(blocked, source, dests))
+        ext2 = batch_pattern_extension2(levels, source, dests, 5, (mesh.n, mesh.m))
+        ext3 = batch_pattern_extension3(blocked, levels, source, dests, pivot_arr)
+        exists = batch_pattern_path_exists(blocked, source, dests)
         frame = Frame(origin=source)
         for b in range(N_PATTERNS):
             scalar = compute_safety_levels(mesh, blocked[b])
@@ -352,10 +340,8 @@ class TestRandom32x32:
             random_pivots(region, 2, rng) for _ in range(N_PATTERNS)
         ]
         padded, valid = _pad_pivots(pivot_lists)
-        mask = to_numpy(
-            batch_pattern_extension3(
-                blocked, levels, source, dests, padded, pivot_valid=valid
-            )
+        mask = batch_pattern_extension3(
+            blocked, levels, source, dests, padded, pivot_valid=valid
         )
         for b in range(0, N_PATTERNS, 10):
             scalar = compute_safety_levels(mesh, blocked[b])
@@ -463,7 +449,7 @@ class TestStackedMCCGrids:
     @pytest.mark.parametrize("seed", MCC_SEEDS)
     def test_matches_scalar_definition3(self, seed):
         _, _, levels, reference, source, dests, _ = _mcc_case(seed)
-        mask = to_numpy(batch_pattern_is_safe(levels, source, dests))
+        mask = batch_pattern_is_safe(levels, source, dests)
         for b, i, dest in _each_dest(dests):
             assert bool(mask[b, i]) == is_safe(reference[b], source, dest), (b, i)
 
@@ -471,10 +457,8 @@ class TestStackedMCCGrids:
     @pytest.mark.parametrize("allow_sub_minimal", [False, True])
     def test_matches_scalar_theorem1a(self, seed, allow_sub_minimal):
         mesh, grids, levels, reference, source, dests, _ = _mcc_case(seed)
-        mask = to_numpy(
-            batch_pattern_extension1(
-                grids, levels, source, dests, allow_sub_minimal=allow_sub_minimal
-            )
+        mask = batch_pattern_extension1(
+            grids, levels, source, dests, allow_sub_minimal=allow_sub_minimal
         )
         for b, i, dest in _each_dest(dests):
             decision = extension1_decision(
@@ -490,9 +474,7 @@ class TestStackedMCCGrids:
     @pytest.mark.parametrize("segment_size", [1, 3, None])
     def test_matches_scalar_theorem1b(self, seed, segment_size):
         mesh, _, levels, reference, source, dests, _ = _mcc_case(seed)
-        mask = to_numpy(
-            batch_pattern_extension2(levels, source, dests, segment_size, (mesh.n, mesh.m))
-        )
+        mask = batch_pattern_extension2(levels, source, dests, segment_size, (mesh.n, mesh.m))
         frame = Frame(origin=source)
         for b, i, dest in _each_dest(dests):
             east = build_axis_segments(mesh, reference[b], frame, Direction.EAST, segment_size)
@@ -509,7 +491,7 @@ class TestStackedMCCGrids:
         mesh, grids, levels, reference, source, dests, _ = _mcc_case(seed)
         pivots = recursive_center_pivots(Rect(source[0], mesh.n - 1, source[1], mesh.m - 1), 3)
         pivot_arr = np.array(pivots, dtype=np.int64).reshape(-1, 2)
-        mask = to_numpy(batch_pattern_extension3(grids, levels, source, dests, pivot_arr))
+        mask = batch_pattern_extension3(grids, levels, source, dests, pivot_arr)
         for b, i, dest in _each_dest(dests):
             expected = extension3_decision(
                 mesh, reference[b], grids[b], source, dest, pivots
@@ -522,9 +504,7 @@ class TestStackedMCCGrids:
         region = Rect(0, mesh.n - 1, 0, mesh.m - 1)
         pivot_lists = [random_pivots(region, 3, rng) for _ in range(len(grids))]
         padded, valid = _pad_pivots(pivot_lists)
-        mask = to_numpy(
-            batch_pattern_extension3(grids, levels, source, dests, padded, pivot_valid=valid)
-        )
+        mask = batch_pattern_extension3(grids, levels, source, dests, padded, pivot_valid=valid)
         for b, i, dest in _each_dest(dests):
             expected = extension3_decision(
                 mesh, reference[b], grids[b], source, dest, pivot_lists[b]
@@ -555,19 +535,19 @@ class TestStackedMCCGrids:
             pivot_valid=np.broadcast_to(valid, (batch, 3)),
         )
         expected = batch_pattern_extension3(grids, levels, source, dests, inside)
-        np.testing.assert_array_equal(to_numpy(mask), to_numpy(expected))
+        np.testing.assert_array_equal(mask, expected)
 
     def test_no_usable_pivots_reduces_to_definition3(self):
         _, grids, levels, _, source, dests, _ = _mcc_case(3)
         empty = np.zeros((0, 2), dtype=np.int64)
-        mask = to_numpy(batch_pattern_extension3(grids, levels, source, dests, empty))
-        safe = to_numpy(batch_pattern_is_safe(levels, source, dests))
+        mask = batch_pattern_extension3(grids, levels, source, dests, empty)
+        safe = batch_pattern_is_safe(levels, source, dests)
         np.testing.assert_array_equal(mask, safe)
 
     @pytest.mark.parametrize("seed", MCC_SEEDS)
     def test_path_exists_matches_scalar(self, seed):
         _, grids, _, _, source, dests, _ = _mcc_case(seed)
-        mask = to_numpy(batch_pattern_path_exists(grids, source, dests))
+        mask = batch_pattern_path_exists(grids, source, dests)
         for b, i, dest in _each_dest(dests):
             assert bool(mask[b, i]) == minimal_path_exists(grids[b], source, dest), (b, i)
 
@@ -584,7 +564,7 @@ def _batch_statuses(faulty: np.ndarray, mcc_type: MCCType) -> np.ndarray:
     """The ``label_statuses`` stack rebuilt from the batched closures: a
     node in both closures reports USELESS."""
     useless, cant_reach = (
-        to_numpy(batch_label_closure(faulty, _LABEL_RULES[(mcc_type, label)]))
+        batch_label_closure(faulty, _LABEL_RULES[(mcc_type, label)])
         for label in LABELS
     )
     status = np.zeros(faulty.shape, dtype=np.int8)
@@ -604,7 +584,7 @@ def _assert_labels_match_scalar(faulty: np.ndarray, mcc_type: MCCType) -> None:
     for label in LABELS:
         offsets = _LABEL_RULES[(mcc_type, label)]
         expected = np.stack([_label_closure(mesh, grid, offsets) for grid in faulty])
-        got = to_numpy(batch_label_closure(faulty, offsets))
+        got = batch_label_closure(faulty, offsets)
         np.testing.assert_array_equal(got, expected, err_msg=str(label))
     expected = np.stack([label_statuses(mesh, grid, mcc_type) for grid in faulty])
     np.testing.assert_array_equal(_batch_statuses(faulty, mcc_type), expected)
@@ -660,7 +640,7 @@ def test_staircase_labels_every_node_in_n_plus_m_minus_2_rounds(monkeypatch, sha
     monkeypatch.setattr(batched_patterns, "_shifted_batch", spy)
     faulty = _staircase(*shape)
     offsets = _LABEL_RULES[(MCCType.TYPE_ONE, NodeStatus.USELESS)]
-    useless = to_numpy(batch_label_closure(faulty, offsets))
+    useless = batch_label_closure(faulty, offsets)
     np.testing.assert_array_equal(useless, ~faulty)
     n, m = shape
     assert len(shifts) == 2 * (n + m - 2)  # two shifted reads per round
@@ -705,7 +685,7 @@ class TestStrategyCurves:
         ]
         padded, valid = _pad_pivots(pivot_lists)
         pctx = PatternBatchContext(
-            mesh=mesh, source=source, xp=np, blocked=grids,
+            mesh=mesh, source=source, blocked=grids,
             levels=batch_safety_levels(grids), dests=dests,
             pivots_by_level={}, strategy_pivots=padded, strategy_valid=valid,
         )
@@ -717,7 +697,7 @@ class TestStrategyCurves:
         suffix = "a" if model == "mcc" else ""
         metrics = {metric.name: metric for metric in fig12_metrics(config)}
         for strategy in Strategy:
-            mask = to_numpy(metrics[f"strategy{strategy.value}{suffix}"].pattern_fn(pctx))
+            mask = metrics[f"strategy{strategy.value}{suffix}"].pattern_fn(pctx)
             for b in range(0, N_PATTERNS, 5):
                 levels_b = compute_safety_levels(mesh, grids[b])
                 for i in range(dests.shape[1]):
@@ -786,7 +766,7 @@ class TestReadMemo:
         assert len(levels._reads) == 6  # the source, its four neighbours, its axis lines
         for (name, coord), memoised in levels._reads.items():
             for got, want in zip(memoised, getattr(fresh, name)(coord)):
-                np.testing.assert_array_equal(to_numpy(got), to_numpy(want), err_msg=name)
+                np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 # ----------------------------------------------------------------------
@@ -807,13 +787,3 @@ class TestEngineEquivalence:
         for engine in ("warp", "batched", "scalar"):
             with pytest.raises(ValueError, match="engine"):
                 fig9_extension1(tiny_config, engine=engine)
-
-    def test_unavailable_backend_fails_fast(self, tiny_config):
-        import importlib.util
-
-        from repro.experiments.figures import fig9_extension1
-
-        if importlib.util.find_spec("cupy") is not None:
-            pytest.skip("cupy present; nothing to fail fast on")
-        with pytest.raises(RuntimeError, match="cupy"):
-            fig9_extension1(tiny_config, backend="cupy")

@@ -153,14 +153,14 @@ def _spy(monkeypatch, module, name):
 
 
 class _Everywhere:
-    """A metric that succeeds on every trial and records each call's backend."""
+    """A metric that succeeds on every trial and records each call."""
 
     def __init__(self):
         self.calls = []
 
     def __call__(self, pctx):
-        self.calls.append(pctx.xp)
-        return pctx.xp.ones(tuple(pctx.dests.shape[:2]), dtype=pctx.xp.bool)
+        self.calls.append(pctx)
+        return np.ones(pctx.dests.shape[:2], dtype=bool)
 
 
 class TestShardMemo:
@@ -205,17 +205,14 @@ class TestShardMemo:
         # MCC pivots shift the destinations, so the draws really differ.
         assert any(cold.column(name) != both.column(name) for name in cold.series)
 
-    def test_strict_run_recomputes_numpy_counts(self):
+    def test_second_run_reuses_stored_counts(self):
         everywhere = _Everywhere()  # reusable, so its counts are stored
         metrics = [MetricSpec("m", everywhere), MetricSpec("ma", everywhere, MCC_MODEL)]
         experiment = ConditionExperiment(TINY, metrics)
-        per_run = 2 * len(TINY.fault_counts)
-        experiment.run("f", "t")
-        experiment.run("f", "t")
-        assert len(everywhere.calls) == per_run
-        experiment.run("f", "t", backend="strict")
-        assert len(everywhere.calls) == 2 * per_run
-        assert all(xp is not np for xp in everywhere.calls[per_run:])
+        first = experiment.run("f", "t")
+        assert len(everywhere.calls) == 2 * len(TINY.fault_counts)  # per shard and model
+        assert experiment.run("f", "t").series == first.series
+        assert len(everywhere.calls) == 2 * len(TINY.fault_counts)
 
     def test_closure_counts_are_not_kept(self):
         calls = []

@@ -94,12 +94,6 @@ def test_series_match_golden(key):
     assert _snap(series) == GOLDEN["series"][key]
 
 
-@pytest.mark.parametrize("figure", sorted(FIGURES))
-def test_strict_backend_matches_golden(figure):
-    series = FIGURES[figure](_config("tiny"), backend="strict")
-    assert _snap(series) == GOLDEN["series"][f"tiny/{figure}"]
-
-
 def test_clustered_workload_is_worker_invariant():
     series = fig12_strategies(_config("clustered"), workers=2)
     assert _snap(series) == GOLDEN["series"]["clustered/fig12"]
