@@ -9,11 +9,9 @@ Two stops:
    destination batch across all patterns at once (the ESLs they consult
    are read on demand from the blocked grid);
 2. run the fig9 sweep, whose curves run on those kernels under both fault
-   models (faulty blocks, and type-one MCCs for the "a" curves), on one
-   process and on two, and check the series agree point for point (every
-   pattern owns its own seeded generator); then run fig10 on the same
-   config, which takes its fault patterns and the existence curves from
-   the artifact cache fig9 filled.
+   models (faulty blocks, and type-one MCCs for the "a" curves); then run
+   fig10 on the same config, which takes its fault patterns and the
+   existence curves from the artifact cache fig9 filled.
 
 Run:  python examples/batched_sweep.py [batch]
 """
@@ -74,34 +72,28 @@ def sweep_demo() -> None:
     from repro.parallel.cache import get_artifact_cache
 
     config = ExperimentConfig.scaled(60, 24, 15, seed=2002)
-    experiment = ConditionExperiment(config, metrics_factory=fig9_metrics)
+    experiment = ConditionExperiment(config, fig9_metrics(config))
 
     get_artifact_cache().clear()
     t0 = time.perf_counter()
-    serial = experiment.run("fig9", "one process")
-    serial_s = time.perf_counter() - t0
+    fig9 = experiment.run("fig9", "extension 1")
+    fig9_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     fig10_extension2(config)
     fig10_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    pooled = experiment.run("fig9", "two processes", workers=2)
-    pooled_s = time.perf_counter() - t0
 
     print(f"\nfig9 sweep, {len(config.fault_counts)} fault counts x "
           f"{config.patterns_per_count} patterns x "
-          f"{config.destinations_per_pattern} destinations, both models:")
-    print(f"  workers=1: {serial_s * 1e3:7.1f}ms")
-    print(f"  workers=2: {pooled_s * 1e3:7.1f}ms")
-    print(f"  series bit-identical: {serial.series == pooled.series}")
+          f"{config.destinations_per_pattern} destinations, both models: "
+          f"{fig9_s * 1e3:.1f}ms")
     stats = get_artifact_cache().stats()
     print(f"  fig10 after fig9, same patterns: {fig10_s * 1e3:7.1f}ms "
-          f"(fig9 took {serial_s * 1e3:.1f}ms; artifact cache "
-          f"{stats['hits']} hits, {stats['misses']} misses)")
+          f"(artifact cache {stats['hits']} hits, {stats['misses']} misses)")
     top = len(config.fault_counts) - 1
     for name in ("safe_source", "ext1_min", "existence"):
         print(f"  {name:<12} at {config.fault_counts[top]} faults: "
-              f"blocks {serial.column(name)[top]:.3f}, "
-              f"MCCs {serial.column(name + 'a')[top]:.3f}")
+              f"blocks {fig9.column(name)[top]:.3f}, "
+              f"MCCs {fig9.column(name + 'a')[top]:.3f}")
 
 
 if __name__ == "__main__":

@@ -80,11 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--full", action="store_true", help="paper scale (200x200)")
     figures.add_argument("--plot", action="store_true", help="include ASCII plots")
     figures.add_argument("--csv", type=pathlib.Path, help="directory for CSV dumps")
-    figures.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the condition sweeps fig9-fig12 "
-        "(default 1; results are identical at any worker count)",
-    )
 
     scenario = sub.add_parser("scenario", help="render a random fault scenario")
     _common_scenario_args(scenario)
@@ -391,14 +386,9 @@ def _cmd_figures(args, out: Callable[[str], None]) -> int:
     }
     wanted = list(runners) if "all" in args.which else list(dict.fromkeys(args.which))
     config = ExperimentConfig.paper() if args.full else ExperimentConfig.quick()
-    if args.workers < 1:
-        out(f"error: --workers must be >= 1, got {args.workers}")
-        return 2
-    sharded = {"fig9", "fig10", "fig11", "fig12"}
     out(config.describe())
     for name in wanted:
-        kwargs = {"workers": args.workers} if name in sharded else {}
-        series = runners[name](config, progress=lambda msg: out(f"  {msg}"), **kwargs)
+        series = runners[name](config, progress=lambda msg: out(f"  {msg}"))
         out(series.render(with_plot=args.plot))
         if args.csv:
             args.csv.mkdir(parents=True, exist_ok=True)

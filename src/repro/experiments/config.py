@@ -50,6 +50,14 @@ class ExperimentConfig:
             raise ValueError("mesh side too small for a meaningful sweep")
         if not self.fault_counts:
             raise ValueError("need at least one fault count")
+        if min(self.fault_counts) < 0:
+            raise ValueError(f"fault_counts must be >= 0, got {self.fault_counts}")
+        if self.patterns_per_count < 1:
+            raise ValueError(f"patterns_per_count must be >= 1, got {self.patterns_per_count}")
+        if self.destinations_per_pattern < 1:
+            raise ValueError(
+                f"destinations_per_pattern must be >= 1, got {self.destinations_per_pattern}"
+            )
         if max(self.fault_counts) > self.mesh_side * self.mesh_side // 4:
             raise ValueError("fault density above 25% leaves no scenario to measure")
         if self.workload not in ("uniform", "clustered"):

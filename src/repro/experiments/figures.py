@@ -9,12 +9,9 @@ curves of the paper's plot.
 Every curve of Figures 9-12 is a cross-pattern kernel from
 :mod:`repro.core.batched_patterns`, run once per shard against the
 stacked grid of its fault model (faulty blocks, or type-one MCCs for the
-"a" curves).  The condition figures accept ``workers``: the sweep shards
-its fault patterns over that many processes (see ``run(workers=N)`` in
-the runner) and produces a bit-identical series at any worker count.
-Their metric lists are built by module-level *factories*
-(``fig9_metrics`` ...), which are picklable and therefore usable from
-worker processes.
+"a" curves).  Their metric lists are built by ``fig9_metrics`` ...
+``fig12_metrics``, so a caller can run a figure's curves through its own
+:class:`~repro.experiments.runner.ConditionExperiment`.
 """
 
 from __future__ import annotations
@@ -223,7 +220,7 @@ def fig8_disabled_nodes(
 
 
 def fig9_metrics(config: ExperimentConfig) -> list[MetricSpec]:
-    """Figure 9's curves (picklable metrics factory)."""
+    """Figure 9's curves."""
     metrics: list[MetricSpec] = []
     for model in (BLOCK_MODEL, MCC_MODEL):
         metrics += [
@@ -236,10 +233,10 @@ def fig9_metrics(config: ExperimentConfig) -> list[MetricSpec]:
 
 
 def fig9_block_metrics(config: ExperimentConfig) -> list[MetricSpec]:
-    """Figure 9's block-model curves only (picklable metrics factory).
+    """Figure 9's block-model curves only.
 
     The whole sweep is one array program per shard, with no MCC
-    labelling; the mesh-size sweep runs exactly this factory.
+    labelling; the mesh-size sweep runs a subset of these curves.
     """
     return [
         metric for metric in fig9_metrics(config) if metric.model == BLOCK_MODEL
@@ -249,21 +246,18 @@ def fig9_block_metrics(config: ExperimentConfig) -> list[MetricSpec]:
 def fig9_extension1(
     config: ExperimentConfig | None = None,
     progress: Progress = None,
-    workers: int = 1,
     engine: str = "auto",
 ) -> FigureSeries:
     """Safe source, extension 1 (min), extension 1 (sub-min), and the
     optimal existence baseline, under both fault models (Figure 9 a+b)."""
     _check_engine(engine)
     config = config or ExperimentConfig.from_environment()
-    experiment = ConditionExperiment(config, metrics_factory=fig9_metrics)
-    return experiment.run(
-        "fig9", "minimal/sub-minimal ensured: extension 1", progress, workers=workers
-    )
+    experiment = ConditionExperiment(config, fig9_metrics(config))
+    return experiment.run("fig9", "minimal/sub-minimal ensured: extension 1", progress)
 
 
 def fig10_metrics(config: ExperimentConfig) -> list[MetricSpec]:
-    """Figure 10's curves (picklable metrics factory)."""
+    """Figure 10's curves."""
     metrics: list[MetricSpec] = []
     for model in (BLOCK_MODEL, MCC_MODEL):
         metrics.append(_both_models("safe_source", _safe_source, model))
@@ -277,20 +271,17 @@ def fig10_metrics(config: ExperimentConfig) -> list[MetricSpec]:
 def fig10_extension2(
     config: ExperimentConfig | None = None,
     progress: Progress = None,
-    workers: int = 1,
     engine: str = "auto",
 ) -> FigureSeries:
     """Extension 2 for every segment-size variation (Figure 10 a+b)."""
     _check_engine(engine)
     config = config or ExperimentConfig.from_environment()
-    experiment = ConditionExperiment(config, metrics_factory=fig10_metrics)
-    return experiment.run(
-        "fig10", "minimal ensured: extension 2 segment sizes", progress, workers=workers
-    )
+    experiment = ConditionExperiment(config, fig10_metrics(config))
+    return experiment.run("fig10", "minimal ensured: extension 2 segment sizes", progress)
 
 
 def fig11_metrics(config: ExperimentConfig) -> list[MetricSpec]:
-    """Figure 11's curves (picklable metrics factory)."""
+    """Figure 11's curves."""
     metrics: list[MetricSpec] = []
     for model in (BLOCK_MODEL, MCC_MODEL):
         metrics.append(_both_models("safe_source", _safe_source, model))
@@ -303,20 +294,17 @@ def fig11_metrics(config: ExperimentConfig) -> list[MetricSpec]:
 def fig11_extension3(
     config: ExperimentConfig | None = None,
     progress: Progress = None,
-    workers: int = 1,
     engine: str = "auto",
 ) -> FigureSeries:
     """Extension 3 for partition levels 1-3 (Figure 11 a+b)."""
     _check_engine(engine)
     config = config or ExperimentConfig.from_environment()
-    experiment = ConditionExperiment(config, metrics_factory=fig11_metrics)
-    return experiment.run(
-        "fig11", "minimal ensured: extension 3 partition levels", progress, workers=workers
-    )
+    experiment = ConditionExperiment(config, fig11_metrics(config))
+    return experiment.run("fig11", "minimal ensured: extension 3 partition levels", progress)
 
 
 def fig12_metrics(config: ExperimentConfig) -> list[MetricSpec]:
-    """Figure 12's curves (picklable metrics factory)."""
+    """Figure 12's curves."""
     metrics: list[MetricSpec] = []
     for model in (BLOCK_MODEL, MCC_MODEL):
         for strategy in Strategy:
@@ -330,13 +318,10 @@ def fig12_metrics(config: ExperimentConfig) -> list[MetricSpec]:
 def fig12_strategies(
     config: ExperimentConfig | None = None,
     progress: Progress = None,
-    workers: int = 1,
     engine: str = "auto",
 ) -> FigureSeries:
     """Strategies 1-4 / 1a-4a (Figure 12 a+b)."""
     _check_engine(engine)
     config = config or ExperimentConfig.from_environment()
-    experiment = ConditionExperiment(config, metrics_factory=fig12_metrics)
-    return experiment.run(
-        "fig12", "minimal ensured: strategies 1-4", progress, workers=workers
-    )
+    experiment = ConditionExperiment(config, fig12_metrics(config))
+    return experiment.run("fig12", "minimal ensured: strategies 1-4", progress)

@@ -5,8 +5,8 @@ registered metric on a fixed number of random destinations per pattern.
 Metrics under the block and MCC models see the *same* fault patterns and
 destinations, so the paper's (a)/(b) figure pairs are paired comparisons.
 
-A shard (one fault count's patterns, or a slice of them) is evaluated as
-one pattern batch (see ``docs/API.md``, "Batched pattern engine"):
+A shard (one fault count's patterns) is evaluated as one pattern batch
+(see ``docs/API.md``, "Batched pattern engine"):
 
 - the shard's fault patterns are stacked into ``(batch, n, m)`` grids --
   :func:`~repro.faults.injection.uniform_faults_batch` for the paper's
@@ -23,13 +23,9 @@ one pattern batch (see ``docs/API.md``, "Batched pattern engine"):
   ``(batch, k)`` (pattern, destination) grid in one call.
 
 Every pattern owns a :class:`numpy.random.SeedSequence` spawned along a
-fixed tree (see :mod:`repro.parallel.pool`), and its stream is consumed
-in a fixed order: faults (with rejection redraws), block-model strategy
-pivots, MCC-model strategy pivots, destinations.  ``run(workers=N)``
-shards ``patterns_per_count`` across a
-:class:`~concurrent.futures.ProcessPoolExecutor` and therefore produces
-bit-identical :class:`~repro.experiments.report.FigureSeries` at any
-worker count.
+fixed tree (:func:`pattern_seed_tree`), and its stream is consumed in a
+fixed order: faults (with rejection redraws), block-model strategy
+pivots, MCC-model strategy pivots, destinations.
 
 Figures 9-12 draw the same shards, so each shard's drawn inputs and its
 success counts are memoised in the process-wide artifact cache (see
@@ -39,7 +35,6 @@ relabels a pattern, and reuses the curves it shares.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -60,7 +55,6 @@ from repro.faults.mcc import _LABEL_RULES, MCCType, NodeStatus
 from repro.mesh.geometry import Coord
 from repro.mesh.topology import Mesh2D
 from repro.parallel.cache import get_artifact_cache
-from repro.parallel.pool import ShardPlan, plan_shards
 
 #: The fault models a metric can run under.
 BLOCK_MODEL = "block"
@@ -128,9 +122,18 @@ class MetricSpec:
             raise ValueError(f"unknown model {self.model!r}")
 
 
-#: Rebuilds a figure's metric list inside worker processes (must be a
-#: picklable callable, e.g. a module-level function).
-MetricsFactory = Callable[[ExperimentConfig], "list[MetricSpec]"]
+def pattern_seed_tree(
+    seed: int, fault_counts: tuple[int, ...], patterns_per_count: int
+) -> list[list[np.random.SeedSequence]]:
+    """Per-fault-count lists of per-pattern seed sequences.
+
+    The spawn tree is ``root -> one child per fault count -> one
+    grandchild per pattern``, so every pattern's stream depends only on
+    ``(seed, len(fault_counts), patterns_per_count)`` and its position.
+    """
+    root = np.random.SeedSequence(seed)
+    count_seqs = root.spawn(len(fault_counts))
+    return [seq.spawn(patterns_per_count) for seq in count_seqs]
 
 
 def _generate_pattern_grids(
@@ -327,12 +330,17 @@ class _ShardDraw:
     counts: dict[tuple[str, PatternMetricFn], int] = field(default_factory=dict)
 
 
-def _draw_shard(config: ExperimentConfig, shard: ShardPlan, with_mcc: bool) -> _ShardDraw:
+def _draw_shard(
+    config: ExperimentConfig,
+    fault_count: int,
+    seeds: list[np.random.SeedSequence],
+    with_mcc: bool,
+) -> _ShardDraw:
     """Draw one shard's patterns: faults, block-model strategy pivots,
     MCC-model strategy pivots (``with_mcc`` only), destinations, then the
     type-one MCC labelling, each pattern from its own spawned stream."""
-    rngs = [np.random.default_rng(seed_seq) for seed_seq in shard.pattern_seeds]
-    faults, blocked = _generate_pattern_grids(config, shard.fault_count, rngs)
+    rngs = [np.random.default_rng(seed_seq) for seed_seq in seeds]
+    faults, blocked = _generate_pattern_grids(config, fault_count, rngs)
     models = (BLOCK_MODEL, MCC_MODEL) if with_mcc else (BLOCK_MODEL,)
     bounds = _pivot_draw_cells(config)
     strategy = [_pad_pivots([_replay_random_pivots(bounds, rng) for rng in rngs]) for _ in models]
@@ -370,33 +378,37 @@ def _pattern_context(
 def _evaluate_shard_patterns(
     config: ExperimentConfig,
     metrics: list[MetricSpec],
-    shard: ShardPlan,
-) -> tuple[dict[str, int], int]:
-    """Success counts and trials over one shard's patterns.
+    fault_count: int,
+    seeds: list[np.random.SeedSequence],
+) -> dict[str, int]:
+    """Every metric's success count over one shard: the patterns of one
+    fault count, one per seed sequence.
 
     Stacks the shard's patterns into one grid per fault model and
     evaluates every metric in one ``pattern_fn`` call.  Each pattern
     consumes only its own spawned RNG stream -- faults, block-model
     strategy pivots, MCC-model strategy pivots (only when an MCC metric is
-    registered), then destinations -- so the result
-    depends on the shard contents alone, never on which worker ran it or
-    what ran before it in the same process.
+    registered), then destinations -- so the result depends on the shard
+    contents alone, never on what ran before it in the same process.
 
     The draw is memoised in ``get_artifact_cache()`` (``clear()`` resets
     it), keyed by the config itself -- frozen, and equal only to a config
     of the same class, so a subclass overriding a derived region misses --
-    the shard's fault count and seeds, and whether MCC pivots are drawn
+    the fault count, every pattern's seed (two equal fault counts in one
+    config get different seed subtrees), and whether MCC pivots are drawn
     (they shift the destinations).  Grids are bit-packed so a sweep's
     entries stay small; each call unpacks fresh contexts.  Counts
     are memoised per ``(model, pattern_fn)``, so a module-level
     ``pattern_fn`` runs once per shard and model.  Closures are
-    rebuilt by every factory call and could never be hit again, so their
-    counts are not stored.
+    rebuilt by every ``figN_metrics`` call and could never be hit again,
+    so their counts are not stored.
     """
     with_mcc = any(metric.model == MCC_MODEL for metric in metrics)
-    seeds = tuple((seq.entropy, seq.spawn_key, seq.pool_size) for seq in shard.pattern_seeds)
-    draw_key = ("experiments.runner.shard", config, shard.fault_count, with_mcc, seeds)
-    draw = get_artifact_cache().get_or_build(draw_key, lambda: _draw_shard(config, shard, with_mcc))
+    seed_key = tuple((seq.entropy, seq.spawn_key, seq.pool_size) for seq in seeds)
+    draw_key = ("experiments.runner.shard", config, fault_count, with_mcc, seed_key)
+    draw = get_artifact_cache().get_or_build(
+        draw_key, lambda: _draw_shard(config, fault_count, seeds, with_mcc)
+    )
     contexts: dict[str, PatternBatchContext] = {}
     successes = {}
     for metric in metrics:
@@ -409,43 +421,13 @@ def _evaluate_shard_patterns(
             if getattr(metric.pattern_fn, "__closure__", None) is None:
                 draw.counts[key] = count
         successes[metric.name] = count
-    return successes, len(shard.pattern_seeds) * config.destinations_per_pattern
-
-
-def _shard_worker(
-    config: ExperimentConfig,
-    metrics_factory: MetricsFactory,
-    shard: ShardPlan,
-) -> tuple[dict[str, int], int]:
-    """Process-pool entry point: rebuild the metrics, evaluate one shard.
-
-    Metric predicates routinely close over figure parameters and are not
-    picklable, so workers receive the (picklable) factory instead and
-    reconstruct the metric list locally.
-    """
-    return _evaluate_shard_patterns(config, metrics_factory(config), shard)
+    return successes
 
 
 class ConditionExperiment:
-    """Sweep fault counts, measuring each metric's success proportion.
+    """Sweep fault counts, measuring each metric's success proportion."""
 
-    ``metrics`` may be given directly, or via ``metrics_factory`` -- a
-    picklable callable mapping the config to the metric list.  The factory
-    form is required for ``run(workers>1)``: worker processes rebuild the
-    metrics themselves instead of unpickling closures.
-    """
-
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        metrics: list[MetricSpec] | None = None,
-        *,
-        metrics_factory: MetricsFactory | None = None,
-    ):
-        if metrics is None:
-            if metrics_factory is None:
-                raise ValueError("need metrics or a metrics_factory")
-            metrics = metrics_factory(config)
+    def __init__(self, config: ExperimentConfig, metrics: list[MetricSpec]):
         if not metrics:
             raise ValueError("need at least one metric")
         names = [m.name for m in metrics]
@@ -453,7 +435,6 @@ class ConditionExperiment:
             raise ValueError(f"duplicate metric names in {names}")
         self.config = config
         self.metrics = metrics
-        self.metrics_factory = metrics_factory
 
     # ------------------------------------------------------------------
     def run(
@@ -461,58 +442,21 @@ class ConditionExperiment:
         figure_id: str,
         title: str,
         progress: Callable[[str], None] | None = None,
-        workers: int = 1,
     ) -> FigureSeries:
-        """Run the sweep on ``workers`` processes (1 = in-process, serial).
+        """Run the sweep, one fault count at a time.
 
-        Each shard's patterns are stacked and decided by the metrics'
-        cross-pattern kernels.  The fault-pattern RNG streams are spawned
-        per pattern from the config seed, so any worker count yields the
-        same :class:`FigureSeries`, bit for bit.
+        Each fault count's patterns are stacked and decided by the
+        metrics' cross-pattern kernels.  The fault-pattern RNG streams are
+        spawned per pattern from the config seed, so a run's
+        :class:`FigureSeries` depends only on the config and the metrics.
         """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers > 1 and self.metrics_factory is None:
-            raise ValueError(
-                "run(workers>1) needs a picklable metrics_factory: construct the "
-                "experiment with ConditionExperiment(config, metrics_factory=...) "
-                "(metric predicates themselves are often unpicklable closures)"
-            )
         config = self.config
         series = FigureSeries(figure_id=figure_id, title=title, x_label="faults")
         series.notes.append(config.describe())
-        plans = plan_shards(
-            config.seed, config.fault_counts, config.patterns_per_count, workers
-        )
-
-        if workers == 1:
-            shard_results = [
-                [
-                    _evaluate_shard_patterns(config, self.metrics, shard)
-                    for shard in shards
-                ]
-                for shards in plans
-            ]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    [
-                        pool.submit(_shard_worker, config, self.metrics_factory, shard)
-                        for shard in shards
-                    ]
-                    for shards in plans
-                ]
-                shard_results = [
-                    [future.result() for future in row] for row in futures
-                ]
-
-        for fault_count, row in zip(config.fault_counts, shard_results):
-            successes = {metric.name: 0 for metric in self.metrics}
-            trials = 0
-            for shard_successes, shard_trials in row:
-                trials += shard_trials
-                for name, count in shard_successes.items():
-                    successes[name] += count
+        tree = pattern_seed_tree(config.seed, config.fault_counts, config.patterns_per_count)
+        trials = config.patterns_per_count * config.destinations_per_pattern
+        for fault_count, seeds in zip(config.fault_counts, tree):
+            successes = _evaluate_shard_patterns(config, self.metrics, fault_count, seeds)
             series.xs.append(float(fault_count))
             for metric in self.metrics:
                 series.add_point(metric.name, proportion_ci(successes[metric.name], trials))

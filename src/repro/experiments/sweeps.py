@@ -11,8 +11,7 @@ the empirical licence for comparing quick-preset shapes with the paper's
 
 Each side is one :class:`~repro.experiments.runner.ConditionExperiment`
 sweep: every side's patterns are stacked into ``(batch, n, m)`` grids and
-decided in one array-program pass (``workers`` shards patterns exactly
-like the figure sweeps).
+decided in one array-program pass, exactly like the figure sweeps.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.experiments.runner import ConditionExperiment, MetricSpec
 
 
 def _sweep_metrics(config: ExperimentConfig) -> list[MetricSpec]:
-    """The sweep's block-model curves (picklable metrics factory)."""
+    """The sweep's block-model curves."""
     from repro.experiments.figures import fig9_block_metrics
 
     return [
@@ -42,7 +41,6 @@ def mesh_size_sweep(
     patterns_per_side: int = 10,
     destinations_per_pattern: int = 30,
     seed: int = 404,
-    workers: int = 1,
 ) -> FigureSeries:
     """Safe-source / Extension-1 / existence percentages versus mesh side,
     at a fixed fault density (default: the paper's k=200 density)."""
@@ -59,8 +57,8 @@ def mesh_size_sweep(
             ),
             fault_counts=(fault_count,),
         )
-        experiment = ConditionExperiment(config, metrics_factory=_sweep_metrics)
-        side_series = experiment.run("sweep_size", f"side {side}", workers=workers)
+        experiment = ConditionExperiment(config, _sweep_metrics(config))
+        side_series = experiment.run("sweep_size", f"side {side}")
         series.xs.append(float(side))
         for name, points in side_series.series.items():
             series.add_point(name, points[0])

@@ -513,19 +513,14 @@ class TestFigures:
         assert code == 0
         assert "o=" in output  # the ASCII plot legend
 
-    def test_workers_flag_runs_the_condition_sweep(self, monkeypatch):
+    def test_condition_sweep_runs(self, monkeypatch):
         from repro.experiments import ExperimentConfig
 
         tiny = ExperimentConfig.scaled(side=32, patterns_per_count=2, destinations_per_pattern=4)
         monkeypatch.setattr(ExperimentConfig, "quick", staticmethod(lambda: tiny))
-        code, output = _run(["figures", "fig9", "--workers", "2"])
+        code, output = _run(["figures", "fig9"])
         assert code == 0
         assert "fig9" in output
-
-    def test_workers_must_be_positive(self):
-        code, output = _run(["figures", "fig9", "--workers", "0"])
-        assert code == 2
-        assert "--workers" in output
 
 
 class TestMemoryAndSweep:

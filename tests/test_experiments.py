@@ -51,6 +51,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(fault_counts=())
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("patterns_per_count", 0),
+            ("patterns_per_count", -1),
+            ("destinations_per_pattern", 0),
+            ("fault_counts", (-3,)),
+            ("fault_counts", (5, -1)),
+        ],
+    )
+    def test_rejects_empty_or_negative_sizes(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(TINY, **{field: value})
+
     def test_describe_mentions_scale(self):
         assert "200x200" in ExperimentConfig.paper().describe()
 
@@ -197,10 +211,10 @@ class TestShardMemo:
         assert (cache.hits, cache.misses) == (0, 2 * len(TINY.fault_counts))
 
     def test_block_only_draw_is_not_served_by_a_two_model_draw(self):
-        both = ConditionExperiment(TINY, metrics_factory=fig9_metrics).run("f", "t")
-        warm = ConditionExperiment(TINY, metrics_factory=fig9_block_metrics).run("f", "t")
+        both = ConditionExperiment(TINY, fig9_metrics(TINY)).run("f", "t")
+        warm = ConditionExperiment(TINY, fig9_block_metrics(TINY)).run("f", "t")
         with use_artifact_cache(ArtifactCache()):
-            cold = ConditionExperiment(TINY, metrics_factory=fig9_block_metrics).run("f", "t")
+            cold = ConditionExperiment(TINY, fig9_block_metrics(TINY)).run("f", "t")
         assert warm.series == cold.series
         # MCC pivots shift the destinations, so the draws really differ.
         assert any(cold.column(name) != both.column(name) for name in cold.series)

@@ -94,11 +94,6 @@ def test_series_match_golden(key):
     assert _snap(series) == GOLDEN["series"][key]
 
 
-def test_clustered_workload_is_worker_invariant():
-    series = fig12_strategies(_config("clustered"), workers=2)
-    assert _snap(series) == GOLDEN["series"]["clustered/fig12"]
-
-
 
 @pytest.mark.parametrize("case", sorted(GOLDEN["cases"]))
 def test_all_figures_in_one_cache_match_golden(case, fresh_artifact_cache):

@@ -1,11 +1,10 @@
-"""Tests for ``repro.parallel``: sharding, the artifact cache, and the
-worker-count invariance of the condition experiments."""
+"""Tests for ``repro.parallel``: the artifact cache, and the condition
+experiments' metric-list checks."""
 
 import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import fig9_metrics
 from repro.experiments.runner import BLOCK_MODEL, ConditionExperiment, MetricSpec
 from repro.obs.prof import Profiler, use_profiler
 from repro.parallel.cache import (
@@ -14,43 +13,12 @@ from repro.parallel.cache import (
     get_artifact_cache,
     use_artifact_cache,
 )
-from repro.parallel.pool import pattern_seed_tree, plan_shards
 
 
 def _tiny_config(seed=11):
     return ExperimentConfig.scaled(
         side=32, patterns_per_count=3, destinations_per_pattern=5, seed=seed
     )
-
-
-class TestShardPlanning:
-    def test_shards_partition_the_seed_tree(self):
-        config = _tiny_config()
-        tree = pattern_seed_tree(config.seed, config.fault_counts, config.patterns_per_count)
-        plans = plan_shards(config.seed, config.fault_counts, config.patterns_per_count, 2)
-        assert len(plans) == len(config.fault_counts)
-        for seeds, shards in zip(tree, plans):
-            reassembled = [seq for shard in shards for seq in shard.pattern_seeds]
-            assert [s.entropy for s in reassembled] == [s.entropy for s in seeds]
-            assert [s.spawn_key for s in reassembled] == [s.spawn_key for s in seeds]
-            sizes = [len(shard.pattern_seeds) for shard in shards]
-            assert max(sizes) - min(sizes) <= 1
-            assert [shard.pattern_offset for shard in shards] == [
-                sum(sizes[:i]) for i in range(len(sizes))
-            ]
-
-    def test_workers_one_is_a_single_shard(self):
-        plans = plan_shards(7, (2, 4), 5, 1)
-        assert all(len(shards) == 1 for shards in plans)
-        assert all(len(shards[0].pattern_seeds) == 5 for shards in plans)
-
-    def test_more_workers_than_patterns(self):
-        plans = plan_shards(7, (2,), 3, 8)
-        assert len(plans[0]) == 3  # never an empty shard
-
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            plan_shards(7, (2,), 3, 0)
 
 
 class TestArtifactCache:
@@ -241,34 +209,6 @@ class TestPeekAndDrop:
         assert cache.drop("k") is True
         assert "k" not in cache
         assert cache.drop("k") is False
-
-
-class TestWorkerInvariance:
-    def test_parallel_run_is_bit_identical_to_serial(self):
-        config = _tiny_config()
-        experiment = ConditionExperiment(config, metrics_factory=fig9_metrics)
-        serial = experiment.run("fig9", "t", workers=1)
-        parallel = experiment.run("fig9", "t", workers=4)
-        assert serial.xs == parallel.xs
-        assert serial.series == parallel.series
-
-    def test_workers_require_a_metrics_factory(self):
-        config = _tiny_config()
-        experiment = ConditionExperiment(config, metrics=fig9_metrics(config))
-        with pytest.raises(ValueError, match="metrics_factory"):
-            experiment.run("fig9", "t", workers=2)
-
-    def test_rejects_nonpositive_workers(self):
-        config = _tiny_config()
-        experiment = ConditionExperiment(config, metrics_factory=fig9_metrics)
-        with pytest.raises(ValueError, match="workers"):
-            experiment.run("fig9", "t", workers=0)
-
-    def test_factory_built_metrics_match_explicit_metrics(self):
-        config = _tiny_config()
-        via_factory = ConditionExperiment(config, metrics_factory=fig9_metrics)
-        explicit = ConditionExperiment(config, metrics=fig9_metrics(config))
-        assert [m.name for m in via_factory.metrics] == [m.name for m in explicit.metrics]
 
 
 class TestBatchedMetricsInTheRunner:
