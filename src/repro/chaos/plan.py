@@ -9,9 +9,9 @@ fixed per-send order, so a given (protocol, seed) pair always produces
 the same perturbations -- chaos runs are exactly as reproducible as
 clean ones.
 
-The default plan is *reliable* (all probabilities zero); the network
-only takes the chaos send path when :attr:`ChannelFaultPlan.active` is
-true, so existing runs stay bit-identical.
+The default plan is *reliable* (all probabilities zero); the network's
+one send path draws verdicts only when :attr:`ChannelFaultPlan.active`
+is true, so reliable runs consume no randomness and stay bit-identical.
 """
 
 from __future__ import annotations

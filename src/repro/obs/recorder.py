@@ -1,7 +1,7 @@
 """The flight recorder: deterministic event capture with causal lineage.
 
 A :class:`FlightRecorder` is a :class:`~repro.obs.tracer.Tracer` whose
-``recording`` flag makes the simulator take its *recorded* code paths:
+``recording`` flag makes the simulator's send path emit lineage events:
 every decision point -- message send/deliver/drop/duplicate, chaos
 crash/revive, epoch fences, process restarts, simulated-time advances --
 is emitted as a :class:`~repro.obs.events.TraceEvent` whose ``cause``
@@ -24,9 +24,9 @@ The canonical form of an event (:func:`canonical`) strips wall-clock
 fields (span ``duration``) so "bit-identical" compares only simulated
 behaviour, never host timing.
 
-Recording costs one extra cached-flag check on the uninstrumented send
-path (the same pattern as the chaos flag); with the default null tracer
-installed nothing here is ever touched.
+The send path checks one cached flag per message to choose these events
+over the plain tracer's; with the default null tracer installed nothing
+here is ever touched.
 """
 
 from __future__ import annotations

@@ -87,8 +87,7 @@ class Tracer:
 
     enabled: bool = True
     #: True only on :class:`~repro.obs.recorder.FlightRecorder`; hot paths
-    #: cache this to decide whether to take the recorded (lineage-emitting)
-    #: code path.
+    #: cache this to decide whether to emit lineage-carrying events.
     recording: bool = False
     #: Causal-scope slots; only the flight recorder maintains them, but
     #: they exist on every tracer so a recorded delivery that fires after

@@ -10,17 +10,17 @@ Channel state does not live in per-channel objects: a
 state of all ``4*n*m`` directed links in numpy arrays indexed by
 ``(x, y, direction)``.  :class:`ChannelView` is a thin facade over one
 array slot, handed out lazily by :class:`ChannelMap`, so building a
-network allocates no per-channel objects at all.
+network allocates no per-channel objects at all.  Views read counters
+and take links down; every message goes through the one send path,
+:meth:`~repro.simulator.network.MeshNetwork.send_from`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterator
 
 from repro.mesh.geometry import Coord, Direction
-from repro.simulator.messages import Message
 
 if TYPE_CHECKING:
     from repro.simulator.network import MeshNetwork
@@ -56,22 +56,6 @@ class ChannelView:
     @property
     def messages_dropped(self) -> int:
         return int(self._network.channel_dropped[self._x, self._y, self._di])
-
-    def send(self, message: Message) -> None:
-        """External-caller path: annotate, count into the arrays, deliver
-        after the link latency."""
-        network = self._network
-        if not network.channel_up[self._x, self._y, self._di]:
-            network.channel_dropped[self._x, self._y, self._di] += 1
-            network.messages_dropped_total += 1
-            return
-        network.channel_carried[self._x, self._y, self._di] += 1
-        network.messages_carried_total += 1
-        # The receiver sees the message arriving from the opposite side.
-        annotated = dataclasses.replace(
-            message, arrival_direction=self.direction.opposite
-        )
-        network.engine.schedule(network.latency, network._deliver, self.dst, annotated)
 
     def take_down(self) -> None:
         # Route through the network so its running up-link count stays true.

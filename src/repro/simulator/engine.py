@@ -54,12 +54,12 @@ class Engine:
         wall clock, so a recorded run and its replay produce identical
         hook calls.
 
-        The unhooked ``run`` paths are untouched -- clearing the hook
-        restores the exact pre-existing loops -- and the hooked loop pays
-        one float compare per event.  A boundary sample observes the
-        queue *after* the triggering event was dequeued (``pending``
-        excludes the event being dispatched).  :meth:`step` never fires
-        the hook.
+        :meth:`run` has one loop with or without a hook: an absent hook
+        is an infinite next-tick sentinel, so the hook costs nothing
+        beyond the one float compare per event that is always paid.  A
+        boundary sample observes the queue *after* the triggering event
+        was dequeued (``pending`` excludes the event being dispatched).
+        :meth:`step` never fires the hook.
         """
         if hook is not None and not interval > 0:
             raise ValueError(f"tick interval must be positive (got {interval})")
@@ -122,72 +122,27 @@ class Engine:
         single source of truth; this method counts against a snapshot of
         it, so the lifetime total and the per-run count can never drift
         apart.
-        """
-        if self._tick_hook is not None:
-            return self._run_hooked(until, max_events)
-        start = self.events_processed
-        pop = self._pop
-        if until is None and max_events is None:
-            # Hot path: nothing to check per event.
-            while self._count:
-                time, callback, args = pop()
-                self.now = time
-                self.events_processed += 1
-                callback(*args)
-        elif until is None:
-            limit = start + max_events
-            while self._count:
-                if self.events_processed >= limit:
-                    raise RuntimeError(
-                        f"event budget of {max_events} exhausted at t={self.now} "
-                        f"({self.pending} events pending)"
-                    )
-                time, callback, args = pop()
-                self.now = time
-                self.events_processed += 1
-                callback(*args)
-        else:
-            # Scale-aware slack: large enough to absorb accumulated
-            # rounding over thousands of chained delays, far smaller than
-            # any tick granularity the protocols use.
-            horizon = until + 4096.0 * math.ulp(max(1.0, abs(until)))
-            times = self._times
-            while self._count:
-                if times[0] > horizon:
-                    break
-                if max_events is not None and self.events_processed - start >= max_events:
-                    raise RuntimeError(
-                        f"event budget of {max_events} exhausted at t={self.now} "
-                        f"({self.pending} events pending)"
-                    )
-                time, callback, args = pop()
-                self.now = time
-                self.events_processed += 1
-                callback(*args)
-            if self.now < until:
-                self.now = until
-        return self.events_processed - start
 
-    def _run_hooked(self, until: float | None, max_events: int | None) -> int:
-        """The :meth:`run` drain with the tick hook live (see
-        :meth:`set_tick_hook` for the boundary semantics).  One loop covers
-        all three argument shapes; the per-event cost over the plain loops
-        is a single ``time >= next_tick`` compare against a local."""
+        One loop covers every argument shape and the tick hook (see
+        :meth:`set_tick_hook`): a missing hook, horizon or budget is an
+        infinite sentinel, so each event costs three float compares.
+        """
         start = self.events_processed
         pop = self._pop
         times = self._times
         hook = self._tick_hook
         interval = self._tick_interval
-        nt = self._next_tick
-        horizon = None
-        if until is not None:
-            horizon = until + 4096.0 * math.ulp(max(1.0, abs(until)))
-        limit = None if max_events is None else start + max_events
+        nt = math.inf if hook is None else self._next_tick
+        # Scale-aware slack: large enough to absorb accumulated rounding
+        # over thousands of chained delays, far smaller than any tick
+        # granularity the protocols use.
+        horizon = math.inf if until is None else until + 4096.0 * math.ulp(max(1.0, abs(until)))
+        limit = math.inf if max_events is None else start + max_events
         try:
             while self._count:
-                if horizon is not None and times[0] > horizon:
+                if times[0] > horizon:
                     break
-                if limit is not None and self.events_processed >= limit:
+                if self.events_processed >= limit:
                     raise RuntimeError(
                         f"event budget of {max_events} exhausted at t={self.now} "
                         f"({self.pending} events pending)"
@@ -202,7 +157,7 @@ class Engine:
                 callback(*args)
             if until is not None and self.now < until:
                 self.now = until
-            if self.events_processed > start:
+            if hook is not None and self.events_processed > start:
                 # Trailing idle boundaries (an ``until`` horizon past the
                 # last event), then a terminal sample of the post-drain
                 # state.  Skip the terminal call only when one of *these*
@@ -217,7 +172,8 @@ class Engine:
                 if not sampled_now:
                     hook(self.now)
         finally:
-            self._next_tick = nt
+            if hook is not None:
+                self._next_tick = nt
         return self.events_processed - start
 
     def metrics_snapshot(self) -> dict[str, float | int]:

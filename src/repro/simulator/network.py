@@ -7,12 +7,11 @@ whole-network accounting O(1).  ``network.channels`` is a mapping of
 :class:`~repro.simulator.channels.ChannelView` objects, built lazily on
 access.
 
-:meth:`MeshNetwork.send_from` has three variants, chosen per send from
-flags cached by :meth:`MeshNetwork.refresh_instrumentation`: the plain
-path, the chaos path (an active
-:class:`~repro.chaos.plan.ChannelFaultPlan` perturbs each hop) and the
-recorded path (a flight recorder is installed).  All three keep the
-same accounting and scheduling pattern.
+:meth:`MeshNetwork.send_from` is the one send path.  Flags cached by
+:meth:`MeshNetwork.refresh_instrumentation` decide per send whether an
+active :class:`~repro.chaos.plan.ChannelFaultPlan` perturbs the hop and
+which events a tracer or flight recorder sees; the accounting and
+scheduling are the same code in every case.
 """
 
 from __future__ import annotations
@@ -118,8 +117,7 @@ class MeshNetwork:
         #: Live-telemetry hookup: when set (directly, or ambiently via
         #: :func:`repro.obs.timeseries.use_observatory`), :meth:`run`
         #: binds it to this network and installs the engine tick hook.
-        #: None (the default) leaves the engine's unhooked loops
-        #: untouched.
+        #: None (the default) installs no hook.
         self.observatory = None
         #: Bumped on every membership change that invalidates in-flight
         #: traffic (node revival, stabilization pulse).  Hardened
@@ -263,11 +261,18 @@ class MeshNetwork:
         self._obs = self.observatory if self.observatory is not None else get_observatory()
 
     def send_from(self, src: Coord, direction: Direction, kind: str, payload) -> bool:
-        """Send one hop; False if the link does not exist (mesh edge)."""
-        if self._rec_on:
-            return self._send_from_recorded(src, direction, kind, payload)
-        if self._chaos_on:
-            return self._send_from_chaos(src, direction, kind, payload)
+        """Send one hop; False if the link does not exist (mesh edge).
+
+        The one code path that puts a message on a link.  An active
+        :class:`~repro.chaos.plan.ChannelFaultPlan` draws its verdict
+        before the link check, so the perturbation stream depends only on
+        the send sequence, not on the evolving link state.  A plain tracer
+        sees one ``protocol_msg`` per send; a flight recorder sees the
+        lineage-carrying ``msg_send`` / ``msg_drop`` / ``msg_lost`` /
+        ``msg_dup`` events instead, and the delivery goes through
+        :meth:`_deliver_recorded`, which stamps the receiving handler's
+        causal scope.
+        """
         x, y = src
         dx, dy = direction.value
         nx, ny = x + dx, y + dy
@@ -275,158 +280,73 @@ class MeshNetwork:
             return False
         di = _DIR_INDEX[direction]
         link_up = self.channel_up[x, y, di]
-        if self._trace_on:
+        prof = self._prof if self._prof_on else None
+        if prof is not None:
+            prof.count("sim.messages")
+        if self._chaos_on:
+            lost, duplicated, corrupted, extra = self.chaos.draw()
+            delay = self.latency * (1 + extra)
+        else:
+            lost = duplicated = corrupted = False
+            delay = self.latency
+        dst = (nx, ny)
+        rec = self._trc if self._rec_on else None
+        event_id = None
+        if rec is not None:
+            if link_up:
+                event_id = rec.emit(
+                    "msg_send", cause=rec.cause, src=src, dst=dst,
+                    direction=direction.name, msg=kind, time=self.engine.now,
+                    payload=payload,
+                )
+            else:
+                event_id = rec.emit(
+                    "msg_drop", cause=rec.cause, src=src, dst=dst,
+                    direction=direction.name, msg=kind, time=self.engine.now,
+                )
+            rec.last_send_id = event_id
+        elif self._trace_on:
             self._trc.emit("protocol_msg", msg=kind, src=src, direction=direction.name,
                            time=self.engine.now, queue=self.engine.pending,
                            dropped=not link_up)
-        if self._prof_on:
-            self._prof.count("sim.messages")
         if not link_up:
             self.channel_dropped[x, y, di] += 1
             self.messages_dropped_total += 1
-            if self._prof_on:
-                self._prof.count("sim.dropped")
+            if prof is not None:
+                prof.count("sim.dropped")
             return True
         self.channel_carried[x, y, di] += 1
         self.messages_carried_total += 1
+        if lost:
+            if rec is not None:
+                rec.emit("msg_lost", cause=event_id, src=src, dst=dst, msg=kind,
+                         time=self.engine.now)
+            self.channel_lost[x, y, di] += 1
+            self.messages_lost_total += 1
+            if prof is not None:
+                prof.count("chaos.drops")
+            return True
+        if corrupted and prof is not None:
+            prof.count("chaos.corrupted")
+        deliver = self._deliver if rec is None else self._deliver_recorded
         # One allocation per hop: the arrival direction is known here, so
         # the message is born annotated.
         self.engine.schedule(
-            self.latency,
-            self._deliver,
-            (nx, ny),
-            Message(src, (nx, ny), kind, payload, direction.opposite),
+            delay, deliver, dst,
+            Message(src, dst, kind, payload, direction.opposite, corrupted, event_id),
         )
-        return True
-
-    def _send_from_chaos(
-        self, src: Coord, direction: Direction, kind: str, payload
-    ) -> bool:
-        """The plain path plus per-hop misbehaviour from the fault plan.
-
-        Taken only when an *active* :class:`~repro.chaos.plan.ChannelFaultPlan`
-        is installed, so the default path stays byte-identical.  Fault-plan
-        verdicts are drawn even for messages a down channel would drop, so
-        the perturbation stream depends only on the send sequence, not on
-        the evolving link state.
-        """
-        x, y = src
-        dx, dy = direction.value
-        nx, ny = x + dx, y + dy
-        if nx < 0 or ny < 0 or nx >= self._n or ny >= self._m:
-            return False
-        di = _DIR_INDEX[direction]
-        link_up = self.channel_up[x, y, di]
-        if self._trace_on:
-            self._trc.emit("protocol_msg", msg=kind, src=src, direction=direction.name,
-                           time=self.engine.now, queue=self.engine.pending,
-                           dropped=not link_up)
-        if self._prof_on:
-            self._prof.count("sim.messages")
-        dropped, duplicated, corrupted, extra = self.chaos.draw()
-        if not link_up:
-            self.channel_dropped[x, y, di] += 1
-            self.messages_dropped_total += 1
-            if self._prof_on:
-                self._prof.count("sim.dropped")
-            return True
-        self.channel_carried[x, y, di] += 1
-        self.messages_carried_total += 1
-        if dropped:
-            self.channel_lost[x, y, di] += 1
-            self.messages_lost_total += 1
-            if self._prof_on:
-                self._prof.count("chaos.drops")
-            return True
-        delay = self.latency * (1 + extra)
-        message = Message(src, (nx, ny), kind, payload, direction.opposite, corrupted)
-        if corrupted and self._prof_on:
-            self._prof.count("chaos.corrupted")
-        self.engine.schedule(delay, self._deliver, (nx, ny), message)
         if duplicated:
+            dup_id = None
+            if rec is not None:
+                dup_id = rec.emit("msg_dup", cause=event_id, src=src, dst=dst, msg=kind,
+                                  time=self.engine.now)
             self.messages_duplicated_total += 1
-            if self._prof_on:
-                self._prof.count("chaos.duplicates")
-            # The ghost copy trails the original by one latency.
-            self.engine.schedule(delay + self.latency, self._deliver, (nx, ny), message)
-        return True
-
-    def _send_from_recorded(
-        self, src: Coord, direction: Direction, kind: str, payload
-    ) -> bool:
-        """The send path while a flight recorder is installed.
-
-        Behaviourally identical to the plain/chaos paths (same
-        accounting, same verdict-draw order, same scheduling pattern), but
-        every outcome is emitted as a lineage-carrying event -- in place
-        of the coarser ``protocol_msg`` -- and the scheduled delivery goes
-        through :meth:`_deliver_recorded`, which stamps the receiving
-        handler's causal scope.  Never taken without a recorder, so the
-        uninstrumented hot path pays only the one cached-flag check in
-        :meth:`send_from`.
-        """
-        x, y = src
-        dx, dy = direction.value
-        nx, ny = x + dx, y + dy
-        if nx < 0 or ny < 0 or nx >= self._n or ny >= self._m:
-            return False
-        rec = self._trc
-        di = _DIR_INDEX[direction]
-        link_up = self.channel_up[x, y, di]
-        if self._prof_on:
-            self._prof.count("sim.messages")
-        if self._chaos_on:
-            # Verdicts are drawn before the link check (matching
-            # _send_from_chaos) so the perturbation stream is position-
-            # invariant whether or not a recorder is watching.
-            dropped, duplicated, corrupted, extra = self.chaos.draw()
-        else:
-            dropped = duplicated = corrupted = False
-            extra = 0
-        now = self.engine.now
-        dst = (nx, ny)
-        if not link_up:
-            event_id = rec.emit(
-                "msg_drop", cause=rec.cause, src=src, dst=dst,
-                direction=direction.name, msg=kind, time=now,
-            )
-            rec.last_send_id = event_id
-            self.channel_dropped[x, y, di] += 1
-            self.messages_dropped_total += 1
-            if self._prof_on:
-                self._prof.count("sim.dropped")
-            return True
-        event_id = rec.emit(
-            "msg_send", cause=rec.cause, src=src, dst=dst,
-            direction=direction.name, msg=kind, time=now, payload=payload,
-        )
-        rec.last_send_id = event_id
-        self.channel_carried[x, y, di] += 1
-        self.messages_carried_total += 1
-        if dropped:
-            rec.emit("msg_lost", cause=event_id, src=src, dst=dst, msg=kind, time=now)
-            self.channel_lost[x, y, di] += 1
-            self.messages_lost_total += 1
-            if self._prof_on:
-                self._prof.count("chaos.drops")
-            return True
-        delay = self.latency * (1 + extra)
-        message = Message(src, dst, kind, payload, direction.opposite, corrupted, event_id)
-        if corrupted and self._prof_on:
-            self._prof.count("chaos.corrupted")
-        self.engine.schedule(delay, self._deliver_recorded, dst, message)
-        if duplicated:
-            dup_id = rec.emit(
-                "msg_dup", cause=event_id, src=src, dst=dst, msg=kind, time=now
-            )
-            self.messages_duplicated_total += 1
-            if self._prof_on:
-                self._prof.count("chaos.duplicates")
-            # The ghost copy trails the original by one latency; it gets
-            # its own message object so its delivery chains to the
-            # msg_dup event rather than the original send.
+            if prof is not None:
+                prof.count("chaos.duplicates")
+            # The ghost copy trails the original by one latency; its
+            # delivery chains to the msg_dup event, not the original send.
             ghost = Message(src, dst, kind, payload, direction.opposite, corrupted, dup_id)
-            self.engine.schedule(delay + self.latency, self._deliver_recorded, dst, ghost)
+            self.engine.schedule(delay + self.latency, deliver, dst, ghost)
         return True
 
     def _deliver_recorded(self, dst: Coord, message: Message) -> None:

@@ -121,7 +121,6 @@ class TestEngineAndChannels:
 
     def test_channel_str_and_down(self):
         from repro.mesh.geometry import Direction
-        from repro.simulator.messages import Message
         from repro.simulator.network import MeshNetwork
         from repro.simulator.process import NodeProcess
 
@@ -137,7 +136,7 @@ class TestEngineAndChannels:
         assert "up" in str(channel)
         channel.take_down()
         assert "down" in str(channel)
-        channel.send(Message(src=(0, 0), dst=(1, 0), kind="x"))
+        assert network.send_from((0, 0), Direction.EAST, "x", None)
         assert channel.messages_dropped == 1
         engine.run()
         assert sink == []

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.chaos import ChannelFaultPlan, ChaosRunner, ChaosSchedule
 from repro.core.boundaries import CanonicalBoundaryMap
 from repro.core.safety import compute_safety_levels
 from repro.faults.blocks import _connected_components, build_faulty_blocks
@@ -26,7 +27,10 @@ from repro.faults.injection import injection_sequence, uniform_faults
 from repro.faults.mcc import MCCType, label_statuses
 from repro.mesh.geometry import Direction
 from repro.mesh.topology import Mesh2D
+from repro.obs import MetricsSink, Tracer, use_tracer
+from repro.obs.prof import NULL_PROFILER, Profiler, use_profiler
 from repro.obs.recorder import FlightRecorder, canonical_bytes
+from repro.obs.tracer import NULL_TRACER
 from repro.parallel.cache import ArtifactCache
 from repro.simulator.engine import Engine
 from repro.simulator.messages import Message
@@ -113,16 +117,24 @@ class TestRunUntilAdvancesClock:
 # Property: events pop in sorted((time, insertion index)) order
 # ----------------------------------------------------------------------
 class TestSchedulerOrderProperty:
+    @pytest.mark.parametrize("mode", ["drain", "until", "max_events"])
+    @pytest.mark.parametrize("hooked", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 7, 42])
-    def test_identical_event_order_on_random_schedules(self, seed):
+    def test_identical_event_order_on_random_schedules(self, seed, hooked, mode):
         """Random delays (with deliberate timestamp collisions, float
         drift and zero delays) plus nested rescheduling: the executed
-        order is exactly the pushes sorted by (time, insertion index)."""
+        order is exactly the pushes sorted by (time, insertion index),
+        with or without a tick hook and whether ``run`` drains, stops at
+        ``until`` horizons or counts against a ``max_events`` budget.
+        Hook ticks never go backwards."""
         delays = [0.0, 0.1, 0.5, 1.0, 1.0, 1.5, 2.0, 2.5]
         rng = np.random.default_rng(seed)
         engine = Engine()
         pushed: list[tuple[float, int]] = []
         log: list[tuple[float, int]] = []
+        ticks: list[float] = []
+        if hooked:
+            engine.set_tick_hook(ticks.append, interval=0.7)
 
         def push(depth: int) -> None:
             delay = delays[int(rng.integers(len(delays)))]
@@ -139,9 +151,17 @@ class TestSchedulerOrderProperty:
         for _ in range(20):
             push(3)
         assert engine.pending == 20
-        engine.run()
+        if mode == "drain":
+            engine.run()
+        elif mode == "until":
+            while engine.pending:
+                engine.run(until=engine.now + 1.3)
+        else:
+            engine.run(max_events=10_000)
         assert len(log) == len(pushed) == engine.events_processed
         assert log == sorted(pushed)
+        assert ticks == sorted(ticks)
+        assert bool(ticks) == hooked
 
 
 # ----------------------------------------------------------------------
@@ -428,26 +448,79 @@ class TestChannelArrays:
         assert network.channels[((0, 0), Direction.EAST)].messages_dropped == 1
         assert network.messages_dropped_total == 1
 
-    def test_external_channel_send_counts_into_totals(self):
-        mesh = Mesh2D(2, 1)
-        received = []
 
-        class Recorder(NodeProcess):
-            def on_message(self, message: Message) -> None:
-                received.append(message)
+# ----------------------------------------------------------------------
+# Send-mode reconciliation: instruments observe, never perturb
+# ----------------------------------------------------------------------
+class _DropCounter:
+    """Counts ``protocol_msg`` events sent into a down channel."""
 
-        network = MeshNetwork(mesh, Engine(), Recorder)
-        channel = network.channels[((0, 0), Direction.EAST)]
-        channel.send(Message(src=(0, 0), dst=(1, 0), kind="x", payload=7))
-        assert network.messages_carried_total == 1
-        assert channel.messages_carried == 1
-        network.engine.run()
-        # Delivered after one latency, annotated with the receiver-side
-        # arrival direction.
-        assert network.engine.now == 1.0
-        assert received == [
-            Message((0, 0), (1, 0), "x", 7, arrival_direction=Direction.WEST)
-        ]
+    def __init__(self) -> None:
+        self.dropped = 0
+
+    def record(self, event) -> None:
+        if event.kind == "protocol_msg" and event.data["dropped"]:
+            self.dropped += 1
+
+
+_CHANNEL_ARRAYS = (
+    "channel_up", "channel_carried", "channel_dropped", "channel_lost",
+    "channel_retried",
+)
+
+
+def _send_mode_run(lossy: bool, setup: str):
+    """One seeded chaos run (14x14, 10 faults, crash/revive schedule)
+    under ``setup``: ``"bare"`` (no instrument), ``"traced"``
+    (``Tracer(MetricsSink())`` plus a profiler) or ``"recorded"`` (a
+    flight recorder plus a profiler)."""
+    mesh = Mesh2D(14, 14)
+    rng = np.random.default_rng(4)
+    faults = uniform_faults(mesh, 10, rng)
+    schedule = ChaosSchedule.random(mesh, rng, events=6, forbidden=set(faults))
+    plan = (
+        ChannelFaultPlan(drop=0.05, duplicate=0.05, corrupt=0.03, jitter=1, seed=9)
+        if lossy else None
+    )
+    recorder = FlightRecorder() if setup == "recorded" else None
+    metrics, drops = MetricsSink(), _DropCounter()
+    tracer = Tracer(metrics, drops) if setup == "traced" else NULL_TRACER
+    profiler = Profiler() if setup != "bare" else NULL_PROFILER
+    with use_tracer(tracer), use_profiler(profiler):
+        runner = ChaosRunner(mesh, faults, plan, schedule, recorder=recorder)
+        outcome = runner.run()
+    arrays = {name: getattr(runner.network, name).copy() for name in _CHANNEL_ARRAYS}
+    return outcome.stats, arrays, profiler.hot, metrics, drops, recorder
+
+
+class TestSendModeReconciliation:
+    @pytest.mark.parametrize("lossy", [True, False], ids=["chaos", "reliable"])
+    def test_counters_reconcile_across_instruments(self, lossy):
+        runs = {
+            setup: _send_mode_run(lossy, setup)
+            for setup in ("bare", "traced", "recorded")
+        }
+        stats, arrays = runs["bare"][:2]
+        if lossy:
+            assert stats.lost and stats.duplicated and stats.retried
+        else:
+            assert stats.lost == stats.duplicated == 0
+        assert stats.dropped > 0
+        for setup in ("traced", "recorded"):
+            other_stats, other_arrays, hot = runs[setup][:3]
+            assert other_stats == stats, setup
+            for name in _CHANNEL_ARRAYS:
+                assert np.array_equal(other_arrays[name], arrays[name]), (setup, name)
+            assert hot["sim.messages"] == stats.messages + stats.dropped
+            assert hot["sim.dropped"] == stats.dropped
+            assert hot["chaos.drops"] == stats.lost
+            assert hot["chaos.duplicates"] == stats.duplicated
+            assert hot["chaos.retries"] == stats.retried
+        _, _, _, metrics, drops, _ = runs["traced"]
+        assert metrics.event_counts["protocol_msg"] == stats.messages + stats.dropped
+        assert drops.dropped == stats.dropped
+        recorder = runs["recorded"][5]
+        assert len([e for e in recorder.events if e.kind == "msg_drop"]) == stats.dropped
 
 
 # ----------------------------------------------------------------------
