@@ -5,6 +5,7 @@ Starts ``repro serve-metrics`` on a benign loss-only chaos workload (no
 crash schedule, so no alert should fire and ``/healthz`` must stay ok),
 polls ``/metrics`` and ``/healthz`` over HTTP while the server lingers,
 validates the exposition with the strict parser from ``tests.promtext``,
+checks that the scrape carries the tracer's ``sim.messages`` hot counter,
 and checks the pushed series file carries every sampler series.
 
 On any failure the series JSON (when the run got far enough to write it)
@@ -42,6 +43,7 @@ SERVE_ARGS = [
     "--fail-on-alerts", "--linger", "20",
 ]
 URL_LINE = re.compile(r"serving (http://[^/\s]+)")
+HOT_COUNTER = ("repro_hot_counter_total", (("name", "sim.messages"),))
 
 
 def _get(url: str) -> tuple[int, str]:
@@ -67,6 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     deadline = time.monotonic() + args.timeout
     failures: list[str] = []
+    hot_seen = False
     try:
         # The banner with the bound port is the first line out.
         base = None
@@ -94,6 +97,10 @@ def main(argv: list[str] | None = None) -> int:
                 except PromParseError as exc:
                     failures.append(f"/metrics failed strict parse: {exc}")
                     break
+                family = families.get(HOT_COUNTER[0])
+                hot_seen = hot_seen or family is not None and any(
+                    sample.labels == HOT_COUNTER[1] for sample in family.samples
+                )
                 status, body = _get(base + "/healthz")
                 health = json.loads(body)
                 if status != 200 or health["status"] != "ok":
@@ -115,6 +122,8 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(f"serve-metrics exited {process.returncode} "
                         "(alert fired or run failed)")
 
+    if not failures and not hot_seen:
+        failures.append('no scrape carried repro_hot_counter_total{name="sim.messages"}')
     if not failures and series_path.exists():
         payload = json.loads(series_path.read_text())
         missing = {

@@ -28,7 +28,7 @@ from repro.faults.blocks import build_faulty_blocks
 from repro.faults.incremental import IncrementalFaultEngine
 from repro.faults.injection import injection_events
 from repro.mesh.topology import Mesh2D
-from repro.obs.prof import Profiler, use_profiler
+from repro.obs import Tracer, use_tracer
 
 
 def main(seed: int = 13) -> None:
@@ -41,8 +41,8 @@ def main(seed: int = 13) -> None:
           f"{'of mesh':>8}")
 
     engine = IncrementalFaultEngine(mesh)
-    profiler = Profiler()
-    with use_profiler(profiler):
+    tracer = Tracer()  # no sinks: only the hot counters are wanted
+    with use_tracer(tracer):
         for i, (action, coord) in enumerate(events, 1):
             report = engine.apply(action, coord)
 
@@ -58,7 +58,7 @@ def main(seed: int = 13) -> None:
             assert np.array_equal(engine.unusable, reference.unusable)
             assert engine.block_set().blocks == reference.blocks
 
-    # Price both maintenance strategies on a clean replay (no profiler,
+    # Price both maintenance strategies on a clean replay (no tracer,
     # no printing): delta maintenance vs full rebuild after every event.
     timed_engine = IncrementalFaultEngine(mesh)
     start = time.perf_counter()
@@ -76,7 +76,7 @@ def main(seed: int = 13) -> None:
         compute_safety_levels(mesh, built.unusable)
         rebuild_time += time.perf_counter() - start
 
-    touched = profiler.hot["incr.affected_cells"]
+    touched = tracer.hot["incr.affected_cells"]
     print(f"\naffected cells across all events: {touched} "
           f"(vs {len(events) * mesh.size} cells a per-event rebuild rescans)")
     print(f"incremental maintenance: {incremental_time * 1e3:7.1f} ms")

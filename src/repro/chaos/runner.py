@@ -28,7 +28,6 @@ from repro.chaos.schedule import ChaosEvent, ChaosSchedule
 from repro.core.safety import SafetyLevels
 from repro.mesh.geometry import Coord, Direction
 from repro.mesh.topology import Mesh2D
-from repro.obs.prof import get_profiler
 from repro.obs.recorder import FlightRecorder
 from repro.simulator.engine import Engine
 from repro.simulator.network import MeshNetwork, NetworkStats
@@ -201,7 +200,6 @@ class ChaosRunner:
     # Event application
     # ------------------------------------------------------------------
     def _apply(self, event: ChaosEvent) -> None:
-        prof = get_profiler()
         recorder = self.recorder
         if event.action == "crash":
             if event.coord in self.network.faulty:
@@ -215,8 +213,7 @@ class ChaosRunner:
                 cause = recorder.emit(
                     "chaos_crash", at=event.coord, time=self.engine.now
                 )
-            if prof.enabled:
-                prof.count("chaos.crashes")
+            self.network._trc.count("chaos.crashes")
             for direction, neighbor in self.mesh.neighbor_items(event.coord):
                 self.engine.schedule(
                     self.latency, self._notify_down, neighbor, direction.opposite, cause
@@ -243,8 +240,7 @@ class ChaosRunner:
             process = self.network.restore_node(event.coord, self._factory)
             self.revived.append(event.coord)
             self.applied_events.append(event)
-            if prof.enabled:
-                prof.count("chaos.revives")
+            self.network._trc.count("chaos.revives")
             if recorder is not None:
                 restart_id = recorder.emit(
                     "proc_restart", cause=cause, at=event.coord, time=self.engine.now

@@ -133,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--profile", action="store_true",
-        help="profile the run (hot-path counters + per-section cProfile)",
+        help="profile the run under cProfile (adds the top functions by "
+        "cumulative time)",
     )
     stats.add_argument(
         "--jsonl", type=pathlib.Path, help="also dump the raw trace events as JSONL"
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--chaos", type=float, metavar="LOSS", default=None,
         help="run the protocols hardened under this per-hop loss rate "
-        "(installs a profiler so chaos.* counters appear in the output)",
+        "(the chaos.* hot counters then appear in the output)",
     )
 
     chaos = sub.add_parser(
@@ -561,16 +562,11 @@ def _check_kind_filter(kinds, out: Callable[[str], None]) -> int:
 
 
 def _cmd_trace(args, out: Callable[[str], None]) -> int:
-    from repro.core.conditions import DecisionKind, safe_source_decision
-    from repro.core.extensions import (
-        extension1_decision,
-        extension2_decision,
-        extension3_decision,
-    )
-    from repro.core.pivots import recursive_center_pivots
+    from repro.core.conditions import DecisionKind
+    from repro.core.extensions import decision_cascade
     from repro.core.routing import WuRouter, route_with_decision
     from repro.core.safety import UNBOUNDED, compute_safety_levels
-    from repro.mesh.geometry import Rect, manhattan_distance
+    from repro.mesh.geometry import manhattan_distance
     from repro.obs import JsonlSink, MetricsSink, RingBufferSink, Tracer, use_tracer
     from repro.routing.detour import DetourRouter
     from repro.routing.router import RoutingError
@@ -599,43 +595,8 @@ def _cmd_trace(args, out: Callable[[str], None]) -> int:
     )
     out(f"source ESL (E, S, W, N): ({esl})")
 
-    # The decision cascade mirrors the paper's escalation: Definition 3,
-    # then Extensions 1-3 (minimal), then Extension 1's sub-minimal rule.
-    bbox = Rect(
-        min(source[0], dest[0]),
-        max(source[0], dest[0]),
-        min(source[1], dest[1]),
-        max(source[1], dest[1]),
-    )
-    cascade = [
-        (
-            "Definition 3 (safe source)",
-            lambda: safe_source_decision(levels, source, dest),
-        ),
-        (
-            "Extension 1 (safe preferred neighbour, minimal)",
-            lambda: extension1_decision(
-                mesh, levels, blocked, source, dest, allow_sub_minimal=False
-            ),
-        ),
-        (
-            "Extension 2 (known axis node)",
-            lambda: extension2_decision(mesh, levels, source, dest, segment_size=None),
-        ),
-        (
-            "Extension 3 (broadcast pivots)",
-            lambda: extension3_decision(
-                mesh, levels, blocked, source, dest, recursive_center_pivots(bbox, 3)
-            ),
-        ),
-        (
-            "Extension 1 (safe spare neighbour, sub-minimal)",
-            lambda: extension1_decision(mesh, levels, blocked, source, dest),
-        ),
-    ]
     decision = None
-    for label, check in cascade:
-        candidate = check()
+    for label, candidate in decision_cascade(mesh, levels, blocked, source, dest):
         if candidate.kind is DecisionKind.UNSAFE:
             out(f"  {label}: does not apply")
         else:
@@ -702,7 +663,23 @@ def _cmd_trace(args, out: Callable[[str], None]) -> int:
     return status
 
 
+def _top_functions(profile, limit: int = 10) -> list[dict]:
+    """The ``limit`` hottest frames of a cProfile run, by cumulative time."""
+    import pstats
+
+    rows = [
+        {"function": f"{filename}:{line}({func})", "calls": ncalls,
+         "tottime_s": tottime, "cumtime_s": cumtime}
+        for (filename, line, func), (_, ncalls, tottime, cumtime, _)
+        in pstats.Stats(profile).stats.items()  # type: ignore[attr-defined]
+    ]
+    rows.sort(key=lambda row: row["cumtime_s"], reverse=True)
+    return rows[:limit]
+
+
 def _cmd_stats(args, out: Callable[[str], None]) -> int:
+    import contextlib
+    import cProfile
     import json
 
     from repro.core.conditions import DecisionKind
@@ -710,7 +687,6 @@ def _cmd_stats(args, out: Callable[[str], None]) -> int:
     from repro.core.routing import WuRouter, route_with_decision
     from repro.core.safety import compute_safety_levels
     from repro.obs import JsonlSink, MetricsSink, Tracer, use_tracer
-    from repro.obs.prof import NULL_PROFILER, Profiler, use_profiler
     from repro.routing.detour import DetourRouter
     from repro.routing.router import RoutingError
     from repro.simulator.protocols import (
@@ -738,24 +714,19 @@ def _cmd_stats(args, out: Callable[[str], None]) -> int:
     if args.jsonl:
         sinks.append(JsonlSink(args.jsonl))
     tracer = Tracer(*sinks)
-    # --chaos always installs a profiler: the chaos.* counters are the
-    # whole point of a hardened stats run.
-    if args.profile or chaos_plan is not None:
-        profiler = Profiler(detailed=args.profile)
-    else:
-        profiler = NULL_PROFILER
+    profile = cProfile.Profile() if args.profile else contextlib.nullcontext()
     free = [coord for coord in mesh.nodes() if not blocked[coord]]
     try:
-        with use_tracer(tracer), use_profiler(profiler):
-            with profiler.section("stats.esl"):
+        with use_tracer(tracer), profile:
+            with tracer.span("stats.esl"):
                 levels = compute_safety_levels(mesh, blocked)
-            with profiler.section("stats.protocols"):
+            with tracer.span("stats.protocols"):
                 run_block_formation(mesh, scenario.faults, chaos=chaos_plan)
                 run_safety_propagation(mesh, blocked, chaos=chaos_plan)
                 run_boundary_distribution(
                     mesh, blocks.rects(), blocked, chaos=chaos_plan
                 )
-            with profiler.section("stats.incremental"):
+            with tracer.span("stats.incremental"):
                 # Replay the scenario's faults one arrival at a time through
                 # the delta-maintenance engine so the incr.* hot counters
                 # (events, affected cells, fallback rebuilds) land in the
@@ -767,7 +738,7 @@ def _cmd_stats(args, out: Callable[[str], None]) -> int:
                     fault_engine.inject(fault)
             router = WuRouter(mesh, blocks)
             fallback = DetourRouter(mesh, blocks)
-            with profiler.section("stats.routing"):
+            with tracer.span("stats.routing"):
                 for _ in range(args.routes):
                     src = free[int(rng.integers(len(free)))]
                     dst = free[int(rng.integers(len(free)))]
@@ -784,9 +755,10 @@ def _cmd_stats(args, out: Callable[[str], None]) -> int:
     finally:
         tracer.close()
 
-    profile = profiler.snapshot() if profiler.enabled else None
+    hot = dict(sorted(tracer.hot.items()))
+    top = _top_functions(profile) if args.profile else []
     if args.prom:
-        text = metrics.to_prometheus(profile=profile)
+        text = metrics.to_prometheus(hot_counters=hot)
         if args.out is not None:
             from repro.obs import atomic_write_text
 
@@ -800,8 +772,9 @@ def _cmd_stats(args, out: Callable[[str], None]) -> int:
             out(text.rstrip("\n"))
     elif args.json:
         snapshot = metrics.snapshot()
-        if profile is not None:
-            snapshot["profile"] = profile
+        snapshot["hot_counters"] = hot
+        if args.profile:
+            snapshot["top_functions"] = top
         out(json.dumps(snapshot, indent=2))
     else:
         out(
@@ -809,8 +782,16 @@ def _cmd_stats(args, out: Callable[[str], None]) -> int:
             f"{args.routes} routes"
         )
         out(metrics.to_table())
-        if args.profile:
-            out(profiler.to_table())
+        if hot:
+            out("hot counters")
+            width = max(map(len, hot))
+            for name, value in hot.items():
+                out(f"  {name:<{width}}  {value}")
+        if top:
+            out(f"top functions (cumulative, top {len(top)})")
+            for row in top:
+                out(f"  {row['cumtime_s'] * 1e3:8.2f}ms  x{row['calls']:<7} "
+                    f"{row['function']}")
     if args.jsonl:
         out(f"wrote {sinks[-1].events_written} events to {args.jsonl}")
     return 0
@@ -958,7 +939,7 @@ def _cmd_serve_metrics(args, out: Callable[[str], None]) -> int:
     observatory = Observatory(metrics=metrics)
     tracer = Tracer(metrics)
     app = TelemetryApp(
-        observatory=observatory, metrics=metrics,
+        observatory=observatory, metrics=metrics, tracer=tracer,
         host=args.host, port=args.port, grace_s=args.grace,
     )
     status = 0

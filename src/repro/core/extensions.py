@@ -20,16 +20,20 @@ are never used as helpers (their ESLs are not meaningful for routing).
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-from repro.core.conditions import Decision, DecisionKind, is_safe
+from repro.core.conditions import Decision, DecisionKind, is_safe, safe_source_decision
+from repro.core.pivots import recursive_center_pivots
 from repro.core.safety import SafetyLevels
 from repro.core.segments import RegionSegments, build_axis_segments
 from repro.mesh.frames import Frame
-from repro.mesh.geometry import Coord, Direction
+from repro.mesh.geometry import Coord, Direction, Rect
 from repro.mesh.topology import Mesh2D
 
 __all__ = [
+    "decision_cascade",
     "extension1_decision",
     "extension2_decision",
     "extension2_decision_from_segments",
@@ -153,3 +157,36 @@ def extension3_decision(
         if xd - xi <= pivot_east and yd - yi <= pivot_north:
             return Decision(DecisionKind.PIVOT_SAFE, source, dest, via=pivot)
     return Decision(DecisionKind.UNSAFE, source, dest)
+
+
+def decision_cascade(
+    mesh: Mesh2D,
+    levels: SafetyLevels,
+    blocked: np.ndarray,
+    source: Coord,
+    dest: Coord,
+) -> Iterator[tuple[str, Decision]]:
+    """The paper's escalation, one rung at a time: ``(label, verdict)``
+    for Definition 3, Extensions 1-3 (minimal), then Extension 1's
+    sub-minimal rule, each computed only when the caller asks for it.
+
+    Callers stop at the first rung that fires: ``repro serve`` answers
+    with it, ``repro trace`` prints every verdict up to it.  The rungs
+    call their decision functions through this module's globals at call
+    time, so a wrapper installed on a module attribute (perfbench's
+    traced run) sees every call.
+    """
+    yield "Definition 3 (safe source)", safe_source_decision(levels, source, dest)
+    yield "Extension 1 (safe preferred neighbour, minimal)", extension1_decision(
+        mesh, levels, blocked, source, dest, allow_sub_minimal=False
+    )
+    yield "Extension 2 (known axis node)", extension2_decision(
+        mesh, levels, source, dest, segment_size=None
+    )
+    pivots = recursive_center_pivots(Rect.bounding((source, dest)), 3)
+    yield "Extension 3 (broadcast pivots)", extension3_decision(
+        mesh, levels, blocked, source, dest, pivots
+    )
+    yield "Extension 1 (safe spare neighbour, sub-minimal)", extension1_decision(
+        mesh, levels, blocked, source, dest
+    )

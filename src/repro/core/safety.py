@@ -35,7 +35,6 @@ import numpy as np
 from repro.mesh.geometry import Coord, Direction
 from repro.mesh.topology import Mesh2D
 from repro.obs import get_tracer
-from repro.obs.prof import get_profiler
 
 #: Sentinel for "no faulty block in this direction" -- large enough that any
 #: in-mesh offset comparison treats it as infinity, small enough to stay well
@@ -130,10 +129,9 @@ def compute_safety_levels(mesh: Mesh2D, blocked: np.ndarray) -> SafetyLevels:
     The computation runs under an ``esl.compute`` timing span when a tracer
     is installed (see :mod:`repro.obs`).
     """
-    prof = get_profiler()
-    if prof.enabled:
-        prof.count("esl.recompute")
-    with get_tracer().span("esl.compute", n=mesh.n, m=mesh.m):
+    trc = get_tracer()
+    trc.count("esl.recompute")
+    with trc.span("esl.compute", n=mesh.n, m=mesh.m):
         return _compute_safety_levels(mesh, blocked)
 
 

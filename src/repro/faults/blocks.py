@@ -29,7 +29,6 @@ import numpy as np
 from repro.mesh.geometry import Coord, Rect
 from repro.mesh.topology import Mesh2D
 from repro.obs import get_tracer
-from repro.obs.prof import get_profiler
 
 
 def _shifted(mask: np.ndarray, dx: int, dy: int) -> np.ndarray:
@@ -290,10 +289,9 @@ def build_faulty_blocks(mesh: Mesh2D, faults: Iterable[Coord]) -> BlockSet:
     :class:`FaultyBlock`.  Runs under a ``blocks.build`` timing span when a
     tracer is installed (see :mod:`repro.obs`).
     """
-    prof = get_profiler()
-    if prof.enabled:
-        prof.count("blocks.build")
-    with get_tracer().span("blocks.build", n=mesh.n, m=mesh.m):
+    trc = get_tracer()
+    trc.count("blocks.build")
+    with trc.span("blocks.build", n=mesh.n, m=mesh.m):
         return _build_faulty_blocks(mesh, faults)
 
 

@@ -76,7 +76,7 @@ from repro.faults.mcc import (
 )
 from repro.mesh.geometry import Coord, Rect
 from repro.mesh.topology import Mesh2D
-from repro.obs.prof import get_profiler
+from repro.obs import get_tracer
 
 __all__ = [
     "IncrementalFaultEngine",
@@ -106,12 +106,13 @@ class UpdateReport:
     full_rebuild: bool = False
 
 
-def _count_affected(prof, report: UpdateReport) -> UpdateReport:
-    if prof.enabled:
-        prof.count("incr.events")
-        prof.count("incr.affected_cells", report.affected_cells)
+def _count_affected(report: UpdateReport) -> UpdateReport:
+    trc = get_tracer()
+    if trc.enabled:
+        trc.count("incr.events")
+        trc.count("incr.affected_cells", report.affected_cells)
         if report.full_rebuild:
-            prof.count("incr.full_rebuilds")
+            trc.count("incr.full_rebuilds")
     return report
 
 
@@ -562,7 +563,6 @@ class IncrementalFaultEngine:
         for mcc in self._mccs.values():
             mcc.rebuild(faults)
         return _count_affected(
-            get_profiler(),
             UpdateReport(
                 event=event,
                 coord=coord,
@@ -571,14 +571,13 @@ class IncrementalFaultEngine:
                 affected_cells=self.mesh.size,
                 affected_fraction=1.0,
                 full_rebuild=True,
-            ),
+            )
         )
 
     def _report(
         self, event: str, coord: Coord, changed: list[Coord], rect: Rect
     ) -> UpdateReport:
         return _count_affected(
-            get_profiler(),
             UpdateReport(
                 event=event,
                 coord=coord,
@@ -586,7 +585,7 @@ class IncrementalFaultEngine:
                 affected_rect=rect,
                 affected_cells=len(changed),
                 affected_fraction=len(changed) / self.mesh.size,
-            ),
+            )
         )
 
     # ------------------------------------------------------------------

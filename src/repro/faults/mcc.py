@@ -43,7 +43,6 @@ import numpy as np
 from repro.mesh.geometry import Coord, Quadrant, Rect
 from repro.mesh.topology import Mesh2D
 from repro.obs import get_tracer
-from repro.obs.prof import get_profiler
 
 
 class NodeStatus(enum.IntEnum):
@@ -248,10 +247,9 @@ def build_mccs(mesh: Mesh2D, faults: Iterable[Coord], mcc_type: MCCType) -> MCCS
     Runs under an ``mcc.build`` timing span when a tracer is installed
     (see :mod:`repro.obs`).
     """
-    prof = get_profiler()
-    if prof.enabled:
-        prof.count("mcc.build")
-    with get_tracer().span("mcc.build", n=mesh.n, m=mesh.m, type=mcc_type.name):
+    trc = get_tracer()
+    trc.count("mcc.build")
+    with trc.span("mcc.build", n=mesh.n, m=mesh.m, type=mcc_type.name):
         return _build_mccs(mesh, faults, mcc_type)
 
 

@@ -10,8 +10,11 @@ it is doing through a :class:`~repro.obs.tracer.Tracer`:
 - sinks (:mod:`repro.obs.sinks`) buffer events in memory or persist them
   as JSONL; the aggregating :class:`~repro.obs.metrics.MetricsSink` folds
   the stream into counters and histograms online;
+- hot-path counters (``tracer.count("router.steps")``) tally into
+  ``tracer.hot`` without entering the event stream;
 - the default tracer is a no-op (:data:`~repro.obs.tracer.NULL_TRACER`),
-  so uninstrumented runs pay only an ``enabled`` check per potential event.
+  so uninstrumented runs pay only an ``enabled`` check per potential event
+  or count.
 
 Typical use::
 
@@ -29,8 +32,6 @@ machinery from the command line.
 
 On top of tracing sit the performance-observatory pieces:
 
-- :mod:`repro.obs.prof` -- hot-path counters and span-scoped
-  cProfile / ``perf_counter_ns`` profiling (``repro stats --profile``);
 - :mod:`repro.obs.prometheus` -- Prometheus text exposition of any
   metrics snapshot (``repro stats --prom``);
 - every :class:`~repro.obs.metrics.Histogram` carries deterministic
@@ -100,14 +101,6 @@ from repro.obs.replay import (
     replay_recording,
     state_at,
 )
-from repro.obs.prof import (
-    NULL_PROFILER,
-    NullProfiler,
-    Profiler,
-    get_profiler,
-    set_profiler,
-    use_profiler,
-)
 from repro.obs.prometheus import (
     ExpositionWriter,
     render_prometheus,
@@ -153,12 +146,9 @@ __all__ = [
     "JsonlDecodeError",
     "JsonlSink",
     "MetricsSink",
-    "NULL_PROFILER",
     "NULL_TRACER",
-    "NullProfiler",
     "NullTracer",
     "Observatory",
-    "Profiler",
     "RateRule",
     "RatioRule",
     "RecorderSink",
@@ -184,7 +174,6 @@ __all__ = [
     "default_rules",
     "drop_rate_slo",
     "get_observatory",
-    "get_profiler",
     "get_tracer",
     "jsonable",
     "lineage_of",
@@ -201,10 +190,8 @@ __all__ = [
     "retransmit_storm",
     "run_app",
     "set_observatory",
-    "set_profiler",
     "set_tracer",
     "sparkline",
     "use_observatory",
-    "use_profiler",
     "use_tracer",
 ]

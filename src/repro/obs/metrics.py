@@ -33,7 +33,7 @@ from __future__ import annotations
 import collections
 import io
 import random
-from typing import Any
+from typing import Any, Mapping
 
 from repro.obs.events import TraceEvent, jsonable
 
@@ -228,15 +228,15 @@ class MetricsSink:
             }
         )
 
-    def to_prometheus(self, profile: dict[str, Any] | None = None) -> str:
+    def to_prometheus(self, hot_counters: Mapping[str, int] | None = None) -> str:
         """The snapshot in Prometheus text exposition format.
 
-        ``profile`` optionally merges a :meth:`repro.obs.prof.Profiler.snapshot`
-        (hot counters, profiled sections) into the export.
+        ``hot_counters`` optionally adds a tracer's :attr:`Tracer.hot
+        <repro.obs.tracer.Tracer>` tallies to the export.
         """
         from repro.obs.prometheus import render_prometheus
 
-        return render_prometheus(self.snapshot(), profile=profile)
+        return render_prometheus(self.snapshot(), hot_counters=hot_counters)
 
     def to_table(self, with_timings: bool = True) -> str:
         """Aligned text rendering of the snapshot."""

@@ -1,4 +1,4 @@
-"""Prometheus text exposition of a metrics (and optional profile) snapshot.
+"""Prometheus text exposition of a metrics snapshot and hot counters.
 
 :func:`render_prometheus` maps :meth:`MetricsSink.snapshot()
 <repro.obs.metrics.MetricsSink.snapshot>` onto the Prometheus text format
@@ -24,8 +24,7 @@ metric                                source
 ``repro_span_duration_seconds{span=}``      summary per timing span
 ``repro_engine_now`` / ``_pending``   gauges; latest engine drain
 ``repro_engine_events_processed_total``     engine lifetime counter
-``repro_hot_counter_total{name=}``    profiler hot-path counters
-``repro_profile_section_seconds{section=}`` summary per profiled section
+``repro_hot_counter_total{name=}``    tracer hot-path counters
 ``repro_live_sample{series=}``        gauge; latest per-tick sample
 ``repro_live_points{series=}``        gauge; retained ring-buffer points
 ``repro_live_tick``                   gauge; newest sampled sim tick
@@ -42,7 +41,7 @@ scrape.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:
     from repro.obs.alerts import AlertEngine
@@ -111,7 +110,6 @@ class ExpositionWriter:
         name: str,
         summary: dict[str, Any],
         labels: dict[str, str] | None = None,
-        scale: float = 1.0,
     ) -> None:
         """One label-set of a summary metric (header emitted separately).
 
@@ -129,19 +127,20 @@ class ExpositionWriter:
                     continue
                 quantile_labels = dict(labels or {})
                 quantile_labels["quantile"] = quantile
-                self.lines.append(_series(name, quantile_labels, value * scale))
+                self.lines.append(_series(name, quantile_labels, float(value)))
         total = summary.get("total") or 0.0
-        self.lines.append(_series(f"{name}_sum", labels, total * scale))
+        self.lines.append(_series(f"{name}_sum", labels, float(total)))
         self.lines.append(_series(f"{name}_count", labels, count))
 
 
 def render_prometheus(
     snapshot: dict[str, Any],
-    profile: dict[str, Any] | None = None,
+    hot_counters: Mapping[str, int] | None = None,
     prefix: str = "repro",
 ) -> str:
-    """Render a :class:`~repro.obs.metrics.MetricsSink` snapshot (and an
-    optional :meth:`~repro.obs.prof.Profiler.snapshot`) as Prometheus text."""
+    """Render a :class:`~repro.obs.metrics.MetricsSink` snapshot (and a
+    tracer's hot counters, :attr:`Tracer.hot <repro.obs.tracer.Tracer>`)
+    as Prometheus text."""
     w = ExpositionWriter()
     w.counter_family(
         f"{prefix}_events_total", "Trace events recorded, by kind.",
@@ -208,18 +207,12 @@ def render_prometheus(
                      "Lifetime events processed by the engine.",
                      engine["events_processed"])
 
-    if profile:
+    if hot_counters:
         w.counter_family(
             f"{prefix}_hot_counter_total",
-            "Hot-path operations counted by the profiler.",
-            "name", profile.get("hot_counters", {}),
+            "Hot-path operations counted by the tracer.",
+            "name", hot_counters,
         )
-        sections = profile.get("sections_ns", {})
-        if sections:
-            name = f"{prefix}_profile_section_seconds"
-            w.header(name, "summary", "Wall-clock duration of profiled sections.")
-            for section, summary in sorted(sections.items()):
-                w.summary(name, summary, labels={"section": section}, scale=1e-9)
 
     return "\n".join(w.lines) + "\n"
 

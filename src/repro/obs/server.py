@@ -35,8 +35,8 @@ from repro.obs.prometheus import render_prometheus, render_timeseries
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsSink
-    from repro.obs.prof import Profiler
     from repro.obs.timeseries import Observatory
+    from repro.obs.tracer import Tracer
 
 __all__ = ["HttpApp", "TelemetryApp", "atomic_write_text", "run_app"]
 
@@ -254,8 +254,9 @@ class TelemetryApp(HttpApp):
     """Live telemetry from an observatory and/or a metrics sink.
 
     - ``GET /metrics`` -- Prometheus text 0.0.4: the
-      :class:`~repro.obs.metrics.MetricsSink` snapshot (plus profiler
-      sections) followed by the live per-tick series and alert state;
+      :class:`~repro.obs.metrics.MetricsSink` snapshot (plus the
+      tracer's hot counters) followed by the live per-tick series and
+      alert state;
     - ``GET /series.json`` -- every ring buffer plus alert firings;
     - ``GET /healthz`` -- 200 ``{"status": "ok"}``, or 503
       ``{"status": "alerting", ...}`` while any alert rule breaches, so a
@@ -270,13 +271,13 @@ class TelemetryApp(HttpApp):
         self,
         observatory: "Observatory | None" = None,
         metrics: "MetricsSink | None" = None,
-        profiler: "Profiler | None" = None,
+        tracer: "Tracer | None" = None,
         **listener: Any,
     ):
         super().__init__(**listener)
         self.observatory = observatory
         self.metrics = metrics
-        self.profiler = profiler
+        self.tracer = tracer
         self.routes = {
             "/metrics": ("GET", self._metrics),
             "/series.json": ("GET", self._series),
@@ -288,8 +289,8 @@ class TelemetryApp(HttpApp):
         """The ``/metrics`` body: snapshot families, then live series."""
         parts = []
         if self.metrics is not None:
-            profile = self.profiler.snapshot() if self.profiler is not None else None
-            parts.append(render_prometheus(self.metrics.snapshot(), profile=profile))
+            hot = dict(self.tracer.hot) if self.tracer is not None else None
+            parts.append(render_prometheus(self.metrics.snapshot(), hot_counters=hot))
         if self.observatory is not None:
             parts.append(
                 render_timeseries(self.observatory.store, self.observatory.alerts)

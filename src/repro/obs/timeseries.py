@@ -18,8 +18,8 @@ Three layers, all deterministic:
   the alert engine.  A flight-recorded chaos run and its replay therefore
   produce bit-identical series.
 
-A module-level slot (:func:`use_observatory`) mirrors the tracer and
-profiler registries: :meth:`MeshNetwork.run` resolves it through the
+A module-level slot (:func:`use_observatory`) mirrors the tracer
+registry: :meth:`MeshNetwork.run` resolves it through the
 cached instrumentation flags, so any protocol run inside the context
 manager is sampled without the call site threading an observatory
 through.
@@ -325,7 +325,7 @@ class Observatory:
 
 
 # ----------------------------------------------------------------------
-# Ambient observatory slot (mirrors the tracer/profiler registries)
+# Ambient observatory slot (mirrors the tracer registry)
 # ----------------------------------------------------------------------
 _observatory: Observatory | None = None
 

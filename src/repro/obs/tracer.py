@@ -2,7 +2,8 @@
 
 Two implementations share one interface:
 
-- :class:`Tracer` fans events out to its sinks and times ``span()`` blocks.
+- :class:`Tracer` fans events out to its sinks, times ``span()`` blocks
+  and tallies hot-path counters (``count()``, into ``tracer.hot``);
 - :class:`NullTracer` (the module singleton :data:`NULL_TRACER`) does
   nothing; ``enabled`` is False so hot paths can skip even building the
   event payload::
@@ -21,6 +22,7 @@ load and a predictable branch per potential event.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import time
@@ -81,6 +83,41 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
+#: The hot counters the instrumented hot paths bump (producers in
+#: parentheses).  ``tests/test_prof.py`` checks that this is exactly the
+#: set of names ``src/`` passes to :meth:`Tracer.count`.
+HOT_COUNTER_NAMES: frozenset[str] = frozenset(
+    {
+        "router.routes",     # HopRouter.route invocations
+        "router.steps",      # forwarding steps of delivered legs
+        "esl.recompute",     # full ESL grid computations
+        "blocks.build",      # faulty-block constructions (Definition 1)
+        "mcc.build",         # MCC labellings (Definition 2)
+        "sim.messages",      # simulator messages entering a channel
+        "sim.dropped",       # simulator messages dropped at a down channel
+        "cache.hits",        # scenario-artifact cache hits (repro.parallel)
+        "cache.misses",      # scenario-artifact cache misses
+        "cache.stale",       # generation-stale entries rebuilt
+        "cache.revalidated", # stale entries proven still valid and retagged
+        # Incremental fault maintenance (repro.faults.incremental):
+        "incr.events",         # fault arrivals/revivals delta-maintained
+        "incr.affected_cells", # cells actually perturbed across those events
+        "incr.full_rebuilds",  # defensive full-rebuild fallbacks taken
+        # Chaos engineering (repro.chaos + repro.simulator.protocols.reliable):
+        "chaos.drops",             # messages destroyed in-flight by the fault plan
+        "chaos.duplicates",        # ghost copies injected by the fault plan
+        "chaos.corrupted",         # payloads delivered with a failed checksum
+        "chaos.retries",           # retransmissions by hardened senders
+        "chaos.gave_up",           # sends abandoned after max_retries
+        "chaos.dup_suppressed",    # duplicate deliveries dropped by dedup
+        "chaos.stale_discarded",   # deliveries fenced off by an epoch bump
+        "chaos.corrupt_discarded", # corrupted deliveries discarded unacked
+        "chaos.reconverge_ticks",  # simulated time spent in stabilization pulses
+        "chaos.crashes",           # chaos-schedule crash events applied
+        "chaos.revives",           # chaos-schedule revive events applied
+    }
+)
+
 
 class Tracer:
     """Emit typed events to one or more sinks."""
@@ -99,6 +136,7 @@ class Tracer:
         self._sinks: list[Sink] = list(sinks)
         self._seq = itertools.count()
         self._span_seq = itertools.count()
+        self.hot: collections.Counter[str] = collections.Counter()
 
     def add_sink(self, sink: Sink) -> None:
         self._sinks.append(sink)
@@ -114,6 +152,12 @@ class Tracer:
     def span(self, name: str, **data: Any) -> _Span:
         """Context manager timing a section; see :class:`_Span`."""
         return _Span(self, name, data)
+
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to the hot counter ``name`` (see
+        :data:`HOT_COUNTER_NAMES`).  Counting emits no event, so recorded
+        streams and replays are the same with or without it."""
+        self.hot[name] += n
 
     def close(self) -> None:
         """Close every sink that holds resources (e.g. JSONL files)."""
@@ -136,6 +180,9 @@ class NullTracer(Tracer):
 
     def span(self, name: str, **data: Any) -> _NullSpan:  # type: ignore[override]
         return _NULL_SPAN
+
+    def count(self, name: str, n: int = 1) -> None:
+        pass
 
     def close(self) -> None:
         pass

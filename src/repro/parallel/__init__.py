@@ -3,7 +3,7 @@
 - :mod:`repro.parallel.cache` -- a keyed, generation-aware LRU artifact
   cache (served path witnesses, simulator routes, the condition sweeps'
   memoised fault-pattern draws), with ``cache.hits`` / ``cache.misses``
-  counters wired into the :mod:`repro.obs.prof` profiler.
+  hot counters on the installed tracer.
 """
 
 from repro.parallel.cache import (

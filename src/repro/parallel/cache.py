@@ -5,9 +5,10 @@ its artifact with, with optional generation tags for artifacts derived
 from a changing fault set.  The served path witnesses
 (:class:`repro.serve.service.RoutingService`) and the simulator's route
 cache (:class:`repro.simulator.traffic.PathPolicy`) are built on it.
-Hits and misses are tallied on the cache *and* bumped as ``cache.hits``
-/ ``cache.misses`` hot counters on the installed :mod:`repro.obs.prof`
-profiler, so ``repro stats --profile`` surfaces the reuse rate.
+Hits and misses are tallied on the cache *and* counted as ``cache.hits``
+/ ``cache.misses`` hot counters on the installed tracer
+(:meth:`repro.obs.Tracer.count`), so ``repro stats`` surfaces the reuse
+rate.
 
 A process-wide default cache lives in a module-level slot
 (:func:`get_artifact_cache`); swap it with :func:`use_artifact_cache`
@@ -21,7 +22,7 @@ import collections
 import contextlib
 from typing import Any, Callable, Hashable, Iterator
 
-from repro.obs.prof import get_profiler
+from repro.obs import get_tracer
 
 #: Default entry bound.  Entries may hold whole grids, so the bound is on
 #: entries, not bytes, which keeps worst-case memory modest: a sweep's
@@ -109,7 +110,7 @@ class ArtifactCache:
         :meth:`peek` it, :meth:`drop` it and rebuild, or shed.  ``None``
         (the default) keeps the original behaviour.
         """
-        profiler = get_profiler()
+        trc = get_tracer()
         if key in self._entries:
             tag = self._tags.get(key)
             fresh = generation is None or tag == generation
@@ -119,31 +120,31 @@ class ArtifactCache:
                 and (tag is None or generation - tag > max_staleness_generations)
             ):
                 self.stale += 1
-                if profiler.enabled:
-                    profiler.count("cache.stale")
+                if trc.enabled:
+                    trc.count("cache.stale")
                 raise StaleArtifactError(key, tag, generation)
             if not fresh and revalidate is not None and revalidate(
                 self._entries[key], tag
             ):
                 self._tags[key] = generation
                 self.revalidated += 1
-                if profiler.enabled:
-                    profiler.count("cache.revalidated")
+                if trc.enabled:
+                    trc.count("cache.revalidated")
                 fresh = True
             if fresh:
                 self.hits += 1
-                if profiler.enabled:
-                    profiler.count("cache.hits")
+                if trc.enabled:
+                    trc.count("cache.hits")
                 self._entries.move_to_end(key)
                 return self._entries[key]
             self.stale += 1
-            if profiler.enabled:
-                profiler.count("cache.stale")
+            if trc.enabled:
+                trc.count("cache.stale")
             del self._entries[key]
             del self._tags[key]
         self.misses += 1
-        if profiler.enabled:
-            profiler.count("cache.misses")
+        if trc.enabled:
+            trc.count("cache.misses")
         value = build()
         self._entries[key] = value
         self._tags[key] = generation

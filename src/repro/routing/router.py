@@ -23,7 +23,6 @@ import numpy as np
 from repro.mesh.geometry import Coord, Direction, manhattan_distance
 from repro.mesh.topology import Mesh2D
 from repro.obs import Tracer, get_tracer
-from repro.obs.prof import get_profiler
 from repro.routing.path import Path
 
 
@@ -107,10 +106,8 @@ class HopRouter(abc.ABC):
         )
         trc = self._tracer()
         tracing = trc.enabled
-        prof = get_profiler()
-        if prof.enabled:
-            prof.count("router.routes")
         if tracing:
+            trc.count("router.routes")
             trc.emit(
                 "route_start",
                 router=type(self).__name__,
@@ -145,10 +142,9 @@ class HopRouter(abc.ABC):
                     trc.emit("detour", at=current, to=nxt, dest=dest)
             trace.append(nxt)
             current = nxt
-        if prof.enabled:
-            prof.count("router.steps", len(trace) - 1)
         path = Path.of(trace)
         if tracing:
+            trc.count("router.steps", len(trace) - 1)
             trc.emit("route_end", source=source, dest=dest, hops=path.hops,
                      minimal=path.is_minimal, detours=path.detours)
         return path

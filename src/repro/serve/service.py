@@ -42,19 +42,14 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.core.conditions import Decision, DecisionKind, safe_source_decision
-from repro.core.extensions import (
-    extension1_decision,
-    extension2_decision,
-    extension3_decision,
-)
-from repro.core.pivots import recursive_center_pivots
+from repro.core.conditions import Decision, DecisionKind
+from repro.core.extensions import decision_cascade
 from repro.core.routing import WuRouter, route_with_decision
 from repro.core.safety import SafetyLevels, compute_safety_levels
 from repro.faults.blocks import BlockSet
 from repro.faults.incremental import IncrementalFaultEngine, UpdateReport
 from repro.faults.mcc import MCCType
-from repro.mesh.geometry import Coord, Rect, manhattan_distance
+from repro.mesh.geometry import Coord, manhattan_distance
 from repro.mesh.topology import Mesh2D
 from repro.obs.alerts import AlertEngine, AlertRule, RatioRule, ThresholdRule
 from repro.obs.timeseries import SampleStore
@@ -432,31 +427,10 @@ class RoutingService:
         source: Coord,
         dest: Coord,
     ) -> Decision | None:
-        """The paper's escalation: Def-3, Ext-1/2/3 minimal, Ext-1 sub-minimal."""
-        decision = safe_source_decision(levels, source, dest)
-        if decision.kind is not DecisionKind.UNSAFE:
-            return decision
-        decision = extension1_decision(
-            self.mesh, levels, blocked, source, dest, allow_sub_minimal=False
-        )
-        if decision.kind is not DecisionKind.UNSAFE:
-            return decision
-        decision = extension2_decision(self.mesh, levels, source, dest, segment_size=None)
-        if decision.kind is not DecisionKind.UNSAFE:
-            return decision
-        bbox = Rect(
-            min(source[0], dest[0]), max(source[0], dest[0]),
-            min(source[1], dest[1]), max(source[1], dest[1]),
-        )
-        decision = extension3_decision(
-            self.mesh, levels, blocked, source, dest,
-            recursive_center_pivots(bbox, 3),
-        )
-        if decision.kind is not DecisionKind.UNSAFE:
-            return decision
-        decision = extension1_decision(self.mesh, levels, blocked, source, dest)
-        if decision.kind is not DecisionKind.UNSAFE:
-            return decision
+        """The first rung of the paper's escalation that fires, if any."""
+        for _, decision in decision_cascade(self.mesh, levels, blocked, source, dest):
+            if decision.kind is not DecisionKind.UNSAFE:
+                return decision
         return None
 
     def _witness(

@@ -24,7 +24,6 @@ import numpy as np
 from repro.mesh.geometry import Coord, Direction
 from repro.mesh.topology import Mesh2D
 from repro.obs import Tracer, get_tracer
-from repro.obs.prof import get_profiler
 from repro.obs.timeseries import get_observatory
 from repro.simulator.channels import ChannelMap, ChannelView
 from repro.simulator.engine import Engine
@@ -243,20 +242,17 @@ class MeshNetwork:
     # Message plumbing
     # ------------------------------------------------------------------
     def refresh_instrumentation(self) -> None:
-        """Re-resolve the tracer/profiler into per-send fast-path flags.
+        """Re-resolve the tracer into per-send fast-path flags.
 
         ``send_from`` consults these cached flags instead of doing a
-        registry lookup per message; callers that install a tracer or
-        profiler *after* construction get them picked up at the next
+        registry lookup per message; callers that install a tracer
+        *after* construction get it picked up at the next
         :meth:`run` (which refreshes automatically) or by calling this.
         """
         trc = self.tracer if self.tracer is not None else get_tracer()
         self._trc = trc
         self._trace_on = trc.enabled
         self._rec_on = trc.recording
-        prof = get_profiler()
-        self._prof = prof
-        self._prof_on = prof.enabled
         self._chaos_on = self.chaos is not None and self.chaos.active
         self._obs = self.observatory if self.observatory is not None else get_observatory()
 
@@ -280,9 +276,9 @@ class MeshNetwork:
             return False
         di = _DIR_INDEX[direction]
         link_up = self.channel_up[x, y, di]
-        prof = self._prof if self._prof_on else None
-        if prof is not None:
-            prof.count("sim.messages")
+        trc = self._trc if self._trace_on else None
+        if trc is not None:
+            trc.count("sim.messages")
         if self._chaos_on:
             lost, duplicated, corrupted, extra = self.chaos.draw()
             delay = self.latency * (1 + extra)
@@ -290,7 +286,7 @@ class MeshNetwork:
             lost = duplicated = corrupted = False
             delay = self.latency
         dst = (nx, ny)
-        rec = self._trc if self._rec_on else None
+        rec = trc if self._rec_on else None
         event_id = None
         if rec is not None:
             if link_up:
@@ -305,15 +301,15 @@ class MeshNetwork:
                     direction=direction.name, msg=kind, time=self.engine.now,
                 )
             rec.last_send_id = event_id
-        elif self._trace_on:
-            self._trc.emit("protocol_msg", msg=kind, src=src, direction=direction.name,
-                           time=self.engine.now, queue=self.engine.pending,
-                           dropped=not link_up)
+        elif trc is not None:
+            trc.emit("protocol_msg", msg=kind, src=src, direction=direction.name,
+                     time=self.engine.now, queue=self.engine.pending,
+                     dropped=not link_up)
         if not link_up:
             self.channel_dropped[x, y, di] += 1
             self.messages_dropped_total += 1
-            if prof is not None:
-                prof.count("sim.dropped")
+            if trc is not None:
+                trc.count("sim.dropped")
             return True
         self.channel_carried[x, y, di] += 1
         self.messages_carried_total += 1
@@ -323,11 +319,11 @@ class MeshNetwork:
                          time=self.engine.now)
             self.channel_lost[x, y, di] += 1
             self.messages_lost_total += 1
-            if prof is not None:
-                prof.count("chaos.drops")
+            if trc is not None:
+                trc.count("chaos.drops")
             return True
-        if corrupted and prof is not None:
-            prof.count("chaos.corrupted")
+        if corrupted and trc is not None:
+            trc.count("chaos.corrupted")
         deliver = self._deliver if rec is None else self._deliver_recorded
         # One allocation per hop: the arrival direction is known here, so
         # the message is born annotated.
@@ -341,8 +337,8 @@ class MeshNetwork:
                 dup_id = rec.emit("msg_dup", cause=event_id, src=src, dst=dst, msg=kind,
                                   time=self.engine.now)
             self.messages_duplicated_total += 1
-            if prof is not None:
-                prof.count("chaos.duplicates")
+            if trc is not None:
+                trc.count("chaos.duplicates")
             # The ghost copy trails the original by one latency; its
             # delivery chains to the msg_dup event, not the original send.
             ghost = Message(src, dst, kind, payload, direction.opposite, corrupted, dup_id)
@@ -373,8 +369,8 @@ class MeshNetwork:
         x, y = src
         self.channel_retried[x, y, _DIR_INDEX[direction]] += 1
         self.messages_retried_total += 1
-        if self._prof_on:
-            self._prof.count("chaos.retries")
+        if self._trace_on:
+            self._trc.count("chaos.retries")
 
     def _deliver(self, dst: Coord, message: Message) -> None:
         process = self.nodes.get(dst)

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.mesh.geometry import Direction
-from repro.obs.prof import get_profiler
 from repro.simulator.messages import Message
 from repro.simulator.network import MeshNetwork
 from repro.simulator.process import NodeProcess
@@ -142,9 +141,7 @@ class ResilientProcess(NodeProcess):
         kind, envelope, attempts, sent_id = entry
         if attempts >= self._rel_max_retries:
             del self._rel_outbox[key]
-            prof = get_profiler()
-            if prof.enabled:
-                prof.count("chaos.gave_up")
+            self.network._trc.count("chaos.gave_up")
             return
         entry[2] = attempts + 1
         network = self.network
@@ -165,7 +162,7 @@ class ResilientProcess(NodeProcess):
         if not self._rel_on:
             self.handle_message(message)
             return
-        prof = get_profiler()
+        network = self.network
         direction = message.arrival_direction
         if message.kind == ACK_KIND:
             if not message.corrupted and direction is not None:
@@ -175,16 +172,16 @@ class ResilientProcess(NodeProcess):
         if message.corrupted:
             # Detected checksum failure: discard unacked; the sender's
             # timeout drives the retransmit.
-            if prof.enabled:
-                prof.count("chaos.corrupt_discarded")
+            if network._trace_on:
+                network._trc.count("chaos.corrupt_discarded")
             return
         payload = message.payload
         if not isinstance(payload, Envelope):
             self.handle_message(message)  # e.g. legacy/raw senders
             return
-        if payload.epoch != self.network.chaos_epoch:
-            if prof.enabled:
-                prof.count("chaos.stale_discarded")
+        if payload.epoch != network.chaos_epoch:
+            if network._trace_on:
+                network._trc.count("chaos.stale_discarded")
             return
         if direction is not None:
             # Ack before the dedup check: the original ack may have been
@@ -192,8 +189,8 @@ class ResilientProcess(NodeProcess):
             self.send(direction, ACK_KIND, (payload.epoch, payload.seq))
             seen = self._rel_seen.setdefault(direction, set())
             if (payload.epoch, payload.seq) in seen:
-                if prof.enabled:
-                    prof.count("chaos.dup_suppressed")
+                if network._trace_on:
+                    network._trc.count("chaos.dup_suppressed")
                 return
             seen.add((payload.epoch, payload.seq))
         self.handle_message(
@@ -268,7 +265,6 @@ def stabilize_network(network: MeshNetwork, rounds: int = 1) -> int:
                 else:
                     process.local_restart()
         events += engine.run(max_events=budget)
-    prof = get_profiler()
-    if prof.enabled and engine.now > started_at:
-        prof.count("chaos.reconverge_ticks", int(engine.now - started_at))
+    if network._trace_on and engine.now > started_at:
+        network._trc.count("chaos.reconverge_ticks", int(engine.now - started_at))
     return events

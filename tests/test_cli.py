@@ -128,6 +128,22 @@ class TestStats:
         assert snapshot["routes"]["delivered"] >= 1
         assert "esl" in snapshot["protocol_messages"]
 
+    def test_profile_lists_top_functions(self):
+        import json
+
+        argv = ["stats", "--side", "12", "--faults", "5", "--seed", "3",
+                "--routes", "5", "--profile"]
+        code, output = _run(argv)
+        assert code == 0
+        assert "top functions (cumulative, top 10)" in output
+        for stage in ("esl", "protocols", "incremental", "routing"):
+            assert f"stats.{stage}" in output
+        code, output = _run([*argv, "--json"])
+        assert code == 0
+        rows = json.loads(output)["top_functions"]
+        assert len(rows) == 10
+        assert {"function", "calls", "tottime_s", "cumtime_s"} <= set(rows[0])
+
 
 class TestChaosVerb:
     def test_converges_and_exits_zero(self):

@@ -244,17 +244,17 @@ class TestAffectedAccounting:
         assert_matches_full(engine)
 
     def test_hot_counters_flow_through_profiler(self):
-        from repro.obs.prof import Profiler, use_profiler
+        from repro.obs import Tracer, use_tracer
 
         mesh = Mesh2D(8, 8)
         engine = IncrementalFaultEngine(mesh)
-        with use_profiler(Profiler()) as profiler:
+        with use_tracer(Tracer()) as tracer:
             engine.inject((1, 1))
             engine.inject((6, 6))
             engine.revive((1, 1))
-        assert profiler.hot["incr.events"] == 3
-        assert profiler.hot["incr.affected_cells"] >= 3
-        assert profiler.hot["incr.full_rebuilds"] == 0
+        assert tracer.hot["incr.events"] == 3
+        assert tracer.hot["incr.affected_cells"] >= 3
+        assert tracer.hot["incr.full_rebuilds"] == 0
 
 
 # ----------------------------------------------------------------------

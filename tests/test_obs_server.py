@@ -79,6 +79,15 @@ class TestEndpoints:
         }
         assert sample_labels == {"q", "r"}
 
+    def test_metrics_scrape_exports_tracer_hot_counters(self):
+        metrics = MetricsSink()
+        tracer = Tracer(metrics)
+        tracer.count("sim.messages", 7)
+        with serving(TelemetryApp(metrics=metrics, tracer=tracer)) as app:
+            _, body, _ = _get(app.url("/metrics"))
+        samples = parse(body)["repro_hot_counter_total"].samples
+        assert [(s.labels, s.value) for s in samples] == [((("name", "sim.messages"),), 7)]
+
     def test_series_json_matches_snapshot(self):
         observatory = _observed_observatory()
         with serving(TelemetryApp(observatory=observatory)) as app:

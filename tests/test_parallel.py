@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import BLOCK_MODEL, ConditionExperiment, MetricSpec
-from repro.obs.prof import Profiler, use_profiler
+from repro.obs import Tracer, use_tracer
 from repro.parallel.cache import (
     ArtifactCache,
     StaleArtifactError,
@@ -53,13 +53,13 @@ class TestArtifactCache:
 
     def test_profiler_counters_track_hits_and_misses(self):
         cache = ArtifactCache()
-        profiler = Profiler()
-        with use_profiler(profiler):
+        tracer = Tracer()
+        with use_tracer(tracer):
             cache.get_or_build("k", lambda: 1)
             cache.get_or_build("k", lambda: 1)
             cache.get_or_build("j", lambda: 2)
-        assert profiler.hot["cache.misses"] == 2
-        assert profiler.hot["cache.hits"] == 1
+        assert tracer.hot["cache.misses"] == 2
+        assert tracer.hot["cache.hits"] == 1
 
     def test_generation_tagged_entries_go_stale(self):
         cache = ArtifactCache()
@@ -119,15 +119,15 @@ class TestArtifactCache:
 
     def test_staleness_profiler_counters(self):
         cache = ArtifactCache()
-        profiler = Profiler()
-        with use_profiler(profiler):
+        tracer = Tracer()
+        with use_tracer(tracer):
             cache.get_or_build("k", lambda: 1, generation=1)
             cache.get_or_build("k", lambda: 2, generation=2)
             cache.get_or_build(
                 "k", lambda: 3, generation=3, revalidate=lambda v, t: True
             )
-        assert profiler.hot["cache.stale"] == 1
-        assert profiler.hot["cache.revalidated"] == 1
+        assert tracer.hot["cache.stale"] == 1
+        assert tracer.hot["cache.revalidated"] == 1
 
 
 class TestStalenessBudget:

@@ -1,23 +1,57 @@
-"""Profiling hooks: hot counters, sections, cProfile capture, null default."""
+"""Hot counters on the tracer (``Tracer.count``), timed stages as spans,
+and the ``repro stats --profile`` cProfile table."""
+
+import ast
+import cProfile
+import pathlib
 
 import numpy as np
 import pytest
 
+from repro.cli import _top_functions, main
+from repro.core.safety import compute_safety_levels
 from repro.faults.blocks import build_faulty_blocks
 from repro.faults.injection import uniform_faults
 from repro.faults.mcc import MCCType, build_mccs
-from repro.core.safety import compute_safety_levels
 from repro.mesh.topology import Mesh2D
-from repro.obs.prof import (
+from repro.obs import MetricsSink, RingBufferSink
+from repro.obs.tracer import (
     HOT_COUNTER_NAMES,
-    NULL_PROFILER,
-    NullProfiler,
-    Profiler,
-    get_profiler,
-    set_profiler,
-    use_profiler,
+    NULL_TRACER,
+    NullTracer,
+    Tracer,
+    get_tracer,
+    set_tracer,
+    use_tracer,
 )
 from repro.routing.router import GreedyAdaptiveRouter
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def counted_names(root: pathlib.Path) -> set[str]:
+    """Every string literal passed as the first argument of a ``.count``
+    call in the Python files under ``root``."""
+    names = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "count"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                names.add(node.args[0].value)
+    return names
+
+
+def _stats(extra):
+    lines = []
+    code = main(["stats", "--side", "10", "--faults", "4", "--seed", "3",
+                 "--routes", "3", *extra], out=lines.append)
+    return code, "\n".join(lines)
 
 
 @pytest.fixture
@@ -29,85 +63,95 @@ def faulty_mesh():
 
 class TestHotCounters:
     def test_count_accumulates(self):
-        prof = Profiler()
-        prof.count("router.steps")
-        prof.count("router.steps", 4)
-        assert prof.hot["router.steps"] == 5
+        tracer = Tracer()
+        tracer.count("router.steps")
+        tracer.count("router.steps", 4)
+        assert tracer.hot["router.steps"] == 5
 
     def test_router_bumps_route_and_step_counters(self):
         mesh = Mesh2D(12, 12)
         router = GreedyAdaptiveRouter(mesh, np.zeros((12, 12), dtype=bool))
-        with use_profiler(Profiler()) as prof:
+        with use_tracer(Tracer()) as tracer:
             path = router.route((0, 0), (10, 10))
-        assert prof.hot["router.routes"] == 1
-        assert prof.hot["router.steps"] == len(path) - 1
+        assert tracer.hot["router.routes"] == 1
+        assert tracer.hot["router.steps"] == len(path) - 1
 
     def test_substrate_builders_bump_counters(self, faulty_mesh):
         mesh, faults = faulty_mesh
-        with use_profiler(Profiler()) as prof:
+        with use_tracer(Tracer()) as tracer:
             blocks = build_faulty_blocks(mesh, faults)
             build_mccs(mesh, faults, MCCType.TYPE_ONE)
             compute_safety_levels(mesh, blocks.unusable)
-        assert prof.hot["blocks.build"] == 1
-        assert prof.hot["mcc.build"] == 1
-        assert prof.hot["esl.recompute"] == 1
+        assert tracer.hot["blocks.build"] == 1
+        assert tracer.hot["mcc.build"] == 1
+        assert tracer.hot["esl.recompute"] == 1
 
     def test_documented_names_cover_producers(self):
-        # the instrumented call sites only use documented counter names
-        assert {
-            "router.routes", "router.steps", "esl.recompute",
-            "blocks.build", "mcc.build", "sim.messages",
-        } <= HOT_COUNTER_NAMES
+        # Every name src/ counts is documented, and every documented name
+        # is counted somewhere: a misspelt producer or a dead entry fails.
+        assert counted_names(SRC) == HOT_COUNTER_NAMES
+
+    def test_scan_sees_a_misspelt_producer(self, tmp_path):
+        (tmp_path / "producer.py").write_text(
+            'def f(trc):\n    trc.count("chaos.dups")\n    "x".count("y")\n'
+        )
+        assert counted_names(tmp_path) == {"chaos.dups", "y"}
+        assert not counted_names(tmp_path) <= HOT_COUNTER_NAMES
+
+    def test_counting_emits_no_event(self):
+        ring = RingBufferSink()
+        tracer = Tracer(ring)
+        tracer.count("sim.messages", 3)
+        assert list(ring) == []
+        assert tracer.hot["sim.messages"] == 3
 
 
 class TestSections:
     def test_section_times_land_in_histogram(self):
-        prof = Profiler()
+        metrics = MetricsSink()
+        tracer = Tracer(metrics)
         for _ in range(3):
-            with prof.section("work"):
+            with tracer.span("work"):
                 sum(range(1000))
-        histogram = prof.sections["work"]
+        histogram = metrics.span_durations["work"]
         assert histogram.count == 3
-        assert histogram.min > 0  # perf_counter_ns ticks
+        assert histogram.min > 0
 
     def test_snapshot_shape(self):
-        prof = Profiler()
-        prof.count("router.steps", 7)
-        with prof.section("work"):
-            pass
-        snapshot = prof.snapshot()
-        assert snapshot["hot_counters"] == {"router.steps": 7}
-        assert snapshot["sections_ns"]["work"]["count"] == 1
-        assert snapshot["top_functions"] == []  # not detailed
+        import json
+
+        code, output = _stats(["--json"])
+        assert code == 0
+        snapshot = json.loads(output)
+        assert snapshot["hot_counters"]["router.routes"] >= 1
+        assert set(snapshot["hot_counters"]) <= HOT_COUNTER_NAMES
+        assert snapshot["spans"]["stats.routing"]["count"] == 1
+        assert "top_functions" not in snapshot  # not profiled
 
     def test_detailed_names_hot_frames(self):
-        prof = Profiler(detailed=True)
-        with prof.section("outer"):
+        with cProfile.Profile() as profile:
             build_faulty_blocks(Mesh2D(8, 8), {(2, 2)})
-        rows = prof.top_functions(limit=5)
-        assert rows, "detailed section should capture frames"
+        rows = _top_functions(profile, limit=5)
+        assert rows, "the profiled run should capture frames"
         assert all("function" in row and "cumtime_s" in row for row in rows)
         # sorted by cumulative time, hottest first
         cum = [row["cumtime_s"] for row in rows]
         assert cum == sorted(cum, reverse=True)
 
     def test_nested_sections_time_independently(self):
-        prof = Profiler(detailed=True)
-        with prof.section("outer"):
-            with prof.section("inner"):
+        metrics = MetricsSink()
+        tracer = Tracer(metrics)
+        with tracer.span("outer"):
+            with tracer.span("inner"):
                 pass
-        assert prof.sections["outer"].count == 1
-        assert prof.sections["inner"].count == 1
-        # only the outermost section runs cProfile
-        assert len(prof._profiles) == 1
+        outer, inner = metrics.span_durations["outer"], metrics.span_durations["inner"]
+        assert outer.count == inner.count == 1
+        assert outer.total >= inner.total
 
     def test_to_table_mentions_everything(self):
-        prof = Profiler()
-        prof.count("sim.messages", 3)
-        with prof.section("stats.routing"):
-            pass
-        table = prof.to_table()
-        assert "profiled sections" in table
+        code, table = _stats([])
+        assert code == 0
+        assert "spans" in table
         assert "stats.routing" in table
         assert "hot counters" in table
         assert "sim.messages" in table
@@ -115,27 +159,27 @@ class TestSections:
 
 class TestInstallation:
     def test_null_profiler_is_default_and_inert(self):
-        assert get_profiler() is NULL_PROFILER
-        assert NULL_PROFILER.enabled is False
-        NULL_PROFILER.count("router.steps", 100)
-        with NULL_PROFILER.section("ignored"):
+        assert get_tracer() is NULL_TRACER
+        assert NULL_TRACER.enabled is False
+        NULL_TRACER.count("router.steps", 100)
+        with NULL_TRACER.span("ignored"):
             pass
-        assert not NULL_PROFILER.hot
-        assert not NULL_PROFILER.sections
+        assert not NULL_TRACER.hot
 
     def test_use_profiler_scopes_and_restores(self):
-        prof = Profiler()
-        with use_profiler(prof):
-            assert get_profiler() is prof
-        assert get_profiler() is NULL_PROFILER
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assert get_tracer() is tracer
+        assert get_tracer() is NULL_TRACER
 
     def test_set_profiler_none_restores_null(self):
-        previous = set_profiler(Profiler())
-        assert previous is NULL_PROFILER
-        set_profiler(None)
-        assert get_profiler() is NULL_PROFILER
+        previous = set_tracer(Tracer())
+        assert previous is NULL_TRACER
+        set_tracer(None)
+        assert get_tracer() is NULL_TRACER
 
     def test_uninstalled_producers_pay_nothing(self, faulty_mesh):
         mesh, faults = faulty_mesh
         build_faulty_blocks(mesh, faults)  # must not raise, nothing recorded
-        assert isinstance(get_profiler(), NullProfiler)
+        assert isinstance(get_tracer(), NullTracer)
+        assert not NULL_TRACER.hot

@@ -2,11 +2,7 @@
 
 import re
 
-import pytest
-
 from repro.obs import MetricsSink, Observatory, ThresholdRule, Tracer
-from repro.obs.metrics import Histogram
-from repro.obs.prof import Profiler
 from repro.obs.prometheus import render_prometheus, render_timeseries
 from tests import promtext
 
@@ -174,11 +170,9 @@ class TestPromtextRoundTrip:
                 "repro_alert_active", "repro_alerts_fired_total"} <= set(families)
 
     def test_type_headers_unique_in_combined_export(self):
-        profiler = Profiler()
-        profiler.count("router.steps", 1)
-        text = render_prometheus(
-            _populated_sink().snapshot(), profile=profiler.snapshot()
-        )
+        tracer = Tracer()
+        tracer.count("router.steps", 1)
+        text = render_prometheus(_populated_sink().snapshot(), hot_counters=tracer.hot)
         # parse() raises on duplicate # TYPE lines; double-check the raw text.
         promtext.parse(text)
         types = re.findall(r"# TYPE (\S+)", text)
@@ -191,29 +185,19 @@ class TestPromtextRoundTrip:
 
 class TestProfileExport:
     def test_hot_counters_and_sections(self):
-        profiler = Profiler()
-        profiler.count("router.steps", 42)
-        with profiler.section("stats.routing"):
+        metrics = MetricsSink()
+        tracer = Tracer(metrics)
+        tracer.count("router.steps", 42)
+        with tracer.span("stats.routing"):
             pass
-        text = render_prometheus(
-            _populated_sink().snapshot(), profile=profiler.snapshot()
-        )
+        text = metrics.to_prometheus(hot_counters=tracer.hot)
         _parse(text)
         assert 'repro_hot_counter_total{name="router.steps"} 42' in text
-        assert "# TYPE repro_profile_section_seconds summary" in text
-        assert 'repro_profile_section_seconds_count{section="stats.routing"} 1' in text
-
-    def test_section_nanoseconds_scaled_to_seconds(self):
-        profiler = Profiler()
-        profiler.sections["fixed"] = h = Histogram()
-        h.observe(2_000_000_000)  # 2s in ns
-        text = render_prometheus({}, profile=profiler.snapshot())
-        match = re.search(
-            r'repro_profile_section_seconds_sum\{section="fixed"\} (\S+)', text
-        )
-        assert match and float(match.group(1)) == pytest.approx(2.0)
+        assert "# TYPE repro_span_duration_seconds summary" in text
+        assert 'repro_span_duration_seconds_count{span="stats.routing"} 1' in text
 
     def test_no_profile_no_profile_metrics(self):
         text = render_prometheus(_populated_sink().snapshot())
         assert "repro_hot_counter_total" not in text
-        assert "repro_profile_section_seconds" not in text
+        text = render_prometheus(_populated_sink().snapshot(), hot_counters={})
+        assert "repro_hot_counter_total" not in text

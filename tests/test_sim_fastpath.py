@@ -28,7 +28,6 @@ from repro.faults.mcc import MCCType, label_statuses
 from repro.mesh.geometry import Direction
 from repro.mesh.topology import Mesh2D
 from repro.obs import MetricsSink, Tracer, use_tracer
-from repro.obs.prof import NULL_PROFILER, Profiler, use_profiler
 from repro.obs.recorder import FlightRecorder, canonical_bytes
 from repro.obs.tracer import NULL_TRACER
 from repro.parallel.cache import ArtifactCache
@@ -472,8 +471,8 @@ _CHANNEL_ARRAYS = (
 def _send_mode_run(lossy: bool, setup: str):
     """One seeded chaos run (14x14, 10 faults, crash/revive schedule)
     under ``setup``: ``"bare"`` (no instrument), ``"traced"``
-    (``Tracer(MetricsSink())`` plus a profiler) or ``"recorded"`` (a
-    flight recorder plus a profiler)."""
+    (``Tracer(MetricsSink())``) or ``"recorded"`` (a flight recorder).
+    The hot counters are read from whichever tracer the run used."""
     mesh = Mesh2D(14, 14)
     rng = np.random.default_rng(4)
     faults = uniform_faults(mesh, 10, rng)
@@ -485,12 +484,12 @@ def _send_mode_run(lossy: bool, setup: str):
     recorder = FlightRecorder() if setup == "recorded" else None
     metrics, drops = MetricsSink(), _DropCounter()
     tracer = Tracer(metrics, drops) if setup == "traced" else NULL_TRACER
-    profiler = Profiler() if setup != "bare" else NULL_PROFILER
-    with use_tracer(tracer), use_profiler(profiler):
+    with use_tracer(tracer):
         runner = ChaosRunner(mesh, faults, plan, schedule, recorder=recorder)
         outcome = runner.run()
     arrays = {name: getattr(runner.network, name).copy() for name in _CHANNEL_ARRAYS}
-    return outcome.stats, arrays, profiler.hot, metrics, drops, recorder
+    hot = (recorder or tracer).hot
+    return outcome.stats, arrays, hot, metrics, drops, recorder
 
 
 class TestSendModeReconciliation:
