@@ -31,6 +31,8 @@ This module maintains the same state by *deltas*:
   labelling rules are monotone under fault arrival, so a worklist seeded
   at the new fault computes each closure's new fixpoint in O(delta);
   revival re-runs both closures inside the dead component's cell set.
+  Each tracked MCC type keeps its own ESL grids, rescanned over the
+  rows and columns of the cells whose MCC-blocked status flipped.
 
 Every event bumps a per-mesh **generation counter** and yields an
 :class:`UpdateReport` naming the affected window, so caches
@@ -49,7 +51,7 @@ the full rebuild bit-identically in ``tests/test_incremental.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -106,6 +108,15 @@ class UpdateReport:
     full_rebuild: bool = False
 
 
+def _rescan(levels: SafetyLevels, blocked: np.ndarray, cells: list[Coord]) -> None:
+    """Rescan the ESL rows and columns of ``cells`` (their blocked status
+    flipped) -- the affected-rows model."""
+    if cells:
+        refresh_safety_levels(
+            levels, blocked, xs={x for x, _ in cells}, ys={y for _, y in cells}
+        )
+
+
 def _count_affected(report: UpdateReport) -> UpdateReport:
     trc = get_tracer()
     if trc.enabled:
@@ -122,7 +133,9 @@ class IncrementalMCCState:
     Mirrors :func:`repro.faults.mcc.build_mccs` state (status grid,
     blocked union, components) and updates it per fault event; the
     :meth:`mcc_set` snapshot is bit-identical to a from-scratch build.
-    Owned and driven by :class:`IncrementalFaultEngine`.
+    ``levels`` are the ESLs of ``blocked``, delta-maintained like the
+    engine's block ESLs.  Owned and driven by
+    :class:`IncrementalFaultEngine`.
     """
 
     def __init__(self, mesh: Mesh2D, faults: Iterable[Coord], mcc_type: MCCType):
@@ -132,6 +145,7 @@ class IncrementalMCCState:
         self.faulty = built.faulty.copy()
         self.status = built.status.copy()
         self.blocked = built.blocked.copy()
+        self.levels = compute_safety_levels(mesh, self.blocked)
         # Per-closure blocked grids (faulty | that label); the two closures
         # are independent (a node may carry both labels), so each keeps its
         # own grid exactly like the from-scratch `_label_closure`.
@@ -231,6 +245,7 @@ class IncrementalMCCState:
         new_blocked = [c for c in touched if not self.blocked[c]]
         for cell in new_blocked:
             self.blocked[cell] = True
+        _rescan(self.levels, self.blocked, new_blocked)
         # Every touched cell chains back to the fault through blocked
         # cells, so the fault's component absorbs every component holding
         # or 4-adjacent to a touched cell.
@@ -312,6 +327,10 @@ class IncrementalMCCState:
         blocked = self.blocked[window]
         blocked[in_comp] = sub_blocked[in_comp]
         self.blocked[window] = blocked
+        _rescan(self.levels, self.blocked, [
+            (int(x) + rect.xmin, int(y) + rect.ymin)
+            for x, y in np.argwhere(in_comp & ~sub_blocked)
+        ])
         slot_grid = self._slot_grid[window]
         slot_grid[in_comp] = -1
         self._slot_grid[window] = slot_grid
@@ -347,7 +366,7 @@ class IncrementalMCCState:
 
 
 class IncrementalFaultEngine:
-    """Delta-maintained ``(faulty, blocks, ESL[, MCCs])`` state for a live mesh.
+    """Delta-maintained ``(faulty, blocks, ESL[, MCCs + ESLs])`` of a live mesh.
 
     Build once from an initial fault set (one full construction), then
     feed it fault arrivals (:meth:`inject`) and revivals (:meth:`revive`);
@@ -455,12 +474,7 @@ class IncrementalFaultEngine:
             disabled=frozenset(merged) - block_faulty,
         )
         self._slot_grid[rect.xmin : rect.xmax + 1, rect.ymin : rect.ymax + 1] = slot
-        refresh_safety_levels(
-            self.levels,
-            self.unusable,
-            xs={c[0] for c in new_cells},
-            ys={c[1] for c in new_cells},
-        )
+        _rescan(self.levels, self.unusable, new_cells)
         for mcc in self._mccs.values():
             mcc.inject(coord)
         return self._report("inject", coord, new_cells, rect)
@@ -537,13 +551,7 @@ class IncrementalFaultEngine:
             self._slot_grid[
                 crect.xmin : crect.xmax + 1, crect.ymin : crect.ymax + 1
             ] = new_slot
-        if freed:
-            refresh_safety_levels(
-                self.levels,
-                self.unusable,
-                xs={c[0] for c in freed},
-                ys={c[1] for c in freed},
-            )
+        _rescan(self.levels, self.unusable, freed)
         for mcc in self._mccs.values():
             mcc.revive(coord)
         return self._report("revive", coord, freed or [coord], rect)
@@ -595,8 +603,9 @@ class IncrementalFaultEngine:
         """Materialize the current blocks as a :class:`BlockSet` snapshot
         ordered like :func:`build_faulty_blocks` (blocks sorted by minimal
         cell, arrays copied)."""
+        # A block fills its rectangle, so its minimal cell is the corner.
         blocks = sorted(
-            self._slots.values(), key=lambda b: min(b.faulty | b.disabled)
+            self._slots.values(), key=lambda b: (b.rect.xmin, b.rect.ymin)
         )
         block_id = np.full((self.mesh.n, self.mesh.m), -1, dtype=np.int32)
         for index, block in enumerate(blocks):

@@ -2,12 +2,13 @@
 
 :class:`HttpApp` is a deliberately small HTTP/1.1 server over
 ``asyncio.start_server`` (stdlib only, one request per connection).  It
-owns the plumbing both verbs share: request framing (a malformed head
-gets 400 / 414 / 431 with a JSON body, never a dropped connection), a
-route table, a built-in ``/readyz``, an in-flight count and a bounded
-graceful shutdown; :func:`run_app` drives it.  Subclasses supply routes:
-:class:`TelemetryApp` for ``repro serve-metrics`` and
-:class:`~repro.serve.http.ServeApp` for ``repro serve``.
+owns the plumbing both verbs share: request framing (a malformed or
+oversized head gets 400 / 413 / 414 / 431 with a JSON body, never a
+dropped connection), a route table, a built-in ``/readyz``, an
+in-flight count and a bounded graceful shutdown; :func:`run_app` drives
+it.  Subclasses supply routes: :class:`TelemetryApp` for ``repro
+serve-metrics`` and :class:`~repro.serve.http.ServeApp` for ``repro
+serve``.
 
 ``GET /readyz`` is readiness, distinct from health: 200 while the app
 accepts work, 503 once shutdown began.  A load balancer stops routing on
@@ -45,8 +46,11 @@ Response = tuple[int, bytes, str]
 Handler = Callable[[dict[str, list[str]]], Awaitable[Response]]
 
 PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-# Longest request or header line accepted (the stdlib server's bound).
+# Longest request or header line accepted (the stdlib server's bound);
+# also the largest Content-Length, since no route reads a body.
 _LINE_LIMIT = 1 << 16
+# Most header lines accepted (the bound http.client uses).
+_MAX_HEADERS = 100
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
@@ -213,16 +217,22 @@ class HttpApp:
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
             raise _BadRequest(400, f"malformed request line {request_line[:80]!r}")
         content_length = 0
+        headers = 0
         while True:  # drain headers; we only need Content-Length
             line = await self._read_line(reader, 431, "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
+            headers += 1
+            if headers > _MAX_HEADERS:
+                raise _BadRequest(431, f"more than {_MAX_HEADERS} header lines")
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
                 value = value.strip()
                 if not (value.isascii() and value.isdigit()):
                     raise _BadRequest(400, f"malformed Content-Length {value[:80]!r}")
                 content_length = int(value)
+                if content_length > _LINE_LIMIT:
+                    raise _BadRequest(413, f"body longer than {_LINE_LIMIT} bytes")
         if content_length:
             await reader.readexactly(content_length)
         return parts[0], parts[1]

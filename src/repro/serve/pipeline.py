@@ -22,8 +22,10 @@ answering under load instead of collapsing:
 A heartbeat task samples queue depth, shed/arrival deltas, and snapshot
 staleness into the :class:`~repro.serve.service.ServiceBreaker`; while
 the breaker is open, workers force the degraded tier (block-model
-answers, no path witnesses) and the refresher skips the expensive MCC
-recompute, which is what lets the backlog drain.
+answers, no path witnesses), which is what lets the backlog drain.  The
+refresher coalesces fault bursts into one snapshot publication; a
+refresh only copies the engine's delta-maintained grids, so it has no
+cheaper tier.
 """
 
 from __future__ import annotations
@@ -143,13 +145,14 @@ class QueryPipeline:
     async def drain(self, grace_s: float = 5.0) -> bool:
         """Stop admitting, finish the backlog (bounded), stop the tasks.
 
-        Returns True when every queued request completed within the
-        grace period; either way the pipeline is stopped afterwards and
-        late stragglers are cancelled.
+        Returns True when every queued or in-flight request completed
+        within the grace period; either way the pipeline is stopped
+        afterwards, and the stragglers are answered ``overloaded``
+        (``"draining"``) and counted as ``shed_overload``.
         """
         self.accepting = False
         drained = True
-        if self._queue is not None and self._queue.qsize() > 0:
+        if self._queue is not None:
             try:
                 await asyncio.wait_for(self._queue.join(), timeout=grace_s)
             except asyncio.TimeoutError:
@@ -158,7 +161,15 @@ class QueryPipeline:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
+        while self._queue is not None and not self._queue.empty():
+            _, future = self._queue.get_nowait()
+            self._shed_draining(future)
         return drained
+
+    def _shed_draining(self, future: asyncio.Future) -> None:
+        if not future.done():
+            self.counters["shed_overload"] += 1
+            future.set_result(QueryResult(status="overloaded", error="draining"))
 
     # -- submission ----------------------------------------------------
     async def submit(
@@ -213,6 +224,9 @@ class QueryPipeline:
             try:
                 if not future.done():
                     future.set_result(await self._process(request))
+            except asyncio.CancelledError:  # drain ran out of grace
+                self._shed_draining(future)
+                raise
             except Exception as error:  # defensive: a worker must not die
                 self.counters["errors"] += 1
                 if not future.done():
@@ -276,7 +290,7 @@ class QueryPipeline:
             # Coalesce: let a burst of ingest_fault calls land before
             # paying for one snapshot rebuild covering all of them.
             await asyncio.sleep(self.refresh_delay_s)
-            self.service.refresh(include_mcc=not self.breaker.open)
+            self.service.refresh()
 
     async def _heartbeat(self) -> None:
         while True:
@@ -287,20 +301,13 @@ class QueryPipeline:
         """One breaker evaluation over the current load signals."""
         qsize = self._queue.qsize() if self._queue is not None else 0
         shed = self.counters["shed_overload"] + self.counters["shed_deadline"]
-        open_ = self.breaker.observe({
+        return self.breaker.observe({
             "serve.queue_depth": qsize / self.queue_limit,
             "serve.arrived": float(self.counters["arrived"]),
             "serve.shed": float(shed),
             "serve.staleness": float(self.service.staleness()),
             "serve.degraded": float(self.counters["degraded"]),
         })
-        if not open_ and self.service.mcc_model:
-            # Recovered: queue a full (MCC-capable) snapshot rebuild if
-            # the latest refresh was degraded.
-            snapshot = self.service.snapshot()
-            if snapshot.mcc_levels is None and self._dirty is not None:
-                self._dirty.set()
-        return open_
 
     # -- reporting -----------------------------------------------------
     def stats(self) -> dict[str, Any]:

@@ -8,8 +8,11 @@ torn-read defence: fault arrivals mutate the engine's grids *in place*
 (that is what makes them O(affected)), so queries never touch the live
 engine.  They grab the current snapshot reference once (a single atomic
 read under the GIL) and evaluate the whole decision cascade against that
-frozen generation; :meth:`RoutingService.refresh` builds a new snapshot
-from the engine and publishes it with one reference assignment.
+frozen generation; :meth:`RoutingService.refresh` copies the engine's
+delta-maintained grids -- block and type-one MCC blocked sets and their
+ESLs -- into a new snapshot and publishes it with one reference
+assignment.  A refresh computes nothing: the engine already holds every
+grid at the new generation.
 
 The gap between the engine generation and the published snapshot is the
 query's ``staleness``.  Callers choose what staleness means:
@@ -27,11 +30,10 @@ Degradation tiers (the circuit breaker's levers):
 1. **Full service** -- block-model and MCC-model answers, each with a
    routed path witness cached per generation in an
    :class:`~repro.parallel.cache.ArtifactCache`.
-2. **Degraded** (:class:`ServiceBreaker` open) -- refreshes skip the
-   O(n*m) MCC-level recompute, so MCC queries are answered from the
-   block model with ``degraded=True``; path witnesses are skipped.
-   Block-model verdicts stay exact: the safe conditions are evaluated
-   on the snapshot either way.
+2. **Degraded** (:class:`ServiceBreaker` open) -- MCC queries are
+   answered from the block model with ``degraded=True`` and path
+   witnesses are skipped.  Block-model verdicts stay exact: the safe
+   conditions are evaluated on the snapshot either way.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 from repro.core.conditions import Decision, DecisionKind
 from repro.core.extensions import decision_cascade
 from repro.core.routing import WuRouter, route_with_decision
-from repro.core.safety import SafetyLevels, compute_safety_levels
+from repro.core.safety import SafetyLevels
 from repro.faults.blocks import BlockSet
 from repro.faults.incremental import IncrementalFaultEngine, UpdateReport
 from repro.faults.mcc import MCCType
@@ -77,6 +79,13 @@ _STRATEGY_BY_KIND = {
 }
 
 
+def _copied(levels: SafetyLevels) -> SafetyLevels:
+    return SafetyLevels(
+        levels.mesh, levels.east.copy(), levels.south.copy(),
+        levels.west.copy(), levels.north.copy(),
+    )
+
+
 class QueryError(ValueError):
     """A malformed query (endpoint outside the mesh, unknown model)."""
 
@@ -88,8 +97,7 @@ class ServeSnapshot:
     Arrays are private copies (the engine mutates its own in place), so
     a snapshot stays valid forever -- an in-flight query keeps using the
     generation it grabbed even while newer snapshots are published.
-    ``mcc_levels`` is None when the snapshot was built degraded (MCC
-    recompute skipped under pressure).
+    The MCC fields are None only for a service without the MCC model.
     """
 
     generation: int
@@ -255,9 +263,10 @@ class RoutingService:
         self._lock = threading.Lock()
         self._witnesses = ArtifactCache(witness_cache_size)
         self.refreshes = 0
+        # Always 0 (every refresh is full); perfbench's traced serve run reads it.
         self.degraded_refreshes = 0
         self.witness_failures = 0
-        self._snapshot = self._build_snapshot(include_mcc=mcc_model)
+        self._snapshot = self._build_snapshot()
 
     # -- state publication --------------------------------------------
     @property
@@ -272,51 +281,29 @@ class RoutingService:
         """Generations the published snapshot lags the engine by."""
         return self.engine.generation - self._snapshot.generation
 
-    def _build_snapshot(self, include_mcc: bool) -> ServeSnapshot:
+    def _build_snapshot(self) -> ServeSnapshot:
         eng = self.engine
-        levels = SafetyLevels(
-            self.mesh,
-            eng.levels.east.copy(),
-            eng.levels.south.copy(),
-            eng.levels.west.copy(),
-            eng.levels.north.copy(),
-        )
+        block_set = eng.block_set()
         mcc_blocked = mcc_levels = None
-        if include_mcc and self.mcc_model:
-            mcc_blocked = eng.mcc_set(MCCType.TYPE_ONE).blocked.copy()
-            mcc_levels = compute_safety_levels(self.mesh, mcc_blocked)
+        if self.mcc_model:
+            mcc = eng.track_mcc(MCCType.TYPE_ONE)
+            mcc_blocked, mcc_levels = mcc.blocked.copy(), _copied(mcc.levels)
         return ServeSnapshot(
             generation=eng.generation,
-            blocked=eng.unusable.copy(),
-            levels=levels,
-            block_set=eng.block_set(),
+            blocked=block_set.unusable,
+            levels=_copied(eng.levels),
+            block_set=block_set,
             mcc_blocked=mcc_blocked,
             mcc_levels=mcc_levels,
         )
 
-    def refresh(self, *, include_mcc: bool = True) -> ServeSnapshot:
-        """Publish a fresh snapshot of the engine state.
-
-        ``include_mcc=False`` is the degraded tier: the O(n*m) MCC-level
-        recompute is skipped, so the refresh costs only array copies and
-        MCC queries fall back to the block model until a full refresh.
-        No-op when the published snapshot is already current *and* at
-        least as capable (a full snapshot is never replaced by a
-        degraded one of the same generation).
-        """
+    def refresh(self) -> ServeSnapshot:
+        """Publish a snapshot of the engine state (no-op when current)."""
         with self._lock:
-            current = self._snapshot
-            want_mcc = include_mcc and self.mcc_model
-            if current.generation == self.engine.generation and not (
-                want_mcc and current.mcc_levels is None
-            ):
-                return current
-            snapshot = self._build_snapshot(include_mcc=include_mcc)
-            self.refreshes += 1
-            if self.mcc_model and snapshot.mcc_levels is None:
-                self.degraded_refreshes += 1
-            self._snapshot = snapshot
-            return snapshot
+            if self._snapshot.generation != self.engine.generation:
+                self._snapshot = self._build_snapshot()
+                self.refreshes += 1
+            return self._snapshot
 
     def apply_fault(self, event: str, coord: Coord) -> UpdateReport:
         """Apply one fault arrival/revival through the incremental engine.
@@ -352,7 +339,8 @@ class RoutingService:
         generations.  ``degraded=True`` forces the degraded tier for
         this answer (the pipeline sets it while the breaker is open):
         MCC queries downgrade to the block model and the path witness is
-        skipped.
+        skipped.  A service built with ``mcc_model=False`` downgrades
+        every MCC query the same way.
 
         MCC queries whose destination lies in quadrant II or IV of the
         source are answered from the block model (``model_used="block"``)
@@ -376,7 +364,7 @@ class RoutingService:
         is_degraded = degraded
         levels, blocked = snapshot.levels, snapshot.blocked
         if model == "mcc":
-            if degraded or snapshot.mcc_levels is None:
+            if degraded or not self.mcc_model:
                 model_used, is_degraded = "block", True
             elif (dest[0] - source[0]) * (dest[1] - source[1]) < 0:
                 model_used = "block"  # type-one MCCs: quadrants I/III only
@@ -473,7 +461,6 @@ class RoutingService:
             "snapshot_generation": self._snapshot.generation,
             "staleness": self.staleness(),
             "refreshes": self.refreshes,
-            "degraded_refreshes": self.degraded_refreshes,
             "witness_failures": self.witness_failures,
             "witness_cache": self._witnesses.stats(),
         }

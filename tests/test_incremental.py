@@ -2,8 +2,9 @@
 
 The delta-maintenance engine (:mod:`repro.faults.incremental`) claims
 bit-identical equivalence with :func:`build_faulty_blocks`,
-:func:`compute_safety_levels`, and :func:`build_mccs` after every fault
-arrival/revival.  This suite proves it:
+:func:`compute_safety_levels`, and :func:`build_mccs` (and the ESLs of
+each tracked MCC type's blocked grid) after every fault arrival/revival.
+This suite proves it:
 
 - exhaustively on small meshes (every single fault, every ordered
   two-fault arrival, plus revivals in both orders);
@@ -55,6 +56,12 @@ def assert_matches_full(engine: IncrementalFaultEngine, mcc_types=()) -> None:
         assert np.array_equal(got_mccs.blocked, want_mccs.blocked)
         assert np.array_equal(got_mccs.component_id, want_mccs.component_id)
         assert got_mccs.components == want_mccs.components
+        want_mcc_levels = compute_safety_levels(mesh, want_mccs.blocked)
+        got_mcc_levels = engine.track_mcc(mcc_type).levels
+        for grid in ("east", "south", "west", "north"):
+            assert np.array_equal(
+                getattr(got_mcc_levels, grid), getattr(want_mcc_levels, grid)
+            )
 
 
 # ----------------------------------------------------------------------
@@ -123,13 +130,14 @@ class TestExhaustiveSmallMesh:
 class TestRandomSchedules:
     def test_200_event_schedules_random_meshes(self, rng):
         """200-event random inject/revive schedules on random mesh sizes:
-        the engine stays bit-identical to full rebuilds at checkpoints and
-        the final state agrees with the batch oracles."""
+        the engine (blocks and both MCC types) stays bit-identical to full
+        rebuilds after every event and the final state agrees with the
+        batch oracles."""
         for _ in range(4):
             n = int(rng.integers(5, 17))
             m = int(rng.integers(5, 17))
             mesh = Mesh2D(n, m)
-            engine = IncrementalFaultEngine(mesh)
+            engine = IncrementalFaultEngine(mesh, mcc_types=MCC_TYPES)
             alive: list = []
             events = 0
             while events < 200:
@@ -154,8 +162,7 @@ class TestRandomSchedules:
                 assert report.generation == events
                 assert report.affected_cells >= 1
                 assert 0.0 < report.affected_fraction <= 1.0
-                if events % 40 == 0:
-                    assert_matches_full(engine)
+                assert_matches_full(engine, MCC_TYPES)
             assert engine.full_rebuilds == 0
             assert sorted(alive) == engine.faults
 

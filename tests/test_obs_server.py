@@ -276,6 +276,8 @@ class TestRequestFraming:
         (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * BIG + b"\r\n\r\n", 431),
         (b"GET /" + b"a" * BIG + b" HTTP/1.1\r\n\r\n", 414),
         (b"\x16\x03\x01 not http at all\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101 + b"\r\n", 431),
+        (b"GET /healthz HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % BIG, 413),
     ]
 
     def test_malformed_requests_are_answered(self, make_app):

@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.safety import compute_safety_levels
 from repro.faults.injection import uniform_faults
+from repro.faults.mcc import MCCType, build_mccs
 from repro.mesh.topology import Mesh2D
 from repro.parallel.cache import StaleArtifactError
 from repro.serve import (
@@ -99,12 +101,6 @@ class TestRoutingService:
         assert service.refresh() is service.snapshot()
         assert service.refreshes == before
 
-    def test_degraded_refresh_never_downgrades_same_generation(self):
-        service = _service()
-        full = service.snapshot()
-        assert full.mcc_levels is not None
-        assert service.refresh(include_mcc=False) is full  # no-op: still capable
-
     def test_mcc_answers_and_degraded_fallback(self):
         service = _service()
         answer = service.answer((0, 0), (11, 11), model="mcc")
@@ -114,21 +110,35 @@ class TestRoutingService:
         assert degraded.model_used == "block"
         assert degraded.degraded
 
-    def test_mcc_falls_back_when_snapshot_is_degraded(self):
+    def test_refresh_publishes_private_copies_of_the_mcc_grids(self):
         service = _service(auto_refresh=False)
-        victim = next(
+        victims = [
             (x, y) for x in range(12) for y in range(12)
             if not service.engine.unusable[x, y]
-        )
-        service.apply_fault("crash", victim)
-        service.refresh(include_mcc=False)
-        assert service.degraded_refreshes == 1
-        answer = service.answer((0, 0), (11, 11), model="mcc")
-        assert answer.model_used == "block" and answer.degraded
-        # A full refresh of the *same* generation restores the MCC tier.
-        service.refresh()
+        ]
+        service.apply_fault("crash", victims[0])
+        snapshot = service.refresh()
+        assert snapshot.generation == 1
+        mesh, faults = service.mesh, service.engine.faults
+        want_blocked = build_mccs(mesh, faults, MCCType.TYPE_ONE).blocked
+        want_levels = compute_safety_levels(mesh, want_blocked)
+        grids = ("east", "south", "west", "north")
+
+        def assert_published():
+            assert np.array_equal(snapshot.mcc_blocked, want_blocked)
+            for grid in grids:
+                assert np.array_equal(
+                    getattr(snapshot.mcc_levels, grid), getattr(want_levels, grid)
+                )
+
+        assert_published()
         answer = service.answer((0, 0), (11, 11), model="mcc")
         assert answer.model_used == "mcc" and not answer.degraded
+        # The engine mutates its grids in place; the snapshot must not move.
+        service.apply_fault("crash", victims[-1])
+        live = service.engine.track_mcc(MCCType.TYPE_ONE)
+        assert not np.array_equal(live.blocked, want_blocked)
+        assert_published()
 
     def test_witness_cache_revalidates_across_generations(self):
         # A crash in the far corner leaves both the decision and the
@@ -321,25 +331,39 @@ class TestQueryPipeline:
         assert result.status == "overloaded" and result.error == "draining"
         assert not pipeline.accepting
 
-    def test_pulse_requests_full_snapshot_after_recovery(self):
+    def test_drain_out_of_grace_resolves_every_submit(self):
         async def scenario():
-            pipeline = QueryPipeline(_service(auto_refresh=False),
-                                     heartbeat_s=60.0)
+            # Refresher idle and a long deadline: every query backs off on
+            # the stale snapshot until the drain's grace runs out.
+            pipeline = QueryPipeline(
+                _service(), max_staleness=0, deadline_s=30.0,
+                refresh_delay_s=3600.0, heartbeat_s=3600.0,
+            )
             await pipeline.start()
-            try:
-                victim = next(
-                    (x, y) for x in range(12) for y in range(12)
-                    if not pipeline.service.engine.unusable[x, y]
-                )
-                pipeline.service.apply_fault("crash", victim)
-                pipeline.service.refresh(include_mcc=False)
-                pipeline._dirty.clear()
-                assert pipeline.pulse() is False  # healthy, breaker closed
-                return pipeline._dirty.is_set()
-            finally:
-                await pipeline.drain()
+            victim = next(
+                (x, y) for x in range(12) for y in range(12)
+                if not pipeline.service.engine.unusable[x, y]
+            )
+            pipeline.ingest_fault("crash", victim)
+            submits = [
+                asyncio.create_task(pipeline.submit((0, 0), (11, 11)))
+                for _ in range(50)
+            ]
+            await asyncio.sleep(0.02)
+            drained = await pipeline.drain(grace_s=0.05)
+            results = await asyncio.wait_for(asyncio.gather(*submits), 2.0)
+            return pipeline, drained, results
 
-        assert self._run(scenario()) is True
+        pipeline, drained, results = self._run(scenario())
+        assert drained is False
+        assert all(
+            (r.status, r.error) == ("overloaded", "draining") for r in results
+        )
+        counters = pipeline.counters
+        assert counters["arrived"] == 50
+        assert counters["arrived"] == sum(counters[outcome] for outcome in (
+            "served", "shed_overload", "shed_deadline", "bad_requests", "errors",
+        ))
 
     def test_rejects_bad_limits(self):
         with pytest.raises(ValueError, match="queue_limit"):
