@@ -16,11 +16,18 @@ import numpy as np
 import pytest
 
 from repro.core.conditions import DecisionKind, is_safe
-from repro.core.extensions import extension2_decision, extension3_decision
+from repro.core.extensions import (
+    extension2_decision,
+    extension2_decision_from_segments,
+    extension3_decision,
+)
 from repro.core.pivots import recursive_center_pivots
 from repro.core.safety import compute_safety_levels
+from repro.core.segments import build_axis_segments
 from repro.experiments import ExperimentConfig
 from repro.faults.injection import generate_scenario
+from repro.mesh.frames import Frame
+from repro.mesh.geometry import Direction
 from repro.mesh.topology import Mesh2D
 from repro.simulator.protocols import (
     run_boundary_distribution,
@@ -33,7 +40,11 @@ from conftest import OUT_DIR
 
 
 def _condition_rates(config, tie_break):
-    """Fraction of destinations each Extension-2 variation ensures."""
+    """Fraction of destinations each Extension-2 variation ensures.
+
+    The tie-break is a knob of the scalar reference only, so the decision
+    runs on ``build_axis_segments`` + ``extension2_decision_from_segments``.
+    """
     rng = np.random.default_rng(config.seed)
     rates = {size: 0 for size in config.segment_sizes}
     trials = 0
@@ -46,9 +57,14 @@ def _condition_rates(config, tie_break):
                     rng, config.destination_region, exclude={config.source}
                 )
                 trials += 1
+                frame = Frame.for_pair(config.source, dest)
                 for size in config.segment_sizes:
-                    decision = extension2_decision(
-                        config.mesh, levels, config.source, dest, size, tie_break
+                    east, north = (
+                        build_axis_segments(config.mesh, levels, frame, axis, size, tie_break)
+                        for axis in (Direction.EAST, Direction.NORTH)
+                    )
+                    decision = extension2_decision_from_segments(
+                        levels, config.source, dest, east, north
                     )
                     if decision.kind is not DecisionKind.UNSAFE:
                         rates[size] += 1

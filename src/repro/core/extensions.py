@@ -8,8 +8,10 @@ information:
   then Theorem 1); a safe spare neighbour yields a *sub-minimal* route
   (one detour, length ``D + 2``).  Constant extra information per node.
 - **Extension 2** (Theorem 1b): when one axis section is clear, consult the
-  collected ESLs of nodes along it (see :mod:`repro.core.segments`).
-  ``O(n)`` extra information.
+  collected ESLs of nodes along it.  ``O(n)`` extra information.
+  :func:`extension2_decision` reads each section as one ESL-grid slice;
+  :mod:`repro.core.segments` plus :func:`extension2_decision_from_segments`
+  is the paper-faithful reference it must equal.
 - **Extension 3** (Theorem 1c): consult broadcast pivot ESLs and chain the
   safe condition through a pivot inside ``[0:xd, 0:yd]``.  Up to ``O(n^2)``
   extra information depending on the pivot count.
@@ -24,12 +26,13 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.core.batched_patterns import build_axis_sample_table
 from repro.core.conditions import Decision, DecisionKind, is_safe, safe_source_decision
 from repro.core.pivots import recursive_center_pivots
 from repro.core.safety import SafetyLevels
-from repro.core.segments import RegionSegments, build_axis_segments
+from repro.core.segments import RegionSegments
 from repro.mesh.frames import Frame
-from repro.mesh.geometry import Coord, Direction, Rect
+from repro.mesh.geometry import Coord, Rect
 from repro.mesh.topology import Mesh2D
 
 __all__ = [
@@ -99,30 +102,71 @@ def extension2_decision_from_segments(
     return Decision(DecisionKind.UNSAFE, source, dest)
 
 
+def _first_usable_offset(
+    line: np.ndarray, at: int, clear: int, backward: bool,
+    segment_size: int | None, max_offset: int, required_level: int,
+) -> int | None:
+    """Theorem 1b along one clear section: the smallest offset ``k`` whose
+    segment representative has ``k <= max_offset`` and a level of at least
+    ``required_level`` (the sample :meth:`RegionSegments.best_for`
+    returns), or ``None``.  ``line`` holds the perpendicular levels of the
+    mesh line through index ``at``; the section is up to ``clear`` hops
+    beyond ``at``, toward lower indices when ``backward``."""
+    if backward:
+        section = line[max(at - clear, 0) : at][::-1]
+    else:
+        section = line[at + 1 : at + 1 + clear]
+    length = len(section)
+    table = build_axis_sample_table(section[None, :], np.array([length]), length, segment_size)
+    # One representative per segment (a single one for the "(max)"
+    # variation serve asks for): a plain loop beats array ops' overhead.
+    rows = (table.valid, table.offsets, table.perp_levels)
+    for valid, offset, level in zip(*(row.tolist()[0] for row in rows)):
+        if valid and offset <= max_offset and level >= required_level:
+            return offset
+    return None
+
+
 def extension2_decision(
     mesh: Mesh2D,
     levels: SafetyLevels,
     source: Coord,
     dest: Coord,
     segment_size: int | None,
-    tie_break: str = "far",
 ) -> Decision:
     """Theorem 1b: chain through a known node on a clear axis section.
 
     ``segment_size`` selects the paper's variation: 1 collects every node in
     the region (full axis information), larger sizes sample one ESL per
     segment, ``None`` is the "(max)" variation with a single segment.
-    ``tie_break`` picks the representative among equal safety levels (see
-    :func:`repro.core.segments.build_axis_segments`).
+
+    Each clear section's perpendicular levels are one ESL-grid slice
+    (``north[sx+1 : sx+1+L, sy]`` for the local-East section in quadrant
+    I, reversed ``south`` / ``west`` slices in the others), reduced by the
+    sweeps' :func:`~repro.core.batched_patterns.build_axis_sample_table`.
+    Verdict and ``via`` equal the reference
+    :func:`~repro.core.segments.build_axis_segments` followed by
+    :func:`extension2_decision_from_segments`.
     """
     frame = Frame.for_pair(source, dest)
-    east_segments = build_axis_segments(
-        mesh, levels, frame, Direction.EAST, segment_size, tie_break
-    )
-    north_segments = build_axis_segments(
-        mesh, levels, frame, Direction.NORTH, segment_size, tie_break
-    )
-    return extension2_decision_from_segments(levels, source, dest, east_segments, north_segments)
+    xd, yd = frame.to_local(dest)
+    east, _, _, north = frame.to_local_esl(levels.esl(source))
+    if xd <= east and yd <= north:
+        return Decision(DecisionKind.SOURCE_SAFE, source, dest)
+    sx, sy = source
+    if xd <= east:  # the local-East section, by its nodes' local North levels
+        line = (levels.south if frame.flip_y else levels.north)[:, sy]
+        k = _first_usable_offset(line, sx, east, frame.flip_x, segment_size, xd, yd)
+        if k is not None:
+            via = (sx - k if frame.flip_x else sx + k, sy)
+            return Decision(DecisionKind.AXIS_NODE_SAFE, source, dest, via=via)
+    if yd <= north:  # the local-North section, by its nodes' local East levels
+        line = (levels.west if frame.flip_x else levels.east)[sx]
+        k = _first_usable_offset(line, sy, north, frame.flip_y, segment_size, yd, xd)
+        if k is not None:
+            via = (sx, sy - k if frame.flip_y else sy + k)
+            return Decision(DecisionKind.AXIS_NODE_SAFE, source, dest, via=via)
+    return Decision(DecisionKind.UNSAFE, source, dest)
 
 
 def extension3_decision(

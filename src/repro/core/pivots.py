@@ -31,34 +31,29 @@ def pivot_count_for_levels(levels: int) -> int:
     return (4**levels - 1) // 3
 
 
-def _quarters(region: Rect) -> list[Rect]:
-    """Partition a region into (up to) four subregions around its centre.
+Cell = tuple[int, int, int, int]  # inclusive (xmin, xmax, ymin, ymax)
 
-    Degenerate slices (a region only one node wide/tall) yield fewer than
+
+def _quarters(cell: Cell) -> list[Cell]:
+    """Partition a cell into (up to) four subcells around its centre.
+
+    Degenerate slices (a cell only one node wide/tall) yield fewer than
     four parts; duplicates are dropped by the callers' set semantics.
     """
-    cx = (region.xmin + region.xmax) // 2
-    cy = (region.ymin + region.ymax) // 2
-    parts = []
-    for xlo, xhi in ((region.xmin, cx), (cx + 1, region.xmax)):
-        if xlo > xhi:
-            continue
-        for ylo, yhi in ((region.ymin, cy), (cy + 1, region.ymax)):
-            if ylo > yhi:
-                continue
-            parts.append(Rect(xlo, xhi, ylo, yhi))
-    return parts
+    xmin, xmax, ymin, ymax = cell
+    cx = (xmin + xmax) // 2
+    cy = (ymin + ymax) // 2
+    xs = ((xmin, cx), (cx + 1, xmax)) if cx < xmax else ((xmin, cx),)
+    ys = ((ymin, cy), (cy + 1, ymax)) if cy < ymax else ((ymin, cy),)
+    return [(xlo, xhi, ylo, yhi) for xlo, xhi in xs for ylo, yhi in ys]
 
 
-def _recursive_cells(region: Rect, levels: int) -> list[list[Rect]]:
-    """The subregions at each partition level: level 1 is the region itself,
-    level i+1 quarters every level-i cell."""
-    tiers: list[list[Rect]] = [[region]]
+def _recursive_cells(region: Rect, levels: int) -> list[list[Cell]]:
+    """The subregions at each partition level, as :data:`Cell` tuples:
+    level 1 is the region itself, level i+1 quarters every level-i cell."""
+    tiers: list[list[Cell]] = [[(region.xmin, region.xmax, region.ymin, region.ymax)]]
     for _ in range(levels - 1):
-        next_tier: list[Rect] = []
-        for cell in tiers[-1]:
-            next_tier.extend(_quarters(cell))
-        tiers.append(next_tier)
+        tiers.append([part for cell in tiers[-1] for part in _quarters(cell)])
     return tiers
 
 
@@ -71,15 +66,12 @@ def recursive_center_pivots(region: Rect, levels: int) -> list[Coord]:
     """
     if levels < 1:
         raise ValueError("partition level must be >= 1")
-    pivots: list[Coord] = []
-    seen: set[Coord] = set()
-    for tier in _recursive_cells(region, levels):
-        for cell in tier:
-            center = ((cell.xmin + cell.xmax) // 2, (cell.ymin + cell.ymax) // 2)
-            if center not in seen:
-                seen.add(center)
-                pivots.append(center)
-    return pivots
+    centers = (
+        ((xmin + xmax) // 2, (ymin + ymax) // 2)
+        for tier in _recursive_cells(region, levels)
+        for xmin, xmax, ymin, ymax in tier
+    )
+    return list(dict.fromkeys(centers))
 
 
 def random_pivots(region: Rect, levels: int, rng: np.random.Generator) -> list[Coord]:
@@ -87,18 +79,12 @@ def random_pivots(region: Rect, levels: int, rng: np.random.Generator) -> list[C
     variation: "each pivot node is selected randomly in a submesh")."""
     if levels < 1:
         raise ValueError("partition level must be >= 1")
-    pivots: list[Coord] = []
-    seen: set[Coord] = set()
-    for tier in _recursive_cells(region, levels):
-        for cell in tier:
-            coord = (
-                int(rng.integers(cell.xmin, cell.xmax + 1)),
-                int(rng.integers(cell.ymin, cell.ymax + 1)),
-            )
-            if coord not in seen:
-                seen.add(coord)
-                pivots.append(coord)
-    return pivots
+    draws = (
+        (int(rng.integers(xmin, xmax + 1)), int(rng.integers(ymin, ymax + 1)))
+        for tier in _recursive_cells(region, levels)
+        for xmin, xmax, ymin, ymax in tier
+    )
+    return list(dict.fromkeys(draws))
 
 
 def latin_pivots(region: Rect, count: int, rng: np.random.Generator) -> list[Coord]:

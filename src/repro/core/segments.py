@@ -9,9 +9,14 @@ split into **segments** of adjustable size and only one ESL per segment --
 the one with the highest safety level along the relevant direction -- is
 passed around (paper Sec. 4, first variation).
 
-This module builds those per-axis samples for a given source.  The special
-segment size ``None`` reproduces the paper's "(max)" variation: the whole
-region is a single segment, so only its single best ESL is available.
+This module builds those per-axis samples for a given source, node by
+node: it is the scalar reference that
+:func:`repro.core.extensions.extension2_decision`'s slice reduction must
+equal (with :func:`~repro.core.extensions.extension2_decision_from_segments`),
+and the only place the ``tie_break`` and four-directional variations live.
+The special segment size ``None`` reproduces the paper's "(max)"
+variation: the whole region is a single segment, so only its single best
+ESL is available.
 """
 
 from __future__ import annotations

@@ -265,7 +265,7 @@ def _pivot_draw_cells(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]
     (``xlo0, ylo0, xlo1, ...``, highs exclusive).  The decomposition
     depends only on the (fixed) pivot region, so a shard precomputes it
     once and replays just the integer draws per pattern, without
-    rebuilding the ``Rect`` recursion hundreds of times.
+    rebuilding the cell recursion hundreds of times.
     """
     from repro.core.pivots import _recursive_cells
 
@@ -274,8 +274,8 @@ def _pivot_draw_cells(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]
         for tier in _recursive_cells(config.pivot_region, config.strategy_pivot_levels)
         for cell in tier
     ]
-    lows = [bound for cell in cells for bound in (cell.xmin, cell.ymin)]
-    highs = [bound for cell in cells for bound in (cell.xmax + 1, cell.ymax + 1)]
+    lows = [bound for xmin, _, ymin, _ in cells for bound in (xmin, ymin)]
+    highs = [bound for _, xmax, _, ymax in cells for bound in (xmax + 1, ymax + 1)]
     return np.array(lows, dtype=np.int64), np.array(highs, dtype=np.int64)
 
 

@@ -121,8 +121,7 @@ def _assert_reads_match_scalar(mesh: Mesh2D, grids: np.ndarray) -> None:
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def exhaustive():
+def exhaustive_4x4() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(patterns, blocked, unique_blocked) over every 4x4 fault pattern."""
     patterns = _all_4x4_patterns()
     chunks = [
@@ -133,6 +132,11 @@ def exhaustive():
     codes = blocked.reshape(-1, 16) @ (1 << np.arange(16, dtype=np.int64))
     _, first = np.unique(codes, return_index=True)
     return patterns, blocked, blocked[np.sort(first)]
+
+
+@pytest.fixture(scope="module")
+def exhaustive():
+    return exhaustive_4x4()
 
 
 class TestExhaustive4x4:

@@ -5,21 +5,29 @@ sub-minimal) path ensured, the exact oracle agrees one exists (of length D,
 or D+2 for sub-minimal via the safe spare neighbour).
 """
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from repro.core.conditions import DecisionKind, is_safe
 from repro.core.extensions import (
     extension1_decision,
     extension2_decision,
+    extension2_decision_from_segments,
     extension3_decision,
 )
 from repro.core.pivots import recursive_center_pivots
 from repro.core.safety import compute_safety_levels
+from repro.core.segments import build_axis_segments
 from repro.faults.blocks import build_faulty_blocks
 from repro.faults.coverage import minimal_path_exists
 from repro.faults.injection import uniform_faults
-from repro.mesh.geometry import Rect
+from repro.faults.mcc import MCCType, build_mccs
+from repro.mesh.frames import Frame
+from repro.mesh.geometry import Direction, Rect
 from repro.mesh.topology import Mesh2D
+from tests.test_batched_patterns import exhaustive_4x4
 
 
 def _setup(mesh, faults):
@@ -168,6 +176,95 @@ class TestExtension2:
             if is_safe(levels, source, dest):
                 decision = extension2_decision(mesh, levels, source, dest, None)
                 assert decision.kind is DecisionKind.SOURCE_SAFE
+
+
+def _theorem1b_inputs(levels, frame):
+    """Everything Theorem 1b can read for ``frame``'s source: its local E
+    and N, and the local perpendicular levels of every node beyond it on
+    the two local axes.  Derived by reflecting whole grids into the frame,
+    independently of the fast path's reversed slices."""
+    e, _, _, n = frame.to_local_esl(levels.esl(frame.origin))
+    xs = slice(None, None, -1 if frame.flip_x else 1)
+    ys = slice(None, None, -1 if frame.flip_y else 1)
+    north = (levels.south if frame.flip_y else levels.north)[xs, ys]
+    east = (levels.west if frame.flip_x else levels.east)[xs, ys]
+    lx, ly = frame.origin
+    if frame.flip_x:
+        lx = levels.mesh.n - 1 - lx
+    if frame.flip_y:
+        ly = levels.mesh.m - 1 - ly
+    return frame, e, n, north[lx + 1 :, ly].tobytes(), east[lx, ly + 1 :].tobytes()
+
+
+class TestExtension2FastPathMatchesReference:
+    """``extension2_decision`` (axis slices reduced by the sweeps' table
+    builder) equals the scalar reference ``build_axis_segments`` +
+    ``extension2_decision_from_segments`` on ``kind`` and ``via``, in all
+    four quadrants and for every segment size."""
+
+    SIZES = (1, 2, 3, None)
+
+    def _check(self, mesh, levels, source, dests, kinds):
+        """Both paths for ``dests``, which all share one frame."""
+        frame = Frame.for_pair(source, dests[0])
+        for size in self.SIZES:
+            east = build_axis_segments(mesh, levels, frame, Direction.EAST, size)
+            north = build_axis_segments(mesh, levels, frame, Direction.NORTH, size)
+            for dest in dests:
+                got = extension2_decision(mesh, levels, source, dest, size)
+                want = extension2_decision_from_segments(levels, source, dest, east, north)
+                assert (got.kind, got.via) == (want.kind, want.via), (source, dest, size)
+                kinds[got.kind, frame.flip_x, frame.flip_y] += 1
+
+    def _check_grid(self, mesh, grid, pairs, kinds, seen=None):
+        """Every ``(source, dests)`` of ``pairs`` on ``grid``.  With
+        ``seen``, a ``(source, frame)`` whose Theorem 1b inputs an earlier
+        grid already had is skipped: both paths read nothing else, so its
+        verdicts are the same."""
+        levels = compute_safety_levels(mesh, grid)
+        for source, dests in pairs:
+            by_frame = {}
+            for dest in dests:
+                by_frame.setdefault(Frame.for_pair(source, dest), []).append(dest)
+            for frame, group in by_frame.items():
+                if seen is not None:
+                    key = _theorem1b_inputs(levels, frame)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                self._check(mesh, levels, source, group, kinds)
+
+    @staticmethod
+    def _assert_axis_rescues_in_every_quadrant(kinds):
+        for flips in ((False, False), (True, False), (True, True), (False, True)):
+            assert kinds[(DecisionKind.AXIS_NODE_SAFE, *flips)] > 0, flips
+
+    def test_every_4x4_blocked_grid_and_pair(self):
+        _, _, grids = exhaustive_4x4()
+        mesh = Mesh2D(4, 4)
+        nodes = [(x, y) for x in range(4) for y in range(4)]
+        kinds, seen = Counter(), set()
+        pairs = [(source, nodes) for source in nodes]
+        for grid in grids:
+            self._check_grid(mesh, grid, pairs, kinds, seen)
+        self._assert_axis_rescues_in_every_quadrant(kinds)
+
+    @pytest.mark.parametrize("model", ["blocks", "mcc"])
+    def test_random_32x32_grids(self, model):
+        rng = np.random.default_rng(2002)
+        mesh = Mesh2D(32, 32)
+        kinds = Counter()
+        for trial in range(6):
+            faults = uniform_faults(mesh, 30 + 20 * trial, rng)
+            if model == "blocks":
+                grid = build_faulty_blocks(mesh, faults).unusable
+            else:
+                grid = build_mccs(mesh, faults, MCCType.TYPE_ONE).blocked
+            free = [tuple(map(int, node)) for node in np.argwhere(~grid)]
+            picks = rng.choice(len(free), size=(16, 64))
+            pairs = [(free[row[0]], [free[i] for i in row[1:]]) for row in picks]
+            self._check_grid(mesh, grid, pairs, kinds)
+        self._assert_axis_rescues_in_every_quadrant(kinds)
 
 
 class TestExtension3:

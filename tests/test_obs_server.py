@@ -3,6 +3,7 @@
 import asyncio
 import contextlib
 import gc
+import io
 import json
 import threading
 import urllib.request
@@ -25,9 +26,19 @@ from tests.promtext import PromParseError, parse
 
 
 def _get(url, method="GET"):
+    """``(status, body, headers)``; an error status raises ``HTTPError``
+    over an in-memory copy of its body, its connection already closed, so
+    no socket waits for the collector to reach the exception's frames."""
     request = urllib.request.Request(url, method=method)
-    with urllib.request.urlopen(request, timeout=5) as response:
-        return response.status, response.read().decode("utf-8"), dict(response.headers)
+    try:
+        with urllib.request.urlopen(request, timeout=5) as response:
+            return response.status, response.read().decode("utf-8"), dict(response.headers)
+    except urllib.error.HTTPError as error:
+        with error:
+            body = error.read()
+        raise urllib.error.HTTPError(
+            url, error.code, error.reason, error.headers, io.BytesIO(body)
+        ) from None
 
 
 def _observed_observatory(breach=False):

@@ -1,5 +1,7 @@
 """Unit tests for Extension 3's pivot-selection schemes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,39 @@ class TestRandomPivots:
     def test_invalid_level(self, rng):
         with pytest.raises(ValueError):
             random_pivots(Rect(0, 9, 0, 9), 0, rng)
+
+
+def _sub_rects(side):
+    for xmin in range(side):
+        for xmax in range(xmin, side):
+            for ymin in range(side):
+                for ymax in range(ymin, side):
+                    yield Rect(xmin, xmax, ymin, ymax)
+
+
+class TestPinnedPivots:
+    """Golden digests over every sub-rectangle of a 12x12 region at levels
+    1-3: the pivot lists (and, for the random scheme, the order of the
+    generator draws behind Figure 12's strategy 2) must not change."""
+
+    def test_recursive_centers(self):
+        digest = hashlib.sha256()
+        for rect in _sub_rects(12):
+            for level in (1, 2, 3):
+                digest.update(repr(recursive_center_pivots(rect, level)).encode())
+        assert digest.hexdigest() == (
+            "8a9d103cf85cfcd4cc66fb98db610c34bb5710d6a76013d650525f96638de387"
+        )
+
+    def test_random_draw_order(self):
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(12)
+        for rect in _sub_rects(12):
+            for level in (1, 2, 3):
+                digest.update(repr(random_pivots(rect, level, rng)).encode())
+        assert digest.hexdigest() == (
+            "27cf8b3df66f3e59b506232db1ba24ee2c66f05d79d8bd398d95b2fa6ecd76e7"
+        )
 
 
 class TestLatinPivots:
