@@ -11,10 +11,12 @@ metric's ``better`` field in ``BENCHMARK.json``: above ``FACTOR x
 reference`` for ``lower``, below ``reference / FACTOR`` for ``higher``.
 
 :data:`REFERENCE` is the median of 5 such runs on a 2-vCPU Intel Xeon
-VM.  perfbench scales every time to its reference host speed, so the
-figures carry across machines of different speed; peak RSS is not
-scaled.  3 s runs are noisier than perfbench's 20 s ones (IQR over
-median <= 0.094 there): in 5 gate runs of unchanged code the worst
+VM.  The ``protocols`` row was re-taken the same way once the
+simulator's per-hop cost had halved, so its bound tracks the current
+simulator rather than one twice as slow.  perfbench scales every time
+to its reference host speed, so the figures carry across machines of
+different speed; peak RSS is not scaled.  3 s runs are noisier than
+perfbench's 20 s ones (IQR over median <= 0.094 there): in 5 gate runs of unchanged code the worst
 metric read 1.42x its reference (``serve_churn``'s tail), so 2x leaves
 room for noise, while a 10x slowdown of the condition kernels, the
 simulator's message delivery or ``RoutingService.answer`` each fails.
@@ -60,8 +62,8 @@ REFERENCE: dict[str, dict[str, float]] = {
         "latency_p50_ms": 1.223, "latency_tail_ms": 7.675,
     },
     "protocols": {
-        "setup_s": 0.07431, "peak_rss_mb": 71.51, "throughput_per_s": 44860.0,
-        "latency_p50_ms": 1271.0, "latency_tail_ms": 1371.0,
+        "setup_s": 0.03087, "peak_rss_mb": 69.75, "throughput_per_s": 91260.0,
+        "latency_p50_ms": 636.7, "latency_tail_ms": 663.1,
     },
 }
 

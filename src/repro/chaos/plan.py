@@ -20,6 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: Uniforms the jitter-free verdict stream draws at a time (three per
+#: message).
+_BLOCK = 3 * 1024
+
 
 @dataclass
 class ChannelFaultPlan:
@@ -38,6 +42,8 @@ class ChannelFaultPlan:
     jitter: int = 0
     seed: int = 0
     _rng: np.random.Generator = field(init=False, repr=False, compare=False)
+    _block: list[float] = field(init=False, repr=False, compare=False)
+    _next: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("drop", "duplicate", "corrupt"):
@@ -46,7 +52,7 @@ class ChannelFaultPlan:
                 raise ValueError(f"{name} probability must be in [0, 1], got {value}")
         if self.jitter < 0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-        self._rng = np.random.default_rng(self.seed)
+        self.reset()
 
     @property
     def active(self) -> bool:
@@ -59,8 +65,11 @@ class ChannelFaultPlan:
         )
 
     def reset(self) -> None:
-        """Rewind the draw sequence to the seed (for repeated runs)."""
+        """Rewind the draw sequence to the seed (for repeated runs),
+        discarding any partly used block of uniforms."""
         self._rng = np.random.default_rng(self.seed)
+        self._block = []
+        self._next = 0
 
     def draw(self) -> tuple[bool, bool, bool, int]:
         """One per-message verdict: ``(dropped, duplicated, corrupted, extra)``.
@@ -68,16 +77,28 @@ class ChannelFaultPlan:
         Always consumes exactly three uniforms (plus one integer when
         jitter is enabled) so the verdict stream is independent of the
         verdicts themselves -- dropping a message does not shift the
-        randomness seen by later messages.
+        randomness seen by later messages.  Without jitter the uniforms
+        are drawn ``_BLOCK`` at a time: the generator yields the same
+        sequence whether asked for 3 or 3k doubles, so the verdicts equal
+        one ``random(3)`` per message while the generator runs up to one
+        block ahead.  With jitter the integer draws interleave, so each
+        message draws its own.
         """
-        u = self._rng.random(3)
-        extra = int(self._rng.integers(0, self.jitter + 1)) if self.jitter else 0
-        return (
-            bool(u[0] < self.drop),
-            bool(u[1] < self.duplicate),
-            bool(u[2] < self.corrupt),
-            extra,
-        )
+        if self.jitter:
+            u = self._rng.random(3)
+            return (
+                bool(u[0] < self.drop),
+                bool(u[1] < self.duplicate),
+                bool(u[2] < self.corrupt),
+                int(self._rng.integers(0, self.jitter + 1)),
+            )
+        i = self._next
+        if i == len(self._block):
+            self._block = self._rng.random(_BLOCK).tolist()
+            i = 0
+        self._next = i + 3
+        u = self._block
+        return (u[i] < self.drop, u[i + 1] < self.duplicate, u[i + 2] < self.corrupt, 0)
 
     def describe(self) -> str:
         return (

@@ -31,7 +31,11 @@ from repro.mesh.topology import Mesh2D
 from repro.obs.recorder import FlightRecorder
 from repro.simulator.engine import Engine
 from repro.simulator.network import MeshNetwork, NetworkStats
-from repro.simulator.protocols.dynamic_update import DynamicNode
+from repro.simulator.protocols.dynamic_update import (
+    DynamicNode,
+    live_safety_levels,
+    live_unusable_grid,
+)
 from repro.simulator.protocols.reliable import chaos_event_budget, stabilize_network
 
 if TYPE_CHECKING:
@@ -282,28 +286,8 @@ class ChaosRunner:
     # Final-state accessors (for the verifier)
     # ------------------------------------------------------------------
     def unusable_grid(self) -> np.ndarray:
-        grid = np.zeros((self.mesh.n, self.mesh.m), dtype=bool)
-        for coord in self.network.faulty:
-            grid[coord] = True
-        for coord, process in self.network.nodes.items():
-            if isinstance(process, DynamicNode) and process.disabled:
-                grid[coord] = True
-        return grid
+        return live_unusable_grid(self.network)
 
     def safety_levels(self) -> SafetyLevels:
         """Per-node levels (entries of blocked nodes carry no meaning)."""
-        grids = {
-            d: np.zeros((self.mesh.n, self.mesh.m), dtype=np.int64) for d in Direction
-        }
-        for coord, process in self.network.nodes.items():
-            if not isinstance(process, DynamicNode):
-                continue
-            for direction in Direction:
-                grids[direction][coord] = process.levels[direction]
-        return SafetyLevels(
-            mesh=self.mesh,
-            east=grids[Direction.EAST],
-            south=grids[Direction.SOUTH],
-            west=grids[Direction.WEST],
-            north=grids[Direction.NORTH],
-        )
+        return live_safety_levels(self.network)

@@ -389,21 +389,18 @@ def build_axis_sample_table(
         filler = np.full((batch, pad), -1, dtype=np.int64)
         score = np.concatenate([score, filler], axis=-1)
         line_levels = np.concatenate([line_levels, filler], axis=-1)
-        offsets = np.concatenate(
-            [offsets, np.arange(edge + 1, edge + pad + 1, dtype=np.int64)], axis=-1
-        )
     batch = clear.shape[0]
     score = np.reshape(score, (batch, segments, size))
     levels_w = np.reshape(line_levels, (batch, segments, size))
-    offsets_w = np.reshape(
-        np.broadcast_to(offsets[None, :], (batch, segments * size)),
-        (batch, segments, size),
-    )
-    pick = np.argmax(score, axis=-1)[:, :, None]
-    best_score = np.take_along_axis(score, pick, axis=-1)[:, :, 0]
+    # Plain integer indexing of the picked columns; window w's column k
+    # is offset w * size + k + 1, padding included.
+    pick = np.argmax(score, axis=-1)
+    rows = np.arange(batch)[:, None]
+    windows = np.arange(segments, dtype=np.int64)[None, :]
+    best_score = score[rows, windows, pick]
     return AxisSampleTable(
-        offsets=np.take_along_axis(offsets_w, pick, axis=-1)[:, :, 0],
-        perp_levels=np.take_along_axis(levels_w, pick, axis=-1)[:, :, 0],
+        offsets=windows * size + pick + 1,
+        perp_levels=levels_w[rows, windows, pick],
         valid=best_score >= 0,
     )
 

@@ -16,37 +16,42 @@ Coord = tuple[int, int]
 
 
 class Direction(enum.Enum):
-    """The four mesh directions, ordered as in the paper's ESL tuple (E,S,W,N)."""
+    """The four mesh directions, ordered as in the paper's ESL tuple (E,S,W,N).
+
+    Each member's ``dx`` / ``dy`` (its unit step), ``is_horizontal`` /
+    ``is_vertical``, ``opposite`` and ``index`` (its position in
+    :data:`ESL_ORDER`, also its channel-array slot) are plain attributes
+    fixed once when the class is built.  Members are singletons compared
+    by identity, so they also hash by identity: reading an attribute or
+    keying a dict by a direction stays a C-level operation on the
+    simulator's per-message path.  Hot paths iterate the :data:`ESL_ORDER`
+    tuple rather than the class, whose iterator runs in Python.
+    """
 
     EAST = (1, 0)
     SOUTH = (0, -1)
     WEST = (-1, 0)
     NORTH = (0, 1)
 
-    @property
-    def dx(self) -> int:
-        return self.value[0]
+    dx: int
+    dy: int
+    is_horizontal: bool
+    is_vertical: bool
+    opposite: "Direction"
+    index: int
 
-    @property
-    def dy(self) -> int:
-        return self.value[1]
+    __hash__ = object.__hash__
 
-    @property
-    def opposite(self) -> "Direction":
-        return _OPPOSITES[self]
+    def __init__(self, dx: int, dy: int) -> None:
+        self.dx = dx
+        self.dy = dy
+        self.is_horizontal = dx != 0
+        self.is_vertical = dy != 0
 
     def step(self, coord: Coord, hops: int = 1) -> Coord:
         """Return the coordinate ``hops`` steps away in this direction."""
         x, y = coord
         return (x + self.dx * hops, y + self.dy * hops)
-
-    @property
-    def is_horizontal(self) -> bool:
-        return self.dx != 0
-
-    @property
-    def is_vertical(self) -> bool:
-        return self.dy != 0
 
     @staticmethod
     def between(src: Coord, dst: Coord) -> "Direction":
@@ -62,13 +67,6 @@ class Direction(enum.Enum):
             raise ValueError(f"{src} and {dst} are not adjacent") from None
 
 
-_OPPOSITES = {
-    Direction.EAST: Direction.WEST,
-    Direction.WEST: Direction.EAST,
-    Direction.NORTH: Direction.SOUTH,
-    Direction.SOUTH: Direction.NORTH,
-}
-
 _BY_DELTA = {d.value: d for d in Direction}
 
 #: ESL tuple ordering used throughout the paper: (E, S, W, N).
@@ -78,6 +76,11 @@ ESL_ORDER: tuple[Direction, ...] = (
     Direction.WEST,
     Direction.NORTH,
 )
+
+for _index, _direction in enumerate(ESL_ORDER):
+    _direction.index = _index
+    _direction.opposite = _BY_DELTA[(-_direction.dx, -_direction.dy)]
+del _index, _direction
 
 
 class Quadrant(enum.IntEnum):

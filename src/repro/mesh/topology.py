@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.mesh.geometry import Coord, Direction, Rect, manhattan_distance
+from repro.mesh.geometry import ESL_ORDER, Coord, Direction, Rect, manhattan_distance
 
 
 @dataclass(frozen=True)
@@ -85,20 +85,17 @@ class Mesh2D:
 
     def neighbors(self, coord: Coord) -> list[Coord]:
         """All existing neighbours of ``coord`` (2 to 4 of them)."""
-        out = []
-        for direction in Direction:
-            nxt = direction.step(coord)
-            if self.in_bounds(nxt):
-                out.append(nxt)
-        return out
+        return [neighbor for _, neighbor in self.neighbor_items(coord)]
 
     def neighbor_items(self, coord: Coord) -> list[tuple[Direction, Coord]]:
         """``(direction, neighbour)`` pairs for all existing neighbours."""
+        x, y = coord
+        n, m = self.n, self.m
         out = []
-        for direction in Direction:
-            nxt = direction.step(coord)
-            if self.in_bounds(nxt):
-                out.append((direction, nxt))
+        for direction in ESL_ORDER:
+            nx, ny = x + direction.dx, y + direction.dy
+            if 0 <= nx < n and 0 <= ny < m:
+                out.append((direction, (nx, ny)))
         return out
 
     def are_adjacent(self, a: Coord, b: Coord) -> bool:
@@ -145,7 +142,7 @@ class Mesh2D:
         """Directions whose (existing) neighbour is farther from ``dest``."""
         preferred = set(self.preferred_directions(current, dest))
         out = []
-        for direction in Direction:
+        for direction in ESL_ORDER:
             if direction in preferred:
                 continue
             if self.in_bounds(direction.step(current)):

@@ -40,7 +40,7 @@ class ChannelView:
     def __init__(self, network: "MeshNetwork", src: Coord, dst: Coord, direction: Direction):
         self._network = network
         self._x, self._y = src
-        self._di = network.direction_index(direction)
+        self._di = direction.index
         self.src = src
         self.dst = dst
         self.direction = direction  # as seen from src

@@ -8,7 +8,7 @@ from typing import Any
 from repro.mesh.geometry import Coord, Direction
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Message:
     """One hop-to-hop message.
 
@@ -28,6 +28,10 @@ class Message:
     ``trace_id`` is set only while a flight recorder is installed: the
     event id of the ``msg_send`` that put this message on the wire, so the
     delivery can name its cause and lineage survives the hop.
+
+    Messages are never mutated after construction, but the class is not
+    frozen: a frozen dataclass pays one ``object.__setattr__`` per field,
+    several times the cost of the rest of a hop's bookkeeping.
     """
 
     src: Coord

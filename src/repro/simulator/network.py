@@ -33,9 +33,6 @@ from repro.simulator.process import NodeProcess
 if TYPE_CHECKING:
     from repro.chaos.plan import ChannelFaultPlan
 
-#: Array index of each direction (definition order: E, S, W, N).
-_DIR_INDEX: dict[Direction, int] = {d: i for i, d in enumerate(Direction)}
-
 _NO_DIRS: frozenset[Direction] = frozenset()
 
 
@@ -142,11 +139,11 @@ class MeshNetwork:
         # are healthy; out-of-bounds slots simply stay False forever.
         up = np.zeros((n, m, 4), dtype=bool)
         if n > 1:
-            up[:-1, :, _DIR_INDEX[Direction.EAST]] = healthy[:-1, :] & healthy[1:, :]
-            up[1:, :, _DIR_INDEX[Direction.WEST]] = healthy[1:, :] & healthy[:-1, :]
+            up[:-1, :, Direction.EAST.index] = healthy[:-1, :] & healthy[1:, :]
+            up[1:, :, Direction.WEST.index] = healthy[1:, :] & healthy[:-1, :]
         if m > 1:
-            up[:, 1:, _DIR_INDEX[Direction.SOUTH]] = healthy[:, 1:] & healthy[:, :-1]
-            up[:, :-1, _DIR_INDEX[Direction.NORTH]] = healthy[:, :-1] & healthy[:, 1:]
+            up[:, 1:, Direction.SOUTH.index] = healthy[:, 1:] & healthy[:, :-1]
+            up[:, :-1, Direction.NORTH.index] = healthy[:, :-1] & healthy[:, 1:]
         self.channel_up = up
         #: Running population count of ``channel_up`` (kept by
         #: :meth:`take_down_channel` / :meth:`bring_up_channel`, the only
@@ -173,11 +170,6 @@ class MeshNetwork:
     # ------------------------------------------------------------------
     # Channel plumbing
     # ------------------------------------------------------------------
-    @staticmethod
-    def direction_index(direction: Direction) -> int:
-        """Index of ``direction`` in the channel state arrays."""
-        return _DIR_INDEX[direction]
-
     def channel_view(self, src: Coord, direction: Direction) -> ChannelView | None:
         """A view of the ``src -> direction`` link; None at the mesh edge."""
         dst = direction.step(src)
@@ -188,7 +180,7 @@ class MeshNetwork:
     def take_down_channel(self, src: Coord, direction: Direction) -> None:
         """Mark one directed link down (messages to it are dropped)."""
         x, y = src
-        di = _DIR_INDEX[direction]
+        di = direction.index
         if self.channel_up[x, y, di]:
             self.channel_up[x, y, di] = False
             self.channels_up_total -= 1
@@ -199,7 +191,7 @@ class MeshNetwork:
         if not self.mesh.in_bounds(dst):
             return
         x, y = src
-        di = _DIR_INDEX[direction]
+        di = direction.index
         if not self.channel_up[x, y, di]:
             self.channel_up[x, y, di] = True
             self.channels_up_total += 1
@@ -270,11 +262,10 @@ class MeshNetwork:
         causal scope.
         """
         x, y = src
-        dx, dy = direction.value
-        nx, ny = x + dx, y + dy
+        nx, ny = x + direction.dx, y + direction.dy
         if nx < 0 or ny < 0 or nx >= self._n or ny >= self._m:
             return False
-        di = _DIR_INDEX[direction]
+        di = direction.index
         link_up = self.channel_up[x, y, di]
         trc = self._trc if self._trace_on else None
         if trc is not None:
@@ -367,7 +358,7 @@ class MeshNetwork:
     def note_retry(self, src: Coord, direction: Direction) -> None:
         """Account one retransmission on the ``src -> direction`` link."""
         x, y = src
-        self.channel_retried[x, y, _DIR_INDEX[direction]] += 1
+        self.channel_retried[x, y, direction.index] += 1
         self.messages_retried_total += 1
         if self._trace_on:
             self._trc.count("chaos.retries")

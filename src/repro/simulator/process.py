@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Any
 
-from repro.mesh.geometry import Coord, Direction
+from repro.mesh.geometry import ESL_ORDER, Coord, Direction
 from repro.simulator.messages import Message
 
 if TYPE_CHECKING:
@@ -52,14 +52,10 @@ class NodeProcess(abc.ABC):
     def broadcast(self, kind: str, payload: Any = None) -> int:
         """Send to every existing neighbour; returns how many were sent."""
         count = 0
-        for direction in Direction:
+        for direction in ESL_ORDER:
             if self.send(direction, kind, payload):
                 count += 1
         return count
 
     def neighbor_directions(self) -> list[Direction]:
-        return [
-            direction
-            for direction in Direction
-            if self.network.mesh.in_bounds(direction.step(self.coord))
-        ]
+        return [direction for direction, _ in self.network.mesh.neighbor_items(self.coord)]

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.safety import UNBOUNDED, SafetyLevels
-from repro.mesh.geometry import Coord, Direction
+from repro.mesh.geometry import ESL_ORDER, Coord, Direction
 from repro.mesh.topology import Mesh2D
 from repro.simulator.engine import Engine
 from repro.simulator.messages import Message
@@ -40,6 +40,10 @@ if TYPE_CHECKING:
     from repro.chaos.plan import ChannelFaultPlan
 
 
+#: A fresh node's levels; copied (cheaper than rebuilding) per restart.
+_CLEAR_LEVELS: dict[Direction, int] = dict.fromkeys(ESL_ORDER, UNBOUNDED)
+
+
 class DynamicNode(ResilientProcess):
     """Block labelling plus ESL maintenance under live fault injection."""
 
@@ -49,7 +53,7 @@ class DynamicNode(ResilientProcess):
         super().__init__(coord, network, hardened=hardened)
         self.unusable_dirs: set[Direction] = set()
         self.disabled = False
-        self.levels: dict[Direction, int] = {d: UNBOUNDED for d in Direction}
+        self.levels: dict[Direction, int] = _CLEAR_LEVELS.copy()
 
     # ------------------------------------------------------------------
     # Failure detection entry point (called by the harness on neighbours of
@@ -73,13 +77,16 @@ class DynamicNode(ResilientProcess):
         # Amnesia restart: re-derive the only hard fact a node can sense
         # locally -- which neighbours are dead -- and rebuild the rest by
         # re-running the protocol (standing in for a heartbeat detector).
-        self.unusable_dirs = set()
+        # ``faulty`` holds only in-bounds nodes, so the four neighbour
+        # coordinates need no bounds test.
+        x, y = self.coord
+        faulty = self.network.faulty
+        self.unusable_dirs = {d for d in ESL_ORDER if (x + d.dx, y + d.dy) in faulty}
         self.disabled = False
-        self.levels = {d: UNBOUNDED for d in Direction}
-        for direction, neighbor in self.network.mesh.neighbor_items(self.coord):
-            if neighbor in self.network.faulty:
-                self.unusable_dirs.add(direction)
-        for direction in Direction:
+        self.levels = _CLEAR_LEVELS.copy()
+        if not self.unusable_dirs:
+            return  # most nodes: nothing to tighten, nothing to disable
+        for direction in ESL_ORDER:
             if direction in self.unusable_dirs:
                 self._tighten_level(direction, 0)
         self._maybe_disable()
@@ -270,29 +277,11 @@ class DynamicMesh:
         )
 
     def unusable_grid(self) -> np.ndarray:
-        grid = np.zeros((self.mesh.n, self.mesh.m), dtype=bool)
-        for coord in self.faults:
-            grid[coord] = True
-        for coord, process in self.network.nodes.items():
-            if isinstance(process, DynamicNode) and process.disabled:
-                grid[coord] = True
-        return grid
+        return live_unusable_grid(self.network)
 
     def safety_levels(self) -> SafetyLevels:
         """Current per-node levels (entries of blocked nodes carry no meaning)."""
-        grids = {d: np.zeros((self.mesh.n, self.mesh.m), dtype=np.int64) for d in Direction}
-        for coord, process in self.network.nodes.items():
-            if not isinstance(process, DynamicNode):
-                continue
-            for direction in Direction:
-                grids[direction][coord] = process.levels[direction]
-        return SafetyLevels(
-            mesh=self.mesh,
-            east=grids[Direction.EAST],
-            south=grids[Direction.SOUTH],
-            west=grids[Direction.WEST],
-            north=grids[Direction.NORTH],
-        )
+        return live_safety_levels(self.network)
 
     @property
     def total_messages(self) -> int:
@@ -319,3 +308,36 @@ class DynamicMesh:
         from repro.core.safety import compute_safety_levels
 
         return compute_safety_levels(self.mesh, self.reference_blocks().unusable)
+
+
+def live_unusable_grid(network: MeshNetwork) -> np.ndarray:
+    """Faulty nodes plus every :class:`DynamicNode` that disabled itself."""
+    mesh = network.mesh
+    grid = np.zeros((mesh.n, mesh.m), dtype=bool)
+    blocked = list(network.faulty)
+    blocked += [
+        coord
+        for coord, process in network.nodes.items()
+        if isinstance(process, DynamicNode) and process.disabled
+    ]
+    if blocked:
+        grid[tuple(np.array(blocked).T)] = True
+    return grid
+
+
+def live_safety_levels(network: MeshNetwork) -> SafetyLevels:
+    """Each live :class:`DynamicNode`'s levels as ESL grids (0 where no
+    such node runs; entries of blocked nodes carry no meaning)."""
+    mesh = network.mesh
+    coords, rows = [], []
+    for coord, process in network.nodes.items():
+        if isinstance(process, DynamicNode):
+            coords.append(coord)
+            levels = process.levels
+            rows.append([levels[d] for d in ESL_ORDER])
+    grids = np.zeros((len(ESL_ORDER), mesh.n, mesh.m), dtype=np.int64)
+    if coords:
+        xs, ys = np.array(coords).T
+        grids[:, xs, ys] = np.array(rows, dtype=np.int64).T
+    east, south, west, north = grids
+    return SafetyLevels(mesh=mesh, east=east, south=south, west=west, north=north)

@@ -10,8 +10,9 @@ stop-and-wait reliability shim so the same algorithms survive a
   with a per-sender sequence number and the network's *chaos epoch*;
 - receivers acknowledge every envelope (acks travel raw: an ack of an
   ack would never terminate), discard corrupted deliveries without
-  acking (forcing the retransmit), deduplicate via per-direction seen
-  sets (idempotent receive), and drop envelopes from stale epochs;
+  acking (forcing the retransmit), deduplicate via a set of seen
+  ``(direction, epoch, seq)`` keys (idempotent receive), and drop
+  envelopes from stale epochs;
 - senders retransmit unacked envelopes with exponential backoff in
   ticks, bounded by ``max_retries`` (a give-up is counted, not fatal:
   the stabilization pulse is the backstop);
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.mesh.geometry import Direction
+from repro.mesh.geometry import ESL_ORDER, Direction
 from repro.simulator.messages import Message
 from repro.simulator.network import MeshNetwork
 from repro.simulator.process import NodeProcess
@@ -48,9 +49,11 @@ DEFAULT_TIMEOUT_FACTOR = 4.0
 DEFAULT_MAX_RETRIES = 6
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Envelope:
-    """A protocol payload wrapped for reliable delivery."""
+    """A protocol payload wrapped for reliable delivery (never mutated;
+    not frozen, for the same per-hop cost reason as
+    :class:`~repro.simulator.messages.Message`)."""
 
     epoch: int
     seq: int
@@ -91,8 +94,8 @@ class ResilientProcess(NodeProcess):
         #: (sent_id: the last attempt's msg_send event id under a flight
         #: recorder, else None -- retransmit lineage)
         self._rel_outbox: dict[tuple[Direction, int, int], list] = {}
-        #: direction -> set of delivered (epoch, seq)
-        self._rel_seen: dict[Direction, set[tuple[int, int]]] = {}
+        #: delivered (arrival direction, epoch, seq) keys
+        self._rel_seen: set[tuple[Direction, int, int]] = set()
         self._rel_timeout = (
             ack_timeout if ack_timeout is not None
             else DEFAULT_TIMEOUT_FACTOR * network.latency
@@ -103,15 +106,15 @@ class ResilientProcess(NodeProcess):
     # Reliable send primitives
     # ------------------------------------------------------------------
     def rsend(self, direction: Direction, kind: str, payload: Any = None) -> bool:
-        if not self._rel_on:
-            return self.send(direction, kind, payload)
         network = self.network
+        if not self._rel_on:
+            return network.send_from(self.coord, direction, kind, payload)
         epoch = network.chaos_epoch
-        self._rel_seq += 1
-        envelope = Envelope(epoch, self._rel_seq, payload)
-        if not self.send(direction, kind, envelope):
+        seq = self._rel_seq = self._rel_seq + 1
+        envelope = Envelope(epoch, seq, payload)
+        if not network.send_from(self.coord, direction, kind, envelope):
             return False  # mesh edge: nothing to retry
-        key = (direction, epoch, self._rel_seq)
+        key = (direction, epoch, seq)
         # Under a flight recorder the outbox remembers the send's event id
         # so a retransmit can name the attempt it is retrying as its cause.
         sent_id = network._trc.last_send_id if network._rec_on else None
@@ -121,7 +124,7 @@ class ResilientProcess(NodeProcess):
 
     def rbroadcast(self, kind: str, payload: Any = None) -> int:
         count = 0
-        for direction in Direction:
+        for direction in ESL_ORDER:
             if self.rsend(direction, kind, payload):
                 count += 1
         return count
@@ -186,13 +189,13 @@ class ResilientProcess(NodeProcess):
         if direction is not None:
             # Ack before the dedup check: the original ack may have been
             # lost, and re-acking is what stops the retransmits.
-            self.send(direction, ACK_KIND, (payload.epoch, payload.seq))
-            seen = self._rel_seen.setdefault(direction, set())
-            if (payload.epoch, payload.seq) in seen:
+            network.send_from(self.coord, direction, ACK_KIND, (payload.epoch, payload.seq))
+            key = (direction, payload.epoch, payload.seq)
+            if key in self._rel_seen:
                 if network._trace_on:
                     network._trc.count("chaos.dup_suppressed")
                 return
-            seen.add((payload.epoch, payload.seq))
+            self._rel_seen.add(key)
         self.handle_message(
             Message(
                 message.src, message.dst, message.kind,

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.safety import UNBOUNDED, SafetyLevels
-from repro.mesh.geometry import Coord, Direction
+from repro.mesh.geometry import ESL_ORDER, Coord, Direction
 from repro.mesh.topology import Mesh2D
 from repro.obs import Tracer, get_tracer
 from repro.simulator.engine import Engine
@@ -50,18 +50,18 @@ class SafetyFormationProcess(ResilientProcess):
         hardened: bool = False,
     ):
         super().__init__(coord, network, hardened=hardened)
-        self.levels: dict[Direction, int] = {d: UNBOUNDED for d in Direction}
+        self.levels: dict[Direction, int] = dict.fromkeys(ESL_ORDER, UNBOUNDED)
         self._blocked_dirs = blocked_dirs
 
     def start(self) -> None:
-        # Direction order, not set order: a frozenset of enum members
-        # iterates in hash-seed order, and the send order is the event order.
-        for direction in Direction:
+        # ESL order, not set order: a frozenset of directions iterates in
+        # hash (address) order, and the send order is the event order.
+        for direction in ESL_ORDER:
             if direction in self._blocked_dirs:
                 self._update(direction, 0)
 
     def protocol_restart(self) -> None:
-        self.levels = {d: UNBOUNDED for d in Direction}
+        self.levels = dict.fromkeys(ESL_ORDER, UNBOUNDED)
         self.start()
 
     def handle_message(self, message: Message) -> None:

@@ -27,6 +27,7 @@ from repro.chaos import (
     ChaosSchedule,
     verify_convergence,
 )
+from repro.chaos.plan import _BLOCK
 from repro.core.safety import compute_safety_levels
 from repro.faults.blocks import build_faulty_blocks
 from repro.faults.injection import uniform_faults
@@ -114,6 +115,30 @@ class TestChannelFaultPlan:
             loose._rng.bit_generator.state["state"]
             == tight_probs._rng.bit_generator.state["state"]
         )
+
+    @pytest.mark.parametrize("jitter", [0, 2])
+    def test_verdicts_equal_one_random3_per_message(self, jitter):
+        """Without jitter the plan draws its uniforms a block at a time;
+        the verdicts must equal one ``random(3)`` per message (plus one
+        ``integers`` draw with jitter) across a block boundary and after
+        a ``reset()`` that discards a partly used block."""
+        plan = ChannelFaultPlan(drop=0.3, duplicate=0.2, corrupt=0.1, jitter=jitter, seed=13)
+
+        def reference(count):
+            rng = np.random.default_rng(13)
+            out = []
+            for _ in range(count):
+                u = rng.random(3)
+                extra = int(rng.integers(0, jitter + 1)) if jitter else 0
+                out.append((bool(u[0] < 0.3), bool(u[1] < 0.2), bool(u[2] < 0.1), extra))
+            return out
+
+        count = 2 * (_BLOCK // 3) + 7  # two block refills and a partial block
+        drawn = [plan.draw() for _ in range(count)]
+        assert drawn == reference(count)
+        assert all(type(flag) is bool for verdict in drawn for flag in verdict[:3])
+        plan.reset()
+        assert [plan.draw() for _ in range(50)] == reference(50)
 
 
 class TestChaosSchedule:

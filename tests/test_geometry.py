@@ -1,8 +1,12 @@
 """Unit tests for repro.mesh.geometry."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.mesh.geometry import (
+    ESL_ORDER,
     Direction,
     Quadrant,
     Rect,
@@ -45,6 +49,50 @@ class TestDirection:
             Direction.between((0, 0), (1, 1))
         with pytest.raises(ValueError):
             Direction.between((0, 0), (0, 0))
+
+
+
+class TestDirectionFixedAttributes:
+    """``Direction``'s per-member attributes are set once at class
+    creation; they must equal what the enum value and the former lookup
+    tables derived."""
+
+    #: The former ``geometry._OPPOSITES`` table.
+    OPPOSITES = {
+        Direction.EAST: Direction.WEST,
+        Direction.WEST: Direction.EAST,
+        Direction.NORTH: Direction.SOUTH,
+        Direction.SOUTH: Direction.NORTH,
+    }
+
+    def test_attributes_equal_the_old_derivations(self):
+        # The former ``network._DIR_INDEX``: definition order.
+        old_index = {d: i for i, d in enumerate(Direction)}
+        for direction in Direction:
+            assert direction.dx == direction.value[0]
+            assert direction.dy == direction.value[1]
+            assert direction.is_horizontal == (direction.value[0] != 0)
+            assert direction.is_vertical == (direction.value[1] != 0)
+            assert direction.opposite is self.OPPOSITES[direction]
+            assert direction.index == old_index[direction]
+
+    def test_esl_order_is_definition_order(self):
+        assert tuple(Direction) == ESL_ORDER
+        assert [d.index for d in ESL_ORDER] == [0, 1, 2, 3]
+
+    def test_members_survive_pickle_and_copy_as_themselves(self):
+        for direction in Direction:
+            assert pickle.loads(pickle.dumps(direction)) is direction
+            assert copy.deepcopy(direction) is direction
+            assert copy.copy(direction) is direction
+            assert Direction(direction.value) is direction
+            assert Direction[direction.name] is direction
+
+    def test_identity_hash_and_equality(self):
+        table = {d: d.name for d in Direction}
+        assert [table[d] for d in ESL_ORDER] == ["EAST", "SOUTH", "WEST", "NORTH"]
+        assert Direction.EAST != Direction.WEST
+        assert Direction.EAST == pickle.loads(pickle.dumps(Direction.EAST))
 
 
 class TestQuadrant:

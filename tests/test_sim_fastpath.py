@@ -356,7 +356,25 @@ def _recorded_runs():
         "safety_propagation": lambda t: run_safety_propagation(
             mesh, blocks.unusable, tracer=t
         ),
+        "chaos_jitter0": lambda t: _chaos_run(jitter=0, recorder=t),
+        "chaos_jitter1": lambda t: _chaos_run(jitter=1, recorder=t),
     }
+
+
+def _chaos_run(jitter: int, recorder):
+    """A flight-recorded hardened run: 16x16, initial faults, seeded
+    crash/revive schedule, two stabilization pulses, and a lossy plan.
+    ``jitter=0`` pins the plan's block-drawn verdict stream, ``jitter=1``
+    the per-message draw order."""
+    mesh = Mesh2D(16, 16)
+    rng = np.random.default_rng(27)
+    faults = uniform_faults(mesh, 10, rng)
+    schedule = ChaosSchedule.random(mesh, rng, events=6, forbidden=set(faults))
+    plan = ChannelFaultPlan(drop=0.05, duplicate=0.03, corrupt=0.03, jitter=jitter, seed=5)
+    runner = ChaosRunner(
+        mesh, faults, plan, schedule, stabilize_rounds=2, recorder=recorder
+    )
+    return runner.run()
 
 
 #: Frozen alongside GOLDEN_STATS.
@@ -367,6 +385,8 @@ GOLDEN_DIGESTS = {
     "region_exchange": ("7df37e186f6667cd", 1786),
     "pivot_broadcast": ("eee32e43849e37a0", 1796),
     "safety_propagation": ("b2e899bc19c311d9", 529),
+    "chaos_jitter0": ("61abfb511aad5555", 4132),
+    "chaos_jitter1": ("8dd73b8500e5d85e", 4607),
 }
 
 
@@ -375,14 +395,12 @@ def test_recorded_event_stream_matches_golden_digest(protocol):
     assert _recorded_digest(_recorded_runs()[protocol]) == GOLDEN_DIGESTS[protocol]
 
 
-def test_safety_propagation_stream_ignores_the_hash_seed():
-    """Start-up sends iterate ``Direction``, never a frozenset of
-    directions, so the recorded stream is the same under any
-    ``PYTHONHASHSEED``."""
+def _digests_under_hash_seeds(protocol: str) -> set[tuple[str, int]]:
+    """The recorded digest of ``protocol`` under two ``PYTHONHASHSEED``s."""
     root = Path(__file__).resolve().parents[1]
     script = (
         "from tests.test_sim_fastpath import _recorded_digest, _recorded_runs\n"
-        "print(*_recorded_digest(_recorded_runs()['safety_propagation']))"
+        f"print(*_recorded_digest(_recorded_runs()[{protocol!r}]))"
     )
     digests = set()
     for hash_seed in ("1", "2"):
@@ -393,7 +411,24 @@ def test_safety_propagation_stream_ignores_the_hash_seed():
             capture_output=True, text=True, check=True,
         ).stdout.split()
         digests.add((out[0], int(out[1])))
-    assert digests == {GOLDEN_DIGESTS["safety_propagation"]}
+    return digests
+
+
+def test_safety_propagation_stream_ignores_the_hash_seed():
+    """Start-up sends iterate ``ESL_ORDER``, never a frozenset of
+    directions, so the recorded stream is the same under any
+    ``PYTHONHASHSEED``."""
+    protocol = "safety_propagation"
+    assert _digests_under_hash_seeds(protocol) == {GOLDEN_DIGESTS[protocol]}
+
+
+def test_chaos_stream_ignores_the_hash_seed():
+    """``Direction`` hashes by identity, so a set of directions iterates
+    in an address-dependent order; restarts and the reliability shim
+    therefore walk ``ESL_ORDER`` and test membership, and a hardened chaos
+    run records the same stream under any ``PYTHONHASHSEED``."""
+    protocol = "chaos_jitter0"
+    assert _digests_under_hash_seeds(protocol) == {GOLDEN_DIGESTS[protocol]}
 
 
 # ----------------------------------------------------------------------
