@@ -13,7 +13,10 @@ reference`` for ``lower``, below ``reference / FACTOR`` for ``higher``.
 :data:`REFERENCE` is the median of 5 such runs on a 2-vCPU Intel Xeon
 VM.  The ``protocols`` row was re-taken the same way once the
 simulator's per-hop cost had halved, so its bound tracks the current
-simulator rather than one twice as slow.  perfbench scales every time
+simulator rather than one twice as slow, and the ``serve_read`` row
+once path witnesses shared one boundary map per served generation
+(set-up 2.985 -> 0.103 s, tail 23.68 -> 1.95 ms), so a return to a
+fresh map per witness fails the gate.  perfbench scales every time
 to its reference host speed, so the figures carry across machines of
 different speed; peak RSS is not scaled.  3 s runs are noisier than
 perfbench's 20 s ones (IQR over median <= 0.094 there): in 5 gate runs of unchanged code the worst
@@ -54,8 +57,8 @@ REFERENCE: dict[str, dict[str, float]] = {
         "latency_p50_ms": 83.62, "latency_tail_ms": 166.0,
     },
     "serve_read": {
-        "setup_s": 2.985, "peak_rss_mb": 48.94, "throughput_per_s": 200.0,
-        "latency_p50_ms": 0.974, "latency_tail_ms": 23.68,
+        "setup_s": 0.1026, "peak_rss_mb": 50.8, "throughput_per_s": 200.1,
+        "latency_p50_ms": 0.9068, "latency_tail_ms": 1.953,
     },
     "serve_churn": {
         "setup_s": 0.0319, "peak_rss_mb": 58.5, "throughput_per_s": 399.3,

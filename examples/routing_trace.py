@@ -40,8 +40,9 @@ def main() -> None:
     faults = [(6, 6), (7, 7), (8, 8)]  # diagonal run -> block [6:8, 6:8]
     blocks = build_faulty_blocks(mesh, faults)
     levels = compute_safety_levels(mesh, blocks.unusable)
-    router = WuRouter(mesh, blocks)
-    canonical = BoundaryMap.for_blocks(blocks).canonical(False, False)
+    boundaries = BoundaryMap.for_blocks(blocks)  # traced once, shared
+    router = WuRouter(mesh, blocks, boundary_map=boundaries)
+    canonical = boundaries.canonical(False, False)
 
     print("block:", blocks.blocks[0])
     print(render_mesh(mesh, faulty=blocks.faulty, blocked=blocks.unusable,

@@ -75,6 +75,8 @@ class BoundaryTag:
     ``toward`` is the next hop along the (joined) line toward the block's
     exit intersection (L1 ∩ L4 for L1, L3 ∩ L2 for L3); ``None`` at the
     intersection itself, where the block has been passed and the rule ends.
+    A traced map shares one tag among every node of a polyline section
+    that carries the same ``toward``, so tags must never be mutated.
     """
 
     block_index: int
@@ -176,39 +178,29 @@ class CanonicalBoundaryMap:
             clipped = rect.clip(mesh.bounds)
             if clipped is not None:
                 block_id[clipped.xmin : clipped.xmax + 1, clipped.ymin : clipped.ymax + 1] = index
+        # The walks read one cell per hop: nested lists make each read a
+        # plain index instead of a numpy scalar access.
+        grid, ids = unusable.tolist(), block_id.tolist()
         for index, rect in enumerate(rects):
-            bmap._trace_l1(index, rect, unusable, block_id)
-            bmap._trace_l3(index, rect, unusable, block_id)
+            bmap._trace_l1(index, rect, grid, ids)
+            bmap._trace_l3(index, rect, grid, ids)
         return bmap
 
     # ------------------------------------------------------------------
     # Tracing
     # ------------------------------------------------------------------
-    def _annotate_path(
-        self,
-        block_index: int,
-        line: Line,
-        path: list[Coord],
-        first_toward: Direction | None,
-    ) -> None:
-        """Attach tags along a traced polyline.
-
-        ``path[0]`` is normally the exit intersection (``toward=None``); when
-        the block touches the mesh edge and the exit corner lies outside the
-        mesh, ``first_toward`` carries the line's travel direction instead
-        (harmless for routing -- the critical region is then empty -- but it
-        keeps the annotations identical to the distributed protocol's).
-        """
-        for position, node in enumerate(path):
-            toward = (
-                first_toward if position == 0 else Direction.between(node, path[position - 1])
-            )
-            self.annotations.setdefault(node, []).append(
-                BoundaryTag(block_index=block_index, line=line, toward=toward)
-            )
+    # Each trace tags the nodes of one polyline as it walks it.  A node's
+    # ``toward`` is the hop back to the node placed before it: the travel
+    # direction on straight sections, the turn direction on a join.  The
+    # first node placed instead takes ``first``: ``toward=None`` at the
+    # exit intersection or, when the block touches the mesh edge and that
+    # corner lies outside the mesh, the line's travel direction (harmless
+    # for routing -- the critical region is then empty -- but it keeps the
+    # annotations identical to the distributed protocol's).  A polyline has
+    # at most three distinct tags, each shared by all of its nodes.
 
     def _trace_l1(
-        self, index: int, rect: Rect, unusable: np.ndarray, block_id: np.ndarray
+        self, index: int, rect: Rect, unusable: list[list[bool]], block_id: list[list[int]]
     ) -> None:
         """L1: start at the L1 ∩ L4 corner, walk West; on hitting a block,
         descend its East side and join its L1."""
@@ -216,27 +208,29 @@ class CanonicalBoundaryMap:
         if row < 0:
             return
         x = min(rect.xmax + 1, self.mesh.n - 1)
-        first_toward = None if x == rect.xmax + 1 else Direction.EAST
-        path: list[Coord] = []
+        straight = BoundaryTag(index, Line.L1, Direction.EAST)
+        turn = BoundaryTag(index, Line.L1, Direction.NORTH)
+        first = BoundaryTag(index, Line.L1, None) if x == rect.xmax + 1 else straight
+        annotations = self.annotations
         while x >= 0:
-            if unusable[x, row]:
-                blocker_index = int(block_id[x, row])
+            if unusable[x][row]:
+                blocker_index = block_id[x][row]
                 if blocker_index < 0:  # unusable cell outside any known rect
                     self.truncated_traces += 1
                     break
-                blocker = self.rects[blocker_index]
-                new_row = blocker.ymin - 1
+                new_row = self.rects[blocker_index].ymin - 1
                 # Descend along the blocker's East side (its L4 column); when
                 # the blocker touches the South edge the descent runs to the
                 # edge and the line ends there.
                 descent_x = x + 1
                 aborted = False
                 for y in range(row - 1, max(new_row, 0) - 1, -1):
-                    if descent_x >= self.mesh.n or unusable[descent_x, y]:
+                    if descent_x >= self.mesh.n or unusable[descent_x][y]:
                         self.truncated_traces += 1
                         aborted = True
                         break
-                    path.append((descent_x, y))
+                    annotations.setdefault((descent_x, y), []).append(first or turn)
+                    first = None
                 if aborted:
                     break
                 if new_row < 0:
@@ -245,12 +239,12 @@ class CanonicalBoundaryMap:
                 row = new_row
                 # Continue West on the blocker's L1 from under its East face.
                 continue
-            path.append((x, row))
+            annotations.setdefault((x, row), []).append(first or straight)
+            first = None
             x -= 1
-        self._annotate_path(index, Line.L1, path, first_toward)
 
     def _trace_l3(
-        self, index: int, rect: Rect, unusable: np.ndarray, block_id: np.ndarray
+        self, index: int, rect: Rect, unusable: list[list[bool]], block_id: list[list[int]]
     ) -> None:
         """L3: start at the L3 ∩ L2 corner, walk South; on hitting a block,
         cross over its North side and join its L3."""
@@ -258,27 +252,29 @@ class CanonicalBoundaryMap:
         if column < 0:
             return
         y = min(rect.ymax + 1, self.mesh.m - 1)
-        first_toward = None if y == rect.ymax + 1 else Direction.NORTH
-        path: list[Coord] = []
+        straight = BoundaryTag(index, Line.L3, Direction.NORTH)
+        turn = BoundaryTag(index, Line.L3, Direction.EAST)
+        first = BoundaryTag(index, Line.L3, None) if y == rect.ymax + 1 else straight
+        annotations = self.annotations
         while y >= 0:
-            if unusable[column, y]:
-                blocker_index = int(block_id[column, y])
+            if unusable[column][y]:
+                blocker_index = block_id[column][y]
                 if blocker_index < 0:  # unusable cell outside any known rect
                     self.truncated_traces += 1
                     break
-                blocker = self.rects[blocker_index]
-                new_column = blocker.xmin - 1
+                new_column = self.rects[blocker_index].xmin - 1
                 # Cross along the blocker's North side (its L2 row); when the
                 # blocker touches the West edge the crossing runs to the edge
                 # and the line ends there.
                 crossing_y = y + 1
                 aborted = False
                 for x in range(column - 1, max(new_column, 0) - 1, -1):
-                    if crossing_y >= self.mesh.m or unusable[x, crossing_y]:
+                    if crossing_y >= self.mesh.m or unusable[x][crossing_y]:
                         self.truncated_traces += 1
                         aborted = True
                         break
-                    path.append((x, crossing_y))
+                    annotations.setdefault((x, crossing_y), []).append(first or turn)
+                    first = None
                 if aborted:
                     break
                 if new_column < 0:
@@ -286,9 +282,9 @@ class CanonicalBoundaryMap:
                     break
                 column = new_column
                 continue
-            path.append((column, y))
+            annotations.setdefault((column, y), []).append(first or straight)
+            first = None
             y -= 1
-        self._annotate_path(index, Line.L3, path, first_toward)
 
     # ------------------------------------------------------------------
     # Routing queries

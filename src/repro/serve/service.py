@@ -12,7 +12,11 @@ frozen generation; :meth:`RoutingService.refresh` copies the engine's
 delta-maintained grids -- block and type-one MCC blocked sets and their
 ESLs -- into a new snapshot and publishes it with one reference
 assignment.  A refresh computes nothing: the engine already holds every
-grid at the new generation.
+grid at the new generation.  The snapshot also owns its generation's
+boundary map -- the faulty-block corner information the paper places on
+each block's boundary lines -- which every path witness on that
+generation shares; it is traced lazily, one orientation at a time, so a
+refresh that no witness follows pays nothing for it.
 
 The gap between the engine generation and the published snapshot is the
 query's ``staleness``.  Callers choose what staleness means:
@@ -38,12 +42,14 @@ Degradation tiers (the circuit breaker's levers):
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Any, Iterable
 
 import numpy as np
 
+from repro.core.boundaries import BoundaryMap
 from repro.core.conditions import Decision, DecisionKind
 from repro.core.extensions import decision_cascade
 from repro.core.routing import WuRouter, route_with_decision
@@ -98,6 +104,12 @@ class ServeSnapshot:
     a snapshot stays valid forever -- an in-flight query keeps using the
     generation it grabbed even while newer snapshots are published.
     The MCC fields are None only for a service without the MCC model.
+
+    :attr:`boundaries` is the generation's boundary map, shared by every
+    path witness routed on this snapshot; the map traces each orientation
+    on first use.  Two threads may trace the same orientation at once,
+    which costs one extra trace and nothing else, since both traces are
+    equal.
     """
 
     generation: int
@@ -106,6 +118,11 @@ class ServeSnapshot:
     block_set: BlockSet
     mcc_blocked: np.ndarray | None = None
     mcc_levels: SafetyLevels | None = None
+
+    @functools.cached_property
+    def boundaries(self) -> BoundaryMap:
+        """The block set's boundary lines (paper Sec. 2), made on first use."""
+        return BoundaryMap.for_blocks(self.block_set)
 
 
 @dataclass(frozen=True)
@@ -436,7 +453,8 @@ class RoutingService:
 
         def build() -> tuple[Coord, ...]:
             path = route_with_decision(
-                WuRouter(self.mesh, snapshot.block_set), decision,
+                WuRouter(self.mesh, snapshot.block_set, boundary_map=snapshot.boundaries),
+                decision,
                 blocked=snapshot.blocked,
             )
             return path.nodes

@@ -1,9 +1,13 @@
 """Unit tests for boundary lines L1-L4 with joins."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from repro.core.boundaries import BoundaryMap, CanonicalBoundaryMap, Line
 from repro.faults.blocks import build_faulty_blocks
+from repro.faults.injection import clustered_faults, uniform_faults
 from repro.mesh.geometry import Direction, Rect
 from repro.mesh.topology import Mesh2D
 
@@ -199,3 +203,54 @@ class TestReflection:
         bmap, _ = _bmap(mesh, [(5, 5)])
         assert bmap.canonical(False, False) is bmap.canonical(False, False)
         assert bmap.canonical(True, False) is not bmap.canonical(False, False)
+
+
+def _annotation_digest(canonical):
+    """sha256 over the sorted ``(coord, block_index, line, toward)`` entries
+    and the truncated-trace count of one canonical map."""
+    entries = sorted(
+        (coord, tag.block_index, tag.line.value, tag.toward.name if tag.toward else "")
+        for coord, tags in canonical.annotations.items()
+        for tag in tags
+    )
+    payload = repr((entries, canonical.truncated_traces)).encode()
+    return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def _seeded_blocks(side, count, pattern):
+    mesh = Mesh2D(side, side)
+    rng = np.random.default_rng(2002)
+    if pattern == "uniform":
+        faults = uniform_faults(mesh, count, rng)
+    else:
+        faults = clustered_faults(mesh, count, rng, clusters=16, radius=3)
+    return build_faulty_blocks(mesh, faults)
+
+
+class TestFrozenAnnotations:
+    """Traced annotations pinned to digests taken before the tracer was
+    made cheaper: every orientation, every tag, every truncated join."""
+
+    #: (side, faults, pattern) -> digest per orientation, in
+    #: ``(flip_x, flip_y)`` order FF, FT, TF, TT.
+    DIGESTS = {
+        (64, 40, "uniform"): (
+            "8e621909ffc67bda", "968f96d9f5957c8a", "32874a3ca72f8544", "e0077d4a7aee5494",
+        ),
+        (200, 400, "uniform"): (
+            "69cf521bfb4097b9", "887ba4f723e249b1", "630a73fe9ad30802", "bb65befe564a976d",
+        ),
+        (64, 200, "clustered"): (
+            "3f6b7bcf00367d1d", "1a76a0afd0cd9fa2", "74ed5d99e640ffcf", "319c3c40205865ed",
+        ),
+    }
+
+    @pytest.mark.parametrize("side, count, pattern", sorted(DIGESTS))
+    def test_annotations_match_frozen_digest(self, side, count, pattern):
+        bmap = BoundaryMap.for_blocks(_seeded_blocks(side, count, pattern))
+        digests = tuple(
+            _annotation_digest(bmap.canonical(flip_x, flip_y))
+            for flip_x in (False, True)
+            for flip_y in (False, True)
+        )
+        assert digests == self.DIGESTS[(side, count, pattern)]

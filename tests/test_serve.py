@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.boundaries import CanonicalBoundaryMap
+from repro.core.routing import WuRouter, route_with_decision
 from repro.core.safety import compute_safety_levels
 from repro.faults.injection import uniform_faults
 from repro.faults.mcc import MCCType, build_mccs
@@ -160,6 +162,124 @@ class TestRoutingService:
         assert payload["source"] == [0, 0]
         assert payload["verdict"] == answer.verdict
         assert payload["staleness"] == 0
+
+
+def _network_64(seed=2002, pairs=120, **kwargs):
+    """The service on a seeded 64x64 network with 40 faults, and a fixed
+    set of distinct hot pairs of usable nodes."""
+    service = _service(side=64, faults=40, seed=seed, **kwargs)
+    usable = np.argwhere(~service.snapshot().blocked)
+    rng = np.random.default_rng(seed)
+    hot = []
+    while len(hot) < pairs:
+        a, b = rng.integers(0, len(usable), size=2)
+        pair = (tuple(map(int, usable[a])), tuple(map(int, usable[b])))
+        if a != b and pair not in hot:
+            hot.append(pair)
+    return service, hot
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every ``CanonicalBoundaryMap.build`` call, as its reflected rects."""
+    calls = []
+    build = CanonicalBoundaryMap.build
+
+    def spy(mesh, rects, unusable):
+        calls.append(tuple(rects))
+        return build(mesh, rects, unusable)
+
+    monkeypatch.setattr(CanonicalBoundaryMap, "build", staticmethod(spy))
+    return calls
+
+
+def _orientations(snapshot):
+    """The reflected rects of each orientation of the snapshot's map."""
+    bmap = snapshot.boundaries
+    return {
+        tuple(bmap.reflection(flip_x, flip_y).rect(r) for r in bmap.rects)
+        for flip_x in (False, True) for flip_y in (False, True)
+    }
+
+
+class TestSnapshotBoundaryMap:
+    """A served generation traces its boundary lines once, into the map
+    its snapshot owns, and every witness of that generation routes on it."""
+
+    def test_one_build_per_orientation_per_generation(self, builds):
+        service, hot = _network_64()
+        witnesses = sum(service.answer(s, d).path is not None for s, d in hot[:50])
+        assert witnesses >= 40
+        assert len(builds) <= 4
+        assert len(set(builds)) == len(builds)
+        assert set(builds) <= _orientations(service.snapshot())
+
+    def test_refresh_after_a_crash_traces_the_new_block_set(self, builds):
+        service, hot = _network_64(auto_refresh=False)
+        old = service.snapshot()
+        for source, dest in hot:
+            before = service.answer(source, dest)
+            if before.path is None or len(before.path) < 3:
+                continue
+            victim = before.path[len(before.path) // 2]
+            service.apply_fault("crash", victim)
+            new = service.refresh()
+            traced = len(builds)
+            after = service.answer(source, dest)
+            if after.path is not None:
+                break
+            service.apply_fault("revive", victim)
+            old = service.refresh()
+        assert after.generation == new.generation
+        assert victim not in after.path
+        assert new.boundaries is not old.boundaries
+        assert len(builds) > traced
+        assert set(builds[traced:]) <= _orientations(new)
+        assert not set(builds[traced:]) & _orientations(old)
+
+    def test_in_flight_query_keeps_its_snapshot_map(self, monkeypatch):
+        service, hot = _network_64()
+        routed_on = []
+
+        class Recording(WuRouter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                routed_on.append(self.boundaries)
+
+        monkeypatch.setattr("repro.serve.service.WuRouter", Recording)
+        (source, dest), (victim, _) = hot[0], hot[1]
+        old = service.snapshot()
+        cascade = service._cascade
+
+        def cascade_then_crash(*args):
+            # The fault lands, and a new snapshot is published, while this
+            # query is between its cascade and its witness.
+            decision = cascade(*args)
+            service.apply_fault("crash", victim)
+            return decision
+
+        service._cascade = cascade_then_crash
+        answer = service.answer(source, dest)
+        assert service.snapshot() is not old
+        assert answer.generation == old.generation and answer.path is not None
+        assert routed_on == [old.boundaries]
+
+    def test_served_witnesses_equal_unshared_map_routes(self):
+        service, hot = _network_64()
+        snapshot = service.snapshot()
+        served = 0
+        for source, dest in hot:
+            answer = service.answer(source, dest)
+            if answer.path is None:
+                continue
+            decision = service._cascade(snapshot.levels, snapshot.blocked, source, dest)
+            reference = route_with_decision(
+                WuRouter(service.mesh, snapshot.block_set), decision,
+                blocked=snapshot.blocked,
+            )
+            assert answer.path == reference.nodes
+            served += 1
+        assert served >= 100
 
 
 class TestServiceBreaker:
