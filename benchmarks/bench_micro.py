@@ -145,3 +145,18 @@ def test_distributed_safety_formation_speed(benchmark):
         run_safety_propagation, args=(mesh, blocks.unusable), rounds=3, iterations=1
     )
     assert result.stats.messages > 0
+
+
+@pytest.mark.parametrize("side,faults", [(200, 400), (512, 2000)])
+def test_snapshot_refresh_speed(benchmark, side, faults):
+    """One serve refresh, ``RoutingService._build_snapshot``: copying the
+    engine's live blocked and int16 ESL grids (block and MCC models) into
+    a new snapshot.  The block set is captured, not built; the first
+    path witness on the snapshot builds it."""
+    from repro.serve import RoutingService
+
+    mesh = Mesh2D(side, side)
+    service = RoutingService(mesh, uniform_faults(mesh, faults, np.random.default_rng(11)))
+    snapshot = benchmark(service._build_snapshot)
+    assert snapshot.generation == service.generation
+    assert "block_set" not in vars(snapshot)

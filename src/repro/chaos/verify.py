@@ -34,7 +34,7 @@ if TYPE_CHECKING:
     from repro.obs.replay import DivergenceReport
     from repro.obs.timeseries import Observatory
 from repro.core.conditions import is_safe
-from repro.core.safety import compute_safety_levels
+from repro.core.safety import compute_safety_levels, decode_level
 from repro.faults.blocks import build_faulty_blocks
 from repro.faults.coverage import batch_minimal_path_exists
 from repro.mesh.geometry import Coord
@@ -169,18 +169,13 @@ def verify_convergence(
     distributed_levels = runner.safety_levels()
     free = ~oracle_blocks.unusable
     esl_mismatches: list[tuple[Coord, str, int, int]] = []
-    grids = {
-        "E": (distributed_levels.east, oracle_levels.east),
-        "S": (distributed_levels.south, oracle_levels.south),
-        "W": (distributed_levels.west, oracle_levels.west),
-        "N": (distributed_levels.north, oracle_levels.north),
-    }
-    for label, (got, want) in grids.items():
+    for label, got, want in zip("ESWN", distributed_levels.grids, oracle_levels.grids):
         bad = (got != want) & free
         for x, y in zip(*np.nonzero(bad)):
-            esl_mismatches.append(
-                ((int(x), int(y)), label, int(got[x, y]), int(want[x, y]))
-            )
+            esl_mismatches.append((
+                (int(x), int(y)), label,
+                decode_level(got[x, y]), decode_level(want[x, y]),
+            ))
     esl_mismatches.sort()
 
     # --- Sampled Definition-3 / Theorem-1 cross-check ------------------

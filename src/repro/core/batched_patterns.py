@@ -367,8 +367,11 @@ def build_axis_sample_table(
     The selection encodes ``score = level * (edge + 2) + offset`` so a
     single ``argmax`` realises "max level, then max offset": levels are
     capped at :data:`~repro.core.safety.UNBOUNDED` (``2**30``) and
-    ``edge <= n + m``, so scores stay far inside int64.
+    ``edge <= n + m``, so scores stay far inside int64.  ``line_levels``
+    is widened to int64 first: an int16 ESL-grid slice times a Python int
+    stays int16 and would wrap at :data:`~repro.core.safety.ESL_CLEAR`.
     """
+    line_levels = np.asarray(line_levels, dtype=np.int64)
     if edge == 0:
         batch = clear.shape[0]
         empty = np.zeros((batch, 0), dtype=np.int64)

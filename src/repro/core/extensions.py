@@ -140,10 +140,10 @@ def extension2_decision(
     the region (full axis information), larger sizes sample one ESL per
     segment, ``None`` is the "(max)" variation with a single segment.
 
-    Each clear section's perpendicular levels are one ESL-grid slice
-    (``north[sx+1 : sx+1+L, sy]`` for the local-East section in quadrant
-    I, reversed ``south`` / ``west`` slices in the others), reduced by the
-    sweeps' :func:`~repro.core.batched_patterns.build_axis_sample_table`.
+    Each clear section's perpendicular levels are one slice of the encoded
+    ESL grids (``north[sx+1 : sx+1+L, sy]`` for the local-East section in
+    quadrant I, reversed ``south`` / ``west`` slices in the others),
+    reduced by the sweeps' :func:`~repro.core.batched_patterns.build_axis_sample_table`.
     Verdict and ``via`` equal the reference
     :func:`~repro.core.segments.build_axis_segments` followed by
     :func:`extension2_decision_from_segments`.
@@ -155,13 +155,13 @@ def extension2_decision(
         return Decision(DecisionKind.SOURCE_SAFE, source, dest)
     sx, sy = source
     if xd <= east:  # the local-East section, by its nodes' local North levels
-        line = (levels.south if frame.flip_y else levels.north)[:, sy]
+        line = (levels.grids.south if frame.flip_y else levels.grids.north)[:, sy]
         k = _first_usable_offset(line, sx, east, frame.flip_x, segment_size, xd, yd)
         if k is not None:
             via = (sx - k if frame.flip_x else sx + k, sy)
             return Decision(DecisionKind.AXIS_NODE_SAFE, source, dest, via=via)
     if yd <= north:  # the local-North section, by its nodes' local East levels
-        line = (levels.west if frame.flip_x else levels.east)[sx]
+        line = (levels.grids.west if frame.flip_x else levels.grids.east)[sx]
         k = _first_usable_offset(line, sy, north, frame.flip_y, segment_size, yd, xd)
         if k is not None:
             via = (sx, sy - k if frame.flip_y else sy + k)

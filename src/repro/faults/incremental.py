@@ -84,6 +84,7 @@ __all__ = [
     "IncrementalFaultEngine",
     "IncrementalMCCState",
     "UpdateReport",
+    "ordered_block_set",
 ]
 
 
@@ -115,6 +116,23 @@ def _rescan(levels: SafetyLevels, blocked: np.ndarray, cells: list[Coord]) -> No
         refresh_safety_levels(
             levels, blocked, xs={x for x, _ in cells}, ys={y for _, y in cells}
         )
+
+
+def ordered_block_set(
+    mesh: Mesh2D, blocks: Iterable[FaultyBlock], faulty: np.ndarray, unusable: np.ndarray
+) -> BlockSet:
+    """A :class:`BlockSet` over ``blocks`` (in any order) and the given
+    grids, ordered like :func:`build_faulty_blocks`: blocks sorted by
+    minimal cell, ``block_id`` indexing that order."""
+    # A block fills its rectangle, so its minimal cell is the corner.
+    ordered = sorted(blocks, key=lambda b: (b.rect.xmin, b.rect.ymin))
+    block_id = np.full((mesh.n, mesh.m), -1, dtype=np.int32)
+    for index, block in enumerate(ordered):
+        rect = block.rect
+        block_id[rect.xmin : rect.xmax + 1, rect.ymin : rect.ymax + 1] = index
+    return BlockSet(
+        mesh=mesh, blocks=ordered, faulty=faulty, unusable=unusable, block_id=block_id
+    )
 
 
 def _count_affected(report: UpdateReport) -> UpdateReport:
@@ -601,23 +619,14 @@ class IncrementalFaultEngine:
     # ------------------------------------------------------------------
     def block_set(self) -> BlockSet:
         """Materialize the current blocks as a :class:`BlockSet` snapshot
-        ordered like :func:`build_faulty_blocks` (blocks sorted by minimal
-        cell, arrays copied)."""
-        # A block fills its rectangle, so its minimal cell is the corner.
-        blocks = sorted(
-            self._slots.values(), key=lambda b: (b.rect.xmin, b.rect.ymin)
+        ordered like :func:`build_faulty_blocks` (arrays copied)."""
+        return ordered_block_set(
+            self.mesh, self._slots.values(), self.faulty.copy(), self.unusable.copy()
         )
-        block_id = np.full((self.mesh.n, self.mesh.m), -1, dtype=np.int32)
-        for index, block in enumerate(blocks):
-            rect = block.rect
-            block_id[rect.xmin : rect.xmax + 1, rect.ymin : rect.ymax + 1] = index
-        return BlockSet(
-            mesh=self.mesh,
-            blocks=blocks,
-            faulty=self.faulty.copy(),
-            unusable=self.unusable.copy(),
-            block_id=block_id,
-        )
+
+    def blocks(self) -> tuple[FaultyBlock, ...]:
+        """The current blocks, unordered (:meth:`block_set` orders them)."""
+        return tuple(self._slots.values())
 
     def safety_levels(self) -> SafetyLevels:
         """The live (delta-maintained) ESL grids; mutated in place by

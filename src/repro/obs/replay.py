@@ -391,17 +391,7 @@ def state_at(
     for coord in sorted(network.nodes):
         if unusable_grid[coord]:
             continue
-        level_rows.append(
-            (
-                coord,
-                (
-                    int(levels.east[coord]),
-                    int(levels.south[coord]),
-                    int(levels.west[coord]),
-                    int(levels.north[coord]),
-                ),
-            )
-        )
+        level_rows.append((coord, levels.esl(coord)))
     return StateSnapshot(
         time=runner.engine.now,
         faults=tuple(sorted(network.faulty)),

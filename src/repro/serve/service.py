@@ -10,13 +10,14 @@ engine.  They grab the current snapshot reference once (a single atomic
 read under the GIL) and evaluate the whole decision cascade against that
 frozen generation; :meth:`RoutingService.refresh` copies the engine's
 delta-maintained grids -- block and type-one MCC blocked sets and their
-ESLs -- into a new snapshot and publishes it with one reference
-assignment.  A refresh computes nothing: the engine already holds every
-grid at the new generation.  The snapshot also owns its generation's
-boundary map -- the faulty-block corner information the paper places on
-each block's boundary lines -- which every path witness on that
-generation shares; it is traced lazily, one orientation at a time, so a
-refresh that no witness follows pays nothing for it.
+compact int16 ESLs -- into a new snapshot and publishes it with one
+reference assignment.  A refresh computes nothing: the engine already
+holds every grid at the new generation.  The snapshot also owns its
+generation's block set and boundary map -- the faulty-block corner
+information the paper places on each block's boundary lines -- which
+only path witnesses read; both are built lazily, the boundary map one
+orientation at a time, so a refresh that no witness follows pays
+nothing for them.
 
 The gap between the engine generation and the published snapshot is the
 query's ``staleness``.  Callers choose what staleness means:
@@ -53,9 +54,13 @@ from repro.core.boundaries import BoundaryMap
 from repro.core.conditions import Decision, DecisionKind
 from repro.core.extensions import decision_cascade
 from repro.core.routing import WuRouter, route_with_decision
-from repro.core.safety import SafetyLevels
-from repro.faults.blocks import BlockSet
-from repro.faults.incremental import IncrementalFaultEngine, UpdateReport
+from repro.core.safety import ESLGrids, SafetyLevels
+from repro.faults.blocks import BlockSet, FaultyBlock
+from repro.faults.incremental import (
+    IncrementalFaultEngine,
+    UpdateReport,
+    ordered_block_set,
+)
 from repro.faults.mcc import MCCType
 from repro.mesh.geometry import Coord, manhattan_distance
 from repro.mesh.topology import Mesh2D
@@ -86,10 +91,7 @@ _STRATEGY_BY_KIND = {
 
 
 def _copied(levels: SafetyLevels) -> SafetyLevels:
-    return SafetyLevels(
-        levels.mesh, levels.east.copy(), levels.south.copy(),
-        levels.west.copy(), levels.north.copy(),
-    )
+    return SafetyLevels(levels.mesh, ESLGrids(*(grid.copy() for grid in levels.grids)))
 
 
 class QueryError(ValueError):
@@ -100,24 +102,35 @@ class QueryError(ValueError):
 class ServeSnapshot:
     """One generation's frozen artifacts; everything a query reads.
 
-    Arrays are private copies (the engine mutates its own in place), so
-    a snapshot stays valid forever -- an in-flight query keeps using the
-    generation it grabbed even while newer snapshots are published.
-    The MCC fields are None only for a service without the MCC model.
+    The arrays -- ``blocked``, ``faulty``, the int16 ESL grids of
+    ``levels`` and the MCC fields -- are private copies (the engine
+    mutates its own in place), so a snapshot stays valid forever -- an
+    in-flight query keeps using the generation it grabbed even while
+    newer snapshots are published.  ``blocks`` captures the engine's
+    (immutable) blocks unordered.  The MCC fields are None only for a
+    service without the MCC model.
 
-    :attr:`boundaries` is the generation's boundary map, shared by every
-    path witness routed on this snapshot; the map traces each orientation
-    on first use.  Two threads may trace the same orientation at once,
-    which costs one extra trace and nothing else, since both traces are
-    equal.
+    Only path witnesses read the block set and the boundary map, so both
+    are built on first use: :attr:`block_set` sorts and labels ``blocks``
+    like :func:`~repro.faults.blocks.build_faulty_blocks`, and
+    :attr:`boundaries` traces each orientation of the generation's
+    boundary map, shared by every witness routed on this snapshot.  Two
+    threads may build the same one at once, which costs one extra build
+    and nothing else, since both builds are equal.
     """
 
     generation: int
     blocked: np.ndarray
+    faulty: np.ndarray
     levels: SafetyLevels
-    block_set: BlockSet
+    blocks: tuple[FaultyBlock, ...]
     mcc_blocked: np.ndarray | None = None
     mcc_levels: SafetyLevels | None = None
+
+    @functools.cached_property
+    def block_set(self) -> BlockSet:
+        """The generation's blocks as a :class:`BlockSet`, made on first use."""
+        return ordered_block_set(self.levels.mesh, self.blocks, self.faulty, self.blocked)
 
     @functools.cached_property
     def boundaries(self) -> BoundaryMap:
@@ -300,16 +313,16 @@ class RoutingService:
 
     def _build_snapshot(self) -> ServeSnapshot:
         eng = self.engine
-        block_set = eng.block_set()
         mcc_blocked = mcc_levels = None
         if self.mcc_model:
             mcc = eng.track_mcc(MCCType.TYPE_ONE)
             mcc_blocked, mcc_levels = mcc.blocked.copy(), _copied(mcc.levels)
         return ServeSnapshot(
             generation=eng.generation,
-            blocked=block_set.unusable,
+            blocked=eng.unusable.copy(),
+            faulty=eng.faulty.copy(),
             levels=_copied(eng.levels),
-            block_set=block_set,
+            blocks=eng.blocks(),
             mcc_blocked=mcc_blocked,
             mcc_levels=mcc_levels,
         )

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.safety import UNBOUNDED, SafetyLevels
+from repro.core.safety import UNBOUNDED, ESLGrids, SafetyLevels, encode_levels
 from repro.mesh.geometry import ESL_ORDER, Coord, Direction
 from repro.mesh.topology import Mesh2D
 from repro.simulator.engine import Engine
@@ -339,5 +339,4 @@ def live_safety_levels(network: MeshNetwork) -> SafetyLevels:
     if coords:
         xs, ys = np.array(coords).T
         grids[:, xs, ys] = np.array(rows, dtype=np.int64).T
-    east, south, west, north = grids
-    return SafetyLevels(mesh=mesh, east=east, south=south, west=west, north=north)
+    return SafetyLevels(mesh, ESLGrids(*encode_levels(grids)))

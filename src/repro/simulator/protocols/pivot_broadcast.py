@@ -78,13 +78,9 @@ def run_pivot_broadcast(
         mesh.require_in_bounds(pivot)
 
     def factory(coord: Coord, network: MeshNetwork) -> PivotBroadcastProcess:
-        esl: ESL = (
-            int(levels.east[coord]),
-            int(levels.south[coord]),
-            int(levels.west[coord]),
-            int(levels.north[coord]),
+        return PivotBroadcastProcess(
+            coord, network, levels.esl(coord), is_pivot=coord in pivot_set
         )
-        return PivotBroadcastProcess(coord, network, esl, is_pivot=coord in pivot_set)
 
     trc = tracer if tracer is not None else get_tracer()
     network = MeshNetwork(

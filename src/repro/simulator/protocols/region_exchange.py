@@ -119,8 +119,8 @@ def run_region_exchange(
         return RegionExchangeProcess(
             coord,
             network,
-            north_level=int(levels.north[coord]),
-            east_level=int(levels.east[coord]),
+            north_level=levels.level(coord, Direction.NORTH),
+            east_level=levels.level(coord, Direction.EAST),
             blocked_dirs=blocked_dirs_map.get(coord, _NO_DIRS),
         )
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.safety import UNBOUNDED, SafetyLevels
+from repro.core.safety import UNBOUNDED, ESLGrids, SafetyLevels, encode_levels
 from repro.mesh.geometry import ESL_ORDER, Coord, Direction
 from repro.mesh.topology import Mesh2D
 from repro.obs import Tracer, get_tracer
@@ -129,16 +129,9 @@ def run_safety_propagation(
             stabilize_network(network, rounds=stabilize_rounds)
             stats = network.current_stats()
 
-    grids = {d: np.zeros((mesh.n, mesh.m), dtype=np.int64) for d in Direction}
-    for coord, process in network.nodes.items():
+    grids = np.zeros((len(ESL_ORDER), mesh.n, mesh.m), dtype=np.int64)
+    for (x, y), process in network.nodes.items():
         assert isinstance(process, SafetyFormationProcess)
-        for direction in Direction:
-            grids[direction][coord] = process.levels[direction]
-    levels = SafetyLevels(
-        mesh=mesh,
-        east=grids[Direction.EAST],
-        south=grids[Direction.SOUTH],
-        west=grids[Direction.WEST],
-        north=grids[Direction.NORTH],
-    )
+        grids[:, x, y] = [process.levels[d] for d in ESL_ORDER]
+    levels = SafetyLevels(mesh, ESLGrids(*encode_levels(grids)))
     return SafetyPropagationResult(levels=levels, stats=stats)
