@@ -567,11 +567,15 @@ def batch_reachability_map(
 ) -> Array:
     """Per-pattern monotone reachability over one source quadrant.
 
-    ``out[b]`` equals ``monotone_reachability_map(unusable[b], source,
-    flip_x, flip_y)``: entry ``[b, i, j]`` says whether a minimal path from
-    the source reaches the node ``i`` columns and ``j`` rows into the
-    quadrant under pattern ``b``.  (A pattern whose source is swallowed by
-    a block yields an all-False map, matching the scalar early return.)
+    The grid runs from the source to the mesh edge along the quadrant
+    selected by ``flip_x``/``flip_y`` (local orientation, ``[b, 0, 0]`` is
+    the source).  Entry ``[b, i, j]`` equals
+    ``repro.faults.coverage.monotone_reachability(unusable[b], source,
+    dest)[-1, -1]`` for the destination ``dest`` ``i`` columns and ``j``
+    rows into that quadrant: the DP is a prefix computation, so one map
+    serves every destination of the quadrant.  (A pattern whose source is
+    swallowed by a block yields an all-False map, matching the scalar
+    early return.)
     """
     sx, sy = source
     sub = unusable[:, : sx + 1, :] if flip_x else unusable[:, sx:, :]

@@ -29,12 +29,6 @@ from repro.experiments.figures import (
     fig12_strategies,
 )
 from repro.experiments.memory_model import MemoryReport, measure_memory
-from repro.experiments.persistence import (
-    load_scenario,
-    load_series,
-    save_scenario,
-    save_series,
-)
 from repro.experiments.sweeps import mesh_size_sweep
 
 __all__ = [
@@ -49,10 +43,6 @@ __all__ = [
     "fig10_extension2",
     "fig11_extension3",
     "fig12_strategies",
-    "load_scenario",
-    "load_series",
     "measure_memory",
     "mesh_size_sweep",
-    "save_scenario",
-    "save_series",
 ]

@@ -45,7 +45,6 @@ __all__ = [
     "minimal_path_exists",
     "minimal_path_exists_wang",
     "monotone_reachability",
-    "monotone_reachability_map",
 ]
 
 
@@ -103,66 +102,23 @@ def _climb_column(base: np.ndarray, free: np.ndarray) -> np.ndarray:
     return free & (acc > last_block_acc)
 
 
-def monotone_reachability_map(
-    blocked: np.ndarray, source: Coord, flip_x: bool = False, flip_y: bool = False
-) -> np.ndarray:
-    """Monotone reachability over one *entire* quadrant of the source.
-
-    Like :func:`monotone_reachability`, but destination-independent: the
-    grid runs from the source to the mesh edge along the quadrant selected
-    by ``flip_x``/``flip_y`` (local orientation, ``[0, 0]`` is the source).
-    Entry ``[i, j]`` equals ``monotone_reachability(blocked, source,
-    dest)[-1, -1]`` for the destination ``i`` columns and ``j`` rows into
-    that quadrant -- the DP is a prefix computation, so the map serves
-    every destination of the quadrant at once.
-    """
-    xs = slice(source[0], None, -1) if flip_x else slice(source[0], None)
-    ys = slice(source[1], None, -1) if flip_y else slice(source[1], None)
-    free = ~blocked[xs, ys]
-    reach = np.zeros_like(free)
-    if not free[0, 0]:
-        return reach
-    column = np.zeros(free.shape[1], dtype=bool)
-    column[0] = True
-    reach[0] = _climb_column(column, free[0])
-    for x in range(1, free.shape[0]):
-        reach[x] = _climb_column(reach[x - 1], free[x])
-    return reach
-
-
 def batch_minimal_path_exists(
-    blocked: np.ndarray,
-    source: Coord,
-    dests: np.ndarray,
-    maps: dict[tuple[bool, bool], np.ndarray] | None = None,
+    blocked: np.ndarray, source: Coord, dests: np.ndarray
 ) -> np.ndarray:
     """:func:`minimal_path_exists` over a ``(k, 2)`` destination array.
 
-    Builds at most one quadrant map per destination quadrant and gathers;
-    pass ``maps`` (a dict keyed ``(flip_x, flip_y)``) to reuse the maps
-    across calls against the same ``(blocked, source)`` -- the experiment
-    runner keeps them on the cached scenario artifacts.
+    The batch-1 case of
+    :func:`repro.core.batched_patterns.batch_pattern_path_exists`: at most
+    one quadrant map per destination quadrant, then a gather.
     """
+    from repro.core.batched_patterns import batch_pattern_path_exists  # import cycle
+
     dest_arr = np.asarray(dests, dtype=np.int64)
     if dest_arr.ndim != 2 or dest_arr.shape[1] != 2:
         raise ValueError(f"dests must have shape (k, 2), got {dest_arr.shape}")
-    dx = dest_arr[:, 0] - source[0]
-    dy = dest_arr[:, 1] - source[1]
-    out = np.zeros(len(dest_arr), dtype=bool)
-    for flip_x in (False, True):
-        for flip_y in (False, True):
-            sel = ((dx < 0) == flip_x) & ((dy < 0) == flip_y)
-            if not sel.any():
-                continue
-            key = (flip_x, flip_y)
-            if maps is not None and key in maps:
-                quadrant = maps[key]
-            else:
-                quadrant = monotone_reachability_map(blocked, source, flip_x, flip_y)
-                if maps is not None:
-                    maps[key] = quadrant
-            out[sel] = quadrant[np.abs(dx[sel]), np.abs(dy[sel])]
-    return out
+    if np.any(dest_arr < 0) or np.any(dest_arr >= blocked.shape):
+        raise ValueError("dests must lie inside the mesh")
+    return batch_pattern_path_exists(blocked[None], source, dest_arr[None])[0]
 
 
 def minimal_path_exists(blocked: np.ndarray, source: Coord, dest: Coord) -> bool:

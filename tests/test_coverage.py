@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.batched_patterns import batch_pattern_path_exists
 from repro.faults.blocks import build_faulty_blocks
 from repro.faults.coverage import (
     batch_minimal_path_exists,
@@ -184,15 +185,18 @@ class TestBatchMinimalPathExists:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_maps_are_reused_and_consistent(self, seed):
+        """The wrapped kernel, ``batch_pattern_path_exists``, reuses the
+        quadrant maps it is given and still agrees with the wrapper."""
         blocked, source, dest_arr, dest_list = _random_case(seed)
         maps = {}
-        first = batch_minimal_path_exists(blocked, source, dest_arr, maps=maps)
+        first = batch_pattern_path_exists(blocked[None], source, dest_arr[None], maps=maps)[0]
         assert maps  # at least one quadrant map was built
         built = {key: value.copy() for key, value in maps.items()}
-        second = batch_minimal_path_exists(blocked, source, dest_arr, maps=maps)
+        second = batch_pattern_path_exists(blocked[None], source, dest_arr[None], maps=maps)[0]
         assert first.tolist() == second.tolist()
         expected = [minimal_path_exists(blocked, source, dest) for dest in dest_list]
         assert second.tolist() == expected
+        assert batch_minimal_path_exists(blocked, source, dest_arr).tolist() == expected
         for key, value in built.items():
             assert np.array_equal(maps[key], value)
 
@@ -208,3 +212,9 @@ class TestBatchMinimalPathExists:
         blocked, source, _, _ = _random_case(0)
         with pytest.raises(ValueError, match=r"\(k, 2\)"):
             batch_minimal_path_exists(blocked, source, np.zeros(4, dtype=np.int64))
+
+    def test_rejects_off_mesh_destinations(self):
+        blocked = _grid(8, 8)
+        for dest in ([9, 3], [-3, 2], [2, 8]):
+            with pytest.raises(ValueError, match="inside the mesh"):
+                batch_minimal_path_exists(blocked, (2, 2), np.array([dest]))
