@@ -10,7 +10,9 @@ window, then walks the whole service surface over real HTTP:
   fault, never a chaos victim) and bumps the reported generation;
 - ``/healthz`` stays 200 (it reports *liveness*; degradation is data);
 - ``/metrics`` passes the strict exposition parser from
-  ``tests.promtext`` and carries the serve metric families.
+  ``tests.promtext``, carries the serve metric families, and its
+  counters reconcile: arrived = served + shed_overload + shed_deadline
+  + bad_request + error.
 
 Then SIGTERM: during the ``--notice`` window ``/readyz`` must flip to
 503 (the load-balancer out-of-rotation signal) while the listener stays
@@ -53,8 +55,11 @@ SERVE_ARGS = [
     "--notice", "3", "--grace", "5",
 ]
 URL_LINE = re.compile(r"serving (http://[^/\s]+)")
+#: Every arrival ends in exactly one of these outcomes.
+RECONCILED = ("served", "shed_overload", "shed_deadline", "bad_request", "error")
 SERVE_FAMILIES = {
     "repro_serve_requests_total",
+    "repro_serve_arrived_total",
     "repro_serve_latency_seconds",
     "repro_serve_queue_depth",
     "repro_serve_breaker_open",
@@ -152,7 +157,15 @@ def main(argv: list[str] | None = None) -> int:
                 failures.append(f"/metrics failed strict parse: {exc}")
             else:
                 missing = SERVE_FAMILIES - set(families)
-                check("metrics-families", not missing, f"missing {missing}")
+                if check("metrics-families", not missing, f"missing {missing}"):
+                    arrived = families["repro_serve_arrived_total"].samples[0].value
+                    outcomes = {
+                        sample.label_dict["outcome"]: sample.value
+                        for sample in families["repro_serve_requests_total"].samples
+                    }
+                    settled = sum(outcomes[outcome] for outcome in RECONCILED)
+                    check("metrics-reconcile", arrived == settled,
+                          f"arrived {arrived} != {settled} settled {outcomes}")
 
         # Graceful shutdown: during the notice window the listener stays
         # up but /readyz must advertise 503 so balancers stop routing.

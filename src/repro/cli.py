@@ -686,7 +686,7 @@ def _cmd_stats(args, out: Callable[[str], None]) -> int:
     from repro.core.extensions import extension1_decision
     from repro.core.routing import WuRouter, route_with_decision
     from repro.core.safety import compute_safety_levels
-    from repro.obs import JsonlSink, MetricsSink, Tracer, use_tracer
+    from repro.obs import JsonlSink, MetricsSink, Tracer, render_prometheus, use_tracer
     from repro.routing.detour import DetourRouter
     from repro.routing.router import RoutingError
     from repro.simulator.protocols import (
@@ -758,7 +758,7 @@ def _cmd_stats(args, out: Callable[[str], None]) -> int:
     hot = dict(sorted(tracer.hot.items()))
     top = _top_functions(profile) if args.profile else []
     if args.prom:
-        text = metrics.to_prometheus(hot_counters=hot)
+        text = render_prometheus([metrics.families, tracer.families])
         if args.out is not None:
             from repro.obs import atomic_write_text
 

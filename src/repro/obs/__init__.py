@@ -12,6 +12,11 @@ it is doing through a :class:`~repro.obs.tracer.Tracer`:
   the stream into counters and histograms online;
 - hot-path counters (``tracer.count("router.steps")``) tally into
   ``tracer.hot`` without entering the event stream;
+- every producer (metrics sink, tracer, observatory, serve pipeline)
+  declares its Prometheus families once on a
+  :class:`~repro.obs.metrics.MetricStore` over the Counters and
+  Histograms it already keeps, and :func:`~repro.obs.metrics.render_prometheus`
+  renders any set of stores as one ``/metrics`` body;
 - the default tracer is a no-op (:data:`~repro.obs.tracer.NULL_TRACER`),
   so uninstrumented runs pay only an ``enabled`` check per potential event
   or count.
@@ -32,10 +37,12 @@ machinery from the command line.
 
 On top of tracing sit the performance-observatory pieces:
 
-- :mod:`repro.obs.prometheus` -- Prometheus text exposition of any
-  metrics snapshot (``repro stats --prom``);
+- :mod:`repro.obs.metrics` -- the metric vocabulary table and the one
+  Prometheus renderer (``repro stats --prom``, both ``/metrics``
+  routes);
 - every :class:`~repro.obs.metrics.Histogram` carries deterministic
-  p50/p95/p99 percentiles from a bounded, seeded reservoir.
+  p50/p95/p99 percentiles from a bounded, seeded reservoir, the one
+  percentile function in ``src/``.
 
 And the flight recorder (:mod:`repro.obs.recorder` /
 :mod:`repro.obs.replay`): install a :class:`FlightRecorder` and the
@@ -80,7 +87,7 @@ from repro.obs.alerts import (
 )
 from repro.obs.dashboard import Dashboard, sparkline
 from repro.obs.events import EVENT_KINDS, TraceEvent, jsonable
-from repro.obs.metrics import Histogram, MetricsSink
+from repro.obs.metrics import Histogram, MetricsSink, MetricStore, render_prometheus
 from repro.obs.recorder import (
     FlightRecorder,
     RecorderSink,
@@ -100,11 +107,6 @@ from repro.obs.replay import (
     replay_events,
     replay_recording,
     state_at,
-)
-from repro.obs.prometheus import (
-    ExpositionWriter,
-    render_prometheus,
-    render_timeseries,
 )
 from repro.obs.server import HttpApp, TelemetryApp, atomic_write_text, run_app
 from repro.obs.sinks import (
@@ -145,6 +147,7 @@ __all__ = [
     "HttpApp",
     "JsonlDecodeError",
     "JsonlSink",
+    "MetricStore",
     "MetricsSink",
     "NULL_TRACER",
     "NullTracer",
@@ -181,10 +184,8 @@ __all__ = [
     "read_index",
     "read_jsonl",
     "read_recording",
-    "ExpositionWriter",
     "render_lineage",
     "render_prometheus",
-    "render_timeseries",
     "replay_events",
     "replay_recording",
     "retransmit_storm",

@@ -1,4 +1,60 @@
-"""Aggregating metrics sink: counters and histograms over the event stream.
+"""Metric values, one Prometheus vocabulary, and the one renderer.
+
+:class:`Histogram` is the repo's one percentile function: a streaming
+summary whose p50/p95/p99 come from a bounded, deterministically-sampled
+reservoir (exact up to :data:`DEFAULT_RESERVOIR_SIZE` observations).
+
+:class:`MetricStore` declares Prometheus families -- full name, type,
+HELP text, optional label -- over values that live where they are
+counted: a ``collections.Counter`` for a labelled counter, a
+:class:`Histogram` (or a dict of them) for a summary, a callable read at
+render time for gauges and derived values.  Every producer declares its
+families once on its own store (``.families``); :func:`render_prometheus`
+renders any sequence of stores as one text exposition (0.0.4), which is
+the body of ``repro stats --prom``, ``repro serve-metrics`` and
+``repro serve``'s ``/metrics``.
+
+Metric names are stable API: dashboards depend on them.  Families by
+the producer that declares them:
+
+==========================================  =============================
+metric                                      source
+==========================================  =============================
+*MetricsSink*
+``repro_events_total{kind=}``               event counter
+``repro_protocol_messages_total{msg=}``     per protocol message kind
+``repro_decisions_total{decision=}``        safe-condition decisions fired
+``repro_routes_total{outcome=}``            delivered / minimal /
+                                            sub_minimal / failed
+``repro_route_hops``                        summary; hops per leg
+``repro_route_detours``                     summary; detours per leg
+``repro_queue_depth``                       summary; queue at each send
+``repro_messages_per_tick``                 summary; msgs per sim tick
+``repro_messages_per_tick_overflow_total``  ticks dropped by the cap
+``repro_span_duration_seconds{span=}``      summary per timing span
+``repro_engine_now`` / ``_pending``         gauges; latest engine drain
+``repro_engine_events_processed_total``     engine lifetime counter
+*Tracer*
+``repro_hot_counter_total{name=}``          ``Tracer.hot``
+*Observatory*
+``repro_live_sample{series=}``              gauge; latest per-tick sample
+``repro_live_points{series=}``              gauge; retained points
+``repro_live_tick``                         gauge; newest sampled tick
+``repro_alert_active{rule=}``               gauge; 1 while breaching
+``repro_alerts_fired_total{rule=}``         excursions per alert rule
+*QueryPipeline*
+``repro_serve_requests_total{outcome=}``    query outcomes
+``repro_serve_arrived_total``               queries submitted: served +
+                                            shed + bad_request + error
+``repro_serve_retries_total``               staleness backoff retries
+``repro_serve_faults_ingested_total``       fault events applied
+``repro_serve_latency_seconds``             summary; submit to answer
+``repro_serve_queue_depth``                 gauge; admitted, waiting
+``repro_serve_staleness_generations``       gauge; snapshot lag
+``repro_serve_breaker_open``                gauge; 1 while degraded
+``repro_serve_breaker_trips_total``         breaker trips
+``repro_serve_generation``                  gauge; engine generation
+==========================================  =============================
 
 :class:`MetricsSink` turns a trace into the numbers the paper's evaluation
 is built from, online and without buffering events:
@@ -17,23 +73,17 @@ is built from, online and without buffering events:
 - the latest engine drain snapshot (``engine_run``: events processed,
   pending queue, simulated time).
 
-Every :class:`Histogram` keeps a bounded, deterministically-sampled
-reservoir alongside its running aggregates, so every summary carries
-p50/p95/p99 tail statistics -- the quantities the paper's worst-case
-overhead discussion (and any regression gate) actually cares about.
-
-``snapshot()`` returns the whole aggregate as a JSON-ready dict;
-``to_table()`` renders it for terminals (``repro stats``);
-``to_prometheus()`` renders it in the Prometheus text exposition format
-(``repro stats --prom``).
+``snapshot()`` returns the whole aggregate as a JSON-ready dict and
+``to_table()`` renders it for terminals (``repro stats``).
 """
 
 from __future__ import annotations
 
 import collections
 import io
+import numbers
 import random
-from typing import Any, Mapping
+from typing import Any, Iterable
 
 from repro.obs.events import TraceEvent, jsonable
 
@@ -106,9 +156,11 @@ class Histogram:
             raise ValueError(f"percentile out of range: {q}")
         if not self._reservoir:
             return None
-        if self._sorted is None:
-            self._sorted = sorted(self._reservoir)
+        # One read of the cache: a scrape thread may run this while the
+        # producing thread's observe() resets it.
         data = self._sorted
+        if data is None:
+            data = self._sorted = sorted(self._reservoir)
         rank = (q / 100.0) * (len(data) - 1)
         lower = int(rank)
         upper = min(lower + 1, len(data) - 1)
@@ -132,6 +184,95 @@ class Histogram:
 
     def __repr__(self) -> str:
         return f"Histogram(count={self.count}, mean={self.mean:.3g})"
+
+
+_METRIC_TYPES = ("counter", "gauge", "summary")
+
+
+class MetricStore:
+    """Prometheus families declared over values kept elsewhere.
+
+    A family's ``source`` is the object that already holds its value --
+    a number, a mapping of label value to number (a labelled family), a
+    :class:`Histogram` or a mapping of them (a summary) -- or a
+    zero-argument callable returning one, read at render time.  Nothing
+    is copied when a value changes: producers keep bumping their own
+    Counters and Histograms, and :func:`render_prometheus` reads each
+    source once per scrape.
+    """
+
+    __slots__ = ("_families",)
+
+    def __init__(self) -> None:
+        self._families: list[tuple[str, str, str, str | None, Any]] = []
+
+    def declare(
+        self, name: str, metric_type: str, help_text: str, source: Any,
+        label: str | None = None,
+    ) -> None:
+        """Add one family; rendered in declaration order."""
+        if metric_type not in _METRIC_TYPES:
+            raise ValueError(f"unknown metric type {metric_type!r}")
+        self._families.append((name, metric_type, help_text, label, source))
+
+
+def _escape(value: str) -> str:
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _sample(name: str, labels: str, value: Any) -> str:
+    text = str(int(value)) if isinstance(value, numbers.Integral) else repr(float(value))
+    return f"{name}{{{labels}}} {text}" if labels else f"{name} {text}"
+
+
+def _summary(lines: list[str], name: str, labels: str, histogram: Histogram) -> None:
+    # A quantile of an empty population has no value: a sample-free
+    # summary emits only its zero _sum/_count pair.
+    if histogram.count:
+        prefix = f"{labels}," if labels else ""
+        for q in SUMMARY_QUANTILES:
+            lines.append(_sample(name, f'{prefix}quantile="{q / 100:g}"',
+                                 histogram.percentile(q)))
+    lines.append(_sample(f"{name}_sum", labels, histogram.total))
+    lines.append(_sample(f"{name}_count", labels, histogram.count))
+
+
+def render_prometheus(stores: Iterable[MetricStore]) -> str:
+    """Render ``stores`` as one Prometheus text exposition (0.0.4).
+
+    Label values are sorted and escaped; a labelled family with no series
+    and a family whose source reads None are omitted; '' when nothing
+    renders.  A family name declared twice raises ``ValueError``.
+
+    The producers may be running on another thread: a labelled source is
+    copied by one C-level ``sorted(mapping.items())`` before any Python
+    code walks it, so a dict that grows mid-scrape cannot raise.
+    """
+    lines: list[str] = []
+    seen: set[str] = set()
+    for store in stores:
+        for name, metric_type, help_text, label, source in store._families:
+            if name in seen:
+                raise ValueError(f"metric family {name!r} declared twice")
+            seen.add(name)
+            value = source() if callable(source) else source
+            if value is None:
+                continue
+            if label is None:
+                series = [("", value)]
+            else:
+                series = [(f'{label}="{_escape(str(key))}"', item)
+                          for key, item in sorted(value.items())]
+                if not series:
+                    continue
+            lines.append(f"# HELP {name} {help_text}")
+            lines.append(f"# TYPE {name} {metric_type}")
+            for labels, item in series:
+                if metric_type == "summary":
+                    _summary(lines, name, labels, item)
+                else:
+                    lines.append(_sample(name, labels, item))
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 class MetricsSink:
@@ -159,6 +300,46 @@ class MetricsSink:
         self.tick_cap = tick_cap
         self.tick_overflow = 0
         self._messages_per_tick: collections.Counter[int] = collections.Counter()
+        self.families = families = MetricStore()
+        families.declare("repro_events_total", "counter",
+                         "Trace events recorded, by kind.",
+                         self.event_counts, label="kind")
+        families.declare("repro_protocol_messages_total", "counter",
+                         "Distributed-protocol messages sent, by message kind.",
+                         self.message_counts, label="msg")
+        families.declare("repro_decisions_total", "counter",
+                         "Safe-condition decisions fired, by decision rule.",
+                         self.decision_counts, label="decision")
+        families.declare("repro_routes_total", "counter",
+                         "Routed legs, by outcome.", self._route_outcomes,
+                         label="outcome")
+        families.declare("repro_route_hops", "summary",
+                         "Hops per delivered leg.", self.hops_per_route)
+        families.declare("repro_route_detours", "summary",
+                         "Detours per delivered leg.", self.detours_per_route)
+        families.declare("repro_queue_depth", "summary",
+                         "Engine queue depth sampled at each protocol send.",
+                         self.queue_depth)
+        families.declare("repro_messages_per_tick", "summary",
+                         "Protocol messages per integer sim-time tick.",
+                         self.messages_per_tick)
+        families.declare(
+            "repro_messages_per_tick_overflow_total", "counter",
+            "Messages beyond the distinct-tick cap (not in the per-tick summary).",
+            lambda: self.tick_overflow,
+        )
+        families.declare("repro_span_duration_seconds", "summary",
+                         "Wall-clock duration of named timing spans.",
+                         self.span_durations, label="span")
+        families.declare("repro_engine_now", "gauge",
+                         "Simulated time of the latest engine drain.",
+                         lambda: self.engine.get("now"))
+        families.declare("repro_engine_pending", "gauge",
+                         "Events left pending after the latest engine drain.",
+                         lambda: self.engine.get("pending"))
+        families.declare("repro_engine_events_processed_total", "counter",
+                         "Lifetime events processed by the engine.",
+                         lambda: self.engine.get("events_processed"))
 
     # ------------------------------------------------------------------
     def record(self, event: TraceEvent) -> None:
@@ -196,9 +377,15 @@ class MetricsSink:
     def messages_per_tick(self) -> Histogram:
         """Histogram of protocol messages sent per integer sim-time tick."""
         histogram = Histogram()
-        for count in self._messages_per_tick.values():
+        # One C-level copy first: a scrape may run while record() adds ticks.
+        for count in list(self._messages_per_tick.values()):
             histogram.observe(count)
         return histogram
+
+    def _route_outcomes(self) -> dict[str, int]:
+        delivered, minimal = self.routes_delivered, self.routes_minimal
+        return {"delivered": delivered, "minimal": minimal,
+                "sub_minimal": delivered - minimal, "failed": self.routes_failed}
 
     def snapshot(self) -> dict[str, Any]:
         """The whole aggregate as a JSON-serializable dict."""
@@ -208,10 +395,7 @@ class MetricsSink:
                 "protocol_messages": dict(sorted(self.message_counts.items())),
                 "decisions": dict(sorted(self.decision_counts.items())),
                 "routes": {
-                    "delivered": self.routes_delivered,
-                    "minimal": self.routes_minimal,
-                    "sub_minimal": self.routes_delivered - self.routes_minimal,
-                    "failed": self.routes_failed,
+                    **self._route_outcomes(),
                     "hops": self.hops_per_route.summary(),
                     "detours": self.detours_per_route.summary(),
                 },
@@ -227,16 +411,6 @@ class MetricsSink:
                 "engine": self.engine,
             }
         )
-
-    def to_prometheus(self, hot_counters: Mapping[str, int] | None = None) -> str:
-        """The snapshot in Prometheus text exposition format.
-
-        ``hot_counters`` optionally adds a tracer's :attr:`Tracer.hot
-        <repro.obs.tracer.Tracer>` tallies to the export.
-        """
-        from repro.obs.prometheus import render_prometheus
-
-        return render_prometheus(self.snapshot(), hot_counters=hot_counters)
 
     def to_table(self, with_timings: bool = True) -> str:
         """Aligned text rendering of the snapshot."""

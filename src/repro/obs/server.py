@@ -4,11 +4,12 @@
 ``asyncio.start_server`` (stdlib only, one request per connection).  It
 owns the plumbing both verbs share: request framing (a malformed or
 oversized head gets 400 / 413 / 414 / 431 with a JSON body, never a
-dropped connection), a route table, a built-in ``/readyz``, an
-in-flight count and a bounded graceful shutdown; :func:`run_app` drives
-it.  Subclasses supply routes: :class:`TelemetryApp` for ``repro
-serve-metrics`` and :class:`~repro.serve.http.ServeApp` for ``repro
-serve``.
+dropped connection), a route table (a handler that raises is answered
+500), a built-in ``/readyz``, the ``/metrics`` body rendered from the
+app's metric stores, an in-flight count and a bounded graceful
+shutdown; :func:`run_app` drives it.  Subclasses supply routes and
+stores: :class:`TelemetryApp` for ``repro serve-metrics`` and
+:class:`~repro.serve.http.ServeApp` for ``repro serve``.
 
 ``GET /readyz`` is readiness, distinct from health: 200 while the app
 accepts work, 503 once shutdown began.  A load balancer stops routing on
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import os
 import signal
 import tempfile
@@ -32,7 +34,7 @@ from http import HTTPStatus
 from typing import TYPE_CHECKING, Any, Awaitable, Callable
 from urllib.parse import parse_qs, urlsplit
 
-from repro.obs.prometheus import render_prometheus, render_timeseries
+from repro.obs.metrics import MetricStore, render_prometheus
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsSink
@@ -51,6 +53,7 @@ PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _LINE_LIMIT = 1 << 16
 # Most header lines accepted (the bound http.client uses).
 _MAX_HEADERS = 100
+_log = logging.getLogger(__name__)
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
@@ -87,9 +90,10 @@ class HttpApp:
     """The asyncio listener: framing, routing, readiness, bounded drain.
 
     Subclasses fill :attr:`routes` (ordered; the order is the one a 404
-    lists) and may override :meth:`drain` to finish their own backlog.
-    ``port=0`` binds an ephemeral port; read ``.port`` after
-    :meth:`start`.
+    lists) and :attr:`metric_stores` (the ``/metrics`` body, rendered by
+    :func:`~repro.obs.metrics.render_prometheus`), and may override
+    :meth:`drain` to finish their own backlog.  ``port=0`` binds an
+    ephemeral port; read ``.port`` after :meth:`start`.
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
@@ -101,6 +105,7 @@ class HttpApp:
         self.ready = False
         self.requests = 0
         self.routes: dict[str, tuple[str, Handler]] = {}
+        self.metric_stores: list[MetricStore] = []
         self._server: asyncio.AbstractServer | None = None
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
@@ -166,6 +171,15 @@ class HttpApp:
 
     async def _readyz(self, query: dict[str, list[str]]) -> Response:
         return json_response(200 if self.ready else 503, self.readiness())
+
+    def render_metrics(self) -> str:
+        """The ``/metrics`` body: every family of :attr:`metric_stores`."""
+        return render_prometheus(self.metric_stores) or "# no telemetry sources attached\n"
+
+    # The body is encoded to bytes before the head is written, so
+    # Content-Length is measured on the final byte string.
+    async def _metrics(self, query: dict[str, list[str]]) -> Response:
+        return 200, self.render_metrics().encode("utf-8"), PROMETHEUS_TYPE
 
     # -- request handling ----------------------------------------------
     async def _handle_client(
@@ -247,7 +261,11 @@ class HttpApp:
         allowed, handler = route
         if method != allowed:
             return json_response(405, {"error": f"use {allowed} {split.path}"})
-        return await handler(parse_qs(split.query))
+        try:
+            return await handler(parse_qs(split.query))
+        except Exception as error:  # the listener outlives a failing route
+            _log.exception("%s %s failed", method, split.path)
+            return json_response(500, {"status": "error", "error": repr(error)})
 
     @staticmethod
     def _respond(writer: asyncio.StreamWriter, response: Response) -> None:
@@ -264,17 +282,20 @@ class TelemetryApp(HttpApp):
     """Live telemetry from an observatory and/or a metrics sink.
 
     - ``GET /metrics`` -- Prometheus text 0.0.4: the
-      :class:`~repro.obs.metrics.MetricsSink` snapshot (plus the
-      tracer's hot counters) followed by the live per-tick series and
-      alert state;
+      :class:`~repro.obs.metrics.MetricsSink` families, the tracer's hot
+      counters, then the observatory's live per-tick series and alert
+      state;
     - ``GET /series.json`` -- every ring buffer plus alert firings;
     - ``GET /healthz`` -- 200 ``{"status": "ok"}``, or 503
       ``{"status": "alerting", ...}`` while any alert rule breaches, so a
       poller (or CI) turns alert regressions into failures.
 
-    Scrapes read shared state only through :class:`SampleStore`'s lock
-    and the GIL-atomic counter reads of ``MetricsSink.snapshot``, so the
-    simulation thread never blocks on a scrape.
+    The simulation runs on another thread and never blocks on a scrape.
+    A scrape reads the observatory's series under :class:`SampleStore`'s
+    lock; the sink's Counters and dicts are not locked, so the renderer
+    copies each with one C-level call before walking it (a Python loop
+    over a dict that the run grows raises ``RuntimeError``).  Families
+    of one body may therefore be read a few events apart.
     """
 
     def __init__(
@@ -288,24 +309,16 @@ class TelemetryApp(HttpApp):
         self.observatory = observatory
         self.metrics = metrics
         self.tracer = tracer
+        self.metric_stores = [
+            source.families for source in (metrics, tracer, observatory)
+            if source is not None
+        ]
         self.routes = {
             "/metrics": ("GET", self._metrics),
             "/series.json": ("GET", self._series),
             "/healthz": ("GET", self._healthz),
             "/readyz": ("GET", self._readyz),
         }
-
-    def render_metrics(self) -> str:
-        """The ``/metrics`` body: snapshot families, then live series."""
-        parts = []
-        if self.metrics is not None:
-            hot = dict(self.tracer.hot) if self.tracer is not None else None
-            parts.append(render_prometheus(self.metrics.snapshot(), hot_counters=hot))
-        if self.observatory is not None:
-            parts.append(
-                render_timeseries(self.observatory.store, self.observatory.alerts)
-            )
-        return "".join(parts) or "# no telemetry sources attached\n"
 
     def series_json(self) -> dict[str, Any]:
         """The ``/series.json`` body: every ring buffer plus alert state."""
@@ -315,12 +328,6 @@ class TelemetryApp(HttpApp):
         payload["alerts"] = [a.jsonable() for a in self.observatory.alerts.firings]
         payload["firing"] = list(self.observatory.alerts.active)
         return payload
-
-    # Bodies are encoded to bytes before the head is written, so
-    # Content-Length is measured on the final byte string: a concurrently
-    # appending SampleStore can grow between two scrapes, never within one.
-    async def _metrics(self, query: dict[str, list[str]]) -> Response:
-        return 200, self.render_metrics().encode("utf-8"), PROMETHEUS_TYPE
 
     async def _series(self, query: dict[str, list[str]]) -> Response:
         return json_response(200, self.series_json())

@@ -31,6 +31,8 @@ import threading
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
+from repro.obs.metrics import MetricStore
+
 if TYPE_CHECKING:
     from repro.obs.alerts import AlertEngine, AlertRule
     from repro.obs.metrics import MetricsSink
@@ -264,7 +266,8 @@ class Observatory:
     emitted as ``"alert"`` trace events only through an explicitly given
     tracer, never the ambient one, so a flight-recorded run's event
     stream (and therefore its replay) is identical with or without an
-    observatory attached.
+    observatory attached.  :attr:`families` exports the latest samples
+    and the alert state (``repro_live_*`` / ``repro_alert_*``).
     """
 
     def __init__(
@@ -290,6 +293,27 @@ class Observatory:
         #: Called after each sample + alert pass (``repro top`` hangs its
         #: redraw here).  Must not mutate simulator state.
         self.on_sample = on_sample
+        # Dotted series names stay in a label: Prometheus forbids them in
+        # metric names.  Every store read takes SampleStore's lock.
+        store, alerts = self.store, self.alerts
+        self.families = families = MetricStore()
+        families.declare("repro_live_sample", "gauge",
+                         "Latest per-tick sample of each live series.",
+                         store.last_row, label="series")
+        families.declare("repro_live_points", "gauge",
+                         "Ring-buffer points retained per live series.",
+                         lambda: {name: len(store.get(name)) for name in store.names()},
+                         label="series")
+        families.declare("repro_live_tick", "gauge",
+                         "Newest sampled simulated tick.", store.last_tick)
+        families.declare("repro_alert_active", "gauge",
+                         "1 while the alert rule is breaching, else 0.",
+                         lambda: {rule.name: rule.name in alerts.active
+                                  for rule in alerts.rules},
+                         label="rule")
+        families.declare("repro_alerts_fired_total", "counter",
+                         "Alert excursions (distinct firings) per rule.",
+                         alerts.counts, label="rule")
 
     def watch(self, network: "MeshNetwork") -> "Observatory":
         """Bind the sampler to ``network`` and install the engine tick

@@ -3,7 +3,8 @@
 Two implementations share one interface:
 
 - :class:`Tracer` fans events out to its sinks, times ``span()`` blocks
-  and tallies hot-path counters (``count()``, into ``tracer.hot``);
+  and tallies hot-path counters (``count()``, into ``tracer.hot``, which
+  ``tracer.families`` exports as ``repro_hot_counter_total{name=}``);
 - :class:`NullTracer` (the module singleton :data:`NULL_TRACER`) does
   nothing; ``enabled`` is False so hot paths can skip even building the
   event payload::
@@ -29,6 +30,7 @@ import time
 from typing import Any, Iterator
 
 from repro.obs.events import TraceEvent
+from repro.obs.metrics import MetricStore
 from repro.obs.sinks import Sink
 
 
@@ -137,6 +139,10 @@ class Tracer:
         self._seq = itertools.count()
         self._span_seq = itertools.count()
         self.hot: collections.Counter[str] = collections.Counter()
+        self.families = MetricStore()
+        self.families.declare("repro_hot_counter_total", "counter",
+                              "Hot-path operations counted by the tracer.",
+                              self.hot, label="name")
 
     def add_sink(self, sink: Sink) -> None:
         self._sinks.append(sink)

@@ -18,9 +18,10 @@ connection, stdlib only):
   open).
 - ``GET /readyz`` -- readiness: 200 while accepting, 503 once shutdown
   began (load balancers stop routing; in-flight work still finishes).
-- ``GET /metrics`` -- Prometheus text: serve counters, latency summary,
-  queue/breaker gauges, built with
-  :class:`~repro.obs.prometheus.ExpositionWriter`.
+- ``GET /metrics`` -- Prometheus text: the pipeline's ``repro_serve_*``
+  families (outcome and arrival counters, latency summary, queue and
+  breaker gauges), declared on ``QueryPipeline.families`` and rendered
+  by the shared :func:`~repro.obs.metrics.render_prometheus`.
 
 Graceful shutdown (:func:`~repro.obs.server.run_app` wires
 SIGTERM/SIGINT): flip ``/readyz`` to 503, drain the pipeline within a
@@ -31,8 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.obs.prometheus import ExpositionWriter
-from repro.obs.server import PROMETHEUS_TYPE, HttpApp, Response, json_response
+from repro.obs.server import HttpApp, Response, json_response
 from repro.serve.pipeline import QueryPipeline
 from repro.serve.service import RoutingService
 
@@ -84,6 +84,7 @@ class ServeApp(HttpApp):
         super().__init__(**listener)
         self.service = service
         self.pipeline = pipeline
+        self.metric_stores = [pipeline.families]
         self.routes = {
             "/query": ("GET", self._query),
             "/fault": ("POST", self._fault),
@@ -101,8 +102,7 @@ class ServeApp(HttpApp):
         return await self.pipeline.drain(grace_s)
 
     def readiness(self) -> dict[str, Any]:
-        depth = self.pipeline.stats()["queue_depth"]
-        return {**super().readiness(), "queue_depth": depth}
+        return {**super().readiness(), "queue_depth": self.pipeline.queue_depth}
 
     # -- routes --------------------------------------------------------
     async def _query(self, query: dict[str, list[str]]) -> Response:
@@ -163,53 +163,3 @@ class ServeApp(HttpApp):
             "staleness": self.service.staleness(),
             "requests": self.requests,
         })
-
-    async def _metrics(self, query: dict[str, list[str]]) -> Response:
-        return 200, self.render_metrics().encode("utf-8"), PROMETHEUS_TYPE
-
-    def render_metrics(self) -> str:
-        """Prometheus text for the serve layer (``repro_serve_*``)."""
-        stats = self.pipeline.stats()
-        w = ExpositionWriter()
-        w.counter_family(
-            "repro_serve_requests_total",
-            "Query pipeline outcomes, by disposition.",
-            "outcome",
-            {
-                "served": stats["counters"].get("served", 0),
-                "shed_overload": stats["counters"].get("shed_overload", 0),
-                "shed_deadline": stats["counters"].get("shed_deadline", 0),
-                "degraded": stats["counters"].get("degraded", 0),
-                "stale_served": stats["counters"].get("stale_served", 0),
-                "bad_request": stats["counters"].get("bad_requests", 0),
-                "error": stats["counters"].get("errors", 0),
-            },
-        )
-        w.single(
-            "repro_serve_retries_total", "counter",
-            "Staleness backoff retries across all queries.",
-            stats["counters"].get("retries", 0),
-        )
-        w.single(
-            "repro_serve_faults_ingested_total", "counter",
-            "Fault events applied through the incremental engine.",
-            stats["counters"].get("faults_ingested", 0),
-        )
-        w.header("repro_serve_latency_seconds", "summary",
-                 "Submit-to-answer latency of served queries.")
-        w.summary("repro_serve_latency_seconds", stats["latency"])
-        w.single("repro_serve_queue_depth", "gauge",
-                 "Admitted queries waiting for a worker.", stats["queue_depth"])
-        w.single("repro_serve_staleness_generations", "gauge",
-                 "Generations the published snapshot lags the engine.",
-                 stats["service"]["staleness"])
-        w.single("repro_serve_breaker_open", "gauge",
-                 "1 while the degraded-mode circuit breaker is open.",
-                 stats["breaker"]["open"])
-        w.single("repro_serve_breaker_trips_total", "counter",
-                 "Times the circuit breaker tripped to degraded mode.",
-                 stats["breaker"]["trips"])
-        w.single("repro_serve_generation", "gauge",
-                 "Current fault-engine generation.",
-                 stats["service"]["generation"])
-        return w.text()

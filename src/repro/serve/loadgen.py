@@ -26,6 +26,7 @@ import numpy as np
 from repro.chaos.schedule import ChaosSchedule
 from repro.faults.injection import uniform_faults
 from repro.mesh.topology import Mesh2D
+from repro.obs.metrics import Histogram
 from repro.serve.pipeline import QueryPipeline
 from repro.serve.service import RoutingService
 
@@ -34,12 +35,6 @@ __all__ = ["run_qps_sweep"]
 #: (queries-per-second, query count) per ramp stage.
 DEFAULT_STAGES = ((500, 150), (2000, 300), (8000, 450))
 QUICK_STAGES = ((500, 60), (2000, 120), (8000, 180))
-
-
-def _percentile_ms(values: list[float], q: float) -> float | None:
-    if not values:
-        return None
-    return float(np.percentile(np.asarray(values), q)) * 1e3
 
 
 def run_qps_sweep(
@@ -117,7 +112,10 @@ def run_qps_sweep(
                     )))
                 results = await asyncio.gather(*tasks)
                 cursor += count
-                latencies = [r.latency_s for r in results if r.ok]
+                latency = Histogram()  # exact up to its 4,096-entry reservoir
+                for r in results:
+                    if r.ok:
+                        latency.observe(r.latency_s)
                 shed = sum(
                     r.status in ("overloaded", "deadline_exceeded") for r in results
                 )
@@ -135,7 +133,7 @@ def run_qps_sweep(
                 stage_reports.append({
                     "qps": qps,
                     "queries": count,
-                    "ok": len(latencies),
+                    "ok": latency.count,
                     "shed": shed,
                     "errors": errors,
                     "degraded": degraded,
@@ -144,9 +142,8 @@ def run_qps_sweep(
                     "degraded_fraction": degraded / count,
                     "error_fraction": errors / count,
                     "retries": delta.get("retries", 0),
-                    "p50_ms": _percentile_ms(latencies, 50),
-                    "p95_ms": _percentile_ms(latencies, 95),
-                    "p99_ms": _percentile_ms(latencies, 99),
+                    **{key: None if latency.count == 0 else latency.percentile(q) * 1e3
+                       for key, q in (("p50_ms", 50), ("p95_ms", 95), ("p99_ms", 99))},
                 })
         finally:
             await pipeline.drain(5.0)

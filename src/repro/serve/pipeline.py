@@ -36,11 +36,22 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.mesh.geometry import Coord
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, MetricStore
 from repro.parallel.cache import StaleArtifactError
 from repro.serve.service import QueryAnswer, QueryError, RoutingService, ServiceBreaker
 
 __all__ = ["QueryPipeline", "QueryRequest", "QueryResult"]
+
+#: ``repro_serve_requests_total`` outcome labels and the counters they read.
+_OUTCOMES = (
+    ("served", "served"),
+    ("shed_overload", "shed_overload"),
+    ("shed_deadline", "shed_deadline"),
+    ("degraded", "degraded"),
+    ("stale_served", "stale_served"),
+    ("bad_request", "bad_requests"),
+    ("error", "errors"),
+)
 
 
 @dataclass(frozen=True)
@@ -100,8 +111,6 @@ class QueryPipeline:
         backoff_cap_s: float = 0.016,
         refresh_delay_s: float = 0.002,
         heartbeat_s: float = 0.010,
-        breaker: ServiceBreaker | None = None,
-        latency: Histogram | None = None,
     ):
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
@@ -119,13 +128,14 @@ class QueryPipeline:
         self.backoff_cap_s = backoff_cap_s
         self.refresh_delay_s = refresh_delay_s
         self.heartbeat_s = heartbeat_s
-        self.breaker = breaker if breaker is not None else ServiceBreaker()
-        self.latency = latency if latency is not None else Histogram()
+        self.breaker = ServiceBreaker()
+        self.latency = Histogram()
         self.counters: collections.Counter[str] = collections.Counter()
         self.accepting = False
         self._queue: asyncio.Queue | None = None
         self._dirty: asyncio.Event | None = None
         self._tasks: list[asyncio.Task] = []
+        self.families = self._declare_families()
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> "QueryPipeline":
@@ -278,8 +288,6 @@ class QueryPipeline:
         self.counters["served"] += 1
         if answer.degraded:
             self.counters["degraded"] += 1
-        if answer.staleness > 0:
-            self.counters["stale_answers"] += 1
         return QueryResult(status="ok", answer=answer, retries=retries, latency_s=latency)
 
     async def _refresher(self) -> None:
@@ -299,10 +307,9 @@ class QueryPipeline:
 
     def pulse(self) -> bool:
         """One breaker evaluation over the current load signals."""
-        qsize = self._queue.qsize() if self._queue is not None else 0
         shed = self.counters["shed_overload"] + self.counters["shed_deadline"]
         return self.breaker.observe({
-            "serve.queue_depth": qsize / self.queue_limit,
+            "serve.queue_depth": self.queue_depth / self.queue_limit,
             "serve.arrived": float(self.counters["arrived"]),
             "serve.shed": float(shed),
             "serve.staleness": float(self.service.staleness()),
@@ -310,13 +317,56 @@ class QueryPipeline:
         })
 
     # -- reporting -----------------------------------------------------
+    @property
+    def queue_depth(self) -> int:
+        """Admitted queries waiting for a worker."""
+        return self._queue.qsize() if self._queue is not None else 0
+
+    def _declare_families(self) -> MetricStore:
+        """The ``repro_serve_*`` families, read from :attr:`counters`,
+        :attr:`latency`, the breaker and the service at render time."""
+        counters, breaker, service = self.counters, self.breaker, self.service
+        store = MetricStore()
+        store.declare("repro_serve_requests_total", "counter",
+                      "Query pipeline outcomes, by disposition.",
+                      lambda: {label: counters[key] for label, key in _OUTCOMES},
+                      label="outcome")
+        store.declare("repro_serve_arrived_total", "counter",
+                      "Queries submitted: served + shed_overload + "
+                      "shed_deadline + bad_request + error.",
+                      lambda: counters["arrived"])
+        store.declare("repro_serve_retries_total", "counter",
+                      "Staleness backoff retries across all queries.",
+                      lambda: counters["retries"])
+        store.declare("repro_serve_faults_ingested_total", "counter",
+                      "Fault events applied through the incremental engine.",
+                      lambda: counters["faults_ingested"])
+        store.declare("repro_serve_latency_seconds", "summary",
+                      "Submit-to-answer latency of served queries.", self.latency)
+        store.declare("repro_serve_queue_depth", "gauge",
+                      "Admitted queries waiting for a worker.",
+                      lambda: self.queue_depth)
+        store.declare("repro_serve_staleness_generations", "gauge",
+                      "Generations the published snapshot lags the engine.",
+                      service.staleness)
+        store.declare("repro_serve_breaker_open", "gauge",
+                      "1 while the degraded-mode circuit breaker is open.",
+                      lambda: breaker.open)
+        store.declare("repro_serve_breaker_trips_total", "counter",
+                      "Times the circuit breaker tripped to degraded mode.",
+                      lambda: breaker.trips)
+        store.declare("repro_serve_generation", "gauge",
+                      "Current fault-engine generation.",
+                      lambda: service.generation)
+        return store
+
     def stats(self) -> dict[str, Any]:
         arrived = self.counters["arrived"]
         shed = self.counters["shed_overload"] + self.counters["shed_deadline"]
         served = self.counters["served"]
         return {
             "counters": dict(self.counters),
-            "queue_depth": self._queue.qsize() if self._queue is not None else 0,
+            "queue_depth": self.queue_depth,
             "queue_limit": self.queue_limit,
             "accepting": self.accepting,
             "shed_fraction": shed / arrived if arrived else 0.0,

@@ -1,9 +1,10 @@
 """A strict, pure-python Prometheus text-exposition (0.0.4) parser.
 
 Test infrastructure, not product code: the test suite round-trips
-:func:`repro.obs.prometheus.render_prometheus` output through this
-parser, and the CI scrape-smoke job validates a live ``/metrics`` body
-with ``python -m tests.promtext FILE``.  Strictness is the point -- the
+:func:`repro.obs.metrics.render_prometheus` output (every producer's
+:class:`~repro.obs.metrics.MetricStore`) through this parser, and the CI
+scrape-smoke and serve-smoke jobs validate a live ``/metrics`` body with
+it (``python -m tests.promtext FILE`` checks a file).  Strictness is the point -- the
 parser rejects everything the exposition format forbids that a sloppy
 renderer might emit:
 

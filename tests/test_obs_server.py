@@ -14,12 +14,11 @@ from repro.mesh.topology import Mesh2D
 from repro.obs import (
     MetricsSink,
     Observatory,
-    SampleStore,
     TelemetryApp,
     ThresholdRule,
     Tracer,
     atomic_write_text,
-    render_timeseries,
+    render_prometheus,
 )
 from repro.serve import QueryPipeline, RoutingService, ServeApp
 from tests.promtext import PromParseError, parse
@@ -139,6 +138,34 @@ class TestEndpoints:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(app.url("/metrics"), method="POST")
             assert excinfo.value.code == 405
+
+    def test_failing_route_answers_500(self, caplog):
+        async def boom(query):
+            raise KeyError("lost")
+
+        app = TelemetryApp()
+        app.routes["/boom"] = ("GET", boom)
+        with serving(app):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(app.url("/boom"))
+            assert excinfo.value.code == 500
+            payload = json.loads(excinfo.value.read().decode("utf-8"))
+            assert payload == {"status": "error", "error": "KeyError('lost')"}
+            status, _, _ = _get(app.url("/readyz"))  # the listener lives on
+            assert status == 200
+        assert "GET /boom failed" in caplog.text
+
+    def test_cancelled_route_is_not_answered_500(self):
+        async def scenario():
+            async def cancelled(query):
+                raise asyncio.CancelledError
+
+            app = TelemetryApp()
+            app.routes["/cancel"] = ("GET", cancelled)
+            with pytest.raises(asyncio.CancelledError):
+                await app._dispatch("GET", "/cancel")
+
+        asyncio.run(scenario())
 
     def test_no_sources_still_valid(self):
         with serving(TelemetryApp()) as app:
@@ -383,7 +410,7 @@ class TestPushMode:
 class TestRenderTimeseries:
     def test_alert_families(self):
         observatory = _observed_observatory(breach=True)
-        text = render_timeseries(observatory.store, observatory.alerts)
+        text = render_prometheus([observatory.families])
         families = parse(text)
         active = {
             sample.label_dict["rule"]: sample.value
@@ -397,7 +424,7 @@ class TestRenderTimeseries:
         assert fired == {"deep": 1.0}
 
     def test_empty_store_renders_empty(self):
-        assert render_timeseries(SampleStore()) == ""
+        assert render_prometheus([Observatory(rules=()).families]) == ""
 
     def test_strictness_of_test_parser(self):
         with pytest.raises(PromParseError):

@@ -1,9 +1,20 @@
 """Prometheus text exposition: format validity and stable metric names."""
 
 import re
+import sys
+import threading
+import time
 
-from repro.obs import MetricsSink, Observatory, ThresholdRule, Tracer
-from repro.obs.prometheus import render_prometheus, render_timeseries
+import pytest
+
+from repro.obs import (
+    MetricsSink,
+    MetricStore,
+    Observatory,
+    ThresholdRule,
+    Tracer,
+    render_prometheus,
+)
 from tests import promtext
 
 # One sample line of the 0.0.4 text format: name{labels} value
@@ -32,6 +43,10 @@ def _populated_sink() -> MetricsSink:
     return sink
 
 
+def _render(sink: MetricsSink) -> str:
+    return render_prometheus([sink.families])
+
+
 def _parse(text: str) -> list[str]:
     """Validate every line against the exposition format; return samples."""
     assert text.endswith("\n")
@@ -49,10 +64,10 @@ def _parse(text: str) -> list[str]:
 
 class TestFormat:
     def test_every_line_valid(self):
-        _parse(render_prometheus(_populated_sink().snapshot()))
+        _parse(_render(_populated_sink()))
 
     def test_every_sample_has_help_and_type(self):
-        text = render_prometheus(_populated_sink().snapshot())
+        text = _render(_populated_sink())
         declared = {m.group(1) for m in re.finditer(r"# TYPE (\S+)", text)}
         for sample in _parse(text):
             name = re.match(r"[a-zA-Z0-9_:]+", sample).group(0)
@@ -60,7 +75,7 @@ class TestFormat:
             assert name in declared or base in declared, sample
 
     def test_summary_carries_quantiles_sum_count(self):
-        text = render_prometheus(_populated_sink().snapshot())
+        text = _render(_populated_sink())
         for quantile in ("0.5", "0.95", "0.99"):
             assert f'repro_route_hops{{quantile="{quantile}"}}' in text
         assert "repro_route_hops_sum 10" in text
@@ -69,36 +84,18 @@ class TestFormat:
     def test_empty_summary_omits_quantiles_keeps_count(self):
         sink = MetricsSink()
         Tracer(sink).emit("route_failed", at=(0, 0), reason="stuck")
-        text = render_prometheus(sink.snapshot())
+        text = _render(sink)
         assert 'repro_route_hops{quantile' not in text
         assert "repro_route_hops_count 0" in text
-
-    def test_empty_summary_with_stale_quantiles_and_null_total(self):
-        """An external snapshot (e.g. a persisted JSON file) can carry
-        count 0 alongside leftover numeric percentile keys and a null
-        total; only _sum 0 / _count 0 may be exposed."""
-        snapshot = {
-            "routes": {
-                "hops": {
-                    "count": 0, "total": None,
-                    "p50": 7.0, "p95": 9.0, "p99": 9.0,
-                },
-            },
-        }
-        text = render_prometheus(snapshot)
-        assert "quantile" not in text
-        assert "repro_route_hops_sum 0" in text
-        assert "repro_route_hops_count 0" in text
-        promtext.parse(text)
 
     def test_label_escaping(self):
         sink = MetricsSink()
         Tracer(sink).emit("protocol_msg", msg='odd"name\\x', time=0, queue=0)
-        text = render_prometheus(sink.snapshot())
+        text = _render(sink)
         assert 'msg="odd\\"name\\\\x"' in text
 
     def test_empty_snapshot_renders_nothing_but_stays_valid(self):
-        text = render_prometheus(MetricsSink().snapshot())
+        text = _render(MetricsSink())
         _parse(text)
 
 
@@ -106,7 +103,7 @@ class TestStableNames:
     """Metric names are API: dashboards depend on them."""
 
     def test_core_metric_names(self):
-        text = render_prometheus(_populated_sink().snapshot())
+        text = _render(_populated_sink())
         for name in (
             "repro_events_total",
             "repro_protocol_messages_total",
@@ -125,25 +122,20 @@ class TestStableNames:
             assert f"# TYPE {name} " in text, name
 
     def test_route_outcome_labels(self):
-        text = render_prometheus(_populated_sink().snapshot())
+        text = _render(_populated_sink())
         for outcome in ("delivered", "minimal", "sub_minimal", "failed"):
             assert f'repro_routes_total{{outcome="{outcome}"}}' in text
 
     def test_span_label(self):
-        text = render_prometheus(_populated_sink().snapshot())
+        text = _render(_populated_sink())
         assert 'repro_span_duration_seconds_count{span="experiment"} 1' in text
-
-    def test_custom_prefix(self):
-        text = render_prometheus(_populated_sink().snapshot(), prefix="mesh")
-        assert "# TYPE mesh_events_total counter" in text
-        assert "repro_" not in text
 
 
 class TestPromtextRoundTrip:
     """Everything we render must survive the strict test parser."""
 
     def test_sink_render_parses(self):
-        families = promtext.parse(render_prometheus(_populated_sink().snapshot()))
+        families = promtext.parse(_render(_populated_sink()))
         assert "repro_events_total" in families
         assert families["repro_route_hops"].type == "summary"
 
@@ -151,7 +143,7 @@ class TestPromtextRoundTrip:
         sink = MetricsSink()
         gnarly = 'odd"name\\x\nsecond line'
         Tracer(sink).emit("protocol_msg", msg=gnarly, time=0, queue=0)
-        families = promtext.parse(render_prometheus(sink.snapshot()))
+        families = promtext.parse(_render(sink))
         labels = {
             sample.label_dict["msg"]
             for sample in families["repro_protocol_messages_total"].samples
@@ -163,24 +155,22 @@ class TestPromtextRoundTrip:
         for tick, value in enumerate([1.0, 20.0]):
             observatory.store.append(float(tick), {"q": value})
             observatory.alerts.evaluate(float(tick), observatory.store)
-        families = promtext.parse(
-            render_timeseries(observatory.store, observatory.alerts)
-        )
+        families = promtext.parse(render_prometheus([observatory.families]))
         assert {"repro_live_sample", "repro_live_points", "repro_live_tick",
                 "repro_alert_active", "repro_alerts_fired_total"} <= set(families)
 
     def test_type_headers_unique_in_combined_export(self):
         tracer = Tracer()
         tracer.count("router.steps", 1)
-        text = render_prometheus(_populated_sink().snapshot(), hot_counters=tracer.hot)
+        text = render_prometheus([_populated_sink().families, tracer.families])
         # parse() raises on duplicate # TYPE lines; double-check the raw text.
         promtext.parse(text)
         types = re.findall(r"# TYPE (\S+)", text)
         assert len(types) == len(set(types))
 
     def test_render_is_deterministic(self):
-        snapshot = _populated_sink().snapshot()
-        assert render_prometheus(snapshot) == render_prometheus(snapshot)
+        sink = _populated_sink()
+        assert _render(sink) == _render(sink)
 
 
 class TestProfileExport:
@@ -190,14 +180,61 @@ class TestProfileExport:
         tracer.count("router.steps", 42)
         with tracer.span("stats.routing"):
             pass
-        text = metrics.to_prometheus(hot_counters=tracer.hot)
+        text = render_prometheus([metrics.families, tracer.families])
         _parse(text)
         assert 'repro_hot_counter_total{name="router.steps"} 42' in text
         assert "# TYPE repro_span_duration_seconds summary" in text
         assert 'repro_span_duration_seconds_count{span="stats.routing"} 1' in text
 
     def test_no_profile_no_profile_metrics(self):
-        text = render_prometheus(_populated_sink().snapshot())
+        text = _render(_populated_sink())
         assert "repro_hot_counter_total" not in text
-        text = render_prometheus(_populated_sink().snapshot(), hot_counters={})
+        text = render_prometheus([_populated_sink().families, Tracer().families])
         assert "repro_hot_counter_total" not in text
+
+
+class TestMetricStore:
+    def test_family_declared_by_two_stores_raises(self):
+        with pytest.raises(ValueError, match="repro_hot_counter_total"):
+            render_prometheus([Tracer().families, Tracer().families])
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(ValueError, match="histogram"):
+            MetricStore().declare("x", "histogram", "X.", 1)
+
+    def test_none_read_omits_family(self):
+        store = MetricStore()
+        store.declare("a", "gauge", "A.", lambda: None)
+        store.declare("b", "gauge", "B.", lambda: 2.5)
+        assert render_prometheus([store]) == "# HELP b B.\n# TYPE b gauge\nb 2.5\n"
+        assert render_prometheus([]) == ""
+
+
+class TestScrapeRace:
+    def test_render_while_a_thread_adds_ticks(self):
+        """A scrape copies live dicts before walking them: a thread adding
+        new ticks mid-render must not raise ``dictionary changed size``."""
+        sink = MetricsSink(tick_cap=1 << 30)
+        tracer = Tracer(sink)
+
+        def produce():
+            for tick in range(50_000):
+                tracer.emit("protocol_msg", msg="esl", time=tick, queue=0)
+
+        interval = sys.getswitchinterval()
+        thread = threading.Thread(target=produce)
+        renders = 0
+        sys.setswitchinterval(1e-6)
+        try:
+            thread.start()
+            deadline = time.monotonic() + 10.0
+            while thread.is_alive() and time.monotonic() < deadline:
+                sink.snapshot()
+                render_prometheus([sink.families, tracer.families])
+                renders += 1
+        finally:
+            thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert renders > 0
+        assert sink.event_counts["protocol_msg"] == 50_000
