@@ -175,7 +175,8 @@ class ChaosRunner:
 
     # ------------------------------------------------------------------
     def run(self) -> ChaosOutcome:
-        """Play the schedule under the plan and stabilize; idempotent."""
+        """Play the schedule under the plan and stabilize; single-use (a
+        second call raises :class:`RuntimeError`)."""
         if self._ran:
             raise RuntimeError("a ChaosRunner is single-use; build a new one")
         self._ran = True
@@ -291,3 +292,9 @@ class ChaosRunner:
     def safety_levels(self) -> SafetyLevels:
         """Per-node levels (entries of blocked nodes carry no meaning)."""
         return live_safety_levels(self.network)
+
+    def close(self) -> None:
+        """Free the finished network by reference counting (see
+        :meth:`MeshNetwork.close`); the live-state accessors above read
+        nothing afterwards."""
+        self.network.close()

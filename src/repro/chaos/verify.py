@@ -143,7 +143,12 @@ def verify_convergence(
         recorder=recorder,
         observatory=observatory,
     )
-    outcome = runner.run()
+    try:
+        outcome = runner.run()
+        distributed_unusable = runner.unusable_grid()
+        distributed_levels = runner.safety_levels()
+    finally:
+        runner.close()
 
     # --- Oracle replay of the final fault set --------------------------
     if maintenance == "incremental":
@@ -159,14 +164,12 @@ def verify_convergence(
         oracle_levels = compute_safety_levels(mesh, oracle_blocks.unusable)
 
     # --- Block (Definition 1) comparison -------------------------------
-    distributed_unusable = runner.unusable_grid()
     diff = distributed_unusable != oracle_blocks.unusable
     block_mismatches = tuple(
         (int(x), int(y)) for x, y in zip(*np.nonzero(diff))
     )
 
     # --- ESL comparison on free nodes ----------------------------------
-    distributed_levels = runner.safety_levels()
     free = ~oracle_blocks.unusable
     esl_mismatches: list[tuple[Coord, str, int, int]] = []
     for label, got, want in zip("ESWN", distributed_levels.grids, oracle_levels.grids):

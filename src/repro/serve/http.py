@@ -115,6 +115,7 @@ class ServeApp(HttpApp):
             want_path = bool(_param(query, "path", int, default=1))
             deadline_ms = _param(query, "deadline_ms", float, default=0.0)
         except ValueError as error:
+            self.pipeline.count_malformed()
             return _bad_request(str(error))
         result = await self.pipeline.submit(
             source, dest, model=model, want_path=want_path,

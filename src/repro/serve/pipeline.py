@@ -213,6 +213,14 @@ class QueryPipeline:
             return QueryResult(status="overloaded", error="queue full")
         return await future
 
+    def count_malformed(self) -> None:
+        """Count a query the front end rejected as malformed before
+        :meth:`submit` (e.g. an unparsable coordinate): it arrived and
+        was a bad request, so the outcome counters still sum to
+        ``arrived``."""
+        self.counters["arrived"] += 1
+        self.counters["bad_requests"] += 1
+
     def ingest_fault(self, event: str, coord: Coord) -> Any:
         """Apply one fault event; the refresher picks up the new generation.
 

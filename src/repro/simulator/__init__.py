@@ -9,7 +9,7 @@ package provides the substrate to execute them as such:
   tick-bucketed, time-ordered callback queue).
 - :mod:`repro.simulator.messages` -- messages exchanged between nodes.
 - :mod:`repro.simulator.channels` -- lazy per-link views over the
-  network's array-backed link state (up flag, counters).
+  network's flat link state (up flag, counters).
 - :mod:`repro.simulator.process` -- the per-node process abstraction.
 - :mod:`repro.simulator.network` -- a mesh of node processes wired by
   channels.

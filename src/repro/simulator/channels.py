@@ -7,12 +7,13 @@ simulator expresses that faulty nodes neither receive nor forward.
 
 Channel state does not live in per-channel objects: a
 :class:`~repro.simulator.network.MeshNetwork` keeps the up/carried/dropped
-state of all ``4*n*m`` directed links in numpy arrays indexed by
+state of all ``4*n*m`` directed links in flat buffers (a ``bytearray``
+and ``array('q')`` counters), exposed as numpy views indexed by
 ``(x, y, direction)``.  :class:`ChannelView` is a thin facade over one
-array slot, handed out lazily by :class:`ChannelMap`, so building a
-network allocates no per-channel objects at all.  Views read counters
-and take links down; every message goes through the one send path,
-:meth:`~repro.simulator.network.MeshNetwork.send_from`.
+slot of those views, handed out lazily by :class:`ChannelMap`, so
+building a network allocates no per-channel objects at all.  Views read
+counters and take links down; every message goes through the one send
+path, :meth:`~repro.simulator.network.MeshNetwork.send_from`.
 """
 
 from __future__ import annotations
@@ -84,7 +85,9 @@ class ChannelMap(Mapping):
     """Read-through mapping ``(src, direction) -> ChannelView``.
 
     Keys exist for every in-bounds directed link (up or down); views are
-    built on access instead of eagerly at network construction.
+    built on access instead of eagerly at network construction.  The
+    network builds a map per ``network.channels`` access and keeps none,
+    so the two do not form a reference cycle.
     """
 
     __slots__ = ("_network",)

@@ -90,6 +90,12 @@ class Engine:
         self._count -= 1
         return time, callback, args
 
+    def clear(self) -> None:
+        """Drop every queued event without running it."""
+        self._buckets.clear()
+        self._times.clear()
+        self._count = 0
+
     @property
     def pending(self) -> int:
         return self._count

@@ -1,11 +1,19 @@
 """A mesh of node processes wired by channels.
 
-Channel state is array-backed: numpy arrays of shape ``(n, m, 4)``
-(indexed ``[x, y, direction]``) hold every directed link's up flag and
-carried/dropped/lost/retried counters, and running totals make
-whole-network accounting O(1).  ``network.channels`` is a mapping of
-:class:`~repro.simulator.channels.ChannelView` objects, built lazily on
-access.
+Channel state is flat: one ``bytearray`` (up flags) and four
+``array('q')`` buffers (carried/dropped/lost/retried counters) hold every
+directed link, slot ``(x*m + y)*4 + direction.index``.  The send path
+indexes them as plain Python sequences; ``channel_up``,
+``channel_carried``, ``channel_dropped``, ``channel_lost`` and
+``channel_retried`` are writable numpy views of shape ``(n, m, 4)``
+(indexed ``[x, y, direction]``) on the same memory, so readers see every
+send.  Running totals make whole-network accounting O(1).
+``network.channels`` is a mapping of
+:class:`~repro.simulator.channels.ChannelView` objects, built on access.
+
+Processes and the network refer to each other, so a finished network is
+cyclic garbage until :meth:`MeshNetwork.close` drops its processes and
+queued events; after that, reference counting frees it.
 
 :meth:`MeshNetwork.send_from` is the one send path.  Flags cached by
 :meth:`MeshNetwork.refresh_instrumentation` decide per send whether an
@@ -16,6 +24,7 @@ scheduling are the same code in every case.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -144,19 +153,31 @@ class MeshNetwork:
         if m > 1:
             up[:, 1:, Direction.SOUTH.index] = healthy[:, 1:] & healthy[:, :-1]
             up[:, :-1, Direction.NORTH.index] = healthy[:, :-1] & healthy[:, 1:]
-        self.channel_up = up
+        # Flat per-link buffers, slot (x*m + y)*4 + direction.index: the
+        # send path reads and bumps them as Python ints, which costs a
+        # fraction of a numpy scalar access.
+        self._up = bytearray(up.tobytes())
+        zeros = bytes(8 * up.size)
+        self._carried = array("q", zeros)
+        self._dropped = array("q", zeros)
+        #: Chaos accounting per directed link: messages a *live* channel
+        #: discarded under the fault plan, and retransmissions pushed by
+        #: hardened senders.  All-zero (and never touched) without chaos.
+        self._lost = array("q", zeros)
+        self._retried = array("q", zeros)
+        #: Writable ``(n, m, 4)`` numpy views on the flat buffers above:
+        #: the same memory, so every send shows in them.
+        shape = (n, m, 4)
+        self.channel_up = np.frombuffer(self._up, dtype=bool).reshape(shape)
+        self.channel_carried = np.frombuffer(self._carried, dtype=np.int64).reshape(shape)
+        self.channel_dropped = np.frombuffer(self._dropped, dtype=np.int64).reshape(shape)
+        self.channel_lost = np.frombuffer(self._lost, dtype=np.int64).reshape(shape)
+        self.channel_retried = np.frombuffer(self._retried, dtype=np.int64).reshape(shape)
         #: Running population count of ``channel_up`` (kept by
         #: :meth:`take_down_channel` / :meth:`bring_up_channel`, the only
         #: mutation points), so the per-tick sampler never pays a
         #: whole-array reduction.
         self.channels_up_total = int(up.sum())
-        self.channel_carried = np.zeros((n, m, 4), dtype=np.int64)
-        self.channel_dropped = np.zeros((n, m, 4), dtype=np.int64)
-        #: Chaos accounting per directed link: messages a *live* channel
-        #: discarded under the fault plan, and retransmissions pushed by
-        #: hardened senders.  All-zero (and never touched) without chaos.
-        self.channel_lost = np.zeros((n, m, 4), dtype=np.int64)
-        self.channel_retried = np.zeros((n, m, 4), dtype=np.int64)
         #: Running totals: O(1) whole-network accounting (stable API).
         self.messages_carried_total = 0
         self.messages_dropped_total = 0
@@ -164,12 +185,22 @@ class MeshNetwork:
         self.messages_duplicated_total = 0
         self.messages_retried_total = 0
 
-        self.channels = ChannelMap(self)
         self.refresh_instrumentation()
 
     # ------------------------------------------------------------------
     # Channel plumbing
     # ------------------------------------------------------------------
+    @property
+    def channels(self) -> ChannelMap:
+        """Every in-bounds directed link as a read-through mapping (built
+        per access, so the network holds no reference back to it)."""
+        return ChannelMap(self)
+
+    def _slot(self, src: Coord, direction: Direction) -> int:
+        """The flat-buffer slot of the ``src -> direction`` link."""
+        x, y = src
+        return (x * self._m + y) * 4 + direction.index
+
     def channel_view(self, src: Coord, direction: Direction) -> ChannelView | None:
         """A view of the ``src -> direction`` link; None at the mesh edge."""
         dst = direction.step(src)
@@ -179,10 +210,9 @@ class MeshNetwork:
 
     def take_down_channel(self, src: Coord, direction: Direction) -> None:
         """Mark one directed link down (messages to it are dropped)."""
-        x, y = src
-        di = direction.index
-        if self.channel_up[x, y, di]:
-            self.channel_up[x, y, di] = False
+        slot = self._slot(src, direction)
+        if self._up[slot]:
+            self._up[slot] = 0
             self.channels_up_total -= 1
 
     def bring_up_channel(self, src: Coord, direction: Direction) -> None:
@@ -190,10 +220,9 @@ class MeshNetwork:
         dst = direction.step(src)
         if not self.mesh.in_bounds(dst):
             return
-        x, y = src
-        di = direction.index
-        if not self.channel_up[x, y, di]:
-            self.channel_up[x, y, di] = True
+        slot = self._slot(src, direction)
+        if not self._up[slot]:
+            self._up[slot] = 1
             self.channels_up_total += 1
 
     # ------------------------------------------------------------------
@@ -265,8 +294,8 @@ class MeshNetwork:
         nx, ny = x + direction.dx, y + direction.dy
         if nx < 0 or ny < 0 or nx >= self._n or ny >= self._m:
             return False
-        di = direction.index
-        link_up = self.channel_up[x, y, di]
+        slot = (x * self._m + y) * 4 + direction.index
+        link_up = self._up[slot]
         trc = self._trc if self._trace_on else None
         if trc is not None:
             trc.count("sim.messages")
@@ -297,18 +326,18 @@ class MeshNetwork:
                      time=self.engine.now, queue=self.engine.pending,
                      dropped=not link_up)
         if not link_up:
-            self.channel_dropped[x, y, di] += 1
+            self._dropped[slot] += 1
             self.messages_dropped_total += 1
             if trc is not None:
                 trc.count("sim.dropped")
             return True
-        self.channel_carried[x, y, di] += 1
+        self._carried[slot] += 1
         self.messages_carried_total += 1
         if lost:
             if rec is not None:
                 rec.emit("msg_lost", cause=event_id, src=src, dst=dst, msg=kind,
                          time=self.engine.now)
-            self.channel_lost[x, y, di] += 1
+            self._lost[slot] += 1
             self.messages_lost_total += 1
             if trc is not None:
                 trc.count("chaos.drops")
@@ -357,8 +386,7 @@ class MeshNetwork:
 
     def note_retry(self, src: Coord, direction: Direction) -> None:
         """Account one retransmission on the ``src -> direction`` link."""
-        x, y = src
-        self.channel_retried[x, y, direction.index] += 1
+        self._retried[self._slot(src, direction)] += 1
         self.messages_retried_total += 1
         if self._trace_on:
             self._trc.count("chaos.retries")
@@ -410,3 +438,18 @@ class MeshNetwork:
 
     def process_at(self, coord: Coord) -> NodeProcess:
         return self.nodes[coord]
+
+    def close(self) -> None:
+        """Tear down a finished network: drop its processes, its queued
+        engine events and its observatory hookup.
+
+        Each process refers back to the network, and a queued event to
+        its process, so until this runs a finished network is freed only
+        by a full cyclic collection that walks every process.  Afterwards
+        reference counting frees it.  The fault set, channel arrays and
+        running totals stay readable; the network runs nothing more.
+        """
+        self.nodes = {}
+        self.engine.clear()
+        self.engine.set_tick_hook(None)
+        self.observatory = self._obs = None

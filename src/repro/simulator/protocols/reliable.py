@@ -10,9 +10,12 @@ stop-and-wait reliability shim so the same algorithms survive a
   with a per-sender sequence number and the network's *chaos epoch*;
 - receivers acknowledge every envelope (acks travel raw: an ack of an
   ack would never terminate), discard corrupted deliveries without
-  acking (forcing the retransmit), deduplicate via a set of seen
-  ``(direction, epoch, seq)`` keys (idempotent receive), and drop
-  envelopes from stale epochs;
+  acking (forcing the retransmit), drop envelopes from stale epochs,
+  and deduplicate the rest (idempotent receive) via a set of seen
+  ``seq << 2 | direction.index`` integers that holds only the current
+  epoch's keys: stale epochs never reach the check, so the set is
+  cleared when the epoch moves on, and an ``int`` key is no object
+  the cyclic collector tracks;
 - senders retransmit unacked envelopes with exponential backoff in
   ticks, bounded by ``max_retries`` (a give-up is counted, not fatal:
   the stabilization pulse is the backstop);
@@ -74,6 +77,7 @@ class ResilientProcess(NodeProcess):
         "_rel_seq",
         "_rel_outbox",
         "_rel_seen",
+        "_rel_seen_epoch",
         "_rel_timeout",
         "_rel_max_retries",
     )
@@ -94,8 +98,10 @@ class ResilientProcess(NodeProcess):
         #: (sent_id: the last attempt's msg_send event id under a flight
         #: recorder, else None -- retransmit lineage)
         self._rel_outbox: dict[tuple[Direction, int, int], list] = {}
-        #: delivered (arrival direction, epoch, seq) keys
-        self._rel_seen: set[tuple[Direction, int, int]] = set()
+        #: delivered ``seq << 2 | arrival direction index`` keys of the
+        #: epoch in ``_rel_seen_epoch``
+        self._rel_seen: set[int] = set()
+        self._rel_seen_epoch = network.chaos_epoch
         self._rel_timeout = (
             ack_timeout if ack_timeout is not None
             else DEFAULT_TIMEOUT_FACTOR * network.latency
@@ -182,15 +188,21 @@ class ResilientProcess(NodeProcess):
         if not isinstance(payload, Envelope):
             self.handle_message(message)  # e.g. legacy/raw senders
             return
-        if payload.epoch != network.chaos_epoch:
+        epoch = payload.epoch
+        if epoch != network.chaos_epoch:
             if network._trace_on:
                 network._trc.count("chaos.stale_discarded")
             return
         if direction is not None:
             # Ack before the dedup check: the original ack may have been
             # lost, and re-acking is what stops the retransmits.
-            network.send_from(self.coord, direction, ACK_KIND, (payload.epoch, payload.seq))
-            key = (direction, payload.epoch, payload.seq)
+            network.send_from(self.coord, direction, ACK_KIND, (epoch, payload.seq))
+            if epoch != self._rel_seen_epoch:
+                # Envelopes of older epochs were rejected above, so their
+                # keys can never match again.
+                self._rel_seen.clear()
+                self._rel_seen_epoch = epoch
+            key = payload.seq << 2 | direction.index
             if key in self._rel_seen:
                 if network._trace_on:
                     network._trc.count("chaos.dup_suppressed")

@@ -590,6 +590,32 @@ class TestServeApp:
         assert status == 503
         assert payload["status"] == "draining"
 
+    def test_malformed_query_counts_on_the_scrape(self):
+        """A ``/query`` rejected before the pipeline still arrives and is
+        a bad request, so the scraped counters reconcile."""
+        async def scenario():
+            service = _service()
+            app = ServeApp(service, QueryPipeline(service))
+            await app.start()
+            try:
+                bad = await self._get(app.host, app.port, "/query?source=zap&dest=0,0")
+                metrics = await self._get(app.host, app.port, "/metrics")
+            finally:
+                await app.shutdown()
+            return bad[0], parse(metrics[1])
+
+        status, families = self._request(scenario)
+        assert status == 400
+        arrived = families["repro_serve_arrived_total"].samples[0].value
+        outcomes = {
+            sample.label_dict["outcome"]: sample.value
+            for sample in families["repro_serve_requests_total"].samples
+        }
+        assert arrived == 1 and outcomes["bad_request"] == 1
+        assert arrived == sum(outcomes[outcome] for outcome in (
+            "served", "shed_overload", "shed_deadline", "bad_request", "error",
+        ))
+
 
 class TestLoadGenerator:
     def test_mini_sweep_report_shape(self):
