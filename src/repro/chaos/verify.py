@@ -102,21 +102,12 @@ def verify_convergence(
     seed: int = 0,
     recorder: "FlightRecorder | None" = None,
     observatory: "Observatory | None" = None,
-    maintenance: str = "full",
 ) -> ConvergenceReport:
     """Run chaos, stabilize, and prove the distributed state re-converged.
 
     ``stabilize_rounds`` defaults to 2: one pulse is sufficient when no
     membership changed during the pulse itself, two make the check robust
     to anything the first drain left behind.
-
-    ``maintenance`` selects how the oracle state is produced:
-    ``"full"`` (default) rebuilds blocks and ESLs from the final fault
-    set from scratch; ``"incremental"`` starts an
-    :class:`repro.faults.incremental.IncrementalFaultEngine` from the
-    *initial* fault set and replays every applied crash/revive through
-    it -- O(affected) per event, the delta-maintenance path this module
-    cross-validates in the equivalence suite.
 
     Passing a ``recorder`` flight-records the run; if the report then
     diverges, the recording is immediately replayed and bisected against
@@ -128,14 +119,9 @@ def verify_convergence(
     ``observatory.store``) and lands any alert-rule firings on
     ``report.alerts``.
     """
-    if maintenance not in ("full", "incremental"):
-        raise ValueError(
-            f"maintenance must be 'full' or 'incremental', got {maintenance!r}"
-        )
-    initial_faults = sorted(faults)
     runner = ChaosRunner(
         mesh,
-        faults=initial_faults,
+        faults=sorted(faults),
         plan=plan,
         schedule=schedule,
         latency=latency,
@@ -151,17 +137,8 @@ def verify_convergence(
         runner.close()
 
     # --- Oracle replay of the final fault set --------------------------
-    if maintenance == "incremental":
-        from repro.faults.incremental import IncrementalFaultEngine
-
-        engine = IncrementalFaultEngine(mesh, initial_faults)
-        for event in runner.applied_events:
-            engine.apply(event.action, event.coord)
-        oracle_blocks = engine.block_set()
-        oracle_levels = engine.safety_levels()
-    else:
-        oracle_blocks = build_faulty_blocks(mesh, sorted(outcome.final_faults))
-        oracle_levels = compute_safety_levels(mesh, oracle_blocks.unusable)
+    oracle_blocks = build_faulty_blocks(mesh, sorted(outcome.final_faults))
+    oracle_levels = compute_safety_levels(mesh, oracle_blocks.unusable)
 
     # --- Block (Definition 1) comparison -------------------------------
     diff = distributed_unusable != oracle_blocks.unusable

@@ -355,12 +355,6 @@ def _chaos_workload_args(parser: argparse.ArgumentParser) -> None:
         "--pulses", type=int, default=2,
         help="stabilization pulses after the schedule (default 2)",
     )
-    parser.add_argument(
-        "--maintenance", choices=("full", "incremental"), default="full",
-        help="how the verification oracle is maintained: rebuilt from "
-        "scratch ('full', default) or delta-maintained per applied "
-        "crash/revive ('incremental', O(affected) per event)",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -843,7 +837,7 @@ def _cmd_chaos(args, out: Callable[[str], None]) -> int:
         report = verify_convergence(
             mesh, faults, plan, schedule,
             stabilize_rounds=args.pulses, seed=args.chaos_seed,
-            recorder=recorder, maintenance=args.maintenance,
+            recorder=recorder,
         )
     finally:
         if recorder is not None:
@@ -905,7 +899,7 @@ def _cmd_top(args, out: Callable[[str], None]) -> int:
     report = verify_convergence(
         mesh, faults, plan, schedule,
         stabilize_rounds=args.pulses, seed=args.chaos_seed,
-        observatory=observatory, maintenance=args.maintenance,
+        observatory=observatory,
     )
     out(dashboard.frame())
     out(report.summary())
@@ -950,7 +944,7 @@ def _cmd_serve_metrics(args, out: Callable[[str], None]) -> int:
                 return verify_convergence(
                     mesh, faults, plan, schedule,
                     stabilize_rounds=args.pulses, seed=args.chaos_seed,
-                    observatory=observatory, maintenance=args.maintenance,
+                    observatory=observatory,
                 )
         finally:
             tracer.close()

@@ -15,8 +15,11 @@ neighbours, its two axis lines, the pivots), so
 instead of building full ESL grids.
 
 Element-wise equivalence with the scalar implementations
-(:func:`repro.faults.blocks.disable_fixpoint`,
-:func:`repro.faults.mcc.label_statuses`,
+(:func:`repro.faults.blocks.disable_fixpoint` and
+:func:`repro.faults.mcc.label_statuses`, which end in the one scalar walk
+per definition that the incremental engine also runs --
+:func:`~repro.faults.blocks.spread_disabled` and
+:func:`~repro.faults.mcc.extend_label` --
 :func:`repro.core.safety.compute_safety_levels`, the decision procedures in
 :mod:`repro.core.conditions` / :mod:`repro.core.extensions`, and
 :func:`repro.faults.coverage.minimal_path_exists`) is asserted bit-for-bit

@@ -15,8 +15,11 @@ completion).  The counter :attr:`BlockSet.rectangularization_rounds` records
 whether that fallback ever fired; the property tests assert it stays 0.
 
 All heavy state is kept in numpy boolean grids of shape ``(n, m)`` indexed
-``[x, y]`` so the fixpoint is a handful of vectorised array operations per
-round.
+``[x, y]``.  The rule has one scalar walk, :func:`spread_disabled`:
+:func:`disable_fixpoint` runs it after one dense vectorised round, and
+:class:`repro.faults.incremental.IncrementalFaultEngine` from each arriving
+fault.  The figure sweeps run the lockstep batched form,
+:func:`repro.core.batched_patterns.batch_disable_fixpoint`.
 """
 
 from __future__ import annotations
@@ -51,46 +54,52 @@ def disable_fixpoint(faulty: np.ndarray) -> np.ndarray:
     **and** at least one in the y dimension ("two or more ... in different
     dimensions").  Missing neighbours at mesh edges count as healthy.
 
-    The fixpoint seeds with one vectorised full-grid pass, then only
-    re-examines cells adjacent to the previous round's newly-disabled set,
-    so every round after the first costs O(frontier) instead of O(n*m).
+    One vectorised full-grid round (scattered faults usually converge
+    there), then :func:`spread_disabled` from the cells it disabled.
     """
-    n, m = faulty.shape
     unusable = faulty.copy()
-    # Round 1 as a dense pass: scattered faults usually converge here, and
-    # the vectorised whole-grid rule is cheaper than per-fault gathers.
     horizontal = _shifted(unusable, 1, 0) | _shifted(unusable, -1, 0)
     vertical = _shifted(unusable, 0, 1) | _shifted(unusable, 0, -1)
     seeded = ~unusable & horizontal & vertical
     unusable |= seeded
-    # A cell can first satisfy the rule only in the round after one of its
-    # neighbours became unusable, so from here on scanning the frontier's
-    # neighbourhood finds every newly-disabled cell.
-    frontier_x, frontier_y = np.nonzero(seeded)
-    while frontier_x.size:
-        cand_x = np.concatenate([frontier_x - 1, frontier_x + 1, frontier_x, frontier_x])
-        cand_y = np.concatenate([frontier_y, frontier_y, frontier_y - 1, frontier_y + 1])
-        keep = (cand_x >= 0) & (cand_x < n) & (cand_y >= 0) & (cand_y < m)
-        flat = np.unique(cand_x[keep] * m + cand_y[keep])
-        cand_x, cand_y = flat // m, flat % m
-        enabled = ~unusable[cand_x, cand_y]
-        cand_x, cand_y = cand_x[enabled], cand_y[enabled]
-        if not cand_x.size:
-            break
-        horizontal = np.zeros(cand_x.shape, dtype=bool)
-        vertical = np.zeros(cand_x.shape, dtype=bool)
-        west = cand_x > 0
-        horizontal[west] = unusable[cand_x[west] - 1, cand_y[west]]
-        east = cand_x < n - 1
-        horizontal[east] |= unusable[cand_x[east] + 1, cand_y[east]]
-        south = cand_y > 0
-        vertical[south] = unusable[cand_x[south], cand_y[south] - 1]
-        north = cand_y < m - 1
-        vertical[north] |= unusable[cand_x[north], cand_y[north] + 1]
-        newly = horizontal & vertical
-        frontier_x, frontier_y = cand_x[newly], cand_y[newly]
-        unusable[frontier_x, frontier_y] = True
+    xs, ys = np.nonzero(seeded)
+    spread_disabled(unusable, zip(xs.tolist(), ys.tolist()))
     return unusable
+
+
+def spread_disabled(unusable: np.ndarray, seeds: Iterable[Coord]) -> list[Coord]:
+    """Walk Definition 1's rule out from newly unusable ``seeds``, in place;
+    returns the cells it disables.
+
+    A cell can first satisfy the rule only after a neighbour became
+    unusable, so re-examining the neighbours of each newly unusable cell
+    finds every cell the seeds disable, at a cost proportional to them.
+    """
+    n, m = unusable.shape
+    newly: list[Coord] = []
+    stack = list(seeds)
+    while stack:
+        x, y = stack.pop()
+        # (x, y) is an unusable neighbour of each candidate in one
+        # dimension, so the candidate needs one more in the other.
+        for cx, cy, across_y in (
+            (x - 1, y, True), (x + 1, y, True), (x, y - 1, False), (x, y + 1, False)
+        ):
+            if not (0 <= cx < n and 0 <= cy < m) or unusable[cx, cy]:
+                continue
+            if across_y:
+                other = (cy > 0 and unusable[cx, cy - 1]) or (
+                    cy + 1 < m and unusable[cx, cy + 1]
+                )
+            else:
+                other = (cx > 0 and unusable[cx - 1, cy]) or (
+                    cx + 1 < n and unusable[cx + 1, cy]
+                )
+            if other:
+                unusable[cx, cy] = True
+                newly.append((cx, cy))
+                stack.append((cx, cy))
+    return newly
 
 
 def _connected_components(mask: np.ndarray) -> list[list[Coord]]:

@@ -9,14 +9,17 @@ build_faulty_blocks`, :func:`repro.core.safety.compute_safety_levels`,
 :func:`repro.faults.mcc.build_mccs`) nevertheless pay O(n*m) per call,
 which is what every fault arrival/revival in a live mesh used to cost.
 
-This module maintains the same state by *deltas*:
+This module maintains the same state by *deltas*, with the builders'
+own scalar walks:
 
 - **Arrival** is monotone: Definition 1's disabling rule only grows the
   unusable set, and every newly disabled cell is triggered through a
-  chain of newly unusable neighbours back to the arriving fault.  A
-  frontier walk seeded at the fault therefore finds the exact new
-  fixpoint in O(delta); the touched cells can only merge the blocks
-  4-adjacent to them, so stitching is O(area of the merged blocks).
+  chain of newly unusable neighbours back to the arriving fault, so
+  :func:`repro.faults.blocks.spread_disabled` seeded at the fault (the
+  walk :func:`~repro.faults.blocks.disable_fixpoint` ends with) finds
+  the exact new fixpoint in O(delta).  The new cells can only merge the
+  blocks 4-adjacent to them, so stitching is O(area of the merged
+  blocks).
 - **Revival** is local: distinct blocks are never 4-adjacent (they would
   be one component), so re-running the fixpoint inside the dead block's
   own rectangle -- with the mesh-edge boundary convention -- reproduces
@@ -28,11 +31,18 @@ This module maintains the same state by *deltas*:
   same vectorised pass as the full computation
   (:func:`repro.core.safety.refresh_safety_levels`), bit-identically.
 - **MCCs** (Definition 2) get the same treatment per closure: the two
-  labelling rules are monotone under fault arrival, so a worklist seeded
-  at the new fault computes each closure's new fixpoint in O(delta);
-  revival re-runs both closures inside the dead component's cell set.
-  Each tracked MCC type keeps its own ESL grids, rescanned over the
-  rows and columns of the cells whose MCC-blocked status flipped.
+  labelling rules are monotone under fault arrival, so
+  :func:`repro.faults.mcc.extend_label` seeded at the new fault extends
+  each closure in O(delta); revival relabels the dead component's
+  window with :func:`repro.faults.mcc._label_closure`, seeded from the
+  component's own faults.  Each tracked MCC type keeps its own ESL
+  grids, rescanned over the rows and columns of the cells whose
+  MCC-blocked status flipped.
+
+Both fault models keep their components in one :class:`_Ledger`: an
+arrival takes every component touching the cells it blocked and puts
+back their union; a revival takes the dead component and puts back what
+its window relabels to.
 
 Every event bumps a per-mesh **generation counter** and yields an
 :class:`UpdateReport` naming the affected window, so caches
@@ -52,7 +62,7 @@ the full rebuild bit-identically in ``tests/test_incremental.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Generic, Iterable, TypeVar
 
 import numpy as np
 
@@ -67,6 +77,7 @@ from repro.faults.blocks import (
     _connected_components,
     build_faulty_blocks,
     disable_fixpoint,
+    spread_disabled,
 )
 from repro.faults.mcc import (
     _LABEL_RULES,
@@ -74,7 +85,10 @@ from repro.faults.mcc import (
     MCCSet,
     MCCType,
     NodeStatus,
+    _label_closure,
+    _status_grid,
     build_mccs,
+    extend_label,
 )
 from repro.mesh.geometry import Coord, Rect
 from repro.mesh.topology import Mesh2D
@@ -86,6 +100,8 @@ __all__ = [
     "UpdateReport",
     "ordered_block_set",
 ]
+
+USELESS, CANT_REACH = NodeStatus.USELESS, NodeStatus.CANT_REACH
 
 
 @dataclass(frozen=True)
@@ -145,6 +161,57 @@ def _count_affected(report: UpdateReport) -> UpdateReport:
     return report
 
 
+C = TypeVar("C")
+
+
+class _Ledger(Generic[C]):
+    """The components of one blocked grid: ``grid[x, y]`` is the slot of
+    the component owning that cell (-1 for none), ``entries`` maps slot ->
+    ``(component, cells)``, and slots never shift on unrelated events."""
+
+    def __init__(self, mesh: Mesh2D):
+        self.grid = np.full((mesh.n, mesh.m), -1, dtype=np.int32)
+        self.entries: dict[int, tuple[C, frozenset[Coord]]] = {}
+        self._next_slot = 0
+
+    def components(self) -> list[C]:
+        return [component for component, _ in self.entries.values()]
+
+    def put(self, component: C, cells: frozenset[Coord]) -> None:
+        slot = self._next_slot
+        self._next_slot += 1
+        self.entries[slot] = (component, cells)
+        for cell in cells:
+            self.grid[cell] = slot
+
+    def _pop(self, slot: int) -> tuple[C, frozenset[Coord]]:
+        entry = self.entries.pop(slot)
+        for cell in entry[1]:
+            self.grid[cell] = -1
+        return entry
+
+    def take(self, coord: Coord) -> tuple[C, frozenset[Coord]]:
+        """Remove the component owning ``coord``; its ``(component, cells)``."""
+        return self._pop(int(self.grid[coord]))
+
+    def take_touching(self, cells: Iterable[Coord]) -> set[Coord]:
+        """Remove every component holding or 4-adjacent to one of
+        ``cells``; the union of their cells."""
+        grid = self.grid
+        n, m = grid.shape
+        slots: set[int] = set()
+        for x, y in cells:
+            for px, py in ((x, y), (x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
+                if 0 <= px < n and 0 <= py < m:
+                    slot = int(grid[px, py])
+                    if slot >= 0:
+                        slots.add(slot)
+        union: set[Coord] = set()
+        for slot in slots:
+            union |= self._pop(slot)[1]
+        return union
+
+
 class IncrementalMCCState:
     """Delta-maintained MCC decomposition for one MCC type.
 
@@ -160,103 +227,48 @@ class IncrementalMCCState:
         self.mesh = mesh
         self.mcc_type = mcc_type
         built = build_mccs(mesh, faults, mcc_type)
-        self.faulty = built.faulty.copy()
-        self.status = built.status.copy()
-        self.blocked = built.blocked.copy()
+        self.faulty = built.faulty
+        self.status = built.status
+        self.blocked = built.blocked
         self.levels = compute_safety_levels(mesh, self.blocked)
+        self._rules = {
+            label: _LABEL_RULES[(mcc_type, label)] for label in (USELESS, CANT_REACH)
+        }
         # Per-closure blocked grids (faulty | that label); the two closures
         # are independent (a node may carry both labels), so each keeps its
         # own grid exactly like the from-scratch `_label_closure`.
-        self._closure: dict[NodeStatus, np.ndarray] = {}
-        for label in (NodeStatus.USELESS, NodeStatus.CANT_REACH):
-            from repro.faults.mcc import _label_closure
-
-            self._closure[label] = self.faulty | _label_closure(
-                mesh, self.faulty, _LABEL_RULES[(mcc_type, label)]
-            )
-        # Stable component slots: the grid holds slot ids, the dict maps
-        # slot -> component; slots never shift on unrelated events.
-        self._slots: dict[int, MCCComponent] = {}
-        self._slot_grid = np.full((mesh.n, mesh.m), -1, dtype=np.int32)
-        self._next_slot = 0
+        self._closure = {
+            label: self.faulty | _label_closure(mesh, self.faulty, rule)
+            for label, rule in self._rules.items()
+        }
+        self._components: _Ledger[MCCComponent] = _Ledger(mesh)
         for component in built.components:
-            slot = self._next_slot
-            self._next_slot += 1
-            self._slots[slot] = component
-            for coord in component.coords:
-                self._slot_grid[coord] = slot
+            self._components.put(component, component.coords)
 
-    # ------------------------------------------------------------------
-    def _closure_propagate(
-        self, grid: np.ndarray, label: NodeStatus, seed: Coord
-    ) -> list[Coord]:
-        """Extend one closure's fixpoint after ``seed`` became blocked.
-
-        A cell can newly satisfy the rule only if one of its two required
-        neighbours is newly blocked *in this closure*, so walking opposite
-        the trigger offsets from each newly blocked cell finds the exact
-        new fixpoint (same worklist shape as ``_label_closure``).
-        """
-        (ax, ay), (bx, by) = _LABEL_RULES[(self.mcc_type, label)]
-        n, m = self.mesh.n, self.mesh.m
-        newly: list[Coord] = []
-        worklist = [seed]
-        while worklist:
-            nxt: list[Coord] = []
-            for x, y in worklist:
-                for px, py in ((x - ax, y - ay), (x - bx, y - by)):
-                    if not (0 <= px < n and 0 <= py < m) or grid[px, py]:
-                        continue
-                    nax, nay = px + ax, py + ay
-                    nbx, nby = px + bx, py + by
-                    if not (0 <= nax < n and 0 <= nay < m and grid[nax, nay]):
-                        continue
-                    if not (0 <= nbx < n and 0 <= nby < m and grid[nbx, nby]):
-                        continue
-                    grid[px, py] = True
-                    newly.append((px, py))
-                    nxt.append((px, py))
-            worklist = nxt
-        return newly
-
-    def _component_cells(self, slot: int) -> frozenset[Coord]:
-        return self._slots[slot].coords
-
-    def _make_component(self, coords: frozenset[Coord]) -> MCCComponent:
+    def _put(self, coords: frozenset[Coord]) -> None:
         status = self.status
-        return MCCComponent(
+        self._components.put(MCCComponent(
             mcc_type=self.mcc_type,
             coords=coords,
-            rect=Rect.bounding(sorted(coords)),
+            rect=Rect.bounding(coords),
             faulty=frozenset(c for c in coords if status[c] == NodeStatus.FAULTY),
-            useless=frozenset(c for c in coords if status[c] == NodeStatus.USELESS),
-            cant_reach=frozenset(
-                c for c in coords if status[c] == NodeStatus.CANT_REACH
-            ),
-        )
-
-    def _install(self, coords: frozenset[Coord]) -> None:
-        slot = self._next_slot
-        self._next_slot += 1
-        self._slots[slot] = self._make_component(coords)
-        for coord in coords:
-            self._slot_grid[coord] = slot
+            useless=frozenset(c for c in coords if status[c] == USELESS),
+            cant_reach=frozenset(c for c in coords if status[c] == CANT_REACH),
+        ), coords)
 
     # ------------------------------------------------------------------
     def inject(self, coord: Coord) -> None:
         self.faulty[coord] = True
         touched: list[Coord] = [coord]
-        for label in (NodeStatus.USELESS, NodeStatus.CANT_REACH):
+        for label, rule in self._rules.items():
             grid = self._closure[label]
             if grid[coord]:
                 continue  # already blocked in this closure (was labelled)
             grid[coord] = True
-            newly = self._closure_propagate(grid, label, coord)
-            for cell in newly:
-                if label is NodeStatus.USELESS:
-                    self.status[cell] = NodeStatus.USELESS
-                elif self.status[cell] != NodeStatus.USELESS:
-                    self.status[cell] = NodeStatus.CANT_REACH
+            newly = extend_label(grid, rule, [coord])
+            for cell in newly:  # useless outranks can't-reach
+                if label is USELESS or self.status[cell] != USELESS:
+                    self.status[cell] = label
             touched.extend(newly)
         self.status[coord] = NodeStatus.FAULTY
 
@@ -267,107 +279,52 @@ class IncrementalMCCState:
         # Every touched cell chains back to the fault through blocked
         # cells, so the fault's component absorbs every component holding
         # or 4-adjacent to a touched cell.
-        merge: set[int] = set()
-        for cell in touched:
-            slot = int(self._slot_grid[cell])
-            if slot >= 0:
-                merge.add(slot)
-        n, m = self.mesh.n, self.mesh.m
-        for x, y in new_blocked:
-            for px, py in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
-                if 0 <= px < n and 0 <= py < m:
-                    slot = int(self._slot_grid[px, py])
-                    if slot >= 0:
-                        merge.add(slot)
-        coords = set(new_blocked)
-        for slot in merge:
-            coords |= self._slots.pop(slot).coords
-        self._install(frozenset(coords))
+        coords = self._components.take_touching(touched)
+        coords.update(touched)
+        self._put(frozenset(coords))
 
     # ------------------------------------------------------------------
     def revive(self, coord: Coord) -> None:
         self.faulty[coord] = False
-        slot = int(self._slot_grid[coord])
-        component = self._slots.pop(slot)
+        component, cells = self._components.take(coord)
         rect = component.rect
-        window = (
-            slice(rect.xmin, rect.xmax + 1),
-            slice(rect.ymin, rect.ymax + 1),
-        )
+        window = (slice(rect.xmin, rect.xmax + 1), slice(rect.ymin, rect.ymax + 1))
         # Another component may own cells inside this bounding box (the
-        # staircase shapes interleave), so every write below is masked to
-        # the component's own cells.
+        # staircase shapes interleave), so only this component's faults
+        # seed the relabel and only its cells are written back.
         in_comp = np.zeros((rect.width, rect.height), dtype=bool)
-        for x, y in component.coords:
+        for x, y in cells:
             in_comp[x - rect.xmin, y - rect.ymin] = True
         sub_faulty = self.faulty[window] & in_comp
-
-        # Re-run both closures restricted to the component: its cells are
-        # never 4-adjacent to another component, so treating everything
-        # outside as fault-free matches the global fixpoint.
-        from repro.faults.blocks import _shifted
-
-        new_closures: dict[NodeStatus, np.ndarray] = {}
-        for label in (NodeStatus.USELESS, NodeStatus.CANT_REACH):
-            (ax, ay), (bx, by) = _LABEL_RULES[(self.mcc_type, label)]
-            closed = sub_faulty.copy()
-            while True:
-                grown = (
-                    in_comp
-                    & ~closed
-                    & _shifted(closed, ax, ay)
-                    & _shifted(closed, bx, by)
-                )
-                if not grown.any():
-                    break
-                closed |= grown
-            new_closures[label] = closed
-
-        sub_status = np.zeros_like(self.status[window])
-        sub_status[new_closures[NodeStatus.CANT_REACH] & ~sub_faulty] = (
-            NodeStatus.CANT_REACH
+        # The component is never 4-adjacent to another one, so relabelling
+        # its window with everything else fault-free matches the global
+        # fixpoint, and every label chains back to its faults, inside it.
+        window_mesh = Mesh2D(rect.width, rect.height)
+        useless, cant_reach = (
+            sub_faulty | _label_closure(window_mesh, sub_faulty, rule)
+            for rule in self._rules.values()
         )
-        sub_status[new_closures[NodeStatus.USELESS] & ~sub_faulty] = NodeStatus.USELESS
-        sub_status[sub_faulty] = NodeStatus.FAULTY
-        sub_blocked = (
-            sub_faulty
-            | new_closures[NodeStatus.USELESS]
-            | new_closures[NodeStatus.CANT_REACH]
-        )
-
-        for label in (NodeStatus.USELESS, NodeStatus.CANT_REACH):
-            grid = self._closure[label][window]
-            grid[in_comp] = new_closures[label][in_comp]
-            self._closure[label][window] = grid
-        status = self.status[window]
-        status[in_comp] = sub_status[in_comp]
-        self.status[window] = status
-        blocked = self.blocked[window]
-        blocked[in_comp] = sub_blocked[in_comp]
-        self.blocked[window] = blocked
+        sub_blocked = useless | cant_reach
+        for grid, sub in (
+            (self._closure[USELESS], useless),
+            (self._closure[CANT_REACH], cant_reach),
+            (self.status, _status_grid(sub_faulty, useless, cant_reach)),
+            (self.blocked, sub_blocked),
+        ):
+            grid[window][in_comp] = sub[in_comp]
         _rescan(self.levels, self.blocked, [
             (int(x) + rect.xmin, int(y) + rect.ymin)
             for x, y in np.argwhere(in_comp & ~sub_blocked)
         ])
-        slot_grid = self._slot_grid[window]
-        slot_grid[in_comp] = -1
-        self._slot_grid[window] = slot_grid
-
-        for cells in _connected_components(sub_blocked & in_comp):
-            self._install(
-                frozenset((x + rect.xmin, y + rect.ymin) for x, y in cells)
-            )
+        for part in _connected_components(sub_blocked):
+            self._put(frozenset((x + rect.xmin, y + rect.ymin) for x, y in part))
 
     # ------------------------------------------------------------------
-    def rebuild(self, faults: Iterable[Coord]) -> None:
-        """Full rebuild fallback (driven by the engine's defensive path)."""
-        self.__init__(self.mesh, faults, self.mcc_type)
-
     def mcc_set(self) -> MCCSet:
         """Materialize the current state as a from-scratch-ordered
         :class:`MCCSet` snapshot (components sorted by minimal coordinate,
         arrays copied)."""
-        components = sorted(self._slots.values(), key=lambda c: min(c.coords))
+        components = sorted(self._components.components(), key=lambda c: min(c.coords))
         component_id = np.full((self.mesh.n, self.mesh.m), -1, dtype=np.int32)
         for index, component in enumerate(components):
             for coord in component.coords:
@@ -403,16 +360,19 @@ class IncrementalFaultEngine:
         self.mesh = mesh
         self.generation = 0
         self.full_rebuilds = 0
-        built = build_faulty_blocks(mesh, faults)
-        self.faulty = built.faulty
-        self.unusable = built.unusable
-        self.levels = compute_safety_levels(mesh, built.unusable)
-        self._slots: dict[int, FaultyBlock] = dict(enumerate(built.blocks))
-        self._slot_grid = built.block_id.copy()
-        self._next_slot = len(built.blocks)
+        self._load(build_faulty_blocks(mesh, faults))
         self._mccs: dict[MCCType, IncrementalMCCState] = {}
         for mcc_type in mcc_types:
             self.track_mcc(mcc_type)
+
+    def _load(self, built: BlockSet) -> None:
+        """Take over a from-scratch build's grids and blocks."""
+        self.faulty = built.faulty
+        self.unusable = built.unusable
+        self.levels = compute_safety_levels(self.mesh, built.unusable)
+        self._blocks: _Ledger[FaultyBlock] = _Ledger(self.mesh)
+        for block in built.blocks:
+            self._blocks.put(block, block.faulty | block.disabled)
 
     # ------------------------------------------------------------------
     @property
@@ -437,6 +397,12 @@ class IncrementalFaultEngine:
             return self.revive(coord)
         raise ValueError(f"unknown fault event {event!r}")
 
+    def _put_block(self, cells: frozenset[Coord], rect: Rect) -> None:
+        faulty = frozenset(c for c in cells if self.faulty[c])
+        self._blocks.put(
+            FaultyBlock(rect=rect, faulty=faulty, disabled=cells - faulty), cells
+        )
+
     # ------------------------------------------------------------------
     def inject(self, coord: Coord) -> UpdateReport:
         """One fault arrival; O(affected) delta maintenance."""
@@ -450,84 +416,30 @@ class IncrementalFaultEngine:
             # The fault landed on an already-disabled node: no mask, block
             # shape, or ESL changes -- only the faulty/disabled partition
             # of its block moves.
-            slot = int(self._slot_grid[coord])
-            block = self._slots[slot]
-            self._slots[slot] = FaultyBlock(
+            block, cells = self._blocks.take(coord)
+            self._blocks.put(FaultyBlock(
                 rect=block.rect,
                 faulty=block.faulty | {coord},
                 disabled=block.disabled - {coord},
-            )
-            for mcc in self._mccs.values():
-                mcc.inject(coord)
+            ), cells)
+            changed = [coord]
             x, y = coord
-            return self._report("inject", coord, [coord], Rect(x, x, y, y))
-
-        new_cells = self._propagate_disable(coord)
-        merge: set[int] = set()
-        n, m = self.mesh.n, self.mesh.m
-        for x, y in new_cells:
-            for px, py in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
-                if 0 <= px < n and 0 <= py < m:
-                    slot = int(self._slot_grid[px, py])
-                    if slot >= 0:
-                        merge.add(slot)
-        merged: set[Coord] = set(new_cells)
-        for slot in merge:
-            block = self._slots[slot]
-            merged |= block.faulty
-            merged |= block.disabled
-        rect = Rect.bounding(sorted(merged))
-        if len(merged) != rect.area:
-            # Defensive completion (same guard as build_faulty_blocks);
-            # never observed, but correctness beats locality here.
-            return self._full_rebuild("inject", coord)
-        for slot in merge:
-            del self._slots[slot]
-        block_faulty = frozenset(c for c in merged if self.faulty[c])
-        slot = self._next_slot
-        self._next_slot += 1
-        self._slots[slot] = FaultyBlock(
-            rect=rect,
-            faulty=block_faulty,
-            disabled=frozenset(merged) - block_faulty,
-        )
-        self._slot_grid[rect.xmin : rect.xmax + 1, rect.ymin : rect.ymax + 1] = slot
-        _rescan(self.levels, self.unusable, new_cells)
+            rect = Rect(x, x, y, y)
+        else:
+            self.unusable[coord] = True
+            changed = [coord, *spread_disabled(self.unusable, [coord])]
+            merged = self._blocks.take_touching(changed)
+            merged.update(changed)
+            rect = Rect.bounding(merged)
+            if len(merged) != rect.area:
+                # Defensive completion (same guard as build_faulty_blocks);
+                # never observed, but correctness beats locality here.
+                return self._full_rebuild("inject", coord)
+            self._put_block(frozenset(merged), rect)
+            _rescan(self.levels, self.unusable, changed)
         for mcc in self._mccs.values():
             mcc.inject(coord)
-        return self._report("inject", coord, new_cells, rect)
-
-    def _propagate_disable(self, coord: Coord) -> list[Coord]:
-        """Definition 1's fixpoint extension after ``coord`` turned faulty.
-
-        Every newly disabled cell is triggered through a chain of newly
-        unusable neighbours back to ``coord`` (otherwise it would already
-        have been disabled), so a frontier walk from the fault finds the
-        exact new global fixpoint in O(delta).
-        """
-        n, m = self.mesh.n, self.mesh.m
-        unusable = self.unusable
-        unusable[coord] = True
-        new_cells = [coord]
-        frontier = [coord]
-        while frontier:
-            nxt: list[Coord] = []
-            for x, y in frontier:
-                for cx, cy in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
-                    if not (0 <= cx < n and 0 <= cy < m) or unusable[cx, cy]:
-                        continue
-                    horizontal = (cx > 0 and unusable[cx - 1, cy]) or (
-                        cx + 1 < n and unusable[cx + 1, cy]
-                    )
-                    vertical = (cy > 0 and unusable[cx, cy - 1]) or (
-                        cy + 1 < m and unusable[cx, cy + 1]
-                    )
-                    if horizontal and vertical:
-                        unusable[cx, cy] = True
-                        new_cells.append((cx, cy))
-                        nxt.append((cx, cy))
-            frontier = nxt
-        return new_cells
+        return self._report("inject", coord, changed, rect)
 
     # ------------------------------------------------------------------
     def revive(self, coord: Coord) -> UpdateReport:
@@ -537,12 +449,8 @@ class IncrementalFaultEngine:
             raise ValueError(f"{coord} is not faulty")
         self.generation += 1
         self.faulty[coord] = False
-        slot = int(self._slot_grid[coord])
-        rect = self._slots.pop(slot).rect
-        window = (
-            slice(rect.xmin, rect.xmax + 1),
-            slice(rect.ymin, rect.ymax + 1),
-        )
+        rect = self._blocks.take(coord)[0].rect
+        window = (slice(rect.xmin, rect.xmax + 1), slice(rect.ymin, rect.ymax + 1))
         # Distinct blocks are never 4-adjacent and a block fills its
         # rectangle exactly, so every cell bordering the window is enabled
         # -- the subgrid fixpoint (edges read as healthy) is the global one.
@@ -552,23 +460,12 @@ class IncrementalFaultEngine:
             for x, y in np.argwhere(~sub_unusable)
         ]
         self.unusable[window] = sub_unusable
-        self._slot_grid[window] = -1
-        for cells in _connected_components(sub_unusable):
-            shifted = [(x + rect.xmin, y + rect.ymin) for x, y in cells]
-            crect = Rect.bounding(shifted)
-            if len(shifted) != crect.area:
+        for part in _connected_components(sub_unusable):
+            cells = frozenset((x + rect.xmin, y + rect.ymin) for x, y in part)
+            crect = Rect.bounding(cells)
+            if len(cells) != crect.area:
                 return self._full_rebuild("revive", coord)
-            block_faulty = frozenset(c for c in shifted if self.faulty[c])
-            new_slot = self._next_slot
-            self._next_slot += 1
-            self._slots[new_slot] = FaultyBlock(
-                rect=crect,
-                faulty=block_faulty,
-                disabled=frozenset(shifted) - block_faulty,
-            )
-            self._slot_grid[
-                crect.xmin : crect.xmax + 1, crect.ymin : crect.ymax + 1
-            ] = new_slot
+            self._put_block(cells, crect)
         _rescan(self.levels, self.unusable, freed)
         for mcc in self._mccs.values():
             mcc.revive(coord)
@@ -579,15 +476,8 @@ class IncrementalFaultEngine:
         """Rebuild everything from the current fault set (defensive path)."""
         self.full_rebuilds += 1
         faults = self.faults
-        built = build_faulty_blocks(self.mesh, faults)
-        self.faulty = built.faulty
-        self.unusable = built.unusable
-        self.levels = compute_safety_levels(self.mesh, built.unusable)
-        self._slots = dict(enumerate(built.blocks))
-        self._slot_grid = built.block_id.copy()
-        self._next_slot = len(built.blocks)
-        for mcc in self._mccs.values():
-            mcc.rebuild(faults)
+        self._load(build_faulty_blocks(self.mesh, faults))
+        self._mccs = {t: IncrementalMCCState(self.mesh, faults, t) for t in self._mccs}
         return _count_affected(
             UpdateReport(
                 event=event,
@@ -621,12 +511,12 @@ class IncrementalFaultEngine:
         """Materialize the current blocks as a :class:`BlockSet` snapshot
         ordered like :func:`build_faulty_blocks` (arrays copied)."""
         return ordered_block_set(
-            self.mesh, self._slots.values(), self.faulty.copy(), self.unusable.copy()
+            self.mesh, self._blocks.components(), self.faulty.copy(), self.unusable.copy()
         )
 
     def blocks(self) -> tuple[FaultyBlock, ...]:
         """The current blocks, unordered (:meth:`block_set` orders them)."""
-        return tuple(self._slots.values())
+        return tuple(self._blocks.components())
 
     def safety_levels(self) -> SafetyLevels:
         """The live (delta-maintained) ESL grids; mutated in place by

@@ -24,12 +24,12 @@ Definition 2 (type one, quadrant-I wording):
     can't-reach nodes form an MCC.*
 
 Missing neighbours at mesh edges count as fault-free, so a node on the mesh
-boundary is never labelled because of the edge alone.  Each label is a
-worklist closure: it starts from the faulty cells and re-examines only the
-cells a newly blocked cell can trigger, so its cost is proportional to the
-number of blocked cells (verified against a naive fixpoint in the tests).
-This scalar labelling is the reference; the figure sweeps label whole
-pattern stacks with :func:`repro.core.batched_patterns.batch_label_closure`.
+boundary is never labelled because of the edge alone.  Each label has one
+scalar walk, :func:`extend_label`: the builder runs it from the faults
+(:func:`_label_closure`, verified against a naive fixpoint in the tests),
+:class:`repro.faults.incremental.IncrementalMCCState` from each arriving
+fault.  The figure sweeps label whole pattern stacks with the lockstep
+batched form, :func:`repro.core.batched_patterns.batch_label_closure`.
 """
 
 from __future__ import annotations
@@ -87,6 +87,41 @@ _LABEL_RULES: dict[tuple[MCCType, NodeStatus], tuple[tuple[int, int], tuple[int,
 }
 
 
+def extend_label(
+    blocked: np.ndarray,
+    offsets: tuple[tuple[int, int], tuple[int, int]],
+    seeds: Iterable[Coord],
+) -> list[Coord]:
+    """Walk one label's rule out from newly blocked ``seeds``, in place;
+    returns the cells it labels.
+
+    ``blocked`` is the label's closure grid (faulty or labelled) and
+    ``offsets`` its two required neighbours.  A blocked cell can only
+    trigger the cells it is a required neighbour of, so the walk costs
+    O(cells labelled).
+    """
+    n, m = blocked.shape
+    (ax, ay), (bx, by) = offsets
+    newly: list[Coord] = []
+    stack = list(seeds)
+    while stack:
+        x, y = stack.pop()
+        # (x, y) is the a-neighbour of (x, y) - a and the b-neighbour of
+        # (x, y) - b; each still needs its other required neighbour.
+        for px, py, qx, qy in (
+            (x - ax, y - ay, x - ax + bx, y - ay + by),
+            (x - bx, y - by, x - bx + ax, y - by + ay),
+        ):
+            if (
+                0 <= px < n and 0 <= py < m and not blocked[px, py]
+                and 0 <= qx < n and 0 <= qy < m and blocked[qx, qy]
+            ):
+                blocked[px, py] = True
+                newly.append((px, py))
+                stack.append((px, py))
+    return newly
+
+
 def _label_closure(
     mesh: Mesh2D,
     faulty: np.ndarray,
@@ -98,35 +133,13 @@ def _label_closure(
     (faulty or already carrying the same label).  The two closures are
     *independent* -- a node may end up in both (e.g. node (3, 5) of the
     paper's Figure 1 example is useless and can't-reach for type two), so
-    each runs on its own blocked grid seeded only from the faults.  Starts
-    from the faulty cells and walks opposite the trigger directions, so the
-    cost is proportional to the number of blocked cells.
+    each runs on its own blocked grid seeded only from the faults.
+    ``faulty`` is a grid of ``mesh``, whose edges read as fault-free.
     """
-    n, m = mesh.n, mesh.m
-    (ax, ay), (bx, by) = offsets
+    assert faulty.shape == (mesh.n, mesh.m)
     blocked = faulty.copy()  # faulty or labelled
-
-    def try_label(x: int, y: int, worklist: list[Coord]) -> None:
-        if not (0 <= x < n and 0 <= y < m) or blocked[x, y]:
-            return
-        nax, nay = x + ax, y + ay
-        nbx, nby = x + bx, y + by
-        if not (0 <= nax < n and 0 <= nay < m and blocked[nax, nay]):
-            return
-        if not (0 <= nbx < n and 0 <= nby < m and blocked[nbx, nby]):
-            return
-        blocked[x, y] = True
-        worklist.append((x, y))
-
-    worklist: list[Coord] = [(int(x), int(y)) for x, y in zip(*np.nonzero(faulty))]
-    while worklist:
-        next_worklist: list[Coord] = []
-        for x, y in worklist:
-            # A newly blocked cell can only trigger the cells for which it is
-            # one of the two required neighbours.
-            try_label(x - ax, y - ay, next_worklist)
-            try_label(x - bx, y - by, next_worklist)
-        worklist = next_worklist
+    xs, ys = np.nonzero(faulty)
+    extend_label(blocked, offsets, zip(xs.tolist(), ys.tolist()))
     return blocked & ~faulty
 
 
@@ -137,12 +150,17 @@ def label_statuses(mesh: Mesh2D, faulty: np.ndarray, mcc_type: MCCType) -> np.nd
     A node satisfying both closures reports ``USELESS`` (one status per node;
     the blocked-set semantics are unaffected).
     """
-    status = np.zeros((mesh.n, mesh.m), dtype=np.int8)
-    status[faulty] = NodeStatus.FAULTY
     useless = _label_closure(mesh, faulty, _LABEL_RULES[(mcc_type, NodeStatus.USELESS)])
     cant_reach = _label_closure(mesh, faulty, _LABEL_RULES[(mcc_type, NodeStatus.CANT_REACH)])
+    return _status_grid(faulty, useless, cant_reach)
+
+
+def _status_grid(faulty: np.ndarray, useless: np.ndarray, cant_reach: np.ndarray) -> np.ndarray:
+    """One status per node, faulty over useless over can't-reach."""
+    status = np.zeros(faulty.shape, dtype=np.int8)
+    status[cant_reach] = NodeStatus.CANT_REACH
     status[useless] = NodeStatus.USELESS
-    status[cant_reach & ~useless] = NodeStatus.CANT_REACH
+    status[faulty] = NodeStatus.FAULTY
     return status
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Collection, Iterator
 
 Coord = tuple[int, int]
 
@@ -149,7 +149,7 @@ class Rect:
             raise ValueError(f"degenerate rectangle {self!r}")
 
     @staticmethod
-    def bounding(coords: Sequence[Coord]) -> "Rect":
+    def bounding(coords: Collection[Coord]) -> "Rect":
         """Smallest rectangle containing every coordinate in ``coords``."""
         if not coords:
             raise ValueError("cannot bound an empty coordinate set")

@@ -107,6 +107,7 @@ class ServeApp(HttpApp):
     # -- routes --------------------------------------------------------
     async def _query(self, query: dict[str, list[str]]) -> Response:
         if not self.ready:
+            self.pipeline.count_rejected("shed_overload")
             return _DRAINING
         try:
             source = _param(query, "source", _parse_coord)
@@ -115,7 +116,7 @@ class ServeApp(HttpApp):
             want_path = bool(_param(query, "path", int, default=1))
             deadline_ms = _param(query, "deadline_ms", float, default=0.0)
         except ValueError as error:
-            self.pipeline.count_malformed()
+            self.pipeline.count_rejected("bad_requests")
             return _bad_request(str(error))
         result = await self.pipeline.submit(
             source, dest, model=model, want_path=want_path,

@@ -213,13 +213,14 @@ class QueryPipeline:
             return QueryResult(status="overloaded", error="queue full")
         return await future
 
-    def count_malformed(self) -> None:
-        """Count a query the front end rejected as malformed before
-        :meth:`submit` (e.g. an unparsable coordinate): it arrived and
-        was a bad request, so the outcome counters still sum to
-        ``arrived``."""
+    def count_rejected(self, outcome: str) -> None:
+        """Count a query the front end answered before :meth:`submit`: it
+        arrived, and ``outcome`` is its counter -- ``"bad_requests"`` for a
+        malformed one (e.g. an unparsable coordinate), ``"shed_overload"``
+        for one refused while shutting down -- so the outcome counters
+        still sum to ``arrived``."""
         self.counters["arrived"] += 1
-        self.counters["bad_requests"] += 1
+        self.counters[outcome] += 1
 
     def ingest_fault(self, event: str, coord: Coord) -> Any:
         """Apply one fault event; the refresher picks up the new generation.

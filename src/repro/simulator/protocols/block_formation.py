@@ -120,4 +120,5 @@ def run_block_formation(
     for coord, process in network.nodes.items():
         if isinstance(process, BlockFormationProcess) and process.disabled:
             unusable[coord] = True
+    network.close()
     return BlockFormationResult(unusable=unusable, stats=stats)

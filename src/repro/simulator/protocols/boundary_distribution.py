@@ -172,6 +172,7 @@ def run_boundary_distribution(
                     process.annotations.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
                 )
             ]
+    network.close()
     return BoundaryDistributionResult(annotations=annotations, stats=stats)
 
 

@@ -122,40 +122,21 @@ class DynamicNode(ResilientProcess):
 
 @dataclass(frozen=True)
 class InjectionReport:
-    """Cost accounting for one injected fault.
-
-    The ``affected_*``/``generation`` fields are filled when the mesh
-    maintains its centralized reference incrementally
-    (``maintenance="incremental"``): how many cells the event actually
-    perturbed, that count over the mesh size, and the mesh's fault-event
-    generation after the event.  Under full-rebuild maintenance they stay
-    ``None``.
-    """
+    """Cost accounting for one injected fault."""
 
     fault: Coord
     messages: int
     events: int
     newly_disabled: int
     settled_at: float
-    affected_cells: int | None = None
-    affected_fraction: float | None = None
-    generation: int | None = None
 
 
 class DynamicMesh:
     """A live mesh: inject faults one at a time, information stays consistent.
 
-    ``maintenance`` selects how the *centralized reference state* (blocks
-    + ESLs, served by :meth:`reference_blocks` / :meth:`reference_levels`
-    and consumed by verification and routing layers) is kept while faults
-    arrive and revive:
-
-    - ``"full"`` (default): rebuilt from scratch on demand -- O(n*m) per
-      query, the seed behaviour.
-    - ``"incremental"``: delta-maintained by an
-      :class:`repro.faults.incremental.IncrementalFaultEngine` -- O(affected)
-      per event, with per-event affected-window accounting flowing into
-      :class:`InjectionReport`.
+    The centralized reference state (blocks + ESLs, served by
+    :meth:`reference_blocks` / :meth:`reference_levels`) is rebuilt from
+    scratch by the batch builders on demand.
     """
 
     def __init__(
@@ -164,15 +145,9 @@ class DynamicMesh:
         latency: float = 1.0,
         chaos: "ChannelFaultPlan | None" = None,
         hardened: bool | None = None,
-        maintenance: str = "full",
     ):
-        if maintenance not in ("full", "incremental"):
-            raise ValueError(
-                f"maintenance must be 'full' or 'incremental', got {maintenance!r}"
-            )
         self.mesh = mesh
         self.latency = latency
-        self.maintenance = maintenance
         self.engine = Engine()
         self.hardened = (
             hardened if hardened is not None else chaos is not None and chaos.active
@@ -187,14 +162,6 @@ class DynamicMesh:
         )
         self.faults: list[Coord] = []
         self.reports: list[InjectionReport] = []
-        if maintenance == "incremental":
-            from repro.faults.incremental import IncrementalFaultEngine
-
-            self.fault_engine: "IncrementalFaultEngine | None" = (
-                IncrementalFaultEngine(mesh)
-            )
-        else:
-            self.fault_engine = None
 
     def _event_budget(self) -> int:
         if self.hardened:
@@ -228,18 +195,12 @@ class DynamicMesh:
         self.network.refresh_instrumentation()
         self.engine.run(max_events=self._event_budget())
 
-        update = (
-            self.fault_engine.inject(coord) if self.fault_engine is not None else None
-        )
         report = InjectionReport(
             fault=coord,
             messages=self.network.messages_carried_total - messages_before,
             events=self.engine.events_processed - events_before,
             newly_disabled=self._count_disabled() - disabled_before,
             settled_at=self.engine.now,
-            affected_cells=update.affected_cells if update else None,
-            affected_fraction=update.affected_fraction if update else None,
-            generation=update.generation if update else None,
         )
         self.reports.append(report)
         return report
@@ -257,8 +218,6 @@ class DynamicMesh:
             raise ValueError(f"{coord} was never injected")
         self.network.restore_node(coord, self._factory)
         self.faults.remove(coord)
-        if self.fault_engine is not None:
-            self.fault_engine.revive(coord)
         for direction, neighbor in self.mesh.neighbor_items(coord):
             process = self.network.nodes.get(neighbor)
             if isinstance(process, DynamicNode):
@@ -289,22 +248,13 @@ class DynamicMesh:
         return self.network.messages_carried_total
 
     def reference_blocks(self):
-        """Centralized ground-truth blocks for the current fault set.
-
-        Under ``maintenance="incremental"`` this is a snapshot of the
-        delta-maintained engine state; under ``"full"`` it rebuilds from
-        scratch (the seed behaviour)."""
-        if self.fault_engine is not None:
-            return self.fault_engine.block_set()
+        """Centralized ground-truth blocks for the current fault set."""
         from repro.faults.blocks import build_faulty_blocks
 
         return build_faulty_blocks(self.mesh, self.faults)
 
     def reference_levels(self) -> SafetyLevels:
-        """Centralized ground-truth ESLs (see :meth:`reference_blocks`);
-        the incremental engine serves its live grids in O(1)."""
-        if self.fault_engine is not None:
-            return self.fault_engine.safety_levels()
+        """Centralized ground-truth ESLs (see :meth:`reference_blocks`)."""
         from repro.core.safety import compute_safety_levels
 
         return compute_safety_levels(self.mesh, self.reference_blocks().unusable)

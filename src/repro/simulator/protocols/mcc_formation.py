@@ -108,6 +108,7 @@ def run_mcc_formation(
             status[coord] = NodeStatus.USELESS
         elif NodeStatus.CANT_REACH in process.labels:
             status[coord] = NodeStatus.CANT_REACH
+    network.close()
     return MCCFormationResult(
         status=status,
         blocked=status != NodeStatus.FAULT_FREE,

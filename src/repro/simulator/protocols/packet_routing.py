@@ -118,4 +118,5 @@ def run_distributed_routing(
         if isinstance(process, PacketForwardingProcess):
             for packet, when in process.delivered:
                 delivery_times[packet.packet_id] = when
+    network.close()
     return DistributedRoutingRun(packets=packets, delivery_times=delivery_times, stats=stats)

@@ -95,4 +95,5 @@ def run_pivot_broadcast(
         for coord, process in network.nodes.items()
         if isinstance(process, PivotBroadcastProcess)
     }
+    network.close()
     return PivotBroadcastResult(tables=tables, stats=stats)

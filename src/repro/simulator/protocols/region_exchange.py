@@ -138,6 +138,7 @@ def run_region_exchange(
         assert isinstance(process, RegionExchangeProcess)
         row_knowledge[coord] = dict(process.row_samples)
         column_knowledge[coord] = dict(process.column_samples)
+    network.close()
     return RegionExchangeResult(
         row_knowledge=row_knowledge,
         column_knowledge=column_knowledge,

@@ -133,5 +133,6 @@ def run_safety_propagation(
     for (x, y), process in network.nodes.items():
         assert isinstance(process, SafetyFormationProcess)
         grids[:, x, y] = [process.levels[d] for d in ESL_ORDER]
+    network.close()
     levels = SafetyLevels(mesh, ESLGrids(*encode_levels(grids)))
     return SafetyPropagationResult(levels=levels, stats=stats)

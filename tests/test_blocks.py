@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.faults.blocks import build_faulty_blocks, disable_fixpoint
+from repro.faults.blocks import build_faulty_blocks, disable_fixpoint, spread_disabled
 from repro.mesh.geometry import Rect
 from repro.mesh.topology import Mesh2D
 
@@ -131,10 +131,11 @@ class TestBlockSetInvariants:
 
 
 class TestImplementationCrossValidation:
-    """The frontier fixpoint must reproduce the dense full-grid fixpoint
-    (``batch_disable_fixpoint``, exhaustively equal to Definition 1 on
-    4x4) exactly, and the run-labelled components must be the 4-connected
-    components by their defining properties."""
+    """The scalar fixpoint (a dense round plus ``spread_disabled``), and the
+    walk seeded from one more fault, must reproduce the dense full-grid
+    fixpoint (``batch_disable_fixpoint``, exhaustively equal to Definition
+    1 on 4x4) exactly, and the run-labelled components must be the
+    4-connected components by their defining properties."""
 
     def _random_masks(self, count=40, seed=123):
         rng = np.random.default_rng(seed)
@@ -151,8 +152,26 @@ class TestImplementationCrossValidation:
         return batch_disable_fixpoint(faulty[None])[0]
 
     def test_frontier_fixpoint_matches_dense(self):
+        """Each random mask is checked twice: from scratch, and in the
+        incremental engine's form -- from its fixpoint one more cell turns
+        unusable and ``spread_disabled`` from that cell alone must reach
+        the dense fixpoint of the grown fault set."""
+        rng = np.random.default_rng(456)
         for faulty in self._random_masks():
-            assert np.array_equal(disable_fixpoint(faulty), self._dense(faulty))
+            unusable = disable_fixpoint(faulty)
+            assert np.array_equal(unusable, self._dense(faulty))
+            free = np.argwhere(~unusable)
+            if not len(free):
+                continue
+            x, y = (int(v) for v in free[rng.integers(len(free))])
+            before = unusable.copy()
+            unusable[x, y] = True
+            newly = spread_disabled(unusable, [(x, y)])
+            grown = faulty.copy()
+            grown[x, y] = True
+            assert np.array_equal(unusable, self._dense(grown))
+            changed = {(int(a), int(b)) for a, b in np.argwhere(unusable != before)}
+            assert changed == {(x, y), *newly}
 
     def test_frontier_fixpoint_structured_cases(self):
         cases = [

@@ -355,25 +355,6 @@ class TestConvergenceVerifier:
         assert report.pairs_checked > 0
         assert "CONVERGED" in report.summary()
 
-    def test_incremental_oracle_agrees_with_full(self):
-        """The delta-maintained oracle replays every applied crash/revive
-        and must reach the same verdict as the from-scratch rebuild."""
-        mesh = Mesh2D(12, 12)
-        rng = np.random.default_rng(3)
-        faults = uniform_faults(mesh, 8, rng)
-        schedule = ChaosSchedule.random(mesh, rng, events=8, forbidden=set(faults))
-        full = verify_convergence(mesh, faults, schedule=schedule, seed=7)
-        incremental = verify_convergence(
-            mesh, faults, schedule=schedule, seed=7, maintenance="incremental"
-        )
-        assert full.ok and incremental.ok
-        assert incremental.final_faults == full.final_faults
-        assert incremental.pairs_checked == full.pairs_checked
-
-    def test_rejects_unknown_maintenance(self):
-        with pytest.raises(ValueError, match="maintenance"):
-            verify_convergence(Mesh2D(6, 6), maintenance="lazy")
-
     def test_runner_records_applied_events_in_order(self):
         mesh = Mesh2D(10, 10)
         rng = np.random.default_rng(5)

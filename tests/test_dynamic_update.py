@@ -46,6 +46,20 @@ class TestSingleInjections:
         with pytest.raises(ValueError):
             DynamicMesh(Mesh2D(8, 8)).inject_fault((8, 0))
 
+    def test_reference_state_is_ground_truth(self):
+        """The centralized reference equals the batch builders for the
+        current fault set, through an injection and a revival."""
+        dynamic = DynamicMesh(Mesh2D(8, 8))
+        for fault in ((3, 3), (4, 4)):
+            dynamic.inject_fault(fault)
+        dynamic.revive_node((3, 3))
+        expected = build_faulty_blocks(dynamic.mesh, dynamic.faults)
+        got = dynamic.reference_blocks()
+        assert np.array_equal(got.unusable, expected.unusable)
+        assert got.blocks == expected.blocks
+        want_levels = compute_safety_levels(dynamic.mesh, expected.unusable)
+        assert np.array_equal(dynamic.reference_levels().grids, want_levels.grids)
+
 
 class TestDisablingCascades:
     def test_diagonal_pair_disables_corners(self):
@@ -108,52 +122,3 @@ class TestRandomSequences:
         blocks = build_faulty_blocks(mesh, faults)
         from_scratch = run_safety_propagation(mesh, blocks.unusable).stats.messages
         assert total_incremental <= 4 * (from_scratch + 4 * 24)
-
-
-class TestIncrementalMaintenance:
-    def test_incremental_reference_matches_full_rebuild(self, rng):
-        """Under maintenance="incremental" the centralized reference is
-        delta-maintained yet stays bit-identical to a from-scratch build
-        through injections and revivals."""
-        mesh = Mesh2D(12, 12)
-        dynamic = DynamicMesh(mesh, maintenance="incremental")
-        faults = uniform_faults(mesh, 10, rng)
-        for fault in faults:
-            report = dynamic.inject_fault(fault)
-            assert report.affected_cells is not None
-            assert report.affected_cells >= 1
-            assert report.affected_fraction == pytest.approx(
-                report.affected_cells / mesh.size
-            )
-        assert dynamic.reports[-1].generation == len(faults)
-        for victim in faults[::3]:
-            dynamic.revive_node(victim)
-
-        expected = build_faulty_blocks(mesh, dynamic.faults)
-        got = dynamic.reference_blocks()
-        assert np.array_equal(got.unusable, expected.unusable)
-        assert got.blocks == expected.blocks
-        expected_levels = compute_safety_levels(mesh, expected.unusable)
-        got_levels = dynamic.reference_levels()
-        for grid in ("east", "south", "west", "north"):
-            assert np.array_equal(
-                getattr(got_levels, grid), getattr(expected_levels, grid)
-            )
-        _assert_consistent(dynamic)
-
-    def test_full_mode_reports_carry_no_affected_fields(self):
-        dynamic = DynamicMesh(Mesh2D(8, 8))
-        report = dynamic.inject_fault((3, 3))
-        assert report.affected_cells is None
-        assert report.affected_fraction is None
-        assert report.generation is None
-        assert dynamic.fault_engine is None
-        # The full-rebuild reference still serves ground truth.
-        expected = build_faulty_blocks(dynamic.mesh, dynamic.faults)
-        assert np.array_equal(
-            dynamic.reference_blocks().unusable, expected.unusable
-        )
-
-    def test_rejects_unknown_maintenance(self):
-        with pytest.raises(ValueError, match="maintenance"):
-            DynamicMesh(Mesh2D(8, 8), maintenance="lazy")

@@ -617,6 +617,31 @@ class TestServeApp:
         ))
 
 
+    def test_query_in_shutdown_notice_counts_as_shed(self):
+        """A ``/query`` refused in the shutdown notice window arrived and
+        was shed, like ``submit``'s own draining path."""
+        async def scenario():
+            service = _service()
+            app = ServeApp(service, QueryPipeline(service), notice_s=0.3)
+            await app.start()
+            host, port = app.host, app.port
+            shutdown = asyncio.create_task(app.shutdown())
+            await asyncio.sleep(0.05)  # inside the notice window
+            refused = await self._get(host, port, "/query?source=0,0&dest=11,11")
+            metrics = await self._get(host, port, "/metrics")
+            await shutdown
+            return refused[0], parse(metrics[1])
+
+        status, families = self._request(scenario)
+        assert status == 503
+        assert families["repro_serve_arrived_total"].samples[0].value == 1
+        outcomes = {
+            sample.label_dict["outcome"]: sample.value
+            for sample in families["repro_serve_requests_total"].samples
+        }
+        assert outcomes["shed_overload"] == 1
+
+
 class TestLoadGenerator:
     def test_mini_sweep_report_shape(self):
         report = run_qps_sweep(

@@ -1,8 +1,8 @@
 """A finished network's teardown, the reliability shim's dedup decisions,
 and the channel arrays as views of the send path's link state.
 
-Both simulator tests here are marked ``chaos`` and run in CI's chaos
-convergence gate (``pytest -m chaos``).
+The tests marked ``chaos`` run in CI's chaos convergence gate
+(``pytest -m chaos``).
 """
 
 from __future__ import annotations
@@ -21,8 +21,11 @@ from repro.simulator.engine import Engine
 from repro.simulator.messages import Message
 from repro.simulator.network import MeshNetwork
 from repro.simulator.process import NodeProcess
+from repro.simulator.protocols import run_block_formation, run_safety_propagation
+from repro.simulator.protocols.block_formation import BlockFormationProcess
 from repro.simulator.protocols.dynamic_update import DynamicNode
 from repro.simulator.protocols.reliable import Envelope, ResilientProcess
+from repro.simulator.protocols.safety_propagation import SafetyFormationProcess
 
 EAST, WEST = Direction.EAST, Direction.WEST
 
@@ -55,6 +58,33 @@ def test_finished_convergence_leaves_no_cyclic_garbage():
         gc.garbage.clear()
     assert report.ok, report.summary()
     assert not any(isinstance(obj, DynamicNode) for obj in garbage)
+    assert len(garbage) < 50
+
+
+@pytest.mark.chaos
+def test_finished_formation_runs_leave_no_process_garbage():
+    """``run_block_formation`` and ``run_safety_propagation`` close their
+    network after reading the result, so no formation process is left
+    for the cyclic collector."""
+    mesh = Mesh2D(24, 24)
+    faults = uniform_faults(mesh, 14, np.random.default_rng(3))
+
+    def form():
+        run_safety_propagation(mesh, run_block_formation(mesh, faults).unusable)
+
+    form()  # one-off garbage of lazy imports and caches
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        form()
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    processes = (BlockFormationProcess, SafetyFormationProcess)
+    assert not any(isinstance(obj, processes) for obj in garbage)
     assert len(garbage) < 50
 
 
