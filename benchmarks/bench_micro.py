@@ -57,6 +57,21 @@ def test_existence_oracle_speed(benchmark, workload):
     benchmark(minimal_path_exists, blocks.unusable, source, dest)
 
 
+def test_reachability_map_speed(benchmark):
+    """One quadrant existence map over a stacked batch at the figures'
+    scale: 20 patterns of 200x200 with 200 uniform faults each, formed
+    into faulty blocks, source at the centre."""
+    from repro.core.batched_patterns import batch_disable_fixpoint, batch_reachability_map
+    from repro.faults.injection import uniform_faults_batch
+
+    mesh = Mesh2D(200, 200)
+    rngs = [np.random.default_rng(seed) for seed in np.random.SeedSequence(7).spawn(20)]
+    faults = uniform_faults_batch(mesh, np.full(20, 200), rngs, forbidden={mesh.center})
+    blocked = batch_disable_fixpoint(faults)
+    reach = benchmark(batch_reachability_map, blocked, mesh.center)
+    assert reach.shape == (20, 100, 100) and reach[:, 0, 0].all()
+
+
 def test_wu_routing_speed(benchmark, workload):
     """Route one long quadrant-I path with Wu's protocol (boundary map
     prebuilt, as a deployed system would hold it)."""

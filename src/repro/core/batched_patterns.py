@@ -24,7 +24,8 @@ per definition that the incremental engine also runs --
 :mod:`repro.core.conditions` / :mod:`repro.core.extensions`, and
 :func:`repro.faults.coverage.minimal_path_exists`) is asserted bit-for-bit
 by ``tests/test_batched_patterns.py`` over exhaustive small meshes and
-seeded random large ones.
+seeded random large ones, and each bit-packed existence map cell for cell
+against :func:`repro.faults.coverage.monotone_reachability`.
 """
 
 from __future__ import annotations
@@ -148,10 +149,12 @@ def _clear_around(lines: Array, at: Array, axis: int) -> tuple[Array, Array]:
     shape[axis] = length
     idx = np.reshape(np.arange(length, dtype=np.int64), tuple(shape))
     here = np.expand_dims(at, axis=axis)
-    big = UNBOUNDED + length
-    ahead = np.min(np.where(lines & (idx > here), idx, big), axis=axis)
-    behind = np.max(np.where(lines & (idx < here), idx, -big), axis=axis)
-    return np.minimum(ahead - at - 1, UNBOUNDED), np.minimum(at - behind - 1, UNBOUNDED)
+    ahead = lines & (idx > here)
+    behind = np.flip(lines & (idx < here), axis=axis)
+    first = np.argmax(ahead, axis=axis)
+    last = length - 1 - np.argmax(behind, axis=axis)
+    return (np.where(np.any(ahead, axis=axis), first - at - 1, UNBOUNDED),
+            np.where(np.any(behind, axis=axis), at - last - 1, UNBOUNDED))
 
 
 @dataclass(frozen=True)
@@ -196,30 +199,14 @@ class BatchedSafetyLevels:
     def points(self, px: Array, py: Array) -> tuple[Array, Array, Array, Array]:
         """``(E, S, W, N)`` of the nodes ``(px[b, j], py[b, j])``, each
         ``(batch, p)``; every coordinate must lie inside the mesh."""
-        batch, n, m = self.blocked.shape
-        p = px.shape[-1]
-        # rows[b, j, :] is the y line through point j, cols[b, :, j] its x
-        # line: 1-D takes of whole rows at b*n + px, and of single cells at
-        # b*n*m + x*m + py for every x -- faster than the equivalent
-        # broadcast take_along_axis gathers.
-        base = np.arange(batch, dtype=np.int64)[:, None]
-        row_idx = np.reshape(base * n + px, (batch * p,))
-        rows = np.reshape(
-            np.take(np.reshape(self.blocked, (batch * n, m)), row_idx, axis=0),
-            (batch, p, m),
-        )
-        xs = np.arange(n, dtype=np.int64)[None, :, None]
-        cell_idx = base[:, :, None] * (n * m) + xs * m + py[:, None, :]
-        cols = np.reshape(
-            np.take(
-                np.reshape(self.blocked, (batch * n * m,)),
-                np.reshape(cell_idx, (batch * n * p,)),
-                axis=0,
-            ),
-            (batch, n, p),
-        )
+        # rows[b, j, :] is the y line through point j and cols[b, j, :] its
+        # x line (advanced indices split by a slice come first), so both
+        # reductions run over the contiguous last axis.
+        pattern = np.arange(self.blocked.shape[0])[:, None]
+        rows = self.blocked[pattern, px]
+        cols = self.blocked[pattern, :, py]
         north, south = _clear_around(rows, py, axis=2)
-        east, west = _clear_around(cols, px, axis=1)
+        east, west = _clear_around(cols, px, axis=2)
         return east, south, west, north
 
     def axis_lines(self, source: Coord) -> tuple[Array, Array]:
@@ -550,21 +537,6 @@ def batch_pattern_extension3(
 # ----------------------------------------------------------------------
 
 
-def _climb_columns(base: Array, free: Array) -> Array:
-    """One DP column across the batch: enter from the West, climb North.
-
-    The batched form of :func:`repro.faults.coverage._climb_column`:
-    ``base``/``free`` are ``(batch, m)``; a cell is reachable iff it is
-    free and, within its contiguous free run, some cell at or below it is
-    seeded by ``base``.
-    """
-    seed = base & free
-    acc = np.cumsum(seed, axis=-1, dtype=np.int64)
-    block_acc = np.where(~free, acc, 0)
-    last_block_acc = np.maximum.accumulate(block_acc, axis=-1)
-    return free & (acc > last_block_acc)
-
-
 def batch_reachability_map(
     unusable: Array, source: Coord, flip_x: bool = False, flip_y: bool = False
 ) -> Array:
@@ -579,22 +551,37 @@ def batch_reachability_map(
     serves every destination of the quadrant.  (A pattern whose source is
     swallowed by a block yields an all-False map, matching the scalar
     early return.)
+
+    Each quadrant column of the whole batch is one Python int, pattern
+    ``b``'s row ``j`` at bit ``b*(mq+1) + j`` under an always-blocked guard
+    row.  The climb of :func:`repro.faults.coverage._climb_column` is then
+    one carry-propagating add: ``free + seed`` carries from the lowest seed
+    of each free run to the blocked cell above it -- at the latest the
+    guard row, so no carry crosses into the next pattern.
     """
     sx, sy = source
-    sub = unusable[:, : sx + 1, :] if flip_x else unusable[:, sx:, :]
-    if flip_x:
-        sub = np.flip(sub, axis=1)
-    sub = sub[:, :, : sy + 1] if flip_y else sub[:, :, sy:]
-    if flip_y:
-        sub = np.flip(sub, axis=2)
-    free = ~sub
-    batch, nq, mq = free.shape
-    seed_col = np.zeros((batch, mq), dtype=np.bool_)
-    seed_col[:, 0] = True
-    columns = [_climb_columns(seed_col, free[:, 0, :])]
-    for x in range(1, nq):
-        columns.append(_climb_columns(columns[-1], free[:, x, :]))
-    return np.stack(columns, axis=1)
+    xs = slice(sx, None, -1) if flip_x else slice(sx, None)
+    ys = slice(sy, None, -1) if flip_y else slice(sy, None)
+    sub = unusable[:, xs, ys]
+    batch, nq, mq = sub.shape
+    # Column 0 seeds every pattern's source row; the quadrant's free
+    # columns follow, the guard rows left blocked.
+    columns = np.zeros((nq + 1, batch, mq + 1), dtype=np.bool_)
+    columns[0, :, 0] = True
+    columns[1:, :, :mq] = ~np.transpose(sub, (1, 0, 2))
+    width = batch * (mq + 1)
+    packed = np.packbits(np.reshape(columns, (nq + 1, width)), axis=1, bitorder="little")
+    size = packed.shape[1]
+    reach, *frees = [int.from_bytes(column, "little") for column in packed]
+    climbed = []
+    for free in frees:
+        seed = reach & free
+        reach = (((free + seed) ^ free) | seed) & free
+        climbed.append(reach.to_bytes(size, "little"))
+    packed = np.reshape(np.frombuffer(b"".join(climbed), dtype=np.uint8), (nq, size))
+    bits = np.unpackbits(packed, axis=1, count=width, bitorder="little")
+    rows = np.reshape(bits, (nq, batch, mq + 1))[:, :, :mq]
+    return np.ascontiguousarray(np.transpose(rows, (1, 0, 2)), dtype=np.bool_)
 
 
 def batch_pattern_path_exists(
@@ -608,9 +595,12 @@ def batch_pattern_path_exists(
     ``mask[b, i]`` equals ``minimal_path_exists(unusable[b], source,
     dests[b, i])`` for block-free endpoints (the experiment protocol
     guarantees both).  Builds at most one quadrant map per destination
-    quadrant present; pass ``maps`` to reuse them across metrics.
+    quadrant present; pass ``maps`` to reuse them across metrics.  A
+    source outside the mesh raises ``ValueError``.
     """
-    m = unusable.shape[-1]
+    n, m = unusable.shape[-2], unusable.shape[-1]
+    if not (0 <= source[0] < n and 0 <= source[1] < m):
+        raise ValueError(f"source {source} lies outside the {n}x{m} mesh")
     dx, dy, xd, yd = _dest_offsets(source, dests)
     out = np.zeros(dx.shape, dtype=np.bool_)
     for flip_x in (False, True):

@@ -91,7 +91,8 @@ def _climb_column(base: np.ndarray, free: np.ndarray) -> np.ndarray:
     ``base`` is the previous column's reachability (for x = 0, the seed
     column with only the source cell set).  A cell is reachable iff it is
     free and, within its contiguous free run, some cell at or below it is
-    seeded by ``base``.
+    seeded by ``base``.  The reference for the bit-packed climb of
+    :func:`repro.core.batched_patterns.batch_reachability_map`.
     """
     seed = base & free
     acc = np.cumsum(seed)
@@ -109,7 +110,8 @@ def batch_minimal_path_exists(
 
     The batch-1 case of
     :func:`repro.core.batched_patterns.batch_pattern_path_exists`: at most
-    one quadrant map per destination quadrant, then a gather.
+    one quadrant map per destination quadrant, then a gather.  A source
+    or destination outside the mesh raises ``ValueError``.
     """
     from repro.core.batched_patterns import batch_pattern_path_exists  # import cycle
 
@@ -124,8 +126,13 @@ def batch_minimal_path_exists(
 def minimal_path_exists(blocked: np.ndarray, source: Coord, dest: Coord) -> bool:
     """True iff a minimal (Manhattan-shortest) path avoids every blocked node.
 
-    Exact for arbitrary obstacle shapes; endpoints must be free.
+    Exact for arbitrary obstacle shapes; endpoints must be free.  An
+    endpoint outside the mesh raises ``ValueError``.
     """
+    n, m = blocked.shape
+    for name, (x, y) in (("source", source), ("dest", dest)):
+        if not (0 <= x < n and 0 <= y < m):
+            raise ValueError(f"{name} {(x, y)} lies outside the {n}x{m} mesh")
     if blocked[source] or blocked[dest]:
         return False
     if source == dest:

@@ -20,6 +20,12 @@ oracle), pattern by pattern.  The suite asserts that promise:
 The shift helper behind both fixpoints (``_shifted_batch``) is checked
 against a naive index loop in a module of its own.
 
+The bit-packed existence map (``batch_reachability_map``) is checked cell
+for cell against the scalar ``monotone_reachability`` in every quadrant,
+at packed widths that do and do not cross byte and word boundaries, for
+sources on mesh edges, blocked sources, and a stack whose guard rows
+alone keep one pattern's carry out of the next.
+
 Definition 2's labelling (``batch_label_closure``) is checked against
 ``_label_closure`` and ``label_statuses`` for both labels of both MCC
 types over every 4x4 pattern in one batch, thin meshes, seeded random
@@ -42,6 +48,7 @@ from repro.core.batched_patterns import (
     batch_pattern_extension3,
     batch_pattern_is_safe,
     batch_pattern_path_exists,
+    batch_reachability_map,
     batch_safety_levels,
     build_source_sample_tables,
 )
@@ -56,7 +63,7 @@ from repro.core.safety import compute_safety_levels
 from repro.core.segments import build_axis_segments
 from repro.core.strategies import Strategy, StrategyConfig, strategy_decision
 from repro.faults.blocks import disable_fixpoint
-from repro.faults.coverage import minimal_path_exists
+from repro.faults.coverage import minimal_path_exists, monotone_reachability
 from repro.faults.injection import uniform_faults, uniform_faults_batch
 from repro.faults.mcc import (
     _LABEL_RULES,
@@ -246,6 +253,100 @@ def test_esl_reads_on_thin_meshes_match_scalar(shape):
     mesh = Mesh2D(*shape)
     grids = np.random.default_rng(sum(shape)).random((40,) + shape) < 0.3
     _assert_reads_match_scalar(mesh, grids)
+
+
+def _line_end_grids(n: int, m: int) -> np.ndarray:
+    """Clear, fully blocked, a blocked row and column through the middle,
+    and a blocked rim around a clear interior."""
+    grids = np.zeros((4, n, m), dtype=bool)
+    grids[1] = True
+    grids[2, n // 2, :] = True
+    grids[2, :, m // 2] = True
+    grids[3, [0, -1], :] = True
+    grids[3, :, [0, -1]] = True
+    return grids
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1), (6, 9)])
+def test_point_reads_at_line_ends_on_blocked_and_clear_lines(shape):
+    """Point reads at line positions 0 and ``length-1`` (and every other
+    node) on fully blocked and fully clear lines: the first-hit search
+    ahead and behind finds no cell, or one right beside the node."""
+    _assert_reads_match_scalar(Mesh2D(*shape), _line_end_grids(*shape))
+
+
+# ----------------------------------------------------------------------
+# The bit-packed existence map against the scalar DP
+# ----------------------------------------------------------------------
+
+
+QUADRANTS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def _assert_map_matches_scalar(grids: np.ndarray, source, flip_x: bool, flip_y: bool):
+    """``batch_reachability_map`` equals, cell for cell, the scalar DP to
+    the quadrant's far corner (the DP is a prefix computation, so that one
+    grid holds every destination of the quadrant)."""
+    n, m = grids.shape[1:]
+    corner = (0 if flip_x else n - 1, 0 if flip_y else m - 1)
+    got = batch_reachability_map(grids, source, flip_x, flip_y)
+    assert got.dtype == np.bool_
+    for b, grid in enumerate(grids):
+        np.testing.assert_array_equal(
+            got[b], monotone_reachability(grid, source, corner), err_msg=str(b)
+        )
+
+
+class TestPackedReachabilityMap:
+    @pytest.mark.parametrize("flip_x,flip_y", QUADRANTS)
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("height", [6, 7, 8, 63, 64])
+    def test_matches_scalar_across_byte_and_word_boundaries(
+        self, height, batch, flip_x, flip_y
+    ):
+        """Quadrant heights with ``height + 1`` (one guard row per pattern)
+        of 7, 8, 9, 64 and 65 bits, in every quadrant."""
+        n, m = 7, 2 * height - 1
+        source = (3, height - 1)
+        rng = np.random.default_rng(height * 10 + batch)
+        grids = rng.random((batch, n, m)) < 0.25
+        grids[:, source[0], source[1]] = False
+        _assert_map_matches_scalar(grids, source, flip_x, flip_y)
+
+    @pytest.mark.parametrize("flip_x,flip_y", QUADRANTS)
+    @pytest.mark.parametrize(
+        "source", [(0, 4), (8, 4), (4, 0), (4, 8), (0, 0), (8, 8), (0, 8)]
+    )
+    def test_one_wide_quadrants_on_mesh_edges(self, source, flip_x, flip_y):
+        grids = np.random.default_rng(sum(source)).random((3, 9, 9)) < 0.3
+        grids[:, source[0], source[1]] = False
+        _assert_map_matches_scalar(grids, source, flip_x, flip_y)
+
+    @pytest.mark.parametrize("flip_x,flip_y", QUADRANTS)
+    def test_blocked_source_gives_all_false_map(self, flip_x, flip_y):
+        grids = np.random.default_rng(5).random((3, 10, 10)) < 0.2
+        source = (4, 5)
+        grids[:, source[0], source[1]] = [False, True, False]
+        got = batch_reachability_map(grids, source, flip_x, flip_y)
+        assert got[0, 0, 0] and got[2, 0, 0]
+        assert not got[1].any()
+        _assert_map_matches_scalar(grids, source, flip_x, flip_y)
+
+    @pytest.mark.parametrize("flip_x,flip_y", QUADRANTS)
+    @pytest.mark.parametrize("height", [7, 8, 64])
+    def test_guard_row_stops_the_carry_between_patterns(self, height, flip_x, flip_y):
+        """Pattern ``b`` is free to its top edge in every column, so its
+        carry leaves the top of each column; pattern ``b+1`` has only its
+        source blocked, so without a guard row that carry would make it
+        reachable from the second column on."""
+        n, m = 5, 2 * height - 1
+        source = (2, height - 1)
+        grids = np.zeros((4, n, m), dtype=bool)
+        grids[[1, 3], source[0], source[1]] = True
+        got = batch_reachability_map(grids, source, flip_x, flip_y)
+        assert got[0].all() and got[2].all()
+        assert not got[1].any() and not got[3].any()
+        _assert_map_matches_scalar(grids, source, flip_x, flip_y)
 
 
 # ----------------------------------------------------------------------

@@ -218,3 +218,27 @@ class TestBatchMinimalPathExists:
         for dest in ([9, 3], [-3, 2], [2, 8]):
             with pytest.raises(ValueError, match="inside the mesh"):
                 batch_minimal_path_exists(blocked, (2, 2), np.array([dest]))
+
+    @pytest.mark.parametrize("source", [(-1, 2), (8, 2), (2, -1), (2, 8)])
+    def test_rejects_off_mesh_source(self, source):
+        """A negative source coordinate used to wrap to the far edge and one
+        past the edge used to slice an empty quadrant: both answered
+        ``[True, True]`` on an empty grid."""
+        blocked = _grid(8, 8)
+        dests = np.array([[3, 3], [1, 1]])
+        with pytest.raises(ValueError, match="outside the 8x8 mesh"):
+            batch_minimal_path_exists(blocked, source, dests)
+        with pytest.raises(ValueError, match="outside the 8x8 mesh"):
+            batch_pattern_path_exists(blocked[None], source, dests[None])
+
+
+class TestMinimalPathExistsEndpoints:
+    @pytest.mark.parametrize("outside", [(-1, 2), (8, 2), (2, -1), (2, 8)])
+    def test_rejects_off_mesh_endpoints(self, outside):
+        """Either endpoint outside the mesh raises ``ValueError``, not a bare
+        ``IndexError`` or an answer read from a wrapped index."""
+        blocked = _grid(8, 8)
+        with pytest.raises(ValueError, match=r"source .* outside the 8x8 mesh"):
+            minimal_path_exists(blocked, outside, (3, 3))
+        with pytest.raises(ValueError, match=r"dest .* outside the 8x8 mesh"):
+            minimal_path_exists(blocked, (3, 3), outside)
