@@ -31,11 +31,8 @@ from repro.mesh.topology import Mesh2D
 from repro.obs.recorder import FlightRecorder
 from repro.simulator.engine import Engine
 from repro.simulator.network import MeshNetwork, NetworkStats
-from repro.simulator.protocols.dynamic_update import (
-    DynamicNode,
-    live_safety_levels,
-    live_unusable_grid,
-)
+from repro.simulator.protocols.dynamic_update import DynamicNode
+from repro.simulator.protocols.local_rules import live_safety_levels, live_unusable_grid
 from repro.simulator.protocols.reliable import chaos_event_budget, stabilize_network
 
 if TYPE_CHECKING:
@@ -104,10 +101,6 @@ class ChaosRunner:
         self.crashed: list[Coord] = []
         self.revived: list[Coord] = []
         self.skipped: list[ChaosEvent] = []
-        #: Every *applied* (non-skipped) event in application order -- the
-        #: exact delta stream an incremental maintenance engine must replay
-        #: to reach the final fault set from the initial one.
-        self.applied_events: list[ChaosEvent] = []
         self._primed = False
         self._ran = False
 
@@ -212,7 +205,6 @@ class ChaosRunner:
                 return
             self.network.fail_node(event.coord)
             self.crashed.append(event.coord)
-            self.applied_events.append(event)
             cause: int | None = None
             if recorder is not None:
                 cause = recorder.emit(
@@ -244,7 +236,6 @@ class ChaosRunner:
                 )
             process = self.network.restore_node(event.coord, self._factory)
             self.revived.append(event.coord)
-            self.applied_events.append(event)
             self.network._trc.count("chaos.revives")
             if recorder is not None:
                 restart_id = recorder.emit(

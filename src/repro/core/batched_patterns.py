@@ -537,6 +537,12 @@ def batch_pattern_extension3(
 # ----------------------------------------------------------------------
 
 
+def _require_source_in_mesh(unusable: Array, source: Coord) -> None:
+    n, m = unusable.shape[-2], unusable.shape[-1]
+    if not (0 <= source[0] < n and 0 <= source[1] < m):
+        raise ValueError(f"source {source} lies outside the {n}x{m} mesh")
+
+
 def batch_reachability_map(
     unusable: Array, source: Coord, flip_x: bool = False, flip_y: bool = False
 ) -> Array:
@@ -557,8 +563,10 @@ def batch_reachability_map(
     row.  The climb of :func:`repro.faults.coverage._climb_column` is then
     one carry-propagating add: ``free + seed`` carries from the lowest seed
     of each free run to the blocked cell above it -- at the latest the
-    guard row, so no carry crosses into the next pattern.
+    guard row, so no carry crosses into the next pattern.  A source
+    outside the mesh raises ``ValueError``.
     """
+    _require_source_in_mesh(unusable, source)
     sx, sy = source
     xs = slice(sx, None, -1) if flip_x else slice(sx, None)
     ys = slice(sy, None, -1) if flip_y else slice(sy, None)
@@ -598,9 +606,7 @@ def batch_pattern_path_exists(
     quadrant present; pass ``maps`` to reuse them across metrics.  A
     source outside the mesh raises ``ValueError``.
     """
-    n, m = unusable.shape[-2], unusable.shape[-1]
-    if not (0 <= source[0] < n and 0 <= source[1] < m):
-        raise ValueError(f"source {source} lies outside the {n}x{m} mesh")
+    _require_source_in_mesh(unusable, source)
     dx, dy, xd, yd = _dest_offsets(source, dests)
     out = np.zeros(dx.shape, dtype=np.bool_)
     for flip_x in (False, True):

@@ -27,10 +27,19 @@ package provides the substrate to execute them as such:
   ``pivot_broadcast``         (pivot ESL table lookup)
   ==========================  =================================================
 
+Block formation, safety propagation and the live
+:class:`~repro.simulator.protocols.dynamic_update.DynamicNode` run one node
+program, :class:`~repro.simulator.protocols.local_rules.LocalRules`: the
+paper's Definition 1 and FORMATION rules, one restart, and one read-out of
+a network (``live_unusable_grid`` / ``live_safety_levels``), each kept
+once.  What a node senses locally -- the directions of its faulty
+neighbours -- is the network's ``faulty_dirs`` map.
+
 Each ``run_*`` entry point returns the protocol result plus a
 :class:`~repro.simulator.network.NetworkStats` with message and convergence
 accounting -- the raw material for the cost-versus-effectiveness ablation
-bench (the paper's stated future work).
+bench (the paper's stated future work).  All of them drain through
+:func:`~repro.simulator.protocols.reliable.drain_protocol`.
 """
 
 from repro.simulator.engine import Engine

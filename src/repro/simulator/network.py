@@ -42,7 +42,8 @@ from repro.simulator.process import NodeProcess
 if TYPE_CHECKING:
     from repro.chaos.plan import ChannelFaultPlan
 
-_NO_DIRS: frozenset[Direction] = frozenset()
+#: The direction set of a node with no blocked neighbour.
+NO_DIRS: frozenset[Direction] = frozenset()
 
 
 def adjacent_blocked_dirs(
@@ -132,6 +133,11 @@ class MeshNetwork:
         self.faulty: set[Coord] = set(faulty)
         for coord in self.faulty:
             mesh.require_in_bounds(coord)
+        #: What each node senses locally: the directions of its faulty
+        #: neighbours (``NO_DIRS`` when absent), built here for the process
+        #: factories and kept in step with ``faulty`` by :meth:`fail_node`
+        #: and :meth:`restore_node` for protocol restarts.
+        self.faulty_dirs = adjacent_blocked_dirs(mesh, self.faulty)
 
         self.nodes: dict[Coord, NodeProcess] = {
             coord: node_factory(coord, self)
@@ -237,9 +243,11 @@ class MeshNetwork:
             raise ValueError(f"{coord} already faulty")
         process = self.nodes.pop(coord, None)
         self.faulty.add(coord)
+        faulty_dirs = self.faulty_dirs
         for direction, neighbor in self.mesh.neighbor_items(coord):
             self.take_down_channel(coord, direction)
             self.take_down_channel(neighbor, direction.opposite)
+            faulty_dirs[neighbor] = faulty_dirs.get(neighbor, NO_DIRS) | {direction.opposite}
         return process
 
     def restore_node(
@@ -251,7 +259,13 @@ class MeshNetwork:
         if coord not in self.faulty:
             raise ValueError(f"{coord} is not faulty")
         self.faulty.discard(coord)
+        faulty_dirs = self.faulty_dirs
         for direction, neighbor in self.mesh.neighbor_items(coord):
+            dirs = faulty_dirs[neighbor] - {direction.opposite}
+            if dirs:
+                faulty_dirs[neighbor] = dirs
+            else:
+                del faulty_dirs[neighbor]
             if neighbor not in self.faulty:
                 self.bring_up_channel(coord, direction)
                 self.bring_up_channel(neighbor, direction.opposite)

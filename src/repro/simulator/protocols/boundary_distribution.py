@@ -33,20 +33,14 @@ import numpy as np
 from repro.core.boundaries import BoundaryTag, Line
 from repro.mesh.geometry import Coord, Direction, Rect
 from repro.mesh.topology import Mesh2D
-from repro.obs import Tracer, get_tracer
+from repro.obs import Tracer
 from repro.simulator.engine import Engine
 from repro.simulator.messages import Message
-from repro.simulator.network import MeshNetwork, NetworkStats, adjacent_blocked_dirs
-from repro.simulator.protocols.reliable import (
-    ResilientProcess,
-    chaos_event_budget,
-    stabilize_network,
-)
+from repro.simulator.network import NO_DIRS, MeshNetwork, NetworkStats
+from repro.simulator.protocols.reliable import ResilientProcess, drain_protocol
 
 if TYPE_CHECKING:
     from repro.chaos.plan import ChannelFaultPlan
-
-_NO_DIRS: frozenset[Direction] = frozenset()
 
 #: Per line: (primary forwarding direction, detour direction when blocked).
 _FORWARDING = {
@@ -138,14 +132,12 @@ def run_boundary_distribution(
     re-forwards them and the polylines re-form."""
     hardened = chaos is not None and chaos.active
     blocked_coords = {(int(x), int(y)) for x, y in zip(*np.nonzero(unusable))}
-    blocked_dirs = adjacent_blocked_dirs(mesh, blocked_coords)
 
     def factory(coord: Coord, network: MeshNetwork) -> BoundaryProcess:
         return BoundaryProcess(
-            coord, network, blocked_dirs.get(coord, _NO_DIRS), hardened=hardened
+            coord, network, network.faulty_dirs.get(coord, NO_DIRS), hardened=hardened
         )
 
-    trc = tracer if tracer is not None else get_tracer()
     network = MeshNetwork(
         mesh, Engine(), factory, faulty=blocked_coords, latency=latency,
         tracer=tracer, chaos=chaos,
@@ -154,13 +146,10 @@ def run_boundary_distribution(
         _seed_l1(mesh, network, index, rect)
         _seed_l3(mesh, network, index, rect)
 
-    with trc.span("protocol.boundary_distribution", blocks=len(rects)):
-        stats = network.run(
-            max_events=chaos_event_budget(network) if hardened else None
-        )
-        if hardened and stabilize_rounds:
-            stabilize_network(network, rounds=stabilize_rounds)
-            stats = network.current_stats()
+    stats = drain_protocol(
+        network, "protocol.boundary_distribution", hardened=hardened,
+        stabilize_rounds=stabilize_rounds, blocks=len(rects),
+    )
 
     annotations: dict[Coord, list[BoundaryTag]] = {}
     for coord, process in network.nodes.items():

@@ -5,7 +5,10 @@ only those affected nodes update their information to keep it consistent."
 This module realizes that claim as a long-lived network:
 
 - every node runs block labelling (Definition 1) and ESL maintenance
-  (the FORMATION algorithm) simultaneously;
+  (the FORMATION algorithm) simultaneously: :class:`DynamicNode` is the
+  shared node program of :mod:`.local_rules` with both rules on, its
+  restart the shared one, and :func:`~.local_rules.live_unusable_grid` /
+  :func:`~.local_rules.live_safety_levels` its read-out;
 - :meth:`DynamicMesh.inject_fault` fail-stops one node at runtime; its
   neighbours detect the failure and the labelling/ESL waves ripple out from
   there -- nobody else is touched;
@@ -24,100 +27,40 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.safety import UNBOUNDED, ESLGrids, SafetyLevels, encode_levels
-from repro.mesh.geometry import ESL_ORDER, Coord, Direction
+from repro.core.safety import SafetyLevels
+from repro.mesh.geometry import Coord, Direction
 from repro.mesh.topology import Mesh2D
 from repro.simulator.engine import Engine
-from repro.simulator.messages import Message
 from repro.simulator.network import MeshNetwork
-from repro.simulator.protocols.reliable import (
-    ResilientProcess,
-    chaos_event_budget,
-    stabilize_network,
+from repro.simulator.protocols.local_rules import (
+    LocalRules,
+    live_safety_levels,
+    live_unusable_grid,
 )
+from repro.simulator.protocols.reliable import chaos_event_budget, stabilize_network
 
 if TYPE_CHECKING:
     from repro.chaos.plan import ChannelFaultPlan
 
 
-#: A fresh node's levels; copied (cheaper than rebuilding) per restart.
-_CLEAR_LEVELS: dict[Direction, int] = dict.fromkeys(ESL_ORDER, UNBOUNDED)
-
-
-class DynamicNode(ResilientProcess):
+class DynamicNode(LocalRules):
     """Block labelling plus ESL maintenance under live fault injection."""
 
-    __slots__ = ("unusable_dirs", "disabled", "levels")
+    __slots__ = ()
+    DISABLE_KIND = "unusable"
+    ESL_KIND = "esl"
 
-    def __init__(self, coord: Coord, network: MeshNetwork, *, hardened: bool = False):
-        super().__init__(coord, network, hardened=hardened)
-        self.unusable_dirs: set[Direction] = set()
-        self.disabled = False
-        self.levels: dict[Direction, int] = _CLEAR_LEVELS.copy()
-
-    # ------------------------------------------------------------------
-    # Failure detection entry point (called by the harness on neighbours of
-    # an injected fault, after the detection latency).
-    # ------------------------------------------------------------------
-    def neighbor_became_unusable(self, direction: Direction) -> None:
-        if direction in self.unusable_dirs or self.disabled:
-            return
-        self.unusable_dirs.add(direction)
-        self._tighten_level(direction, 0)
-        self._maybe_disable()
+    def start(self) -> None:
+        """Nothing to derive at t=0: the harness reports each faulty
+        neighbour after the detection latency, through
+        :meth:`neighbor_became_unusable`."""
 
     def neighbor_became_usable(self, direction: Direction) -> None:
         """A crashed neighbour revived.  The incremental protocol cannot
         *undo* monotone state (levels only shrink, blocks only grow), so
         this merely clears the local flag; the stabilization pulse that
         follows every revive rebuilds the derived state from scratch."""
-        self.unusable_dirs.discard(direction)
-
-    def protocol_restart(self) -> None:
-        # Amnesia restart: re-derive the only hard fact a node can sense
-        # locally -- which neighbours are dead -- and rebuild the rest by
-        # re-running the protocol (standing in for a heartbeat detector).
-        # ``faulty`` holds only in-bounds nodes, so the four neighbour
-        # coordinates need no bounds test.
-        x, y = self.coord
-        faulty = self.network.faulty
-        self.unusable_dirs = {d for d in ESL_ORDER if (x + d.dx, y + d.dy) in faulty}
-        self.disabled = False
-        self.levels = _CLEAR_LEVELS.copy()
-        if not self.unusable_dirs:
-            return  # most nodes: nothing to tighten, nothing to disable
-        for direction in ESL_ORDER:
-            if direction in self.unusable_dirs:
-                self._tighten_level(direction, 0)
-        self._maybe_disable()
-
-    def handle_message(self, message: Message) -> None:
-        assert message.arrival_direction is not None
-        if message.kind == "unusable":
-            self.neighbor_became_unusable(message.arrival_direction)
-        elif message.kind == "esl":
-            if not self.disabled:
-                self._tighten_level(message.arrival_direction, int(message.payload) + 1)
-        else:
-            raise ValueError(f"unexpected message kind {message.kind!r}")
-
-    # ------------------------------------------------------------------
-    def _maybe_disable(self) -> None:
-        horizontal = any(d.is_horizontal for d in self.unusable_dirs)
-        vertical = any(d.is_vertical for d in self.unusable_dirs)
-        if horizontal and vertical:
-            self.disabled = True
-            # From now on this node is part of a block: its neighbours treat
-            # it as unusable and it stops relaying safety levels.
-            self.rbroadcast("unusable")
-
-    def _tighten_level(self, direction: Direction, value: int) -> None:
-        """Safety levels only shrink as faults accumulate, so min-propagation
-        converges regardless of message ordering."""
-        if value >= self.levels[direction]:
-            return
-        self.levels[direction] = value
-        self.rsend(direction.opposite, "esl", value)
+        self.unusable_dirs -= {direction}
 
 
 @dataclass(frozen=True)
@@ -259,34 +202,3 @@ class DynamicMesh:
 
         return compute_safety_levels(self.mesh, self.reference_blocks().unusable)
 
-
-def live_unusable_grid(network: MeshNetwork) -> np.ndarray:
-    """Faulty nodes plus every :class:`DynamicNode` that disabled itself."""
-    mesh = network.mesh
-    grid = np.zeros((mesh.n, mesh.m), dtype=bool)
-    blocked = list(network.faulty)
-    blocked += [
-        coord
-        for coord, process in network.nodes.items()
-        if isinstance(process, DynamicNode) and process.disabled
-    ]
-    if blocked:
-        grid[tuple(np.array(blocked).T)] = True
-    return grid
-
-
-def live_safety_levels(network: MeshNetwork) -> SafetyLevels:
-    """Each live :class:`DynamicNode`'s levels as ESL grids (0 where no
-    such node runs; entries of blocked nodes carry no meaning)."""
-    mesh = network.mesh
-    coords, rows = [], []
-    for coord, process in network.nodes.items():
-        if isinstance(process, DynamicNode):
-            coords.append(coord)
-            levels = process.levels
-            rows.append([levels[d] for d in ESL_ORDER])
-    grids = np.zeros((len(ESL_ORDER), mesh.n, mesh.m), dtype=np.int64)
-    if coords:
-        xs, ys = np.array(coords).T
-        grids[:, xs, ys] = np.array(rows, dtype=np.int64).T
-    return SafetyLevels(mesh, ESLGrids(*encode_levels(grids)))

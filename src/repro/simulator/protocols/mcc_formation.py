@@ -17,13 +17,12 @@ import numpy as np
 from repro.faults.mcc import _LABEL_RULES, MCCType, NodeStatus
 from repro.mesh.geometry import Coord, Direction
 from repro.mesh.topology import Mesh2D
-from repro.obs import Tracer, get_tracer
+from repro.obs import Tracer
 from repro.simulator.engine import Engine
 from repro.simulator.messages import Message
-from repro.simulator.network import MeshNetwork, NetworkStats, adjacent_blocked_dirs
+from repro.simulator.network import NO_DIRS, MeshNetwork, NetworkStats
 from repro.simulator.process import NodeProcess
-
-_NO_DIRS: frozenset[Direction] = frozenset()
+from repro.simulator.protocols.reliable import drain_protocol
 
 
 def _rule_directions(mcc_type: MCCType, label: NodeStatus) -> tuple[Direction, Direction]:
@@ -84,20 +83,17 @@ def run_mcc_formation(
     tracer: Tracer | None = None,
 ) -> MCCFormationResult:
     fault_set = set(faults)
-    faulty_dirs = adjacent_blocked_dirs(mesh, fault_set)
 
     def factory(coord: Coord, network: MeshNetwork) -> MCCFormationProcess:
         return MCCFormationProcess(
-            coord, network, faulty_dirs.get(coord, _NO_DIRS), mcc_type
+            coord, network, network.faulty_dirs.get(coord, NO_DIRS), mcc_type
         )
 
-    trc = tracer if tracer is not None else get_tracer()
     network = MeshNetwork(
         mesh, Engine(), factory, faulty=fault_set, latency=latency,
         tracer=tracer,
     )
-    with trc.span("protocol.mcc_formation", faults=len(fault_set)):
-        stats = network.run()
+    stats = drain_protocol(network, "protocol.mcc_formation", faults=len(fault_set))
 
     status = np.zeros((mesh.n, mesh.m), dtype=np.int8)
     for coord in fault_set:

@@ -18,11 +18,12 @@ import numpy as np
 from repro.core.safety import SafetyLevels
 from repro.mesh.geometry import Coord
 from repro.mesh.topology import Mesh2D
-from repro.obs import Tracer, get_tracer
+from repro.obs import Tracer
 from repro.simulator.engine import Engine
 from repro.simulator.messages import Message
 from repro.simulator.network import MeshNetwork, NetworkStats
 from repro.simulator.process import NodeProcess
+from repro.simulator.protocols.reliable import drain_protocol
 
 ESL = tuple[int, int, int, int]
 
@@ -82,13 +83,11 @@ def run_pivot_broadcast(
             coord, network, levels.esl(coord), is_pivot=coord in pivot_set
         )
 
-    trc = tracer if tracer is not None else get_tracer()
     network = MeshNetwork(
         mesh, Engine(), factory, faulty=blocked_coords, latency=latency,
         tracer=tracer,
     )
-    with trc.span("protocol.pivot_broadcast", pivots=len(pivot_set)):
-        stats = network.run()
+    stats = drain_protocol(network, "protocol.pivot_broadcast", pivots=len(pivot_set))
 
     tables = {
         coord: dict(process.pivot_table)

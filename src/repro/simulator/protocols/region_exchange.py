@@ -25,13 +25,12 @@ import numpy as np
 from repro.core.safety import SafetyLevels
 from repro.mesh.geometry import Coord, Direction
 from repro.mesh.topology import Mesh2D
-from repro.obs import Tracer, get_tracer
+from repro.obs import Tracer
 from repro.simulator.engine import Engine
 from repro.simulator.messages import Message
-from repro.simulator.network import MeshNetwork, NetworkStats, adjacent_blocked_dirs
+from repro.simulator.network import NO_DIRS, MeshNetwork, NetworkStats
 from repro.simulator.process import NodeProcess
-
-_NO_DIRS: frozenset[Direction] = frozenset()
+from repro.simulator.protocols.reliable import drain_protocol
 
 
 class RegionExchangeProcess(NodeProcess):
@@ -113,7 +112,6 @@ def run_region_exchange(
     spreads the perpendicular components within each region.
     """
     blocked_coords = {(int(x), int(y)) for x, y in zip(*np.nonzero(unusable))}
-    blocked_dirs_map = adjacent_blocked_dirs(mesh, blocked_coords)
 
     def factory(coord: Coord, network: MeshNetwork) -> RegionExchangeProcess:
         return RegionExchangeProcess(
@@ -121,16 +119,14 @@ def run_region_exchange(
             network,
             north_level=levels.level(coord, Direction.NORTH),
             east_level=levels.level(coord, Direction.EAST),
-            blocked_dirs=blocked_dirs_map.get(coord, _NO_DIRS),
+            blocked_dirs=network.faulty_dirs.get(coord, NO_DIRS),
         )
 
-    trc = tracer if tracer is not None else get_tracer()
     network = MeshNetwork(
         mesh, Engine(), factory, faulty=blocked_coords, latency=latency,
         tracer=tracer,
     )
-    with trc.span("protocol.region_exchange", blocked=len(blocked_coords)):
-        stats = network.run()
+    stats = drain_protocol(network, "protocol.region_exchange", blocked=len(blocked_coords))
 
     row_knowledge: dict[Coord, dict[int, int]] = {}
     column_knowledge: dict[Coord, dict[int, int]] = {}

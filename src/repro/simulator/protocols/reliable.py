@@ -29,6 +29,13 @@ stop-and-wait reliability shim so the same algorithms survive a
 
 Hardening is opt-in per process (``hardened=False`` keeps ``rsend`` a
 plain ``send``), so default runs stay bit-identical.
+
+:func:`drain_protocol` is the one drain of every ``run_*`` entry point:
+run to quiescence in a tracer span and, when hardened, on the chaos event
+budget followed by the stabilization pulses.  The restart the pulses call
+for block formation, safety formation and the live
+:class:`~repro.simulator.protocols.dynamic_update.DynamicNode` is the
+shared :meth:`~repro.simulator.protocols.local_rules.LocalRules.protocol_restart`.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import Any
 
 from repro.mesh.geometry import ESL_ORDER, Direction
 from repro.simulator.messages import Message
-from repro.simulator.network import MeshNetwork
+from repro.simulator.network import MeshNetwork, NetworkStats
 from repro.simulator.process import NodeProcess
 
 #: Message kind reserved for reliability acknowledgements.  Protocol
@@ -283,3 +290,24 @@ def stabilize_network(network: MeshNetwork, rounds: int = 1) -> int:
     if network._trace_on and engine.now > started_at:
         network._trc.count("chaos.reconverge_ticks", int(engine.now - started_at))
     return events
+
+
+def drain_protocol(
+    network: MeshNetwork, span: str, *, hardened: bool = False,
+    stabilize_rounds: int = 0, **attrs: Any,
+) -> NetworkStats:
+    """Run ``network``'s protocol to quiescence inside the tracer span
+    ``span`` (with attributes ``attrs``).
+
+    A ``hardened`` run gets :func:`chaos_event_budget` and then
+    ``stabilize_rounds`` pulses of :func:`stabilize_network`, after which
+    the stats are the network's lifetime totals.
+    """
+    with network._trc.span(span, **attrs):
+        stats = network.run(
+            max_events=chaos_event_budget(network) if hardened else None
+        )
+        if hardened and stabilize_rounds:
+            stabilize_network(network, rounds=stabilize_rounds)
+            stats = network.current_stats()
+    return stats

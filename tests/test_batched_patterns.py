@@ -348,6 +348,16 @@ class TestPackedReachabilityMap:
         assert not got[1].any() and not got[3].any()
         _assert_map_matches_scalar(grids, source, flip_x, flip_y)
 
+    @pytest.mark.parametrize("flip_x,flip_y", QUADRANTS)
+    @pytest.mark.parametrize("source", [(-1, 2), (8, 2), (2, -1), (2, 8)])
+    def test_source_outside_mesh_raises(self, source, flip_x, flip_y):
+        """A negative source coordinate would otherwise slice from the
+        far edge and return a map for a node that does not exist."""
+        grids = np.zeros((1, 8, 8), dtype=bool)
+        grids[0, 5, :] = True
+        with pytest.raises(ValueError, match="outside the 8x8 mesh"):
+            batch_reachability_map(grids, source, flip_x, flip_y)
+
 
 # ----------------------------------------------------------------------
 # Seeded random 32x32

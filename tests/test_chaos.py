@@ -355,18 +355,6 @@ class TestConvergenceVerifier:
         assert report.pairs_checked > 0
         assert "CONVERGED" in report.summary()
 
-    def test_runner_records_applied_events_in_order(self):
-        mesh = Mesh2D(10, 10)
-        rng = np.random.default_rng(5)
-        schedule = ChaosSchedule.random(mesh, rng, events=6)
-        runner = ChaosRunner(mesh, schedule=schedule)
-        outcome = runner.run()
-        assert len(runner.applied_events) == outcome.applied
-        crashes = [e.coord for e in runner.applied_events if e.action == "crash"]
-        revives = [e.coord for e in runner.applied_events if e.action == "revive"]
-        assert crashes == list(outcome.crashed)
-        assert revives == list(outcome.revived)
-
     def test_report_surfaces_mismatch_details(self):
         # Sanity-check the report plumbing rather than the happy path:
         # a fabricated mismatch tuple round-trips through the summary.
