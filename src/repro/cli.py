@@ -1087,8 +1087,8 @@ def _cmd_serve(args, out: Callable[[str], None]) -> int:
 
 
 def _cmd_replay(args, out: Callable[[str], None]) -> int:
-    from repro.obs.recorder import read_recording
-    from repro.obs.replay import bisect_logs, render_lineage, replay_events, state_at
+    from repro.obs.recorder import read_recording, render_lineage
+    from repro.obs.replay import bisect_logs, replay_events, state_at
     from repro.obs.sinks import JsonlDecodeError
 
     if _check_kind_filter(args.kind, out):

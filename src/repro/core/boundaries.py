@@ -40,9 +40,10 @@ direction that must NOT be taken -- and that is exactly how it is encoded:
   surrounding straight sections re-capture the packet if it strays.
 
 Everything here is written for the canonical "destination to the North-East"
-orientation; :class:`GridReflection` maps the other quadrants onto it by
-index reflection (no translation), and :class:`BoundaryMap` caches one
-canonical map per orientation.
+orientation; a :class:`~repro.mesh.frames.Frame` anchored at a mesh corner
+maps the other quadrants onto it by index reflection (``x -> n - 1 - x``,
+``y -> m - 1 - y``), and :class:`BoundaryMap` caches one canonical map per
+orientation.
 """
 
 from __future__ import annotations
@@ -53,10 +54,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.faults.blocks import BlockSet
+from repro.mesh.frames import Frame
 from repro.mesh.geometry import Coord, Direction, Rect
 from repro.mesh.topology import Mesh2D
 
-__all__ = ["BoundaryMap", "BoundaryTag", "CanonicalBoundaryMap", "GridReflection", "Line"]
+__all__ = ["BoundaryMap", "BoundaryTag", "CanonicalBoundaryMap", "Line"]
 
 
 class Line(enum.Enum):
@@ -84,52 +86,6 @@ class BoundaryTag:
     toward: Direction | None
 
 
-@dataclass(frozen=True)
-class GridReflection:
-    """Pure index reflection of an ``(n, m)`` grid (no translation).
-
-    Maps between real mesh coordinates and a canonical index space in which
-    the destination quadrant becomes quadrant I.  Unlike
-    :class:`~repro.mesh.frames.Frame` the origin stays at a mesh corner, so
-    reflected coordinates remain valid grid indices.
-    """
-
-    n: int
-    m: int
-    flip_x: bool
-    flip_y: bool
-
-    def coord(self, c: Coord) -> Coord:
-        """Reflect a coordinate (an involution)."""
-        x, y = c
-        if self.flip_x:
-            x = self.n - 1 - x
-        if self.flip_y:
-            y = self.m - 1 - y
-        return (x, y)
-
-    def direction(self, d: Direction) -> Direction:
-        """Reflect a direction (an involution)."""
-        if self.flip_x and d.is_horizontal:
-            return d.opposite
-        if self.flip_y and d.is_vertical:
-            return d.opposite
-        return d
-
-    def rect(self, r: Rect) -> Rect:
-        xa, ya = self.coord((r.xmin, r.ymin))
-        xb, yb = self.coord((r.xmax, r.ymax))
-        return Rect(min(xa, xb), max(xa, xb), min(ya, yb), max(ya, yb))
-
-    def grid(self, array: np.ndarray) -> np.ndarray:
-        out = array
-        if self.flip_x:
-            out = out[::-1, :]
-        if self.flip_y:
-            out = out[:, ::-1]
-        return out
-
-
 def _in_r6(rect: Rect, dest: Coord) -> bool:
     """Destinations triggering the stay-on-L1 rule (East of the block,
     strictly within its row band): all minimal paths pass South of the
@@ -154,20 +110,6 @@ class CanonicalBoundaryMap:
     rects: list[Rect]
     annotations: dict[Coord, list[BoundaryTag]] = field(default_factory=dict)
     truncated_traces: int = 0  # lines cut short by the mesh edge during a join
-
-    @staticmethod
-    def from_annotations(
-        mesh: Mesh2D,
-        rects: list[Rect],
-        annotations: dict[Coord, list[BoundaryTag]],
-    ) -> "CanonicalBoundaryMap":
-        """Wrap annotations produced elsewhere -- e.g. by the distributed
-        boundary protocol (:mod:`repro.simulator.protocols.
-        boundary_distribution`) -- so a router can run off exactly the
-        information the network formed."""
-        return CanonicalBoundaryMap(
-            mesh=mesh, rects=rects, annotations={c: list(t) for c, t in annotations.items()}
-        )
 
     @staticmethod
     def build(mesh: Mesh2D, rects: list[Rect], unusable: np.ndarray) -> "CanonicalBoundaryMap":
@@ -337,8 +279,14 @@ class BoundaryMap:
     def for_blocks(blocks: BlockSet) -> "BoundaryMap":
         return BoundaryMap(mesh=blocks.mesh, rects=blocks.rects(), unusable=blocks.unusable)
 
-    def reflection(self, flip_x: bool, flip_y: bool) -> GridReflection:
-        return GridReflection(n=self.mesh.n, m=self.mesh.m, flip_x=flip_x, flip_y=flip_y)
+    def reflection(self, flip_x: bool, flip_y: bool) -> Frame:
+        """The frame that reflects this mesh's indices into one orientation.
+
+        Its origin is the mesh corner the reflection maps to ``(0, 0)``, so
+        reflected coordinates stay valid grid indices (an involution).
+        """
+        origin = (self.mesh.n - 1 if flip_x else 0, self.mesh.m - 1 if flip_y else 0)
+        return Frame(origin, flip_x, flip_y)
 
     def install(self, flip_x: bool, flip_y: bool, canonical: CanonicalBoundaryMap) -> None:
         """Provide an externally formed canonical map for one orientation.
@@ -355,8 +303,10 @@ class BoundaryMap:
         key = (flip_x, flip_y)
         if key not in self._canonical:
             reflection = self.reflection(flip_x, flip_y)
-            reflected_rects = [reflection.rect(r) for r in self.rects]
-            reflected_unusable = reflection.grid(self.unusable)
+            reflected_rects = [reflection.to_local_rect(r) for r in self.rects]
+            reflected_unusable = self.unusable[
+                :: -1 if flip_x else 1, :: -1 if flip_y else 1
+            ]
             self._canonical[key] = CanonicalBoundaryMap.build(
                 self.mesh, reflected_rects, reflected_unusable
             )

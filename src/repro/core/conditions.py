@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from repro.core.safety import SafetyLevels
 from repro.mesh.frames import Frame
 from repro.mesh.geometry import Coord
-from repro.mesh.topology import Mesh2D
 
 
 class DecisionKind(enum.Enum):
@@ -81,13 +80,3 @@ def safe_source_decision(levels: SafetyLevels, source: Coord, dest: Coord) -> De
     """Definition 3 as a :class:`Decision` (the baseline "safe source" curve)."""
     kind = DecisionKind.SOURCE_SAFE if is_safe(levels, source, dest) else DecisionKind.UNSAFE
     return Decision(kind=kind, source=source, dest=dest)
-
-
-def neighbor_classification(
-    mesh: Mesh2D, source: Coord, dest: Coord
-) -> tuple[list[Coord], list[Coord]]:
-    """(preferred, spare) neighbours of the source w.r.t. the destination."""
-    return (
-        mesh.preferred_neighbors(source, dest),
-        mesh.spare_neighbors(source, dest),
-    )

@@ -81,9 +81,9 @@ class WuRouter(HopRouter):
             )
 
         forbidden = {
-            reflection.direction(d)
+            reflection.to_local_direction(d)
             for d in canonical.forbidden_directions(
-                reflection.coord(current), reflection.coord(dest)
+                reflection.to_local(current), reflection.to_local(dest)
             )
         }
         allowed = [direction for direction in candidates if direction not in forbidden]

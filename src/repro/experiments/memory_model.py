@@ -26,6 +26,11 @@ from repro.core.boundaries import BoundaryMap
 from repro.faults.blocks import BlockSet
 from repro.mesh.topology import Mesh2D
 
+#: Extension 2's segment length: one representative per this many nodes.
+SEGMENT_SIZE = 5
+#: Extension 3's pivot count (the paper's strategy 2: three partition levels).
+PIVOT_COUNT = 21
+
 
 @dataclass(frozen=True)
 class MemoryReport:
@@ -55,11 +60,7 @@ class MemoryReport:
         return "\n".join(lines)
 
 
-def measure_memory(
-    blocks: BlockSet,
-    segment_size: int | None = 5,
-    pivot_count: int = 21,
-) -> MemoryReport:
+def measure_memory(blocks: BlockSet) -> MemoryReport:
     """Account the per-node state of every information model for a scenario."""
     mesh = blocks.mesh
     boundary = BoundaryMap.for_blocks(blocks)
@@ -78,11 +79,11 @@ def measure_memory(
     import math
 
     side = max(mesh.n, mesh.m)
-    reps = 1 if segment_size is None else math.ceil(side / segment_size)
+    reps = math.ceil(side / SEGMENT_SIZE)
     extension2 = 2.0 * reps * 2  # two axes
 
     # Extension 3: every node stores each pivot's coordinates + 4 levels.
-    extension3 = pivot_count * 6
+    extension3 = PIVOT_COUNT * 6
 
     return MemoryReport(
         mesh=mesh,

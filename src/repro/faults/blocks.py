@@ -272,9 +272,6 @@ class BlockSet:
         """True if the node is inside a faulty block (faulty or disabled)."""
         return bool(self.unusable[coord])
 
-    def is_faulty(self, coord: Coord) -> bool:
-        return bool(self.faulty[coord])
-
     def block_at(self, coord: Coord) -> FaultyBlock | None:
         """The block containing ``coord``, if any."""
         idx = int(self.block_id[coord])

@@ -24,6 +24,9 @@ from repro.faults.mcc import MCCSet, MCCType, build_mccs
 from repro.mesh.geometry import Coord, Rect, chebyshev_distance
 from repro.mesh.topology import Mesh2D
 
+#: Default Chebyshev radius of a fault cluster around its epicentre.
+CLUSTER_RADIUS = 3
+
 __all__ = [
     "FaultScenario",
     "clustered_faults",
@@ -34,6 +37,11 @@ __all__ = [
     "uniform_faults_batch",
     "wall_faults",
 ]
+
+
+def _require_non_negative(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"fault count must be non-negative, got {count}")
 
 
 def uniform_faults(
@@ -54,6 +62,7 @@ def uniform_faults(
     yields different (equally valid) draws on either side of the
     threshold.
     """
+    _require_non_negative(count)
     available = mesh.size - sum(1 for c in forbidden if mesh.in_bounds(c))
     if count > available:
         raise ValueError(f"cannot place {count} faults in {available} available nodes")
@@ -109,6 +118,8 @@ def uniform_faults_batch(
         raise ValueError(
             f"got {len(count_list)} counts for {batch} generators"
         )
+    for count in count_list:
+        _require_non_negative(count)
     forbidden_flat = np.array(
         sorted(x * mesh.m + y for x, y in forbidden if mesh.in_bounds((x, y))),
         dtype=np.int64,
@@ -207,7 +218,7 @@ def clustered_faults(
     count: int,
     rng: np.random.Generator,
     clusters: int = 4,
-    radius: int = 3,
+    radius: int = CLUSTER_RADIUS,
     forbidden: frozenset[Coord] | set[Coord] = frozenset(),
 ) -> list[Coord]:
     """Faults concentrated around ``clusters`` random epicentres.
@@ -216,6 +227,7 @@ def clustered_faults(
     randomly chosen epicentre; models localized physical damage, which
     produces larger faulty blocks than the uniform workload.
     """
+    _require_non_negative(count)
     if clusters < 1:
         raise ValueError("need at least one cluster")
     centers = [
@@ -299,9 +311,6 @@ class FaultScenario:
             self._mcc_cache[mcc_type] = build_mccs(self.mesh, self.faults, mcc_type)
         return self._mcc_cache[mcc_type]
 
-    def block_rects(self) -> list[Rect]:
-        return self.blocks.rects()
-
     def pick_destination(
         self,
         rng: np.random.Generator,
@@ -340,7 +349,6 @@ def generate_scenario(
     max_rejections: int = 1000,
     workload: str = "uniform",
     clusters: int = 4,
-    cluster_radius: int = 3,
 ) -> FaultScenario:
     """The paper's random-fault scenario with a block-free source.
 
@@ -350,7 +358,7 @@ def generate_scenario(
 
     ``workload`` selects the fault distribution: ``"uniform"`` is the
     paper's; ``"clustered"`` concentrates the same fault budget around
-    ``clusters`` epicentres (radius ``cluster_radius``), modelling localized
+    ``clusters`` epicentres (radius ``CLUSTER_RADIUS``), modelling localized
     damage -- used by the beyond-the-paper robustness sweeps.
     """
     if workload not in ("uniform", "clustered"):
@@ -367,7 +375,7 @@ def generate_scenario(
             import math
 
             needed = math.ceil(math.sqrt(3 * num_faults / clusters))
-            radius = max(cluster_radius, (needed - 1) // 2 + 1)
+            radius = max(CLUSTER_RADIUS, (needed - 1) // 2 + 1)
             faults = clustered_faults(
                 mesh,
                 num_faults,

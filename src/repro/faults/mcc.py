@@ -40,7 +40,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.mesh.geometry import Coord, Quadrant, Rect
+from repro.mesh.geometry import Coord, Rect
 from repro.mesh.topology import Mesh2D
 from repro.obs import get_tracer
 
@@ -53,10 +53,6 @@ class NodeStatus(enum.IntEnum):
     USELESS = 2
     CANT_REACH = 3
 
-    @property
-    def in_mcc(self) -> bool:
-        return self is not NodeStatus.FAULT_FREE
-
 
 class MCCType(enum.IntEnum):
     """Which corner sections Definition 2 removes from the faulty block.
@@ -68,10 +64,6 @@ class MCCType(enum.IntEnum):
 
     TYPE_ONE = 1
     TYPE_TWO = 2
-
-    @staticmethod
-    def for_quadrant(quadrant: Quadrant) -> "MCCType":
-        return MCCType.TYPE_ONE if quadrant.uses_type_one_mcc else MCCType.TYPE_TWO
 
 
 # Per (MCC type, label): the two neighbour offsets that must both be blocked
@@ -248,10 +240,6 @@ class MCCSet:
     def is_blocked(self, coord: Coord) -> bool:
         return bool(self.blocked[coord])
 
-    def component_at(self, coord: Coord) -> MCCComponent | None:
-        idx = int(self.component_id[coord])
-        return self.components[idx] if idx >= 0 else None
-
     def average_disabled_per_component(self) -> float:
         """Figure 8's metric under the MCC model."""
         if not self.components:
@@ -307,18 +295,4 @@ def _build_mccs(mesh: Mesh2D, faults: Iterable[Coord], mcc_type: MCCType) -> MCC
         status=status,
         blocked=blocked,
         component_id=component_id,
-    )
-
-
-def build_status_pairs(mesh: Mesh2D, faults: Iterable[Coord]) -> tuple[MCCSet, MCCSet]:
-    """Both MCC decompositions at once.
-
-    Returns ``(type_one, type_two)`` so callers can attach the paper's status
-    pair ``(status1, status2)`` to each node: ``status1`` governs quadrant
-    I/III routing, ``status2`` quadrant II/IV routing.
-    """
-    fault_list = list(faults)
-    return (
-        build_mccs(mesh, fault_list, MCCType.TYPE_ONE),
-        build_mccs(mesh, fault_list, MCCType.TYPE_TWO),
     )

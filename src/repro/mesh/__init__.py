@@ -23,7 +23,6 @@ from repro.mesh.geometry import (
     Rect,
     chebyshev_distance,
     manhattan_distance,
-    quadrant_of,
 )
 from repro.mesh.topology import Mesh2D
 from repro.mesh.frames import Frame
@@ -36,5 +35,4 @@ __all__ = [
     "Rect",
     "chebyshev_distance",
     "manhattan_distance",
-    "quadrant_of",
 ]

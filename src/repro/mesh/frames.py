@@ -80,11 +80,6 @@ class Frame:
         bx, by = self.to_local((rect.xmax, rect.ymax))
         return Rect(min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
 
-    def to_global_rect(self, rect: Rect) -> Rect:
-        ax, ay = self.to_global((rect.xmin, rect.ymin))
-        bx, by = self.to_global((rect.xmax, rect.ymax))
-        return Rect(min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
-
     # ------------------------------------------------------------------
     # Direction mapping
     # ------------------------------------------------------------------

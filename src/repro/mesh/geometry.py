@@ -97,28 +97,6 @@ class Quadrant(enum.IntEnum):
     III = 3
     IV = 4
 
-    @property
-    def uses_type_one_mcc(self) -> bool:
-        """Type-one MCCs serve quadrant I/III routing; type-two serve II/IV."""
-        return self in (Quadrant.I, Quadrant.III)
-
-
-def quadrant_of(source: Coord, dest: Coord) -> Quadrant:
-    """Quadrant of ``dest`` relative to ``source``.
-
-    Ties (zero offsets) are folded toward quadrant I, matching the paper's
-    ``xd, yd >= 0`` convention for quadrant-I routing.
-    """
-    dx = dest[0] - source[0]
-    dy = dest[1] - source[1]
-    if dx >= 0 and dy >= 0:
-        return Quadrant.I
-    if dx < 0 and dy >= 0:
-        return Quadrant.II
-    if dx < 0 and dy < 0:
-        return Quadrant.III
-    return Quadrant.IV
-
 
 def manhattan_distance(a: Coord, b: Coord) -> int:
     """``D(a, b) = |xa - xb| + |ya - yb|`` -- the minimal hop count in a mesh."""
@@ -169,26 +147,9 @@ class Rect:
     def area(self) -> int:
         return self.width * self.height
 
-    @property
-    def sw_corner(self) -> Coord:
-        """South-West node of the rectangle itself (not the boundary corner)."""
-        return (self.xmin, self.ymin)
-
-    @property
-    def ne_corner(self) -> Coord:
-        return (self.xmax, self.ymax)
-
     def contains(self, coord: Coord) -> bool:
         x, y = coord
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
-
-    def contains_rect(self, other: "Rect") -> bool:
-        return (
-            self.xmin <= other.xmin
-            and other.xmax <= self.xmax
-            and self.ymin <= other.ymin
-            and other.ymax <= self.ymax
-        )
 
     def intersects(self, other: "Rect") -> bool:
         return not (
@@ -198,30 +159,12 @@ class Rect:
             or self.ymax < other.ymin
         )
 
-    def touches_or_intersects(self, other: "Rect") -> bool:
-        """True if the rectangles intersect or are edge/corner adjacent."""
-        return not (
-            other.xmax + 1 < self.xmin
-            or self.xmax + 1 < other.xmin
-            or other.ymax + 1 < self.ymin
-            or self.ymax + 1 < other.ymin
-        )
-
     def union(self, other: "Rect") -> "Rect":
         return Rect(
             min(self.xmin, other.xmin),
             max(self.xmax, other.xmax),
             min(self.ymin, other.ymin),
             max(self.ymax, other.ymax),
-        )
-
-    def expand(self, margin: int) -> "Rect":
-        """Grow the rectangle by ``margin`` on every side (may go negative)."""
-        return Rect(
-            self.xmin - margin,
-            self.xmax + margin,
-            self.ymin - margin,
-            self.ymax + margin,
         )
 
     def clip(self, other: "Rect") -> "Rect | None":
@@ -246,14 +189,6 @@ class Rect:
 
     def row_range(self) -> range:
         return range(self.ymin, self.ymax + 1)
-
-    def spans_columns(self, xlo: int, xhi: int) -> bool:
-        """True if the rectangle covers every column of ``[xlo, xhi]``."""
-        return self.xmin <= xlo and xhi <= self.xmax
-
-    def spans_rows(self, ylo: int, yhi: int) -> bool:
-        """True if the rectangle covers every row of ``[ylo, yhi]``."""
-        return self.ymin <= ylo and yhi <= self.ymax
 
     def __str__(self) -> str:  # paper notation
         return f"[{self.xmin}:{self.xmax}, {self.ymin}:{self.ymax}]"

@@ -59,17 +59,6 @@ class Mesh2D:
             for y in range(self.m):
                 yield (x, y)
 
-    def index_of(self, coord: Coord) -> int:
-        """Flat index of a node (row-major in x): ``x * m + y``."""
-        self.require_in_bounds(coord)
-        return coord[0] * self.m + coord[1]
-
-    def coord_of(self, index: int) -> Coord:
-        """Inverse of :meth:`index_of`."""
-        if not 0 <= index < self.size:
-            raise ValueError(f"flat index {index} out of range for {self.n}x{self.m} mesh")
-        return divmod(index, self.m)
-
     @property
     def center(self) -> Coord:
         """The centre node (used as the simulation source in the paper)."""
@@ -97,19 +86,6 @@ class Mesh2D:
             if 0 <= nx < n and 0 <= ny < m:
                 out.append((direction, (nx, ny)))
         return out
-
-    def are_adjacent(self, a: Coord, b: Coord) -> bool:
-        return manhattan_distance(a, b) == 1
-
-    def degree(self, coord: Coord) -> int:
-        self.require_in_bounds(coord)
-        x, y = coord
-        deg = 4
-        if x == 0 or x == self.n - 1:
-            deg -= 1
-        if y == 0 or y == self.m - 1:
-            deg -= 1
-        return deg
 
     # ------------------------------------------------------------------
     # Distance and preferred/spare classification (paper Sec. 2)

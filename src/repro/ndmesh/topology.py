@@ -76,16 +76,5 @@ class MeshND:
         self.require_in_bounds(b)
         return sum(abs(x - y) for x, y in zip(a, b))
 
-    def monotone_directions(self, current: CoordND, dest: CoordND) -> list[tuple[int, int]]:
-        """(axis, sign) pairs that move ``current`` toward ``dest`` --
-        the N-D preferred directions."""
-        out = []
-        for axis in range(self.dimensions):
-            if dest[axis] > current[axis]:
-                out.append((axis, 1))
-            elif dest[axis] < current[axis]:
-                out.append((axis, -1))
-        return out
-
     def __str__(self) -> str:
         return "MeshND(" + "x".join(str(k) for k in self.shape) + ")"

@@ -103,7 +103,6 @@ from repro.obs.replay import (
     StateSnapshot,
     bisect_logs,
     bisect_streams,
-    lineage_of,
     replay_events,
     replay_recording,
     state_at,
@@ -179,7 +178,6 @@ __all__ = [
     "get_observatory",
     "get_tracer",
     "jsonable",
-    "lineage_of",
     "queue_runaway",
     "read_index",
     "read_jsonl",

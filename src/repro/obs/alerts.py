@@ -324,13 +324,19 @@ def retransmit_storm(
     )
 
 
-def queue_runaway(depth: float = 50_000.0, for_ticks: int = 3) -> ThresholdRule:
+#: Pending-event ceiling of :func:`queue_runaway`.
+QUEUE_RUNAWAY_DEPTH = 50_000.0
+
+
+def queue_runaway(for_ticks: int = 3) -> ThresholdRule:
     """Pending event depth past a hard ceiling for several ticks.
 
     The side-96 formation workload peaks under 1k pending events; 50k
     means a feedback loop is flooding the queue faster than it drains.
     """
-    return ThresholdRule("queue-runaway", "engine.pending", ">", depth, for_ticks=for_ticks)
+    return ThresholdRule(
+        "queue-runaway", "engine.pending", ">", QUEUE_RUNAWAY_DEPTH, for_ticks=for_ticks
+    )
 
 
 def drop_rate_slo(ratio: float = 0.25, window: float = 32.0, floor: float = 16.0) -> RatioRule:

@@ -412,7 +412,7 @@ class MetricsSink:
             }
         )
 
-    def to_table(self, with_timings: bool = True) -> str:
+    def to_table(self) -> str:
         """Aligned text rendering of the snapshot."""
         out = io.StringIO()
 
@@ -468,7 +468,7 @@ class MetricsSink:
                 [(key, f"{value:g}" if isinstance(value, (int, float)) else str(value))
                  for key, value in self.engine.items()],
             )
-        if with_timings and self.span_durations:
+        if self.span_durations:
             section(
                 "spans",
                 [

@@ -39,7 +39,6 @@ from repro.obs.recorder import (
     event_index,
     read_index,
     read_recording,
-    render_lineage,
 )
 
 if TYPE_CHECKING:
@@ -400,14 +399,3 @@ def state_at(
         events_processed=runner.engine.events_processed,
         pending=runner.engine.pending,
     )
-
-
-def lineage_of(
-    source: Sequence[TraceEvent] | str | pathlib.Path, event_id: int
-) -> str:
-    """Rendered ancestry tree for one event of a recording."""
-    if isinstance(source, (str, pathlib.Path)):
-        events: Sequence[TraceEvent] = read_recording(source)
-    else:
-        events = source
-    return render_lineage(events, event_id)

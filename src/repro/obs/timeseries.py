@@ -322,9 +322,6 @@ class Observatory:
         network.engine.set_tick_hook(self._on_tick, self.interval)
         return self
 
-    def detach(self, network: "MeshNetwork") -> None:
-        network.engine.set_tick_hook(None)
-
     def _on_tick(self, tick: float) -> None:
         self.sampler(tick)
         self.alerts.evaluate(tick, self.store)

@@ -110,7 +110,7 @@ HOT_COUNTER_NAMES: frozenset[str] = frozenset(
         "chaos.duplicates",        # ghost copies injected by the fault plan
         "chaos.corrupted",         # payloads delivered with a failed checksum
         "chaos.retries",           # retransmissions by hardened senders
-        "chaos.gave_up",           # sends abandoned after max_retries
+        "chaos.gave_up",           # sends abandoned after DEFAULT_MAX_RETRIES
         "chaos.dup_suppressed",    # duplicate deliveries dropped by dedup
         "chaos.stale_discarded",   # deliveries fenced off by an epoch bump
         "chaos.corrupt_discarded", # corrupted deliveries discarded unacked
@@ -143,9 +143,6 @@ class Tracer:
         self.families.declare("repro_hot_counter_total", "counter",
                               "Hot-path operations counted by the tracer.",
                               self.hot, label="name")
-
-    def add_sink(self, sink: Sink) -> None:
-        self._sinks.append(sink)
 
     def emit(self, kind: str, *, cause: int | None = None, **data: Any) -> int:
         """Record one event; returns its event id (the ``seq``) so callers

@@ -77,10 +77,6 @@ class ArtifactCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    def generation_of(self, key: Hashable) -> int | None:
-        """The generation tag ``key`` was last stored/revalidated under."""
-        return self._tags.get(key)
-
     def get_or_build(
         self,
         key: Hashable,

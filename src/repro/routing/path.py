@@ -7,7 +7,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.mesh.geometry import Coord, Direction, manhattan_distance
+from repro.mesh.geometry import Coord, manhattan_distance
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,6 @@ class Path:
             if manhattan_distance(b, self.dest) > manhattan_distance(a, self.dest):
                 count += 1
         return count
-
-    def directions(self) -> list[Direction]:
-        """The hop directions along the path."""
-        return [Direction.between(a, b) for a, b in zip(self.nodes, self.nodes[1:])]
 
     def avoids(self, blocked: np.ndarray) -> bool:
         """True iff no node of the path is blocked."""

@@ -15,7 +15,6 @@ failure and shows Wu's protocol avoiding it.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -148,11 +147,6 @@ class HopRouter(abc.ABC):
             trc.emit("route_end", source=source, dest=dest, hops=path.hops,
                      minimal=path.is_minimal, detours=path.detours)
         return path
-
-
-@dataclass
-class _GreedyConfig:
-    tie_breaker: TieBreaker = balanced_tie_breaker
 
 
 class GreedyAdaptiveRouter(HopRouter):

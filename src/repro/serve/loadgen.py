@@ -35,6 +35,8 @@ __all__ = ["run_qps_sweep"]
 #: (queries-per-second, query count) per ramp stage.
 DEFAULT_STAGES = ((500, 150), (2000, 300), (8000, 450))
 QUICK_STAGES = ((500, 60), (2000, 120), (8000, 180))
+#: Share of queries asked under the MCC fault model (the rest: blocks).
+MCC_FRACTION = 0.25
 
 
 def run_qps_sweep(
@@ -44,7 +46,6 @@ def run_qps_sweep(
     *,
     stages: Sequence[tuple[float, int]] = DEFAULT_STAGES,
     chaos_events: int = 12,
-    mcc_fraction: float = 0.25,
     deadline_s: float = 0.050,
     max_staleness: int = 2,
     queue_limit: int = 128,
@@ -66,7 +67,7 @@ def run_qps_sweep(
     ]
     total_queries = sum(count for _, count in stages)
     picks = rng.integers(0, len(usable), size=(total_queries, 2))
-    models = rng.random(total_queries) < mcc_fraction
+    models = rng.random(total_queries) < MCC_FRACTION
     schedule = ChaosSchedule.random(
         mesh, rng, events=chaos_events, horizon=max(2.0, float(total_queries)),
         revive_fraction=0.5, forbidden=set(initial),
@@ -151,7 +152,7 @@ def run_qps_sweep(
             "config": {
                 "side": side, "faults": faults, "seed": seed,
                 "stages": [list(s) for s in stages],
-                "chaos_events": chaos_events, "mcc_fraction": mcc_fraction,
+                "chaos_events": chaos_events, "mcc_fraction": MCC_FRACTION,
                 "deadline_ms": deadline_s * 1e3, "max_staleness": max_staleness,
                 "queue_limit": queue_limit, "workers": workers,
             },

@@ -78,6 +78,9 @@ __all__ = [
     "default_breaker_rules",
 ]
 
+#: Path witnesses the service memoises (an LRU over (source, dest) pairs).
+WITNESS_CACHE_SIZE = 4096
+
 #: Strategy label per decision kind -- which rung of the paper's
 #: escalation (Definition 3, then Extensions 1-3, then Extension 1's
 #: sub-minimal rule) justified the verdict.
@@ -283,7 +286,6 @@ class RoutingService:
         *,
         mcc_model: bool = True,
         auto_refresh: bool = True,
-        witness_cache_size: int = 4096,
     ):
         self.mesh = mesh
         self.mcc_model = mcc_model
@@ -291,7 +293,7 @@ class RoutingService:
         mcc_types = (MCCType.TYPE_ONE,) if mcc_model else ()
         self.engine = IncrementalFaultEngine(mesh, faults, mcc_types=mcc_types)
         self._lock = threading.Lock()
-        self._witnesses = ArtifactCache(witness_cache_size)
+        self._witnesses = ArtifactCache(WITNESS_CACHE_SIZE)
         self.refreshes = 0
         # Always 0 (every refresh is full); perfbench's traced serve run reads it.
         self.degraded_refreshes = 0

@@ -450,9 +450,6 @@ class MeshNetwork:
             retried=self.messages_retried_total,
         )
 
-    def process_at(self, coord: Coord) -> NodeProcess:
-        return self.nodes[coord]
-
     def close(self) -> None:
         """Tear down a finished network: drop its processes, its queued
         engine events and its observatory hookup.

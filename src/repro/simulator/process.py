@@ -56,6 +56,3 @@ class NodeProcess(abc.ABC):
             if self.send(direction, kind, payload):
                 count += 1
         return count
-
-    def neighbor_directions(self) -> list[Direction]:
-        return [direction for direction, _ in self.network.mesh.neighbor_items(self.coord)]

@@ -75,12 +75,7 @@ class InjectionReport:
 
 
 class DynamicMesh:
-    """A live mesh: inject faults one at a time, information stays consistent.
-
-    The centralized reference state (blocks + ESLs, served by
-    :meth:`reference_blocks` / :meth:`reference_levels`) is rebuilt from
-    scratch by the batch builders on demand.
-    """
+    """A live mesh: inject faults one at a time, information stays consistent."""
 
     def __init__(
         self,
@@ -189,16 +184,3 @@ class DynamicMesh:
     def total_messages(self) -> int:
         """Lifetime carried-message count (O(1) running total)."""
         return self.network.messages_carried_total
-
-    def reference_blocks(self):
-        """Centralized ground-truth blocks for the current fault set."""
-        from repro.faults.blocks import build_faulty_blocks
-
-        return build_faulty_blocks(self.mesh, self.faults)
-
-    def reference_levels(self) -> SafetyLevels:
-        """Centralized ground-truth ESLs (see :meth:`reference_blocks`)."""
-        from repro.core.safety import compute_safety_levels
-
-        return compute_safety_levels(self.mesh, self.reference_blocks().unusable)
-

@@ -17,7 +17,7 @@ stop-and-wait reliability shim so the same algorithms survive a
   cleared when the epoch moves on, and an ``int`` key is no object
   the cyclic collector tracks;
 - senders retransmit unacked envelopes with exponential backoff in
-  ticks, bounded by ``max_retries`` (a give-up is counted, not fatal:
+  ticks, bounded by ``DEFAULT_MAX_RETRIES`` (a give-up is counted, not fatal:
   the stabilization pulse is the backstop);
 - :func:`stabilize_network` is that backstop -- a reset-based
   self-stabilization pulse in the Arora-Gouda style: bump the epoch
@@ -86,7 +86,6 @@ class ResilientProcess(NodeProcess):
         "_rel_seen",
         "_rel_seen_epoch",
         "_rel_timeout",
-        "_rel_max_retries",
     )
 
     def __init__(
@@ -95,8 +94,6 @@ class ResilientProcess(NodeProcess):
         network: MeshNetwork,
         *,
         hardened: bool = False,
-        ack_timeout: float | None = None,
-        max_retries: int = DEFAULT_MAX_RETRIES,
     ):
         super().__init__(coord, network)
         self._rel_on = hardened
@@ -109,11 +106,7 @@ class ResilientProcess(NodeProcess):
         #: epoch in ``_rel_seen_epoch``
         self._rel_seen: set[int] = set()
         self._rel_seen_epoch = network.chaos_epoch
-        self._rel_timeout = (
-            ack_timeout if ack_timeout is not None
-            else DEFAULT_TIMEOUT_FACTOR * network.latency
-        )
-        self._rel_max_retries = max_retries
+        self._rel_timeout = DEFAULT_TIMEOUT_FACTOR * network.latency
 
     # ------------------------------------------------------------------
     # Reliable send primitives
@@ -155,7 +148,7 @@ class ResilientProcess(NodeProcess):
             del self._rel_outbox[key]
             return
         kind, envelope, attempts, sent_id = entry
-        if attempts >= self._rel_max_retries:
+        if attempts >= DEFAULT_MAX_RETRIES:
             del self._rel_outbox[key]
             self.network._trc.count("chaos.gave_up")
             return

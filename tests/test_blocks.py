@@ -24,9 +24,9 @@ class TestPaperExample:
         assert set(block.faulty) | set(block.disabled) == set(block.rect.coords())
 
     def test_grid_accessors(self, figure1_blocks):
-        assert figure1_blocks.is_faulty((3, 3))
+        assert figure1_blocks.faulty[3, 3]
         assert figure1_blocks.is_unusable((4, 3))  # disabled corner-fill
-        assert not figure1_blocks.is_faulty((4, 3))
+        assert not figure1_blocks.faulty[4, 3]
         assert not figure1_blocks.is_unusable((0, 0))
         assert figure1_blocks.block_at((4, 5)) is figure1_blocks.blocks[0]
         assert figure1_blocks.block_at((0, 0)) is None

@@ -182,8 +182,14 @@ class TestReflection:
             unusable=np.zeros((10, 10), dtype=bool),
         )
         reflection = bmap.reflection(True, True)
-        assert reflection.coord(reflection.coord((3, 7))) == (3, 7)
-        assert reflection.direction(reflection.direction(Direction.EAST)) is Direction.EAST
+        assert reflection.to_local((3, 7)) == (6, 2)
+        assert reflection.to_local(reflection.to_local((3, 7))) == (3, 7)
+        assert reflection.to_global(reflection.to_local((3, 7))) == (3, 7)
+        assert reflection.to_local_direction(Direction.EAST) is Direction.WEST
+        assert (
+            reflection.to_local_direction(reflection.to_local_direction(Direction.EAST))
+            is Direction.EAST
+        )
 
     def test_reflected_map_guards_quadrant_iii(self):
         """For a SW-bound packet the mirrored lines guard the block."""
@@ -193,8 +199,8 @@ class TestReflection:
         canonical = bmap.canonical(True, True)
         # Real node (10, 8): East of the block, inside its band, heading SW
         # toward (2, 7)... reflected space must force the stay-on rule.
-        node_r = reflection.coord((10, 8))
-        dest_r = reflection.coord((2, 7))
+        node_r = reflection.to_local((10, 8))
+        dest_r = reflection.to_local((2, 7))
         forbidden = canonical.forbidden_directions(node_r, dest_r)
         assert forbidden  # critical in the mirrored frame
 

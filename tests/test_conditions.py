@@ -11,7 +11,6 @@ from repro.core.conditions import (
     Decision,
     DecisionKind,
     is_safe,
-    neighbor_classification,
     safe_source_decision,
 )
 from repro.core.safety import compute_safety_levels
@@ -104,7 +103,8 @@ class TestTheorem1Soundness:
 class TestNeighborClassification:
     def test_interior(self):
         mesh = Mesh2D(10, 10)
-        preferred, spare = neighbor_classification(mesh, (4, 4), (8, 8))
+        preferred = mesh.preferred_neighbors((4, 4), (8, 8))
+        spare = mesh.spare_neighbors((4, 4), (8, 8))
         assert set(preferred) == {(5, 4), (4, 5)}
         assert set(spare) == {(3, 4), (4, 3)}
 

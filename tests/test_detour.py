@@ -4,7 +4,7 @@ import pytest
 
 from repro.faults.blocks import build_faulty_blocks
 from repro.faults.injection import uniform_faults
-from repro.mesh.geometry import manhattan_distance
+from repro.mesh.geometry import Direction, manhattan_distance
 from repro.mesh.topology import Mesh2D
 from repro.routing.detour import DetourRouter
 from repro.routing.oracle import shortest_path_bfs
@@ -23,7 +23,7 @@ class TestBasics:
         path = router.route((1, 1), (7, 5))
         assert path.is_minimal
         # XY: all East hops first, then all North hops.
-        directions = [d.name for d in path.directions()]
+        directions = [Direction.between(a, b).name for a, b in zip(path.nodes, path.nodes[1:])]
         assert directions == ["EAST"] * 6 + ["NORTH"] * 4
 
     def test_detours_around_single_block(self):

@@ -45,7 +45,9 @@ class TestRoundTrips:
     def test_rect_roundtrip(self, flip_x, flip_y):
         frame = Frame(origin=(7, 3), flip_x=flip_x, flip_y=flip_y)
         rect = Rect(2, 6, 3, 6)
-        assert frame.to_global_rect(frame.to_local_rect(rect)) == rect
+        local = frame.to_local_rect(rect)
+        corners = [(local.xmin, local.ymin), (local.xmax, local.ymax)]
+        assert Rect.bounding([frame.to_global(c) for c in corners]) == rect
 
     def test_direction_mapping_is_involution(self):
         frame = Frame(origin=(0, 0), flip_x=True, flip_y=True)

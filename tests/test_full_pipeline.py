@@ -80,7 +80,7 @@ class TestRoutingOffDistributedState:
         bmap.install(
             False,
             False,
-            CanonicalBoundaryMap.from_annotations(mesh, blocks.rects(), boundary.annotations),
+            CanonicalBoundaryMap(mesh, blocks.rects(), boundary.annotations),
         )
         router = WuRouter(mesh, blocks, boundary_map=bmap)
 

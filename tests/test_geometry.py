@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from repro.mesh.frames import Frame
 from repro.mesh.geometry import (
     ESL_ORDER,
     Direction,
@@ -12,7 +13,6 @@ from repro.mesh.geometry import (
     Rect,
     chebyshev_distance,
     manhattan_distance,
-    quadrant_of,
 )
 
 
@@ -95,25 +95,23 @@ class TestDirectionFixedAttributes:
         assert Direction.EAST == pickle.loads(pickle.dumps(Direction.EAST))
 
 
+def _quadrant(source, dest):
+    return Frame.for_pair(source, dest).quadrant
+
+
 class TestQuadrant:
     def test_quadrant_of_all_sectors(self):
         source = (5, 5)
-        assert quadrant_of(source, (8, 9)) is Quadrant.I
-        assert quadrant_of(source, (2, 9)) is Quadrant.II
-        assert quadrant_of(source, (2, 1)) is Quadrant.III
-        assert quadrant_of(source, (8, 1)) is Quadrant.IV
+        assert _quadrant(source, (8, 9)) is Quadrant.I
+        assert _quadrant(source, (2, 9)) is Quadrant.II
+        assert _quadrant(source, (2, 1)) is Quadrant.III
+        assert _quadrant(source, (8, 1)) is Quadrant.IV
 
     def test_axis_ties_fold_toward_quadrant_one(self):
         source = (5, 5)
-        assert quadrant_of(source, (8, 5)) is Quadrant.I  # due East
-        assert quadrant_of(source, (5, 9)) is Quadrant.I  # due North
-        assert quadrant_of(source, (5, 5)) is Quadrant.I  # self
-
-    def test_mcc_type_mapping(self):
-        assert Quadrant.I.uses_type_one_mcc
-        assert Quadrant.III.uses_type_one_mcc
-        assert not Quadrant.II.uses_type_one_mcc
-        assert not Quadrant.IV.uses_type_one_mcc
+        assert _quadrant(source, (8, 5)) is Quadrant.I  # due East
+        assert _quadrant(source, (5, 9)) is Quadrant.I  # due North
+        assert _quadrant(source, (5, 5)) is Quadrant.I  # self
 
 
 class TestDistances:
@@ -153,18 +151,11 @@ class TestRect:
         with pytest.raises(ValueError):
             Rect.bounding([])
 
-    def test_contains_rect(self):
-        outer = Rect(0, 10, 0, 10)
-        assert outer.contains_rect(Rect(2, 5, 3, 7))
-        assert not Rect(2, 5, 3, 7).contains_rect(outer)
-
     def test_intersects_and_touches(self):
         a = Rect(0, 2, 0, 2)
         assert a.intersects(Rect(2, 4, 2, 4))  # shares corner cell
         assert not a.intersects(Rect(3, 4, 0, 2))  # adjacent, not overlapping
-        assert a.touches_or_intersects(Rect(3, 4, 0, 2))
-        assert a.touches_or_intersects(Rect(3, 4, 3, 4))  # diagonal touch
-        assert not a.touches_or_intersects(Rect(4, 5, 0, 2))  # gap of one
+        assert not a.intersects(Rect(3, 4, 3, 4))  # diagonal touch
 
     def test_union_and_clip(self):
         a = Rect(0, 2, 0, 2)
@@ -172,9 +163,6 @@ class TestRect:
         assert a.union(b) == Rect(0, 4, 0, 5)
         assert a.clip(b) == Rect(1, 2, 1, 2)
         assert a.clip(Rect(5, 6, 5, 6)) is None
-
-    def test_expand(self):
-        assert Rect(2, 3, 2, 3).expand(1) == Rect(1, 4, 1, 4)
 
     def test_coords_enumerates_area(self):
         rect = Rect(1, 2, 5, 7)
@@ -184,15 +172,8 @@ class TestRect:
 
     def test_spans(self):
         rect = Rect(2, 6, 3, 6)
-        assert rect.spans_columns(3, 5)
-        assert not rect.spans_columns(0, 5)
-        assert rect.spans_rows(3, 6)
-        assert not rect.spans_rows(3, 7)
-
-    def test_corners(self):
-        rect = Rect(2, 6, 3, 6)
-        assert rect.sw_corner == (2, 3)
-        assert rect.ne_corner == (6, 6)
+        assert rect.column_range() == range(2, 7)
+        assert rect.row_range() == range(3, 7)
 
     def test_ordering_is_total(self):
         rects = [Rect(1, 2, 1, 2), Rect(0, 9, 0, 9), Rect(0, 1, 5, 6)]

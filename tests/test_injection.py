@@ -7,6 +7,7 @@ from repro.faults.injection import (
     clustered_faults,
     generate_scenario,
     uniform_faults,
+    uniform_faults_batch,
     wall_faults,
 )
 from repro.mesh.geometry import Rect, chebyshev_distance
@@ -77,6 +78,22 @@ class TestUniformFaults:
         mesh = Mesh2D(4, 4)
         faults = uniform_faults(mesh, 16, rng, forbidden={(99, 99)})
         assert len(faults) == 16
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda mesh, count: uniform_faults(mesh, count, np.random.default_rng(1)),
+        lambda mesh, count: uniform_faults_batch(mesh, [count], [1]),
+        lambda mesh, count: uniform_faults_batch(mesh, count, [1, 2]),
+        lambda mesh, count: clustered_faults(mesh, count, np.random.default_rng(1)),
+    ],
+    ids=["uniform", "uniform_batch_list", "uniform_batch_shared", "clustered"],
+)
+@pytest.mark.parametrize("count", [-1, -2])
+def test_negative_fault_count_raises(draw, count):
+    with pytest.raises(ValueError, match="non-negative"):
+        draw(Mesh2D(3, 3), count)
 
 
 class TestClusteredFaults:

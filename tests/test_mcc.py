@@ -9,10 +9,9 @@ from repro.faults.mcc import (
     MCCType,
     NodeStatus,
     build_mccs,
-    build_status_pairs,
     label_statuses,
 )
-from repro.mesh.geometry import Quadrant, Rect
+from repro.mesh.geometry import Rect
 from repro.mesh.topology import Mesh2D
 
 from tests.conftest import FIGURE1_FAULTS
@@ -154,25 +153,19 @@ class TestClosureSemantics:
                 assert np.array_equal(blocked, naive), f"{mcc_type} mismatch"
 
     def test_build_status_pairs(self):
-        one, two = build_status_pairs(MESH10, FIGURE1_FAULTS)
+        one, two = (build_mccs(MESH10, FIGURE1_FAULTS, t) for t in MCCType)
         assert one.mcc_type is MCCType.TYPE_ONE
         assert two.mcc_type is MCCType.TYPE_TWO
         assert np.array_equal(one.faulty, two.faulty)
-
-    def test_for_quadrant(self):
-        assert MCCType.for_quadrant(Quadrant.I) is MCCType.TYPE_ONE
-        assert MCCType.for_quadrant(Quadrant.III) is MCCType.TYPE_ONE
-        assert MCCType.for_quadrant(Quadrant.II) is MCCType.TYPE_TWO
-        assert MCCType.for_quadrant(Quadrant.IV) is MCCType.TYPE_TWO
 
     def test_component_lookup(self, rng):
         mesh = Mesh2D(20, 20)
         faults = [(2, 2), (3, 3), (10, 10)]
         mccs = build_mccs(mesh, faults, MCCType.TYPE_ONE)
-        for component in mccs:
+        for index, component in enumerate(mccs):
             for coord in component.coords:
-                assert mccs.component_at(coord) is component
-        assert mccs.component_at((0, 19)) is None
+                assert mccs.component_id[coord] == index
+        assert mccs.component_id[0, 19] == -1
 
 
 def _naive_blocked(mesh, faulty, mcc_type):

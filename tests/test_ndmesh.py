@@ -38,8 +38,6 @@ class TestMeshND:
     def test_distance_and_directions(self):
         mesh = MeshND((8, 8, 8))
         assert mesh.distance((0, 0, 0), (3, 2, 5)) == 10
-        directions = mesh.monotone_directions((1, 5, 3), (4, 2, 3))
-        assert set(directions) == {(0, 1), (1, -1)}
 
     def test_step(self):
         mesh = MeshND((4, 4))

@@ -65,10 +65,10 @@ class TestArtifactCache:
         cache = ArtifactCache()
         assert cache.get_or_build("k", lambda: 1, generation=1) == 1
         assert cache.get_or_build("k", lambda: 2, generation=1) == 1  # hit
-        assert cache.generation_of("k") == 1
+        assert cache._tags.get("k") == 1
         # A newer generation without a revalidator rebuilds the entry.
         assert cache.get_or_build("k", lambda: 2, generation=2) == 2
-        assert cache.generation_of("k") == 2
+        assert cache._tags.get("k") == 2
         assert cache.stats()["stale"] == 1
         assert cache.stats()["hits"] == 1
 
@@ -86,7 +86,7 @@ class TestArtifactCache:
         )
         assert got == 1  # survived: old value kept
         assert seen == [(1, 1)]
-        assert cache.generation_of("k") == 5
+        assert cache._tags.get("k") == 5
         assert cache.stats()["revalidated"] == 1
         # Once retagged, the same generation is a plain hit (no recheck).
         cache.get_or_build("k", lambda: 2, generation=5, revalidate=revalidate)
@@ -112,7 +112,7 @@ class TestArtifactCache:
         cache = ArtifactCache()
         cache.get_or_build("k", lambda: 1)
         assert cache.get_or_build("k", lambda: 2) == 1
-        assert cache.generation_of("k") is None
+        assert cache._tags.get("k") is None
         # An untagged lookup of a tagged entry is also a plain hit.
         cache.get_or_build("g", lambda: 3, generation=7)
         assert cache.get_or_build("g", lambda: 4) == 3
@@ -198,7 +198,7 @@ class TestPeekAndDrop:
         cache.get_or_build("k", lambda: 1, generation=3)
         before = cache.stats()
         assert cache.peek("k") == 1
-        assert cache.generation_of("k") == 3
+        assert cache._tags.get("k") == 3
         assert cache.peek("missing") is None
         assert cache.peek("missing", default="d") == "d"
         assert cache.stats() == before

@@ -15,7 +15,8 @@ class TestPath:
         assert path.is_minimal
         assert not path.is_sub_minimal
         assert path.detours == 0
-        assert path.directions() == [Direction.EAST, Direction.NORTH, Direction.EAST]
+        hops = [Direction.between(a, b) for a, b in zip(path.nodes, path.nodes[1:])]
+        assert hops == [Direction.EAST, Direction.NORTH, Direction.EAST]
 
     def test_sub_minimal_path(self):
         # One detour West, then across: D = 2, hops = 4.

@@ -17,7 +17,7 @@ from repro.faults.blocks import build_faulty_blocks
 from repro.faults.coverage import minimal_path_exists
 from repro.faults.injection import uniform_faults
 from repro.mesh.frames import Frame
-from repro.mesh.geometry import Quadrant, quadrant_of
+from repro.mesh.geometry import Quadrant
 from repro.mesh.topology import Mesh2D
 
 SIDE = 26
@@ -58,8 +58,8 @@ class TestPerQuadrant:
         _, blocks, _, rng = scenario
         for _ in range(20):
             dest = _random_dest(rng, quadrant, blocks)
-            assert quadrant_of(CENTER, dest) is quadrant
             frame = Frame.for_pair(CENTER, dest)
+            assert frame.quadrant is quadrant
             lx, ly = frame.to_local(dest)
             assert lx >= 0 and ly >= 0
 

@@ -197,7 +197,7 @@ def _orientations(snapshot):
     """The reflected rects of each orientation of the snapshot's map."""
     bmap = snapshot.boundaries
     return {
-        tuple(bmap.reflection(flip_x, flip_y).rect(r) for r in bmap.rects)
+        tuple(bmap.reflection(flip_x, flip_y).to_local_rect(r) for r in bmap.rects)
         for flip_x in (False, True) for flip_y in (False, True)
     }
 

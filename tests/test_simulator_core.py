@@ -90,8 +90,8 @@ class TestNetwork:
         network = MeshNetwork(mesh, Engine(), _Echo)
         network.send_from((0, 0), Direction.EAST, "ping", None)
         stats = network.run()
-        receiver = network.process_at((1, 0))
-        sender = network.process_at((0, 0))
+        receiver = network.nodes[(1, 0)]
+        sender = network.nodes[(0, 0)]
         assert [m.kind for m in receiver.received] == ["ping"]
         assert [m.kind for m in sender.received] == ["pong"]
         # Arrival direction is receiver-relative.
@@ -124,8 +124,7 @@ class TestNetwork:
     def test_broadcast_counts_edges(self):
         mesh = Mesh2D(3, 3)
         network = MeshNetwork(mesh, Engine(), _Echo)
-        center = network.process_at((1, 1))
+        center = network.nodes[(1, 1)]
         assert center.broadcast("ping") == 4
-        corner = network.process_at((0, 0))
+        corner = network.nodes[(0, 0)]
         assert corner.broadcast("ping") == 2
-        assert set(corner.neighbor_directions()) == {Direction.EAST, Direction.NORTH}
