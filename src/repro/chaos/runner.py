@@ -250,9 +250,7 @@ class ChaosRunner:
                     self.latency, self._notify_up, neighbor, direction.opposite, cause
                 )
 
-    def _notify_down(
-        self, coord: Coord, direction: Direction, cause: int | None = None
-    ) -> None:
+    def _notify_down(self, coord: Coord, direction: Direction, cause: int | None) -> None:
         """Failure detection: resolved at fire time, because the observer
         itself may have crashed (or been replaced) in the meantime."""
         process = self.network.nodes.get(coord)
@@ -263,9 +261,7 @@ class ChaosRunner:
             else:
                 process.neighbor_became_unusable(direction)
 
-    def _notify_up(
-        self, coord: Coord, direction: Direction, cause: int | None = None
-    ) -> None:
+    def _notify_up(self, coord: Coord, direction: Direction, cause: int | None) -> None:
         process = self.network.nodes.get(coord)
         if isinstance(process, DynamicNode):
             if cause is not None and self.recorder is not None:

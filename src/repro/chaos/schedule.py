@@ -61,7 +61,7 @@ class ChaosSchedule:
         """The time of the last event (0.0 when empty)."""
         return self.events[-1].time if self.events else 0.0
 
-    def final_faults(self, initial: Iterable[Coord] = ()) -> set[Coord]:
+    def final_faults(self, initial: Iterable[Coord]) -> set[Coord]:
         """The fault set after replaying every event over ``initial``."""
         faults = set(initial)
         for event in self.events:

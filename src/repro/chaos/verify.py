@@ -40,6 +40,10 @@ from repro.faults.coverage import batch_minimal_path_exists
 from repro.mesh.geometry import Coord
 from repro.mesh.topology import Mesh2D
 
+#: Source/destination pairs whose Definition-3 safety is cross-checked
+#: against the oracle after every run.
+SAMPLE_PAIRS = 32
+
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -96,9 +100,7 @@ def verify_convergence(
     plan: ChannelFaultPlan | None = None,
     schedule: ChaosSchedule | None = None,
     *,
-    latency: float = 1.0,
     stabilize_rounds: int = 2,
-    sample_pairs: int = 32,
     seed: int = 0,
     recorder: "FlightRecorder | None" = None,
     observatory: "Observatory | None" = None,
@@ -124,7 +126,6 @@ def verify_convergence(
         faults=sorted(faults),
         plan=plan,
         schedule=schedule,
-        latency=latency,
         stabilize_rounds=stabilize_rounds,
         recorder=recorder,
         observatory=observatory,
@@ -162,10 +163,10 @@ def verify_convergence(
     safety_mismatches: list[tuple[Coord, Coord]] = []
     pairs_checked = 0
     free_coords = np.argwhere(free)
-    if sample_pairs > 0 and len(free_coords) >= 2:
+    if len(free_coords) >= 2:
         rng = np.random.default_rng(seed)
         sources = min(8, len(free_coords))
-        per_source = max(1, sample_pairs // sources)
+        per_source = max(1, SAMPLE_PAIRS // sources)
         source_rows = rng.choice(len(free_coords), size=sources, replace=False)
         for row in source_rows:
             source = (int(free_coords[row, 0]), int(free_coords[row, 1]))

@@ -657,8 +657,8 @@ def _cmd_trace(args, out: Callable[[str], None]) -> int:
     return status
 
 
-def _top_functions(profile, limit: int = 10) -> list[dict]:
-    """The ``limit`` hottest frames of a cProfile run, by cumulative time."""
+def _top_functions(profile) -> list[dict]:
+    """The 10 hottest frames of a cProfile run, by cumulative time."""
     import pstats
 
     rows = [
@@ -668,7 +668,7 @@ def _top_functions(profile, limit: int = 10) -> list[dict]:
         in pstats.Stats(profile).stats.items()  # type: ignore[attr-defined]
     ]
     rows.sort(key=lambda row: row["cumtime_s"], reverse=True)
-    return rows[:limit]
+    return rows[:10]
 
 
 def _cmd_stats(args, out: Callable[[str], None]) -> int:
@@ -801,6 +801,10 @@ def _chaos_ingredients(args, out: Callable[[str], None]):
     for name, value in (("loss", args.loss), ("dup", args.dup), ("corrupt", args.corrupt)):
         if not 0.0 <= value <= 1.0:
             out(f"error: --{name} must be a probability in [0, 1], got {value}")
+            return None
+    for name, value in (("jitter", args.jitter), ("pulses", args.pulses), ("events", args.events)):
+        if value < 0:
+            out(f"error: --{name} must be >= 0, got {value}")
             return None
     mesh = Mesh2D(args.side, args.side)
     rng = np.random.default_rng(args.seed)

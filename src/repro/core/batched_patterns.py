@@ -419,7 +419,6 @@ def batch_pattern_extension2(
     dests: Array,
     segment_size: int | None,
     mesh_shape: tuple[int, int],
-    tables: tuple[AxisSampleTable, AxisSampleTable] | None = None,
 ) -> Array:
     """Theorem 1b across patterns.
 
@@ -427,16 +426,14 @@ def batch_pattern_extension2(
     ``extension2_decision_from_segments(...).ensures_minimal`` for pattern
     ``b`` with segments built for the source's identity frame (the
     experiment setting: segments are built once per pattern with
-    ``Frame(origin=source)`` and reused for every destination).  Pass
-    ``tables`` (from :func:`build_source_sample_tables`) to reuse the
-    per-size tables across metrics.
+    ``Frame(origin=source)`` and reused for every destination).
     """
     dx, dy, xd, yd = _dest_offsets(source, dests)
     toward_x, toward_y = _toward(levels, source, dx, dy)
     source_safe = (xd <= toward_x) & (yd <= toward_y)
-    if tables is None:
-        tables = build_source_sample_tables(levels, source, segment_size, mesh_shape)
-    east_table, north_table = tables
+    east_table, north_table = build_source_sample_tables(
+        levels, source, segment_size, mesh_shape
+    )
     x_axis = (xd <= toward_x) & _table_usable(east_table, xd, yd)
     y_axis = (yd <= toward_y) & _table_usable(north_table, yd, xd)
     return source_safe | x_axis | y_axis

@@ -28,7 +28,7 @@ from repro.faults.blocks import BlockSet
 from repro.mesh.frames import Frame
 from repro.mesh.geometry import Coord, manhattan_distance
 from repro.mesh.topology import Mesh2D
-from repro.obs import Tracer
+from repro.obs import get_tracer
 from repro.routing.path import Path
 from repro.routing.router import (
     HopRouter,
@@ -49,9 +49,8 @@ class WuRouter(HopRouter):
         blocks: BlockSet,
         boundary_map: BoundaryMap | None = None,
         tie_breaker: TieBreaker = balanced_tie_breaker,
-        tracer: Tracer | None = None,
     ):
-        super().__init__(mesh, tracer=tracer)
+        super().__init__(mesh)
         self.blocks = blocks
         self.boundaries = boundary_map if boundary_map is not None else BoundaryMap.for_blocks(blocks)
         self.tie_breaker = tie_breaker
@@ -67,7 +66,7 @@ class WuRouter(HopRouter):
             for direction in preferred
             if not self.blocks.unusable[direction.step(current)]
         ]
-        trc = self._tracer()
+        trc = get_tracer()
         tracing = trc.enabled
         if tracing:
             for direction in preferred:
@@ -130,7 +129,7 @@ def route_with_decision(
     """
     source, dest, via = decision.source, decision.dest, decision.via
     kind = decision.kind
-    trc = router._tracer()
+    trc = get_tracer()
     if trc.enabled:
         trc.emit("extension_fired", decision=kind.value, source=source, dest=dest,
                  via=via, overhead=decision.expected_length_overhead)

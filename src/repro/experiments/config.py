@@ -90,19 +90,14 @@ class ExperimentConfig:
     # Presets
     # ------------------------------------------------------------------
     @staticmethod
-    def paper(
-        patterns_per_count: int = 50, destinations_per_pattern: int = 30
-    ) -> "ExperimentConfig":
+    def paper() -> "ExperimentConfig":
         """The exact paper scale (200x200, faults 25..200).
 
         Variance is dominated by the fault *pattern* (one block near the
-        source taints every destination of that pattern), so the default
-        budget favours many patterns over many destinations per pattern.
+        source taints every destination of that pattern), so the budget
+        favours many patterns (50) over many destinations per pattern (30).
         """
-        return ExperimentConfig(
-            patterns_per_count=patterns_per_count,
-            destinations_per_pattern=destinations_per_pattern,
-        )
+        return ExperimentConfig(patterns_per_count=50, destinations_per_pattern=30)
 
     @staticmethod
     def scaled(side: int, patterns_per_count: int, destinations_per_pattern: int, seed: int = 2002) -> "ExperimentConfig":

@@ -42,19 +42,15 @@ class FigureSeries:
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------
-    def to_table(self, precision: int = 4, with_ci: bool = False) -> str:
-        """Aligned text table, one row per x value."""
+    def to_table(self) -> str:
+        """Aligned text table, one row per x value (4 decimals)."""
         self.validate()
         headers = [self.x_label] + list(self.series)
         rows: list[list[str]] = []
         for i, x in enumerate(self.xs):
             row = [f"{x:g}"]
             for name in self.series:
-                estimate = self.series[name][i]
-                cell = f"{estimate.value:.{precision}f}"
-                if with_ci:
-                    cell += f"±{estimate.half_width:.{precision}f}"
-                row.append(cell)
+                row.append(f"{self.series[name][i].value:.4f}")
             rows.append(row)
         widths = [
             max(len(headers[c]), *(len(r[c]) for r in rows)) if rows else len(headers[c])
@@ -85,7 +81,7 @@ class FigureSeries:
             out.write(",".join(cells) + "\n")
         return out.getvalue()
 
-    def to_ascii_plot(self, width: int = 72, height: int = 20) -> str:
+    def to_ascii_plot(self) -> str:
         from repro.viz.plots import line_plot
 
         self.validate()
@@ -94,8 +90,6 @@ class FigureSeries:
             data,
             title=f"{self.figure_id}: {self.title}",
             x_label=self.x_label,
-            width=width,
-            height=height,
         )
 
     def render(self, with_plot: bool = True) -> str:

@@ -50,7 +50,12 @@ from repro.core.batched_patterns import (
 from repro.core.pivots import recursive_center_pivots
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureSeries
-from repro.faults.injection import generate_scenario, uniform_faults_batch
+from repro.faults.injection import (
+    MAX_DESTINATION_DRAWS,
+    MAX_REJECTIONS,
+    generate_scenario,
+    uniform_faults_batch,
+)
 from repro.faults.mcc import _LABEL_RULES, MCCType, NodeStatus
 from repro.mesh.geometry import Coord
 from repro.mesh.topology import Mesh2D
@@ -140,7 +145,6 @@ def _generate_pattern_grids(
     config: ExperimentConfig,
     fault_count: int,
     rngs: list[np.random.Generator],
-    max_rejections: int = 1000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(faults, blocked)`` numpy stacks with every source block-free.
 
@@ -158,8 +162,7 @@ def _generate_pattern_grids(
         blocked = np.zeros_like(faults)
         for b, rng in enumerate(rngs):
             scenario = generate_scenario(
-                mesh, fault_count, rng, source=source,
-                max_rejections=max_rejections, workload=config.workload,
+                mesh, fault_count, rng, source=source, workload=config.workload
             )
             for x, y in scenario.faults:
                 faults[b, x, y] = True
@@ -173,10 +176,10 @@ def _generate_pattern_grids(
     rounds = 1
     while bad.size:
         rounds += 1
-        if rounds > max_rejections:
+        if rounds > MAX_REJECTIONS:
             raise RuntimeError(
                 f"source {source} kept falling inside a faulty block "
-                f"after {max_rejections} resamples"
+                f"after {MAX_REJECTIONS} resamples"
             )
         redrawn = uniform_faults_batch(
             mesh, fault_count, [rngs[int(b)] for b in bad], forbidden
@@ -191,7 +194,6 @@ def _pick_destinations_batch(
     config: ExperimentConfig,
     blocked: np.ndarray,
     rngs: list[np.random.Generator],
-    max_attempts: int = 10_000,
 ) -> np.ndarray:
     """``(batch, k, 2)`` destinations, exactly what
     ``FaultScenario.pick_destination`` draws from each generator.
@@ -219,10 +221,10 @@ def _pick_destinations_batch(
             picked = 0
             attempts = 0
             while picked < count:
-                if attempts > count * max_attempts:
+                if attempts > count * MAX_DESTINATION_DRAWS:
                     raise RuntimeError(
                         f"no block-free destination found in {clipped} "
-                        f"after {max_attempts} draws"
+                        f"after {MAX_DESTINATION_DRAWS} draws"
                     )
                 need = count - picked
                 draws = rng.integers(
@@ -239,7 +241,7 @@ def _pick_destinations_batch(
                 picked += taken
             continue
         for i in range(count):
-            for _ in range(max_attempts):
+            for _ in range(MAX_DESTINATION_DRAWS):
                 coord = (
                     int(rng.integers(clipped.xmin, clipped.xmax + 1)),
                     int(rng.integers(clipped.ymin, clipped.ymax + 1)),
@@ -252,7 +254,7 @@ def _pick_destinations_batch(
             else:
                 raise RuntimeError(
                     f"no block-free destination found in {clipped} "
-                    f"after {max_attempts} draws"
+                    f"after {MAX_DESTINATION_DRAWS} draws"
                 )
     return dests
 

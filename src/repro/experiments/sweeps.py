@@ -23,6 +23,11 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureSeries
 from repro.experiments.runner import ConditionExperiment, MetricSpec
 
+#: Fault density held across every side: the paper's k=200 on 200x200.
+DENSITY = 200 / (200 * 200)
+DESTINATIONS_PER_PATTERN = 30
+SEED = 404
+
 
 def _sweep_metrics(config: ExperimentConfig) -> list[MetricSpec]:
     """The sweep's block-model curves."""
@@ -37,23 +42,20 @@ def _sweep_metrics(config: ExperimentConfig) -> list[MetricSpec]:
 
 def mesh_size_sweep(
     sides: Sequence[int] = (50, 100, 150, 200),
-    density: float = 200 / (200 * 200),
     patterns_per_side: int = 10,
-    destinations_per_pattern: int = 30,
-    seed: int = 404,
 ) -> FigureSeries:
     """Safe-source / Extension-1 / existence percentages versus mesh side,
-    at a fixed fault density (default: the paper's k=200 density)."""
+    at the fixed fault :data:`DENSITY`."""
     series = FigureSeries(
         figure_id="sweep_size",
-        title=f"size invariance at density {density:.2%}",
+        title=f"size invariance at density {DENSITY:.2%}",
         x_label="mesh side",
     )
     for side in sides:
-        fault_count = max(1, round(density * side * side))
+        fault_count = max(1, round(DENSITY * side * side))
         config = replace(
             ExperimentConfig.scaled(
-                side, patterns_per_side, destinations_per_pattern, seed=seed
+                side, patterns_per_side, DESTINATIONS_PER_PATTERN, seed=SEED
             ),
             fault_counts=(fault_count,),
         )
@@ -63,8 +65,8 @@ def mesh_size_sweep(
         for name, points in side_series.series.items():
             series.add_point(name, points[0])
     series.notes.append(
-        f"density {density:.3%}, {patterns_per_side} patterns x "
-        f"{destinations_per_pattern} destinations per side, seed {seed}"
+        f"density {DENSITY:.3%}, {patterns_per_side} patterns x "
+        f"{DESTINATIONS_PER_PATTERN} destinations per side, seed {SEED}"
     )
     series.validate()
     return series

@@ -40,7 +40,6 @@ from repro.faults.injection import (
     injection_events,
     injection_sequence,
     uniform_faults,
-    wall_faults,
 )
 
 __all__ = [
@@ -65,5 +64,4 @@ __all__ = [
     "minimal_path_exists",
     "minimal_path_exists_wang",
     "uniform_faults",
-    "wall_faults",
 ]

@@ -5,8 +5,7 @@ with the source and destination constrained to lie outside every faulty
 block.  :func:`generate_scenario` reproduces that protocol (including the
 rare rejection/resampling when the fixed source lands inside a block); the
 other generators provide the additional workloads used by the examples and
-the ablation benches (clustered failures modelling localized damage, wall
-workloads stressing the covering-sequence machinery).
+the ablation benches (clustered failures modelling localized damage).
 
 All randomness flows through an explicit :class:`numpy.random.Generator` so
 every experiment is reproducible from a seed.
@@ -27,6 +26,16 @@ from repro.mesh.topology import Mesh2D
 #: Default Chebyshev radius of a fault cluster around its epicentre.
 CLUSTER_RADIUS = 3
 
+#: Epicentres of :func:`generate_scenario`'s clustered workload.
+CLUSTER_COUNT = 4
+
+#: Fault patterns drawn before a source that keeps landing inside a
+#: faulty block is given up on.
+MAX_REJECTIONS = 1000
+
+#: Draws per destination before a region counts as saturated by blocks.
+MAX_DESTINATION_DRAWS = 10_000
+
 __all__ = [
     "FaultScenario",
     "clustered_faults",
@@ -35,7 +44,6 @@ __all__ = [
     "injection_sequence",
     "uniform_faults",
     "uniform_faults_batch",
-    "wall_faults",
 ]
 
 
@@ -162,12 +170,7 @@ def uniform_faults_batch(
     return grids
 
 
-def injection_sequence(
-    mesh: Mesh2D,
-    count: int,
-    rng: np.random.Generator,
-    source: Coord | None = None,
-) -> list[Coord]:
+def injection_sequence(mesh: Mesh2D, count: int, rng: np.random.Generator) -> list[Coord]:
     """``count`` distinct faults in a random *injection order*.
 
     :func:`uniform_faults` returns its draw sorted (set semantics for the
@@ -176,8 +179,7 @@ def injection_sequence(
     additionally need the order in which the faults strike, so this
     shuffles the draw under the same generator.
     """
-    forbidden: frozenset[Coord] = frozenset({source} if source is not None else ())
-    faults = uniform_faults(mesh, count, rng, forbidden=forbidden)
+    faults = uniform_faults(mesh, count, rng)
     order = rng.permutation(len(faults))
     return [faults[int(i)] for i in order]
 
@@ -186,7 +188,6 @@ def injection_events(
     mesh: Mesh2D,
     count: int,
     rng: np.random.Generator,
-    source: Coord | None = None,
     revive_fraction: float = 0.0,
 ) -> list[tuple[str, Coord]]:
     """A mixed ``("inject" | "revive", coord)`` event stream.
@@ -204,7 +205,7 @@ def injection_events(
         raise ValueError(f"revive_fraction must be in [0, 1], got {revive_fraction}")
     events: list[tuple[str, Coord]] = []
     alive: list[Coord] = []
-    for coord in injection_sequence(mesh, count, rng, source=source):
+    for coord in injection_sequence(mesh, count, rng):
         events.append(("inject", coord))
         alive.append(coord)
         if revive_fraction > 0 and alive and rng.random() < revive_fraction:
@@ -257,38 +258,6 @@ def clustered_faults(
     return sorted(faults)
 
 
-def wall_faults(
-    mesh: Mesh2D,
-    rng: np.random.Generator,
-    walls: int = 2,
-    length: int = 10,
-    gap_probability: float = 0.0,
-) -> list[Coord]:
-    """Straight fault segments ("walls") with optional gaps.
-
-    Stresses the covering-sequence logic: walls spanning the region between a
-    source and destination create exactly the barriers Wang's condition
-    detects.  A gap probability above zero punches holes that minimal routes
-    can slip through.
-    """
-    faults: set[Coord] = set()
-    for _ in range(walls):
-        horizontal = bool(rng.integers(0, 2))
-        if horizontal:
-            y = int(rng.integers(0, mesh.m))
-            x0 = int(rng.integers(0, max(1, mesh.n - length)))
-            cells = [(x0 + i, y) for i in range(min(length, mesh.n - x0))]
-        else:
-            x = int(rng.integers(0, mesh.n))
-            y0 = int(rng.integers(0, max(1, mesh.m - length)))
-            cells = [(x, y0 + i) for i in range(min(length, mesh.m - y0))]
-        for cell in cells:
-            if gap_probability > 0 and rng.random() < gap_probability:
-                continue
-            faults.add(cell)
-    return sorted(faults)
-
-
 @dataclass
 class FaultScenario:
     """A fully built fault scenario: faults, blocks, and both MCC types.
@@ -316,7 +285,6 @@ class FaultScenario:
         rng: np.random.Generator,
         region: Rect,
         exclude: frozenset[Coord] | set[Coord] = frozenset(),
-        max_attempts: int = 10_000,
     ) -> Coord:
         """A uniformly random destination in ``region`` outside every block.
 
@@ -327,7 +295,7 @@ class FaultScenario:
         clipped = region.clip(self.mesh.bounds)
         if clipped is None:
             raise ValueError(f"region {region} lies outside the mesh")
-        for _ in range(max_attempts):
+        for _ in range(MAX_DESTINATION_DRAWS):
             coord = (
                 int(rng.integers(clipped.xmin, clipped.xmax + 1)),
                 int(rng.integers(clipped.ymin, clipped.ymax + 1)),
@@ -337,7 +305,8 @@ class FaultScenario:
             if not self.blocks.is_unusable(coord):
                 return coord
         raise RuntimeError(
-            f"no block-free destination found in {clipped} after {max_attempts} draws"
+            f"no block-free destination found in {clipped} "
+            f"after {MAX_DESTINATION_DRAWS} draws"
         )
 
 
@@ -346,9 +315,7 @@ def generate_scenario(
     num_faults: int,
     rng: np.random.Generator,
     source: Coord | None = None,
-    max_rejections: int = 1000,
     workload: str = "uniform",
-    clusters: int = 4,
 ) -> FaultScenario:
     """The paper's random-fault scenario with a block-free source.
 
@@ -358,7 +325,7 @@ def generate_scenario(
 
     ``workload`` selects the fault distribution: ``"uniform"`` is the
     paper's; ``"clustered"`` concentrates the same fault budget around
-    ``clusters`` epicentres (radius ``CLUSTER_RADIUS``), modelling localized
+    ``CLUSTER_COUNT`` epicentres (radius ``CLUSTER_RADIUS``), modelling localized
     damage -- used by the beyond-the-paper robustness sweeps.
     """
     if workload not in ("uniform", "clustered"):
@@ -366,7 +333,7 @@ def generate_scenario(
     src = source if source is not None else mesh.center
     mesh.require_in_bounds(src)
     forbidden = frozenset({src})
-    for _ in range(max_rejections):
+    for _ in range(MAX_REJECTIONS):
         if workload == "uniform":
             faults = uniform_faults(mesh, num_faults, rng, forbidden=forbidden)
         else:
@@ -374,13 +341,13 @@ def generate_scenario(
             # budget (3x slack) so dense budgets remain placeable.
             import math
 
-            needed = math.ceil(math.sqrt(3 * num_faults / clusters))
+            needed = math.ceil(math.sqrt(3 * num_faults / CLUSTER_COUNT))
             radius = max(CLUSTER_RADIUS, (needed - 1) // 2 + 1)
             faults = clustered_faults(
                 mesh,
                 num_faults,
                 rng,
-                clusters=clusters,
+                clusters=CLUSTER_COUNT,
                 radius=radius,
                 forbidden=forbidden,
             )
@@ -388,5 +355,5 @@ def generate_scenario(
         if not blocks.is_unusable(src):
             return FaultScenario(mesh=mesh, faults=faults, blocks=blocks)
     raise RuntimeError(
-        f"source {src} kept falling inside a faulty block after {max_rejections} resamples"
+        f"source {src} kept falling inside a faulty block after {MAX_REJECTIONS} resamples"
     )

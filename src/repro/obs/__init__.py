@@ -59,7 +59,7 @@ realtime (``repro top`` / ``repro serve-metrics``):
   engine hook (:class:`TimeSeries`, :class:`SampleStore`,
   :class:`Observatory`); samples are keyed by the simulated clock, so a
   flight-recorded run replays to bit-identical series;
-- :mod:`repro.obs.alerts` -- threshold / rate / ratio / stall rules
+- :mod:`repro.obs.alerts` -- threshold and ratio rules
   evaluated per tick (convergence stall, retransmit storm, queue
   runaway, drop-rate SLO), latched into :class:`Alert` firings that land
   in chaos reports;
@@ -75,9 +75,7 @@ from repro.obs.alerts import (
     Alert,
     AlertEngine,
     AlertRule,
-    RateRule,
     RatioRule,
-    StallRule,
     ThresholdRule,
     convergence_stall,
     default_rules,
@@ -151,7 +149,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Observatory",
-    "RateRule",
     "RatioRule",
     "RecorderSink",
     "ReplayResult",
@@ -159,7 +156,6 @@ __all__ = [
     "SAMPLER_SERIES",
     "SampleStore",
     "Sink",
-    "StallRule",
     "StateSnapshot",
     "TelemetryApp",
     "ThresholdRule",

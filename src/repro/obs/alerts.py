@@ -7,19 +7,16 @@ after ``for_ticks`` consecutive breaching samples and stays latched until
 a non-breaching sample resolves it (one :class:`Alert` per excursion, not
 per tick).
 
-Four rule shapes cover the built-in health checks:
+Two rule shapes cover the built-in health checks:
 
 - :class:`ThresholdRule` -- latest value vs a constant
   (``queue-runaway``: pending event depth past a hard ceiling;
   ``convergence-stall``: the sim clock past the deadline by which a
   healthy run has drained).
-- :class:`RateRule` -- rate of change over a trailing tick window.
 - :class:`RatioRule` -- delta-over-window of one series relative to
   another, optionally net of an ``offset`` series (``retransmit-storm``:
   retries into *live* links -- retried minus dropped -- dominate carried
   traffic; ``drop-rate-slo``: chaos losses exceed the loss budget).
-- :class:`StallRule` -- activity without progress: one counter advancing
-  while another is frozen over the window.
 
 The built-in thresholds are calibrated against this simulator's hardened
 protocol, whose baseline includes a long benign tail: senders retransmit
@@ -29,12 +26,11 @@ retried-without-carried is therefore *normal*, which is why the storm
 rule subtracts dropped from retried and why the stall check is a
 deadline on the sim clock rather than a traffic-shape heuristic.
 
-Firings are first-class trace events (kind ``"alert"``), but only through
-a tracer handed to the engine explicitly -- never the ambient one.  A
-flight recording's replay rebuilds the run from the recipe alone, which
-says nothing about observatories, so alert events in the recorded stream
-would make every replay diverge.  Chaos reports instead carry the firings
-directly (:class:`~repro.chaos.verify.ConvergenceReport` ``.alerts``).
+Firings are not trace events.  A flight recording's replay rebuilds the
+run from the recipe alone, which says nothing about observatories, so
+alert events in the recorded stream would make every replay diverge.
+Chaos reports carry the firings directly
+(:class:`~repro.chaos.verify.ConvergenceReport` ``.alerts``).
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
     from repro.obs.timeseries import SampleStore, TimeSeries
-    from repro.obs.tracer import Tracer
 
 _OPS: dict[str, Callable[[float, float], bool]] = {
     ">": operator.gt,
@@ -142,40 +137,6 @@ class ThresholdRule(AlertRule):
         )
 
 
-class RateRule(AlertRule):
-    """Rate of change (delta per tick) over a trailing window."""
-
-    def __init__(
-        self,
-        name: str,
-        series: str,
-        op: str,
-        threshold: float,
-        *,
-        window: float = 8.0,
-        for_ticks: int = 1,
-        description: str = "",
-    ):
-        super().__init__(name, series, for_ticks=for_ticks, description=description)
-        self._op = _OPS[op]
-        self.op = op
-        self.threshold = float(threshold)
-        self.window = float(window)
-
-    def check(self, store: "SampleStore") -> float | None:
-        delta = _window_delta(store.get(self.series), self.window)
-        if delta is None:
-            return None
-        rate = delta[0] / delta[1]
-        return rate if self._op(rate, self.threshold) else None
-
-    def describe(self, value: float) -> str:
-        return (
-            self.description
-            or f"{self.series} rate {value:g}/tick ({self.op} {self.threshold:g})"
-        )
-
-
 class RatioRule(AlertRule):
     """Delta of one series relative to another's over the same window.
 
@@ -197,10 +158,9 @@ class RatioRule(AlertRule):
         window: float = 8.0,
         floor: float = 4.0,
         offset: str | None = None,
-        for_ticks: int = 1,
         description: str = "",
     ):
-        super().__init__(name, numerator, for_ticks=for_ticks, description=description)
+        super().__init__(name, numerator, description=description)
         self.denominator = denominator
         self.threshold = float(threshold)
         self.window = float(window)
@@ -235,51 +195,6 @@ class RatioRule(AlertRule):
         )
 
 
-class StallRule(AlertRule):
-    """Activity on one series while another makes no progress.
-
-    Breaches when the activity series moved by at least ``floor`` over
-    the window but the progress series did not: sim time is passing,
-    work (whatever ``activity`` counts) keeps happening, and nothing
-    lands.  Size ``floor`` above the benign churn of the system being
-    watched -- in this simulator, retries into permanently-dead initial
-    faults make small retried-without-carried windows part of every
-    healthy run.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        progress: str,
-        activity: str,
-        *,
-        window: float = 8.0,
-        floor: float = 1.0,
-        for_ticks: int = 1,
-        description: str = "",
-    ):
-        super().__init__(name, progress, for_ticks=for_ticks, description=description)
-        self.activity = activity
-        self.window = float(window)
-        self.floor = float(floor)
-
-    def check(self, store: "SampleStore") -> float | None:
-        progress = _window_delta(store.get(self.series), self.window)
-        activity = _window_delta(store.get(self.activity), self.window)
-        if progress is None or activity is None:
-            return None
-        if activity[0] >= self.floor and progress[0] <= 0:
-            return activity[0]
-        return None
-
-    def describe(self, value: float) -> str:
-        return (
-            self.description
-            or f"{self.series} frozen for {self.window:g} ticks while "
-            f"{self.activity} advanced by {value:g}"
-        )
-
-
 # ----------------------------------------------------------------------
 # Built-in rules
 #
@@ -291,26 +206,29 @@ class StallRule(AlertRule):
 # does NOT separate: doomed retries into initial faults give benign
 # windows ratios up to 32.
 # ----------------------------------------------------------------------
-def convergence_stall(deadline: float = 4096.0) -> ThresholdRule:
+
+#: Sim-clock deadline of :func:`convergence_stall`, in ticks.
+CONVERGENCE_DEADLINE = 4096.0
+
+
+def convergence_stall() -> ThresholdRule:
     """The run is still draining past its convergence deadline.
 
     Every benign scenario in the calibration sweep -- including 45%
     message loss -- drained by tick ~2500 (the give-up tail of retries
     into permanently-dead neighbours dominates, and its backoff schedule
-    is fixed).  A run still ticking at ``deadline`` is being actively
-    prevented from converging, e.g. by crash/revive flapping that keeps
-    restarting formation waves.  Tune the deadline to the workload when
-    yours legitimately runs longer.
+    is fixed).  A run still ticking at :data:`CONVERGENCE_DEADLINE` is
+    being actively prevented from converging, e.g. by crash/revive
+    flapping that keeps restarting formation waves.
     """
     return ThresholdRule(
-        "convergence-stall", "engine.tick", ">", deadline,
-        description=f"still draining past the convergence deadline ({deadline:g} ticks)",
+        "convergence-stall", "engine.tick", ">", CONVERGENCE_DEADLINE,
+        description="still draining past the convergence deadline "
+        f"({CONVERGENCE_DEADLINE:g} ticks)",
     )
 
 
-def retransmit_storm(
-    ratio: float = 0.35, window: float = 32.0, floor: float = 16.0
-) -> RatioRule:
+def retransmit_storm() -> RatioRule:
     """Retries into *live* links dominate the carried traffic.
 
     Retries aimed at dead neighbours increment ``net.dropped`` alongside
@@ -319,8 +237,8 @@ def retransmit_storm(
     made of, not the benign give-up tail.
     """
     return RatioRule(
-        "retransmit-storm", "net.retried", "net.carried", ratio,
-        window=window, floor=floor, offset="net.dropped",
+        "retransmit-storm", "net.retried", "net.carried", 0.35,
+        window=32.0, floor=16.0, offset="net.dropped",
     )
 
 
@@ -328,22 +246,21 @@ def retransmit_storm(
 QUEUE_RUNAWAY_DEPTH = 50_000.0
 
 
-def queue_runaway(for_ticks: int = 3) -> ThresholdRule:
+def queue_runaway() -> ThresholdRule:
     """Pending event depth past a hard ceiling for several ticks.
 
     The side-96 formation workload peaks under 1k pending events; 50k
     means a feedback loop is flooding the queue faster than it drains.
     """
     return ThresholdRule(
-        "queue-runaway", "engine.pending", ">", QUEUE_RUNAWAY_DEPTH, for_ticks=for_ticks
+        "queue-runaway", "engine.pending", ">", QUEUE_RUNAWAY_DEPTH, for_ticks=3
     )
 
 
-def drop_rate_slo(ratio: float = 0.25, window: float = 32.0, floor: float = 16.0) -> RatioRule:
+def drop_rate_slo() -> RatioRule:
     """Chaos losses exceed the loss budget relative to carried traffic."""
     return RatioRule(
-        "drop-rate-slo", "net.lost", "net.carried", ratio,
-        window=window, floor=floor,
+        "drop-rate-slo", "net.lost", "net.carried", 0.25, window=32.0, floor=16.0
     )
 
 
@@ -355,12 +272,11 @@ def default_rules() -> tuple[AlertRule, ...]:
 class AlertEngine:
     """Evaluates rules once per sampled tick and latches firings."""
 
-    def __init__(self, rules: "tuple[AlertRule, ...] | list[AlertRule]" = (), tracer: "Tracer | None" = None):
+    def __init__(self, rules: "tuple[AlertRule, ...] | list[AlertRule]"):
         names = [rule.name for rule in rules]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate rule names: {sorted(names)}")
         self.rules = tuple(rules)
-        self.tracer = tracer
         self.firings: list[Alert] = []
         self._streaks: dict[str, int] = {name: 0 for name in names}
         self._active: set[str] = set()
@@ -373,10 +289,7 @@ class AlertEngine:
             name = rule.name
             if value is None:
                 self._streaks[name] = 0
-                if name in self._active:
-                    self._active.discard(name)
-                    if self.tracer is not None and self.tracer.enabled:
-                        self.tracer.emit("alert", rule=name, state="resolved", tick=tick)
+                self._active.discard(name)
                 continue
             streak = self._streaks[name] + 1
             self._streaks[name] = streak
@@ -386,11 +299,6 @@ class AlertEngine:
             alert = Alert(name, rule.series, float(tick), float(value), rule.describe(value))
             self.firings.append(alert)
             fired.append(alert)
-            if self.tracer is not None and self.tracer.enabled:
-                self.tracer.emit(
-                    "alert", rule=name, state="firing", tick=tick,
-                    series=rule.series, value=float(value), message=alert.message,
-                )
         return fired
 
     @property
@@ -398,11 +306,9 @@ class AlertEngine:
         """Currently-breaching rule names, in rule order."""
         return tuple(rule.name for rule in self.rules if rule.name in self._active)
 
-    def fired(self, name: str | None = None) -> bool:
-        """Whether any alert (or the named rule) ever fired."""
-        if name is None:
-            return bool(self.firings)
-        return any(alert.rule == name for alert in self.firings)
+    def fired(self) -> bool:
+        """Whether any alert ever fired."""
+        return bool(self.firings)
 
     def counts(self) -> dict[str, int]:
         """Total firings per rule (zero-filled; feeds the Prometheus

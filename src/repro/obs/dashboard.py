@@ -68,12 +68,10 @@ class Dashboard:
         self,
         observatory: "Observatory",
         width: int = 48,
-        series: Sequence[str] | None = None,
         color: bool = True,
     ):
         self.observatory = observatory
         self.width = int(width)
-        self.series = tuple(series) if series is not None else None
         self.color = color
 
     def _paint(self, text: str, code: str) -> str:
@@ -97,13 +95,10 @@ class Dashboard:
             lines.append(self._paint(banner, _RED_REVERSE))
         elif fired:
             lines.append(self._paint(f"  {fired} alert(s) fired, none active  ", _DIM))
-        names = self.series if self.series is not None else tuple(store.names())
+        names = tuple(store.names())
         label_width = max((len(name) for name in names), default=0)
         for name in names:
             ts = store.get(name)
-            if ts is None or not ts.values:
-                lines.append(f"{name:<{label_width}}  (no data)")
-                continue
             lo, hi = ts.bounds()
             spark = sparkline(ts.values, self.width)
             lines.append(

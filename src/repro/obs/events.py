@@ -38,11 +38,6 @@ kind                meaning
 ``epoch_bump``      recorder: the chaos epoch advanced (revive/stabilize),
                     fencing off all in-flight traffic
 ``proc_restart``    recorder: a process re-ran its protocol from local state
-``alert``           an alert rule changed state (``firing``/``resolved``);
-                    emitted by :class:`~repro.obs.alerts.AlertEngine` when
-                    it was given a tracer explicitly (never the ambient
-                    one -- see :mod:`repro.obs.alerts` for the replay
-                    rationale)
 ==================  =========================================================
 
 Events additionally carry an optional ``cause``: the ``seq`` of the event
@@ -80,7 +75,6 @@ EVENT_KINDS: frozenset[str] = frozenset(
         "chaos_revive",
         "epoch_bump",
         "proc_restart",
-        "alert",
     }
 )
 

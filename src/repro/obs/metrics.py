@@ -114,20 +114,14 @@ class Histogram:
     __slots__ = ("count", "total", "min", "max", "_capacity", "_reservoir",
                  "_rng", "_sorted")
 
-    def __init__(
-        self,
-        reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
-        seed: int = 2002,
-    ) -> None:
-        if reservoir_size < 1:
-            raise ValueError("reservoir_size must be >= 1")
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min: float | None = None
         self.max: float | None = None
-        self._capacity = reservoir_size
+        self._capacity = DEFAULT_RESERVOIR_SIZE
         self._reservoir: list[float] = []
-        self._rng = random.Random(seed)
+        self._rng = random.Random(2002)
         self._sorted: list[float] | None = None
 
     def observe(self, value: float) -> None:
@@ -278,14 +272,13 @@ def render_prometheus(stores: Iterable[MetricStore]) -> str:
 class MetricsSink:
     """Fold the event stream into counters and histograms.
 
-    ``tick_cap`` bounds the number of *distinct* sim-time ticks tracked for
-    the messages-per-tick histogram; messages on later, never-seen ticks
-    are tallied in :attr:`tick_overflow` instead of growing the map.
+    :data:`DEFAULT_TICK_CAP` bounds the number of *distinct* sim-time ticks
+    tracked for the messages-per-tick histogram; messages on later,
+    never-seen ticks are tallied in :attr:`tick_overflow` instead of
+    growing the map.
     """
 
-    def __init__(self, tick_cap: int = DEFAULT_TICK_CAP) -> None:
-        if tick_cap < 1:
-            raise ValueError("tick_cap must be >= 1")
+    def __init__(self) -> None:
         self.event_counts: collections.Counter[str] = collections.Counter()
         self.message_counts: collections.Counter[str] = collections.Counter()
         self.decision_counts: collections.Counter[str] = collections.Counter()
@@ -297,7 +290,7 @@ class MetricsSink:
         self.routes_minimal = 0
         self.routes_failed = 0
         self.engine: dict[str, Any] = {}
-        self.tick_cap = tick_cap
+        self.tick_cap = DEFAULT_TICK_CAP
         self.tick_overflow = 0
         self._messages_per_tick: collections.Counter[int] = collections.Counter()
         self.families = families = MetricStore()

@@ -59,70 +59,23 @@ class JsonlSink:
 
     Usable as a context manager: ``with JsonlSink(path) as sink: ...``
     flushes (and, for sinks that opened their own file, closes) on exit.
-
-    With ``max_bytes`` set the sink rotates: once the active file reaches
-    the bound it is renamed to ``<name>.1`` (older generations shift to
-    ``.2``, ``.3``, ...) and a fresh file is started, keeping at most
-    ``keep`` files in total -- so long chaos soaks cannot fill the disk.
-    Rotation requires a path target (a borrowed stream cannot be renamed);
-    the default stays unbounded for compatibility.
+    The file grows without bound; a run's length bounds it.
     """
 
-    def __init__(
-        self,
-        target: str | pathlib.Path | io.TextIOBase,
-        *,
-        max_bytes: int | None = None,
-        keep: int = 5,
-    ):
+    def __init__(self, target: str | pathlib.Path | io.TextIOBase):
         if isinstance(target, (str, pathlib.Path)):
             path = pathlib.Path(target)
             path.parent.mkdir(parents=True, exist_ok=True)
-            self._path: pathlib.Path | None = path
             self._stream: io.TextIOBase = path.open("w", encoding="utf-8")
             self._owns_stream = True
         else:
-            self._path = None
             self._stream = target
             self._owns_stream = False
-        if max_bytes is not None:
-            if self._path is None:
-                raise ValueError("rotation (max_bytes=) requires a path target")
-            if max_bytes < 1:
-                raise ValueError("max_bytes must be >= 1")
-            if keep < 1:
-                raise ValueError("keep must be >= 1")
-        self._max_bytes = max_bytes
-        self._keep = keep
-        self._bytes = 0
         self.events_written = 0
-        self.rotations = 0
 
     def record(self, event: TraceEvent) -> None:
-        line = json.dumps(event.to_dict(), separators=(",", ":")) + "\n"
-        self._stream.write(line)
+        self._stream.write(json.dumps(event.to_dict(), separators=(",", ":")) + "\n")
         self.events_written += 1
-        if self._max_bytes is not None:
-            self._bytes += len(line.encode("utf-8"))
-            if self._bytes >= self._max_bytes:
-                self._rotate()
-
-    def _rotate(self) -> None:
-        assert self._path is not None
-        self._stream.flush()
-        self._stream.close()
-        if self._keep > 1:
-            # Shift generations up, dropping the one past the keep bound.
-            oldest = self._path.with_name(f"{self._path.name}.{self._keep - 1}")
-            oldest.unlink(missing_ok=True)
-            for gen in range(self._keep - 2, 0, -1):
-                source = self._path.with_name(f"{self._path.name}.{gen}")
-                if source.exists():
-                    source.rename(self._path.with_name(f"{self._path.name}.{gen + 1}"))
-            self._path.rename(self._path.with_name(f"{self._path.name}.1"))
-        self._stream = self._path.open("w", encoding="utf-8")
-        self._bytes = 0
-        self.rotations += 1
 
     def close(self) -> None:
         self._stream.flush()

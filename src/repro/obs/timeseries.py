@@ -36,7 +36,6 @@ from repro.obs.metrics import MetricStore
 if TYPE_CHECKING:
     from repro.obs.alerts import AlertEngine, AlertRule
     from repro.obs.metrics import MetricsSink
-    from repro.obs.tracer import Tracer
     from repro.simulator.network import MeshNetwork
 
 #: Series every :class:`TickSampler` emits (stable names; the metrics
@@ -55,6 +54,10 @@ SAMPLER_SERIES = (
 )
 
 
+#: Points each :class:`SampleStore` series retains before decimating.
+SERIES_CAPACITY = 512
+
+
 class TimeSeries:
     """A bounded series of ``(tick, value)`` pairs.
 
@@ -70,7 +73,7 @@ class TimeSeries:
 
     __slots__ = ("name", "capacity", "ticks", "values", "stride", "_seen")
 
-    def __init__(self, name: str, capacity: int = 512):
+    def __init__(self, name: str, capacity: int = SERIES_CAPACITY):
         if capacity < 8:
             raise ValueError(f"capacity must be at least 8 (got {capacity})")
         self.name = name
@@ -142,8 +145,8 @@ class SampleStore:
     simulation thread.
     """
 
-    def __init__(self, capacity: int = 512):
-        self.capacity = int(capacity)
+    def __init__(self):
+        self.capacity = SERIES_CAPACITY
         self._series: dict[str, TimeSeries] = {}
         self._lock = threading.Lock()
 
@@ -204,23 +207,15 @@ class TickSampler:
     and the O(1) network running totals -- so series depend only on the
     event sequence.  ``metrics`` (an optional
     :class:`~repro.obs.metrics.MetricsSink`) adds per-protocol
-    ``msg.<kind>`` counts; ``extra`` is a hook for protocol-specific
-    progress gauges (called with the network, returns a row to merge).
+    ``msg.<kind>`` counts.  Nothing is sampled until :meth:`bind`.
     """
 
-    __slots__ = ("store", "network", "metrics", "extra", "_link_totals")
+    __slots__ = ("store", "network", "metrics", "_link_totals")
 
-    def __init__(
-        self,
-        store: SampleStore,
-        network: "MeshNetwork | None" = None,
-        metrics: "MetricsSink | None" = None,
-        extra: "Callable[[MeshNetwork], Mapping[str, float]] | None" = None,
-    ):
+    def __init__(self, store: SampleStore, metrics: "MetricsSink | None"):
         self.store = store
-        self.network = network
+        self.network: "MeshNetwork | None" = None
         self.metrics = metrics
-        self.extra = extra
         self._link_totals = None  # resolved lazily: avoids an import cycle
 
     def bind(self, network: "MeshNetwork") -> None:
@@ -252,8 +247,6 @@ class TickSampler:
         if self.metrics is not None:
             for kind, count in self.metrics.message_counts.items():
                 row[f"msg.{kind}"] = float(count)
-        if self.extra is not None:
-            row.update(self.extra(network))
         self.store.append(tick, row)
 
 
@@ -262,37 +255,29 @@ class Observatory:
 
     Construct unbound, then :meth:`watch` a network (or pass it to
     ``ChaosRunner(observatory=...)`` / ``verify_convergence`` and let the
-    runner bind it).  Alert firings stay on the observatory -- they are
-    emitted as ``"alert"`` trace events only through an explicitly given
-    tracer, never the ambient one, so a flight-recorded run's event
-    stream (and therefore its replay) is identical with or without an
-    observatory attached.  :attr:`families` exports the latest samples
-    and the alert state (``repro_live_*`` / ``repro_alert_*``).
+    runner bind it).  It samples once per simulated tick.  Alert firings
+    stay on the observatory and are never trace events, so a
+    flight-recorded run's event stream (and therefore its replay) is
+    identical with or without an observatory attached.  :attr:`families`
+    exports the latest samples and the alert state (``repro_live_*`` /
+    ``repro_alert_*``).
     """
 
     def __init__(
         self,
         rules: "tuple[AlertRule, ...] | None" = None,
-        interval: float = 1.0,
-        capacity: int = 512,
         metrics: "MetricsSink | None" = None,
-        tracer: "Tracer | None" = None,
-        extra: "Callable[[MeshNetwork], Mapping[str, float]] | None" = None,
-        on_sample: "Callable[[float], None] | None" = None,
     ):
         from repro.obs.alerts import AlertEngine, default_rules
 
-        if not interval > 0:
-            raise ValueError(f"sampling interval must be positive (got {interval})")
-        self.interval = float(interval)
-        self.store = SampleStore(capacity)
-        self.sampler = TickSampler(self.store, metrics=metrics, extra=extra)
+        self.store = SampleStore()
+        self.sampler = TickSampler(self.store, metrics)
         self.alerts: AlertEngine = AlertEngine(
-            default_rules() if rules is None else rules, tracer=tracer
+            default_rules() if rules is None else rules
         )
         #: Called after each sample + alert pass (``repro top`` hangs its
         #: redraw here).  Must not mutate simulator state.
-        self.on_sample = on_sample
+        self.on_sample: "Callable[[float], None] | None" = None
         # Dotted series names stay in a label: Prometheus forbids them in
         # metric names.  Every store read takes SampleStore's lock.
         store, alerts = self.store, self.alerts
@@ -319,7 +304,7 @@ class Observatory:
         """Bind the sampler to ``network`` and install the engine tick
         hook (idempotent; re-watching rebinds without clearing series)."""
         self.sampler.bind(network)
-        network.engine.set_tick_hook(self._on_tick, self.interval)
+        network.engine.set_tick_hook(self._on_tick, 1.0)
         return self
 
     def _on_tick(self, tick: float) -> None:

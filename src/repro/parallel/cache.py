@@ -31,15 +31,12 @@ DEFAULT_MAXSIZE = 128
 
 
 class StaleArtifactError(LookupError):
-    """A cached entry is older than the caller's staleness budget.
+    """An artifact is older than the caller's staleness budget.
 
-    Raised by :meth:`ArtifactCache.get_or_build` when
-    ``max_staleness_generations`` is set and the entry's generation tag
-    lags the current generation by more than that budget.  The caller --
-    not the cache -- decides what staleness means: a degraded service
-    tier may serve the stale value anyway (fetch it with
-    :meth:`ArtifactCache.peek`), rebuild explicitly after dropping the
-    entry, or shed the request.
+    The cache itself never raises it: the routing service raises it when
+    its published snapshot lags the fault engine by more than the
+    query's budget, and the query pipeline catches it to retry or serve
+    the stale answer (:mod:`repro.serve`).
     """
 
     def __init__(self, key: Hashable, tag: int | None, generation: int):
@@ -84,7 +81,6 @@ class ArtifactCache:
         *,
         generation: int | None = None,
         revalidate: Callable[[Any, int | None], bool] | None = None,
-        max_staleness_generations: int | None = None,
     ) -> Any:
         """The cached value for ``key``, building (and storing) on a miss.
 
@@ -96,29 +92,11 @@ class ArtifactCache:
         True retags it to the current generation, False rebuilds.  Without
         ``revalidate``, stale entries are always rebuilt.  Callers that
         pass no ``generation`` keep the original untagged LRU behaviour.
-
-        ``max_staleness_generations`` makes staleness an *explicit*
-        outcome instead of a silent revalidate/rebuild: a stale entry
-        whose tag lags ``generation`` by more than the budget (or that
-        carries no tag at all, so its age cannot be proven) raises
-        :class:`StaleArtifactError` before any revalidation is attempted.
-        The entry is left in place so the caller's degraded tier can still
-        :meth:`peek` it, :meth:`drop` it and rebuild, or shed.  ``None``
-        (the default) keeps the original behaviour.
         """
         trc = get_tracer()
         if key in self._entries:
             tag = self._tags.get(key)
             fresh = generation is None or tag == generation
-            if (
-                not fresh
-                and max_staleness_generations is not None
-                and (tag is None or generation - tag > max_staleness_generations)
-            ):
-                self.stale += 1
-                if trc.enabled:
-                    trc.count("cache.stale")
-                raise StaleArtifactError(key, tag, generation)
             if not fresh and revalidate is not None and revalidate(
                 self._entries[key], tag
             ):
@@ -148,29 +126,6 @@ class ArtifactCache:
             evicted, _ = self._entries.popitem(last=False)
             self._tags.pop(evicted, None)
         return value
-
-    def peek(self, key: Hashable, default: Any = None) -> Any:
-        """The cached value for ``key`` without any side effects.
-
-        No LRU reordering, no counter bumps, no staleness checks -- this
-        is the escape hatch a degraded tier uses after catching
-        :class:`StaleArtifactError` to serve the stale value anyway.
-        Returns ``default`` when the key is absent.
-        """
-        return self._entries.get(key, default)
-
-    def drop(self, key: Hashable) -> bool:
-        """Evict ``key`` (and its generation tag) if present.
-
-        Returns True when an entry was removed.  Pairs with
-        :class:`StaleArtifactError` for callers that decide a
-        beyond-budget entry must be rebuilt from scratch.
-        """
-        if key not in self._entries:
-            return False
-        del self._entries[key]
-        self._tags.pop(key, None)
-        return True
 
     def clear(self) -> None:
         self._entries.clear()

@@ -28,7 +28,7 @@ from __future__ import annotations
 from repro.faults.blocks import BlockSet
 from repro.mesh.geometry import Coord, Direction, manhattan_distance
 from repro.mesh.topology import Mesh2D
-from repro.obs import Tracer, get_tracer
+from repro.obs import get_tracer
 from repro.routing.path import Path
 from repro.routing.router import RoutingError
 
@@ -42,13 +42,9 @@ class DetourRouter:
     -- exactly what the boundary-information model distributes.
     """
 
-    def __init__(self, mesh: Mesh2D, blocks: BlockSet, tracer: Tracer | None = None):
+    def __init__(self, mesh: Mesh2D, blocks: BlockSet):
         self.mesh = mesh
         self.blocks = blocks
-        self.tracer = tracer
-
-    def _tracer(self) -> Tracer:
-        return self.tracer if self.tracer is not None else get_tracer()
 
     def route(self, source: Coord, dest: Coord) -> Path:
         self.mesh.require_in_bounds(source)
@@ -56,7 +52,7 @@ class DetourRouter:
         if self.blocks.is_unusable(source) or self.blocks.is_unusable(dest):
             raise RoutingError(f"endpoint inside a faulty block: {source} -> {dest}")
 
-        trc = self._tracer()
+        trc = get_tracer()
         tracing = trc.enabled
         if tracing:
             trc.emit("route_start", router=type(self).__name__, source=source,
@@ -109,7 +105,7 @@ class DetourRouter:
 
     def _fail(self, reason: str, trace: list[Coord], dest: Coord) -> RoutingError:
         error = RoutingError(reason, partial=trace)
-        trc = self._tracer()
+        trc = get_tracer()
         if trc.enabled:
             trc.emit("route_failed", at=trace[-1], dest=dest,
                      reason=reason, partial=trace)

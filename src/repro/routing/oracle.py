@@ -23,7 +23,7 @@ from repro.mesh.frames import Frame
 from repro.mesh.geometry import Coord, manhattan_distance
 from repro.mesh.topology import Mesh2D
 from repro.routing.path import Path
-from repro.routing.router import HopRouter, RoutingError, TieBreaker, balanced_tie_breaker
+from repro.routing.router import HopRouter, RoutingError, balanced_tie_breaker
 
 
 def shortest_path_bfs(mesh: Mesh2D, blocked: np.ndarray, source: Coord, dest: Coord) -> Path | None:
@@ -60,15 +60,9 @@ class MonotoneOracleRouter(HopRouter):
     that still has that property, so the delivered path is always minimal.
     """
 
-    def __init__(
-        self,
-        mesh: Mesh2D,
-        blocked: np.ndarray,
-        tie_breaker: TieBreaker = balanced_tie_breaker,
-    ):
+    def __init__(self, mesh: Mesh2D, blocked: np.ndarray):
         super().__init__(mesh)
         self.blocked = blocked
-        self.tie_breaker = tie_breaker
         self._cache: tuple[Coord, Coord, Frame, np.ndarray] | None = None
 
     def _can_reach_dest(self, node: Coord, source: Coord, dest: Coord) -> bool:
@@ -109,7 +103,7 @@ class MonotoneOracleRouter(HopRouter):
                 raise RoutingError(
                     f"oracle invariant violated at {current} toward {dest}", partial=trace
                 )
-            current = self.tie_breaker(current, dest, candidates).step(current)
+            current = balanced_tie_breaker(current, dest, candidates).step(current)
             trace.append(current)
         path = Path.of(trace)
         assert path.hops == manhattan_distance(source, dest)

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.mesh.geometry import Coord, Direction, manhattan_distance
 from repro.mesh.topology import Mesh2D
-from repro.obs import Tracer, get_tracer
+from repro.obs import get_tracer
 from repro.routing.path import Path
 
 
@@ -66,7 +66,7 @@ def x_first_tie_breaker(current: Coord, dest: Coord, candidates: list[Direction]
 class HopRouter(abc.ABC):
     """Shared drive loop over an abstract hop function.
 
-    ``tracer`` (or, when None, the globally installed tracer) receives
+    The installed tracer (:func:`repro.obs.use_tracer`) receives
     ``route_start`` / ``hop`` / ``detour`` / ``route_end`` events while
     driving; :meth:`next_hop` implementations may leave a justification for
     the current hop in ``self._hop_note`` and it is attached to the ``hop``
@@ -74,17 +74,13 @@ class HopRouter(abc.ABC):
     check per hop.
     """
 
-    def __init__(self, mesh: Mesh2D, tracer: Tracer | None = None):
+    def __init__(self, mesh: Mesh2D):
         self.mesh = mesh
-        self.tracer = tracer
         self._hop_note: dict | None = None
 
     @abc.abstractmethod
     def next_hop(self, current: Coord, dest: Coord) -> Coord:
         """The next node toward ``dest``; raises :class:`RoutingError` if stuck."""
-
-    def _tracer(self) -> Tracer:
-        return self.tracer if self.tracer is not None else get_tracer()
 
     def route(self, source: Coord, dest: Coord, max_hops: int | None = None) -> Path:
         """Drive the hop function from source to destination.
@@ -103,7 +99,7 @@ class HopRouter(abc.ABC):
         limit = max_hops if max_hops is not None else (
             manhattan_distance(source, dest) + 2 * self.mesh.size
         )
-        trc = self._tracer()
+        trc = get_tracer()
         tracing = trc.enabled
         if tracing:
             trc.count("router.routes")
@@ -162,9 +158,8 @@ class GreedyAdaptiveRouter(HopRouter):
         mesh: Mesh2D,
         blocked: np.ndarray,
         tie_breaker: TieBreaker = balanced_tie_breaker,
-        tracer: Tracer | None = None,
     ):
-        super().__init__(mesh, tracer=tracer)
+        super().__init__(mesh)
         self.blocked = blocked
         self.tie_breaker = tie_breaker
 
@@ -175,7 +170,7 @@ class GreedyAdaptiveRouter(HopRouter):
             for direction in preferred
             if not self.blocked[direction.step(current)]
         ]
-        trc = self._tracer()
+        trc = get_tracer()
         if trc.enabled:
             for direction in preferred:
                 if direction not in candidates:

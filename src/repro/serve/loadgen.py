@@ -37,6 +37,11 @@ DEFAULT_STAGES = ((500, 150), (2000, 300), (8000, 450))
 QUICK_STAGES = ((500, 60), (2000, 120), (8000, 180))
 #: Share of queries asked under the MCC fault model (the rest: blocks).
 MCC_FRACTION = 0.25
+#: The pipeline every sweep drives; every query asks for a path witness.
+DEADLINE_S = 0.050
+MAX_STALENESS = 2
+QUEUE_LIMIT = 128
+WORKERS = 4
 
 
 def run_qps_sweep(
@@ -46,11 +51,6 @@ def run_qps_sweep(
     *,
     stages: Sequence[tuple[float, int]] = DEFAULT_STAGES,
     chaos_events: int = 12,
-    deadline_s: float = 0.050,
-    max_staleness: int = 2,
-    queue_limit: int = 128,
-    workers: int = 4,
-    want_path: bool = True,
 ) -> dict[str, Any]:
     """Run the staged sweep; returns the per-stage + total report dict."""
     mesh = Mesh2D(side, side)
@@ -82,8 +82,8 @@ def run_qps_sweep(
 
     async def _sweep() -> dict[str, Any]:
         pipeline = QueryPipeline(
-            service, queue_limit=queue_limit, workers=workers,
-            deadline_s=deadline_s, max_staleness=max_staleness,
+            service, queue_limit=QUEUE_LIMIT, workers=WORKERS,
+            deadline_s=DEADLINE_S, max_staleness=MAX_STALENESS,
         )
         await pipeline.start()
         loop = asyncio.get_running_loop()
@@ -109,7 +109,7 @@ def run_qps_sweep(
                     tasks.append(asyncio.create_task(pipeline.submit(
                         usable[a], usable[b],
                         model="mcc" if models[index] else "block",
-                        want_path=want_path,
+                        want_path=True,
                     )))
                 results = await asyncio.gather(*tasks)
                 cursor += count
@@ -153,8 +153,8 @@ def run_qps_sweep(
                 "side": side, "faults": faults, "seed": seed,
                 "stages": [list(s) for s in stages],
                 "chaos_events": chaos_events, "mcc_fraction": MCC_FRACTION,
-                "deadline_ms": deadline_s * 1e3, "max_staleness": max_staleness,
-                "queue_limit": queue_limit, "workers": workers,
+                "deadline_ms": DEADLINE_S * 1e3, "max_staleness": MAX_STALENESS,
+                "queue_limit": QUEUE_LIMIT, "workers": WORKERS,
             },
             "stages": stage_reports,
             "totals": pipeline.stats(),

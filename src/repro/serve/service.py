@@ -211,30 +211,25 @@ def default_breaker_rules() -> tuple[AlertRule, ...]:
     )
 
 
+#: Consecutive healthy heartbeats before an open breaker closes.
+RECOVERY_TICKS = 3
+
+
 class ServiceBreaker:
     """Latching degraded-mode switch driven by alert rules.
 
     Heartbeat rows go into a private :class:`SampleStore`; the
     :class:`AlertEngine` (the same latching evaluator the observatory
-    uses) decides breaching.  The breaker *trips* the moment any rule
-    fires and only *closes* after ``recovery_ticks`` consecutive healthy
-    evaluations -- hysteresis so a borderline load doesn't flap the
-    service between tiers.
+    uses) decides breaching over :func:`default_breaker_rules`.  The
+    breaker *trips* the moment any rule fires and only *closes* after
+    :data:`RECOVERY_TICKS` consecutive healthy evaluations -- hysteresis
+    so a borderline load doesn't flap the service between tiers.
     """
 
-    def __init__(
-        self,
-        rules: Iterable[AlertRule] | None = None,
-        recovery_ticks: int = 3,
-        capacity: int = 512,
-    ):
-        if recovery_ticks < 1:
-            raise ValueError(f"recovery_ticks must be >= 1, got {recovery_ticks}")
-        self.store = SampleStore(capacity=capacity)
-        self.alerts = AlertEngine(
-            tuple(rules) if rules is not None else default_breaker_rules()
-        )
-        self.recovery_ticks = recovery_ticks
+    def __init__(self):
+        self.store = SampleStore()
+        self.alerts = AlertEngine(default_breaker_rules())
+        self.recovery_ticks = RECOVERY_TICKS
         self.open = False
         self.trips = 0
         self._healthy_streak = 0
@@ -285,11 +280,10 @@ class RoutingService:
         faults: Iterable[Coord] = (),
         *,
         mcc_model: bool = True,
-        auto_refresh: bool = True,
     ):
         self.mesh = mesh
         self.mcc_model = mcc_model
-        self.auto_refresh = auto_refresh
+        self.auto_refresh = True
         mcc_types = (MCCType.TYPE_ONE,) if mcc_model else ()
         self.engine = IncrementalFaultEngine(mesh, faults, mcc_types=mcc_types)
         self._lock = threading.Lock()

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.mesh.geometry import Coord
 from repro.mesh.topology import Mesh2D
-from repro.obs import Tracer
 from repro.simulator.engine import Engine
 from repro.simulator.network import MeshNetwork, NetworkStats
 from repro.simulator.protocols.local_rules import LocalRules, live_unusable_grid
@@ -42,22 +41,20 @@ class BlockFormationResult:
 
 
 def run_block_formation(
-    mesh: Mesh2D, faults: list[Coord], latency: float = 1.0,
-    tracer: Tracer | None = None, chaos: "ChannelFaultPlan | None" = None,
-    stabilize_rounds: int = 1,
+    mesh: Mesh2D, faults: list[Coord], chaos: "ChannelFaultPlan | None" = None,
 ) -> BlockFormationResult:
     """Run the labelling protocol to quiescence.
 
-    An active ``chaos`` plan hardens every process and appends
-    ``stabilize_rounds`` reset pulses (see :mod:`.reliable`)."""
+    An active ``chaos`` plan hardens every process and appends one reset
+    pulse (see :mod:`.reliable`)."""
     hardened = chaos is not None and chaos.active
     network = MeshNetwork(
         mesh, Engine(), partial(BlockFormationProcess, hardened=hardened),
-        faulty=faults, latency=latency, tracer=tracer, chaos=chaos,
+        faulty=faults, chaos=chaos,
     )
     stats = drain_protocol(
         network, "protocol.block_formation", hardened=hardened,
-        stabilize_rounds=stabilize_rounds, faults=len(network.faulty),
+        faults=len(network.faulty),
     )
     unusable = live_unusable_grid(network)
     network.close()

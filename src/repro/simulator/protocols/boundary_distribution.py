@@ -33,7 +33,6 @@ import numpy as np
 from repro.core.boundaries import BoundaryTag, Line
 from repro.mesh.geometry import Coord, Direction, Rect
 from repro.mesh.topology import Mesh2D
-from repro.obs import Tracer
 from repro.simulator.engine import Engine
 from repro.simulator.messages import Message
 from repro.simulator.network import NO_DIRS, MeshNetwork, NetworkStats
@@ -119,17 +118,14 @@ def run_boundary_distribution(
     mesh: Mesh2D,
     rects: list[Rect],
     unusable: np.ndarray,
-    latency: float = 1.0,
-    tracer: Tracer | None = None,
     chaos: "ChannelFaultPlan | None" = None,
-    stabilize_rounds: int = 1,
 ) -> BoundaryDistributionResult:
     """Distribute L1 and L3 information for every block (canonical
     quadrant-I orientation).
 
-    An active ``chaos`` plan hardens every process and appends
-    ``stabilize_rounds`` reset pulses; seeds are hard state, so a restart
-    re-forwards them and the polylines re-form."""
+    An active ``chaos`` plan hardens every process and appends one reset
+    pulse; seeds are hard state, so a restart re-forwards them and the
+    polylines re-form."""
     hardened = chaos is not None and chaos.active
     blocked_coords = {(int(x), int(y)) for x, y in zip(*np.nonzero(unusable))}
 
@@ -139,8 +135,7 @@ def run_boundary_distribution(
         )
 
     network = MeshNetwork(
-        mesh, Engine(), factory, faulty=blocked_coords, latency=latency,
-        tracer=tracer, chaos=chaos,
+        mesh, Engine(), factory, faulty=blocked_coords, chaos=chaos,
     )
     for index, rect in enumerate(rects):
         _seed_l1(mesh, network, index, rect)
@@ -148,7 +143,7 @@ def run_boundary_distribution(
 
     stats = drain_protocol(
         network, "protocol.boundary_distribution", hardened=hardened,
-        stabilize_rounds=stabilize_rounds, blocks=len(rects),
+        blocks=len(rects),
     )
 
     annotations: dict[Coord, list[BoundaryTag]] = {}

@@ -23,7 +23,6 @@ This module realizes that claim as a long-lived network:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,10 +36,7 @@ from repro.simulator.protocols.local_rules import (
     live_safety_levels,
     live_unusable_grid,
 )
-from repro.simulator.protocols.reliable import chaos_event_budget, stabilize_network
-
-if TYPE_CHECKING:
-    from repro.chaos.plan import ChannelFaultPlan
+from repro.simulator.protocols.reliable import stabilize_network
 
 
 class DynamicNode(LocalRules):
@@ -77,34 +73,12 @@ class InjectionReport:
 class DynamicMesh:
     """A live mesh: inject faults one at a time, information stays consistent."""
 
-    def __init__(
-        self,
-        mesh: Mesh2D,
-        latency: float = 1.0,
-        chaos: "ChannelFaultPlan | None" = None,
-        hardened: bool | None = None,
-    ):
+    def __init__(self, mesh: Mesh2D):
         self.mesh = mesh
-        self.latency = latency
         self.engine = Engine()
-        self.hardened = (
-            hardened if hardened is not None else chaos is not None and chaos.active
-        )
-
-        def factory(coord: Coord, network: MeshNetwork) -> DynamicNode:
-            return DynamicNode(coord, network, hardened=self.hardened)
-
-        self._factory = factory
-        self.network = MeshNetwork(
-            mesh, self.engine, factory, latency=latency, chaos=chaos
-        )
+        self.network = MeshNetwork(mesh, self.engine, DynamicNode)
         self.faults: list[Coord] = []
         self.reports: list[InjectionReport] = []
-
-    def _event_budget(self) -> int:
-        if self.hardened:
-            return chaos_event_budget(self.network)
-        return 200 * self.mesh.size + 10_000
 
     # ------------------------------------------------------------------
     def inject_fault(self, coord: Coord) -> InjectionReport:
@@ -127,11 +101,12 @@ class DynamicMesh:
             if isinstance(process, DynamicNode):
                 # Failure detection after one link latency.
                 self.engine.schedule(
-                    self.latency, process.neighbor_became_unusable, direction.opposite
+                    self.network.latency, process.neighbor_became_unusable,
+                    direction.opposite,
                 )
 
         self.network.refresh_instrumentation()
-        self.engine.run(max_events=self._event_budget())
+        self.engine.run(max_events=200 * self.mesh.size + 10_000)
 
         report = InjectionReport(
             fault=coord,
@@ -154,7 +129,7 @@ class DynamicMesh:
         """
         if coord not in self.faults:
             raise ValueError(f"{coord} was never injected")
-        self.network.restore_node(coord, self._factory)
+        self.network.restore_node(coord, DynamicNode)
         self.faults.remove(coord)
         for direction, neighbor in self.mesh.neighbor_items(coord):
             process = self.network.nodes.get(neighbor)

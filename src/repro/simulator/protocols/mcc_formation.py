@@ -17,7 +17,6 @@ import numpy as np
 from repro.faults.mcc import _LABEL_RULES, MCCType, NodeStatus
 from repro.mesh.geometry import Coord, Direction
 from repro.mesh.topology import Mesh2D
-from repro.obs import Tracer
 from repro.simulator.engine import Engine
 from repro.simulator.messages import Message
 from repro.simulator.network import NO_DIRS, MeshNetwork, NetworkStats
@@ -79,8 +78,7 @@ class MCCFormationResult:
 
 
 def run_mcc_formation(
-    mesh: Mesh2D, faults: list[Coord], mcc_type: MCCType, latency: float = 1.0,
-    tracer: Tracer | None = None,
+    mesh: Mesh2D, faults: list[Coord], mcc_type: MCCType
 ) -> MCCFormationResult:
     fault_set = set(faults)
 
@@ -89,10 +87,7 @@ def run_mcc_formation(
             coord, network, network.faulty_dirs.get(coord, NO_DIRS), mcc_type
         )
 
-    network = MeshNetwork(
-        mesh, Engine(), factory, faulty=fault_set, latency=latency,
-        tracer=tracer,
-    )
+    network = MeshNetwork(mesh, Engine(), factory, faulty=fault_set)
     stats = drain_protocol(network, "protocol.mcc_formation", faults=len(fault_set))
 
     status = np.zeros((mesh.n, mesh.m), dtype=np.int8)

@@ -18,7 +18,6 @@ import numpy as np
 from repro.core.safety import SafetyLevels
 from repro.mesh.geometry import Coord
 from repro.mesh.topology import Mesh2D
-from repro.obs import Tracer
 from repro.simulator.engine import Engine
 from repro.simulator.messages import Message
 from repro.simulator.network import MeshNetwork, NetworkStats
@@ -65,8 +64,6 @@ def run_pivot_broadcast(
     unusable: np.ndarray,
     levels: SafetyLevels,
     pivots: list[Coord],
-    latency: float = 1.0,
-    tracer: Tracer | None = None,
 ) -> PivotBroadcastResult:
     """Flood every pivot's ESL through the free part of the mesh.
 
@@ -83,10 +80,7 @@ def run_pivot_broadcast(
             coord, network, levels.esl(coord), is_pivot=coord in pivot_set
         )
 
-    network = MeshNetwork(
-        mesh, Engine(), factory, faulty=blocked_coords, latency=latency,
-        tracer=tracer,
-    )
+    network = MeshNetwork(mesh, Engine(), factory, faulty=blocked_coords)
     stats = drain_protocol(network, "protocol.pivot_broadcast", pivots=len(pivot_set))
 
     tables = {

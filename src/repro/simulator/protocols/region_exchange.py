@@ -25,7 +25,6 @@ import numpy as np
 from repro.core.safety import SafetyLevels
 from repro.mesh.geometry import Coord, Direction
 from repro.mesh.topology import Mesh2D
-from repro.obs import Tracer
 from repro.simulator.engine import Engine
 from repro.simulator.messages import Message
 from repro.simulator.network import NO_DIRS, MeshNetwork, NetworkStats
@@ -102,8 +101,6 @@ def run_region_exchange(
     mesh: Mesh2D,
     unusable: np.ndarray,
     levels: SafetyLevels,
-    latency: float = 1.0,
-    tracer: Tracer | None = None,
 ) -> RegionExchangeResult:
     """Run the two-end accumulation over every region of the mesh.
 
@@ -122,10 +119,7 @@ def run_region_exchange(
             blocked_dirs=network.faulty_dirs.get(coord, NO_DIRS),
         )
 
-    network = MeshNetwork(
-        mesh, Engine(), factory, faulty=blocked_coords, latency=latency,
-        tracer=tracer,
-    )
+    network = MeshNetwork(mesh, Engine(), factory, faulty=blocked_coords)
     stats = drain_protocol(network, "protocol.region_exchange", blocked=len(blocked_coords))
 
     row_knowledge: dict[Coord, dict[int, int]] = {}

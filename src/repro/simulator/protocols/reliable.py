@@ -32,7 +32,7 @@ plain ``send``), so default runs stay bit-identical.
 
 :func:`drain_protocol` is the one drain of every ``run_*`` entry point:
 run to quiescence in a tracer span and, when hardened, on the chaos event
-budget followed by the stabilization pulses.  The restart the pulses call
+budget followed by one stabilization pulse.  The restart the pulses call
 for block formation, safety formation and the live
 :class:`~repro.simulator.protocols.dynamic_update.DynamicNode` is the
 shared :meth:`~repro.simulator.protocols.local_rules.LocalRules.protocol_restart`.
@@ -128,10 +128,10 @@ class ResilientProcess(NodeProcess):
         network.engine.schedule(self._rel_timeout, self._rel_check, key, self._rel_timeout)
         return True
 
-    def rbroadcast(self, kind: str, payload: Any = None) -> int:
+    def rbroadcast(self, kind: str) -> int:
         count = 0
         for direction in ESL_ORDER:
-            if self.rsend(direction, kind, payload):
+            if self.rsend(direction, kind, None):
                 count += 1
         return count
 
@@ -286,21 +286,20 @@ def stabilize_network(network: MeshNetwork, rounds: int = 1) -> int:
 
 
 def drain_protocol(
-    network: MeshNetwork, span: str, *, hardened: bool = False,
-    stabilize_rounds: int = 0, **attrs: Any,
+    network: MeshNetwork, span: str, *, hardened: bool = False, **attrs: Any,
 ) -> NetworkStats:
     """Run ``network``'s protocol to quiescence inside the tracer span
     ``span`` (with attributes ``attrs``).
 
-    A ``hardened`` run gets :func:`chaos_event_budget` and then
-    ``stabilize_rounds`` pulses of :func:`stabilize_network`, after which
-    the stats are the network's lifetime totals.
+    A ``hardened`` run gets :func:`chaos_event_budget` and then one pulse
+    of :func:`stabilize_network`, after which the stats are the network's
+    lifetime totals.
     """
     with network._trc.span(span, **attrs):
         stats = network.run(
             max_events=chaos_event_budget(network) if hardened else None
         )
-        if hardened and stabilize_rounds:
-            stabilize_network(network, rounds=stabilize_rounds)
+        if hardened:
+            stabilize_network(network)
             stats = network.current_stats()
     return stats

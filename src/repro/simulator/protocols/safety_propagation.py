@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.core.safety import SafetyLevels
 from repro.mesh.topology import Mesh2D
-from repro.obs import Tracer
 from repro.simulator.engine import Engine
 from repro.simulator.network import MeshNetwork, NetworkStats
 from repro.simulator.protocols.local_rules import LocalRules, live_safety_levels
@@ -48,9 +47,7 @@ class SafetyPropagationResult:
 
 
 def run_safety_propagation(
-    mesh: Mesh2D, unusable: np.ndarray, latency: float = 1.0,
-    tracer: Tracer | None = None, chaos: "ChannelFaultPlan | None" = None,
-    stabilize_rounds: int = 1,
+    mesh: Mesh2D, unusable: np.ndarray, chaos: "ChannelFaultPlan | None" = None,
 ) -> SafetyPropagationResult:
     """Run the FORMATION algorithm over the blocked-node grid.
 
@@ -58,18 +55,18 @@ def run_safety_propagation(
     no meaning (the centralized counterpart is only compared on free nodes).
 
     An active ``chaos`` plan hardens every process (ack/retransmit) and
-    appends ``stabilize_rounds`` reset pulses so lost messages cannot leave
-    the grid short of the fixpoint.
+    appends one reset pulse so lost messages cannot leave the grid short of
+    the fixpoint.
     """
     hardened = chaos is not None and chaos.active
     blocked_coords = {(int(x), int(y)) for x, y in zip(*np.nonzero(unusable))}
     network = MeshNetwork(
         mesh, Engine(), partial(SafetyFormationProcess, hardened=hardened),
-        faulty=blocked_coords, latency=latency, tracer=tracer, chaos=chaos,
+        faulty=blocked_coords, chaos=chaos,
     )
     stats = drain_protocol(
         network, "protocol.safety_propagation", hardened=hardened,
-        stabilize_rounds=stabilize_rounds, blocked=len(blocked_coords),
+        blocked=len(blocked_coords),
     )
     levels = live_safety_levels(network)
     network.close()

@@ -47,6 +47,10 @@ PATH_CACHE_MAXSIZE = 1024
 #: survived every intervening event and is rebuilt instead of revalidated.
 FAULT_EVENT_HISTORY = 64
 
+#: :func:`run_workload` drops the packets still in flight after
+#: ``CYCLES_PER_SIDE * (n + m) + 8 * packets`` cycles.
+CYCLES_PER_SIDE = 64
+
 
 class RoutingPolicy(Protocol):
     """Anything that can name the next hop of an in-flight packet."""
@@ -222,10 +226,9 @@ def run_workload(
     mesh: Mesh2D,
     policy: RoutingPolicy | PathPolicy,
     traffic: list[tuple[Coord, Coord, int]],
-    max_cycles: int | None = None,
 ) -> TrafficStats:
     """Drive a packet workload through the mesh under link contention."""
-    limit = max_cycles if max_cycles is not None else 64 * (mesh.n + mesh.m) + 8 * len(traffic)
+    limit = CYCLES_PER_SIDE * (mesh.n + mesh.m) + 8 * len(traffic)
     flights: list[_FlightState] = []
     for source, dest, inject_time in traffic:
         packet = Packet(source=source, dest=dest)

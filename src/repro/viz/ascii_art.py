@@ -78,29 +78,3 @@ def render_scenario(scenario, path: Iterable[Coord] = (), **kwargs) -> str:
         path=path,
         **kwargs,
     )
-
-
-def render_boundaries(mesh: Mesh2D, blocks, canonical) -> str:
-    """Render a block set with its L1/L3 boundary lines overlaid.
-
-    ``canonical`` is a :class:`~repro.core.boundaries.CanonicalBoundaryMap`;
-    L1 nodes print as ``-``, L3 as ``|``, nodes on both as ``+`` (the
-    exit-intersection corners included).  Visualizes paper Figure 3.
-    """
-    from repro.core.boundaries import Line
-
-    marks: dict[Coord, str] = {}
-    for coord, tags in canonical.annotations.items():
-        lines = {tag.line for tag in tags}
-        if Line.L1 in lines and Line.L3 in lines:
-            marks[coord] = "+"
-        elif Line.L1 in lines:
-            marks[coord] = "-"
-        else:
-            marks[coord] = "|"
-    return render_mesh(
-        mesh,
-        faulty=blocks.faulty,
-        blocked=blocks.unusable,
-        marks=marks,
-    )

@@ -12,6 +12,9 @@ from typing import Mapping, Sequence
 
 _GLYPHS = "ox+*#@%&^~"
 
+#: Canvas size in characters.
+WIDTH, HEIGHT = 72, 20
+
 
 def _scale(value: float, lo: float, hi: float, steps: int) -> int:
     if hi <= lo:
@@ -24,10 +27,10 @@ def line_plot(
     data: Mapping[str, Sequence[tuple[float, float]]],
     title: str = "",
     x_label: str = "x",
-    width: int = 72,
-    height: int = 20,
 ) -> str:
-    """Plot named series of (x, y) points on a character canvas."""
+    """Plot named series of (x, y) points on a :data:`WIDTH` x
+    :data:`HEIGHT` character canvas."""
+    width, height = WIDTH, HEIGHT
     if not data:
         raise ValueError("nothing to plot")
     all_points = [p for series in data.values() for p in series]

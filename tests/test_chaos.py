@@ -168,7 +168,7 @@ class TestChaosSchedule:
                 ChaosEvent(3.0, "revive", (1, 1)),
             ]
         )
-        assert schedule.final_faults() == {(2, 2)}
+        assert schedule.final_faults(()) == {(2, 2)}
         assert schedule.final_faults([(4, 4)]) == {(2, 2), (4, 4)}
 
     def test_random_respects_forbidden_and_distinct_victims(self):
@@ -293,7 +293,7 @@ class TestHardenedProtocolsUnderLoss:
 class TestCrashRevive:
     def test_dynamic_mesh_revive_matches_oracle(self):
         mesh = Mesh2D(12, 12)
-        dynamic = DynamicMesh(mesh, hardened=True)
+        dynamic = DynamicMesh(mesh)
         for fault in [(4, 4), (4, 5), (5, 4), (9, 2)]:
             dynamic.inject_fault(fault)
         dynamic.revive_node((4, 5))

@@ -167,6 +167,13 @@ class TestChaosVerb:
         assert code == 2
         assert "probability" in output
 
+    @pytest.mark.parametrize("verb", ["chaos", "top", "serve-metrics"])
+    @pytest.mark.parametrize("flag", ["--jitter", "--pulses", "--events"])
+    def test_rejects_negative_counts(self, verb, flag):
+        code, output = _run([verb, "--side", "10", flag, "-1"])
+        assert code == 2
+        assert f"error: {flag} must be >= 0, got -1" in output
+
     def test_stats_chaos_emits_hot_counters(self):
         code, output = _run(
             ["stats", "--side", "12", "--faults", "6", "--seed", "3",

@@ -68,7 +68,8 @@ class TestESLEncoding:
     def test_engine_and_snapshot_grids_are_int16(self):
         mesh = Mesh2D(20, 20)
         rng = np.random.default_rng(3)
-        service = RoutingService(mesh, uniform_faults(mesh, 20, rng), auto_refresh=False)
+        service = RoutingService(mesh, uniform_faults(mesh, 20, rng))
+        service.auto_refresh = False
         _churn(service, rng, 12)
         snapshot = service.refresh()
         engine = service.engine
@@ -125,7 +126,8 @@ class TestLazySnapshotBlockSet:
     def test_old_snapshot_builds_its_own_generation(self, seed):
         mesh = Mesh2D(24, 24)
         rng = np.random.default_rng(seed)
-        service = RoutingService(mesh, uniform_faults(mesh, 30, rng), auto_refresh=False)
+        service = RoutingService(mesh, uniform_faults(mesh, 30, rng))
+        service.auto_refresh = False
         _churn(service, rng, 10)
         snapshot = service.refresh()
         faults_then = service.engine.faults

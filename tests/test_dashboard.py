@@ -72,10 +72,3 @@ class TestDashboard:
     def test_empty_observatory(self):
         panel = Dashboard(Observatory(rules=()), color=False).render()
         assert "(no samples yet)" in panel
-
-    def test_series_filter(self):
-        observatory = _observatory()
-        observatory.store.append(3.0, {"q": 2.0, "other": 9.0})
-        panel = Dashboard(observatory, color=False, series=("other",)).render()
-        assert "other" in panel
-        assert "\nq " not in panel

@@ -15,6 +15,7 @@ from repro.faults.coverage import minimal_path_exists
 from repro.mesh.geometry import Rect
 from repro.mesh.topology import Mesh2D
 from repro.routing.router import GreedyAdaptiveRouter, RoutingError
+from repro.simulator import traffic
 from repro.simulator.engine import Engine
 from repro.simulator.traffic import PathPolicy, TrafficStats, run_workload
 
@@ -158,13 +159,14 @@ class TestTrafficEdgeCases:
         assert stats.average_latency == 0.0
         assert stats.average_stretch == 0.0
 
-    def test_cycle_limit_drops_survivors(self):
+    def test_cycle_limit_drops_survivors(self, monkeypatch):
+        monkeypatch.setattr(traffic, "CYCLES_PER_SIDE", 0)  # 8 cycles, 14 hops
         mesh = Mesh2D(8, 8)
         policy = GreedyAdaptiveRouter(mesh, np.zeros((8, 8), dtype=bool))
-        stats = run_workload(mesh, policy, [((0, 0), (7, 7), 0)], max_cycles=3)
+        stats = run_workload(mesh, policy, [((0, 0), (7, 7), 0)])
         assert stats.dropped == 1
         assert stats.latencies == []
-        assert stats.total_cycles == 3
+        assert stats.total_cycles == 8
 
     def test_path_policy_route_failure_drops_at_injection(self):
         mesh = Mesh2D(8, 8)
@@ -200,12 +202,11 @@ class TestTrafficEdgeCases:
 
 
 class TestSweeps:
-    def test_mesh_size_sweep_smoke(self):
-        from repro.experiments.sweeps import mesh_size_sweep
+    def test_mesh_size_sweep_smoke(self, monkeypatch):
+        from repro.experiments import sweeps
 
-        series = mesh_size_sweep(
-            sides=(30, 40), patterns_per_side=2, destinations_per_pattern=5
-        )
+        monkeypatch.setattr(sweeps, "DESTINATIONS_PER_PATTERN", 5)
+        series = sweeps.mesh_size_sweep(sides=(30, 40), patterns_per_side=2)
         assert series.xs == [30.0, 40.0]
         assert set(series.series) == {"safe_source", "ext1_min", "existence"}
         for name in series.series:

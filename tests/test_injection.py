@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.faults import injection
 from repro.faults.injection import (
     clustered_faults,
     generate_scenario,
     uniform_faults,
     uniform_faults_batch,
-    wall_faults,
 )
 from repro.mesh.geometry import Rect, chebyshev_distance
 from repro.mesh.topology import Mesh2D
@@ -120,24 +120,6 @@ class TestClusteredFaults:
             clustered_faults(Mesh2D(10, 10), 5, rng, clusters=0)
 
 
-class TestWallFaults:
-    def test_walls_are_straight(self, rng):
-        mesh = Mesh2D(40, 40)
-        faults = wall_faults(mesh, rng, walls=1, length=12)
-        xs = {c[0] for c in faults}
-        ys = {c[1] for c in faults}
-        assert len(xs) == 1 or len(ys) == 1
-        assert len(faults) >= 2
-
-    def test_gap_probability_reduces_length(self, rng):
-        mesh = Mesh2D(40, 40)
-        solid = wall_faults(mesh, np.random.default_rng(3), walls=5, length=20)
-        gappy = wall_faults(
-            mesh, np.random.default_rng(3), walls=5, length=20, gap_probability=0.5
-        )
-        assert len(gappy) < len(solid)
-
-
 class TestGenerateScenario:
     def test_source_outside_blocks(self, rng):
         mesh = Mesh2D(40, 40)
@@ -173,12 +155,13 @@ class TestGenerateScenario:
             assert region.contains(dest)
             assert not scenario.blocks.is_unusable(dest)
 
-    def test_pick_destination_excludes(self, rng):
+    def test_pick_destination_excludes(self, rng, monkeypatch):
+        monkeypatch.setattr(injection, "MAX_DESTINATION_DRAWS", 50)
         mesh = Mesh2D(10, 10)
         scenario = generate_scenario(mesh, 0, rng)
         region = Rect(0, 0, 0, 0)
         with pytest.raises(RuntimeError):
-            scenario.pick_destination(rng, region, exclude={(0, 0)}, max_attempts=50)
+            scenario.pick_destination(rng, region, exclude={(0, 0)})
 
     def test_pick_destination_outside_mesh_raises(self, rng):
         scenario = generate_scenario(Mesh2D(10, 10), 0, rng)

@@ -20,6 +20,29 @@ as a ``Name`` or ``Attribute`` load, as a string constant equal to the name
 ``"pkg.mod:Class.attr"`` target.  Imports, package re-exports and
 ``__all__`` entries do not count.  Names are matched bare, not resolved,
 so one read of ``.close`` keeps every ``close`` method.
+
+And one level further down, for knobs.  Every defaulted parameter,
+positional or keyword-only, of a function or method the name walk checks
+(``__init__`` included, other dunders not) must be set by some call in
+the entry scripts or the reached modules: by keyword, by position, or
+through a ``*args`` / ``**kwargs`` splat.  ``self`` / ``cls``, underscore
+names, ``*args`` / ``**kwargs``, dataclass fields (state initialisers,
+not options) and the functions of ``TEST_ONLY`` / ``TEST_ONLY_NAMES`` are
+skipped.  Callees match by bare name, as names do:
+
+- ``Cls(...)`` is a call of ``Cls.__init__``; a class without its own
+  ``__init__`` passes the call on to its bases, and ``super().__init__``
+  is a call of the enclosing class's bases, so a subclass that forwards
+  ``**kw`` to ``super().__init__`` sets every knob of its base;
+- ``functools.partial(f, ...)`` is a call of ``f``;
+- a call through a file-level alias or table (``run = f``,
+  ``runners = {"fig9": fig9, ...}``, anything built from a table, and a
+  loop variable over one) is a call of everything the alias names, with
+  the keywords and positions it passes.
+
+A knob no such call sets is an option only the tests use: make it a
+module constant the tests read or monkeypatch, or delete it with the
+behaviour only it selects.
 """
 
 import ast
@@ -103,25 +126,25 @@ TEST_ONLY_NAMES = {
         "one revival through the dynamic protocol's stabilization pulse, "
         "checked against the batch builders"
     ),
-    "repro.faults.injection:wall_faults": (
-        "wall-shaped fault patterns exported by repro.faults; deleting it "
-        "also deletes two tests, left for a later change"
+}
+
+#: Knobs that stay although only tests set them, each with its reason.
+TEST_ONLY_KNOBS = {
+    "repro.cli:main.out": (
+        "where the CLI writes its lines; the tests capture a verb's output "
+        "through it instead of redirecting stdout"
     ),
-    "repro.obs.alerts:RateRule": (
-        "alert rule kind of the public repro.obs API (docs/API.md); no "
-        "default rule uses it, and deleting it also deletes two tests"
+    "repro.core.routing:WuRouter.__init__.tie_breaker": (
+        "the exhaustive tests check Theorem 1 under a second tie-break "
+        "(x-first), so minimality does not hang on the balanced one"
     ),
-    "repro.obs.alerts:StallRule": (
-        "alert rule kind of the public repro.obs API (docs/API.md); no "
-        "default rule uses it, and deleting it also deletes three tests"
+    "repro.core.segments:build_axis_segments.four_directional": (
+        "the paper's second Extension 2 variation (segments on all four "
+        "axis directions); no figure plots it"
     ),
-    "repro.parallel.cache:ArtifactCache.peek": (
-        "the side-effect-free read StaleArtifactError documents for a "
-        "degraded tier; serve answers stale reads another way"
-    ),
-    "repro.viz.ascii_art:render_boundaries": (
-        "ASCII overlay of the traced boundary lines, in the public "
-        "repro.viz API (docs/API.md)"
+    "repro.core.strategies:select_pivots.rng": (
+        "the paper's Sec. 5 random pivots through the public strategy API; "
+        "the figure sweeps replay random_pivots' draws themselves"
     ),
 }
 
@@ -265,3 +288,172 @@ def _unnamed() -> set[str]:
 def test_every_library_name_is_named_outside_the_tests():
     assert _unnamed() == set(TEST_ONLY_NAMES)
     assert all(reason.strip() for reason in TEST_ONLY_NAMES.values())
+
+
+
+class _Def:
+    """One function or method: its positional names and its knobs."""
+
+    def __init__(self, key: str, func, method: bool):
+        args = func.args
+        positional = [a.arg for a in args.posonlyargs + args.args][int(method):]
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+        self.key = key
+        self.positional = positional
+        self.knobs = {name for name in defaulted if not name.startswith("_")}
+
+
+def _bare(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _bases(cls: ast.ClassDef) -> set[str]:
+    return {_bare(base) for base in cls.bases} - {None}
+
+
+def _aliases(tree: ast.Module) -> dict[str, set[str]]:
+    """Every name a file binds to callables: ``f = g``, a table
+    (``T = {"k": g}``, ``T = (g, h)``), anything built from a table
+    (``U = tuple(... for g in T)``) and a loop variable over one."""
+    bindings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            bindings += [(target, node.value) for target in node.targets]
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            bindings.append((node.target, node.iter))
+    aliases: dict[str, set[str]] = {}
+
+    def names(value) -> set[str]:
+        if isinstance(value, ast.Name):
+            return {value.id} | aliases.get(value.id, set())
+        if isinstance(value, ast.Attribute):
+            return {value.attr}
+        if isinstance(value, (ast.Dict, ast.List, ast.Tuple, ast.Set)):
+            items = value.values if isinstance(value, ast.Dict) else value.elts
+            return set().union(*map(names, items))
+        return set().union(*(
+            aliases.get(node.id, set())
+            for node in ast.walk(value) if isinstance(node, ast.Name)
+        ))
+
+    changed = True
+    while changed:
+        changed = False
+        for target, value in bindings:
+            found = names(value)
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and not found <= aliases.get(node.id, set()):
+                    aliases.setdefault(node.id, set()).update(found)
+                    changed = True
+    return aliases
+
+
+class _Calls(ast.NodeVisitor):
+    """Each call a file makes: ``(callee bare names, call, positionals)``."""
+
+    def __init__(self, tree: ast.Module):
+        self.aliases = _aliases(tree)
+        self.classes: list[ast.ClassDef] = []
+        self.calls: list[tuple[set[str], ast.Call, list]] = []
+        self.visit(tree)
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.classes.append(node)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def callees(self, func) -> set[str]:
+        if isinstance(func, ast.Subscript):
+            func = func.value
+        if isinstance(func, ast.Name):
+            if func.id == "cls" and self.classes:
+                return {self.classes[-1].name}
+            return {func.id} | self.aliases.get(func.id, set())
+        if isinstance(func, ast.Attribute):
+            value = func.value
+            if (isinstance(value, ast.Call) and _bare(value.func) == "super"
+                    and func.attr == "__init__" and self.classes):
+                return _bases(self.classes[-1])
+            return {func.attr}
+        return set()
+
+    def visit_Call(self, node: ast.Call) -> None:
+        callees, args = self.callees(node.func), node.args
+        if callees == {"partial"} and args:
+            callees, args = self.callees(args[0]), args[1:]
+        self.calls.append((callees, node, args))
+        self.generic_visit(node)
+
+
+def _knob_defs(modules: set[str]) -> tuple[dict[str, list[_Def]], dict[str, set[str]]]:
+    """The checked functions and methods by the bare name a call uses
+    (``Cls`` for ``Cls.__init__``), and each class's bases; a class
+    with its own ``__init__`` also lists None, which stops the climb."""
+    exempt = set(TEST_ONLY_NAMES)
+    defs: dict[str, list[_Def]] = {}
+    bases: dict[str, set[str | None]] = {}
+    for module in modules:
+        for node in ast.parse(_module_path(module).read_text()).body:
+            members = [(node.name, node, None)] if isinstance(node, DEFS[:2]) else []
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(_bases(node))
+                members += [(f"{node.name}.{sub.name}", sub, node)
+                            for sub in node.body if isinstance(sub, DEFS[:2])]
+            for qualname, func, cls in members:
+                key = f"{module}:{qualname}"
+                if key in exempt or f"{module}:{qualname.partition('.')[0]}" in exempt:
+                    continue
+                if func.name == "__init__":
+                    bare = cls.name
+                    bases[cls.name].add(None)
+                elif func.name.startswith("__"):
+                    continue
+                else:
+                    bare = func.name
+                static = any(_bare(d) == "staticmethod" for d in func.decorator_list)
+                method = cls is not None and not static
+                defs.setdefault(bare, []).append(_Def(key, func, method))
+    return defs, bases
+
+
+def _unset_knobs() -> tuple[set[str], int]:
+    """``module:qualname.param`` of every knob no call outside the tests
+    sets, and the number of knobs checked."""
+    modules = _reached() - set(TEST_ONLY)
+    defs, bases = _knob_defs(modules)
+    unset = {f"{d.key}.{knob}" for ds in defs.values() for d in ds for knob in d.knobs}
+    checked = len(unset)
+
+    def constructors(name: str, seen: set[str]) -> list[_Def]:
+        if name in seen:
+            return []
+        seen.add(name)
+        found = list(defs.get(name, []))
+        if None not in bases.get(name, {None}):
+            for base in bases[name]:
+                found += constructors(base, seen)
+        return found
+
+    files = [p for d in ENTRY_DIRS for p in (ROOT / d).rglob("*.py")]
+    files += [_module_path(name) for name in modules]
+    for path in files:
+        for callees, call, args in _Calls(ast.parse(path.read_text(), str(path))).calls:
+            star = any(isinstance(a, ast.Starred) for a in args)
+            splat = any(k.arg is None for k in call.keywords)
+            keywords = {k.arg for k in call.keywords}
+            for d in (d for name in callees for d in constructors(name, set())):
+                named = set(d.positional if star else d.positional[:len(args)])
+                named |= d.knobs if splat else keywords
+                unset.difference_update(f"{d.key}.{knob}" for knob in named & d.knobs)
+    return unset, checked
+
+
+def test_every_library_knob_is_set_outside_the_tests():
+    unset, _ = _unset_knobs()
+    assert unset == set(TEST_ONLY_KNOBS)
+    assert all(reason.strip() for reason in TEST_ONLY_KNOBS.values())

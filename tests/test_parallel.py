@@ -135,50 +135,30 @@ class TestStalenessBudget:
         cache = ArtifactCache()
         cache.get_or_build("k", lambda: 1, generation=1)
         got = cache.get_or_build(
-            "k", lambda: 2, generation=3,
-            revalidate=lambda v, t: True, max_staleness_generations=2,
+            "k", lambda: 2, generation=3, revalidate=lambda v, t: True,
         )
         assert got == 1
         assert cache.stats()["revalidated"] == 1
 
     def test_over_budget_raises_typed_error(self):
-        cache = ArtifactCache()
-        cache.get_or_build("k", lambda: 1, generation=1)
-        with pytest.raises(StaleArtifactError) as excinfo:
-            cache.get_or_build(
-                "k", lambda: 2, generation=5,
-                revalidate=lambda v, t: True, max_staleness_generations=2,
-            )
-        error = excinfo.value
+        error = StaleArtifactError("k", 1, 5)
         assert error.key == "k"
         assert error.tag == 1
         assert error.generation == 5
         assert error.age == 4
         assert "4 generation(s) old" in str(error)
-        assert cache.stats()["stale"] == 1
-        # The entry survives: a later within-budget call can still
-        # revalidate it instead of rebuilding.
-        assert cache.get_or_build(
-            "k", lambda: 2, generation=5, revalidate=lambda v, t: True,
-        ) == 1
 
     def test_untagged_entry_over_any_budget(self):
-        cache = ArtifactCache()
-        cache.get_or_build("k", lambda: 1)  # no generation tag
-        with pytest.raises(StaleArtifactError) as excinfo:
-            cache.get_or_build(
-                "k", lambda: 2, generation=1, max_staleness_generations=10,
-            )
-        assert excinfo.value.tag is None
-        assert excinfo.value.age is None
+        error = StaleArtifactError("k", None, 1)
+        assert error.tag is None
+        assert error.age is None
+        assert "untagged" in str(error)
 
     def test_current_generation_ignores_budget(self):
         cache = ArtifactCache()
         cache.get_or_build("k", lambda: 1, generation=4)
-        got = cache.get_or_build(
-            "k", lambda: 2, generation=4, max_staleness_generations=0,
-        )
-        assert got == 1  # fresh: plain hit, budget irrelevant
+        got = cache.get_or_build("k", lambda: 2, generation=4)
+        assert got == 1  # fresh: plain hit
 
     def test_default_budget_is_unlimited(self):
         cache = ArtifactCache()
@@ -190,25 +170,6 @@ class TestStalenessBudget:
 
     def test_stale_error_is_a_lookup_error(self):
         assert issubclass(StaleArtifactError, LookupError)
-
-
-class TestPeekAndDrop:
-    def test_peek_returns_without_accounting(self):
-        cache = ArtifactCache()
-        cache.get_or_build("k", lambda: 1, generation=3)
-        before = cache.stats()
-        assert cache.peek("k") == 1
-        assert cache._tags.get("k") == 3
-        assert cache.peek("missing") is None
-        assert cache.peek("missing", default="d") == "d"
-        assert cache.stats() == before
-
-    def test_drop_removes_entry(self):
-        cache = ArtifactCache()
-        cache.get_or_build("k", lambda: 1)
-        assert cache.drop("k") is True
-        assert "k" not in cache
-        assert cache.drop("k") is False
 
 
 class TestBatchedMetricsInTheRunner:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.obs import MetricsSink, Tracer
+from repro.obs import metrics
 from repro.obs.metrics import Histogram
 
 
@@ -50,8 +51,9 @@ class TestPercentileCorrectness:
         with pytest.raises(ValueError):
             h.percentile(100.5)
 
-    def test_exact_within_reservoir_capacity(self):
-        h = Histogram(reservoir_size=1000)
+    def test_exact_within_reservoir_capacity(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_RESERVOIR_SIZE", 1000)
+        h = Histogram()
         for value in range(1000):
             h.observe(value)
         assert h.percentile(50.0) == pytest.approx(499.5)
@@ -97,31 +99,30 @@ class TestEmptyHistogram:
 
 
 class TestReservoirSampling:
-    def test_deterministic_under_seed(self):
-        a, b = Histogram(reservoir_size=64), Histogram(reservoir_size=64)
+    def test_deterministic_under_seed(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_RESERVOIR_SIZE", 64)
+        a, b = Histogram(), Histogram()
         for value in range(10_000):
             a.observe(value)
             b.observe(value)
         for q in (50.0, 95.0, 99.0):
             assert a.percentile(q) == b.percentile(q)
 
-    def test_reservoir_stays_bounded(self):
-        h = Histogram(reservoir_size=64)
+    def test_reservoir_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_RESERVOIR_SIZE", 64)
+        h = Histogram()
         for value in range(10_000):
             h.observe(value)
         assert len(h._reservoir) == 64
         assert h.count == 10_000
 
-    def test_sampled_percentiles_stay_close(self):
-        h = Histogram(reservoir_size=512)
+    def test_sampled_percentiles_stay_close(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_RESERVOIR_SIZE", 512)
+        h = Histogram()
         for value in range(20_000):
             h.observe(value)
         assert h.percentile(50.0) == pytest.approx(10_000, rel=0.15)
         assert h.percentile(95.0) == pytest.approx(19_000, rel=0.15)
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(reservoir_size=0)
 
 
 class TestTickCap:
@@ -132,23 +133,26 @@ class TestTickCap:
         for tick in range(ticks):
             tracer.emit("protocol_msg", msg="esl", time=tick, queue=1)
 
-    def test_distinct_ticks_capped(self):
-        sink = MetricsSink(tick_cap=10)
+    def test_distinct_ticks_capped(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_TICK_CAP", 10)
+        sink = MetricsSink()
         self._emit(sink, 25)
         assert len(sink._messages_per_tick) == 10
         assert sink.tick_overflow == 15
         assert sink.message_counts["esl"] == 25  # totals stay exact
 
-    def test_known_ticks_still_counted_past_cap(self):
-        sink = MetricsSink(tick_cap=2)
+    def test_known_ticks_still_counted_past_cap(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_TICK_CAP", 2)
+        sink = MetricsSink()
         tracer = Tracer(sink)
         for tick in (0, 1, 2, 0, 1):
             tracer.emit("protocol_msg", msg="esl", time=tick, queue=0)
         assert sink._messages_per_tick == {0: 2, 1: 2}
         assert sink.tick_overflow == 1
 
-    def test_overflow_in_snapshot_and_table(self):
-        sink = MetricsSink(tick_cap=4)
+    def test_overflow_in_snapshot_and_table(self, monkeypatch):
+        monkeypatch.setattr(metrics, "DEFAULT_TICK_CAP", 4)
+        sink = MetricsSink()
         self._emit(sink, 9)
         snapshot = sink.snapshot()
         assert snapshot["protocol"]["messages_per_tick_overflow"] == 5
@@ -159,7 +163,3 @@ class TestTickCap:
         self._emit(sink, 50)
         assert sink.tick_overflow == 0
         assert sink.snapshot()["protocol"]["messages_per_tick_overflow"] == 0
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsSink(tick_cap=0)

@@ -131,8 +131,8 @@ class TestSections:
     def test_detailed_names_hot_frames(self):
         with cProfile.Profile() as profile:
             build_faulty_blocks(Mesh2D(8, 8), {(2, 2)})
-        rows = _top_functions(profile, limit=5)
-        assert rows, "the profiled run should capture frames"
+        rows = _top_functions(profile)
+        assert 0 < len(rows) <= 10, "the profiled run should capture frames"
         assert all("function" in row and "cumtime_s" in row for row in rows)
         # sorted by cumulative time, hottest first
         cum = [row["cumtime_s"] for row in rows]

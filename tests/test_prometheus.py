@@ -214,7 +214,8 @@ class TestScrapeRace:
     def test_render_while_a_thread_adds_ticks(self):
         """A scrape copies live dicts before walking them: a thread adding
         new ticks mid-render must not raise ``dictionary changed size``."""
-        sink = MetricsSink(tick_cap=1 << 30)
+        sink = MetricsSink()
+        sink.tick_cap = 1 << 30
         tracer = Tracer(sink)
 
         def produce():

@@ -335,32 +335,34 @@ def _recorded_digest(run) -> tuple[str, int]:
     return digest.hexdigest()[:16], len(recorder.events)
 
 
+def _traced(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` with the recorder as the installed tracer."""
+    def go(recorder):
+        with use_tracer(recorder):
+            run(*args, **kwargs)
+    return go
+
+
 def _recorded_runs():
     mesh, _, blocks = _scenario()
     _, dense_faults, _ = _scenario(fault_count=60)
     levels = compute_safety_levels(mesh, blocks.unusable)
     return {
-        "block_formation": lambda t: run_block_formation(mesh, dense_faults, tracer=t),
-        "mcc_formation": lambda t: run_mcc_formation(
-            mesh, dense_faults, MCCType.TYPE_ONE, tracer=t
+        "block_formation": _traced(run_block_formation, mesh, dense_faults),
+        "mcc_formation": _traced(run_mcc_formation, mesh, dense_faults, MCCType.TYPE_ONE),
+        "boundary_distribution": _traced(
+            run_boundary_distribution, mesh, blocks.rects(), blocks.unusable
         ),
-        "boundary_distribution": lambda t: run_boundary_distribution(
-            mesh, blocks.rects(), blocks.unusable, tracer=t
+        "region_exchange": _traced(run_region_exchange, mesh, blocks.unusable, levels),
+        "pivot_broadcast": _traced(
+            run_pivot_broadcast, mesh, blocks.unusable, levels, PIVOTS
         ),
-        "region_exchange": lambda t: run_region_exchange(
-            mesh, blocks.unusable, levels, tracer=t
+        "safety_propagation": _traced(run_safety_propagation, mesh, blocks.unusable),
+        "block_formation_hardened": _traced(
+            run_block_formation, mesh, dense_faults, chaos=_lossy_plan()
         ),
-        "pivot_broadcast": lambda t: run_pivot_broadcast(
-            mesh, blocks.unusable, levels, PIVOTS, tracer=t
-        ),
-        "safety_propagation": lambda t: run_safety_propagation(
-            mesh, blocks.unusable, tracer=t
-        ),
-        "block_formation_hardened": lambda t: run_block_formation(
-            mesh, dense_faults, tracer=t, chaos=_lossy_plan(), stabilize_rounds=1
-        ),
-        "safety_propagation_hardened": lambda t: run_safety_propagation(
-            mesh, blocks.unusable, tracer=t, chaos=_lossy_plan(), stabilize_rounds=1
+        "safety_propagation_hardened": _traced(
+            run_safety_propagation, mesh, blocks.unusable, chaos=_lossy_plan()
         ),
         "chaos_jitter0": lambda t: _chaos_run(jitter=0, recorder=t),
         "chaos_jitter1": lambda t: _chaos_run(jitter=1, recorder=t),

@@ -84,7 +84,7 @@ class TestTimeSeries:
 
 class TestSampleStore:
     def test_append_and_snapshot(self):
-        store = SampleStore(capacity=16)
+        store = SampleStore()
         store.append(0.0, {"a": 1.0, "b": 2.0})
         store.append(1.0, {"a": 3.0, "b": 4.0})
         snap = store.snapshot()
@@ -95,7 +95,7 @@ class TestSampleStore:
         assert list(store) == ["a", "b"]
 
     def test_concurrent_snapshot_while_appending(self):
-        store = SampleStore(capacity=64)
+        store = SampleStore()
         stop = threading.Event()
         errors: list[BaseException] = []
 
@@ -235,7 +235,8 @@ class TestObservatorySampling:
     def test_on_sample_callback(self):
         mesh, faults, plan, schedule = _chaos_scenario()
         seen: list[float] = []
-        observatory = Observatory(rules=(), on_sample=seen.append)
+        observatory = Observatory(rules=())
+        observatory.on_sample = seen.append
         ChaosRunner(
             mesh, faults=faults, plan=plan, schedule=schedule,
             observatory=observatory,
