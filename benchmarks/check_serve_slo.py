@@ -6,13 +6,13 @@ when the *first* ramp stage -- the one whose offered QPS the pipeline is
 sized to absorb without shedding -- misses its p99 budget or sheds more
 than the allowed fraction, or when *any* stage reports internal errors.  Later stages
 deliberately overdrive the service; there the gate only requires that
-overload shows up as honest admission-control outcomes (shed / degraded
-/ stale), never as errors.
+overload shows up as honest admission-control outcomes (shed /
+degraded), never as errors.
 
 Wall-clock latencies vary with runner load, so the default p99 budget is
 generous (150 ms against a 50 ms per-query deadline: even a fully
-degraded, retried answer fits several times over).  The gate catches
-collapses -- lost wakeups, refresh stalls, unbounded retry loops -- not
+degraded answer fits several times over).  The gate catches collapses
+-- lost wakeups, refresh stalls, runaway queues -- not
 single-millisecond drift.
 
 Usage::
@@ -107,7 +107,6 @@ def main(argv: list[str] | None = None) -> int:
             f"qps={stage['qps']:g}: {stage['ok']}/{stage['queries']} ok, "
             f"shed={stage['shed_fraction']:.3f} "
             f"degraded={stage['degraded_fraction']:.3f} "
-            f"stale={stage['stale']} retries={stage['retries']} "
             f"p99={'n/a' if p99 is None else f'{p99:.1f}ms'}"
         )
     if failures:

@@ -2,8 +2,8 @@
 
 Boots the full serving stack in-process -- a :class:`RoutingService`
 (generation-fenced snapshots over the incremental fault engine), the
-:class:`QueryPipeline` (bounded-queue admission, deadline budgets,
-stale-snapshot backoff), and the :class:`ServeApp` HTTP front end --
+:class:`QueryPipeline` (bounded-queue admission, deadline budgets, a
+degraded-mode breaker), and the :class:`ServeApp` HTTP front end --
 then plays a client against it over real sockets:
 
 - routability queries before and after live fault ingestion, showing the
@@ -82,7 +82,6 @@ async def run(seed: int) -> None:
         host, port, "/fault?event=crash&coord=8,8", method="POST")
     print(f"  POST /fault -> {status}, generation {report['generation']}, "
           f"{report['affected_cells']} cells recomputed")
-    await asyncio.sleep(0.01)  # let the coalesced refresher publish
     _, payload = await http(host, port, "/query?source=0,0&dest=15,15")
     show("corner to corner", payload)
 

@@ -31,8 +31,9 @@ Subcommands cover the library's workflows:
 - ``serve``     routability queries as a service: an asyncio HTTP front
   end answering "is (s,d) minimally routable, and by which strategy?"
   against a live incremental fault engine, with admission control,
-  per-request deadlines, staleness-aware degraded answers, and a
-  circuit breaker (``/query``, ``/fault``, ``/healthz``, ``/readyz``,
+  per-request deadlines, fault ingestion that publishes each event's
+  snapshot before the next query, and a degraded-answer circuit
+  breaker (``/query``, ``/fault``, ``/healthz``, ``/readyz``,
   ``/metrics``); SIGTERM/SIGINT drain gracefully and exit 0;
 - ``memory``    per-node state each information model keeps;
 - ``sweep``     the mesh-size invariance sweep.
@@ -273,11 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_live.add_argument(
         "--deadline-ms", type=float, default=50.0,
         help="per-request deadline budget in milliseconds (default 50)",
-    )
-    serve_live.add_argument(
-        "--max-staleness", type=int, default=4,
-        help="snapshot generations a query tolerates before backoff-retry "
-        "(default 4)",
     )
     serve_live.add_argument(
         "--no-mcc", action="store_true",
@@ -1005,7 +1001,6 @@ def _cmd_serve(args, out: Callable[[str], None]) -> int:
     for name, value, minimum in (
         ("--queue-limit", args.queue_limit, 1),
         ("--workers", args.workers, 1),
-        ("--max-staleness", args.max_staleness, 0),
         ("--grace", args.grace, 0),
         ("--notice", args.notice, 0),
         ("--events", args.events, 0),
@@ -1029,7 +1024,6 @@ def _cmd_serve(args, out: Callable[[str], None]) -> int:
         queue_limit=args.queue_limit,
         workers=args.workers,
         deadline_s=args.deadline_ms / 1e3,
-        max_staleness=args.max_staleness,
     )
     app = ServeApp(
         service, pipeline,
@@ -1055,7 +1049,7 @@ def _cmd_serve(args, out: Callable[[str], None]) -> int:
         out(
             f"{mesh}: {len(faults)} faults at generation 0; "
             f"queue={args.queue_limit} workers={args.workers} "
-            f"deadline={args.deadline_ms:g}ms max-staleness={args.max_staleness}"
+            f"deadline={args.deadline_ms:g}ms"
         )
         if schedule is not None:
             out(

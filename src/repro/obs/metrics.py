@@ -46,7 +46,6 @@ metric                                      source
 ``repro_serve_requests_total{outcome=}``    query outcomes
 ``repro_serve_arrived_total``               queries submitted: served +
                                             shed + bad_request + error
-``repro_serve_retries_total``               staleness backoff retries
 ``repro_serve_faults_ingested_total``       fault events applied
 ``repro_serve_latency_seconds``             summary; submit to answer
 ``repro_serve_queue_depth``                 gauge; admitted, waiting
@@ -54,6 +53,9 @@ metric                                      source
 ``repro_serve_breaker_open``                gauge; 1 while degraded
 ``repro_serve_breaker_trips_total``         breaker trips
 ``repro_serve_generation``                  gauge; engine generation
+*HttpApp*
+``repro_http_rejected_total{code=}``        request heads rejected by
+                                            framing (400/413/414/431)
 ==========================================  =============================
 
 :class:`MetricsSink` turns a trace into the numbers the paper's evaluation

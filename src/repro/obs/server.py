@@ -4,9 +4,10 @@
 ``asyncio.start_server`` (stdlib only, one request per connection).  It
 owns the plumbing both verbs share: request framing (a malformed or
 oversized head gets 400 / 413 / 414 / 431 with a JSON body, never a
-dropped connection), a route table (a handler that raises is answered
-500), a built-in ``/readyz``, the ``/metrics`` body rendered from the
-app's metric stores, an in-flight count and a bounded graceful
+dropped connection, and counts in ``repro_http_rejected_total{code=}``
+on every app's ``/metrics``), a route table (a handler that raises is
+answered 500), a built-in ``/readyz``, the ``/metrics`` body rendered
+from the app's metric stores, an in-flight count and a bounded graceful
 shutdown; :func:`run_app` drives it.  Subclasses supply routes and
 stores: :class:`TelemetryApp` for ``repro serve-metrics`` and
 :class:`~repro.serve.http.ServeApp` for ``repro serve``.
@@ -25,6 +26,7 @@ a torn file.
 from __future__ import annotations
 
 import asyncio
+import collections
 import json
 import logging
 import os
@@ -91,9 +93,10 @@ class HttpApp:
 
     Subclasses fill :attr:`routes` (ordered; the order is the one a 404
     lists) and :attr:`metric_stores` (the ``/metrics`` body, rendered by
-    :func:`~repro.obs.metrics.render_prometheus`), and may override
-    :meth:`drain` to finish their own backlog.  ``port=0`` binds an
-    ephemeral port; read ``.port`` after :meth:`start`.
+    :func:`~repro.obs.metrics.render_prometheus` ahead of the listener's
+    own :attr:`families`), and may override :meth:`drain` to finish
+    their own backlog.  ``port=0`` binds an ephemeral port; read
+    ``.port`` after :meth:`start`.
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
@@ -106,6 +109,14 @@ class HttpApp:
         self.requests = 0
         self.routes: dict[str, tuple[str, Handler]] = {}
         self.metric_stores: list[MetricStore] = []
+        # Heads rejected by framing never reach a route: count them here.
+        self.rejected: collections.Counter[int] = collections.Counter()
+        self.families = MetricStore()
+        self.families.declare(
+            "repro_http_rejected_total", "counter",
+            "Request heads the listener rejected before routing, by status.",
+            self.rejected, label="code",
+        )
         self._server: asyncio.AbstractServer | None = None
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
@@ -173,8 +184,10 @@ class HttpApp:
         return json_response(200 if self.ready else 503, self.readiness())
 
     def render_metrics(self) -> str:
-        """The ``/metrics`` body: every family of :attr:`metric_stores`."""
-        return render_prometheus(self.metric_stores) or "# no telemetry sources attached\n"
+        """The ``/metrics`` body: every family of :attr:`metric_stores`,
+        then the listener's own."""
+        return (render_prometheus([*self.metric_stores, self.families])
+                or "# no telemetry sources attached\n")
 
     # The body is encoded to bytes before the head is written, so
     # Content-Length is measured on the final byte string.
@@ -192,6 +205,7 @@ class HttpApp:
                 head = await self._read_head(reader)
             except _BadRequest as rejected:
                 code, error = rejected.args
+                self.rejected[code] += 1
                 self._respond(writer, json_response(code, {
                     "status": "bad_request", "error": error,
                 }))

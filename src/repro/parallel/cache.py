@@ -35,8 +35,10 @@ class StaleArtifactError(LookupError):
 
     The cache itself never raises it: the routing service raises it when
     its published snapshot lags the fault engine by more than the
-    query's budget, and the query pipeline catches it to retry or serve
-    the stale answer (:mod:`repro.serve`).
+    query's budget (:mod:`repro.serve`).  Only a caller that advances the
+    engine without publishing sees such a lag, and nothing catches it on
+    the caller's behalf.  It stays while perfbench's serve workload passes
+    a staleness bound (ROADMAP item 17).
     """
 
     def __init__(self, key: Hashable, tag: int | None, generation: int):

@@ -12,8 +12,8 @@ observable response instead of a collapse.
   decision cascade, cached path witnesses, degradation tiers, and the
   alert-rule-driven :class:`ServiceBreaker`;
 - :mod:`repro.serve.pipeline` -- :class:`QueryPipeline`: bounded-queue
-  admission control, per-request deadline budgets, exponential-backoff
-  retry for transiently-stale snapshots, heartbeat-fed breaker;
+  admission control, per-request deadline budgets, fault ingestion that
+  publishes each event's snapshot at once, heartbeat-fed breaker;
 - :mod:`repro.serve.http` -- :class:`ServeApp`: the service's routes
   (``/query``, ``/fault``, ``/healthz``, ``/readyz``, ``/metrics``) on
   the one asyncio listener, :class:`~repro.obs.server.HttpApp`, that

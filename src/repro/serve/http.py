@@ -20,8 +20,9 @@ connection, stdlib only):
   began (load balancers stop routing; in-flight work still finishes).
 - ``GET /metrics`` -- Prometheus text: the pipeline's ``repro_serve_*``
   families (outcome and arrival counters, latency summary, queue and
-  breaker gauges), declared on ``QueryPipeline.families`` and rendered
-  by the shared :func:`~repro.obs.metrics.render_prometheus`.
+  breaker gauges), declared on ``QueryPipeline.families``, then the
+  listener's ``repro_http_rejected_total``, rendered by the shared
+  :func:`~repro.obs.metrics.render_prometheus`.
 
 Graceful shutdown (:func:`~repro.obs.server.run_app` wires
 SIGTERM/SIGINT): flip ``/readyz`` to 503, drain the pipeline within a

@@ -6,7 +6,7 @@ it stands up a :class:`~repro.serve.service.RoutingService` +
 sweep measures the serving pipeline, not socket overhead), then drives
 staged QPS ramps while a seeded :class:`~repro.chaos.ChaosSchedule`
 injects crash/revive events *between* queries.  Each stage records
-p50/p95/p99 submit-to-answer latency and the degraded/shed/stale/error
+p50/p95/p99 submit-to-answer latency and the degraded/shed/error
 fractions, so throughput and tail latency under fault churn are
 benchmarked, CI-gated numbers.
 
@@ -39,7 +39,6 @@ QUICK_STAGES = ((500, 60), (2000, 120), (8000, 180))
 MCC_FRACTION = 0.25
 #: The pipeline every sweep drives; every query asks for a path witness.
 DEADLINE_S = 0.050
-MAX_STALENESS = 2
 QUEUE_LIMIT = 128
 WORKERS = 4
 
@@ -83,7 +82,7 @@ def run_qps_sweep(
     async def _sweep() -> dict[str, Any]:
         pipeline = QueryPipeline(
             service, queue_limit=QUEUE_LIMIT, workers=WORKERS,
-            deadline_s=DEADLINE_S, max_staleness=MAX_STALENESS,
+            deadline_s=DEADLINE_S,
         )
         await pipeline.start()
         loop = asyncio.get_running_loop()
@@ -91,7 +90,6 @@ def run_qps_sweep(
         cursor = 0
         try:
             for qps, count in stages:
-                before = dict(pipeline.counters)
                 tasks: list[asyncio.Task] = []
                 start = loop.time()
                 for i in range(count):
@@ -124,13 +122,6 @@ def run_qps_sweep(
                 degraded = sum(
                     1 for r in results if r.ok and r.answer.degraded
                 )
-                stale = sum(
-                    1 for r in results if r.ok and r.answer.staleness > 0
-                )
-                delta = {
-                    k: pipeline.counters[k] - before.get(k, 0)
-                    for k in pipeline.counters
-                }
                 stage_reports.append({
                     "qps": qps,
                     "queries": count,
@@ -138,11 +129,9 @@ def run_qps_sweep(
                     "shed": shed,
                     "errors": errors,
                     "degraded": degraded,
-                    "stale": stale,
                     "shed_fraction": shed / count,
                     "degraded_fraction": degraded / count,
                     "error_fraction": errors / count,
-                    "retries": delta.get("retries", 0),
                     **{key: None if latency.count == 0 else latency.percentile(q) * 1e3
                        for key, q in (("p50_ms", 50), ("p95_ms", 95), ("p99_ms", 99))},
                 })
@@ -153,7 +142,7 @@ def run_qps_sweep(
                 "side": side, "faults": faults, "seed": seed,
                 "stages": [list(s) for s in stages],
                 "chaos_events": chaos_events, "mcc_fraction": MCC_FRACTION,
-                "deadline_ms": DEADLINE_S * 1e3, "max_staleness": MAX_STALENESS,
+                "deadline_ms": DEADLINE_S * 1e3,
                 "queue_limit": QUEUE_LIMIT, "workers": WORKERS,
             },
             "stages": stage_reports,

@@ -1,4 +1,4 @@
-"""Asyncio query pipeline: admission control, deadlines, backoff.
+"""Asyncio query pipeline: admission control, deadlines, a breaker.
 
 :class:`QueryPipeline` is the robustness shell around
 :class:`~repro.serve.service.RoutingService`.  Three defences keep it
@@ -11,21 +11,17 @@ answering under load instead of collapsing:
 - **Deadline budgets.**  Every request carries an absolute deadline
   (``deadline_s`` from submission).  A worker that pops an
   already-expired request sheds it (``deadline_exceeded``) without
-  paying for the answer; retries never sleep past the deadline.
-- **Backoff on staleness.**  With ``max_staleness`` set, a snapshot too
-  far behind the engine raises inside the service; the worker retries
-  with exponential backoff (waiting out the refresher), and when the
-  deadline budget runs out it serves the *stale* snapshot anyway -- a
-  degraded answer whose ``staleness`` field says exactly how far behind
-  it was, never a silent wrong answer and never an error.
+  paying for the answer.
+- **A circuit breaker.**  A heartbeat task samples queue depth and
+  shed/arrival deltas into the
+  :class:`~repro.serve.service.ServiceBreaker`; while the breaker is
+  open, workers force the degraded tier (block-model answers, no path
+  witnesses), which is what lets the backlog drain.
 
-A heartbeat task samples queue depth, shed/arrival deltas, and snapshot
-staleness into the :class:`~repro.serve.service.ServiceBreaker`; while
-the breaker is open, workers force the degraded tier (block-model
-answers, no path witnesses), which is what lets the backlog drain.  The
-refresher coalesces fault bursts into one snapshot publication; a
-refresh only copies the engine's delta-maintained grids, so it has no
-cheaper tier.
+:meth:`QueryPipeline.ingest_fault` publishes the event's snapshot before
+it returns (a refresh only copies the engine's delta-maintained grids),
+so every answer the workers serve is for the engine's current
+generation, with ``staleness`` 0.
 """
 
 from __future__ import annotations
@@ -37,10 +33,12 @@ from typing import Any
 
 from repro.mesh.geometry import Coord
 from repro.obs.metrics import Histogram, MetricStore
-from repro.parallel.cache import StaleArtifactError
 from repro.serve.service import QueryAnswer, QueryError, RoutingService, ServiceBreaker
 
 __all__ = ["QueryPipeline", "QueryRequest", "QueryResult"]
+
+#: Seconds between the heartbeat's breaker evaluations.
+HEARTBEAT_S = 0.010
 
 #: ``repro_serve_requests_total`` outcome labels and the counters they read.
 _OUTCOMES = (
@@ -48,7 +46,6 @@ _OUTCOMES = (
     ("shed_overload", "shed_overload"),
     ("shed_deadline", "shed_deadline"),
     ("degraded", "degraded"),
-    ("stale_served", "stale_served"),
     ("bad_request", "bad_requests"),
     ("error", "errors"),
 )
@@ -79,7 +76,6 @@ class QueryResult:
     status: str
     answer: QueryAnswer | None = None
     error: str | None = None
-    retries: int = 0
     latency_s: float = field(default=0.0)
 
     @property
@@ -87,8 +83,7 @@ class QueryResult:
         return self.status == "ok"
 
     def jsonable(self) -> dict[str, Any]:
-        body: dict[str, Any] = {"status": self.status, "retries": self.retries,
-                                "latency_ms": self.latency_s * 1e3}
+        body: dict[str, Any] = {"status": self.status, "latency_ms": self.latency_s * 1e3}
         if self.answer is not None:
             body["answer"] = self.answer.jsonable()
         if self.error is not None:
@@ -106,34 +101,22 @@ class QueryPipeline:
         queue_limit: int = 256,
         workers: int = 4,
         deadline_s: float = 0.050,
-        max_staleness: int | None = 4,
-        backoff_base_s: float = 0.001,
-        backoff_cap_s: float = 0.016,
-        refresh_delay_s: float = 0.002,
-        heartbeat_s: float = 0.010,
+        max_staleness: int | None = None,
     ):
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.service = service
-        # The pipeline owns refresh cadence: ingestion stays O(affected)
-        # and the refresher coalesces bursts into one snapshot rebuild.
-        service.auto_refresh = False
         self.queue_limit = queue_limit
         self.workers = workers
         self.deadline_s = deadline_s
         self.max_staleness = max_staleness
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.refresh_delay_s = refresh_delay_s
-        self.heartbeat_s = heartbeat_s
         self.breaker = ServiceBreaker()
         self.latency = Histogram()
         self.counters: collections.Counter[str] = collections.Counter()
         self.accepting = False
         self._queue: asyncio.Queue | None = None
-        self._dirty: asyncio.Event | None = None
         self._tasks: list[asyncio.Task] = []
         self.families = self._declare_families()
 
@@ -142,13 +125,11 @@ class QueryPipeline:
         if self._tasks:
             raise RuntimeError("pipeline already started")
         self._queue = asyncio.Queue(self.queue_limit)
-        self._dirty = asyncio.Event()
         self.accepting = True
         self._tasks = [
             asyncio.create_task(self._worker(), name=f"serve-worker-{i}")
             for i in range(self.workers)
         ]
-        self._tasks.append(asyncio.create_task(self._refresher(), name="serve-refresher"))
         self._tasks.append(asyncio.create_task(self._heartbeat(), name="serve-heartbeat"))
         return self
 
@@ -223,16 +204,13 @@ class QueryPipeline:
         self.counters[outcome] += 1
 
     def ingest_fault(self, event: str, coord: Coord) -> Any:
-        """Apply one fault event; the refresher picks up the new generation.
+        """Apply one fault event and publish its generation.
 
-        The engine update itself is synchronous and O(affected); snapshot
-        publication is deferred (coalesced), so a burst of events costs
-        one rebuild, and queries in the gap see an honest ``staleness``.
+        Both steps are synchronous: the O(affected) engine update, then
+        the snapshot refresh, so no query runs in between.
         """
         report = self.service.apply_fault(event, coord)
         self.counters["faults_ingested"] += 1
-        if self._dirty is not None:
-            self._dirty.set()
         return report
 
     # -- internals -----------------------------------------------------
@@ -258,60 +236,25 @@ class QueryPipeline:
         if loop.time() >= request.deadline:
             self.counters["shed_deadline"] += 1
             return QueryResult(status="deadline_exceeded", error="expired in queue")
-        degraded = self.breaker.open
-        retries = 0
-        backoff = self.backoff_base_s
-        while True:
-            try:
-                answer = self.service.answer(
-                    request.source, request.dest, model=request.model,
-                    want_path=request.want_path,
-                    max_staleness=None if degraded else self.max_staleness,
-                    degraded=degraded,
-                )
-                break
-            except QueryError as error:
-                self.counters["bad_requests"] += 1
-                return QueryResult(status="bad_request", error=str(error))
-            except StaleArtifactError:
-                if self._dirty is not None:
-                    self._dirty.set()  # make sure a refresh is coming
-                delay = min(backoff, request.deadline - loop.time())
-                if delay <= 0:
-                    # Budget exhausted: degrade to the stale snapshot
-                    # rather than shed -- the answer carries its honest
-                    # generation and staleness.
-                    answer = self.service.answer(
-                        request.source, request.dest, model=request.model,
-                        want_path=request.want_path, max_staleness=None,
-                        degraded=True,
-                    )
-                    self.counters["stale_served"] += 1
-                    break
-                retries += 1
-                self.counters["retries"] += 1
-                await asyncio.sleep(delay)
-                backoff = min(backoff * 2, self.backoff_cap_s)
+        try:
+            answer = self.service.answer(
+                request.source, request.dest, model=request.model,
+                want_path=request.want_path, max_staleness=self.max_staleness,
+                degraded=self.breaker.open,
+            )
+        except QueryError as error:
+            self.counters["bad_requests"] += 1
+            return QueryResult(status="bad_request", error=str(error))
         latency = loop.time() - request.submitted
         self.latency.observe(latency)
         self.counters["served"] += 1
         if answer.degraded:
             self.counters["degraded"] += 1
-        return QueryResult(status="ok", answer=answer, retries=retries, latency_s=latency)
-
-    async def _refresher(self) -> None:
-        assert self._dirty is not None
-        while True:
-            await self._dirty.wait()
-            self._dirty.clear()
-            # Coalesce: let a burst of ingest_fault calls land before
-            # paying for one snapshot rebuild covering all of them.
-            await asyncio.sleep(self.refresh_delay_s)
-            self.service.refresh()
+        return QueryResult(status="ok", answer=answer, latency_s=latency)
 
     async def _heartbeat(self) -> None:
         while True:
-            await asyncio.sleep(self.heartbeat_s)
+            await asyncio.sleep(HEARTBEAT_S)
             self.pulse()
 
     def pulse(self) -> bool:
@@ -321,8 +264,6 @@ class QueryPipeline:
             "serve.queue_depth": self.queue_depth / self.queue_limit,
             "serve.arrived": float(self.counters["arrived"]),
             "serve.shed": float(shed),
-            "serve.staleness": float(self.service.staleness()),
-            "serve.degraded": float(self.counters["degraded"]),
         })
 
     # -- reporting -----------------------------------------------------
@@ -344,9 +285,6 @@ class QueryPipeline:
                       "Queries submitted: served + shed_overload + "
                       "shed_deadline + bad_request + error.",
                       lambda: counters["arrived"])
-        store.declare("repro_serve_retries_total", "counter",
-                      "Staleness backoff retries across all queries.",
-                      lambda: counters["retries"])
         store.declare("repro_serve_faults_ingested_total", "counter",
                       "Fault events applied through the incremental engine.",
                       lambda: counters["faults_ingested"])

@@ -19,16 +19,13 @@ only path witnesses read; both are built lazily, the boundary map one
 orientation at a time, so a refresh that no witness follows pays
 nothing for them.
 
-The gap between the engine generation and the published snapshot is the
-query's ``staleness``.  Callers choose what staleness means:
-
-- ``max_staleness=None`` serves whatever snapshot is current (the field
-  still reports how far behind it is);
-- a bounded ``max_staleness`` raises
-  :class:`~repro.parallel.cache.StaleArtifactError` when the snapshot is
-  too old, which the async pipeline turns into a backoff-and-retry
-  against the refresher, degrading to the stale answer only when the
-  request's deadline budget runs out.
+:meth:`RoutingService.apply_fault` publishes the new generation before
+it returns, so every answer is for the engine's current generation
+unless the caller advances ``engine`` itself without publishing.  The
+gap is the answer's ``staleness``; a bounded ``max_staleness`` raises
+:class:`~repro.parallel.cache.StaleArtifactError` past it.  The bound
+stays only because perfbench's serve workload passes it to the pipeline
+(ROADMAP item 17).
 
 Degradation tiers (the circuit breaker's levers):
 
@@ -203,11 +200,6 @@ def default_breaker_rules() -> tuple[AlertRule, ...]:
             window=8.0, floor=4.0,
             description="more than 10% of arrivals shed over the window",
         ),
-        ThresholdRule(
-            "serve-staleness", "serve.staleness", ">=", 16.0,
-            for_ticks=2,
-            description="snapshot >= 16 generations behind the engine",
-        ),
     )
 
 
@@ -283,7 +275,6 @@ class RoutingService:
     ):
         self.mesh = mesh
         self.mcc_model = mcc_model
-        self.auto_refresh = True
         mcc_types = (MCCType.TYPE_ONE,) if mcc_model else ()
         self.engine = IncrementalFaultEngine(mesh, faults, mcc_types=mcc_types)
         self._lock = threading.Lock()
@@ -332,18 +323,16 @@ class RoutingService:
             return self._snapshot
 
     def apply_fault(self, event: str, coord: Coord) -> UpdateReport:
-        """Apply one fault arrival/revival through the incremental engine.
+        """Apply one fault arrival/revival and publish its generation.
 
         The engine update is O(affected) and atomic w.r.t. queries by
         construction: queries read the published snapshot, which still
-        describes the pre-event generation until the next refresh.  With
-        ``auto_refresh`` (the default) the refresh happens here, inline;
-        the pipeline turns it off and coalesces refreshes instead.
+        describes the pre-event generation until :meth:`refresh` -- called
+        here, before returning -- copies the engine's grids into the next.
         """
         with self._lock:
             report = self.engine.apply(event, coord)
-        if self.auto_refresh:
-            self.refresh()
+        self.refresh()
         return report
 
     # -- queries -------------------------------------------------------

@@ -160,17 +160,6 @@ class TestChaosSchedule:
         with pytest.raises(ValueError):
             ChaosEvent(-1.0, "crash", (0, 0))
 
-    def test_final_faults_replay(self):
-        schedule = ChaosSchedule(
-            [
-                ChaosEvent(1.0, "crash", (1, 1)),
-                ChaosEvent(2.0, "crash", (2, 2)),
-                ChaosEvent(3.0, "revive", (1, 1)),
-            ]
-        )
-        assert schedule.final_faults(()) == {(2, 2)}
-        assert schedule.final_faults([(4, 4)]) == {(2, 2), (4, 4)}
-
     def test_random_respects_forbidden_and_distinct_victims(self):
         mesh = Mesh2D(8, 8)
         rng = np.random.default_rng(3)

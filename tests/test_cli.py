@@ -365,7 +365,7 @@ class TestServeVerb:
         (["serve", "--workers", "0"], "--workers"),
         (["serve", "--queue-limit", "0"], "--queue-limit"),
         (["serve", "--deadline-ms", "0"], "--deadline-ms"),
-        (["serve", "--max-staleness", "-1"], "--max-staleness"),
+        (["serve", "--events", "-1"], "--events"),
         (["serve", "--ttl", "0"], "--ttl"),
         (["serve", "--notice", "-1"], "--notice"),
     ])

@@ -69,8 +69,7 @@ class TestESLEncoding:
         mesh = Mesh2D(20, 20)
         rng = np.random.default_rng(3)
         service = RoutingService(mesh, uniform_faults(mesh, 20, rng))
-        service.auto_refresh = False
-        _churn(service, rng, 12)
+        _churn(service.engine, rng, 12)
         snapshot = service.refresh()
         engine = service.engine
         mcc_levels = engine.track_mcc(MCCType.TYPE_ONE).levels
@@ -127,11 +126,10 @@ class TestLazySnapshotBlockSet:
         mesh = Mesh2D(24, 24)
         rng = np.random.default_rng(seed)
         service = RoutingService(mesh, uniform_faults(mesh, 30, rng))
-        service.auto_refresh = False
-        _churn(service, rng, 10)
+        _churn(service.engine, rng, 10)
         snapshot = service.refresh()
         faults_then = service.engine.faults
-        _churn(service, rng, 15)
+        _churn(service.engine, rng, 15)
         assert service.generation > snapshot.generation
         assert "block_set" not in vars(snapshot)
         _assert_block_sets_equal(snapshot.block_set, build_faulty_blocks(mesh, faults_then))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -32,13 +33,14 @@ from repro.faults.injection import uniform_faults
 from repro.mesh.topology import Mesh2D
 from repro.obs import MetricsSink, Observatory, TelemetryApp, ThresholdRule, Tracer
 from repro.serve import QueryPipeline, RoutingService, ServeApp
+from repro.serve import pipeline as pipeline_module
 from tests.promtext import parse
 
 DATA = Path(__file__).parent / "data"
 #: Summaries timed by the wall clock: their sample values are masked.
 TIMED = {"repro_span_duration_seconds", "repro_serve_latency_seconds"}
 #: Families added after the goldens were frozen.
-ADDED = {"repro_serve_arrived_total"}
+ADDED = {"repro_serve_arrived_total", "repro_http_rejected_total"}
 
 
 def normalise(body: str) -> str:
@@ -101,14 +103,14 @@ async def _serve_scenario() -> ServeApp:
     """Two answers, a bad request, an expired query, one fault, one more
     answer, then a query shed at admission by the drained pipeline.
 
-    No heartbeat or refresher runs (both wait an hour): the breaker stays
-    closed and the one refresh is explicit, so every counter and gauge
-    is a function of the sequence alone.
+    No heartbeat runs (it waits an hour): the breaker stays closed, and
+    the fault publishes its snapshot as it is ingested, so every counter
+    and gauge is a function of the sequence alone.
     """
     mesh = Mesh2D(12, 12)
     faults = uniform_faults(mesh, 6, np.random.default_rng(3), forbidden={mesh.center})
     service = RoutingService(mesh, faults)
-    pipeline = QueryPipeline(service, refresh_delay_s=3600.0, heartbeat_s=3600.0)
+    pipeline = QueryPipeline(service)
     app = ServeApp(service, pipeline)
     await pipeline.start()
     try:
@@ -119,7 +121,6 @@ async def _serve_scenario() -> ServeApp:
         assert (await pipeline.submit(
             (0, 0), (11, 11), deadline_s=0.0)).status == "deadline_exceeded"
         pipeline.ingest_fault("crash", mesh.center)
-        service.refresh()
         assert (await pipeline.submit((11, 0), (0, 11))).status == "ok"
     finally:
         await pipeline.drain()
@@ -128,7 +129,8 @@ async def _serve_scenario() -> ServeApp:
 
 
 def serve_body() -> str:
-    return asyncio.run(_serve_scenario()).render_metrics()
+    with mock.patch.object(pipeline_module, "HEARTBEAT_S", 3600.0):
+        return asyncio.run(_serve_scenario()).render_metrics()
 
 
 BODIES = {"stats": stats_body, "telemetry": telemetry_body, "serve": serve_body}

@@ -38,7 +38,15 @@ skipped.  Callees match by bare name, as names do:
 - a call through a file-level alias or table (``run = f``,
   ``runners = {"fig9": fig9, ...}``, anything built from a table, and a
   loop variable over one) is a call of everything the alias names, with
-  the keywords and positions it passes.
+  the keywords and positions it passes;
+- a ``**`` splat of a dict display with constant keys or of
+  ``dict(k=...)``, written in place or bound at file level to the
+  splatted name (``Pipeline(service, **SETTINGS)``), sets only those
+  keys; any other ``**`` splat may set every knob;
+- pytest-benchmark's ``benchmark(f, *args, **kwargs)`` is a call of ``f``
+  with those arguments, and ``benchmark.pedantic(f, args=(...),
+  kwargs={...})`` a call of ``f`` with the positions of ``args`` and the
+  keys of ``kwargs``.
 
 A knob no such call sets is an option only the tests use: make it a
 module constant the tests read or monkeypatch, or delete it with the
@@ -353,13 +361,33 @@ def _aliases(tree: ast.Module) -> dict[str, set[str]]:
     return aliases
 
 
+def _literal_keys(value) -> set[str] | None:
+    """The keys of a dict display with constant keys or of ``dict(k=...)``;
+    None for anything else."""
+    if isinstance(value, ast.Dict) and all(
+        isinstance(key, ast.Constant) and isinstance(key.value, str) for key in value.keys
+    ):
+        return {key.value for key in value.keys}
+    if (isinstance(value, ast.Call) and _bare(value.func) == "dict" and not value.args
+            and all(k.arg is not None for k in value.keywords)):
+        return {k.arg for k in value.keywords}
+    return None
+
+
 class _Calls(ast.NodeVisitor):
-    """Each call a file makes: ``(callee bare names, call, positionals)``."""
+    """Each call a file makes: ``(callee bare names, positionals, keywords
+    set)``, the keywords None when a splat may set any."""
 
     def __init__(self, tree: ast.Module):
         self.aliases = _aliases(tree)
+        self.literals = {
+            target.id: keys
+            for node in tree.body if isinstance(node, ast.Assign)
+            for keys in [_literal_keys(node.value)] if keys is not None
+            for target in node.targets if isinstance(target, ast.Name)
+        }
         self.classes: list[ast.ClassDef] = []
-        self.calls: list[tuple[set[str], ast.Call, list]] = []
+        self.calls: list[tuple[set[str], list, set[str] | None]] = []
         self.visit(tree)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
@@ -382,23 +410,47 @@ class _Calls(ast.NodeVisitor):
             return {func.attr}
         return set()
 
+    def keywords(self, keywords: list[ast.keyword]) -> set[str] | None:
+        named: set[str] = set()
+        for keyword in keywords:
+            value = keyword.value
+            keys = {keyword.arg} if keyword.arg is not None else _literal_keys(value)
+            if keys is None and isinstance(value, ast.Name):
+                keys = self.literals.get(value.id)
+            if keys is None:
+                return None
+            named |= keys
+        return named
+
     def visit_Call(self, node: ast.Call) -> None:
-        callees, args = self.callees(node.func), node.args
-        if callees == {"partial"} and args:
+        callees, args, keywords = self.callees(node.func), node.args, node.keywords
+        if args and callees in ({"partial"}, {"benchmark"}):
             callees, args = self.callees(args[0]), args[1:]
-        self.calls.append((callees, node, args))
+        elif (args and callees == {"pedantic"}
+              and _bare(getattr(node.func, "value", None)) == "benchmark"):
+            passed = {k.arg: k.value for k in keywords}
+            callees, args = self.callees(args[0]), passed.get("args")
+            if isinstance(args, (ast.Tuple, ast.List)):
+                args = args.elts
+            else:  # no ``args=``, or one the walk cannot read: any position
+                args = [] if args is None else [ast.Starred(args, ast.Load())]
+            keywords = [ast.keyword(None, passed["kwargs"])] if "kwargs" in passed else []
+        self.calls.append((callees, args, self.keywords(keywords)))
         self.generic_visit(node)
 
 
-def _knob_defs(modules: set[str]) -> tuple[dict[str, list[_Def]], dict[str, set[str]]]:
-    """The checked functions and methods by the bare name a call uses
-    (``Cls`` for ``Cls.__init__``), and each class's bases; a class
-    with its own ``__init__`` also lists None, which stops the climb."""
+def _knob_defs(
+    modules: dict[str, ast.Module],
+) -> tuple[dict[str, list[_Def]], dict[str, set[str]]]:
+    """The checked functions and methods of ``modules`` (name to tree) by
+    the bare name a call uses (``Cls`` for ``Cls.__init__``), and each
+    class's bases; a class with its own ``__init__`` also lists None,
+    which stops the climb."""
     exempt = set(TEST_ONLY_NAMES)
     defs: dict[str, list[_Def]] = {}
     bases: dict[str, set[str | None]] = {}
-    for module in modules:
-        for node in ast.parse(_module_path(module).read_text()).body:
+    for module, tree in modules.items():
+        for node in tree.body:
             members = [(node.name, node, None)] if isinstance(node, DEFS[:2]) else []
             if isinstance(node, ast.ClassDef):
                 bases.setdefault(node.name, set()).update(_bases(node))
@@ -421,13 +473,11 @@ def _knob_defs(modules: set[str]) -> tuple[dict[str, list[_Def]], dict[str, set[
     return defs, bases
 
 
-def _unset_knobs() -> tuple[set[str], int]:
-    """``module:qualname.param`` of every knob no call outside the tests
-    sets, and the number of knobs checked."""
-    modules = _reached() - set(TEST_ONLY)
+def _unset(modules: dict[str, ast.Module], callers: list[ast.Module]) -> set[str]:
+    """``module:qualname.param`` of every knob of ``modules`` (name to
+    tree) that no call in ``callers`` sets."""
     defs, bases = _knob_defs(modules)
     unset = {f"{d.key}.{knob}" for ds in defs.values() for d in ds for knob in d.knobs}
-    checked = len(unset)
 
     def constructors(name: str, seen: set[str]) -> list[_Def]:
         if name in seen:
@@ -439,21 +489,73 @@ def _unset_knobs() -> tuple[set[str], int]:
                 found += constructors(base, seen)
         return found
 
-    files = [p for d in ENTRY_DIRS for p in (ROOT / d).rglob("*.py")]
-    files += [_module_path(name) for name in modules]
-    for path in files:
-        for callees, call, args in _Calls(ast.parse(path.read_text(), str(path))).calls:
+    for tree in callers:
+        for callees, args, keywords in _Calls(tree).calls:
             star = any(isinstance(a, ast.Starred) for a in args)
-            splat = any(k.arg is None for k in call.keywords)
-            keywords = {k.arg for k in call.keywords}
             for d in (d for name in callees for d in constructors(name, set())):
                 named = set(d.positional if star else d.positional[:len(args)])
-                named |= d.knobs if splat else keywords
+                named |= d.knobs if keywords is None else keywords
                 unset.difference_update(f"{d.key}.{knob}" for knob in named & d.knobs)
-    return unset, checked
+    return unset
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
+def _unset_knobs() -> tuple[set[str], int]:
+    """``module:qualname.param`` of every knob no call outside the tests
+    sets, and the number of knobs checked."""
+    modules = {name: _parse(_module_path(name)) for name in _reached() - set(TEST_ONLY)}
+    entries = [_parse(p) for d in ENTRY_DIRS for p in (ROOT / d).rglob("*.py")]
+    checked = sum(len(d.knobs) for ds in _knob_defs(modules)[0].values() for d in ds)
+    return _unset(modules, entries + list(modules.values())), checked
 
 
 def test_every_library_knob_is_set_outside_the_tests():
     unset, _ = _unset_knobs()
     assert unset == set(TEST_ONLY_KNOBS)
     assert all(reason.strip() for reason in TEST_ONLY_KNOBS.values())
+
+
+#: A synthetic library module for the call-matching rules.
+LIBRARY = ast.parse("""
+class Pipeline:
+    def __init__(self, service, *, workers=4, deadline_s=0.05, backoff_s=0.001):
+        pass
+
+def build(mesh, faults, size=5, *, seed=0):
+    pass
+""")
+PIPELINE_KNOBS = {
+    f"lib:Pipeline.__init__.{knob}" for knob in ("workers", "deadline_s", "backoff_s")
+}
+BUILD_KNOBS = {"lib:build.size", "lib:build.seed"}
+
+
+def test_a_literal_splat_sets_only_its_keys():
+    caller = ast.parse("""
+SETTINGS = dict(workers=2)
+TABLE = {"deadline_s": 0.5}
+Pipeline(service, **SETTINGS)
+Pipeline(service, **TABLE)
+build(mesh, faults, **{"seed": 1})
+""")
+    unset = _unset({"lib": LIBRARY}, [caller])
+    assert unset == {"lib:Pipeline.__init__.backoff_s", "lib:build.size"}
+    opaque = ast.parse("Pipeline(service, **options())")
+    assert _unset({"lib": LIBRARY}, [opaque]) == BUILD_KNOBS
+
+
+def test_a_benchmark_call_is_a_call_of_its_target():
+    caller = ast.parse("""
+KWARGS = {"workers": 1}
+
+def test_build(benchmark):
+    benchmark(build, mesh, faults, 3)
+    benchmark.pedantic(build, args=(mesh, faults), kwargs={"seed": 1}, rounds=1)
+    benchmark.pedantic(Pipeline, args=(service,), kwargs=KWARGS, iterations=2)
+""")
+    assert _unset({"lib": LIBRARY}, [caller]) == PIPELINE_KNOBS - {
+        "lib:Pipeline.__init__.workers"
+    }

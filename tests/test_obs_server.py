@@ -347,6 +347,24 @@ class TestRequestFraming:
             assert body["status"] == "bad_request" and body["error"]
         assert seen == []
 
+    def test_rejected_heads_count_on_the_scrape(self, make_app):
+        async def scenario():
+            app = make_app()
+            await app.start()
+            try:
+                await _exchange(app.host, app.port, self.CASES[5][0])  # 431
+                answer = await _exchange(
+                    app.host, app.port, b"GET /metrics HTTP/1.1\r\n\r\n")
+            finally:
+                await app.shutdown()
+            return answer.partition(b"\r\n\r\n")[2].decode("utf-8")
+
+        family = parse(asyncio.run(scenario()))["repro_http_rejected_total"]
+        assert family.type == "counter"
+        assert [(s.label_dict, s.value) for s in family.samples] == [
+            ({"code": "431"}, 1.0),
+        ]
+
     def test_stalled_client_cannot_pin_shutdown(self, make_app):
         # A client that sends part of a request head and stalls holds its
         # connection open; shutdown must still finish inside its bound,

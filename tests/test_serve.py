@@ -14,6 +14,7 @@ from repro.faults.injection import uniform_faults
 from repro.faults.mcc import MCCType, build_mccs
 from repro.mesh.topology import Mesh2D
 from repro.parallel.cache import StaleArtifactError
+from repro.serve import pipeline as pipeline_module
 from repro.serve import service as service_module
 from repro.serve import (
     QueryError,
@@ -27,13 +28,11 @@ from repro.serve import (
 from tests.promtext import parse
 
 
-def _service(side=12, faults=6, seed=3, auto_refresh=True, **kwargs):
+def _service(side=12, faults=6, seed=3, **kwargs):
     mesh = Mesh2D(side, side)
     coords = uniform_faults(mesh, faults, np.random.default_rng(seed),
                             forbidden={mesh.center})
-    service = RoutingService(mesh, coords, **kwargs)
-    service.auto_refresh = auto_refresh
-    return service
+    return RoutingService(mesh, coords, **kwargs)
 
 
 class TestRoutingService:
@@ -85,12 +84,12 @@ class TestRoutingService:
             service.answer((0, 0), (99, 99))
 
     def test_staleness_fencing_and_refresh(self):
-        service = _service(auto_refresh=False)
+        service = _service()
         victim = next(
             (x, y) for x in range(12) for y in range(12)
             if not service.engine.unusable[x, y] and (x, y) != (0, 0)
         )
-        service.apply_fault("crash", victim)
+        service.engine.apply("crash", victim)  # not yet published
         answer = service.answer((0, 0), (11, 11))
         assert answer.staleness == 1
         assert answer.generation == 0  # answered from the old snapshot
@@ -116,12 +115,12 @@ class TestRoutingService:
         assert degraded.degraded
 
     def test_refresh_publishes_private_copies_of_the_mcc_grids(self):
-        service = _service(auto_refresh=False)
+        service = _service()
         victims = [
             (x, y) for x in range(12) for y in range(12)
             if not service.engine.unusable[x, y]
         ]
-        service.apply_fault("crash", victims[0])
+        service.engine.apply("crash", victims[0])
         snapshot = service.refresh()
         assert snapshot.generation == 1
         mesh, faults = service.mesh, service.engine.faults
@@ -140,7 +139,7 @@ class TestRoutingService:
         answer = service.answer((0, 0), (11, 11), model="mcc")
         assert answer.model_used == "mcc" and not answer.degraded
         # The engine mutates its grids in place; the snapshot must not move.
-        service.apply_fault("crash", victims[-1])
+        service.engine.apply("crash", victims[-1])
         live = service.engine.track_mcc(MCCType.TYPE_ONE)
         assert not np.array_equal(live.blocked, want_blocked)
         assert_published()
@@ -218,20 +217,20 @@ class TestSnapshotBoundaryMap:
         assert set(builds) <= _orientations(service.snapshot())
 
     def test_refresh_after_a_crash_traces_the_new_block_set(self, builds):
-        service, hot = _network_64(auto_refresh=False)
+        service, hot = _network_64()
         old = service.snapshot()
         for source, dest in hot:
             before = service.answer(source, dest)
             if before.path is None or len(before.path) < 3:
                 continue
             victim = before.path[len(before.path) // 2]
-            service.apply_fault("crash", victim)
+            service.engine.apply("crash", victim)
             new = service.refresh()
             traced = len(builds)
             after = service.answer(source, dest)
             if after.path is not None:
                 break
-            service.apply_fault("revive", victim)
+            service.engine.apply("revive", victim)
             old = service.refresh()
         assert after.generation == new.generation
         assert victim not in after.path
@@ -290,7 +289,7 @@ class TestServiceBreaker:
         monkeypatch.setattr(service_module, "RECOVERY_TICKS", 2)
         breaker = ServiceBreaker()
         healthy = {"serve.queue_depth": 0.1, "serve.arrived": 10.0,
-                   "serve.shed": 0.0, "serve.staleness": 0.0}
+                   "serve.shed": 0.0}
         hot = dict(healthy, **{"serve.queue_depth": 0.95})
         assert breaker.observe(healthy) is False
         assert breaker.observe(hot) is False  # for_ticks=2: not yet
@@ -302,16 +301,15 @@ class TestServiceBreaker:
 
     def test_latches_while_any_rule_fires(self):
         breaker = ServiceBreaker()
-        stale = {"serve.queue_depth": 0.0, "serve.arrived": 5.0,
-                 "serve.shed": 0.0, "serve.staleness": 20.0}
-        breaker.observe(stale)
-        assert breaker.observe(stale) is True
-        assert "serve-staleness" in breaker.state()["active"]
+        full = {"serve.queue_depth": 1.0, "serve.arrived": 5.0,
+                "serve.shed": 0.0}
+        breaker.observe(full)
+        assert breaker.observe(full) is True
+        assert "serve-queue-runaway" in breaker.state()["active"]
 
     def test_default_rules_cover_the_slo_axes(self):
         names = {rule.name for rule in default_breaker_rules()}
-        assert names == {"serve-queue-runaway", "serve-shed-slo",
-                         "serve-staleness"}
+        assert names == {"serve-queue-runaway", "serve-shed-slo"}
 
 
 class TestQueryPipeline:
@@ -376,38 +374,9 @@ class TestQueryPipeline:
         assert result.status == "bad_request"
         assert "outside" in result.error
 
-    def test_deadline_exhaustion_serves_stale_not_error(self):
+    def test_query_right_after_ingest_answers_the_new_generation(self):
         async def scenario():
-            # Refresher effectively disabled: every retry finds the
-            # snapshot still stale, so the deadline budget runs out and
-            # the stale tier answers.
-            pipeline = QueryPipeline(
-                _service(), max_staleness=0, deadline_s=0.02,
-                refresh_delay_s=60.0, heartbeat_s=60.0,
-            )
-            await pipeline.start()
-            victim = next(
-                (x, y) for x in range(12) for y in range(12)
-                if not pipeline.service.engine.unusable[x, y]
-            )
-            pipeline.ingest_fault("crash", victim)
-            try:
-                return pipeline, await pipeline.submit((0, 0), (11, 11))
-            finally:
-                await pipeline.drain()
-
-        pipeline, result = self._run(scenario())
-        assert result.ok
-        assert result.retries >= 1
-        assert result.answer.staleness == 1
-        assert result.answer.degraded
-        assert pipeline.counters["stale_served"] == 1
-
-    def test_refresher_catches_up_for_fresh_answers(self):
-        async def scenario():
-            pipeline = QueryPipeline(
-                _service(), max_staleness=0, refresh_delay_s=0.0,
-            )
+            pipeline = QueryPipeline(_service(), max_staleness=4)
             await pipeline.start()
             victim = next(
                 (x, y) for x in range(12) for y in range(12)
@@ -424,9 +393,11 @@ class TestQueryPipeline:
         assert result.answer.staleness == 0
         assert result.answer.generation == 1
 
-    def test_open_breaker_forces_degraded_answers(self):
+    def test_open_breaker_forces_degraded_answers(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "HEARTBEAT_S", 60.0)
+
         async def scenario():
-            pipeline = QueryPipeline(_service(), heartbeat_s=60.0)
+            pipeline = QueryPipeline(_service())
             pipeline.breaker.open = True
             await pipeline.start()
             try:
@@ -451,20 +422,21 @@ class TestQueryPipeline:
         assert result.status == "overloaded" and result.error == "draining"
         assert not pipeline.accepting
 
-    def test_drain_out_of_grace_resolves_every_submit(self):
+    def test_drain_out_of_grace_resolves_every_submit(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "HEARTBEAT_S", 3600.0)
+
         async def scenario():
-            # Refresher idle and a long deadline: every query backs off on
-            # the stale snapshot until the drain's grace runs out.
-            pipeline = QueryPipeline(
-                _service(), max_staleness=0, deadline_s=30.0,
-                refresh_delay_s=3600.0, heartbeat_s=3600.0,
-            )
+            # A long deadline and workers held on an event that is never
+            # set: every query is in flight or queued when the drain's
+            # grace runs out.
+            pipeline = QueryPipeline(_service(), deadline_s=30.0)
+            held = asyncio.Event()
+
+            async def process(request):
+                await held.wait()
+
+            pipeline._process = process
             await pipeline.start()
-            victim = next(
-                (x, y) for x in range(12) for y in range(12)
-                if not pipeline.service.engine.unusable[x, y]
-            )
-            pipeline.ingest_fault("crash", victim)
             submits = [
                 asyncio.create_task(pipeline.submit((0, 0), (11, 11)))
                 for _ in range(50)

@@ -6,8 +6,10 @@ wrong answer: under pressure it may answer from an old snapshot or from
 the block model instead of the MCC model, but the answer always names
 the generation and model it used.  This suite holds it to that claim.
 Fault history is recorded per generation while a pipeline serves queries
-across chaos churn (refreshes deliberately withheld so answers span many
-stale generations); afterwards every answer is re-derived from scratch
+across chaos churn (every pipeline answer is fresh, since ingestion
+publishes), and while the library path answers from a snapshot held
+back on purpose, so answers also span stale generations; afterwards
+every answer is re-derived from scratch
 at its claimed generation and checked against *independent* oracles --
 the scalar reference :func:`repro.core.conditions.is_safe` for
 Definition 3 and :func:`repro.faults.coverage.batch_minimal_path_exists`
@@ -32,6 +34,7 @@ from repro.faults.injection import uniform_faults
 from repro.faults.mcc import MCCType, build_mccs
 from repro.mesh.topology import Mesh2D
 from repro.serve import QueryPipeline, RoutingService
+from repro.serve import pipeline as pipeline_module
 
 SIDE = 12
 QUERIES_PER_PHASE = 12
@@ -45,8 +48,8 @@ STRATEGIES = {
 
 
 def _serve_history(seed):
-    """Serve queries across chaos churn; return every (result, claimed
-    fault set) pair plus the mesh."""
+    """Serve queries across chaos churn; return the mesh, the fault set of
+    every generation, and every answer."""
     mesh = Mesh2D(SIDE, SIDE)
     rng = np.random.default_rng(seed)
     initial = uniform_faults(mesh, 6, rng, forbidden={mesh.center})
@@ -64,49 +67,51 @@ def _serve_history(seed):
     models = rng.random(QUERIES_PER_PHASE * 4) < 0.4
 
     async def scenario():
-        # Refresher and heartbeat idle: the test drives refresh cadence
-        # by hand so answers deterministically span stale generations.
-        pipeline = QueryPipeline(
-            service, max_staleness=None,
-            refresh_delay_s=3600.0, heartbeat_s=3600.0,
-        )
+        # The heartbeat idles, so the forced-open breaker stays open.
+        pipeline = QueryPipeline(service, max_staleness=None)
         await pipeline.start()
-        results = []
+        answers = []
         cursor = 0
 
-        async def phase():
+        async def phase(pipelined):
             nonlocal cursor
             for _ in range(QUERIES_PER_PHASE):
                 x0, y0, x1, y1 = pairs[cursor]
+                source, dest = (int(x0), int(y0)), (int(x1), int(y1))
                 model = "mcc" if models[cursor] else "block"
                 cursor += 1
-                results.append(await pipeline.submit(
-                    (int(x0), int(y0)), (int(x1), int(y1)), model=model,
-                ))
+                if not pipelined:
+                    answers.append(service.answer(
+                        source, dest, model=model, max_staleness=None,
+                    ))
+                    continue
+                result = await pipeline.submit(source, dest, model=model)
+                assert result.ok, result
+                assert result.answer.staleness == 0
+                answers.append(result.answer)
 
-        def churn(count):
+        def churn(apply, count):
             for _ in range(count):
-                pipeline.ingest_fault("crash", victims.pop())
+                apply("crash", victims.pop())
                 gen_to_faults[service.generation] = frozenset(
                     service.engine.faults
                 )
 
         try:
-            await phase()                       # fresh: generation 0
-            churn(3)
-            await phase()                       # stale by 3 generations
+            await phase(True)                   # fresh: generation 0
+            churn(service.engine.apply, 3)      # applied, not published
+            await phase(False)                  # stale by 3 generations
             service.refresh()
-            await phase()                       # fresh again: generation 3
-            churn(2)
-            service.refresh()
+            await phase(True)                   # fresh again: generation 3
+            churn(pipeline.ingest_fault, 2)     # published at ingest
             pipeline.breaker.open = True        # forced degraded tier
-            await phase()
+            await phase(True)
         finally:
             await pipeline.drain()
-        return results
+        return answers
 
-    results = asyncio.run(scenario())
-    return mesh, gen_to_faults, results
+    answers = asyncio.run(scenario())
+    return mesh, gen_to_faults, answers
 
 
 def _fault_grid(mesh, faults):
@@ -127,14 +132,15 @@ def _oracle_state(mesh, faults, model_used):
 
 
 @pytest.mark.parametrize("seed", [11, 23, 47])
-def test_served_answers_match_the_oracles_at_their_claimed_generation(seed):
-    mesh, gen_to_faults, results = _serve_history(seed)
-    assert len(results) == QUERIES_PER_PHASE * 4
+def test_served_answers_match_the_oracles_at_their_claimed_generation(
+    seed, monkeypatch,
+):
+    monkeypatch.setattr(pipeline_module, "HEARTBEAT_S", 3600.0)
+    mesh, gen_to_faults, answers = _serve_history(seed)
+    assert len(answers) == QUERIES_PER_PHASE * 4
     staleness_seen = set()
     degraded_seen = 0
-    for result in results:
-        assert result.ok, result
-        answer = result.answer
+    for answer in answers:
         staleness_seen.add(answer.staleness)
         degraded_seen += answer.degraded
         faults = gen_to_faults[answer.generation]
