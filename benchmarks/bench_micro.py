@@ -72,6 +72,43 @@ def test_reachability_map_speed(benchmark):
     assert reach.shape == (20, 100, 100) and reach[:, 0, 0].all()
 
 
+def test_extension3_kernel_speed(benchmark):
+    """Extension 3 over a stacked batch at the figures' scale: 20 patterns
+    of 200x200 with 200 uniform faults each, formed into faulty blocks,
+    the level-3 centre pivots of quadrant I and 30 block-free quadrant-I
+    destinations per pattern.  Each call reads its ESLs through a fresh
+    view, so no call reuses another's line scans."""
+    from repro.core.batched_patterns import (
+        batch_disable_fixpoint,
+        batch_pattern_extension3,
+        batch_safety_levels,
+    )
+    from repro.core.pivots import recursive_center_pivots
+    from repro.experiments.config import ExperimentConfig
+    from repro.faults.injection import uniform_faults_batch
+
+    config = ExperimentConfig()
+    mesh, source = config.mesh, config.source
+    rngs = [np.random.default_rng(seed) for seed in np.random.SeedSequence(7).spawn(20)]
+    faults = uniform_faults_batch(mesh, np.full(20, 200), rngs, forbidden={source})
+    blocked = batch_disable_fixpoint(faults)
+    pivots = np.array(recursive_center_pivots(config.pivot_region, 3), dtype=np.int64)
+    region = config.destination_region
+    dests = np.zeros((20, 30, 2), dtype=np.int64)
+    for b, rng in enumerate(rngs):
+        free = np.argwhere(~blocked[b, region.xmin :, region.ymin :]) + (region.xmin, region.ymin)
+        free = free[(free != source).any(axis=1)]
+        dests[b] = free[rng.choice(len(free), size=30, replace=False)]
+
+    def run():
+        return batch_pattern_extension3(
+            blocked, batch_safety_levels(blocked), source, dests, pivots
+        )
+
+    mask = benchmark(run)
+    assert mask.shape == (20, 30) and mask.any()
+
+
 def test_wu_routing_speed(benchmark, workload):
     """Route one long quadrant-I path with Wu's protocol (boundary map
     prebuilt, as a deployed system would hold it)."""

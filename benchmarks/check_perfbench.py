@@ -16,9 +16,13 @@ simulator's per-hop cost had halved, so its bound tracks the current
 simulator rather than one twice as slow, and the ``serve_read`` row
 once path witnesses shared one boundary map per served generation
 (set-up 2.985 -> 0.103 s, tail 23.68 -> 1.95 ms), so a return to a
-fresh map per witness fails the gate.  perfbench scales every time
-to its reference host speed, so the figures carry across machines of
-different speed; peak RSS is not scaled.  3 s runs are noisier than
+fresh map per witness fails the gate.  The ``figures`` row was re-taken
+once the sweeps read bit-packed existence maps, shared each shard's
+extension masks across figures and read only the pivot sides Extension
+3's destinations use (49,750 -> 111,800 trials/s, p50 83.6 -> 28.4 ms),
+so undoing all three fails the gate.  perfbench scales every time to its
+reference host speed, so the figures carry across machines of different
+speed; peak RSS is not scaled.  3 s runs are noisier than
 perfbench's 20 s ones (IQR over median <= 0.094 there): in 5 gate runs of unchanged code the worst
 metric read 1.42x its reference (``serve_churn``'s tail), so 2x leaves
 room for noise, while a 10x slowdown of the condition kernels, the
@@ -53,8 +57,8 @@ SECONDS = 3
 #: Median of 5 runs per workload (see the module docstring), by metric.
 REFERENCE: dict[str, dict[str, float]] = {
     "figures": {
-        "setup_s": 0.01688, "peak_rss_mb": 51.18, "throughput_per_s": 49750.0,
-        "latency_p50_ms": 83.62, "latency_tail_ms": 166.0,
+        "setup_s": 0.00692, "peak_rss_mb": 50.1, "throughput_per_s": 111800.0,
+        "latency_p50_ms": 28.39, "latency_tail_ms": 101.0,
     },
     "serve_read": {
         "setup_s": 0.1026, "peak_rss_mb": 50.8, "throughput_per_s": 200.1,

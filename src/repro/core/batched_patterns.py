@@ -36,7 +36,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.safety import UNBOUNDED
-from repro.mesh.geometry import Coord
+from repro.mesh.geometry import ESL_ORDER, Coord, Direction
 
 __all__ = [
     "BatchedSafetyLevels",
@@ -138,23 +138,25 @@ def _clear_run(lines: Array, axis: int = -1) -> Array:
     return np.where(np.any(lines, axis=axis), first, UNBOUNDED)
 
 
-def _clear_around(lines: Array, at: Array, axis: int) -> tuple[Array, Array]:
-    """Clear distances from position ``at`` toward +``axis`` and -``axis``.
+def _clear_toward(lines: Array, at: Array, step: int) -> Array:
+    """Clear distances from position ``at`` toward the end (``step`` +1)
+    or the start (-1) of ``lines``.
 
-    ``lines`` holds one full mesh line per entry of ``at`` along ``axis``;
-    the nearest blocked cell ahead of / behind ``at`` bounds each level.
+    ``lines`` holds one full mesh line per entry of ``at`` along its last
+    axis; the nearest blocked cell beyond ``at`` that way bounds each
+    level, and a line clear that way gives :data:`UNBOUNDED`.  Blocked
+    cells are sparse, so one ``flatnonzero`` lists them line by line and
+    a binary search per entry finds its nearest one.
     """
-    length = lines.shape[axis]
-    shape = [1] * lines.ndim
-    shape[axis] = length
-    idx = np.reshape(np.arange(length, dtype=np.int64), tuple(shape))
-    here = np.expand_dims(at, axis=axis)
-    ahead = lines & (idx > here)
-    behind = np.flip(lines & (idx < here), axis=axis)
-    first = np.argmax(ahead, axis=axis)
-    last = length - 1 - np.argmax(behind, axis=axis)
-    return (np.where(np.any(ahead, axis=axis), first - at - 1, UNBOUNDED),
-            np.where(np.any(behind, axis=axis), at - last - 1, UNBOUNDED))
+    length = lines.shape[-1]
+    hits = np.flatnonzero(lines)
+    start = np.reshape(np.arange(0, at.size * length, length), at.shape)
+    here = start + at
+    if step > 0:
+        nearest = np.append(hits, lines.size)[np.searchsorted(hits, here, side="right")]
+        return np.where(nearest < start + length, nearest - here - 1, UNBOUNDED)
+    nearest = np.insert(hits, 0, -1)[np.searchsorted(hits, here)]
+    return np.where(nearest >= start, here - nearest - 1, UNBOUNDED)
 
 
 @dataclass(frozen=True)
@@ -196,17 +198,24 @@ class BatchedSafetyLevels:
             _clear_run(grid[:, x, y + 1 :]),
         ))
 
+    def point_side(self, px: Array, py: Array, side: Direction) -> Array:
+        """The ``side`` level of the nodes ``(px[b, j], py[b, j])``,
+        ``(batch, p)``; every coordinate must lie inside the mesh.
+
+        Scans only the mesh line through each node along ``side``'s axis.
+        """
+        # Advanced indices split by a slice come first, so the line
+        # through point j is lines[b, j, :] in both cases and the scan runs
+        # over the contiguous last axis.
+        pattern = np.arange(self.blocked.shape[0])[:, None]
+        if side.is_horizontal:
+            return _clear_toward(self.blocked[pattern, :, py], px, side.dx)
+        return _clear_toward(self.blocked[pattern, px], py, side.dy)
+
     def points(self, px: Array, py: Array) -> tuple[Array, Array, Array, Array]:
         """``(E, S, W, N)`` of the nodes ``(px[b, j], py[b, j])``, each
         ``(batch, p)``; every coordinate must lie inside the mesh."""
-        # rows[b, j, :] is the y line through point j and cols[b, j, :] its
-        # x line (advanced indices split by a slice come first), so both
-        # reductions run over the contiguous last axis.
-        pattern = np.arange(self.blocked.shape[0])[:, None]
-        rows = self.blocked[pattern, px]
-        cols = self.blocked[pattern, :, py]
-        north, south = _clear_around(rows, py, axis=2)
-        east, west = _clear_around(cols, px, axis=2)
+        east, south, west, north = (self.point_side(px, py, side) for side in ESL_ORDER)
         return east, south, west, north
 
     def axis_lines(self, source: Coord) -> tuple[Array, Array]:
@@ -466,6 +475,31 @@ def build_source_sample_tables(
 # ----------------------------------------------------------------------
 
 
+def _local_pivot_axis(
+    levels: BatchedSafetyLevels, px: Array, py: Array, offset: Array,
+    forward: Array, ahead: Direction,
+) -> tuple[Array, Array]:
+    """One axis of every pivot in each destination's local frame.
+
+    ``offset`` is each pivot's offset from the source along ``ahead``'s
+    axis, ``(batch, p)``, and ``forward[b, i]`` holds when destination
+    ``i`` lies ``ahead``-or-level of the source.  Returns the local offset
+    and the local level toward the destination (exactly
+    ``Frame.to_local_esl``), each ``(batch, k, p)``, or ``(batch, 1, p)``
+    when every destination lies on one side of the source, as in the
+    figures.  Only the sides some destination lies on are read.
+    """
+    if bool(np.all(forward)):
+        return offset[:, None, :], levels.point_side(px, py, ahead)[:, None, :]
+    back_offset = -offset[:, None, :]
+    back_level = levels.point_side(px, py, ahead.opposite)[:, None, :]
+    if not bool(np.any(forward)):
+        return back_offset, back_level
+    toward = forward[:, :, None]
+    return (np.where(toward, offset[:, None, :], back_offset),
+            np.where(toward, levels.point_side(px, py, ahead)[:, None, :], back_level))
+
+
 def batch_pattern_extension3(
     unusable: Array,
     levels: BatchedSafetyLevels,
@@ -481,7 +515,8 @@ def batch_pattern_extension3(
     e.g. the random scheme; pad ragged lists and mask the padding via
     ``pivot_valid``).  An unmasked pivot outside the mesh raises
     ``ValueError``; pivots inside a pattern's faulty blocks are skipped
-    for that pattern, as in the scalar decision.  ``mask[b, i]`` equals
+    for that pattern, as in the scalar decision.  A pivot's level is read
+    only on the sides some destination lies on.  ``mask[b, i]`` equals
     the scalar ``extension3_decision(...).ensures_minimal``.
     """
     n, m = unusable.shape[-2], unusable.shape[-1]
@@ -509,23 +544,21 @@ def batch_pattern_extension3(
     open_pivot = ~blocked_p
     if pivot_valid is not None:
         open_pivot = open_pivot & pivot_valid
-    p_east, p_south, p_west, p_north = levels.points(px, py)
+    # Local pivot coordinates and levels per (pattern, destination,
+    # pivot): the frame's axis reflections depend on the destination's
+    # quadrant.
+    xi, pivot_east = _local_pivot_axis(levels, px, py, px - source[0], dx >= 0, Direction.EAST)
+    yi, pivot_north = _local_pivot_axis(levels, px, py, py - source[1], dy >= 0, Direction.NORTH)
 
-    # Local pivot coordinates per (pattern, destination, pivot): the
-    # frame's axis reflections depend on the destination's quadrant.
-    sign_x = np.where(dx >= 0, 1, -1)[:, :, None]
-    sign_y = np.where(dy >= 0, 1, -1)[:, :, None]
-    xi = (px[:, None, :] - source[0]) * sign_x
-    yi = (py[:, None, :] - source[1]) * sign_y
-    pivot_east = np.where(dx[:, :, None] >= 0, p_east[:, None, :], p_west[:, None, :])
-    pivot_north = np.where(dy[:, :, None] >= 0, p_north[:, None, :], p_south[:, None, :])
-
-    in_box = (xi >= 0) & (xi <= xd[:, :, None]) & (yi >= 0) & (yi <= yd[:, :, None])
-    source_reaches = (xi <= src_east[:, :, None]) & (yi <= src_north[:, :, None])
-    pivot_reaches = (xd[:, :, None] - xi <= pivot_east) & (
-        yd[:, :, None] - yi <= pivot_north
+    # A usable pivot lies in the source's quadrant toward the destination,
+    # within both the destination's box and the source's safe reach, and
+    # reaches the destination itself.
+    usable = open_pivot[:, None, :] & (xi >= 0) & (yi >= 0)
+    source_reaches = (xi <= np.minimum(xd, src_east)[:, :, None]) & (
+        yi <= np.minimum(yd, src_north)[:, :, None]
     )
-    chain = in_box & source_reaches & pivot_reaches & open_pivot[:, None, :]
+    pivot_reaches = (xd[:, :, None] <= xi + pivot_east) & (yd[:, :, None] <= yi + pivot_north)
+    chain = usable & source_reaches & pivot_reaches
     return ensured | np.any(chain, axis=-1)
 
 

@@ -27,10 +27,13 @@ fixed tree (:func:`pattern_seed_tree`), and its stream is consumed in a
 fixed order: faults (with rejection redraws), block-model strategy
 pivots, MCC-model strategy pivots, destinations.
 
-Figures 9-12 draw the same shards, so each shard's drawn inputs and its
-success counts are memoised in the process-wide artifact cache (see
+Figures 9-12 draw the same shards, so each shard's drawn inputs, its
+success counts and, per fault model, its context memo (pivot arrays and
+extension masks) are kept in the process-wide artifact cache (see
 :func:`_evaluate_shard_patterns`): a later figure neither redraws nor
-relabels a pattern, and reuses the curves it shares.
+relabels a pattern, reuses the curves it shares, and takes the extension
+masks an earlier figure built -- Figure 12's strategies recompute only
+the random-pivot Extension 3.
 """
 
 from __future__ import annotations
@@ -75,10 +78,11 @@ class PatternBatchContext:
     for both models.  The per-pattern random strategy pivots, drawn once
     per model, are padded to ``(batch, p, 2)`` with ``strategy_valid``
     masking the padding.  Reachability maps are kept on the context, and
-    :meth:`memo` holds every other per-context product -- pivot arrays and
-    extension masks -- so metrics sharing one (the figure curves do) build
-    it once per shard and model.  Memoised arrays
-    are shared and must not be mutated.
+    :meth:`memo` holds every other product -- pivot arrays and extension
+    masks -- in a store that the runner hands every context of one shard
+    and model (:class:`_ShardDraw`), so metrics sharing one build it once
+    per shard and model, across figures.  Memoised arrays are shared and
+    read-only.
     """
 
     mesh: Mesh2D
@@ -90,12 +94,15 @@ class PatternBatchContext:
     strategy_pivots: np.ndarray
     strategy_valid: np.ndarray
     reachability_maps: dict[tuple[bool, bool], np.ndarray] = field(default_factory=dict)
-    _memo: dict[Any, Any] = field(default_factory=dict)
+    _memo: dict[Any, np.ndarray] = field(default_factory=dict)
 
-    def memo(self, key: Any, build: Callable[[], Any]) -> Any:
-        """``build()``, called only the first time ``key`` is asked for."""
+    def memo(self, key: Any, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """``build()``, called only the first time ``key`` is asked for,
+        and stored read-only."""
         if key not in self._memo:
-            self._memo[key] = build()
+            array = build()
+            array.flags.writeable = False
+            self._memo[key] = array
         return self._memo[key]
 
     def pivot_array(self, level: int) -> np.ndarray:
@@ -325,10 +332,19 @@ def _mcc_grids(faults: np.ndarray) -> np.ndarray:
 @dataclass
 class _ShardDraw:
     """One shard's read-only draw -- destinations, and per model a
-    bit-packed grid, padded strategy pivots and mask -- plus its counts."""
+    bit-packed grid, padded strategy pivots and mask -- plus its counts
+    and, per model, the :meth:`PatternBatchContext.memo` store.
+
+    The store outlives the figure call that filled it, so a later figure
+    reuses its pivot arrays and extension masks.  The unpacked grids and
+    the :class:`BatchedSafetyLevels` read memo stay on each fresh context
+    instead: kept here, the grids alone would add 0.8 MB per shard and
+    model at paper scale.
+    """
 
     dests: np.ndarray
     models: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    memos: dict[str, dict[Any, np.ndarray]]
     counts: dict[tuple[str, PatternMetricFn], int] = field(default_factory=dict)
 
 
@@ -353,13 +369,14 @@ def _draw_shard(
         arrays[model] = (np.packbits(grid, axis=-1), *pivots)
     for array in (dests, *(array for group in arrays.values() for array in group)):
         array.flags.writeable = False
-    return _ShardDraw(dests, arrays)
+    return _ShardDraw(dests, arrays, {model: {} for model in models})
 
 
 def _pattern_context(
     config: ExperimentConfig, draw: _ShardDraw, model: str
 ) -> PatternBatchContext:
-    """A fresh context over ``model``'s unpacked grid of ``draw``."""
+    """A fresh context over ``model``'s unpacked grid of ``draw``, sharing
+    the draw's memo store for ``model``."""
     packed, pivots, valid = draw.models[model]
     blocked = np.unpackbits(packed, axis=-1, count=config.mesh.m).view(bool)
     return PatternBatchContext(
@@ -374,6 +391,7 @@ def _pattern_context(
         },
         strategy_pivots=pivots,
         strategy_valid=valid,
+        _memo=draw.memos[model],
     )
 
 
@@ -399,11 +417,12 @@ def _evaluate_shard_patterns(
     the fault count, every pattern's seed (two equal fault counts in one
     config get different seed subtrees), and whether MCC pivots are drawn
     (they shift the destinations).  Grids are bit-packed so a sweep's
-    entries stay small; each call unpacks fresh contexts.  Counts
-    are memoised per ``(model, pattern_fn)``, so a module-level
-    ``pattern_fn`` runs once per shard and model.  Closures are
-    rebuilt by every ``figN_metrics`` call and could never be hit again,
-    so their counts are not stored.
+    entries stay small; each call unpacks fresh contexts, which share the
+    draw's memo store for their model.  Counts are memoised per
+    ``(model, pattern_fn)``, so a module-level ``pattern_fn`` runs once
+    per shard and model.  Closures are rebuilt by every ``figN_metrics``
+    call and could never be hit again, so their counts are not stored;
+    the masks they take through :meth:`PatternBatchContext.memo` are.
     """
     with_mcc = any(metric.model == MCC_MODEL for metric in metrics)
     seed_key = tuple((seq.entropy, seq.spawn_key, seq.pool_size) for seq in seeds)

@@ -668,6 +668,99 @@ class TestStackedMCCGrids:
 
 
 # ----------------------------------------------------------------------
+# Extension 3 reads only the pivot sides its destinations use
+# ----------------------------------------------------------------------
+
+
+#: Destination stacks by the quadrants they draw from, each quadrant as
+#: (East-or-level, North-or-level) of the source, and the pivot sides
+#: Extension 3 must read for them.
+DEST_STACKS = {
+    "north_east": (((True, True),), {Direction.EAST, Direction.NORTH}),
+    "south_west": (((False, False),), {Direction.WEST, Direction.SOUTH}),
+    "x_reversed": (((False, True),), {Direction.WEST, Direction.NORTH}),
+    "mixed": (
+        ((True, True), (False, True), (False, False), (True, False)),
+        {Direction.EAST, Direction.SOUTH, Direction.WEST, Direction.NORTH},
+    ),
+}
+
+
+def _one_sided_case(model, quadrants, seed=4, side=16, batch=5, per_quadrant=6):
+    """``(mesh, grids, source, dests, rng)``: a stack of random faulty-block
+    or type-one MCC grids around a shared free central source, with
+    ``per_quadrant`` free destinations per pattern from each of
+    ``quadrants``."""
+    rng = np.random.default_rng(seed)
+    mesh = Mesh2D(side, side)
+    source = mesh.center
+    grids = []
+    while len(grids) < batch:
+        faults = uniform_faults(mesh, 24, rng, forbidden={source})
+        if model == "mcc":
+            grid = build_mccs(mesh, faults, MCCType.TYPE_ONE).blocked
+        else:
+            grid = np.zeros((side, side), dtype=bool)
+            grid[tuple(np.array(faults).T)] = True
+            grid = disable_fixpoint(grid)
+        if not grid[source]:
+            grids.append(grid)
+    grids = np.stack(grids)
+    dests = np.zeros((batch, per_quadrant * len(quadrants), 2), dtype=np.int64)
+    for b in range(batch):
+        free = np.argwhere(~grids[b])
+        free = free[(free[:, 0] != source[0]) | (free[:, 1] != source[1])]
+        picks = []
+        for east, north in quadrants:
+            sel = free[((free[:, 0] >= source[0]) == east) & ((free[:, 1] >= source[1]) == north)]
+            picks.append(sel[rng.integers(len(sel), size=per_quadrant)])
+        dests[b] = np.concatenate(picks)
+    return mesh, grids, source, dests, rng
+
+
+class TestOneSidedPivotReads:
+    """``batch_pattern_extension3`` reads a pivot level only on the sides
+    some destination lies on, and still equals the scalar decision for
+    every destination stack: all North-East of the source (the figures'
+    case), all South-West, one axis reversed, and mixed."""
+
+    @pytest.mark.parametrize("model", ["block", "mcc"])
+    @pytest.mark.parametrize("stack", sorted(DEST_STACKS))
+    @pytest.mark.parametrize("scheme", ["center", "random"])
+    def test_matches_scalar_and_reads_only_used_sides(self, monkeypatch, model, stack, scheme):
+        from repro.core.batched_patterns import BatchedSafetyLevels
+
+        quadrants, sides = DEST_STACKS[stack]
+        mesh, grids, source, dests, rng = _one_sided_case(model, quadrants)
+        region = Rect(0, mesh.n - 1, 0, mesh.m - 1)
+        if scheme == "center":
+            center = recursive_center_pivots(region, 3)
+            pivot_lists = [center] * len(grids)
+            pivots, valid = np.array(center, dtype=np.int64), None
+        else:
+            pivot_lists = [random_pivots(region, 3, rng) for _ in range(len(grids))]
+            pivots, valid = _pad_pivots(pivot_lists)
+        read = []
+        real = BatchedSafetyLevels.point_side
+
+        def spy(self, px, py, side):
+            read.append(side)
+            return real(self, px, py, side)
+
+        monkeypatch.setattr(BatchedSafetyLevels, "point_side", spy)
+        mask = batch_pattern_extension3(
+            grids, batch_safety_levels(grids), source, dests, pivots, pivot_valid=valid
+        )
+        assert set(read) == sides and len(read) == len(sides)
+        for b, i, dest in _each_dest(dests):
+            expected = extension3_decision(
+                mesh, compute_safety_levels(mesh, grids[b]), grids[b], source, dest,
+                pivot_lists[b],
+            ).ensures_minimal
+            assert bool(mask[b, i]) == expected, (b, i)
+
+
+# ----------------------------------------------------------------------
 # Definition 2's MCC labels in lockstep
 # ----------------------------------------------------------------------
 

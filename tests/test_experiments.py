@@ -204,6 +204,16 @@ class TestShardMemo:
         per_run = 2 * len(TINY.fault_counts)  # once per shard and fault model
         assert (len(ext1), len(ext2), len(ext3)) == (per_run, per_run, per_run)
 
+    def test_fig12_after_fig9_and_fig10_reuses_their_extension_masks(self, monkeypatch):
+        fig9_extension1(TINY)
+        fig10_extension2(TINY)
+        ext1 = _spy(monkeypatch, figures, "batch_pattern_extension1")
+        ext2 = _spy(monkeypatch, figures, "batch_pattern_extension2")
+        ext3 = _spy(monkeypatch, figures, "batch_pattern_extension3")
+        fig12_strategies(TINY)
+        per_run = 2 * len(TINY.fault_counts)  # once per shard and fault model
+        assert (len(ext1), len(ext2), len(ext3)) == (0, 0, per_run)
+
     def test_subclassed_region_misses_a_plain_entry(self, cache):
         fig9_extension1(TINY)
         fields = {name: getattr(TINY, name) for name in TINY.__dataclass_fields__}
@@ -250,6 +260,26 @@ class TestShardMemo:
         ConditionExperiment(TINY, [MetricSpec("m", record)]).run("f", "t")
         with pytest.raises(ValueError):
             seen[0][0, 0, 0] = 0
+
+    def test_memoised_masks_and_pivots_are_read_only(self):
+        fig9_extension1(TINY)
+        fig11_extension3(TINY)
+        seen = []
+
+        def unbuilt():
+            raise AssertionError("an earlier figure memoised this")
+
+        def record(pctx):
+            seen.append(pctx.memo("ext1_min", unbuilt))
+            seen.append(pctx.pivot_array(TINY.pivot_levels[-1]))
+            return np.ones(pctx.dests.shape[:2], dtype=bool)
+
+        metrics = [MetricSpec("m", record), MetricSpec("ma", record, MCC_MODEL)]
+        ConditionExperiment(TINY, metrics).run("f", "t")
+        assert len(seen) == 4 * len(TINY.fault_counts)  # two per shard and model
+        for array in seen:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
 
 
 class TestFigureSmoke:
