@@ -403,13 +403,20 @@ def _check_scenario(args, out: Callable[[str], None]) -> bool:
     return True
 
 
+class _ScenarioError(Exception):
+    """Arguments that pass :func:`_check_scenario` yet draw no scenario."""
+
+
 def _build_scenario(args):
     from repro.faults.injection import generate_scenario
     from repro.mesh.topology import Mesh2D
 
     mesh = Mesh2D(args.side, args.side)
     rng = np.random.default_rng(args.seed)
-    return generate_scenario(mesh, args.faults, rng), rng
+    try:
+        return generate_scenario(mesh, args.faults, rng), rng
+    except RuntimeError as error:  # every draw buried the centre in a block
+        raise _ScenarioError(f"{error}; try fewer --faults") from None
 
 
 def _cmd_scenario(args, out: Callable[[str], None]) -> int:
@@ -1245,7 +1252,11 @@ def main(argv: Sequence[str] | None = None, out: Callable[[str], None] = print) 
     # Every verb built on _common_scenario_args draws a scenario.
     if hasattr(args, "side") and not _check_scenario(args, out):
         return 2
-    return _COMMANDS[args.command](args, out)
+    try:
+        return _COMMANDS[args.command](args, out)
+    except _ScenarioError as error:
+        out(f"error: {error}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -14,18 +14,20 @@ neighbours, its two axis lines, the pivots), so
 :class:`BatchedSafetyLevels` reads those on demand from the blocked grid
 instead of building full ESL grids.
 
-Element-wise equivalence with the scalar implementations
-(:func:`repro.faults.blocks.disable_fixpoint` and
-:func:`repro.faults.mcc.label_statuses`, which end in the one scalar walk
-per definition that the incremental engine also runs --
-:func:`~repro.faults.blocks.spread_disabled` and
-:func:`~repro.faults.mcc.extend_label` --
-:func:`repro.core.safety.compute_safety_levels`, the decision procedures in
-:mod:`repro.core.conditions` / :mod:`repro.core.extensions`, and
-:func:`repro.faults.coverage.minimal_path_exists`) is asserted bit-for-bit
-by ``tests/test_batched_patterns.py`` over exhaustive small meshes and
-seeded random large ones, and each bit-packed existence map cell for cell
-against :func:`repro.faults.coverage.monotone_reachability`.
+The two fixpoints are the only from-scratch implementations of
+Definitions 1 and 2: :func:`repro.faults.blocks.build_faulty_blocks`,
+:func:`repro.faults.mcc.label_statuses` and the incremental engine's
+revive windows run them as a batch of one.  ``tests/test_batched_patterns.py``
+holds them to the scalar walks the incremental engine extends a fixpoint
+with (:func:`~repro.faults.blocks.spread_disabled` and
+:func:`~repro.faults.mcc.extend_label`, seeded at every fault), and the
+other kernels bit-for-bit to :func:`repro.core.safety.compute_safety_levels`,
+the decision procedures in :mod:`repro.core.conditions` /
+:mod:`repro.core.extensions`, and
+:func:`repro.faults.coverage.minimal_path_exists`, over exhaustive small
+meshes and seeded random large ones; each bit-packed existence map is
+checked cell for cell against
+:func:`repro.faults.coverage.monotone_reachability`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.safety import UNBOUNDED
-from repro.mesh.geometry import ESL_ORDER, Coord, Direction
+from repro.mesh.geometry import Coord, Direction
 
 __all__ = [
     "BatchedSafetyLevels",
@@ -80,11 +82,13 @@ def _shifted_batch(mask: Array, dx: int, dy: int) -> Array:
 def batch_disable_fixpoint(faulty: Array) -> Array:
     """Definition 1's disabling rule over a ``(batch, n, m)`` fault stack.
 
-    ``out[b]`` is bit-identical to ``disable_fixpoint(faulty[b])``: a
-    healthy node becomes disabled when it has an unusable neighbour in the
-    x dimension *and* one in the y dimension, iterated to a fixpoint.  The
-    iteration runs all patterns in lockstep until none changes; scattered
-    faults (the paper's regime) converge in a handful of rounds.
+    Returns the *unusable* stack (faulty or disabled): a healthy node
+    becomes disabled when it has an unusable neighbour in the x dimension
+    *and* one in the y dimension ("two or more ... in different
+    dimensions"), iterated to a fixpoint.  Out-of-mesh neighbours read
+    False, so mesh edges count as healthy.  The iteration runs all
+    patterns in lockstep until none changes; scattered faults (the
+    paper's regime) converge in a handful of rounds.
     """
     unusable = faulty
     while True:
@@ -99,10 +103,10 @@ def batch_disable_fixpoint(faulty: Array) -> Array:
 def batch_label_closure(faulty: Array, offsets: tuple[Coord, Coord]) -> Array:
     """One Definition 2 label over a ``(batch, n, m)`` fault stack.
 
-    ``out[b]`` is bit-identical to ``_label_closure(mesh, faulty[b],
-    offsets)`` of :mod:`repro.faults.mcc`: a fault-free node takes the
-    label when its two neighbours at ``offsets`` are both faulty or
-    already labelled, iterated to a fixpoint.  Out-of-mesh neighbours read
+    Returns the labelled nodes (faults excluded): a fault-free node takes
+    the label when its two neighbours at ``offsets`` (a rule of
+    ``repro.faults.mcc._LABEL_RULES``) are both faulty or already
+    labelled, iterated to a fixpoint.  Out-of-mesh neighbours read
     False, so mesh edges count as fault-free, as Definition 2 says.  All
     patterns run in lockstep until none changes; the rounds equal the
     longest label chain, a handful for scattered faults.
@@ -211,12 +215,6 @@ class BatchedSafetyLevels:
         if side.is_horizontal:
             return _clear_toward(self.blocked[pattern, :, py], px, side.dx)
         return _clear_toward(self.blocked[pattern, px], py, side.dy)
-
-    def points(self, px: Array, py: Array) -> tuple[Array, Array, Array, Array]:
-        """``(E, S, W, N)`` of the nodes ``(px[b, j], py[b, j])``, each
-        ``(batch, p)``; every coordinate must lie inside the mesh."""
-        east, south, west, north = (self.point_side(px, py, side) for side in ESL_ORDER)
-        return east, south, west, north
 
     def axis_lines(self, source: Coord) -> tuple[Array, Array]:
         """North levels of ``(sx+k, sy)`` and East levels of ``(sx, sy+k)``

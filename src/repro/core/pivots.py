@@ -17,8 +17,10 @@ import numpy as np
 from repro.mesh.geometry import Coord, Rect
 
 __all__ = [
+    "draw_random_pivots",
     "latin_pivots",
     "pivot_count_for_levels",
+    "random_pivot_bounds",
     "random_pivots",
     "recursive_center_pivots",
 ]
@@ -74,17 +76,38 @@ def recursive_center_pivots(region: Rect, levels: int) -> list[Coord]:
     return list(dict.fromkeys(centers))
 
 
+def random_pivot_bounds(region: Rect, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(lows, highs)`` draw bounds of :func:`random_pivots`.
+
+    An x then a y is drawn in every cell of the recursive decomposition,
+    so the bounds interleave them in that order (``xlo0, ylo0, xlo1,
+    ...``, highs exclusive).  They depend only on the region, so a sweep
+    over many patterns computes them once.
+    """
+    if levels < 1:
+        raise ValueError("partition level must be >= 1")
+    cells = [cell for tier in _recursive_cells(region, levels) for cell in tier]
+    lows = [bound for xmin, _, ymin, _ in cells for bound in (xmin, ymin)]
+    highs = [bound for _, xmax, _, ymax in cells for bound in (xmax + 1, ymax + 1)]
+    return np.array(lows, dtype=np.int64), np.array(highs, dtype=np.int64)
+
+
+def draw_random_pivots(
+    bounds: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
+) -> list[Coord]:
+    """One random pivot per cell of ``bounds`` (:func:`random_pivot_bounds`).
+
+    One array-bounded ``integers`` call draws every coordinate; repeated
+    pivots keep their first occurrence.
+    """
+    draws = rng.integers(*bounds).tolist()
+    return list(dict.fromkeys(zip(draws[0::2], draws[1::2])))
+
+
 def random_pivots(region: Rect, levels: int, rng: np.random.Generator) -> list[Coord]:
     """One uniformly random pivot per recursive subregion (strategy 2's
     variation: "each pivot node is selected randomly in a submesh")."""
-    if levels < 1:
-        raise ValueError("partition level must be >= 1")
-    draws = (
-        (int(rng.integers(xmin, xmax + 1)), int(rng.integers(ymin, ymax + 1)))
-        for tier in _recursive_cells(region, levels)
-        for xmin, xmax, ymin, ymax in tier
-    )
-    return list(dict.fromkeys(draws))
+    return draw_random_pivots(random_pivot_bounds(region, levels), rng)
 
 
 def latin_pivots(region: Rect, count: int, rng: np.random.Generator) -> list[Coord]:

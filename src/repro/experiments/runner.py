@@ -8,11 +8,11 @@ destinations, so the paper's (a)/(b) figure pairs are paired comparisons.
 A shard (one fault count's patterns) is evaluated as one pattern batch
 (see ``docs/API.md``, "Batched pattern engine"):
 
-- the shard's fault patterns are stacked into ``(batch, n, m)`` grids --
-  :func:`~repro.faults.injection.uniform_faults_batch` for the paper's
-  uniform workload, per-pattern
-  :func:`~repro.faults.injection.generate_scenario` draws for the others
-  -- and their faulty blocks are formed in lockstep;
+- the shard's fault patterns are drawn as ``(batch, n, m)`` grids, and
+  their faulty blocks formed in lockstep, by the same rejection loop
+  that draws one scenario
+  (:func:`~repro.faults.injection.block_free_fault_stack`), for either
+  workload;
 - each fault model gets its own stacked grid and
   :class:`PatternBatchContext`: the faulty blocks for the block model,
   Definition 2's type-one MCCs (both labels taken over the whole stack
@@ -25,7 +25,9 @@ A shard (one fault count's patterns) is evaluated as one pattern batch
 Every pattern owns a :class:`numpy.random.SeedSequence` spawned along a
 fixed tree (:func:`pattern_seed_tree`), and its stream is consumed in a
 fixed order: faults (with rejection redraws), block-model strategy
-pivots, MCC-model strategy pivots, destinations.
+pivots, MCC-model strategy pivots (each drawn by
+:func:`~repro.core.pivots.draw_random_pivots` over bounds computed once
+per shard), destinations.
 
 Figures 9-12 draw the same shards, so each shard's drawn inputs, its
 success counts and, per fault model, its context memo (pivot arrays and
@@ -46,18 +48,16 @@ import numpy as np
 from repro.analysis.statistics import proportion_ci
 from repro.core.batched_patterns import (
     BatchedSafetyLevels,
-    batch_disable_fixpoint,
     batch_label_closure,
     batch_safety_levels,
 )
-from repro.core.pivots import recursive_center_pivots
+from repro.core.pivots import draw_random_pivots, random_pivot_bounds, recursive_center_pivots
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureSeries
 from repro.faults.injection import (
     MAX_DESTINATION_DRAWS,
-    MAX_REJECTIONS,
-    generate_scenario,
-    uniform_faults_batch,
+    block_free_fault_stack,
+    draw_destination,
 )
 from repro.faults.mcc import _LABEL_RULES, MCCType, NodeStatus
 from repro.mesh.geometry import Coord
@@ -148,55 +148,6 @@ def pattern_seed_tree(
     return [seq.spawn(patterns_per_count) for seq in count_seqs]
 
 
-def _generate_pattern_grids(
-    config: ExperimentConfig,
-    fault_count: int,
-    rngs: list[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(faults, blocked)`` numpy stacks with every source block-free.
-
-    For the uniform workload this is the batched form of
-    :func:`~repro.faults.injection.generate_scenario`'s accept/reject
-    loop: patterns whose blocks swallow the source are redrawn *from their
-    own generator*, so each generator is consumed exactly as the scalar
-    loop consumes it (one ``uniform_faults`` draw per rejection round) and
-    the accepted grids are bit-identical.  Other workloads stack one
-    ``generate_scenario`` draw per generator.
-    """
-    mesh, source = config.mesh, config.source
-    if config.workload != "uniform":
-        faults = np.zeros((len(rngs), mesh.n, mesh.m), dtype=bool)
-        blocked = np.zeros_like(faults)
-        for b, rng in enumerate(rngs):
-            scenario = generate_scenario(
-                mesh, fault_count, rng, source=source, workload=config.workload
-            )
-            for x, y in scenario.faults:
-                faults[b, x, y] = True
-            blocked[b] = scenario.blocks.unusable
-        return faults, blocked
-    forbidden = frozenset({source})
-    faults = uniform_faults_batch(mesh, fault_count, rngs, forbidden)
-    blocked = batch_disable_fixpoint(faults)
-    sx, sy = source
-    bad = np.flatnonzero(blocked[:, sx, sy])
-    rounds = 1
-    while bad.size:
-        rounds += 1
-        if rounds > MAX_REJECTIONS:
-            raise RuntimeError(
-                f"source {source} kept falling inside a faulty block "
-                f"after {MAX_REJECTIONS} resamples"
-            )
-        redrawn = uniform_faults_batch(
-            mesh, fault_count, [rngs[int(b)] for b in bad], forbidden
-        )
-        faults[bad] = redrawn
-        blocked[bad] = batch_disable_fixpoint(redrawn)
-        bad = bad[blocked[bad, sx, sy]]
-    return faults, blocked
-
-
 def _pick_destinations_batch(
     config: ExperimentConfig,
     blocked: np.ndarray,
@@ -206,14 +157,14 @@ def _pick_destinations_batch(
     ``FaultScenario.pick_destination`` draws from each generator.
 
     The destinations are the *last* thing the per-pattern streams feed, so
-    only their values must match -- and on a square mesh the x and y draws
-    share one bounded distribution, whose block draws
+    only their values must match -- and on a square region the x and y
+    draws share one bounded distribution, whose block draws
     (``rng.integers(lo, hi, size=k)``) produce exactly the values of ``k``
     sequential scalar calls.  The fast path therefore draws attempt pairs
     in chunks and accepts the first ``k`` valid ones vectorised (validity
     is a fixed predicate of the grid, so acceptance commutes with block
-    drawing); asymmetric regions fall back to the literal per-attempt
-    loop.
+    drawing); other regions draw one attempt at a time, through
+    :func:`~repro.faults.injection.draw_destination`.
     """
     clipped = config.destination_region.clip(config.mesh.bounds)
     if clipped is None:
@@ -248,57 +199,8 @@ def _pick_destinations_batch(
                 picked += taken
             continue
         for i in range(count):
-            for _ in range(MAX_DESTINATION_DRAWS):
-                coord = (
-                    int(rng.integers(clipped.xmin, clipped.xmax + 1)),
-                    int(rng.integers(clipped.ymin, clipped.ymax + 1)),
-                )
-                if coord == source:
-                    continue
-                if not grid[coord[0], coord[1]]:
-                    dests[b, i] = coord
-                    break
-            else:
-                raise RuntimeError(
-                    f"no block-free destination found in {clipped} "
-                    f"after {MAX_DESTINATION_DRAWS} draws"
-                )
+            dests[b, i] = draw_destination(rng, clipped, grid, (source,))
     return dests
-
-
-def _pivot_draw_cells(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(lows, highs)`` draw bounds behind ``random_pivots``.
-
-    ``random_pivots`` draws an x then a y in every cell of the recursive
-    decomposition; the bounds interleave them in that order
-    (``xlo0, ylo0, xlo1, ...``, highs exclusive).  The decomposition
-    depends only on the (fixed) pivot region, so a shard precomputes it
-    once and replays just the integer draws per pattern, without
-    rebuilding the cell recursion hundreds of times.
-    """
-    from repro.core.pivots import _recursive_cells
-
-    cells = [
-        cell
-        for tier in _recursive_cells(config.pivot_region, config.strategy_pivot_levels)
-        for cell in tier
-    ]
-    lows = [bound for xmin, _, ymin, _ in cells for bound in (xmin, ymin)]
-    highs = [bound for _, xmax, _, ymax in cells for bound in (xmax + 1, ymax + 1)]
-    return np.array(lows, dtype=np.int64), np.array(highs, dtype=np.int64)
-
-
-def _replay_random_pivots(
-    bounds: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
-) -> list[Coord]:
-    """Draw-for-draw replay of ``random_pivots`` over precomputed bounds.
-
-    One array-bounded ``integers`` call yields exactly the values, and
-    advances the generator exactly as far, as the scalar calls in order;
-    repeated pivots keep their first occurrence, as in ``random_pivots``.
-    """
-    draws = rng.integers(*bounds).tolist()
-    return list(dict.fromkeys(zip(draws[0::2], draws[1::2])))
 
 
 def _pad_pivots(pivot_lists: list[list[Coord]]) -> tuple[np.ndarray, np.ndarray]:
@@ -358,10 +260,12 @@ def _draw_shard(
     MCC-model strategy pivots (``with_mcc`` only), destinations, then the
     type-one MCC labelling, each pattern from its own spawned stream."""
     rngs = [np.random.default_rng(seed_seq) for seed_seq in seeds]
-    faults, blocked = _generate_pattern_grids(config, fault_count, rngs)
+    faults, blocked = block_free_fault_stack(
+        config.mesh, fault_count, rngs, config.source, config.workload
+    )
     models = (BLOCK_MODEL, MCC_MODEL) if with_mcc else (BLOCK_MODEL,)
-    bounds = _pivot_draw_cells(config)
-    strategy = [_pad_pivots([_replay_random_pivots(bounds, rng) for rng in rngs]) for _ in models]
+    bounds = random_pivot_bounds(config.pivot_region, config.strategy_pivot_levels)
+    strategy = [_pad_pivots([draw_random_pivots(bounds, rng) for rng in rngs]) for _ in models]
     dests = _pick_destinations_batch(config, blocked, rngs)
     arrays = {}
     for model, pivots in zip(models, strategy):

@@ -15,11 +15,12 @@ completion).  The counter :attr:`BlockSet.rectangularization_rounds` records
 whether that fallback ever fired; the property tests assert it stays 0.
 
 All heavy state is kept in numpy boolean grids of shape ``(n, m)`` indexed
-``[x, y]``.  The rule has one scalar walk, :func:`spread_disabled`:
-:func:`disable_fixpoint` runs it after one dense vectorised round, and
-:class:`repro.faults.incremental.IncrementalFaultEngine` from each arriving
-fault.  The figure sweeps run the lockstep batched form,
-:func:`repro.core.batched_patterns.batch_disable_fixpoint`.
+``[x, y]``.  The fixpoint from scratch has one implementation, the
+lockstep :func:`repro.core.batched_patterns.batch_disable_fixpoint`, which
+:func:`build_faulty_blocks` runs as a batch of one.  The one scalar walk,
+:func:`spread_disabled`, extends a fixpoint from newly unusable cells:
+:class:`repro.faults.incremental.IncrementalFaultEngine` runs it from each
+arriving fault, and the tests hold the batched fixpoint to it.
 """
 
 from __future__ import annotations
@@ -32,39 +33,6 @@ import numpy as np
 from repro.mesh.geometry import Coord, Rect
 from repro.mesh.topology import Mesh2D
 from repro.obs import get_tracer
-
-
-def _shifted(mask: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """``out[x, y] = mask[x + dx, y + dy]`` with out-of-range reads as False."""
-    out = np.zeros_like(mask)
-    n, m = mask.shape
-    xsrc = slice(max(dx, 0), n + min(dx, 0))
-    xdst = slice(max(-dx, 0), n + min(-dx, 0))
-    ysrc = slice(max(dy, 0), m + min(dy, 0))
-    ydst = slice(max(-dy, 0), m + min(-dy, 0))
-    out[xdst, ydst] = mask[xsrc, ysrc]
-    return out
-
-
-def disable_fixpoint(faulty: np.ndarray) -> np.ndarray:
-    """Run Definition 1's disabling rule to a fixpoint.
-
-    Returns the *unusable* mask (faulty or disabled).  A healthy node becomes
-    disabled when it has at least one unusable neighbour in the x dimension
-    **and** at least one in the y dimension ("two or more ... in different
-    dimensions").  Missing neighbours at mesh edges count as healthy.
-
-    One vectorised full-grid round (scattered faults usually converge
-    there), then :func:`spread_disabled` from the cells it disabled.
-    """
-    unusable = faulty.copy()
-    horizontal = _shifted(unusable, 1, 0) | _shifted(unusable, -1, 0)
-    vertical = _shifted(unusable, 0, 1) | _shifted(unusable, 0, -1)
-    seeded = ~unusable & horizontal & vertical
-    unusable |= seeded
-    xs, ys = np.nonzero(seeded)
-    spread_disabled(unusable, zip(xs.tolist(), ys.tolist()))
-    return unusable
 
 
 def spread_disabled(unusable: np.ndarray, seeds: Iterable[Coord]) -> list[Coord]:
@@ -302,12 +270,15 @@ def build_faulty_blocks(mesh: Mesh2D, faults: Iterable[Coord]) -> BlockSet:
 
 
 def _build_faulty_blocks(mesh: Mesh2D, faults: Iterable[Coord]) -> BlockSet:
+    # A module-level import of repro.core would be an import cycle.
+    from repro.core.batched_patterns import batch_disable_fixpoint
+
     faulty = np.zeros((mesh.n, mesh.m), dtype=bool)
     for coord in faults:
         mesh.require_in_bounds(coord)
         faulty[coord] = True
 
-    unusable = disable_fixpoint(faulty)
+    unusable = batch_disable_fixpoint(faulty[None])[0]
     rounds = 0
     while True:
         components = _connected_components(unusable)
@@ -320,7 +291,7 @@ def _build_faulty_blocks(mesh: Mesh2D, faults: Iterable[Coord]) -> BlockSet:
         for component in irregular:
             rect = Rect.bounding(component)
             unusable[rect.xmin : rect.xmax + 1, rect.ymin : rect.ymax + 1] = True
-        unusable = disable_fixpoint(unusable)
+        unusable = batch_disable_fixpoint(unusable[None])[0]
 
     blocks: list[FaultyBlock] = []
     block_id = np.full((mesh.n, mesh.m), -1, dtype=np.int32)

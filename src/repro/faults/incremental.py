@@ -9,22 +9,21 @@ build_faulty_blocks`, :func:`repro.core.safety.compute_safety_levels`,
 :func:`repro.faults.mcc.build_mccs`) nevertheless pay O(n*m) per call,
 which is what every fault arrival/revival in a live mesh used to cost.
 
-This module maintains the same state by *deltas*, with the builders'
-own scalar walks:
+This module maintains the same state by *deltas*:
 
 - **Arrival** is monotone: Definition 1's disabling rule only grows the
   unusable set, and every newly disabled cell is triggered through a
-  chain of newly unusable neighbours back to the arriving fault, so
-  :func:`repro.faults.blocks.spread_disabled` seeded at the fault (the
-  walk :func:`~repro.faults.blocks.disable_fixpoint` ends with) finds
-  the exact new fixpoint in O(delta).  The new cells can only merge the
-  blocks 4-adjacent to them, so stitching is O(area of the merged
-  blocks).
+  chain of newly unusable neighbours back to the arriving fault, so the
+  scalar walk :func:`repro.faults.blocks.spread_disabled` seeded at the
+  fault finds the exact new fixpoint in O(delta).  The new cells can only
+  merge the blocks 4-adjacent to them, so stitching is O(area of the
+  merged blocks).
 - **Revival** is local: distinct blocks are never 4-adjacent (they would
   be one component), so re-running the fixpoint inside the dead block's
-  own rectangle -- with the mesh-edge boundary convention -- reproduces
-  the global fixpoint exactly.  The block shrinks, splits, or vanishes;
-  nothing outside its footprint moves.
+  own rectangle -- :func:`repro.core.batched_patterns.
+  batch_disable_fixpoint` as a batch of one, with the mesh-edge boundary
+  convention -- reproduces the global fixpoint exactly.  The block
+  shrinks, splits, or vanishes; nothing outside its footprint moves.
 - **ESLs** follow the affected-rows model: a blocked-status change at
   ``(x, y)`` perturbs only the East/West scans of row ``y`` and the
   North/South scans of column ``x``; those lines are rescanned with the
@@ -34,10 +33,10 @@ own scalar walks:
   labelling rules are monotone under fault arrival, so
   :func:`repro.faults.mcc.extend_label` seeded at the new fault extends
   each closure in O(delta); revival relabels the dead component's
-  window with :func:`repro.faults.mcc._label_closure`, seeded from the
-  component's own faults.  Each tracked MCC type keeps its own ESL
-  grids, rescanned over the rows and columns of the cells whose
-  MCC-blocked status flipped.
+  window from the component's own faults with
+  :func:`repro.core.batched_patterns.batch_label_closure` as a batch of
+  one.  Each tracked MCC type keeps its own ESL grids, rescanned over the
+  rows and columns of the cells whose MCC-blocked status flipped.
 
 Both fault models keep their components in one :class:`_Ledger`: an
 arrival takes every component touching the cells it blocked and puts
@@ -66,6 +65,7 @@ from typing import Generic, Iterable, TypeVar
 
 import numpy as np
 
+from repro.core.batched_patterns import batch_disable_fixpoint, batch_label_closure
 from repro.core.safety import (
     SafetyLevels,
     compute_safety_levels,
@@ -76,7 +76,6 @@ from repro.faults.blocks import (
     FaultyBlock,
     _connected_components,
     build_faulty_blocks,
-    disable_fixpoint,
     spread_disabled,
 )
 from repro.faults.mcc import (
@@ -85,7 +84,6 @@ from repro.faults.mcc import (
     MCCSet,
     MCCType,
     NodeStatus,
-    _label_closure,
     _status_grid,
     build_mccs,
     extend_label,
@@ -236,9 +234,9 @@ class IncrementalMCCState:
         }
         # Per-closure blocked grids (faulty | that label); the two closures
         # are independent (a node may carry both labels), so each keeps its
-        # own grid exactly like the from-scratch `_label_closure`.
+        # own grid.
         self._closure = {
-            label: self.faulty | _label_closure(mesh, self.faulty, rule)
+            label: self.faulty | batch_label_closure(self.faulty[None], rule)[0]
             for label, rule in self._rules.items()
         }
         self._components: _Ledger[MCCComponent] = _Ledger(mesh)
@@ -299,9 +297,8 @@ class IncrementalMCCState:
         # The component is never 4-adjacent to another one, so relabelling
         # its window with everything else fault-free matches the global
         # fixpoint, and every label chains back to its faults, inside it.
-        window_mesh = Mesh2D(rect.width, rect.height)
         useless, cant_reach = (
-            sub_faulty | _label_closure(window_mesh, sub_faulty, rule)
+            sub_faulty | batch_label_closure(sub_faulty[None], rule)[0]
             for rule in self._rules.values()
         )
         sub_blocked = useless | cant_reach
@@ -454,7 +451,7 @@ class IncrementalFaultEngine:
         # Distinct blocks are never 4-adjacent and a block fills its
         # rectangle exactly, so every cell bordering the window is enabled
         # -- the subgrid fixpoint (edges read as healthy) is the global one.
-        sub_unusable = disable_fixpoint(self.faulty[window])
+        sub_unusable = batch_disable_fixpoint(self.faulty[window][None])[0]
         freed = [
             (int(x) + rect.xmin, int(y) + rect.ymin)
             for x, y in np.argwhere(~sub_unusable)

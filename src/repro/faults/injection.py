@@ -2,10 +2,13 @@
 
 The paper's evaluation uses uniformly random node faults in a 200x200 mesh
 with the source and destination constrained to lie outside every faulty
-block.  :func:`generate_scenario` reproduces that protocol (including the
-rare rejection/resampling when the fixed source lands inside a block); the
-other generators provide the additional workloads used by the examples and
-the ablation benches (clustered failures modelling localized damage).
+block.  Each step has one implementation, batched over fault patterns,
+which the single-scenario API runs as a batch of one:
+:func:`uniform_faults_batch` draws the faults, :func:`block_free_fault_stack`
+redraws the patterns whose blocks swallow the source (uniform or clustered
+workload), and :func:`draw_destination` draws a block-free destination
+one attempt at a time.  The other generators provide the additional
+workloads used by the examples and the ablation benches.
 
 All randomness flows through an explicit :class:`numpy.random.Generator` so
 every experiment is reproducible from a seed.
@@ -13,8 +16,9 @@ every experiment is reproducible from a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -26,7 +30,7 @@ from repro.mesh.topology import Mesh2D
 #: Default Chebyshev radius of a fault cluster around its epicentre.
 CLUSTER_RADIUS = 3
 
-#: Epicentres of :func:`generate_scenario`'s clustered workload.
+#: Epicentres of :func:`block_free_fault_stack`'s clustered workload.
 CLUSTER_COUNT = 4
 
 #: Fault patterns drawn before a source that keeps landing inside a
@@ -38,7 +42,9 @@ MAX_DESTINATION_DRAWS = 10_000
 
 __all__ = [
     "FaultScenario",
+    "block_free_fault_stack",
     "clustered_faults",
+    "draw_destination",
     "generate_scenario",
     "injection_events",
     "injection_sequence",
@@ -52,48 +58,22 @@ def _require_non_negative(count: int) -> None:
         raise ValueError(f"fault count must be non-negative, got {count}")
 
 
+def _cells(grid: np.ndarray) -> list[Coord]:
+    """The True cells of one ``(n, m)`` grid, sorted."""
+    xs, ys = np.nonzero(grid)
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
 def uniform_faults(
     mesh: Mesh2D,
     count: int,
     rng: np.random.Generator,
     forbidden: frozenset[Coord] | set[Coord] = frozenset(),
 ) -> list[Coord]:
-    """``count`` distinct uniformly random faulty nodes avoiding ``forbidden``.
-
-    Sparse draws (the paper's regime: a few hundred faults in a 200x200
-    mesh) use batched rejection sampling.  Dense draws -- ``count`` within
-    a factor of two of the available nodes -- would make rejection spin
-    almost forever on the last few slots, so they switch to a single
-    without-replacement :meth:`~numpy.random.Generator.choice` over the
-    allowed flat indices instead.  Both paths are uniform over the same
-    support; they do consume the generator differently, so a given seed
-    yields different (equally valid) draws on either side of the
-    threshold.
-    """
-    _require_non_negative(count)
-    available = mesh.size - sum(1 for c in forbidden if mesh.in_bounds(c))
-    if count > available:
-        raise ValueError(f"cannot place {count} faults in {available} available nodes")
-    if 2 * count >= available:
-        # Dense regime: rejection would thrash on near-full meshes.
-        allowed = np.ones(mesh.size, dtype=bool)
-        for x, y in forbidden:
-            if mesh.in_bounds((x, y)):
-                allowed[x * mesh.m + y] = False
-        picks = rng.choice(np.flatnonzero(allowed), size=count, replace=False)
-        return sorted((int(flat) // mesh.m, int(flat) % mesh.m) for flat in picks)
-    faults: set[Coord] = set()
-    while len(faults) < count:
-        # Draw in batches; duplicates and forbidden nodes are simply retried.
-        draws = rng.integers(0, mesh.size, size=2 * (count - len(faults)) + 8)
-        for flat in draws.tolist():
-            coord = (flat // mesh.m, flat % mesh.m)
-            if coord in forbidden or coord in faults:
-                continue
-            faults.add(coord)
-            if len(faults) == count:
-                break
-    return sorted(faults)
+    """``count`` distinct uniformly random faulty nodes avoiding
+    ``forbidden``, sorted: the cells of :func:`uniform_faults_batch` run
+    as a batch of one."""
+    return _cells(uniform_faults_batch(mesh, count, [rng], forbidden)[0])
 
 
 def uniform_faults_batch(
@@ -104,21 +84,18 @@ def uniform_faults_batch(
 ) -> np.ndarray:
     """Stacked ``(batch, n, m)`` fault grids, one pattern per generator.
 
-    ``grids[b]`` is **bit-identical** to ``uniform_faults(mesh, counts[b],
-    rngs[b], forbidden)`` rendered as a boolean grid, and each generator is
-    advanced exactly as the scalar call advances it -- draws made *after*
-    this call (pivots, destinations) therefore match the scalar pipeline
-    draw for draw.  That equivalence is what lets the batched experiment
-    engine (:mod:`repro.experiments.runner`) reproduce the per-pattern
-    sweeps bit for bit; the property tests assert it over 100 seeds.
+    ``grids[b]`` holds ``counts[b]`` (or the shared ``counts``) distinct
+    uniformly random nodes avoiding ``forbidden``, drawn from ``rngs[b]``
+    alone -- a :class:`numpy.random.Generator` (consumed in place), a seed
+    int or a ``SeedSequence`` -- so no pattern depends on the others.
 
-    ``counts`` may be a single count shared by every pattern or one count
-    per generator.  Generators may be given as :class:`numpy.random.
-    Generator` (consumed in place), seed ints, or ``SeedSequence`` s.
-
-    The per-round bookkeeping (dedup, forbidden filtering, acceptance) is
-    vectorised; only the generator draws stay per pattern, because each
-    pattern owns an independent RNG stream by design.
+    Sparse draws (the paper's regime) use rejection sampling: each round
+    draws integers and accepts the first occurrence of each allowed node.
+    Dense draws -- a count within a factor of two of the available nodes
+    -- would make rejection thrash on the last few slots, so they take one
+    without-replacement :meth:`~numpy.random.Generator.choice` over the
+    allowed nodes instead.  Both are uniform over the same support but
+    consume the generator differently.
     """
     batch = len(rngs)
     count_list = [counts] * batch if isinstance(counts, int) else list(counts)
@@ -146,8 +123,7 @@ def uniform_faults_batch(
             )
         flat_grid = grids[b].reshape(-1)
         if 2 * count >= available:
-            # Dense regime: the same without-replacement choice as the
-            # scalar path (identical generator consumption).
+            # Dense regime: rejection would thrash on near-full meshes.
             allowed = np.ones(mesh.size, dtype=bool)
             allowed[forbidden_flat] = False
             picks = rng.choice(np.flatnonzero(allowed), size=count, replace=False)
@@ -158,8 +134,7 @@ def uniform_faults_batch(
         placed = 0
         while placed < count:
             draws = rng.integers(0, mesh.size, size=2 * (count - placed) + 8)
-            # First occurrence of each value, in draw order -- the
-            # vectorised equivalent of the scalar accept loop.
+            # First occurrence of each value, in draw order.
             _, first_index = np.unique(draws, return_index=True)
             candidates = draws[np.sort(first_index)]
             candidates = candidates[~taken[candidates]]
@@ -295,19 +270,98 @@ class FaultScenario:
         clipped = region.clip(self.mesh.bounds)
         if clipped is None:
             raise ValueError(f"region {region} lies outside the mesh")
-        for _ in range(MAX_DESTINATION_DRAWS):
-            coord = (
-                int(rng.integers(clipped.xmin, clipped.xmax + 1)),
-                int(rng.integers(clipped.ymin, clipped.ymax + 1)),
-            )
-            if coord in exclude:
-                continue
-            if not self.blocks.is_unusable(coord):
-                return coord
-        raise RuntimeError(
-            f"no block-free destination found in {clipped} "
-            f"after {MAX_DESTINATION_DRAWS} draws"
+        return draw_destination(rng, clipped, self.blocks.unusable, exclude)
+
+
+def draw_destination(
+    rng: np.random.Generator,
+    region: Rect,
+    unusable: np.ndarray,
+    exclude: Collection[Coord],
+) -> Coord:
+    """A uniformly random node of ``region`` (inside the mesh) that is
+    neither ``unusable`` nor in ``exclude``.
+
+    Each attempt draws an x, then a y; up to ``MAX_DESTINATION_DRAWS``
+    attempts before the region counts as saturated by blocks.
+    """
+    for _ in range(MAX_DESTINATION_DRAWS):
+        coord = (
+            int(rng.integers(region.xmin, region.xmax + 1)),
+            int(rng.integers(region.ymin, region.ymax + 1)),
         )
+        if coord not in exclude and not unusable[coord]:
+            return coord
+    raise RuntimeError(
+        f"no block-free destination found in {region} "
+        f"after {MAX_DESTINATION_DRAWS} draws"
+    )
+
+
+def _fault_stack(
+    mesh: Mesh2D,
+    count: int,
+    rngs: list[np.random.Generator],
+    forbidden: frozenset[Coord],
+    workload: str,
+) -> np.ndarray:
+    """One ``(batch, n, m)`` draw of ``workload``, a pattern per generator."""
+    if workload == "uniform":
+        return uniform_faults_batch(mesh, count, rngs, forbidden)
+    # Keep the cluster regions comfortably larger than the fault budget
+    # (3x slack) so dense budgets remain placeable.
+    needed = math.ceil(math.sqrt(3 * count / CLUSTER_COUNT))
+    radius = max(CLUSTER_RADIUS, (needed - 1) // 2 + 1)
+    grids = np.zeros((len(rngs), mesh.n, mesh.m), dtype=bool)
+    for grid, rng in zip(grids, rngs):
+        faults = clustered_faults(
+            mesh, count, rng, clusters=CLUSTER_COUNT, radius=radius, forbidden=forbidden
+        )
+        for coord in faults:
+            grid[coord] = True
+    return grids
+
+
+def block_free_fault_stack(
+    mesh: Mesh2D,
+    count: int,
+    rngs: list[np.random.Generator],
+    source: Coord,
+    workload: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(faults, unusable)`` ``(batch, n, m)`` stacks, one pattern per
+    generator, each with ``source`` outside every faulty block.
+
+    Faults never land on the source, and a pattern whose blocks swallow it
+    is redrawn from its own generator, up to ``MAX_REJECTIONS`` draws; the
+    blocks of the whole stack are formed in lockstep.  ``workload`` is
+    ``"uniform"`` (the paper's) or ``"clustered"``: the same budget around
+    ``CLUSTER_COUNT`` epicentres, modelling localized damage.
+    """
+    # A module-level import of repro.core would be an import cycle.
+    from repro.core.batched_patterns import batch_disable_fixpoint
+
+    if workload not in ("uniform", "clustered"):
+        raise ValueError(f"unknown workload {workload!r}")
+    mesh.require_in_bounds(source)
+    forbidden = frozenset({source})
+    faults = _fault_stack(mesh, count, rngs, forbidden, workload)
+    unusable = batch_disable_fixpoint(faults)
+    sx, sy = source
+    bad = np.flatnonzero(unusable[:, sx, sy])
+    draws = 1
+    while bad.size:
+        if draws == MAX_REJECTIONS:
+            raise RuntimeError(
+                f"source {source} kept falling inside a faulty block "
+                f"after {MAX_REJECTIONS} resamples"
+            )
+        draws += 1
+        redrawn = _fault_stack(mesh, count, [rngs[b] for b in bad], forbidden, workload)
+        faults[bad] = redrawn
+        unusable[bad] = batch_disable_fixpoint(redrawn)
+        bad = bad[unusable[bad, sx, sy]]
+    return faults, unusable
 
 
 def generate_scenario(
@@ -315,45 +369,11 @@ def generate_scenario(
     num_faults: int,
     rng: np.random.Generator,
     source: Coord | None = None,
-    workload: str = "uniform",
 ) -> FaultScenario:
-    """The paper's random-fault scenario with a block-free source.
-
-    Faults never land on the source itself, and fault patterns whose blocks
-    grow to swallow the source are rejected and resampled (rare for the
-    paper's parameters: scattered faults form mostly 1x1 blocks).
-
-    ``workload`` selects the fault distribution: ``"uniform"`` is the
-    paper's; ``"clustered"`` concentrates the same fault budget around
-    ``CLUSTER_COUNT`` epicentres (radius ``CLUSTER_RADIUS``), modelling localized
-    damage -- used by the beyond-the-paper robustness sweeps.
-    """
-    if workload not in ("uniform", "clustered"):
-        raise ValueError(f"unknown workload {workload!r}")
+    """The paper's uniform random-fault scenario with a block-free source
+    (the mesh centre unless given): :func:`block_free_fault_stack` run as
+    a batch of one, with the blocks of the accepted draw."""
     src = source if source is not None else mesh.center
-    mesh.require_in_bounds(src)
-    forbidden = frozenset({src})
-    for _ in range(MAX_REJECTIONS):
-        if workload == "uniform":
-            faults = uniform_faults(mesh, num_faults, rng, forbidden=forbidden)
-        else:
-            # Keep the cluster regions comfortably larger than the fault
-            # budget (3x slack) so dense budgets remain placeable.
-            import math
-
-            needed = math.ceil(math.sqrt(3 * num_faults / CLUSTER_COUNT))
-            radius = max(CLUSTER_RADIUS, (needed - 1) // 2 + 1)
-            faults = clustered_faults(
-                mesh,
-                num_faults,
-                rng,
-                clusters=CLUSTER_COUNT,
-                radius=radius,
-                forbidden=forbidden,
-            )
-        blocks = build_faulty_blocks(mesh, faults)
-        if not blocks.is_unusable(src):
-            return FaultScenario(mesh=mesh, faults=faults, blocks=blocks)
-    raise RuntimeError(
-        f"source {src} kept falling inside a faulty block after {MAX_REJECTIONS} resamples"
-    )
+    faults, _ = block_free_fault_stack(mesh, num_faults, [rng], src, "uniform")
+    cells = _cells(faults[0])
+    return FaultScenario(mesh=mesh, faults=cells, blocks=build_faulty_blocks(mesh, cells))

@@ -24,12 +24,14 @@ Definition 2 (type one, quadrant-I wording):
     can't-reach nodes form an MCC.*
 
 Missing neighbours at mesh edges count as fault-free, so a node on the mesh
-boundary is never labelled because of the edge alone.  Each label has one
-scalar walk, :func:`extend_label`: the builder runs it from the faults
-(:func:`_label_closure`, verified against a naive fixpoint in the tests),
-:class:`repro.faults.incremental.IncrementalMCCState` from each arriving
-fault.  The figure sweeps label whole pattern stacks with the lockstep
-batched form, :func:`repro.core.batched_patterns.batch_label_closure`.
+boundary is never labelled because of the edge alone.  Each label's
+fixpoint from scratch has one implementation, the lockstep
+:func:`repro.core.batched_patterns.batch_label_closure`: the figure sweeps
+label whole pattern stacks with it, and :func:`label_statuses` runs it as a
+batch of one.  Each label also has one scalar walk, :func:`extend_label`,
+which extends a closure from newly blocked cells:
+:class:`repro.faults.incremental.IncrementalMCCState` runs it from each
+arriving fault, and the tests hold the batched closure to it.
 """
 
 from __future__ import annotations
@@ -114,36 +116,23 @@ def extend_label(
     return newly
 
 
-def _label_closure(
-    mesh: Mesh2D,
-    faulty: np.ndarray,
-    offsets: tuple[tuple[int, int], tuple[int, int]],
-) -> np.ndarray:
-    """One label's fixpoint (useless *or* can't-reach) as a boolean grid.
-
-    ``offsets`` are the two neighbour directions that must both be blocked
-    (faulty or already carrying the same label).  The two closures are
-    *independent* -- a node may end up in both (e.g. node (3, 5) of the
-    paper's Figure 1 example is useless and can't-reach for type two), so
-    each runs on its own blocked grid seeded only from the faults.
-    ``faulty`` is a grid of ``mesh``, whose edges read as fault-free.
-    """
-    assert faulty.shape == (mesh.n, mesh.m)
-    blocked = faulty.copy()  # faulty or labelled
-    xs, ys = np.nonzero(faulty)
-    extend_label(blocked, offsets, zip(xs.tolist(), ys.tolist()))
-    return blocked & ~faulty
-
-
 def label_statuses(mesh: Mesh2D, faulty: np.ndarray, mcc_type: MCCType) -> np.ndarray:
     """Compute Definition 2's status grid for one MCC type.
 
     Returns an ``int8`` grid of :class:`NodeStatus` values, shape ``(n, m)``.
-    A node satisfying both closures reports ``USELESS`` (one status per node;
-    the blocked-set semantics are unaffected).
+    The two closures are *independent* -- a node may end up in both (e.g.
+    node (3, 5) of the paper's Figure 1 example is useless and can't-reach
+    for type two) -- and such a node reports ``USELESS`` (one status per
+    node; the blocked-set semantics are unaffected).
     """
-    useless = _label_closure(mesh, faulty, _LABEL_RULES[(mcc_type, NodeStatus.USELESS)])
-    cant_reach = _label_closure(mesh, faulty, _LABEL_RULES[(mcc_type, NodeStatus.CANT_REACH)])
+    # A module-level import of repro.core would be an import cycle.
+    from repro.core.batched_patterns import batch_label_closure
+
+    assert faulty.shape == (mesh.n, mesh.m)
+    useless, cant_reach = (
+        batch_label_closure(faulty[None], _LABEL_RULES[(mcc_type, label)])[0]
+        for label in (NodeStatus.USELESS, NodeStatus.CANT_REACH)
+    )
     return _status_grid(faulty, useless, cant_reach)
 
 

@@ -3,8 +3,8 @@
 Every healthy node knows only which of its neighbours are faulty (fail-stop
 detection).  A node whose unusable neighbours span both dimensions disables
 itself and announces the change; announcements ripple until no node changes
--- exactly the fixpoint of :func:`repro.faults.blocks.disable_fixpoint`,
-which the tests assert.  The rule, the restart and the read-out are the
+-- exactly the unusable grid of :func:`repro.faults.blocks.
+build_faulty_blocks`, which the tests assert.  The rule, the restart and the read-out are the
 shared ones of :mod:`.local_rules`; this protocol runs Definition 1 alone.
 """
 

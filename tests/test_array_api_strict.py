@@ -31,6 +31,7 @@ from repro.core.batched_patterns import (
 )
 from repro.core.safety import compute_safety_levels
 from repro.faults.mcc import _LABEL_RULES
+from repro.mesh.geometry import ESL_ORDER
 from repro.mesh.topology import Mesh2D
 
 
@@ -150,8 +151,10 @@ def test_safety_levels_strict_matches_numpy(case):
     xs, ys = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
     px = np.broadcast_to(xs.reshape(1, -1), (batch, n * m))
     py = np.broadcast_to(ys.reshape(1, -1), (batch, n * m))
-    pairs += zip(
-        numpy_levels.points(px, py), strict_levels.points(_strict(px), _strict(py))
+    pairs += (
+        (numpy_levels.point_side(px, py, side),
+         strict_levels.point_side(_strict(px), _strict(py), side))
+        for side in ESL_ORDER
     )
     for numpy_out, strict_out in pairs:
         assert type(strict_out) is np.ndarray
@@ -167,7 +170,8 @@ def test_strict_point_reads_with_per_pattern_nodes(case):
     rng = np.random.default_rng(3)
     order = np.stack([rng.permutation(n * m) for _ in range(batch)])
     px, py = order // m, order % m
-    got = batch_safety_levels(_strict(blocked)).points(_strict(px), _strict(py))
+    levels = batch_safety_levels(_strict(blocked))
+    got = [levels.point_side(_strict(px), _strict(py), side) for side in ESL_ORDER]
     for b in range(batch):
         reference = compute_safety_levels(mesh, blocked[b])
         grids = (reference.east, reference.south, reference.west, reference.north)

@@ -3,7 +3,11 @@
 Every kernel in :mod:`repro.core.batched_patterns` promises bit-identical
 results to its scalar counterpart (:mod:`repro.core.conditions`,
 :mod:`repro.core.extensions`, :mod:`repro.core.strategies`, the existence
-oracle), pattern by pattern.  The suite asserts that promise:
+oracle), pattern by pattern.  The two fixpoints are the only from-scratch
+implementations of Definitions 1 and 2, so they are held to the scalar
+walks the incremental engine extends a fixpoint with, seeded at every
+fault (``spread_disabled`` and ``extend_label``).  The suite asserts that
+promise:
 
 - **exhaustively** over every 4x4 fault pattern (all 65536, in chunks) for
   block formation, and over every *reachable* blocked grid (the 3360
@@ -27,15 +31,19 @@ sources on mesh edges, blocked sources, and a stack whose guard rows
 alone keep one pattern's carry out of the next.
 
 Definition 2's labelling (``batch_label_closure``) is checked against
-``_label_closure`` and ``label_statuses`` for both labels of both MCC
-types over every 4x4 pattern in one batch, thin meshes, seeded random
+the ``extend_label`` walk and ``label_statuses`` for both labels of both
+MCC types over every 4x4 pattern in one batch, thin meshes, seeded random
 32x32 stacks and the full-mesh staircase, its worst case in rounds.
 
-The generator-stream property behind the experiment engine's
-reproducibility -- ``uniform_faults_batch`` advances each generator
-exactly as the scalar ``uniform_faults`` does -- gets its own 100-seed
-test; the engine's figure series are pinned in ``test_figure_goldens.py``.
+The draws behind the experiment engine's reproducibility --
+``uniform_faults_batch`` over 100 seeds and the strategy pivots' one-call
+draw -- are pinned by frozen digests of their values and of each
+generator's next value (the scenario and destination draws are pinned in
+``test_injection.py``); the engine's figure series are pinned in
+``test_figure_goldens.py``.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -58,24 +66,30 @@ from repro.core.extensions import (
     extension2_decision_from_segments,
     extension3_decision,
 )
-from repro.core.pivots import random_pivots, recursive_center_pivots
+from repro.core.pivots import (
+    draw_random_pivots,
+    random_pivot_bounds,
+    random_pivots,
+    recursive_center_pivots,
+)
 from repro.core.safety import compute_safety_levels
 from repro.core.segments import build_axis_segments
 from repro.core.strategies import Strategy, StrategyConfig, strategy_decision
-from repro.faults.blocks import disable_fixpoint
 from repro.faults.coverage import minimal_path_exists, monotone_reachability
 from repro.faults.injection import uniform_faults, uniform_faults_batch
 from repro.faults.mcc import (
     _LABEL_RULES,
     MCCType,
     NodeStatus,
-    _label_closure,
+    _status_grid,
     build_mccs,
+    extend_label,
     label_statuses,
 )
 from repro.mesh.frames import Frame
-from repro.mesh.geometry import Direction, Rect
+from repro.mesh.geometry import ESL_ORDER, Direction, Rect
 from repro.mesh.topology import Mesh2D
+from tests.test_blocks import walk_fixpoint
 
 
 def _all_4x4_patterns() -> np.ndarray:
@@ -115,10 +129,10 @@ def _assert_reads_match_scalar(mesh: Mesh2D, grids: np.ndarray) -> None:
     xs, ys = np.meshgrid(np.arange(mesh.n), np.arange(mesh.m), indexing="ij")
     px = np.broadcast_to(xs.reshape(1, -1), (batch, mesh.n * mesh.m))
     py = np.broadcast_to(ys.reshape(1, -1), (batch, mesh.n * mesh.m))
-    got = np.stack(levels.points(px, py), axis=1)
+    got = np.stack([levels.point_side(px, py, side) for side in ESL_ORDER], axis=1)
     np.testing.assert_array_equal(got, expected.reshape(batch, 4, -1))
     px, py, order = _permuted_nodes(mesh, batch)
-    got = np.stack(levels.points(px, py), axis=1)
+    got = np.stack([levels.point_side(px, py, side) for side in ESL_ORDER], axis=1)
     flat = expected.reshape(batch, 4, -1)
     np.testing.assert_array_equal(got, np.take_along_axis(flat, order[:, None, :], axis=2))
 
@@ -149,7 +163,7 @@ def exhaustive():
 class TestExhaustive4x4:
     def test_formation_matches_scalar(self, exhaustive):
         patterns, blocked, _ = exhaustive
-        expected = np.stack([disable_fixpoint(grid) for grid in patterns])
+        expected = np.stack([walk_fixpoint(grid) for grid in patterns])
         np.testing.assert_array_equal(blocked, expected)
 
     def test_esl_matches_scalar(self, exhaustive):
@@ -381,7 +395,7 @@ def random_case():
         grid = np.zeros((SIDE, SIDE), dtype=bool)
         for coord in faults:
             grid[coord] = True
-        blocked = disable_fixpoint(grid)
+        blocked = walk_fixpoint(grid)
         if not blocked[source]:
             patterns.append((grid, blocked))
     faulty = np.stack([grid for grid, _ in patterns])
@@ -475,36 +489,43 @@ class TestRandom32x32:
 
 class TestUniformFaultsBatch:
     def test_bit_identical_over_100_seeds(self):
+        """100 patterns of one batch, and each generator's next value,
+        against a digest frozen when the scalar draw they were checked
+        equal to still existed."""
         mesh = Mesh2D(16, 16)
         forbidden = {mesh.center}
         seeds = np.random.SeedSequence(1234).spawn(100)
         counts = [1 + (i * 7) % 40 for i in range(100)]
         batch_rngs = [np.random.default_rng(seed) for seed in seeds]
         grids = uniform_faults_batch(mesh, counts, batch_rngs, forbidden)
-        for i, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            faults = uniform_faults(mesh, counts[i], rng, forbidden)
-            expected = np.zeros((16, 16), dtype=bool)
-            for coord in faults:
-                expected[coord] = True
-            np.testing.assert_array_equal(grids[i], expected, err_msg=str(i))
-            # the generators advanced identically: next draws agree
-            assert batch_rngs[i].integers(1 << 30) == rng.integers(1 << 30)
+        digest = hashlib.sha256(grids.tobytes())
+        digest.update(repr([int(rng.integers(1 << 30)) for rng in batch_rngs]).encode())
+        assert digest.hexdigest() == (
+            "fdf19b274ce9529449d4ed219ff5b8d7134b214f5a989fd3052be5c61c171603"
+        )
 
     def test_random_pivot_replay_matches_random_pivots(self):
-        """The experiment engine's one-call pivot replay draws the pivots of
-        ``random_pivots`` and leaves each generator in the same state."""
+        """The experiment engine's pivot draw over bounds computed once
+        per shard equals ``random_pivots``, and both match a digest of the
+        pivots and each generator's next value frozen when the per-cell
+        scalar draws still existed."""
         from repro.experiments.config import ExperimentConfig
-        from repro.experiments.runner import _pivot_draw_cells, _replay_random_pivots
 
         config = ExperimentConfig()
-        bounds = _pivot_draw_cells(config)
+        region, levels = config.pivot_region, config.strategy_pivot_levels
+        bounds = random_pivot_bounds(region, levels)
+        digest = hashlib.sha256()
         for seed in range(250):
             replay_rng = np.random.default_rng(seed)
             rng = np.random.default_rng(seed)
-            expected = random_pivots(config.pivot_region, config.strategy_pivot_levels, rng)
-            assert _replay_random_pivots(bounds, replay_rng) == expected, seed
-            assert replay_rng.random() == rng.random(), seed
+            pivots = draw_random_pivots(bounds, replay_rng)
+            assert pivots == random_pivots(region, levels, rng), seed
+            next_value = replay_rng.random()
+            assert next_value == rng.random(), seed
+            digest.update(repr((pivots, next_value)).encode())
+        assert digest.hexdigest() == (
+            "c961e172130a44d8c230500f1113ed33cc107c705ac9e57fd844137b3cdac7bf"
+        )
 
     def test_scalar_count_broadcasts(self):
         mesh = Mesh2D(8, 8)
@@ -702,7 +723,7 @@ def _one_sided_case(model, quadrants, seed=4, side=16, batch=5, per_quadrant=6):
         else:
             grid = np.zeros((side, side), dtype=bool)
             grid[tuple(np.array(faults).T)] = True
-            grid = disable_fixpoint(grid)
+            grid = walk_fixpoint(grid)
         if not grid[source]:
             grids.append(grid)
     grids = np.stack(grids)
@@ -782,20 +803,34 @@ def _batch_statuses(faulty: np.ndarray, mcc_type: MCCType) -> np.ndarray:
     return status
 
 
+def _walk_label(faulty: np.ndarray, offsets) -> np.ndarray:
+    """One label's closure by the scalar walk, ``extend_label`` seeded at
+    every fault, faults excluded: the reference the lockstep closure is
+    held to."""
+    blocked = faulty.copy()
+    xs, ys = np.nonzero(faulty)
+    extend_label(blocked, offsets, zip(xs.tolist(), ys.tolist()))
+    return blocked & ~faulty
+
+
 def _assert_labels_match_scalar(faulty: np.ndarray, mcc_type: MCCType) -> None:
-    """Both labels equal ``_label_closure`` and the rebuilt status grid
-    equals ``label_statuses``, pattern by pattern; for type one, so does
-    the experiment runner's blocked MCC grid."""
+    """Both labels equal the scalar walk's closure, and the walks' status
+    grid equals ``label_statuses`` and the one rebuilt from the batched
+    closures, pattern by pattern; for type one, so does the experiment
+    runner's blocked MCC grid."""
     from repro.experiments.runner import _mcc_grids
 
     mesh = Mesh2D(*faulty.shape[1:])
+    walks = {}
     for label in LABELS:
         offsets = _LABEL_RULES[(mcc_type, label)]
-        expected = np.stack([_label_closure(mesh, grid, offsets) for grid in faulty])
+        walks[label] = np.stack([_walk_label(grid, offsets) for grid in faulty])
         got = batch_label_closure(faulty, offsets)
-        np.testing.assert_array_equal(got, expected, err_msg=str(label))
-    expected = np.stack([label_statuses(mesh, grid, mcc_type) for grid in faulty])
+        np.testing.assert_array_equal(got, walks[label], err_msg=str(label))
+    expected = _status_grid(faulty, *(walks[label] for label in LABELS))
     np.testing.assert_array_equal(_batch_statuses(faulty, mcc_type), expected)
+    statuses = np.stack([label_statuses(mesh, grid, mcc_type) for grid in faulty])
+    np.testing.assert_array_equal(statuses, expected)
     if mcc_type is MCCType.TYPE_ONE:
         # The figure series cannot see can't-reach nodes (the goldens pass
         # without them), so the runner's grid is pinned here.

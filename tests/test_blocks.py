@@ -3,11 +3,28 @@
 import numpy as np
 import pytest
 
-from repro.faults.blocks import build_faulty_blocks, disable_fixpoint, spread_disabled
+from repro.core.batched_patterns import batch_disable_fixpoint
+from repro.faults.blocks import build_faulty_blocks, spread_disabled
 from repro.mesh.geometry import Rect
 from repro.mesh.topology import Mesh2D
 
 from tests.conftest import FIGURE1_FAULTS, random_block_set
+
+
+def walk_fixpoint(faulty: np.ndarray) -> np.ndarray:
+    """Definition 1's fixpoint by the scalar walk, ``spread_disabled``
+    seeded at every fault: the reference the lockstep fixpoint is held
+    to."""
+    unusable = faulty.copy()
+    xs, ys = np.nonzero(faulty)
+    spread_disabled(unusable, zip(xs.tolist(), ys.tolist()))
+    return unusable
+
+
+def _dense(faulty: np.ndarray) -> np.ndarray:
+    """``batch_disable_fixpoint`` as a batch of one, as
+    ``build_faulty_blocks`` runs it."""
+    return batch_disable_fixpoint(faulty[None])[0]
 
 
 class TestPaperExample:
@@ -87,8 +104,8 @@ class TestDisableRule:
         faulty = np.zeros((30, 30), dtype=bool)
         for _ in range(40):
             faulty[rng.integers(0, 30), rng.integers(0, 30)] = True
-        once = disable_fixpoint(faulty)
-        twice = disable_fixpoint(once)
+        once = _dense(faulty)
+        twice = _dense(once)
         assert np.array_equal(once, twice)
 
 
@@ -131,11 +148,12 @@ class TestBlockSetInvariants:
 
 
 class TestImplementationCrossValidation:
-    """The scalar fixpoint (a dense round plus ``spread_disabled``), and the
-    walk seeded from one more fault, must reproduce the dense full-grid
-    fixpoint (``batch_disable_fixpoint``, exhaustively equal to Definition
-    1 on 4x4) exactly, and the run-labelled components must be the
-    4-connected components by their defining properties."""
+    """The dense full-grid fixpoint (``batch_disable_fixpoint``, which
+    ``build_faulty_blocks`` runs as a batch of one) must equal the scalar
+    walk seeded at every fault, and the walk seeded from one more fault
+    must reach the dense fixpoint of the grown fault set; the
+    run-labelled components must be the 4-connected components by their
+    defining properties."""
 
     def _random_masks(self, count=40, seed=123):
         rng = np.random.default_rng(seed)
@@ -145,12 +163,6 @@ class TestImplementationCrossValidation:
             density = rng.uniform(0.0, 0.6)
             yield rng.random((n, m)) < density
 
-    @staticmethod
-    def _dense(faulty):
-        from repro.core.batched_patterns import batch_disable_fixpoint
-
-        return batch_disable_fixpoint(faulty[None])[0]
-
     def test_frontier_fixpoint_matches_dense(self):
         """Each random mask is checked twice: from scratch, and in the
         incremental engine's form -- from its fixpoint one more cell turns
@@ -158,8 +170,8 @@ class TestImplementationCrossValidation:
         the dense fixpoint of the grown fault set."""
         rng = np.random.default_rng(456)
         for faulty in self._random_masks():
-            unusable = disable_fixpoint(faulty)
-            assert np.array_equal(unusable, self._dense(faulty))
+            unusable = walk_fixpoint(faulty)
+            assert np.array_equal(unusable, _dense(faulty))
             free = np.argwhere(~unusable)
             if not len(free):
                 continue
@@ -169,7 +181,7 @@ class TestImplementationCrossValidation:
             newly = spread_disabled(unusable, [(x, y)])
             grown = faulty.copy()
             grown[x, y] = True
-            assert np.array_equal(unusable, self._dense(grown))
+            assert np.array_equal(unusable, _dense(grown))
             changed = {(int(a), int(b)) for a, b in np.argwhere(unusable != before)}
             assert changed == {(x, y), *newly}
 
@@ -183,7 +195,7 @@ class TestImplementationCrossValidation:
         checker[::2, ::2] = True
         cases.append(checker)
         for faulty in cases:
-            assert np.array_equal(disable_fixpoint(faulty), self._dense(faulty))
+            assert np.array_equal(walk_fixpoint(faulty), _dense(faulty))
 
     def test_run_components_are_the_4_connected_components(self):
         """Components partition the mask, each is 4-connected, and no two

@@ -572,3 +572,18 @@ class TestUsageErrors:
         code, output = _run(argv)
         assert code == 2
         assert output.startswith("error:") and flag in output
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "--side", "4", "--faults", "14"],
+        ["route", "--side", "6", "--faults", "30", "--dest", "5,5"],
+        ["trace", "0,0", "3,3", "--side", "4", "--faults", "14"],
+        ["stats", "--side", "4", "--faults", "14"],
+        ["protocols", "--side", "4", "--faults", "14"],
+        ["memory", "--side", "4", "--faults", "14"],
+    ], ids=lambda argv: argv[0])
+    def test_undrawable_scenario_is_a_usage_error(self, argv):
+        """Every draw buries the centre in a faulty block: the verb says so
+        and exits 2, with no traceback."""
+        code, output = _run(argv)
+        assert code == 2
+        assert output.startswith("error:") and "--faults" in output

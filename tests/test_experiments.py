@@ -187,7 +187,7 @@ class TestShardMemo:
 
     def test_fig10_after_fig9_reuses_draws_and_existence(self, monkeypatch):
         labels = _spy(monkeypatch, runner, "batch_label_closure")
-        draws = _spy(monkeypatch, runner, "_generate_pattern_grids")
+        draws = _spy(monkeypatch, runner, "block_free_fault_stack")
         oracle = _spy(monkeypatch, figures, "batch_pattern_path_exists")
         fig9_extension1(TINY)
         fig10_extension2(TINY)

@@ -152,7 +152,8 @@ TEST_ONLY_KNOBS = {
     ),
     "repro.core.strategies:select_pivots.rng": (
         "the paper's Sec. 5 random pivots through the public strategy API; "
-        "the figure sweeps replay random_pivots' draws themselves"
+        "the figure sweeps call draw_random_pivots over bounds computed "
+        "once per shard"
     ),
 }
 
