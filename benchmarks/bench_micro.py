@@ -129,6 +129,31 @@ def test_wu_routing_speed(benchmark, workload):
     assert path.is_minimal
 
 
+def test_witness_warmup_speed(benchmark):
+    """``repro serve``'s read-mostly set-up: a fresh service on the
+    64x64 / 40-fault network of perfbench's ``serve_read`` (fault seed
+    2002) answers its 250 hot block-model pairs with path witnesses."""
+    from repro.serve import RoutingService
+
+    mesh = Mesh2D(64, 64)
+    network = np.random.default_rng(2002)
+    faults = uniform_faults(mesh, 40, network)
+    usable = np.argwhere(~build_faulty_blocks(mesh, faults).unusable)
+    rows = network.integers(0, len(usable), size=(250, 2))
+    rows[:, 1] = np.where(rows[:, 0] == rows[:, 1], (rows[:, 1] + 1) % len(usable), rows[:, 1])
+    pairs = [(tuple(map(int, usable[a])), tuple(map(int, usable[b]))) for a, b in rows]
+
+    def warm():
+        service = RoutingService(mesh, faults)
+        return sum(
+            service.answer(s, d, model="block", want_path=True).path is not None
+            for s, d in pairs
+        )
+
+    witnesses = benchmark(warm)
+    assert witnesses > 200
+
+
 BATCH = 256
 
 

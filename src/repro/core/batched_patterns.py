@@ -16,7 +16,7 @@ instead of building full ESL grids.
 
 The two fixpoints are the only from-scratch implementations of
 Definitions 1 and 2: :func:`repro.faults.blocks.build_faulty_blocks`,
-:func:`repro.faults.mcc.label_statuses` and the incremental engine's
+:func:`repro.faults.mcc.label_closures` and the incremental engine's
 revive windows run them as a batch of one.  ``tests/test_batched_patterns.py``
 holds them to the scalar walks the incremental engine extends a fixpoint
 with (:func:`~repro.faults.blocks.spread_disabled` and

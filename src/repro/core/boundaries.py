@@ -44,12 +44,24 @@ orientation; a :class:`~repro.mesh.frames.Frame` anchored at a mesh corner
 maps the other quadrants onto it by index reflection (``x -> n - 1 - x``,
 ``y -> m - 1 - y``), and :class:`BoundaryMap` caches one canonical map per
 orientation.
+
+Routing reads the rules through a table derived from each canonical map
+(:meth:`BoundaryMap.stay_on`): one plain ``(line, bound, lo, hi)`` tuple
+per straight-section tag -- ``(L1, xmax, ymin, ymax)`` forbids North for
+``x > xmax, ymin <= y <= ymax`` (R6), ``(L3, ymax, xmin, xmax)`` forbids
+East for ``y > ymax, xmin <= x <= xmax`` (R4).  A hop reads the tags
+stored at its node and tests a few integers per tag instead of walking
+rectangles.  The table is cached next to its canonical map on the
+:class:`BoundaryMap`, together with one nested-list copy of ``unusable``
+(:attr:`BoundaryMap.grid`); ``forbidden_directions`` stays the
+reference the tests hold the table to.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +80,11 @@ class Line(enum.Enum):
     L2 = "L2"  # row ymax + 1 (North side)
     L3 = "L3"  # column xmin - 1 (West side)
     L4 = "L4"  # column xmax + 1 (East side)
+
+
+#: One straight-section stay-on rule, ``(line, bound, lo, hi)`` in canonical
+#: coordinates (see the module docstring).
+StayOnRule = tuple[Line, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -261,19 +278,51 @@ class CanonicalBoundaryMap:
         return forbidden
 
 
+class StayOnTable(dict):
+    """One orientation's stay-on rules, one per boundary tag.
+
+    ``table[id(tag)]`` is the :data:`StayOnRule` of a straight-section
+    tag, or ``()`` for a tag that forbids nothing (turn sections, exit
+    intersections); :meth:`derive` fills it on a tag's first lookup.  A
+    traced polyline shares its tags, so a map of a few hundred distinct
+    tags is derived in that many steps, however many nodes the witnesses
+    visit.  The table holds its canonical map, whose annotations keep
+    every keyed tag alive.
+    """
+
+    def __init__(self, canonical: CanonicalBoundaryMap):
+        super().__init__()
+        self.canonical = canonical
+
+    def derive(self, tag: BoundaryTag) -> StayOnRule | tuple[()]:
+        """Record and return ``tag``'s rule: the R6 / R4 test that
+        :meth:`CanonicalBoundaryMap.forbidden_directions` applies for it."""
+        rect = self.canonical.rects[tag.block_index]
+        rule: StayOnRule | tuple[()] = ()
+        if tag.line is Line.L1 and tag.toward is Direction.EAST:
+            rule = (Line.L1, rect.xmax, rect.ymin, rect.ymax)
+        elif tag.line is Line.L3 and tag.toward is Direction.NORTH:
+            rule = (Line.L3, rect.ymax, rect.xmin, rect.xmax)
+        self[id(tag)] = rule
+        return rule
+
+
 @dataclass
 class BoundaryMap:
     """Boundary information for a block set, for every destination quadrant.
 
     Canonical maps are built lazily per orientation: quadrant I needs no
     reflection, quadrant III reflects both axes, etc.  The underlying fault
-    data is shared; only the traces differ.
+    data is shared; only the traces differ.  Each orientation's stay-on
+    table (:meth:`stay_on`) is derived from its canonical map on first use
+    and cached beside it.
     """
 
     mesh: Mesh2D
     rects: list[Rect]
     unusable: np.ndarray
     _canonical: dict[tuple[bool, bool], CanonicalBoundaryMap] = field(default_factory=dict)
+    _stay_on: dict[tuple[bool, bool], StayOnTable] = field(default_factory=dict)
 
     @staticmethod
     def for_blocks(blocks: BlockSet) -> "BoundaryMap":
@@ -297,6 +346,7 @@ class BoundaryMap:
         dog food).
         """
         self._canonical[(flip_x, flip_y)] = canonical
+        self._stay_on.pop((flip_x, flip_y), None)
 
     def canonical(self, flip_x: bool, flip_y: bool) -> CanonicalBoundaryMap:
         """The canonical map for one orientation, built on first use."""
@@ -311,3 +361,18 @@ class BoundaryMap:
                 self.mesh, reflected_rects, reflected_unusable
             )
         return self._canonical[key]
+
+    def stay_on(self, flip_x: bool, flip_y: bool) -> StayOnTable:
+        """One orientation's stay-on table, created on first use and kept
+        until :meth:`install` replaces that orientation's canonical map."""
+        key = (flip_x, flip_y)
+        table = self._stay_on.get(key)
+        if table is None:
+            table = self._stay_on[key] = StayOnTable(self.canonical(flip_x, flip_y))
+        return table
+
+    @cached_property
+    def grid(self) -> list[list[bool]]:
+        """``unusable`` as nested lists, so a hop reads a cell as a plain
+        index."""
+        return self.unusable.tolist()

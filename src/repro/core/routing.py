@@ -12,6 +12,19 @@ Theorem 1 guarantees that, from a safe source, this purely local procedure
 delivers the packet in exactly ``D(s, d)`` hops; the test-suite checks that
 guarantee for every safe pair on randomized fault patterns.
 
+A hop costs a few lookups: the tags stored at the node, and for each the
+plain stay-on rule of the per-orientation table
+:meth:`~repro.core.boundaries.BoundaryMap.stay_on`, which the
+:class:`~repro.core.boundaries.BoundaryMap` derives from its canonical
+map (one rule per tag, on the tag's first lookup) and caches beside it,
+so every router on one map (``repro serve`` builds one router per
+witness) shares it.
+:meth:`WuRouter.next_hop` (the per-hop callers: the simulator's packet
+forwarding and the traffic simulation) and :meth:`WuRouter.route` (a
+whole leg in one loop) apply the same step rule;
+:meth:`~repro.core.boundaries.CanonicalBoundaryMap.forbidden_directions`
+stays the reference the tests hold it to.
+
 :func:`route_with_decision` turns a :class:`~repro.core.conditions.Decision`
 into an actual path: single-phase for a safe source, two-phase through the
 helper node for the extensions (Theorems 1a/1b/1c), and the one-detour
@@ -22,13 +35,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.boundaries import BoundaryMap
+from repro.core.boundaries import BoundaryMap, Line
 from repro.core.conditions import Decision, DecisionKind
 from repro.faults.blocks import BlockSet
-from repro.mesh.frames import Frame
-from repro.mesh.geometry import Coord, manhattan_distance
+from repro.mesh.geometry import Coord, Direction, manhattan_distance
 from repro.mesh.topology import Mesh2D
-from repro.obs import get_tracer
+from repro.obs import Tracer, get_tracer
 from repro.routing.path import Path
 from repro.routing.router import (
     HopRouter,
@@ -51,60 +63,141 @@ class WuRouter(HopRouter):
         tie_breaker: TieBreaker = balanced_tie_breaker,
     ):
         super().__init__(mesh)
-        self.blocks = blocks
         self.boundaries = boundary_map if boundary_map is not None else BoundaryMap.for_blocks(blocks)
         self.tie_breaker = tie_breaker
 
     def next_hop(self, current: Coord, dest: Coord) -> Coord:
-        frame = Frame.for_pair(current, dest)
-        reflection = self.boundaries.reflection(frame.flip_x, frame.flip_y)
-        canonical = self.boundaries.canonical(frame.flip_x, frame.flip_y)
-
-        preferred = self.mesh.preferred_directions(current, dest)
-        candidates = [
-            direction
-            for direction in preferred
-            if not self.blocks.unusable[direction.step(current)]
-        ]
         trc = get_tracer()
-        tracing = trc.enabled
-        if tracing:
-            for direction in preferred:
-                if direction not in candidates:
-                    trc.emit("block_hit", at=current, blocked=direction.step(current),
-                             dest=dest, direction=direction.name)
-        if not candidates:
-            raise RoutingError(
-                f"no free preferred neighbour at {current} toward {dest}",
-                partial=[current],
-            )
+        trace = [current]
+        self._walk(trace, dest, 1, trc if trc.enabled else None)
+        return trace[1]
 
-        forbidden = {
-            reflection.to_local_direction(d)
-            for d in canonical.forbidden_directions(
-                reflection.to_local(current), reflection.to_local(dest)
-            )
-        }
-        allowed = [direction for direction in candidates if direction not in forbidden]
-        if tracing:
-            self._hop_note = {
-                "rule": "stay-on-line" if forbidden else "adaptive",
-                "candidates": len(allowed),
-            }
-            if forbidden:
-                self._hop_note["forbidden"] = sorted(d.name for d in forbidden)
-        if not allowed:
-            raise RoutingError(
-                f"every free preferred move at {current} toward {dest} is a detour "
-                f"direction (forbidden: {sorted(d.name for d in forbidden)})",
-                partial=[current],
-            )
-        return self.tie_breaker(current, dest, allowed).step(current)
+    def _walk(self, trace: list[Coord], dest: Coord, hops: int, trc: Tracer | None) -> None:
+        """Take ``hops`` hops of the protocol from ``trace[-1]`` toward
+        ``dest``, appending each node to ``trace``: the one step rule, in
+        plain integers.
+
+        The orientation is recomputed at every hop, as
+        ``Frame.for_pair(current, dest)`` would: it changes once the packet
+        reaches the destination's row or column.  A preferred move is free
+        when its cell is usable.  The tags stored at the node (its
+        canonical coordinates reflect ``x -> n - 1 - x`` on a flipped
+        axis) map to plain stay-on rules through the orientation's table,
+        and a rule whose region holds the reflected destination forbids
+        the local North or East move.  When both preferred moves stay
+        allowed the tie-breaker picks one.  With a tracer, blocked
+        preferred moves are reported and the hop's justification is left
+        in ``_hop_note``.
+        """
+        boundaries = self.boundaries
+        grid = boundaries.grid
+        tie_breaker = self.tie_breaker
+        n1, m1 = self.mesh.n - 1, self.mesh.m - 1
+        current = trace[-1]
+        x, y = current
+        tx, ty = dest
+        table_x = table_y = None
+        l1 = Line.L1  # a local: reading an Enum member off its class is slow
+        for _ in range(hops):
+            flip_x, flip_y = tx < x, ty < y
+            if flip_x is not table_x or flip_y is not table_y:
+                table_x, table_y = flip_x, flip_y
+                table = boundaries.stay_on(flip_x, flip_y)
+                annotations = table.canonical.annotations
+                rule_of = table.get
+                lx = n1 - tx if flip_x else tx  # the destination, reflected
+                ly = m1 - ty if flip_y else ty
+                pair = (Direction.WEST if flip_x else Direction.EAST,
+                        Direction.SOUTH if flip_y else Direction.NORTH)
+            h_free = v_free = False
+            if tx != x:
+                hx = x - 1 if flip_x else x + 1
+                h_free = not grid[hx][y]
+            if ty != y:
+                vy = y - 1 if flip_y else y + 1
+                v_free = not grid[x][vy]
+            if trc is not None:
+                if tx != x and not h_free:
+                    trc.emit("block_hit", at=current, blocked=(hx, y), dest=dest,
+                             direction="WEST" if flip_x else "EAST")
+                if ty != y and not v_free:
+                    trc.emit("block_hit", at=current, blocked=(x, vy), dest=dest,
+                             direction="SOUTH" if flip_y else "NORTH")
+            if not (h_free or v_free):
+                raise RoutingError(
+                    f"no free preferred neighbour at {current} toward {dest}",
+                    partial=[current],
+                )
+
+            forbid_h = forbid_v = False
+            tags = annotations.get((n1 - x if flip_x else x, m1 - y if flip_y else y))
+            if tags:
+                for tag in tags:
+                    rule = rule_of(id(tag))
+                    if rule is None:
+                        rule = table.derive(tag)
+                    if rule:
+                        line, bound, lo, hi = rule
+                        if line is l1:
+                            if lx > bound and lo <= ly <= hi:
+                                forbid_v = True
+                        elif ly > bound and lo <= lx <= hi:
+                            forbid_h = True
+            h_ok = h_free and not forbid_h
+            v_ok = v_free and not forbid_v
+            if trc is not None or not (h_ok or v_ok):
+                forbidden = sorted(
+                    ["WEST" if flip_x else "EAST"] * forbid_h
+                    + ["SOUTH" if flip_y else "NORTH"] * forbid_v
+                )
+                if trc is not None:
+                    self._hop_note = {
+                        "rule": "stay-on-line" if forbidden else "adaptive",
+                        "candidates": h_ok + v_ok,
+                    }
+                    if forbidden:
+                        self._hop_note["forbidden"] = forbidden
+            if h_ok and v_ok:
+                direction = tie_breaker(current, dest, pair)
+                x += direction.dx
+                y += direction.dy
+            elif h_ok:
+                x = hx
+            elif v_ok:
+                y = vy
+            else:
+                raise RoutingError(
+                    f"every free preferred move at {current} toward {dest} is a detour "
+                    f"direction (forbidden: {forbidden})",
+                    partial=[current],
+                )
+            current = (x, y)
+            trace.append(current)
 
     def route(self, source: Coord, dest: Coord, max_hops: int | None = None) -> Path:
-        """Route and assert minimality (each hop is a preferred move)."""
-        limit = max_hops if max_hops is not None else manhattan_distance(source, dest)
-        path = super().route(source, dest, max_hops=limit)
+        """Route and assert minimality (each hop is a preferred move).
+
+        With a tracer the leg runs through the shared drive loop, which
+        reports every hop; without one it is a single :meth:`_walk` of
+        ``D(source, dest)`` hops.
+        """
+        distance = manhattan_distance(source, dest)
+        limit = max_hops if max_hops is not None else distance
+        if get_tracer().enabled:
+            path = super().route(source, dest, max_hops=limit)
+        else:
+            self.mesh.require_in_bounds(source)
+            self.mesh.require_in_bounds(dest)
+            trace = [source]
+            try:
+                self._walk(trace, dest, min(limit, distance), None)
+            except RoutingError as error:
+                if len(error.partial) < len(trace):
+                    error.partial = list(trace)
+                raise
+            if trace[-1] != dest:
+                raise RoutingError(f"hop limit {limit} exceeded", partial=trace)
+            path = Path.of(trace)
         assert path.is_minimal  # every hop decreases the distance by one
         return path
 

@@ -46,8 +46,9 @@ from repro.experiments.runner import (
     PatternBatchContext,
     PatternMetricFn,
 )
-from repro.faults.injection import generate_scenario
-from repro.faults.mcc import MCCType
+from repro.faults.blocks import build_faulty_blocks
+from repro.faults.injection import block_free_fault_stack, generate_scenario
+from repro.faults.mcc import MCCType, build_mccs
 
 Progress = Callable[[str], None] | None
 
@@ -154,7 +155,12 @@ def _check_engine(engine: str) -> None:
 def fig7_affected_rows(
     config: ExperimentConfig | None = None, progress: Progress = None
 ) -> FigureSeries:
-    """Percentage of affected rows (and columns): Theorem 2 vs simulation."""
+    """Percentage of affected rows (and columns): Theorem 2 vs simulation.
+
+    The patterns are drawn uniformly whatever ``config.workload`` says:
+    Theorem 2's analytical curve assumes uniform faults, so the simulated
+    curve is measured on the same draw.
+    """
     config = config or ExperimentConfig.from_environment()
     rng = np.random.default_rng(config.seed)
     n = config.mesh_side
@@ -164,6 +170,9 @@ def fig7_affected_rows(
         x_label="faults",
     )
     series.notes.append(config.describe())
+    series.notes.append(
+        "uniform faults for every workload: Theorem 2's curve assumes them"
+    )
     for fault_count in config.fault_counts:
         fractions: list[float] = []
         for _ in range(config.patterns_per_count):
@@ -189,9 +198,13 @@ def fig8_disabled_nodes(
     config: ExperimentConfig | None = None, progress: Progress = None
 ) -> FigureSeries:
     """Average disabled (healthy but sacrificed) nodes per faulty block,
-    under Wu's faulty block model and the MCC model (type one)."""
+    under Wu's faulty block model and the MCC model (type one).
+
+    Each pattern is one block-free draw of ``config.workload``, uniform or
+    clustered."""
     config = config or ExperimentConfig.from_environment()
     rng = np.random.default_rng(config.seed)
+    mesh = config.mesh
     series = FigureSeries(
         figure_id="fig8",
         title="average number of disabled nodes in a faulty block",
@@ -202,9 +215,14 @@ def fig8_disabled_nodes(
         block_means: list[float] = []
         mcc_means: list[float] = []
         for _ in range(config.patterns_per_count):
-            scenario = generate_scenario(config.mesh, fault_count, rng, source=config.source)
-            block_means.append(scenario.blocks.average_disabled_per_block())
-            mcc_means.append(scenario.mccs(MCCType.TYPE_ONE).average_disabled_per_component())
+            faults, _ = block_free_fault_stack(
+                mesh, fault_count, [rng], config.source, config.workload
+            )
+            cells = [(x, y) for x, y in np.argwhere(faults[0]).tolist()]
+            block_means.append(build_faulty_blocks(mesh, cells).average_disabled_per_block())
+            mcc_means.append(
+                build_mccs(mesh, cells, MCCType.TYPE_ONE).average_disabled_per_component()
+            )
         series.xs.append(float(fault_count))
         series.add_point("wu_model", mean_and_ci(block_means))
         series.add_point("mcc", mean_and_ci(mcc_means))

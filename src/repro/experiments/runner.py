@@ -221,7 +221,7 @@ def _mcc_grids(faults: np.ndarray) -> np.ndarray:
     The figures' destinations lie in quadrant I, which type-one MCCs
     serve.  The blocked grid is the faults plus the useless and the
     can't-reach closures, each taken over the whole stack in lockstep;
-    it equals ``label_statuses(mesh, faults[b], TYPE_ONE) != FAULT_FREE``
+    it equals ``build_mccs(mesh, cells of faults[b], TYPE_ONE).blocked``
     for every pattern ``b``.
     """
     useless, cant_reach = (

@@ -34,9 +34,11 @@ This module maintains the same state by *deltas*:
   :func:`repro.faults.mcc.extend_label` seeded at the new fault extends
   each closure in O(delta); revival relabels the dead component's
   window from the component's own faults with
-  :func:`repro.core.batched_patterns.batch_label_closure` as a batch of
-  one.  Each tracked MCC type keeps its own ESL grids, rescanned over the
-  rows and columns of the cells whose MCC-blocked status flipped.
+  :func:`repro.faults.mcc.label_closures`.  The initial build labels each
+  closure once, in :func:`repro.faults.mcc.build_mccs`, and the engine
+  keeps the two label grids that build returns.  Each tracked MCC type
+  keeps its own ESL grids, rescanned over the rows and columns of the
+  cells whose MCC-blocked status flipped.
 
 Both fault models keep their components in one :class:`_Ledger`: an
 arrival takes every component touching the cells it blocked and puts
@@ -65,7 +67,7 @@ from typing import Generic, Iterable, TypeVar
 
 import numpy as np
 
-from repro.core.batched_patterns import batch_disable_fixpoint, batch_label_closure
+from repro.core.batched_patterns import batch_disable_fixpoint
 from repro.core.safety import (
     SafetyLevels,
     compute_safety_levels,
@@ -87,6 +89,7 @@ from repro.faults.mcc import (
     _status_grid,
     build_mccs,
     extend_label,
+    label_closures,
 )
 from repro.mesh.geometry import Coord, Rect
 from repro.mesh.topology import Mesh2D
@@ -234,10 +237,10 @@ class IncrementalMCCState:
         }
         # Per-closure blocked grids (faulty | that label); the two closures
         # are independent (a node may carry both labels), so each keeps its
-        # own grid.
+        # own grid, taken from the labels the build computed.
+        useless, cant_reach = built.labels
         self._closure = {
-            label: self.faulty | batch_label_closure(self.faulty[None], rule)[0]
-            for label, rule in self._rules.items()
+            USELESS: self.faulty | useless, CANT_REACH: self.faulty | cant_reach
         }
         self._components: _Ledger[MCCComponent] = _Ledger(mesh)
         for component in built.components:
@@ -298,8 +301,7 @@ class IncrementalMCCState:
         # its window with everything else fault-free matches the global
         # fixpoint, and every label chains back to its faults, inside it.
         useless, cant_reach = (
-            sub_faulty | batch_label_closure(sub_faulty[None], rule)[0]
-            for rule in self._rules.values()
+            sub_faulty | grid for grid in label_closures(sub_faulty, self.mcc_type)
         )
         sub_blocked = useless | cant_reach
         for grid, sub in (
@@ -334,6 +336,7 @@ class IncrementalMCCState:
             status=self.status.copy(),
             blocked=self.blocked.copy(),
             component_id=component_id,
+            labels=tuple(grid & ~self.faulty for grid in self._closure.values()),
         )
 
 

@@ -27,9 +27,11 @@ Missing neighbours at mesh edges count as fault-free, so a node on the mesh
 boundary is never labelled because of the edge alone.  Each label's
 fixpoint from scratch has one implementation, the lockstep
 :func:`repro.core.batched_patterns.batch_label_closure`: the figure sweeps
-label whole pattern stacks with it, and :func:`label_statuses` runs it as a
-batch of one.  Each label also has one scalar walk, :func:`extend_label`,
-which extends a closure from newly blocked cells:
+label whole pattern stacks with it, and :func:`label_closures` runs it as a
+batch of one, once per label: :func:`build_mccs` folds the two label grids
+into the status grid and keeps them on the :class:`MCCSet` it returns.
+Each label also has one scalar walk, :func:`extend_label`, which extends a
+closure from newly blocked cells:
 :class:`repro.faults.incremental.IncrementalMCCState` runs it from each
 arriving fault, and the tests hold the batched closure to it.
 """
@@ -116,28 +118,28 @@ def extend_label(
     return newly
 
 
-def label_statuses(mesh: Mesh2D, faulty: np.ndarray, mcc_type: MCCType) -> np.ndarray:
-    """Compute Definition 2's status grid for one MCC type.
+def label_closures(faulty: np.ndarray, mcc_type: MCCType) -> tuple[np.ndarray, np.ndarray]:
+    """Definition 2's ``(useless, cant_reach)`` labels of one fault grid,
+    faults excluded, each closure labelled once.
 
-    Returns an ``int8`` grid of :class:`NodeStatus` values, shape ``(n, m)``.
     The two closures are *independent* -- a node may end up in both (e.g.
     node (3, 5) of the paper's Figure 1 example is useless and can't-reach
-    for type two) -- and such a node reports ``USELESS`` (one status per
-    node; the blocked-set semantics are unaffected).
+    for type two) -- so both grids are returned; :func:`_status_grid` folds
+    them into one status per node.
     """
     # A module-level import of repro.core would be an import cycle.
     from repro.core.batched_patterns import batch_label_closure
 
-    assert faulty.shape == (mesh.n, mesh.m)
     useless, cant_reach = (
         batch_label_closure(faulty[None], _LABEL_RULES[(mcc_type, label)])[0]
         for label in (NodeStatus.USELESS, NodeStatus.CANT_REACH)
     )
-    return _status_grid(faulty, useless, cant_reach)
+    return useless, cant_reach
 
 
 def _status_grid(faulty: np.ndarray, useless: np.ndarray, cant_reach: np.ndarray) -> np.ndarray:
-    """One status per node, faulty over useless over can't-reach."""
+    """One ``int8`` :class:`NodeStatus` per node, faulty over useless over
+    can't-reach."""
     status = np.zeros(faulty.shape, dtype=np.int8)
     status[cant_reach] = NodeStatus.CANT_REACH
     status[useless] = NodeStatus.USELESS
@@ -199,6 +201,8 @@ class MCCSet:
 
     ``blocked`` is the union grid of all components: exactly the nodes a
     minimal routing (for the corresponding quadrants) must avoid.
+    ``labels`` holds the two label grids of :func:`label_closures`, which
+    keep a node that is both useless and can't-reach in each closure.
     """
 
     mesh: Mesh2D
@@ -208,6 +212,7 @@ class MCCSet:
     status: np.ndarray
     blocked: np.ndarray
     component_id: np.ndarray
+    labels: tuple[np.ndarray, np.ndarray]
 
     def __iter__(self) -> Iterator[MCCComponent]:
         return iter(self.components)
@@ -254,7 +259,8 @@ def _build_mccs(mesh: Mesh2D, faults: Iterable[Coord], mcc_type: MCCType) -> MCC
         mesh.require_in_bounds(coord)
         faulty[coord] = True
 
-    status = label_statuses(mesh, faulty, mcc_type)
+    labels = label_closures(faulty, mcc_type)
+    status = _status_grid(faulty, *labels)
     blocked = status != NodeStatus.FAULT_FREE
 
     from repro.faults.blocks import _connected_components  # shared helper
@@ -284,4 +290,5 @@ def _build_mccs(mesh: Mesh2D, faults: Iterable[Coord], mcc_type: MCCType) -> MCC
         status=status,
         blocked=blocked,
         component_id=component_id,
+        labels=labels,
     )

@@ -76,9 +76,14 @@ class Frame:
 
     def to_local_rect(self, rect: Rect) -> Rect:
         """Map a global rectangle into the frame (bounds re-sorted)."""
-        ax, ay = self.to_local((rect.xmin, rect.ymin))
-        bx, by = self.to_local((rect.xmax, rect.ymax))
-        return Rect(min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
+        ox, oy = self.origin
+        xmin, xmax = rect.xmin - ox, rect.xmax - ox
+        ymin, ymax = rect.ymin - oy, rect.ymax - oy
+        if self.flip_x:
+            xmin, xmax = -xmax, -xmin
+        if self.flip_y:
+            ymin, ymax = -ymax, -ymin
+        return Rect(xmin, xmax, ymin, ymax)
 
     # ------------------------------------------------------------------
     # Direction mapping

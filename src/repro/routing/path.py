@@ -24,7 +24,7 @@ class Path:
         if not self.nodes:
             raise ValueError("a path needs at least one node")
         for a, b in zip(self.nodes, self.nodes[1:]):
-            if manhattan_distance(a, b) != 1:
+            if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:  # D(a, b), inlined
                 raise ValueError(f"non-adjacent hop {a} -> {b}")
 
     @staticmethod

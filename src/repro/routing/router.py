@@ -15,7 +15,7 @@ failure and shows Wu's protocol avoiding it.
 from __future__ import annotations
 
 import abc
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,10 +37,10 @@ class RoutingError(RuntimeError):
 
 
 #: A tie-breaker picks among equally legal candidate directions.
-TieBreaker = Callable[[Coord, Coord, list[Direction]], Direction]
+TieBreaker = Callable[[Coord, Coord, Sequence[Direction]], Direction]
 
 
-def balanced_tie_breaker(current: Coord, dest: Coord, candidates: list[Direction]) -> Direction:
+def balanced_tie_breaker(current: Coord, dest: Coord, candidates: Sequence[Direction]) -> Direction:
     """Prefer the dimension with the larger remaining offset.
 
     Keeps the packet near the diagonal, which maximizes later adaptivity;
@@ -55,7 +55,7 @@ def balanced_tie_breaker(current: Coord, dest: Coord, candidates: list[Direction
     return candidates[0]
 
 
-def x_first_tie_breaker(current: Coord, dest: Coord, candidates: list[Direction]) -> Direction:
+def x_first_tie_breaker(current: Coord, dest: Coord, candidates: Sequence[Direction]) -> Direction:
     """Dimension-ordered (XY) choice; with no faults this is e-cube routing."""
     for direction in candidates:
         if direction.is_horizontal:

@@ -20,7 +20,7 @@ package provides the substrate to execute them as such:
   protocol                    centralized counterpart
   ==========================  =================================================
   ``block_formation``         :func:`repro.faults.blocks.build_faulty_blocks`
-  ``mcc_formation``           :func:`repro.faults.mcc.label_statuses`
+  ``mcc_formation``           :func:`repro.faults.mcc.build_mccs`
   ``safety_propagation``      :func:`repro.core.safety.compute_safety_levels`
   ``boundary_distribution``   :class:`repro.core.boundaries.CanonicalBoundaryMap`
   ``region_exchange``         :func:`repro.core.segments.build_axis_segments`

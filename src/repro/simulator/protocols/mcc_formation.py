@@ -72,7 +72,7 @@ class MCCFormationProcess(NodeProcess):
 
 @dataclass(frozen=True)
 class MCCFormationResult:
-    status: np.ndarray  # NodeStatus grid, matching label_statuses()
+    status: np.ndarray  # NodeStatus grid, matching build_mccs().status
     blocked: np.ndarray
     stats: NetworkStats
 

@@ -31,7 +31,7 @@ sources on mesh edges, blocked sources, and a stack whose guard rows
 alone keep one pattern's carry out of the next.
 
 Definition 2's labelling (``batch_label_closure``) is checked against
-the ``extend_label`` walk and ``label_statuses`` for both labels of both
+the ``extend_label`` walk and ``label_closures`` for both labels of both
 MCC types over every 4x4 pattern in one batch, thin meshes, seeded random
 32x32 stacks and the full-mesh staircase, its worst case in rounds.
 
@@ -84,7 +84,7 @@ from repro.faults.mcc import (
     _status_grid,
     build_mccs,
     extend_label,
-    label_statuses,
+    label_closures,
 )
 from repro.mesh.frames import Frame
 from repro.mesh.geometry import ESL_ORDER, Direction, Rect
@@ -790,7 +790,7 @@ LABELS = (NodeStatus.USELESS, NodeStatus.CANT_REACH)
 
 
 def _batch_statuses(faulty: np.ndarray, mcc_type: MCCType) -> np.ndarray:
-    """The ``label_statuses`` stack rebuilt from the batched closures: a
+    """The status stack rebuilt from the batched closures: a
     node in both closures reports USELESS."""
     useless, cant_reach = (
         batch_label_closure(faulty, _LABEL_RULES[(mcc_type, label)])
@@ -815,12 +815,11 @@ def _walk_label(faulty: np.ndarray, offsets) -> np.ndarray:
 
 def _assert_labels_match_scalar(faulty: np.ndarray, mcc_type: MCCType) -> None:
     """Both labels equal the scalar walk's closure, and the walks' status
-    grid equals ``label_statuses`` and the one rebuilt from the batched
-    closures, pattern by pattern; for type one, so does the experiment
-    runner's blocked MCC grid."""
+    grid equals the one folded from ``label_closures`` and the one rebuilt
+    from the batched closures, pattern by pattern; for type one, so does
+    the experiment runner's blocked MCC grid."""
     from repro.experiments.runner import _mcc_grids
 
-    mesh = Mesh2D(*faulty.shape[1:])
     walks = {}
     for label in LABELS:
         offsets = _LABEL_RULES[(mcc_type, label)]
@@ -829,7 +828,7 @@ def _assert_labels_match_scalar(faulty: np.ndarray, mcc_type: MCCType) -> None:
         np.testing.assert_array_equal(got, walks[label], err_msg=str(label))
     expected = _status_grid(faulty, *(walks[label] for label in LABELS))
     np.testing.assert_array_equal(_batch_statuses(faulty, mcc_type), expected)
-    statuses = np.stack([label_statuses(mesh, grid, mcc_type) for grid in faulty])
+    statuses = np.stack([_status_grid(grid, *label_closures(grid, mcc_type)) for grid in faulty])
     np.testing.assert_array_equal(statuses, expected)
     if mcc_type is MCCType.TYPE_ONE:
         # The figure series cannot see can't-reach nodes (the goldens pass

@@ -1,5 +1,6 @@
 """Unit and smoke tests for the experiment harness (Figures 7-12)."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -295,6 +296,33 @@ class TestFigureSmoke:
         assert set(series.series) == {"wu_model", "mcc"}
         for w, m in zip(series.column("wu_model"), series.column("mcc")):
             assert m <= w + 1e-9
+
+    #: Figure 8 on a uniform 32x32 config, recorded before the figure drew
+    #: through ``block_free_fault_stack``: sha256 of the xs and of every
+    #: (value, half-width, samples) point.
+    FIG8_UNIFORM = "fbd57af566c9fd41"
+    FIG8_CONFIG = ExperimentConfig(
+        mesh_side=32, fault_counts=(20, 60, 120), patterns_per_count=4,
+        destinations_per_pattern=1,
+    )
+
+    @staticmethod
+    def _fig8_digest(series) -> str:
+        rows = {
+            name: [(e.value, e.half_width, e.samples) for e in points]
+            for name, points in series.series.items()
+        }
+        return hashlib.sha256(repr((series.xs, rows)).encode()).hexdigest()[:16]
+
+    def test_fig8_uniform_series_pinned(self):
+        assert self._fig8_digest(fig8_disabled_nodes(self.FIG8_CONFIG)) == self.FIG8_UNIFORM
+
+    def test_fig8_follows_the_workload(self):
+        clustered = fig8_disabled_nodes(replace(self.FIG8_CONFIG, workload="clustered"))
+        assert self._fig8_digest(clustered) != self.FIG8_UNIFORM
+        uniform = fig8_disabled_nodes(self.FIG8_CONFIG)
+        # Clustered damage disables far more nodes per block at the top count.
+        assert clustered.column("wu_model")[-1] > uniform.column("wu_model")[-1]
 
     def test_fig9(self):
         series = fig9_extension1(TINY)

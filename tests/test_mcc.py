@@ -9,7 +9,6 @@ from repro.faults.mcc import (
     MCCType,
     NodeStatus,
     build_mccs,
-    label_statuses,
 )
 from repro.mesh.geometry import Rect
 from repro.mesh.topology import Mesh2D
@@ -147,8 +146,8 @@ class TestClosureSemantics:
             for _ in range(count):
                 faulty[rng.integers(0, 15), rng.integers(0, 15)] = True
             for mcc_type in MCCType:
-                status = label_statuses(mesh, faulty, mcc_type)
-                blocked = status != NodeStatus.FAULT_FREE
+                faults = [tuple(cell) for cell in np.argwhere(faulty).tolist()]
+                blocked = build_mccs(mesh, faults, mcc_type).blocked
                 naive = _naive_blocked(mesh, faulty, mcc_type)
                 assert np.array_equal(blocked, naive), f"{mcc_type} mismatch"
 
@@ -190,3 +189,32 @@ def _naive_blocked(mesh, faulty, mcc_type):
                         changed = True
         blocked_total |= blocked
     return blocked_total
+
+
+class TestLabelledOnce:
+    def test_tracked_type_labels_each_closure_once(self, monkeypatch, rng):
+        """Building an engine that tracks one MCC type labels each of
+        Definition 2's two closures once: the state keeps the label grids
+        its build computed instead of labelling again."""
+        from repro.core import batched_patterns
+        from repro.faults import incremental
+        from repro.faults.incremental import IncrementalFaultEngine
+        from repro.faults.injection import uniform_faults
+
+        calls = []
+        closure = batched_patterns.batch_label_closure
+
+        def counting(faulty, offsets):
+            calls.append(offsets)
+            return closure(faulty, offsets)
+
+        monkeypatch.setattr(batched_patterns, "batch_label_closure", counting)
+        monkeypatch.setattr(incremental, "batch_label_closure", counting, raising=False)
+        mesh = Mesh2D(24, 24)
+        faults = uniform_faults(mesh, 40, rng)
+        engine = IncrementalFaultEngine(mesh, faults, mcc_types=(MCCType.TYPE_ONE,))
+        assert len(calls) == 2
+        built = build_mccs(mesh, faults, MCCType.TYPE_ONE)
+        tracked = engine.mcc_set(MCCType.TYPE_ONE)
+        for got, want in zip(tracked.labels, built.labels):
+            assert np.array_equal(got, want)

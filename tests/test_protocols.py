@@ -12,7 +12,7 @@ from repro.core.boundaries import CanonicalBoundaryMap
 from repro.core.safety import UNBOUNDED, compute_safety_levels
 from repro.faults.blocks import build_faulty_blocks
 from repro.faults.injection import uniform_faults
-from repro.faults.mcc import MCCType, label_statuses
+from repro.faults.mcc import MCCType, build_mccs
 from repro.mesh.topology import Mesh2D
 from repro.simulator.protocols import (
     run_block_formation,
@@ -61,11 +61,8 @@ class TestMCCFormationProtocol:
     @pytest.mark.parametrize("mcc_type", [MCCType.TYPE_ONE, MCCType.TYPE_TWO])
     def test_figure1_example(self, mcc_type):
         mesh = Mesh2D(10, 10)
-        faulty = np.zeros((10, 10), dtype=bool)
-        for coord in FIGURE1_FAULTS:
-            faulty[coord] = True
         result = run_mcc_formation(mesh, FIGURE1_FAULTS, mcc_type)
-        expected = label_statuses(mesh, faulty, mcc_type)
+        expected = build_mccs(mesh, FIGURE1_FAULTS, mcc_type).status
         assert np.array_equal(result.status, expected)
 
     @pytest.mark.parametrize("num_faults", [10, 40])
@@ -73,12 +70,9 @@ class TestMCCFormationProtocol:
         mesh = Mesh2D(25, 25)
         for _ in range(4):
             faults = uniform_faults(mesh, num_faults, rng)
-            faulty = np.zeros((25, 25), dtype=bool)
-            for coord in faults:
-                faulty[coord] = True
             for mcc_type in MCCType:
                 result = run_mcc_formation(mesh, faults, mcc_type)
-                expected = label_statuses(mesh, faulty, mcc_type)
+                expected = build_mccs(mesh, faults, mcc_type).status
                 assert np.array_equal(result.status, expected), mcc_type
 
 

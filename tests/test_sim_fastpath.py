@@ -24,7 +24,7 @@ from repro.core.boundaries import CanonicalBoundaryMap
 from repro.core.safety import compute_safety_levels
 from repro.faults.blocks import _connected_components, build_faulty_blocks
 from repro.faults.injection import injection_sequence, uniform_faults
-from repro.faults.mcc import MCCType, label_statuses
+from repro.faults.mcc import MCCType, build_mccs
 from repro.mesh.geometry import Direction
 from repro.mesh.topology import Mesh2D
 from repro.obs import MetricsSink, Tracer, use_tracer
@@ -261,11 +261,8 @@ class TestProtocolSchedulerEquivalence:
     def test_mcc_formation(self):
         for key, count in (("mcc_formation", 14), ("mcc_formation_dense", 60)):
             mesh, faults, _ = _scenario(fault_count=count)
-            faulty = np.zeros((mesh.n, mesh.m), dtype=bool)
-            for fault in faults:
-                faulty[fault] = True
             result = run_mcc_formation(mesh, faults, MCCType.TYPE_ONE)
-            expected = label_statuses(mesh, faulty, MCCType.TYPE_ONE)
+            expected = build_mccs(mesh, faults, MCCType.TYPE_ONE).status
             assert np.array_equal(result.status, expected)
             assert result.stats == GOLDEN_STATS[key]
 
